@@ -51,7 +51,7 @@ var (
 func benchData(b *testing.B) (*dataset.Dataset, *experiments.Predictions) {
 	b.Helper()
 	benchOnce.Do(func() {
-		ds, err := benchScale().Dataset(false)
+		ds, err := benchScale().Generate(context.Background(), false)
 		if err != nil {
 			benchErr = err
 			return
@@ -209,7 +209,7 @@ func BenchmarkFigure10Extended(b *testing.B) {
 	scale := benchScale()
 	var f10 *experiments.Figure6Result
 	for i := 0; i < b.N; i++ {
-		ds, err := scale.Dataset(true)
+		ds, err := scale.Generate(context.Background(), true)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -496,7 +496,7 @@ func measureReplay(r *result, runs, extArchs, multicore int) {
 // measureCounters runs the batched grid on a single-slot runner and
 // returns the evaluator work counters (not timed).
 func measureCounters(req dataset.ExploreRequest) dataset.Stats {
-	run, ev := req.InstrumentedRunner()
+	run, ev := req.InstrumentedRunnerStore(nil)
 	cells := req.Cells()
 	for i := 0; i < cells; i++ {
 		if _, err := run(0, i); err != nil {

@@ -46,13 +46,9 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"log"
 	"net"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"portcc/internal/cliutil"
@@ -64,39 +60,23 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("portccd: ")
+	var cf cliutil.Flags
+	cf.RegisterWorkers()
+	cf.RegisterSweepWorkers()
+	cf.RegisterStore()
 	listen := flag.String("listen", ":7077", "address to serve coordinator connections on")
-	workers := flag.Int("workers", 0, "cell worker pool size (0 = GOMAXPROCS)")
-	sweepWorkers := flag.Int("sweep-workers", 0,
-		"per-cell sweep parallelism of batched replays (0 = auto-tune against GOMAXPROCS)")
 	heartbeat := flag.Duration("heartbeat", time.Second, "liveness heartbeat period on quiet connections")
-	storeDir := flag.String("store", "", "persistent result-store directory shared across runs (empty = none)")
-	storeBudget := flag.Int64("store-budget", 0, "result-store size bound in bytes, LRU-evicted (0 = unbounded)")
-	storeRemote := flag.String("store-remote", "",
-		"shared store-service address (host:port of portccsd); tiered behind -store when both are set")
 	flag.Parse()
 
-	var rstore *dataset.ResultStore
-	var err error
-	switch {
-	case *storeRemote != "":
-		rstore, err = dataset.OpenResultStoreRemote(*storeDir, *storeBudget, *storeRemote)
-	case *storeDir != "":
-		rstore, err = dataset.OpenResultStore(*storeDir, *storeBudget)
-	}
+	// One store across every run the daemon serves.
+	rstore, err := cf.OpenStore()
 	if err != nil {
 		log.Fatal(err)
 	}
 	if rstore != nil {
 		defer rstore.Close()
 		defer func() { log.Print(cliutil.StoreStats(rstore)) }()
-		switch {
-		case *storeDir != "" && *storeRemote != "":
-			log.Printf("result store at %s (budget %d bytes), tiered behind service %s", *storeDir, *storeBudget, *storeRemote)
-		case *storeRemote != "":
-			log.Printf("result store: fleet service %s (no local tier)", *storeRemote)
-		default:
-			log.Printf("result store at %s (budget %d bytes)", *storeDir, *storeBudget)
-		}
+		log.Print(cf.StoreTiers())
 	}
 
 	ln, err := net.Listen("tcp", *listen)
@@ -106,25 +86,8 @@ func main() {
 	log.Printf("serving exploration cells on %s (protocol v%d, dataset format v%d)",
 		ln.Addr(), wire.ProtoVersion, dataset.FormatVersion)
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	drain := make(chan struct{})
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sig
-		log.Print("draining: finishing in-flight assignments (signal again to hard-stop)")
-		close(drain)
-		<-sig
-		log.Print("hard stop: abandoning in-flight work")
-		cancel()
-		// Cells already inside compile/simulate are not context-aware;
-		// give the serve loop a moment to unwind, then force the exit
-		// so "hard stop" means what it says.
-		time.AfterFunc(2*time.Second, func() { os.Exit(1) })
-	}()
-
-	cfg := dataset.ServeConfigStore(*workers, *sweepWorkers, *heartbeat, rstore)
+	ctx, drain := cliutil.DrainSignals("finishing in-flight assignments")
+	cfg := dataset.ServeConfigStore(cf.Workers, cf.SweepWorkers, *heartbeat, rstore)
 	cfg.Drain = drain
 	cfg.Logf = log.Printf
 	if err := sched.Serve(ctx, ln, cfg); err != nil {

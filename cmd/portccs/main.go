@@ -69,14 +69,7 @@ func main() {
 	}
 	if rstore != nil {
 		defer rstore.Close()
-		switch {
-		case cf.Store != "" && cf.StoreRemote != "":
-			log.Printf("result store at %s, tiered behind service %s", cf.Store, cf.StoreRemote)
-		case cf.StoreRemote != "":
-			log.Printf("result store: fleet service %s (no local tier)", cf.StoreRemote)
-		default:
-			log.Printf("result store at %s", cf.Store)
-		}
+		log.Print(cf.StoreTiers())
 	}
 	srv, err := serve.New(serve.Config{
 		ModelPath:    cf.Model,

@@ -8,7 +8,7 @@
 // Usage:
 //
 //	portccsd [-listen :7087] [-store dir] [-store-budget bytes]
-//	         [-heartbeat 1s] [-inflight N] [-metrics host:port]
+//	         [-heartbeat 1s] [-metrics host:port]
 //
 // The wire handshake carries the protocol and dataset schema versions,
 // so shards built against a different schema are refused typed. Quiet
@@ -28,17 +28,14 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
 	"net"
 	"net/http"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
+	"portcc/internal/cliutil"
 	"portcc/internal/dataset"
 	"portcc/internal/serve/metrics"
 	"portcc/internal/store"
@@ -52,7 +49,6 @@ func main() {
 	storeDir := flag.String("store", "", "result-store directory to serve (required)")
 	storeBudget := flag.Int64("store-budget", 0, "store size bound in bytes, LRU-evicted (0 = unbounded)")
 	heartbeat := flag.Duration("heartbeat", time.Second, "liveness heartbeat period on quiet connections")
-	inflight := flag.Int("inflight", 0, "max concurrently served requests per connection (0 = default)")
 	metricsAddr := flag.String("metrics", "", "serve Prometheus text metrics on this address (empty = off)")
 	flag.Parse()
 
@@ -72,25 +68,10 @@ func main() {
 	log.Printf("serving result store %s on %s (protocol v%d, dataset format v%d, budget %d bytes)",
 		*storeDir, ln.Addr(), wire.ProtoVersion, dataset.FormatVersion, *storeBudget)
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	drain := make(chan struct{})
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sig
-		log.Print("draining: answering in-flight requests (signal again to hard-stop)")
-		close(drain)
-		<-sig
-		log.Print("hard stop")
-		cancel()
-		time.AfterFunc(2*time.Second, func() { os.Exit(1) })
-	}()
-
+	ctx, drain := cliutil.DrainSignals("answering in-flight requests")
 	sv := store.NewService(st, store.ServiceConfig{
 		Format:    dataset.FormatVersion,
 		Heartbeat: *heartbeat,
-		Inflight:  *inflight,
 		Drain:     drain,
 		Logf:      log.Printf,
 	})

@@ -3,6 +3,7 @@ package cliutil
 import (
 	"os"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -92,5 +93,40 @@ func TestProgressPrinterShardAnnotation(t *testing.T) {
 	finish()
 	if got := strings.Count(sharded.String(), "\n"); got != 1 {
 		t.Errorf("%d newlines after finish, want 1", got)
+	}
+}
+
+// TestStoreTiers: the start-up line names exactly the tiers the store
+// flags compose.
+func TestStoreTiers(t *testing.T) {
+	for _, tc := range []struct {
+		f    Flags
+		want string
+	}{
+		{Flags{Store: "/d", StoreBudget: 9}, "result store at /d (budget 9 bytes)"},
+		{Flags{StoreRemote: "h:1"}, "result store: fleet service h:1 (no local tier)"},
+		{Flags{Store: "/d", StoreRemote: "h:1"}, "result store at /d (budget 0 bytes), tiered behind service h:1"},
+	} {
+		if got := tc.f.StoreTiers(); got != tc.want {
+			t.Errorf("StoreTiers(%+v) = %q, want %q", tc.f, got, tc.want)
+		}
+	}
+}
+
+// TestDrainSignalsFirstSignalDrains: the first SIGTERM closes drain and
+// leaves ctx alive - the hard stop is the second signal's job (which also
+// forces the process to exit, so it is not exercised here).
+func TestDrainSignalsFirstSignalDrains(t *testing.T) {
+	ctx, drain := DrainSignals("finishing test work")
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-drain:
+	case <-time.After(5 * time.Second):
+		t.Fatal("drain still open 5s after SIGTERM")
+	}
+	if ctx.Err() != nil {
+		t.Error("the first signal cancelled ctx; it must only drain")
 	}
 }

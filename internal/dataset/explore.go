@@ -220,50 +220,36 @@ func runCell(ev *Evaluator, req *ExploreRequest, c exploreCell) (ExploreResult, 
 	}, nil
 }
 
-// Runner returns the in-process cell-execution function of the request's
-// grid - the Job.Run both the local executor and the worker daemon
-// (cmd/portccd) plug into the scheduler. Each worker slot gets a private
-// evaluator (its own trace cache), all sharing one pool base so a
-// program's cells spread over many slots build each module and compile
+// RunnerStore returns the in-process cell-execution function of the
+// request's grid - the Job.Run both the local executor and the worker
+// daemon (cmd/portccd) plug into the scheduler. Each worker slot gets a
+// private evaluator (its own trace cache), all sharing one pool base so
+// a program's cells spread over many slots build each module and compile
 // each -O3 probe once, not once per slot. Unless the request asks for
 // the naive path, the slots additionally share a sweep state that
 // batch-compiles each program's settings in windows (prefix-memoised)
 // and deduplicates trace generation and replay across settings whose
-// binaries came out byte-identical. slots bounds the slot space: callers
-// must derive it with sched.Workers so it matches the pool's slot
-// contract. The request must already be validated.
-func (r *ExploreRequest) Runner(slots int) func(slot, index int) (any, error) {
-	return r.RunnerWith(slots, 0)
-}
-
-// RunnerWith is Runner with an explicit per-slot sweep-worker budget for
-// the batched replays inside each cell (0 auto-tunes: leftover cores the
-// slot fan-out cannot occupy go to each slot's sweeps, see
-// internal/tune; results are bit-identical at every setting).
-func (r *ExploreRequest) RunnerWith(slots, sweepWorkers int) func(slot, index int) (any, error) {
-	return r.RunnerStore(slots, sweepWorkers, nil)
-}
-
-// RunnerStore is RunnerWith with a persistent result store every slot's
-// evaluator answers replays from and commits them to (nil = no store).
-// Results are bit-identical with or without one.
+// binaries came out byte-identical. The request must already be
+// validated.
+//
+// slots bounds the slot space: callers must derive it with sched.Workers
+// so it matches the pool's slot contract. sweepWorkers is the per-slot
+// budget of the batched replays inside each cell (0 auto-tunes: leftover
+// cores the slot fan-out cannot occupy go to each slot's sweeps, see
+// internal/tune). st is a persistent result store every slot's evaluator
+// answers replays from and commits them to (nil = none). Results are
+// bit-identical at every sweepWorkers and with or without a store.
 func (r *ExploreRequest) RunnerStore(slots, sweepWorkers int, st *ResultStore) func(slot, index int) (any, error) {
 	run, _ := r.runner(slots, sweepWorkers, st)
 	return run
 }
 
-// InstrumentedRunner is Runner with one worker slot and sequential
-// sweeps, returning the slot's evaluator alongside so a caller driving
-// the grid itself can read the work counters (Stats) afterwards - the
-// benchmark harness uses it to report pass runs saved without a
-// profiler.
-func (r *ExploreRequest) InstrumentedRunner() (func(slot, index int) (any, error), *Evaluator) {
-	return r.InstrumentedRunnerStore(nil)
-}
-
-// InstrumentedRunnerStore is InstrumentedRunner with a persistent
-// result store attached to the slot's evaluator (nil = none); the
-// benchmark harness uses it to measure warm-store replay speed.
+// InstrumentedRunnerStore is RunnerStore with one worker slot and
+// sequential sweeps, returning the slot's evaluator alongside so a
+// caller driving the grid itself can read the work counters (Stats)
+// afterwards - the benchmark harnesses use it to report pass runs saved
+// without a profiler and, with a store attached (nil = none), to
+// measure warm-store replay speed.
 func (r *ExploreRequest) InstrumentedRunnerStore(st *ResultStore) (func(slot, index int) (any, error), *Evaluator) {
 	run, evs := r.runner(1, 1, st)
 	evs[0] = NewEvaluatorWith(r.Eval, nil)
@@ -309,27 +295,16 @@ func (r *ExploreRequest) runner(slots, sweepWorkers int, st *ResultStore) (func(
 	}, evs
 }
 
-// ServeConfig returns the scheduler serve configuration of an
+// ServeConfigStore returns the scheduler serve configuration of an
 // exploration worker: decode job specs as ExploreRequests, validate them
 // against this build's suite and spaces, and run cells on pooled
 // evaluators. cmd/portccd wraps exactly this; tests drive it in-process.
-func ServeConfig(workers int, heartbeat time.Duration) sched.ServeConfig {
-	return ServeConfigWith(workers, 0, heartbeat)
-}
-
-// ServeConfigWith is ServeConfig with an explicit per-slot sweep-worker
-// budget for the batched replays (0 auto-tunes against the daemon's
-// GOMAXPROCS; portccd exposes it as -sweep-workers). Streams are
-// bit-identical at every setting.
-func ServeConfigWith(workers, sweepWorkers int, heartbeat time.Duration) sched.ServeConfig {
-	return ServeConfigStore(workers, sweepWorkers, heartbeat, nil)
-}
-
-// ServeConfigStore is ServeConfigWith with a persistent result store
-// shared by every run the daemon serves (nil = none; portccd exposes it
-// as -store/-store-budget): a daemon restarted after a crash answers
-// the resubmitted grid's replays from disk. Streams are bit-identical
-// with or without a store.
+// sweepWorkers is the per-slot budget of the batched replays (0
+// auto-tunes against the daemon's GOMAXPROCS; portccd exposes it as
+// -sweep-workers). st is a persistent result store shared by every run
+// the daemon serves (nil = none; portccd's -store flags): a daemon
+// restarted after a crash answers the resubmitted grid's replays from
+// disk. Streams are bit-identical at every setting of either.
 func ServeConfigStore(workers, sweepWorkers int, heartbeat time.Duration, st *ResultStore) sched.ServeConfig {
 	return sched.ServeConfig{
 		Format:    FormatVersion,

@@ -87,8 +87,8 @@ func TestShardedGenerateMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a1, _ := startShard(t, ServeConfig(2, 100*time.Millisecond))
-	a2, _ := startShard(t, ServeConfig(2, 100*time.Millisecond))
+	a1, _ := startShard(t, ServeConfigStore(2, 0, 100*time.Millisecond, nil))
+	a2, _ := startShard(t, ServeConfigStore(2, 0, 100*time.Millisecond, nil))
 	sharded, err := GenerateWith(context.Background(), cfg, ExploreOptions{Shards: []string{a1, a2}})
 	if err != nil {
 		t.Fatal(err)
@@ -111,8 +111,8 @@ func TestShardDeathRequeuesOntoSurvivor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a1, _ := startShard(t, ServeConfig(2, 100*time.Millisecond))
-	a2, kill2 := startShard(t, ServeConfig(2, 100*time.Millisecond))
+	a1, _ := startShard(t, ServeConfigStore(2, 0, 100*time.Millisecond, nil))
+	a2, kill2 := startShard(t, ServeConfigStore(2, 0, 100*time.Millisecond, nil))
 	var once sync.Once
 	sharded, err := GenerateWith(context.Background(), cfg, ExploreOptions{
 		Shards: []string{a1, a2},
@@ -150,8 +150,8 @@ func TestShardedGenerateBitIdenticalUnderFaults(t *testing.T) {
 		}
 		return faultnet.Fault{}
 	}
-	a1, _ := startShardWith(t, ServeConfig(2, 50*time.Millisecond), cut)
-	a2, _ := startShardWith(t, ServeConfig(2, 50*time.Millisecond), cut)
+	a1, _ := startShardWith(t, ServeConfigStore(2, 0, 50*time.Millisecond, nil), cut)
+	a2, _ := startShardWith(t, ServeConfigStore(2, 0, 50*time.Millisecond, nil), cut)
 	sharded, err := GenerateWith(context.Background(), cfg, ExploreOptions{
 		Shards: []string{a1, a2},
 		Retry:  sched.RetryPolicy{MaxAttempts: 10, BaseBackoff: 2 * time.Millisecond, MaxBackoff: 20 * time.Millisecond, Seed: 7},
@@ -168,7 +168,7 @@ func TestShardedGenerateBitIdenticalUnderFaults(t *testing.T) {
 // schema version is refused during the handshake; with no other shards
 // to requeue onto, the run surfaces both sentinels.
 func TestShardFormatMismatchIsTyped(t *testing.T) {
-	scfg := ServeConfig(1, 100*time.Millisecond)
+	scfg := ServeConfigStore(1, 0, 100*time.Millisecond, nil)
 	scfg.Format = FormatVersion + 1
 	addr, _ := startShard(t, scfg)
 	var terminal error
@@ -210,8 +210,8 @@ func TestAllShardsUnreachableSurfacesShardFailure(t *testing.T) {
 // the iterator.
 func TestShardedCancelDrainsWithoutLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
-	a1, kill1 := startShard(t, ServeConfig(2, 100*time.Millisecond))
-	a2, kill2 := startShard(t, ServeConfig(2, 100*time.Millisecond))
+	a1, kill1 := startShard(t, ServeConfigStore(2, 0, 100*time.Millisecond, nil))
+	a2, kill2 := startShard(t, ServeConfigStore(2, 0, 100*time.Millisecond, nil))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	results := 0

@@ -169,8 +169,8 @@ func TestPartialGridRunnerBoundedAndCorrect(t *testing.T) {
 
 	naiveReq := req
 	naiveReq.Naive = true
-	naiveRun := naiveReq.Runner(1)
-	run, ev := req.InstrumentedRunner()
+	naiveRun := naiveReq.RunnerStore(1, 0, nil)
+	run, ev := req.InstrumentedRunnerStore(nil)
 
 	sum := 0
 	for i, c := range cells {

@@ -18,7 +18,7 @@ func getDS(t *testing.T) *dataset.Dataset {
 		s := Scale{Name: "test", Programs: []string{
 			"rijndael_e", "search", "qsort", "crc", "bitcnts", "madplay",
 		}, NumArchs: 4, NumOpts: 16, TargetInsns: 6000, Seed: 3}
-		ds, err := s.Dataset(false)
+		ds, err := s.Generate(context.Background(), false)
 		if err != nil {
 			t.Fatal(err)
 		}

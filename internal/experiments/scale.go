@@ -74,10 +74,3 @@ func (s Scale) GenConfig(extended bool) dataset.GenConfig {
 func (s Scale) Generate(ctx context.Context, extended bool) (*dataset.Dataset, error) {
 	return dataset.Generate(ctx, s.GenConfig(extended))
 }
-
-// Dataset generates the dataset for the scale.
-//
-// Deprecated: use Generate, which accepts a context for cancellation.
-func (s Scale) Dataset(extended bool) (*dataset.Dataset, error) {
-	return s.Generate(context.Background(), extended)
-}

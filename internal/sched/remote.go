@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net"
 	"sort"
 	"sync"
 	"time"
@@ -93,15 +92,6 @@ type Remote struct {
 	// Addrs are the shard addresses (host:port). At least one is
 	// required; cells from a dead shard requeue onto the others.
 	Addrs []string
-	// ChunkSize caps the cells assigned to a shard per round trip
-	// (default 8): larger chunks amortise the round trip and feed the
-	// shard's pool, smaller ones lose less work when a shard dies. The
-	// cap applies mid-run; near the tail of the grid the dispenser
-	// adaptively shrinks assignments toward single cells (see
-	// adaptChunk), so a shard dying at the tail loses less work and the
-	// last cells spread across every live shard instead of queueing
-	// behind one.
-	ChunkSize int
 	// DialTimeout bounds connection establishment (default 5s).
 	DialTimeout time.Duration
 	// Retry is the reconnect/backoff/quarantine policy (zero value =
@@ -109,12 +99,14 @@ type Remote struct {
 	Retry RetryPolicy
 }
 
-func (r *Remote) chunkSize() int {
-	if r.ChunkSize > 0 {
-		return r.ChunkSize
-	}
-	return 8
-}
+// chunkSize caps the cells assigned to a shard per round trip: larger
+// chunks amortise the round trip and feed the shard's pool, smaller ones
+// lose less work when a shard dies. The cap applies mid-run; near the
+// tail of the grid the dispenser shrinks assignments toward single cells
+// (see adaptChunk), so a shard dying at the tail loses less work and the
+// last cells spread across every live shard instead of queueing behind
+// one.
+const chunkSize = 8
 
 func (r *Remote) dialTimeout() time.Duration {
 	if r.DialTimeout > 0 {
@@ -219,69 +211,37 @@ func (e *permanentError) Error() string { return e.err.Error() }
 
 func (e *permanentError) Unwrap() error { return e.err }
 
-// maxHeartbeatGrace caps the dead-shard detection window derived from
-// the daemon's announced heartbeat period: a daemon misconfigured with
-// -heartbeat 10m must not make the coordinator wait most of an hour
-// before declaring it dead and requeueing its cells.
-const maxHeartbeatGrace = 30 * time.Second
-
-// heartbeatGrace turns the daemon's announced heartbeat period into the
-// read/write deadline window: a few missed beats mean the shard is
-// gone, clamped to [1s, maxHeartbeatGrace].
-func heartbeatGrace(hb time.Duration) time.Duration {
-	grace := 4 * hb
-	if grace < time.Second {
-		grace = time.Second
-	}
-	if grace > maxHeartbeatGrace {
-		grace = maxHeartbeatGrace
-	}
-	return grace
-}
-
 // serveShard drives one shard connection until the grid is finished, the
 // context is cancelled, or the connection dies. It returns the cells it
 // had taken but not resolved (for requeueing), whether the connection
 // resolved any cell at all (progress refreshes the retry budget), and
 // the connection's terminal error, nil for a clean finish.
 func (r *Remote) serveShard(ctx context.Context, st *remoteState, addr string, job Job, emit func(int, any)) (lostCells []int, progressed bool, err error) {
-	d := net.Dialer{Timeout: r.dialTimeout()}
-	nc, err := d.DialContext(ctx, "tcp", addr)
+	// A wedged-but-connected peer (accepts TCP, never speaks) must not
+	// hang the run: wire.Dial bounds the handshake like the dial, and
+	// every blocking operation after it carries a deadline, so a shard
+	// goroutine always terminates and requeues its cells. grace is the
+	// window a live shard proves itself in, by a result or a heartbeat,
+	// even when its cells run long.
+	nc, conn, grace, err := wire.Dial(ctx, addr, job.Format, r.dialTimeout())
 	if err != nil {
 		return nil, false, fmt.Errorf("sched: shard %s: %w", addr, err)
 	}
 	defer nc.Close()
 	// Cancellation pokes any blocked read or write on this connection.
-	// Every later re-arm goes through deadlineFor, which re-asserts the
+	// Every re-arm goes through wire.DeadlineFor, which re-asserts the
 	// poke if it raced the cancellation, so a blocked operation survives
 	// a cancelled context by at most one deadline window.
 	stop := context.AfterFunc(ctx, func() { nc.SetDeadline(time.Unix(1, 0)) })
 	defer stop()
 
-	conn := wire.NewConn(nc)
-	// A wedged-but-connected peer (accepts TCP, never speaks) must not
-	// hang the run: the handshake and job transfer are bounded like the
-	// dial, and every blocking operation after them carries a deadline,
-	// so a shard goroutine always terminates and requeues its cells.
-	nc.SetDeadline(deadlineFor(ctx, r.dialTimeout()))
-	hb, err := conn.ClientHello(job.Format)
-	if err != nil {
-		return nil, false, fmt.Errorf("sched: shard %s: %w", addr, err)
-	}
-	// A live shard proves itself every heartbeat period even when its
-	// cells run long; a few missed beats mean it is gone. The window is
-	// clamped so a misconfigured daemon heartbeat cannot stretch dead-
-	// shard detection into the tens of minutes.
-	grace := heartbeatGrace(hb)
+	nc.SetWriteDeadline(wire.DeadlineFor(ctx, grace))
 	if err := conn.Send(&wire.Frame{Job: &wire.Job{Spec: job.Spec}}); err != nil {
 		return nil, false, fmt.Errorf("sched: shard %s: sending job: %w", addr, err)
 	}
-	// The job is through; every read below re-arms per frame and every
-	// assignment write re-arms per chunk, so the handshake deadline
-	// cannot strand a later operation.
 
 	for {
-		cells := st.take(ctx, r.chunkSize())
+		cells := st.take(ctx, chunkSize)
 		if cells == nil {
 			return nil, progressed, nil
 		}
@@ -298,12 +258,12 @@ func (r *Remote) serveShard(ctx context.Context, st *remoteState, addr string, j
 		}
 		// A shard that stops reading must not block the assignment write
 		// forever (its taken cells would never requeue): bound it too.
-		nc.SetWriteDeadline(deadlineFor(ctx, grace))
+		nc.SetWriteDeadline(wire.DeadlineFor(ctx, grace))
 		if err := conn.Send(&wire.Frame{Assign: &wire.Assign{Cells: cells}}); err != nil {
 			return lost(), progressed, fmt.Errorf("sched: shard %s: assigning cells: %w", addr, err)
 		}
 		for len(outstanding) > 0 {
-			nc.SetReadDeadline(deadlineFor(ctx, grace))
+			nc.SetReadDeadline(wire.DeadlineFor(ctx, grace))
 			f, err := conn.Recv()
 			if err != nil {
 				return lost(), progressed, fmt.Errorf("sched: shard %s: %w", addr, err)
@@ -333,17 +293,6 @@ func (r *Remote) serveShard(ctx context.Context, st *remoteState, addr string, j
 			}
 		}
 	}
-}
-
-// deadlineFor is the only way shard connections re-arm deadlines: a
-// cancelled context yields an already-expired deadline, so a re-arm
-// racing the cancellation AfterFunc's poke re-asserts it instead of
-// silently granting a blocked operation another full window.
-func deadlineFor(ctx context.Context, d time.Duration) time.Time {
-	if ctx.Err() != nil {
-		return time.Unix(1, 0)
-	}
-	return time.Now().Add(d)
 }
 
 // remoteError reconstructs a transported cell failure: the message is

@@ -3,9 +3,9 @@ package sched
 import (
 	"context"
 	"errors"
+	"io"
 	"math/rand"
 	"net"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -49,25 +49,6 @@ func TestWedgedShardDoesNotHang(t *testing.T) {
 	}
 }
 
-// TestHeartbeatGraceClamped: the dead-shard window derived from the
-// daemon's announced heartbeat is clamped to [1s, maxHeartbeatGrace],
-// so a daemon misconfigured with -heartbeat 10m cannot stretch failure
-// detection to ~40 minutes.
-func TestHeartbeatGraceClamped(t *testing.T) {
-	for _, tc := range []struct{ hb, want time.Duration }{
-		{0, time.Second},                      // unset: sane floor
-		{100 * time.Millisecond, time.Second}, // short beats keep the floor
-		{time.Second, 4 * time.Second},        // normal: a few missed beats
-		{5 * time.Second, 20 * time.Second},   // long but legal
-		{10 * time.Minute, maxHeartbeatGrace}, // misconfigured: clamped
-		{time.Hour, maxHeartbeatGrace},        // absurd: clamped
-	} {
-		if got := heartbeatGrace(tc.hb); got != tc.want {
-			t.Errorf("heartbeatGrace(%v) = %v, want %v", tc.hb, got, tc.want)
-		}
-	}
-}
-
 // TestBackoffDelayBoundedAndSeeded: redial delays grow exponentially
 // from BaseBackoff, never exceed MaxBackoff, keep at least half the
 // nominal delay after jitter, and replay identically under one seed.
@@ -91,56 +72,19 @@ func TestBackoffDelayBoundedAndSeeded(t *testing.T) {
 	}
 }
 
-// flakyListener fails its first few Accepts with a temporary error
-// (simulated fd exhaustion), then delegates to the real listener.
-type flakyListener struct {
-	net.Listener
-	failures atomic.Int32
-}
-
-type tempAcceptErr struct{}
-
-func (tempAcceptErr) Error() string   { return "accept: too many open files (simulated)" }
-func (tempAcceptErr) Timeout() bool   { return false }
-func (tempAcceptErr) Temporary() bool { return true }
-
-func (l *flakyListener) Accept() (net.Conn, error) {
-	if l.failures.Add(-1) >= 0 {
-		return nil, tempAcceptErr{}
-	}
-	return l.Listener.Accept()
-}
-
-// TestServeRetriesTransientAcceptErrors: EMFILE-style accept failures
-// must not kill the daemon - Serve backs off and keeps accepting, so a
-// run started during fd pressure still completes.
-func TestServeRetriesTransientAcceptErrors(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+// TestMutePeerIsDropped: the job daemon runs on wire.Server, so a peer
+// that connects and never speaks is hung up on once the handshake window
+// passes instead of pinning a goroutine and an fd for the daemon's life.
+func TestMutePeerIsDropped(t *testing.T) {
+	addr := startChaosShard(t, chaosServeConfig(1, 20*time.Millisecond), nil)
+	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl := &flakyListener{Listener: ln}
-	fl.failures.Store(3)
-	ctx, cancel := context.WithCancel(context.Background())
-	served := make(chan error, 1)
-	go func() { served <- Serve(ctx, fl, chaosServeConfig(1, 50*time.Millisecond)) }()
-	t.Cleanup(func() {
-		cancel()
-		if err := <-served; err != nil {
-			t.Errorf("Serve returned %v after transient accept errors, want nil", err)
-		}
-	})
-
-	r := &Remote{Addrs: []string{ln.Addr().String()}, DialTimeout: 2 * time.Second,
-		Retry: RetryPolicy{MaxAttempts: 5, BaseBackoff: 5 * time.Millisecond}}
-	col := newCollector()
-	done, err := r.Execute(context.Background(), Job{Spec: chaosSpec{PanicAt: -1}, Cells: 6, Format: 1}, col.emit)
-	if err != nil || done != 6 {
-		t.Fatalf("run against a daemon under accept pressure: done=%d err=%v", done, err)
-	}
-	col.verify(t, 6)
-	if left := fl.failures.Load(); left > 0 {
-		t.Fatalf("%d simulated accept failures never consumed", left)
+	defer nc.Close()
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := nc.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("mute client read %v, want EOF from the daemon's handshake deadline", err)
 	}
 }
 

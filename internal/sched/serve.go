@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"net"
 	"runtime/debug"
-	"sync"
 	"time"
 
 	"portcc/internal/pcerr"
@@ -45,179 +44,45 @@ type ServeConfig struct {
 	Logf func(format string, args ...any)
 }
 
-func (c *ServeConfig) heartbeat() time.Duration {
-	if c.Heartbeat > 0 {
-		return c.Heartbeat
-	}
-	return time.Second
-}
-
-func (c *ServeConfig) logf(format string, args ...any) {
-	if c.Logf != nil {
-		c.Logf(format, args...)
-	}
-}
-
-// Serve accepts coordinator connections on ln until ctx is cancelled
-// (hard stop: in-flight work is abandoned) or cfg.Drain is closed
-// (graceful: in-flight assignments finish first), then blocks until
-// every connection handler has exited. The listener is closed on return.
+// Serve runs the worker daemon on ln until ctx is cancelled (hard stop:
+// in-flight work is abandoned) or cfg.Drain is closed (graceful:
+// in-flight assignments finish first), then blocks until every
+// connection has exited. The listener is closed on return.
 func Serve(ctx context.Context, ln net.Listener, cfg ServeConfig) error {
-	stopped := make(chan struct{})
-	defer close(stopped)
-	go func() {
-		select {
-		case <-ctx.Done():
-		case <-drainChan(cfg.Drain):
-		case <-stopped:
-		}
-		ln.Close()
-	}()
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	var acceptDelay time.Duration
-	for {
-		nc, err := ln.Accept()
-		if err != nil {
-			if ctx.Err() != nil || drained(cfg.Drain) {
-				return nil
-			}
-			// Transient accept failures (EMFILE under fd pressure, an
-			// aborted connection, an interrupted syscall) must not kill a
-			// daemon that is mid-way through serving other coordinators:
-			// back off briefly and keep accepting. Only listener closure
-			// or a permanent error ends the loop.
-			if transientAcceptErr(err) {
-				if acceptDelay < 5*time.Millisecond {
-					acceptDelay = 5 * time.Millisecond
-				} else if acceptDelay *= 2; acceptDelay > time.Second {
-					acceptDelay = time.Second
-				}
-				cfg.logf("accept: %v (retrying in %v)", err, acceptDelay)
-				select {
-				case <-time.After(acceptDelay):
-				case <-ctx.Done():
-					return nil
-				case <-drainChan(cfg.Drain):
-					return nil
-				}
-				continue
-			}
-			return err
-		}
-		acceptDelay = 0
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer nc.Close()
-			cfg.logf("serving %s", nc.RemoteAddr())
-			serveConn(ctx, nc, cfg)
-			cfg.logf("closed %s", nc.RemoteAddr())
-		}()
+	if cfg.Logf == nil {
+		cfg.Logf = func(string, ...any) {}
 	}
+	srv := wire.Server{Format: cfg.Format, Heartbeat: cfg.Heartbeat, Drain: cfg.Drain, Logf: cfg.Logf}
+	return srv.Serve(ctx, ln, func(ctx context.Context, conn *wire.Conn, peer string) {
+		serveConn(ctx, conn, peer, cfg)
+	})
 }
 
-// transientAcceptErr classifies Accept failures worth retrying: timeouts
-// and the temporary syscall family (EMFILE/ENFILE fd exhaustion,
-// ECONNABORTED, EINTR) as reported by the net.Error the runtime wraps
-// them in. Listener closure is never transient.
-func transientAcceptErr(err error) bool {
-	if errors.Is(err, net.ErrClosed) {
-		return false
-	}
-	var ne net.Error
-	if !errors.As(err, &ne) {
-		return false
-	}
-	//lint:ignore SA1019 Temporary is exactly the accept-retry predicate
-	// (EMFILE, ENFILE, ECONNABORTED, EINTR, timeouts); the deprecation
-	// targets its vaguer uses.
-	return ne.Timeout() || ne.Temporary()
-}
-
-// drainChan never fires for a nil Drain (a nil channel blocks forever).
-func drainChan(d <-chan struct{}) <-chan struct{} { return d }
-
-func drained(d <-chan struct{}) bool {
-	select {
-	case <-d:
-		return true
-	default:
-		return false
-	}
-}
-
-// serveConn handles one coordinator connection: handshake, one job,
+// serveConn handles one handshaken coordinator connection: one job,
 // then assignments until the coordinator hangs up, the context hard-
-// stops, or a drain finishes the current assignment.
-func serveConn(ctx context.Context, nc net.Conn, cfg ServeConfig) {
-	// Cancellation kills the connection outright; a drain only pokes the
-	// read side, so the idle wait for the next assignment ends while an
-	// in-flight assignment keeps writing results. The watcher keeps
-	// listening after a drain so a later cancellation still hard-stops.
-	connDone := make(chan struct{})
-	defer close(connDone)
-	go func() {
-		drain := drainChan(cfg.Drain)
-		for {
-			select {
-			case <-ctx.Done():
-				nc.SetDeadline(time.Unix(1, 0))
-				return
-			case <-drain:
-				nc.SetReadDeadline(time.Unix(1, 0))
-				drain = nil
-			case <-connDone:
-				return
-			}
-		}
-	}()
-
-	conn := wire.NewConn(nc)
-	if err := conn.ServerHello(cfg.Format, cfg.heartbeat()); err != nil {
-		cfg.logf("%s: handshake: %v", nc.RemoteAddr(), err)
-		return
-	}
+// stops, or a drain ends the idle wait after the current assignment.
+func serveConn(ctx context.Context, conn *wire.Conn, peer string, cfg ServeConfig) {
 	f, err := conn.Recv()
 	if err != nil {
 		return
 	}
 	if f.Job == nil {
-		cfg.logf("%s: expected job, got %s frame", nc.RemoteAddr(), f.Kind())
+		cfg.Logf("%s: expected job, got %s frame", peer, f.Kind())
 		return
 	}
 	run, err := cfg.NewRun(f.Job.Spec)
 	if err != nil {
-		cfg.logf("%s: refusing job: %v", nc.RemoteAddr(), err)
+		cfg.Logf("%s: refusing job: %v", peer, err)
 		conn.Send(&wire.Frame{Fail: &wire.Fail{Msg: err.Error()}})
 		return
 	}
-
-	// Heartbeats share the connection's write lock with result frames.
-	hbDone := make(chan struct{})
-	defer close(hbDone)
-	go func() {
-		t := time.NewTicker(cfg.heartbeat())
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				if conn.Send(&wire.Frame{Heartbeat: true}) != nil {
-					return
-				}
-			case <-hbDone:
-				return
-			}
-		}
-	}()
-
 	for {
 		f, err := conn.Recv()
 		if err != nil {
 			return
 		}
 		if f.Assign == nil {
-			cfg.logf("%s: expected assign, got %s frame", nc.RemoteAddr(), f.Kind())
+			cfg.Logf("%s: expected assign, got %s frame", peer, f.Kind())
 			return
 		}
 		if !serveAssign(ctx, conn, cfg, run, f.Assign.Cells) {
@@ -258,7 +123,7 @@ func serveAssign(ctx context.Context, conn *wire.Conn, cfg ServeConfig, run func
 func runCellRecovered(cfg ServeConfig, run func(int, int) (any, error), slot, index int) (payload any, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			cfg.logf("cell %d panicked: %v\n%s", index, r, debug.Stack())
+			cfg.Logf("cell %d panicked: %v\n%s", index, r, debug.Stack())
 			err = fmt.Errorf("%w: cell %d: %v", pcerr.ErrCellPanic, index, r)
 		}
 	}()

@@ -30,6 +30,7 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -126,19 +127,6 @@ func NewRemote(o RemoteOptions) *Remote {
 	return &Remote{o: o, poisoned: map[Key]bool{}}
 }
 
-// heartbeatGrace is how long a quiet connection may stay silent before
-// the reader declares it dead: a few missed beats, clamped sane.
-func heartbeatGrace(hb time.Duration) time.Duration {
-	g := 4 * hb
-	if g < time.Second {
-		g = time.Second
-	}
-	if g > 30*time.Second {
-		g = 30 * time.Second
-	}
-	return g
-}
-
 // ensure returns the live connection, dialling if allowed. Inside a
 // backoff window, after a version mismatch, or after Close it fails
 // fast without touching the network.
@@ -179,28 +167,16 @@ func (r *Remote) ensure() (*remoteConn, error) {
 	return rc, nil
 }
 
-// dial connects and handshakes under one deadline. Called with r.mu
-// held (concurrent requests wait rather than racing duplicate dials).
+// dial opens a handshaken connection (wire.Dial: connect and handshake
+// under one deadline). Called with r.mu held (concurrent requests wait
+// rather than racing duplicate dials).
 func (r *Remote) dial() (*remoteConn, error) {
 	r.dials.Add(1)
-	nc, err := net.DialTimeout("tcp", r.o.Addr, r.o.dialTimeout())
+	nc, wc, grace, err := wire.Dial(context.Background(), r.o.Addr, r.o.Format, r.o.dialTimeout())
 	if err != nil {
-		return nil, fmt.Errorf("store: dial %s: %w", r.o.Addr, err)
+		return nil, fmt.Errorf("store: %s: %w", r.o.Addr, err)
 	}
-	nc.SetDeadline(time.Now().Add(r.o.dialTimeout()))
-	wc := wire.NewConn(nc)
-	hb, err := wc.ClientHello(r.o.Format)
-	if err != nil {
-		nc.Close()
-		return nil, fmt.Errorf("store: %s: handshake: %w", r.o.Addr, err)
-	}
-	nc.SetDeadline(time.Time{})
-	return &remoteConn{
-		nc:      nc,
-		wc:      wc,
-		grace:   heartbeatGrace(hb),
-		pending: map[uint64]chan *wire.StoreReply{},
-	}, nil
+	return &remoteConn{nc: nc, wc: wc, grace: grace, pending: map[uint64]chan *wire.StoreReply{}}, nil
 }
 
 // reader is the connection's single receive loop: heartbeats reset the

@@ -1,11 +1,11 @@
-// The service side of the shared result store: a sched.Serve-style
-// accept loop that exposes one Backend (normally a plain *Store
-// directory) to a fleet of remote clients over the wire protocol. One
-// portccsd (or portccd -store-serve) process owns the directory; every
-// shard's Tiered backend queries it before recomputing a cell, so a
-// fleet's duplicate replays collapse into one computation.
+// The service side of the shared result store: a handler on the
+// wire.Server accept loop (the one the job daemon runs on) that exposes
+// one Backend (normally a plain *Store directory) to a fleet of remote
+// clients over the wire protocol. One portccsd process owns the
+// directory; every shard's Tiered backend queries it before recomputing
+// a cell, so a fleet's duplicate replays collapse into one computation.
 //
-// The protocol per connection: version handshake (wire.ServerHello,
+// The protocol per connection: version handshake (by wire.Server,
 // exactly like the job protocol - mismatched builds are refused typed),
 // then pipelined StoreGet/StorePut frames, each answered by exactly one
 // StoreReply correlated by request ID. Replies interleave freely with
@@ -21,7 +21,6 @@ package store
 
 import (
 	"context"
-	"errors"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -41,10 +40,6 @@ type ServiceConfig struct {
 	// service alive (default 1s); clients treat a few missed beats as a
 	// dead service and degrade to their local tier.
 	Heartbeat time.Duration
-	// Inflight bounds concurrently served requests per connection
-	// (default 16): enough to pipeline a fleet shard's batch, bounded
-	// so one client cannot queue unbounded disk work.
-	Inflight int
 	// Drain, when closed, drains the loop gracefully: stop accepting,
 	// answer in-flight requests, then close. Clients degrade to local.
 	Drain <-chan struct{}
@@ -52,25 +47,10 @@ type ServiceConfig struct {
 	Logf func(format string, args ...any)
 }
 
-func (c *ServiceConfig) heartbeat() time.Duration {
-	if c.Heartbeat > 0 {
-		return c.Heartbeat
-	}
-	return time.Second
-}
-
-func (c *ServiceConfig) inflight() int {
-	if c.Inflight > 0 {
-		return c.Inflight
-	}
-	return 16
-}
-
-func (c *ServiceConfig) logf(format string, args ...any) {
-	if c.Logf != nil {
-		c.Logf(format, args...)
-	}
-}
+// serviceInflight bounds concurrently served requests per connection:
+// enough to pipeline a fleet shard's batch, bounded so one client cannot
+// queue unbounded disk work.
+const serviceInflight = 16
 
 // ServiceStats is the daemon-side ledger of a store service, readable
 // concurrently while serving.
@@ -114,139 +94,31 @@ func (sv *Service) Stats() ServiceStats {
 	}
 }
 
-// Serve accepts client connections on ln until ctx is cancelled (hard
-// stop) or cfg.Drain is closed (graceful: in-flight requests are
-// answered first), then blocks until every connection handler has
-// exited. The listener is closed on return.
+// Serve runs the service on ln until ctx is cancelled (hard stop) or
+// cfg.Drain is closed (graceful: in-flight requests are answered
+// first), then blocks until every connection has exited. The listener
+// is closed on return.
 func (sv *Service) Serve(ctx context.Context, ln net.Listener) error {
-	cfg := &sv.cfg
-	stopped := make(chan struct{})
-	defer close(stopped)
-	go func() {
-		select {
-		case <-ctx.Done():
-		case <-svcDrainChan(cfg.Drain):
-		case <-stopped:
-		}
-		ln.Close()
-	}()
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	var acceptDelay time.Duration
-	for {
-		nc, err := ln.Accept()
-		if err != nil {
-			if ctx.Err() != nil || svcDrained(cfg.Drain) {
-				return nil
-			}
-			if transientServiceAcceptErr(err) {
-				if acceptDelay < 5*time.Millisecond {
-					acceptDelay = 5 * time.Millisecond
-				} else if acceptDelay *= 2; acceptDelay > time.Second {
-					acceptDelay = time.Second
-				}
-				cfg.logf("store-serve: accept: %v (retrying in %v)", err, acceptDelay)
-				select {
-				case <-time.After(acceptDelay):
-				case <-ctx.Done():
-					return nil
-				case <-svcDrainChan(cfg.Drain):
-					return nil
-				}
-				continue
-			}
-			return err
-		}
-		acceptDelay = 0
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer nc.Close()
-			cfg.logf("store-serve: serving %s", nc.RemoteAddr())
-			sv.serveConn(ctx, nc)
-			cfg.logf("store-serve: closed %s", nc.RemoteAddr())
-		}()
+	srv := wire.Server{Format: sv.cfg.Format, Heartbeat: sv.cfg.Heartbeat, Drain: sv.cfg.Drain, Logf: sv.logf}
+	return srv.Serve(ctx, ln, sv.serveConn)
+}
+
+func (sv *Service) logf(format string, args ...any) {
+	if sv.cfg.Logf != nil {
+		sv.cfg.Logf("store-serve: "+format, args...)
 	}
 }
 
-// transientServiceAcceptErr mirrors the job daemon's accept-retry
-// predicate: timeouts and the temporary syscall family, never closure.
-func transientServiceAcceptErr(err error) bool {
-	if errors.Is(err, net.ErrClosed) {
-		return false
-	}
-	var ne net.Error
-	if !errors.As(err, &ne) {
-		return false
-	}
-	//lint:ignore SA1019 Temporary is exactly the accept-retry predicate.
-	return ne.Timeout() || ne.Temporary()
-}
-
-func svcDrainChan(d <-chan struct{}) <-chan struct{} { return d }
-
-func svcDrained(d <-chan struct{}) bool {
-	select {
-	case <-d:
-		return true
-	default:
-		return false
-	}
-}
-
-// serveConn handles one client connection: handshake, then pipelined
-// store requests until the client hangs up, the context hard-stops, or
-// a drain pokes the idle read while in-flight replies finish.
-func (sv *Service) serveConn(ctx context.Context, nc net.Conn) {
-	cfg := &sv.cfg
-	connDone := make(chan struct{})
-	defer close(connDone)
-	go func() {
-		drain := svcDrainChan(cfg.Drain)
-		for {
-			select {
-			case <-ctx.Done():
-				nc.SetDeadline(time.Unix(1, 0))
-				return
-			case <-drain:
-				nc.SetReadDeadline(time.Unix(1, 0))
-				drain = nil
-			case <-connDone:
-				return
-			}
-		}
-	}()
-
-	conn := wire.NewConn(nc)
-	if err := conn.ServerHello(cfg.Format, cfg.heartbeat()); err != nil {
-		cfg.logf("store-serve: %s: handshake: %v", nc.RemoteAddr(), err)
-		return
-	}
+// serveConn handles one handshaken client connection: pipelined store
+// requests until the client hangs up, the context hard-stops, or a
+// drain pokes the idle read while in-flight replies finish.
+func (sv *Service) serveConn(_ context.Context, conn *wire.Conn, peer string) {
 	sv.conns.Add(1)
-
-	// Heartbeats share the connection's write lock with reply frames.
-	hbDone := make(chan struct{})
-	defer close(hbDone)
-	go func() {
-		t := time.NewTicker(cfg.heartbeat())
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				if conn.Send(&wire.Frame{Heartbeat: true}) != nil {
-					return
-				}
-			case <-hbDone:
-				return
-			}
-		}
-	}()
-
 	// In-flight requests answer from their own goroutines, bounded by
 	// the semaphore; the read loop stays single-reader. A failed reply
 	// send means the client is gone - the next Recv fails and the
 	// handler unwinds after the workers do.
-	sem := make(chan struct{}, cfg.inflight())
+	sem := make(chan struct{}, serviceInflight)
 	var wg sync.WaitGroup
 	defer wg.Wait()
 	for {
@@ -265,7 +137,7 @@ func (sv *Service) serveConn(ctx context.Context, nc net.Conn) {
 		case f.Heartbeat:
 			continue
 		default:
-			cfg.logf("store-serve: %s: unexpected %s frame", nc.RemoteAddr(), f.Kind())
+			sv.logf("%s: unexpected %s frame", peer, f.Kind())
 			return
 		}
 		sem <- struct{}{}

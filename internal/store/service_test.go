@@ -8,6 +8,7 @@ package store
 import (
 	"bytes"
 	"context"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -414,6 +415,27 @@ func TestServiceDrain(t *testing.T) {
 		ts.done <- nil // refill for the cleanup stop
 	case <-time.After(5 * time.Second):
 		t.Fatal("drained service never returned")
+	}
+}
+
+// TestServiceMutePeerIsDropped: the service runs on wire.Server, so a
+// peer that connects and never speaks is hung up on once the handshake
+// window passes - it is never counted as a connection, and it does not
+// pin a goroutine and an fd for the service's life.
+func TestServiceMutePeerIsDropped(t *testing.T) {
+	ts := startService(t, mustOpen(t, Options{Dir: t.TempDir()}),
+		ServiceConfig{Format: 7, Heartbeat: 20 * time.Millisecond})
+	nc, err := net.Dial("tcp", ts.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := nc.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("mute client read %v, want EOF from the service's handshake deadline", err)
+	}
+	if n := ts.sv.Stats().Conns; n != 0 {
+		t.Errorf("%d connections counted for a peer that never handshook, want 0", n)
 	}
 }
 

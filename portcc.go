@@ -38,12 +38,10 @@
 //	}
 //
 // Errors discriminate with errors.Is/As against the typed vocabulary in
-// errors.go. The pre-context Compiler facade remains as a deprecated shim.
+// errors.go.
 package portcc
 
 import (
-	"context"
-
 	"portcc/internal/codegen"
 	"portcc/internal/cpu"
 	"portcc/internal/dataset"
@@ -97,60 +95,4 @@ func TrainModel(ds *Dataset) (*Model, error) {
 		return nil, err
 	}
 	return ml.Train(pairs), nil
-}
-
-// Compiler is the pre-Session facade.
-//
-// Deprecated: use Session, which adds context cancellation, functional
-// options, typed errors and streaming exploration. Compiler delegates to
-// a Session with background contexts.
-type Compiler struct {
-	s *Session
-}
-
-// New builds a compiler with default workload scaling.
-//
-// Deprecated: use NewSession.
-func New() *Compiler { return &Compiler{s: NewSession()} }
-
-// Compile builds the named benchmark under the given optimisation setting.
-//
-// Deprecated: use Session.Compile.
-func (c *Compiler) Compile(program string, cfg OptConfig) (*Binary, error) {
-	return c.s.Compile(context.Background(), program, cfg)
-}
-
-// Run compiles and simulates the named benchmark on an architecture.
-//
-// Deprecated: use Session.Run.
-func (c *Compiler) Run(program string, cfg OptConfig, arch Arch) (RunResult, error) {
-	return c.s.Run(context.Background(), program, cfg, arch)
-}
-
-// RunBatch replays the program's trace on every architecture in one pass.
-//
-// Deprecated: use Session.RunBatch.
-func (c *Compiler) RunBatch(program string, cfg OptConfig, archs []Arch) ([]RunResult, error) {
-	return c.s.RunBatch(context.Background(), program, cfg, archs)
-}
-
-// CyclesPerRun returns cycles per complete program run.
-//
-// Deprecated: use Session.CyclesPerRun.
-func (c *Compiler) CyclesPerRun(program string, cfg OptConfig, arch Arch) (float64, error) {
-	return c.s.CyclesPerRun(context.Background(), program, cfg, arch)
-}
-
-// Speedup measures cfg against -O3 on the given architecture.
-//
-// Deprecated: use Session.Speedup.
-func (c *Compiler) Speedup(program string, cfg OptConfig, arch Arch) (float64, error) {
-	return c.s.Speedup(context.Background(), program, cfg, arch)
-}
-
-// OptimizeFor predicts the best passes from one -O3 profile run.
-//
-// Deprecated: use Session.OptimizeFor.
-func (c *Compiler) OptimizeFor(program string, arch Arch, m *Model) (OptConfig, error) {
-	return c.s.OptimizeFor(context.Background(), program, arch, m)
 }

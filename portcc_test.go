@@ -1,30 +1,32 @@
 package portcc_test
 
 import (
+	"context"
 	"testing"
 
 	"portcc"
 )
 
 func TestPublicAPIEndToEnd(t *testing.T) {
-	c := portcc.New()
+	ctx := context.Background()
+	c := portcc.NewSession()
 	arch := portcc.XScale()
 
-	bin, err := c.Compile("crc", portcc.O3())
+	bin, err := c.Compile(ctx, "crc", portcc.O3())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bin.TotalBytes == 0 {
 		t.Fatal("empty binary")
 	}
-	res, err := c.Run("crc", portcc.O3(), arch)
+	res, err := c.Run(ctx, "crc", portcc.O3(), arch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Cycles == 0 || res.IPC() <= 0 || res.IPC() > 1 {
 		t.Fatalf("implausible result: %d cycles, IPC %.2f", res.Cycles, res.IPC())
 	}
-	s, err := c.Speedup("crc", portcc.O3(), arch)
+	s, err := c.Speedup(ctx, "crc", portcc.O3(), arch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +39,8 @@ func TestModelDeployment(t *testing.T) {
 	// The Figure 2 path: train, profile once at -O3, predict, compile.
 	scale := portcc.Scale{Name: "t", Programs: []string{"crc", "bitcnts", "search", "qsort"},
 		NumArchs: 3, NumOpts: 12, TargetInsns: 5000, Seed: 9}
-	ds, err := scale.Dataset(false)
+	ctx := context.Background()
+	ds, err := scale.Generate(ctx, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,15 +48,15 @@ func TestModelDeployment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := portcc.New()
+	c := portcc.NewSession()
 	arch := portcc.XScale()
 	arch.IL1Size = 8 << 10
 	arch.IL1Assoc = 4
-	cfg, err := c.OptimizeFor("bitcnts", arch, model)
+	cfg, err := c.OptimizeFor(ctx, "bitcnts", arch, model)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := c.Speedup("bitcnts", cfg, arch)
+	s, err := c.Speedup(ctx, "bitcnts", cfg, arch)
 	if err != nil {
 		t.Fatal(err)
 	}
