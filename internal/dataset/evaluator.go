@@ -32,10 +32,13 @@ type EvalConfig struct {
 	MaxInsns int
 	// Seed drives trace generation (branch outcomes, addresses).
 	Seed int64
-	// CacheBudget, when positive, bounds the trace cache by approximate
-	// resident bytes instead of the default fixed entry count. The most
-	// recently inserted trace is always retained, so a tiny budget
-	// degrades to compile-per-request rather than thrashing mid-request.
+	// CacheBudget, when positive, bounds resident traces - the LRU of
+	// tuned settings and the programs' -O3 baselines together - by
+	// approximate bytes instead of the default (a fixed LRU entry count,
+	// every touched program's baseline). The most recently inserted trace
+	// is always retained, so a tiny budget degrades to compile-per-request
+	// (generate-per-request for a baseline, whose binary is kept) rather
+	// than thrashing mid-request.
 	CacheBudget int64
 }
 
@@ -57,107 +60,95 @@ func (c EvalConfig) withDefaults() EvalConfig {
 	return d
 }
 
-// SharedBase caches the microarchitecture- and setting-independent
-// per-program artefacts - IR modules and the -O3 probe that fixes the
-// complete-run count - across a pool of evaluators, so a fan-out that
+// SharedBase holds one baseline slot per program - everything about a
+// program that depends on neither the microarchitecture nor the setting
+// under test - for one evaluator or a pool of them. A fan-out that
 // spreads one program's cells over many workers still builds each module
-// and compiles each probe exactly once (single-flight). Every evaluator
-// sharing a base must use the same EvalConfig, or run counts would
-// disagree between workers.
+// and compiles each -O3 binary exactly once (single-flight); a
+// standalone evaluator is simply one with a private base. Every
+// evaluator sharing a base must use the same EvalConfig, or run counts
+// would disagree between workers.
 type SharedBase struct {
-	mu      sync.Mutex
-	modules map[string]*moduleEntry
-	probes  map[string]*probeEntry
-	// compiles counts probe compiles actually performed (reporting).
+	mu    sync.Mutex
+	slots map[string]*baseline
+	// resident lists the slots holding a full-length -O3 trace, oldest
+	// first, and bytes their approximate size: the unit a CacheBudget
+	// evicts in (dropTrace).
+	resident []*baseline
+	bytes    int64
+	// compiles counts -O3 compiles actually performed (reporting).
 	compiles atomic.Int64
 }
 
-// ProbeCompiles returns how many -O3 probe compiles the base performed -
-// with single-flight dedup this is at most one per program, however many
-// evaluators share the base.
-func (b *SharedBase) ProbeCompiles() int64 { return b.compiles.Load() }
-
-type moduleEntry struct {
-	once sync.Once
-	m    *ir.Module
-	err  error
-}
-
-type probeEntry struct {
+// baseline is one program's slot. Everything but tr is written once
+// under once and read-only afterwards.
+type baseline struct {
 	once   sync.Once
-	runs   int
-	perRun int // dynamic instructions of one complete -O3 run
-	prog   *codegen.Program
+	m      *ir.Module
+	prog   *codegen.Program    // the -O3 binary
+	fp     codegen.Fingerprint // addresses its stored replays without compiling
+	runs   int                 // complete runs per trace, fixed per program
+	perRun int                 // dynamic instructions of one -O3 run (sizing hint)
 	err    error
+
+	gen sync.Mutex   // held across generation: single-flights tr
+	tr  *trace.Trace // full-length -O3 trace, droppable; guarded by SharedBase.mu
 }
 
 // NewSharedBase builds an empty base for a pool of evaluators.
 func NewSharedBase() *SharedBase {
-	return &SharedBase{modules: map[string]*moduleEntry{}, probes: map[string]*probeEntry{}}
+	return &SharedBase{slots: map[string]*baseline{}}
 }
 
-func (b *SharedBase) module(name string) (*ir.Module, error) {
-	b.mu.Lock()
-	en, ok := b.modules[name]
-	if !ok {
-		en = &moduleEntry{}
-		b.modules[name] = en
-	}
-	b.mu.Unlock()
-	en.once.Do(func() { en.m, en.err = prog.Build(name) })
-	return en.m, en.err
-}
+// ProbeCompiles returns how many -O3 compiles the base performed - with
+// single-flight dedup this is at most one per program, however many
+// evaluators share the base.
+func (b *SharedBase) ProbeCompiles() int64 { return b.compiles.Load() }
 
-// runsFor compiles the program's -O3 probe once and derives the per-
-// program complete-run count from it. The compiled -O3 binary is kept so
-// every worker can regenerate the -O3 trace without recompiling.
-func (b *SharedBase) runsFor(name string, m *ir.Module, cfg EvalConfig) (int, *codegen.Program, error) {
+// dropTrace forgets the oldest resident -O3 trace other than keep's,
+// reporting whether there was one. The slot keeps its binary, so the
+// next request regenerates - it never recompiles. Readers still
+// replaying the dropped trace are unaffected (traces are read-only).
+func (b *SharedBase) dropTrace(keep *baseline) bool {
 	b.mu.Lock()
-	en, ok := b.probes[name]
-	if !ok {
-		en = &probeEntry{}
-		b.probes[name] = en
-	}
-	b.mu.Unlock()
-	en.once.Do(func() {
-		b.compiles.Add(1)
-		o3 := opt.O3()
-		p, err := core.Compile(m, &o3)
-		if err != nil {
-			en.err = err
-			return
+	defer b.mu.Unlock()
+	for i, sl := range b.resident {
+		if sl != keep {
+			b.bytes -= traceBytes(sl.tr)
+			sl.tr = nil
+			b.resident = append(b.resident[:i], b.resident[i+1:]...)
+			return true
 		}
-		probe := trace.Generate(p, trace.Config{Runs: 1, MaxInsns: cfg.MaxInsns, Seed: cfg.Seed})
-		en.runs, en.perRun, en.prog = deriveRuns(probe, cfg), probe.Insns(), p
-	})
-	return en.runs, en.prog, en.err
+	}
+	return false
 }
 
-// deriveRuns turns a 1-run -O3 probe into the per-program complete-run
-// count: enough runs to approach TargetInsns, clamped to [1, 8]. Pooled
-// and standalone evaluators must share this derivation, or run counts
-// would disagree between workers.
-func deriveRuns(probe *trace.Trace, cfg EvalConfig) int {
-	perRun := probe.Insns()
-	if perRun < 1 {
-		perRun = 1
-	}
-	r := cfg.TargetInsns / perRun
-	if r < 1 {
-		r = 1
-	}
-	if r > 8 {
-		r = 8
-	}
-	return r
+// deriveRuns turns the length of a 1-run -O3 probe into the per-program
+// complete-run count: enough runs to approach TargetInsns, clamped to
+// [1, 8].
+func deriveRuns(perRun int, cfg EvalConfig) int {
+	return min(max(cfg.TargetInsns/max(perRun, 1), 1), 8)
+}
+
+// traceConfig is the generation config of every trace of the program:
+// all settings perform the same number of complete runs.
+func (sl *baseline) traceConfig(cfg EvalConfig) trace.Config {
+	return trace.Config{Runs: sl.runs, MaxInsns: cfg.MaxInsns, Seed: cfg.Seed}
+}
+
+// capHint sizes a trace buffer from the -O3 probe so generation runs
+// without append doublings (measured 2.3-4x slower).
+func (sl *baseline) capHint(cfg EvalConfig) int {
+	return min(sl.runs*sl.perRun+sl.perRun/2+256, cfg.MaxInsns+64)
 }
 
 // Evaluator compiles programs under optimisation settings and simulates
-// them on microarchitectures, caching compiled traces (which are
-// microarchitecture-independent). Safe for concurrent use.
+// them on microarchitectures. The -O3 baseline of each program lives in
+// the base's slot and stays resident; traces of other settings are
+// cached in a small private LRU. Safe for concurrent use.
 type Evaluator struct {
 	cfg  EvalConfig
-	base *SharedBase // optional pool-shared module/probe cache
+	base *SharedBase
 	// sweepWorkers bounds the per-geometry sweep parallelism inside each
 	// batched replay (0 = GOMAXPROCS, cpu.SimulateBatchWith's contract).
 	// Worker pools that already fan out over programs set an explicit
@@ -169,13 +160,10 @@ type Evaluator struct {
 	// shared by every evaluator of a pool.
 	rstore *ResultStore
 
-	mu      sync.Mutex
-	modules map[string]*ir.Module
-	runs    map[string]int // complete runs per trace, fixed per program
-	perRuns map[string]int // -O3 probe length per program (sizing hint)
-	traces  map[string]*cachedTrace
-	order   []string // LRU order of trace cache keys (front = coldest)
-	bytes   int64    // approximate resident bytes of cached traces
+	mu     sync.Mutex
+	traces map[string]*cachedTrace
+	order  []string // LRU order of trace cache keys (front = coldest)
+	bytes  int64    // approximate resident bytes of cached traces
 	// Compiles and Simulations count work done (for reporting).
 	Compiles    int
 	Simulations int
@@ -190,27 +178,26 @@ type cachedTrace struct {
 	prog *codegen.Program
 }
 
-// traceCacheSize bounds the trace cache; generation loops are ordered so a
-// tiny cache suffices, keeping memory flat at paper scale.
+// traceCacheSize bounds the LRU of non--O3 traces; generation loops are
+// ordered so a tiny cache suffices, keeping memory flat at paper scale.
 const traceCacheSize = 4
+
+// o3 is the baseline setting every slot is built for.
+var o3 = opt.O3()
 
 // NewEvaluator builds a standalone evaluator.
 func NewEvaluator(cfg EvalConfig) *Evaluator {
 	return NewEvaluatorWith(cfg, nil)
 }
 
-// NewEvaluatorWith builds an evaluator that resolves modules and -O3
-// probes through base (when non-nil), for worker pools. Trace caches
-// stay private per evaluator.
+// NewEvaluatorWith builds an evaluator over base, the baseline slots a
+// worker pool shares (nil: a private base). LRU trace caches stay
+// private per evaluator.
 func NewEvaluatorWith(cfg EvalConfig, base *SharedBase) *Evaluator {
-	return &Evaluator{
-		cfg:     cfg.withDefaults(),
-		base:    base,
-		modules: map[string]*ir.Module{},
-		runs:    map[string]int{},
-		perRuns: map[string]int{},
-		traces:  map[string]*cachedTrace{},
+	if base == nil {
+		base = NewSharedBase()
 	}
+	return &Evaluator{cfg: cfg.withDefaults(), base: base, traces: map[string]*cachedTrace{}}
 }
 
 // Stats is the evaluator's work ledger, counting work actually
@@ -223,10 +210,10 @@ func NewEvaluatorWith(cfg EvalConfig, base *SharedBase) *Evaluator {
 // (and replay) was skipped because an earlier setting of the same sweep
 // produced a byte-identical binary - each such setting once, however
 // many cells it spans. TraceGens counts trace generations this evaluator
-// performed (probes included, pool-shared probes excluded) and
-// TraceEvents the dynamic instructions they emitted - the denominator
-// that makes generator-throughput changes observable from a benchmark
-// run without a profiler.
+// performed and TraceEvents the dynamic instructions they emitted - the
+// denominator that makes generator-throughput changes observable from a
+// benchmark run without a profiler. A slot's -O3 compile and probe are
+// counted by the one evaluator that built it.
 type Stats struct {
 	Compiles    int
 	Simulations int
@@ -237,6 +224,11 @@ type Stats struct {
 
 	TraceGens   int64
 	TraceEvents int64
+
+	// BaselineTraces and BaselineTraceBytes are gauges, not counters: the
+	// -O3 traces resident in the evaluator's base right now and their
+	// approximate size.
+	BaselineTraces, BaselineTraceBytes int64
 
 	// StoreHits, StoreMisses and StoreCorrupt mirror the attached
 	// persistent result store's ledger (zero without one): replays
@@ -270,6 +262,9 @@ func (e *Evaluator) Stats() Stats {
 		TraceGens:     e.traceGens,
 		TraceEvents:   e.traceEvents,
 	}
+	e.base.mu.Lock()
+	st.BaselineTraces, st.BaselineTraceBytes = int64(len(e.base.resident)), e.base.bytes
+	e.base.mu.Unlock()
 	if e.rstore != nil {
 		ss := e.rstore.Stats()
 		st.StoreHits, st.StoreMisses, st.StoreCorrupt = ss.Hits, ss.Misses, ss.Corrupt
@@ -297,19 +292,15 @@ func (e *Evaluator) resultStore() *ResultStore {
 	return e.rstore
 }
 
-// Runs returns the program's complete-run count, compiling the -O3
-// probe on first use (deduplicated across a pool by the shared base).
-// The batched sweep runner uses it to derive store keys without
-// touching traces.
+// Runs returns the program's complete-run count, building its baseline
+// slot on first use. The batched sweep runner uses it to derive store
+// keys without touching traces.
 func (e *Evaluator) Runs(name string) (int, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	m, err := e.module(name)
+	sl, err := e.baseline(name)
 	if err != nil {
 		return 0, err
 	}
-	runs, _, _, err := e.runsFor(name, m)
-	return runs, err
+	return sl.runs, nil
 }
 
 // countTraceGen records one performed trace generation. Called with e.mu
@@ -319,57 +310,75 @@ func (e *Evaluator) countTraceGen(tr *trace.Trace) {
 	e.traceEvents += int64(len(tr.Events))
 }
 
-// module returns the pristine IR of a program, building it on first use
-// (through the shared base when pooled).
-func (e *Evaluator) module(name string) (*ir.Module, error) {
-	if m, ok := e.modules[name]; ok {
-		return m, nil
+// baseline returns the program's slot, building it on first use: the
+// module, the -O3 binary and its fingerprint, and - from a 1-run probe
+// of that binary - the run count that makes every setting of the
+// program do identical work. Concurrent first touches wait for the one
+// build. Must not be called with e.mu held.
+func (e *Evaluator) baseline(name string) (*baseline, error) {
+	b := e.base
+	b.mu.Lock()
+	sl, ok := b.slots[name]
+	if !ok {
+		sl = &baseline{}
+		b.slots[name] = sl
 	}
-	var m *ir.Module
-	var err error
-	if e.base != nil {
-		m, err = e.base.module(name)
-	} else {
-		m, err = prog.Build(name)
+	b.mu.Unlock()
+	sl.once.Do(func() {
+		if sl.m, sl.err = prog.Build(name); sl.err != nil {
+			return
+		}
+		b.compiles.Add(1)
+		if sl.prog, sl.err = e.compile(sl, &o3); sl.err != nil {
+			return
+		}
+		sl.fp, _ = codegen.FingerprintInto(sl.prog, nil)
+		probe := trace.GenerateInto(trace.Get(0), sl.prog, trace.Config{Runs: 1, MaxInsns: e.cfg.MaxInsns, Seed: e.cfg.Seed})
+		sl.perRun = probe.Insns()
+		sl.runs = deriveRuns(sl.perRun, e.cfg)
+		e.mu.Lock()
+		e.countTraceGen(probe)
+		e.mu.Unlock()
+		trace.Put(probe)
+	})
+	if sl.err != nil {
+		// Forget a failed slot: names arrive from outside (the prediction
+		// server), and only the closed suite may stay in the map.
+		b.mu.Lock()
+		if b.slots[name] == sl {
+			delete(b.slots, name)
+		}
+		b.mu.Unlock()
+		return nil, sl.err
 	}
-	if err != nil {
-		return nil, err
-	}
-	e.modules[name] = m
-	return m, nil
+	return sl, nil
 }
 
-// runsFor determines the per-program complete-run count from a probe of
-// the -O3 binary, so every setting of the program does identical work.
-// The probe compiles -O3 anyway, so on first computation the compiled
-// binary and probe trace are returned for the caller to seed the trace
-// cache with - the almost-certain next request, Trace(name, O3), then
-// costs nothing instead of recompiling the probe's binary. Called with
-// e.mu held.
-func (e *Evaluator) runsFor(name string, m *ir.Module) (int, *codegen.Program, *trace.Trace, error) {
-	if e.base != nil {
-		// The base compiled the probe once for the whole pool and keeps
-		// the binary, so every call returns it: any later -O3 trace
-		// request regenerates from the binary instead of recompiling
-		// (no probe trace - it is regenerated when needed).
-		return e.baseRunsFor(name, m)
+// baselineTrace returns the slot's full-length -O3 trace, generating it
+// from the slot's binary when it is not resident (first request, or
+// dropped under a CacheBudget). Concurrent callers wait for the one
+// generation.
+func (e *Evaluator) baselineTrace(sl *baseline) *trace.Trace {
+	sl.gen.Lock()
+	defer sl.gen.Unlock()
+	b := e.base
+	b.mu.Lock()
+	tr := sl.tr
+	b.mu.Unlock()
+	if tr != nil {
+		return tr
 	}
-	if r, ok := e.runs[name]; ok {
-		return r, nil, nil, nil
-	}
-	o3 := opt.O3()
-	p, err := core.Compile(m, &o3)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	e.Compiles++
-	e.passRuns += planSteps(&o3, m)
-	probe := trace.Generate(p, trace.Config{Runs: 1, MaxInsns: e.cfg.MaxInsns, Seed: e.cfg.Seed})
-	e.countTraceGen(probe)
-	r := deriveRuns(probe, e.cfg)
-	e.runs[name] = r
-	e.perRuns[name] = probe.Insns()
-	return r, p, probe, nil
+	tr = trace.GenerateSized(sl.prog, sl.traceConfig(e.cfg), sl.capHint(e.cfg))
+	b.mu.Lock()
+	sl.tr = tr
+	b.resident = append(b.resident, sl)
+	b.bytes += traceBytes(tr)
+	b.mu.Unlock()
+	e.mu.Lock()
+	e.countTraceGen(tr)
+	e.evict(sl)
+	e.mu.Unlock()
+	return tr
 }
 
 // traceBytes approximates the resident size of a cached trace: the event
@@ -379,124 +388,106 @@ func traceBytes(tr *trace.Trace) int64 {
 	return int64(len(tr.Events))*16 + 4096
 }
 
-// baseRunsFor resolves the run count and -O3 binary through the shared
-// base on every call (a brief mutex acquisition, noise next to the
-// compile/replay work per cell): the binary must stay available so an
-// -O3 trace request at any point regenerates instead of recompiling.
-func (e *Evaluator) baseRunsFor(name string, m *ir.Module) (int, *codegen.Program, *trace.Trace, error) {
-	r, p, err := e.base.runsFor(name, m, e.cfg)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	e.runs[name] = r
-	e.base.mu.Lock()
-	e.perRuns[name] = e.base.probes[name].perRun
-	e.base.mu.Unlock()
-	return r, p, nil, nil
-}
-
-// insertTrace caches a compiled trace under key, evicting in LRU order
-// (touchTrace refreshes entries on hit). With a CacheBudget the bound is
-// approximate bytes (the newest entry is always kept); otherwise it is
-// the fixed traceCacheSize entry count. Called with e.mu held.
-func (e *Evaluator) insertTrace(key string, tr *trace.Trace, p *codegen.Program) {
-	if _, ok := e.traces[key]; ok {
-		return
-	}
-	e.traces[key] = &cachedTrace{tr: tr, prog: p}
-	e.order = append(e.order, key)
-	e.bytes += traceBytes(tr)
-	evict := func() bool {
-		if e.cfg.CacheBudget > 0 {
-			return e.bytes > e.cfg.CacheBudget && len(e.order) > 1
+// evict restores the cache bound after an insert. Without a CacheBudget
+// the LRU holds traceCacheSize entries and baselines stay resident. With
+// one, the LRU and the base's baseline traces together stay within it:
+// the LRU gives way coldest first, then the oldest baselines, and the
+// newest trace (the last LRU key, or newest's when a baseline was just
+// generated) is always retained, so a tiny budget degrades to
+// generate-per-request rather than failing. Called with e.mu held.
+func (e *Evaluator) evict(newest *baseline) {
+	for {
+		if budget := e.cfg.CacheBudget; budget <= 0 {
+			if len(e.order) <= traceCacheSize {
+				return
+			}
+		} else {
+			e.base.mu.Lock()
+			total := e.bytes + e.base.bytes
+			e.base.mu.Unlock()
+			if total <= budget {
+				return
+			}
 		}
-		return len(e.order) > traceCacheSize
-	}
-	for evict() {
-		old := e.order[0]
-		e.order = e.order[1:]
-		e.bytes -= traceBytes(e.traces[old].tr)
-		delete(e.traces, old)
-	}
-}
-
-// touchTrace moves a hit key to the warm end of the LRU order, so a hot
-// entry (typically the -O3 baseline every speedup divides by) survives an
-// insert-heavy sweep that would evict it under insertion order. Called
-// with e.mu held.
-func (e *Evaluator) touchTrace(key string) {
-	for i, k := range e.order {
-		if k == key {
-			copy(e.order[i:], e.order[i+1:])
-			e.order[len(e.order)-1] = key
+		if len(e.order) > 1 || (len(e.order) == 1 && newest != nil) {
+			old := e.order[0]
+			e.order = e.order[1:]
+			e.bytes -= traceBytes(e.traces[old].tr)
+			delete(e.traces, old)
+		} else if !e.base.dropTrace(newest) {
 			return
 		}
 	}
 }
 
-// Trace returns the dynamic trace of the program compiled under c, cached.
-func (e *Evaluator) Trace(name string, c *opt.Config) (*trace.Trace, *codegen.Program, error) {
-	key := name + "/" + c.Key()
+// cached returns the LRU entry under key, nil when absent, moving a hit
+// to the warm end so a hot entry survives an insert-heavy sweep that
+// would evict it under insertion order.
+func (e *Evaluator) cached(key string) *cachedTrace {
 	e.mu.Lock()
-	if ct, ok := e.traces[key]; ok {
-		e.touchTrace(key)
-		e.mu.Unlock()
-		return ct.tr, ct.prog, nil
-	}
-	m, err := e.module(name)
-	if err != nil {
-		e.mu.Unlock()
-		return nil, nil, err
-	}
-	runs, o3Prog, o3Probe, err := e.runsFor(name, m)
-	if err != nil {
-		e.mu.Unlock()
-		return nil, nil, err
-	}
-	e.mu.Unlock()
-
-	// Seed the cache from runsFor's -O3 probe compile, generating the
-	// full-length trace outside the lock (the probe already is that
-	// trace when the run count is 1). An -O3 request is then satisfied
-	// without compiling again. Pooled evaluators get the compiled binary
-	// from the shared base without a probe trace; for them only an
-	// actual -O3 request seeds - most workers never serve the program's
-	// -O3 cell, and an eager full-length trace would be wasted work.
-	if o3Prog != nil {
-		o3 := opt.O3()
-		o3Key := name + "/" + o3.Key()
-		if o3Probe != nil || key == o3Key {
-			o3Trace := o3Probe
-			if o3Trace == nil || runs != 1 {
-				o3Trace = trace.Generate(o3Prog, trace.Config{Runs: runs, MaxInsns: e.cfg.MaxInsns, Seed: e.cfg.Seed})
-			}
-			e.mu.Lock()
-			if o3Trace != o3Probe {
-				e.countTraceGen(o3Trace)
-			}
-			e.insertTrace(o3Key, o3Trace, o3Prog)
-			ct, ok := e.traces[key]
-			e.mu.Unlock()
-			if ok {
-				return ct.tr, ct.prog, nil
+	defer e.mu.Unlock()
+	ct := e.traces[key]
+	if ct != nil {
+		for i, k := range e.order {
+			if k == key {
+				copy(e.order[i:], e.order[i+1:])
+				e.order[len(e.order)-1] = key
+				break
 			}
 		}
 	}
+	return ct
+}
 
-	// Compile and trace outside the lock (the expensive part).
-	p, err := core.Compile(m, c)
+// compile compiles the program under c, counting the work.
+func (e *Evaluator) compile(sl *baseline, c *opt.Config) (*codegen.Program, error) {
+	p, err := core.Compile(sl.m, c)
+	if err != nil {
+		return nil, err
+	}
+	e.mu.Lock()
+	e.Compiles++
+	e.passRuns += planSteps(c, sl.m)
+	e.mu.Unlock()
+	return p, nil
+}
+
+// generate traces binary p into a buffer sized from the probe and caches
+// the trace under key (a concurrent twin's insert wins; the traces are
+// identical).
+func (e *Evaluator) generate(key string, sl *baseline, p *codegen.Program) *trace.Trace {
+	tr := trace.GenerateSized(p, sl.traceConfig(e.cfg), sl.capHint(e.cfg))
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.countTraceGen(tr)
+	if _, ok := e.traces[key]; !ok {
+		e.traces[key] = &cachedTrace{tr: tr, prog: p}
+		e.order = append(e.order, key)
+		e.bytes += traceBytes(tr)
+		e.evict(nil)
+	}
+	return tr
+}
+
+// Trace returns the dynamic trace of the program compiled under c: the
+// slot's resident trace for -O3, the LRU's otherwise.
+func (e *Evaluator) Trace(name string, c *opt.Config) (*trace.Trace, *codegen.Program, error) {
+	sl, err := e.baseline(name)
 	if err != nil {
 		return nil, nil, err
 	}
-	tr := trace.Generate(p, trace.Config{Runs: runs, MaxInsns: e.cfg.MaxInsns, Seed: e.cfg.Seed})
-
-	e.mu.Lock()
-	e.Compiles++
-	e.passRuns += planSteps(c, m)
-	e.countTraceGen(tr)
-	e.insertTrace(key, tr, p)
-	e.mu.Unlock()
-	return tr, p, nil
+	if *c == o3 {
+		return e.baselineTrace(sl), sl.prog, nil
+	}
+	key := name + "/" + c.Key()
+	if ct := e.cached(key); ct != nil {
+		return ct.tr, ct.prog, nil
+	}
+	p, err := e.compile(sl, c)
+	if err != nil {
+		return nil, nil, err
+	}
+	return e.generate(key, sl, p), p, nil
 }
 
 // planSteps is the pass-application count of a linear compile of c over
@@ -535,19 +526,12 @@ type BatchBinary struct {
 // typically lazily per distinct binary) so a caller serving only part
 // of the sweep never holds more than its in-flight traces.
 func (e *Evaluator) TraceBatch(name string, cfgs []*opt.Config) ([]BatchBinary, error) {
-	e.mu.Lock()
-	m, err := e.module(name)
+	sl, err := e.baseline(name)
 	if err != nil {
-		e.mu.Unlock()
 		return nil, err
 	}
-	if _, _, _, err := e.runsFor(name, m); err != nil {
-		e.mu.Unlock()
-		return nil, err
-	}
-	e.mu.Unlock()
 
-	progs, errs, stats := core.CompileBatch(m, cfgs)
+	progs, errs, stats := core.CompileBatch(sl.m, cfgs)
 	out := make([]BatchBinary, len(cfgs))
 	index := make(map[codegen.Fingerprint]int, len(cfgs))
 	scratch := make([]byte, 0, 1<<16)
@@ -581,35 +565,16 @@ func (e *Evaluator) TraceBatch(name string, cfgs []*opt.Config) ([]BatchBinary, 
 // GenerateTrace generates the trace of an already-compiled binary of the
 // named program into a pooled buffer sized from the -O3 probe, so
 // steady-state generation runs without append doublings in one
-// allocation. The run count is established through the evaluator's
-// probe path (deduplicated across a pool by the shared base), so every
-// worker slot derives the identical trace. The caller owns the trace
-// and must return it with trace.Put when done (it is never inserted
-// into the evaluator's cache).
+// allocation. The run count comes from the program's baseline slot, so
+// every worker slot derives the identical trace. The caller owns the
+// trace and must return it with trace.Put when done (it is never
+// inserted into the evaluator's cache).
 func (e *Evaluator) GenerateTrace(name string, p *codegen.Program) (*trace.Trace, error) {
-	e.mu.Lock()
-	m, err := e.module(name)
+	sl, err := e.baseline(name)
 	if err != nil {
-		e.mu.Unlock()
 		return nil, err
 	}
-	runs, _, _, err := e.runsFor(name, m)
-	if err != nil {
-		e.mu.Unlock()
-		return nil, err
-	}
-	perRun := e.perRuns[name]
-	cfg := e.cfg
-	e.mu.Unlock()
-	if runs < 1 {
-		runs = 1
-	}
-	capHint := runs*perRun + perRun/2 + 256
-	if max := cfg.MaxInsns + 64; capHint > max {
-		capHint = max
-	}
-	tr := trace.Get(capHint)
-	trace.GenerateInto(tr, p, trace.Config{Runs: runs, MaxInsns: cfg.MaxInsns, Seed: cfg.Seed})
+	tr := trace.GenerateInto(trace.Get(sl.capHint(e.cfg)), p, sl.traceConfig(e.cfg))
 	e.mu.Lock()
 	e.countTraceGen(tr)
 	e.mu.Unlock()
@@ -668,61 +633,51 @@ func (e *Evaluator) simulate(tr *trace.Trace, a uarch.Config) cpu.Result {
 }
 
 // Run simulates program name compiled under c on architecture a. With
-// a result store attached and the trace not already resident, the
-// replay is answered from disk when a matching entry exists - compile
-// only, no trace generation, no simulation - which is what makes a
-// store-backed prediction server's profile cache persistent across
-// restarts.
+// a result store attached the store is asked first - for -O3 the slot's
+// memoised fingerprint addresses it without compiling, and a lookup
+// costs tens of microseconds against a replay's hundreds - the trace is
+// generated only on a store miss, and every fresh replay is committed:
+// that is what makes a store-backed prediction server's profile cache
+// persistent across restarts.
 func (e *Evaluator) Run(name string, c *opt.Config, a uarch.Config) (cpu.Result, error) {
-	key := name + "/" + c.Key()
-	e.mu.Lock()
-	st := e.rstore
-	_, resident := e.traces[key]
-	e.mu.Unlock()
-	if st == nil || resident {
-		// No store, or the trace is already in memory: replaying the
-		// resident trace is cheaper than a disk round-trip would save.
+	st := e.resultStore()
+	if st == nil {
 		tr, _, err := e.Trace(name, c)
 		if err != nil {
 			return cpu.Result{}, err
 		}
 		return e.simulate(tr, a), nil
 	}
-
-	// Store path: the compile (cheap, architecture-independent) yields
-	// the binary fingerprint that addresses the stored replay.
-	e.mu.Lock()
-	m, err := e.module(name)
-	if err != nil {
-		e.mu.Unlock()
-		return cpu.Result{}, err
-	}
-	runs, _, _, err := e.runsFor(name, m)
-	cfg := e.cfg
-	e.mu.Unlock()
+	sl, err := e.baseline(name)
 	if err != nil {
 		return cpu.Result{}, err
 	}
-	p, err := core.Compile(m, c)
-	if err != nil {
-		return cpu.Result{}, err
+	p, fp, key := sl.prog, sl.fp, ""
+	var ct *cachedTrace
+	if *c != o3 {
+		key = name + "/" + c.Key()
+		if ct = e.cached(key); ct != nil {
+			p = ct.prog
+		} else if p, err = e.compile(sl, c); err != nil {
+			return cpu.Result{}, err
+		}
+		fp, _ = codegen.FingerprintInto(p, nil)
 	}
-	e.mu.Lock()
-	e.Compiles++
-	e.passRuns += planSteps(c, m)
-	e.mu.Unlock()
-	fp, _ := codegen.FingerprintInto(p, nil)
 	archs := []uarch.Config{a}
-	if rs, ok := st.Get(fp, runs, cfg, archs); ok {
+	if rs, ok := st.Get(fp, sl.runs, e.cfg, archs); ok {
 		return rs[0], nil
 	}
-	tr := trace.Generate(p, trace.Config{Runs: runs, MaxInsns: cfg.MaxInsns, Seed: cfg.Seed})
-	e.mu.Lock()
-	e.countTraceGen(tr)
-	e.insertTrace(key, tr, p)
-	e.mu.Unlock()
+	var tr *trace.Trace
+	switch {
+	case key == "":
+		tr = e.baselineTrace(sl)
+	case ct != nil:
+		tr = ct.tr
+	default:
+		tr = e.generate(key, sl, p)
+	}
 	r := e.simulate(tr, a)
-	st.Put(fp, runs, cfg, archs, []cpu.Result{r})
+	st.Put(fp, sl.runs, e.cfg, archs, []cpu.Result{r})
 	return r, nil
 }
 

@@ -2,28 +2,184 @@ package dataset
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
+	"portcc/internal/core"
+	"portcc/internal/cpu"
 	"portcc/internal/opt"
+	"portcc/internal/prog"
+	"portcc/internal/trace"
+	"portcc/internal/uarch"
 )
 
-// TestTraceCacheLRUKeepsHotEntry pins the eviction policy: the order is
-// LRU, refreshed on every Trace hit, so a hot entry (the -O3 baseline
-// here) survives an insert-heavy sweep under a cache budget tight enough
-// that insertion-order (FIFO) eviction would throw it out every round
-// and recompile it.
-func TestTraceCacheLRUKeepsHotEntry(t *testing.T) {
+// freshO3 is the independent oracle for the resident baseline: build,
+// compile at -O3, probe one run, derive the run count, generate and
+// replay, with no evaluator in the loop. It returns the full-length
+// trace alongside the result.
+func freshO3(t *testing.T, name string, cfg EvalConfig, a uarch.Config) (cpu.Result, *trace.Trace) {
+	t.Helper()
+	cfg = cfg.withDefaults()
+	m, err := prog.Build(name)
+	if err != nil {
+		t.Fatal(err)
+	}
 	o3 := opt.O3()
+	p, err := core.Compile(m, &o3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := cfg.TargetInsns / trace.Generate(p, trace.Config{Runs: 1, MaxInsns: cfg.MaxInsns, Seed: cfg.Seed}).Insns()
+	if runs < 1 {
+		runs = 1
+	}
+	if runs > 8 {
+		runs = 8
+	}
+	tr := trace.Generate(p, trace.Config{Runs: runs, MaxInsns: cfg.MaxInsns, Seed: cfg.Seed})
+	return cpu.Simulate(tr, a), tr
+}
+
+// TestResidentBaselineMatchesFreshPipeline replays every program of the
+// suite on three sampled architectures through one evaluator and checks
+// each result against the fresh pipeline - and the ledger against the
+// claim: one compile, one probe and one full-length generation per
+// program, one replay per request, and no more bytes resident than the
+// suite's -O3 traces.
+func TestResidentBaselineMatchesFreshPipeline(t *testing.T) {
+	cfg := EvalConfig{TargetInsns: 4_000, Seed: 1}
+	ev := NewEvaluator(cfg)
+	archs := uarch.Space{}.SampleN(rand.New(rand.NewSource(5)), 3)
+	o3 := opt.O3()
+	names := prog.Names()
+	var suiteBytes int64
+	for _, name := range names {
+		for i, a := range archs {
+			got, err := ev.Run(name, &o3, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, tr := freshO3(t, name, cfg, a)
+			if got != want {
+				t.Errorf("%s on %s: resident replay differs from the fresh pipeline", name, a)
+			}
+			if i == 0 {
+				suiteBytes += traceBytes(tr)
+			}
+		}
+	}
+	st := ev.Stats()
+	n := len(names)
+	if st.Compiles != n || st.TraceGens != int64(2*n) || st.Simulations != 3*n {
+		t.Errorf("ledger %+v, want %d compiles, %d generations, %d simulations", st, n, 2*n, 3*n)
+	}
+	if st.BaselineTraces != int64(n) || st.BaselineTraceBytes != suiteBytes {
+		t.Errorf("%d baselines / %d bytes resident, want %d / %d (the suite's -O3 traces)",
+			st.BaselineTraces, st.BaselineTraceBytes, n, suiteBytes)
+	}
+}
+
+// TestConcurrentFirstTouchSingleFlights is the serving pattern the slot
+// exists for: the feature cache single-flights per (program, arch), so
+// eight first-touch misses on one program at eight architectures reach
+// the evaluator together. They must share one -O3 compile, one probe
+// and one full-length trace.
+func TestConcurrentFirstTouchSingleFlights(t *testing.T) {
+	// A target long enough for several runs per trace: the full-length
+	// generation then takes long enough for the others to pile up on it.
+	cfg := EvalConfig{TargetInsns: 60_000, Seed: 1}
+	ev := NewEvaluator(cfg)
+	archs := uarch.Space{}.SampleN(rand.New(rand.NewSource(6)), 8)
+	o3 := opt.O3()
+	got := make([]cpu.Result, len(archs))
+	errs := make([]error, len(archs))
+	var wg sync.WaitGroup
+	for i := range archs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = ev.Run("crc", &o3, archs[i])
+		}(i)
+	}
+	wg.Wait()
+	for i, a := range archs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if want, _ := freshO3(t, "crc", cfg, a); got[i] != want {
+			t.Errorf("arch %d: concurrent replay differs from the fresh pipeline", i)
+		}
+	}
+	if st := ev.Stats(); st.Compiles != 1 || st.TraceGens != 2 || st.Simulations != len(archs) {
+		t.Errorf("ledger %+v, want 1 compile, 2 generations (probe + full-length), %d simulations", st, len(archs))
+	}
+}
+
+// TestRunCommitsEveryProfile is the store-backed serving defect: once
+// the -O3 trace was resident Run skipped the store, so K architectures
+// of one program committed one entry and a restarted server
+// re-simulated the other K-1.
+func TestRunCommitsEveryProfile(t *testing.T) {
+	cfg := EvalConfig{TargetInsns: 4_000, Seed: 1}
+	archs := uarch.Space{}.SampleN(rand.New(rand.NewSource(7)), 5)
+	o3 := opt.O3()
+	dir := t.TempDir()
+	var want []cpu.Result
+
+	first := openStore(t, dir)
+	ev1 := NewEvaluator(cfg)
+	ev1.SetStore(first)
+	for _, a := range archs {
+		r, err := ev1.Run("crc", &o3, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, r)
+	}
+	if s := first.Stats(); s.Puts != int64(len(archs)) {
+		t.Fatalf("%d entries committed for %d architectures", s.Puts, len(archs))
+	}
+	if s := ev1.Stats(); s.Simulations != len(archs) || s.Compiles != 1 || s.TraceGens != 2 {
+		t.Fatalf("cold ledger %+v, want %d simulations of one resident trace", s, len(archs))
+	}
+	first.Close()
+
+	second := openStore(t, dir)
+	ev2 := NewEvaluator(cfg)
+	ev2.SetStore(second)
+	for i, a := range archs {
+		r, err := ev2.Run("crc", &o3, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r != want[i] {
+			t.Errorf("arch %d: stored replay differs", i)
+		}
+	}
+	if s := ev2.Stats(); s.StoreHits != int64(len(archs)) || s.Simulations != 0 || s.TraceGens > 1 {
+		t.Fatalf("warm ledger %+v, want %d store hits, no simulation, no generation beyond the probe", s, len(archs))
+	}
+}
+
+// TestTraceCacheLRUKeepsHotEntry pins the eviction policy: the order is
+// LRU, refreshed on every Trace hit, so a hot entry survives an
+// insert-heavy sweep under a cache budget tight enough that
+// insertion-order (FIFO) eviction would throw it out every round and
+// recompile it. The hot key is a tuned setting: the -O3 baseline lives
+// in its program's slot and does not compete for LRU room.
+func TestTraceCacheLRUKeepsHotEntry(t *testing.T) {
+	hot := opt.O3()
+	hot.Flags[0] = !hot.Flags[0]
 	// Calibrate the budget to the program's real trace size: room for
 	// about three entries, so every sweep insert forces an eviction
 	// while a refreshed hot entry still fits.
 	probe := NewEvaluator(EvalConfig{TargetInsns: 4_000, Seed: 1})
-	tr, _, err := probe.Trace("crc", &o3)
+	tr, _, err := probe.Trace("crc", &hot)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ev := NewEvaluator(EvalConfig{TargetInsns: 4_000, Seed: 1, CacheBudget: 3 * traceBytes(tr)})
-	if _, _, err := ev.Trace("crc", &o3); err != nil {
+	if _, _, err := ev.Trace("crc", &hot); err != nil {
 		t.Fatal(err)
 	}
 	base := ev.Stats().Compiles
@@ -37,11 +193,11 @@ func TestTraceCacheLRUKeepsHotEntry(t *testing.T) {
 		// The hot entry: under LRU this hit refreshes it past the insert
 		// above; under FIFO it would age out and recompile.
 		before := ev.Stats().Compiles
-		if _, _, err := ev.Trace("crc", &o3); err != nil {
+		if _, _, err := ev.Trace("crc", &hot); err != nil {
 			t.Fatal(err)
 		}
 		if got := ev.Stats().Compiles; got != before {
-			t.Fatalf("round %d: -O3 trace was evicted and recompiled (compiles %d -> %d)", i, before, got)
+			t.Fatalf("round %d: hot trace was evicted and recompiled (compiles %d -> %d)", i, before, got)
 		}
 	}
 	if got, want := ev.Stats().Compiles, base+8; got != want {

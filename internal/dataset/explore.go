@@ -252,7 +252,7 @@ func (r *ExploreRequest) RunnerStore(slots, sweepWorkers int, st *ResultStore) f
 // measure warm-store replay speed.
 func (r *ExploreRequest) InstrumentedRunnerStore(st *ResultStore) (func(slot, index int) (any, error), *Evaluator) {
 	run, evs := r.runner(1, 1, st)
-	evs[0] = NewEvaluatorWith(r.Eval, nil)
+	evs[0] = NewEvaluator(r.Eval)
 	evs[0].SetSweepWorkers(1)
 	if st != nil {
 		evs[0].SetStore(st)

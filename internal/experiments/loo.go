@@ -66,8 +66,9 @@ func PredictWithModel(ctx context.Context, ds *dataset.Dataset, model *ml.Model,
 	}
 	// The per-program evaluations are independent: the shared worker
 	// pool spreads the compile + batched-replay work over the machine,
-	// one evaluator per slot (private trace caches) with modules and
-	// -O3 probes deduplicated through a pool base. Cores the program
+	// one evaluator per slot (private trace caches, each trace generated
+	// into a buffer sized from the program's -O3 probe) over one pool
+	// base holding the per-program baseline slots. Cores the program
 	// fan-out cannot occupy (fewer held-out programs than the budget) go
 	// to each slot's batched-replay sweeps instead - tune.Split sizes
 	// the two levels so they multiply to the machine, never beyond.

@@ -4,7 +4,8 @@ import "sync"
 
 // featureCache is the LRU cache of profiled feature vectors, keyed by
 // (program, microarchitecture). The feature vector is the expensive
-// half of a prediction - one -O3 compile plus a full trace simulation -
+// half of a prediction - a replay of the program's resident -O3 trace,
+// after a compile and a trace generation on the program's first query -
 // and the collective-optimisation workload repeats (program, uarch)
 // pairs heavily across a fleet, so repeat queries must skip the
 // profiling run entirely. Concurrent misses on the same key are

@@ -1,0 +1,260 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"portcc/internal/dataset"
+	"portcc/internal/opt"
+	"portcc/internal/prog"
+	"portcc/internal/uarch"
+)
+
+// freshArchs draws n distinct architectures none of the fixture's grid
+// uses (the seed differs), as request specs.
+func freshArchs(seed int64, n int) []ArchSpec {
+	archs := uarch.Space{}.SampleN(rand.New(rand.NewSource(seed)), n)
+	specs := make([]ArchSpec, n)
+	for i, a := range archs {
+		specs[i] = archSpecFor(a)
+	}
+	return specs
+}
+
+// metricValue reads one sample from GET /metrics ("" when absent).
+func metricValue(t testing.TB, h http.Handler, name string) string {
+	t.Helper()
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest("GET", "/metrics", nil))
+	for _, line := range strings.Split(w.Body.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			return v
+		}
+	}
+	return ""
+}
+
+// TestMissReplaysResidentBaseline pins the cold path: once a program
+// has been queried, a feature-cache miss at a new architecture is one
+// replay of its resident -O3 trace - no compile, no trace generation -
+// however many other programs were profiled in between (six here: more
+// than the evaluator's LRU of tuned traces ever held), and the
+// dashboard shows both the miss's cost and the memory that buys it.
+func TestMissReplaysResidentBaseline(t *testing.T) {
+	s := newTestServer(t, nil)
+	h := s.Handler()
+	specs := freshArchs(31, 14)
+	query := func(program string, spec *ArchSpec) {
+		w, resp := postPredict(t, h, PredictRequest{Program: program, Arch: spec})
+		if resp == nil || resp.Cached {
+			t.Fatalf("%s: HTTP %d, resp %+v: want an uncached success", program, w.Code, resp)
+		}
+	}
+	programs := prog.Names()[:7]
+	for _, name := range programs {
+		query(name, &specs[0])
+	}
+	before := s.Stats()
+	const k = 5
+	for i := 1; i <= k; i++ {
+		query(programs[0], &specs[i])
+	}
+	after := s.Stats()
+	if after.Compiles != before.Compiles || after.TraceGens != before.TraceGens || after.Simulations != before.Simulations+k {
+		t.Fatalf("%d misses on a resident program: compiles %d->%d, trace gens %d->%d, simulations %d->%d; want flat, flat, +%d",
+			k, before.Compiles, after.Compiles, before.TraceGens, after.TraceGens, before.Simulations, after.Simulations, k)
+	}
+	if got := metricValue(t, h, "portccs_profile_seconds_count"); got != fmt.Sprint(len(programs)+k) {
+		t.Errorf("portccs_profile_seconds_count = %q, want %d (one observation per miss)", got, len(programs)+k)
+	}
+	if got := metricValue(t, h, "portccs_baseline_traces"); got != fmt.Sprint(len(programs)) {
+		t.Errorf("portccs_baseline_traces = %q, want %d", got, len(programs))
+	}
+	if got := metricValue(t, h, "portccs_baseline_trace_bytes"); got != fmt.Sprint(after.BaselineTraceBytes) || after.BaselineTraceBytes == 0 {
+		t.Errorf("portccs_baseline_trace_bytes = %q, evaluator says %d", got, after.BaselineTraceBytes)
+	}
+	// The miss path's allocation budget: request decode, one replay
+	// (pooled simulator state), feature vector, inference, response
+	// encode. Measured 296 allocs/op here, half of them the test helper's own
+	// JSON round trip (BenchmarkServePredictMiss reads 148, a warm hit 141).
+	next := k + 1
+	if allocs := testing.AllocsPerRun(len(specs)-next-1, func() { query(programs[0], &specs[next]); next++ }); allocs > 400 {
+		t.Errorf("miss on a resident program allocates %.0f objects per request, want <= 400", allocs)
+	}
+}
+
+// TestBaselineMemoryBounded touches every program of the suite: without
+// a CacheBudget the resident bytes are the suite's -O3 traces and stay
+// there however many architectures follow; with one, resident traces
+// honour it and every request still succeeds.
+func TestBaselineMemoryBounded(t *testing.T) {
+	_, _, info := testDataset(t)
+	eval := evalFromInfo(info)
+	ref := dataset.NewEvaluator(eval)
+	o3 := opt.O3()
+	var suite, largest int64
+	for _, name := range prog.Names() {
+		tr, _, err := ref.Trace(name, &o3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := int64(len(tr.Events))*16 + 4096
+		suite += b
+		largest = max(largest, b)
+	}
+	specs := freshArchs(32, 2)
+	touchAll := func(h http.Handler, spec *ArchSpec) {
+		for _, name := range prog.Names() {
+			if w, resp := postPredict(t, h, PredictRequest{Program: name, Arch: spec}); resp == nil {
+				t.Fatalf("%s: HTTP %d: %s", name, w.Code, w.Body)
+			}
+		}
+	}
+
+	s := newTestServer(t, nil)
+	touchAll(s.Handler(), &specs[0])
+	first := metricValue(t, s.Handler(), "portccs_baseline_trace_bytes")
+	touchAll(s.Handler(), &specs[1])
+	st := s.Stats()
+	if st.BaselineTraces != int64(len(prog.Names())) || st.BaselineTraceBytes > suite {
+		t.Errorf("%d baselines / %d bytes resident, suite is %d programs / %d bytes", st.BaselineTraces, st.BaselineTraceBytes, len(prog.Names()), suite)
+	}
+	if got := metricValue(t, s.Handler(), "portccs_baseline_trace_bytes"); got != first || got != fmt.Sprint(st.BaselineTraceBytes) {
+		t.Errorf("portccs_baseline_trace_bytes %s after one pass, %s after two, evaluator says %d", first, got, st.BaselineTraceBytes)
+	}
+
+	budget := 3 * largest
+	eval.CacheBudget = budget
+	s = newTestServer(t, func(c *Config) { c.Eval = eval })
+	touchAll(s.Handler(), &specs[0])
+	touchAll(s.Handler(), &specs[1])
+	if st := s.Stats(); st.BaselineTraceBytes > budget || st.BaselineTraces == 0 || st.Compiles != len(prog.Names()) {
+		t.Errorf("budget %d: %d bytes in %d baselines after %d compiles; want within budget, one compile per program", budget, st.BaselineTraceBytes, st.BaselineTraces, st.Compiles)
+	}
+}
+
+// TestStoreBackedRestartServesEveryProfile runs two server lifetimes
+// over one result store: every profile of the first is committed, so
+// the second - empty feature cache, nothing resident - answers all of
+// them from the store without a single simulation.
+func TestStoreBackedRestartServesEveryProfile(t *testing.T) {
+	dir := t.TempDir()
+	specs := freshArchs(33, 4)
+	var keys [2][]string
+	for life := range keys {
+		rs, err := dataset.OpenResultStore(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := newTestServer(t, func(c *Config) { c.Store = rs })
+		for i := range specs {
+			_, resp := postPredict(t, s.Handler(), PredictRequest{Program: "crc", Arch: &specs[i]})
+			if resp == nil || resp.Cached {
+				t.Fatalf("lifetime %d arch %d: resp %+v, want an uncached success", life, i, resp)
+			}
+			keys[life] = append(keys[life], resp.ConfigKey)
+		}
+		st := s.Stats()
+		if life == 0 && (st.StoreMisses != int64(len(specs)) || st.Simulations != len(specs) || rs.Stats().Puts != int64(len(specs))) {
+			t.Errorf("first lifetime: %+v, %d puts; want %d misses, simulations and commits", st, rs.Stats().Puts, len(specs))
+		}
+		if life == 1 && (st.StoreHits != int64(len(specs)) || st.Simulations != 0) {
+			t.Errorf("second lifetime: %+v; want %d store hits and no simulation", st, len(specs))
+		}
+		rs.Close()
+	}
+	if fmt.Sprint(keys[0]) != fmt.Sprint(keys[1]) {
+		t.Errorf("restart changed the answers: %v -> %v", keys[0], keys[1])
+	}
+}
+
+// BenchmarkServePredictMiss measures the cold handler path on a
+// resident program: a new architecture every iteration, so every
+// request misses the feature cache and pays one replay - and, pinned
+// below, nothing else.
+func BenchmarkServePredictMiss(b *testing.B) {
+	testDataset(b)
+	s, err := New(Config{ModelPath: writeArtifact(b, b.TempDir(), fixture.m, fixture.info)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := s.Handler()
+	specs := freshArchs(34, b.N+1)
+	bodies := make([][]byte, len(specs))
+	for i := range specs {
+		bodies[i], _ = json.Marshal(PredictRequest{Program: "qsort", Arch: &specs[i]})
+	}
+	do := func(body []byte) {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/predict", bytes.NewReader(body)))
+		if w.Code != http.StatusOK {
+			b.Fatalf("HTTP %d: %s", w.Code, w.Body)
+		}
+	}
+	do(bodies[b.N]) // first touch: compile, probe, resident trace
+	before := s.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		do(bodies[i])
+	}
+	b.StopTimer()
+	after := s.Stats()
+	if after.Compiles != before.Compiles || after.TraceGens != before.TraceGens || after.Simulations != before.Simulations+b.N {
+		b.Fatalf("misses did more than replay: compiles %d->%d, trace gens %d->%d, simulations %d->%d over %d requests",
+			before.Compiles, after.Compiles, before.TraceGens, after.TraceGens, before.Simulations, after.Simulations, b.N)
+	}
+}
+
+// FuzzPredictBody throws arbitrary bytes at POST /v1/predict: the
+// decode surface must never panic and never answer 5xx - every outcome
+// is a 200 whose config_key is a real setting, or a typed JSON error.
+func FuzzPredictBody(f *testing.F) {
+	ds, _, _ := testDataset(f)
+	spec := archSpecFor(ds.Archs[0])
+	for _, body := range []any{
+		PredictRequest{},
+		PredictRequest{Program: "crc", Features: ds.Features[0][0]},
+		PredictRequest{Features: []float64{1, 2}},
+		PredictRequest{Program: "crc"},
+		PredictRequest{Program: "no-such-program", Arch: &ArchSpec{}},
+		PredictRequest{Program: "crc", Arch: &ArchSpec{IL1Size: 12345}},
+		map[string]any{"programme": "crc"},
+		PredictRequest{Program: "crc", Arch: &spec},
+		PredictRequest{Features: ds.Features[0][0], Arch: &spec},
+	} {
+		data, err := json.Marshal(body)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	h := newTestServer(f, nil).Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/predict", bytes.NewReader(body)))
+		if w.Code >= 500 {
+			t.Fatalf("HTTP %d for body %q: %s", w.Code, body, w.Body)
+		}
+		if w.Code == http.StatusOK {
+			var resp PredictResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("200 with an undecodable body: %v", err)
+			}
+			if _, err := opt.ParseKey(resp.ConfigKey); err != nil {
+				t.Fatalf("200 with config_key %q: %v", resp.ConfigKey, err)
+			}
+			return
+		}
+		var eresp errorResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &eresp); err != nil || eresp.Code == "" || eresp.Error == "" {
+			t.Fatalf("HTTP %d without a typed JSON error: %s", w.Code, w.Body)
+		}
+	})
+}

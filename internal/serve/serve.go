@@ -15,6 +15,10 @@
 //     of a prediction - are memoised in an LRU cache keyed by
 //     (program, microarchitecture) with single-flighted misses, so the
 //     recurring queries of a fleet cost microseconds, not simulations.
+//     A miss is one replay: the evaluator keeps each program's -O3
+//     binary and trace resident after its first query (neither depends
+//     on the microarchitecture), and with a result store attached the
+//     store is asked before even that.
 //
 //   - Admission control bounds concurrent predictions and the waiting
 //     queue; excess load is shed immediately with HTTP 429 and a
@@ -120,9 +124,12 @@ type Server struct {
 	mShed       *metrics.Counter
 	mCacheHit   *metrics.Counter
 	mCacheMiss  *metrics.Counter
+	mProfile    *metrics.Histogram
 	mReloads    *metrics.CounterVec
 	mInFlight   *metrics.Gauge
 	mQueueDepth *metrics.Gauge
+	mBaselines  *metrics.Gauge
+	mBaseBytes  *metrics.Gauge
 
 	// testHookAdmitted, when non-nil, runs after admission and before
 	// any prediction work - tests park it to hold slots occupied.
@@ -214,12 +221,16 @@ func (s *Server) initMetrics() {
 		"Predictions served from the (program, uarch) feature cache.")
 	s.mCacheMiss = r.Counter("portccs_feature_cache_misses_total",
 		"Predictions that ran an -O3 profiling simulation.")
+	s.mProfile = r.Histogram("portccs_profile_seconds",
+		"Feature-cache miss compute (store lookup or -O3 replay) in seconds.", nil)
 	s.mReloads = r.CounterVec("portccs_model_reloads_total",
 		"Model artifact reload attempts by outcome.", "outcome")
 	r.CounterFunc("portccs_feature_cache_entries",
 		"Resident feature-cache entries.", func() float64 { return float64(s.cache.len()) })
 	s.mInFlight = r.Gauge("portccs_inflight", "Predictions currently executing.")
 	s.mQueueDepth = r.Gauge("portccs_queue_depth", "Predictions waiting for an execution slot.")
+	s.mBaselines = r.Gauge("portccs_baseline_traces", "Programs whose -O3 trace is resident for profiling.")
+	s.mBaseBytes = r.Gauge("portccs_baseline_trace_bytes", "Approximate bytes of the resident -O3 traces.")
 }
 
 // initEvalMetrics bridges the evaluator's work ledger into /metrics;
@@ -344,7 +355,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, pcerr.ErrOverloaded) {
 			outcome = "overloaded"
 			s.mShed.Inc()
-			w.Header().Set("Retry-After", strconv.FormatInt(int64(s.cfg.RetryAfter/time.Second), 10))
+			// Whole seconds, rounded up: a sub-second delay must not read
+			// as "0", retry immediately.
+			w.Header().Set("Retry-After", strconv.FormatInt(int64((s.cfg.RetryAfter+time.Second-1)/time.Second), 10))
 			writeJSON(w, http.StatusTooManyRequests, errorResponse{
 				Error: err.Error(), Code: "overloaded",
 				RetryAfterMS: s.cfg.RetryAfter.Milliseconds(),
@@ -421,6 +434,8 @@ func (s *Server) predict(req *PredictRequest) (*PredictResponse, int, *errorResp
 		key := req.Program + "|" + arch.String()
 		var hit bool
 		x, hit, err = s.cache.get(key, func() ([]float64, error) {
+			start := time.Now()
+			defer func() { s.mProfile.Observe(time.Since(start).Seconds()) }()
 			o3 := opt.O3()
 			res, err := s.ev.Run(req.Program, &o3, arch)
 			if err != nil {
@@ -501,6 +516,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 func (s *Server) syncGauges() {
 	s.mInFlight.Set(int64(s.gate.inFlight()))
 	s.mQueueDepth.Set(s.gate.queueDepth())
+	st := s.ev.Stats()
+	s.mBaselines.Set(st.BaselineTraces)
+	s.mBaseBytes.Set(st.BaselineTraceBytes)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -244,14 +244,25 @@ func TestConcurrentClientsBitIdentical(t *testing.T) {
 // TestLoadSheds pins the overload contract: with one execution slot and
 // a one-deep queue, a third concurrent request is refused with a typed
 // 429 + Retry-After while both admitted requests complete correctly,
-// and /metrics reports the shed.
+// and /metrics reports the shed. Retry-After is whole seconds rounded
+// up: a sub-second delay must not advertise "0", retry immediately,
+// beside a body saying retry_after_ms 500.
 func TestLoadSheds(t *testing.T) {
+	for _, tc := range []struct {
+		delay time.Duration
+		want  string
+	}{{2 * time.Second, "2"}, {500 * time.Millisecond, "1"}, {1500 * time.Millisecond, "2"}} {
+		t.Run(tc.delay.String(), func(t *testing.T) { testLoadSheds(t, tc.delay, tc.want) })
+	}
+}
+
+func testLoadSheds(t *testing.T, delay time.Duration, wantHeader string) {
 	ds, m, _ := testDataset(t)
 	hold := make(chan struct{})
 	s := newTestServer(t, func(c *Config) {
 		c.MaxInFlight = 1
 		c.MaxQueue = 1
-		c.RetryAfter = 2 * time.Second
+		c.RetryAfter = delay
 	})
 	s.testHookAdmitted = func() { <-hold }
 	wantCfg := m.Predict(ds.Features[0][0])
@@ -281,12 +292,12 @@ func TestLoadSheds(t *testing.T) {
 	if w.Code != http.StatusTooManyRequests {
 		t.Fatalf("third concurrent request: HTTP %d, want 429", w.Code)
 	}
-	if ra := w.Header().Get("Retry-After"); ra != "2" {
-		t.Errorf("Retry-After = %q, want \"2\"", ra)
+	if ra := w.Header().Get("Retry-After"); ra != wantHeader {
+		t.Errorf("Retry-After = %q, want %q", ra, wantHeader)
 	}
 	var eresp errorResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &eresp); err != nil || eresp.Code != "overloaded" {
-		t.Errorf("shed body = %s, want code overloaded", w.Body)
+	if err := json.Unmarshal(w.Body.Bytes(), &eresp); err != nil || eresp.Code != "overloaded" || eresp.RetryAfterMS != delay.Milliseconds() {
+		t.Errorf("shed body = %s, want code overloaded and retry_after_ms %d", w.Body, delay.Milliseconds())
 	}
 
 	close(hold) // release the parked requests

@@ -184,6 +184,15 @@ func Generate(p *codegen.Program, cfg Config) *Trace {
 	return GenerateInto(&Trace{}, p, cfg)
 }
 
+// GenerateSized is Generate into a fresh event buffer with room for
+// capHint events, for traces the caller keeps (caches): unlike Get it
+// never takes a pooled buffer out of circulation or pins one far larger
+// than the trace, and unlike Generate it skips the append doublings when
+// the hint covers the trace (a short hint only costs the growth back).
+func GenerateSized(p *codegen.Program, cfg Config, capHint int) *Trace {
+	return GenerateInto(&Trace{Events: make([]Event, 0, capHint)}, p, cfg)
+}
+
 // genPool recycles generator scratch (stream cursors, trip counters, site
 // counters) between runs, so batched generation stays allocation-flat.
 var genPool = sync.Pool{New: func() any { return new(generator) }}

@@ -1,6 +1,7 @@
 package trace_test
 
 import (
+	"reflect"
 	"testing"
 
 	"portcc/internal/codegen"
@@ -179,5 +180,28 @@ func TestDependencyDistances(t *testing.T) {
 	}
 	if !sawLoadDep {
 		t.Error("no load-use dependencies recorded in a load-heavy program")
+	}
+}
+
+// TestGenerateSizedMatchesGenerate pins sized generation for owned
+// traces: bit-identical to Generate whether the hint covers the trace,
+// falls short of it or is absent, and generated in place (no regrowth,
+// so no spare doubling capacity held) when it covers.
+func TestGenerateSizedMatchesGenerate(t *testing.T) {
+	p := compileO3(t, "qsort")
+	cfg := trace.Config{Runs: 2, MaxInsns: 100_000, Seed: 7}
+	want := trace.Generate(p, cfg)
+	for _, hint := range []int{0, len(want.Events) / 3, len(want.Events) + 64} {
+		got := trace.GenerateSized(p, cfg, hint)
+		if !reflect.DeepEqual(got.Events, want.Events) {
+			t.Fatalf("hint %d: events differ from Generate's", hint)
+		}
+		if hint > len(want.Events) && cap(got.Events) != hint {
+			t.Errorf("hint %d: buffer regrew to %d", hint, cap(got.Events))
+		}
+		got.Events = want.Events
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("hint %d: counters differ from Generate's", hint)
+		}
 	}
 }
