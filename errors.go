@@ -59,6 +59,12 @@ var (
 	// never surfaces from session methods - it is observable in the
 	// store's Stats and logs only, and never carries wrong data.
 	ErrStoreCorrupt = pcerr.ErrStoreCorrupt
+	// ErrIndexStale reports a result-store compile-index block whose
+	// recorded binary identities disagree with what this build compiles
+	// (a compiler change that did not bump core.Version). The block is
+	// quarantined and the run fails at that cell rather than mixing
+	// identities; a rerun over the same store is clean.
+	ErrIndexStale = pcerr.ErrIndexStale
 )
 
 type (

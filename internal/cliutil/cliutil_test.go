@@ -1,12 +1,15 @@
 package cliutil
 
 import (
+	"context"
 	"os"
+	"regexp"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 
+	"portcc/internal/dataset"
 	"portcc/internal/sched"
 )
 
@@ -110,6 +113,36 @@ func TestStoreTiers(t *testing.T) {
 		if got := tc.f.StoreTiers(); got != tc.want {
 			t.Errorf("StoreTiers(%+v) = %q, want %q", tc.f, got, tc.want)
 		}
+	}
+}
+
+// TestStoreStatsShowsWhatAResumeSkipped: the ledger line of a run
+// resumed over a populated store reports zero misses for results and
+// for the compile index - the line trainer, expgen and portccd print.
+func TestStoreStatsShowsWhatAResumeSkipped(t *testing.T) {
+	if got := StoreStats(nil); got != "" {
+		t.Fatalf("StoreStats(nil) = %q, want empty", got)
+	}
+	cfg := dataset.GenConfig{Programs: []string{"crc"}, NumArchs: 2, NumOpts: 8, Seed: 3,
+		Eval: dataset.EvalConfig{TargetInsns: 4_000, Seed: 1}}
+	dir := t.TempDir()
+	lines := make([]string, 2)
+	for i := range lines {
+		rs, err := dataset.OpenResultStore(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dataset.GenerateWith(context.Background(), cfg, dataset.ExploreOptions{Workers: 1, Store: rs}); err != nil {
+			t.Fatal(err)
+		}
+		lines[i] = StoreStats(rs)
+		rs.Close()
+	}
+	if !regexp.MustCompile(`^store: 0 hits, [1-9].*; index: 0 block hits, [1-9][0-9]* misses, 0 quarantined$`).MatchString(lines[0]) {
+		t.Errorf("cold ledger line %q", lines[0])
+	}
+	if !regexp.MustCompile(`^store: [1-9][0-9]* hits, 0 misses, .*; index: [1-9][0-9]* block hits, 0 misses, 0 quarantined$`).MatchString(lines[1]) {
+		t.Errorf("resumed ledger line %q", lines[1])
 	}
 }
 

@@ -154,7 +154,10 @@ func (f *Flags) StoreTiers() string {
 // StoreStats formats a one-line summary of a store's ledger for tool
 // output; empty when no store is attached. A tiered store's remote
 // traffic gets its own clause so a fleet run shows at a glance how
-// much work the service saved (and how often it was unreachable).
+// much work the service saved (and how often it was unreachable). The
+// leading counters cover both entry kinds; the closing index clause
+// singles out the compile-index lookups, so a resumed run that compiled
+// nothing reads "0 misses" twice.
 func StoreStats(rs *dataset.ResultStore) string {
 	if rs == nil {
 		return ""
@@ -166,7 +169,8 @@ func StoreStats(rs *dataset.ResultStore) string {
 		line += fmt.Sprintf("; remote: %d hits, %d misses, %d degraded, %d puts, %d lost",
 			s.RemoteHits, s.RemoteMisses, s.RemoteErrors, s.RemotePuts, s.RemotePutErrors)
 	}
-	return line
+	ih, im, iq := rs.IndexStats()
+	return line + fmt.Sprintf("; index: %d block hits, %d misses, %d quarantined", ih, im, iq)
 }
 
 // RegisterModel installs the shared -model flag: the path of a trained

@@ -17,6 +17,16 @@ import (
 	"portcc/internal/regalloc"
 )
 
+// Version is the code-generation version of this compiler: any change
+// that alters the binary image a given (module, configuration) pair
+// compiles to - a pass, the plan derivation, allocation, lowering,
+// placement, or the image serialisation the fingerprint hashes - must
+// bump it. The result store's compile index keys on it, so fingerprints
+// recorded by an older compiler are clean misses instead of stale
+// identities; TestVersionsPinBehaviour (internal/dataset) holds the
+// constant to the binaries the suite actually compiles to.
+const Version = 1
+
 // Compile clones the module and runs the full pipeline - pre-allocation
 // optimisation passes selected by cfg, register allocation, post-allocation
 // cleanups, placement - and returns the binary image.

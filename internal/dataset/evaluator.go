@@ -80,11 +80,16 @@ type SharedBase struct {
 	compiles atomic.Int64
 }
 
-// baseline is one program's slot. Everything but tr is written once
-// under once and read-only afterwards.
+// baseline is one program's slot, built in two steps: the module and
+// its hash (all a compile-index lookup needs), then the -O3 binary and
+// probe. Everything but tr is written once, under its step's once.
 type baseline struct {
+	modOnce sync.Once
+	m       *ir.Module
+	mhash   [32]byte // ir.Module.Hash, the program's identity in index keys
+	merr    error
+
 	once   sync.Once
-	m      *ir.Module
 	prog   *codegen.Program    // the -O3 binary
 	fp     codegen.Fingerprint // addresses its stored replays without compiling
 	runs   int                 // complete runs per trace, fixed per program
@@ -201,8 +206,10 @@ func NewEvaluatorWith(cfg EvalConfig, base *SharedBase) *Evaluator {
 }
 
 // Stats is the evaluator's work ledger, counting work actually
-// performed. Compiles counts per-setting compilations (a batched window
-// that is evicted and later rebuilt recompiles, and recounts); PassRuns
+// performed. Compiles counts per-setting compilations: a storeless
+// batched window that is evicted and later rebuilt recompiles, and
+// recounts, while a fully indexed run over a result store reads 0, the
+// -O3 probe included. PassRuns
 // counts pipeline pass applications executed and PassRunsSaved the
 // applications the batched engine's prefix trie avoided, so for every
 // performed batch PassRuns+PassRunsSaved is what a naive pipeline would
@@ -231,11 +238,11 @@ type Stats struct {
 	BaselineTraces, BaselineTraceBytes int64
 
 	// StoreHits, StoreMisses and StoreCorrupt mirror the attached
-	// persistent result store's ledger (zero without one): replays
-	// answered from disk, replays that had to run, and entries
-	// quarantined as corrupt. The counters are store-global, so
-	// evaluators sharing a store report the shared totals. For a tiered
-	// store, StoreHits counts replays answered by any tier.
+	// persistent result store's ledger (zero without one): lookups -
+	// replays and compile-index blocks alike - answered from disk,
+	// lookups that had to run or compile, and entries quarantined. The
+	// counters are store-global, so evaluators sharing a store report the
+	// shared totals. For a tiered store, StoreHits counts any tier.
 	StoreHits, StoreMisses, StoreCorrupt int64
 
 	// The StoreRemote* counters describe the shared-service tier of a
@@ -292,17 +299,6 @@ func (e *Evaluator) resultStore() *ResultStore {
 	return e.rstore
 }
 
-// Runs returns the program's complete-run count, building its baseline
-// slot on first use. The batched sweep runner uses it to derive store
-// keys without touching traces.
-func (e *Evaluator) Runs(name string) (int, error) {
-	sl, err := e.baseline(name)
-	if err != nil {
-		return 0, err
-	}
-	return sl.runs, nil
-}
-
 // countTraceGen records one performed trace generation. Called with e.mu
 // held.
 func (e *Evaluator) countTraceGen(tr *trace.Trace) {
@@ -310,12 +306,11 @@ func (e *Evaluator) countTraceGen(tr *trace.Trace) {
 	e.traceEvents += int64(len(tr.Events))
 }
 
-// baseline returns the program's slot, building it on first use: the
-// module, the -O3 binary and its fingerprint, and - from a 1-run probe
-// of that binary - the run count that makes every setting of the
-// program do identical work. Concurrent first touches wait for the one
-// build. Must not be called with e.mu held.
-func (e *Evaluator) baseline(name string) (*baseline, error) {
+// module returns the program's slot with its module built and hashed.
+// Concurrent first touches wait for the one build; a failed slot is
+// forgotten (names arrive from outside - the prediction server - and
+// only the closed suite may stay). Must not be called with e.mu held.
+func (e *Evaluator) module(name string) (*baseline, error) {
 	b := e.base
 	b.mu.Lock()
 	sl, ok := b.slots[name]
@@ -324,11 +319,36 @@ func (e *Evaluator) baseline(name string) (*baseline, error) {
 		b.slots[name] = sl
 	}
 	b.mu.Unlock()
-	sl.once.Do(func() {
-		if sl.m, sl.err = prog.Build(name); sl.err != nil {
-			return
+	sl.modOnce.Do(func() {
+		if sl.m, sl.merr = prog.Build(name); sl.merr == nil {
+			sl.mhash = sl.m.Hash()
 		}
-		b.compiles.Add(1)
+	})
+	if sl.merr != nil {
+		b.forget(name, sl)
+	}
+	return sl, sl.merr
+}
+
+// forget drops a slot whose build failed.
+func (b *SharedBase) forget(name string, sl *baseline) {
+	b.mu.Lock()
+	if b.slots[name] == sl {
+		delete(b.slots, name)
+	}
+	b.mu.Unlock()
+}
+
+// baseline returns the slot with its second step done: the -O3 binary,
+// its fingerprint and - from a 1-run probe of it - the run count that
+// makes every setting of the program do identical work.
+func (e *Evaluator) baseline(name string) (*baseline, error) {
+	sl, err := e.module(name)
+	if err != nil {
+		return nil, err
+	}
+	sl.once.Do(func() {
+		e.base.compiles.Add(1)
 		if sl.prog, sl.err = e.compile(sl, &o3); sl.err != nil {
 			return
 		}
@@ -342,13 +362,7 @@ func (e *Evaluator) baseline(name string) (*baseline, error) {
 		trace.Put(probe)
 	})
 	if sl.err != nil {
-		// Forget a failed slot: names arrive from outside (the prediction
-		// server), and only the closed suite may stay in the map.
-		b.mu.Lock()
-		if b.slots[name] == sl {
-			delete(b.slots, name)
-		}
-		b.mu.Unlock()
+		e.base.forget(name, sl)
 		return nil, sl.err
 	}
 	return sl, nil
@@ -505,51 +519,39 @@ func planSteps(c *opt.Config, m *ir.Module) int64 {
 	return int64(plan.Steps(nonLib, lib))
 }
 
-// BatchBinary is one setting's slot in a CompileBatch result. Settings
-// whose pipelines produced byte-identical binaries share a fingerprint:
-// the first such slot has First pointing at itself; twins carry the
-// owning slot's index, so consumers generate one trace (and one replay)
-// per distinct binary. Err is the per-setting compile failure, nil
-// otherwise.
+// BatchBinary is one setting's slot in a TraceBatch result: the binary
+// and its fingerprint, or the per-setting compile failure. Twins -
+// byte-identical binaries - share a fingerprint, which is how consumers
+// generate one trace (and one replay) per distinct binary.
 type BatchBinary struct {
-	Prog  *codegen.Program
-	FP    codegen.Fingerprint
-	First int
-	Err   error
+	Prog *codegen.Program
+	FP   codegen.Fingerprint
+	Err  error
 }
 
 // TraceBatch compiles every setting of a sweep over one program through
 // the prefix-memoised batch engine (core.CompileBatch) and fingerprints
-// the binaries so byte-identical twins are visible to the caller. A
+// the binaries; it also returns the program's complete-run count. A
 // non-nil top-level error (module build or -O3 probe failure) fails
 // every setting alike. Traces are generated separately (GenerateTrace,
 // typically lazily per distinct binary) so a caller serving only part
 // of the sweep never holds more than its in-flight traces.
-func (e *Evaluator) TraceBatch(name string, cfgs []*opt.Config) ([]BatchBinary, error) {
+func (e *Evaluator) TraceBatch(name string, cfgs []*opt.Config) ([]BatchBinary, int, error) {
 	sl, err := e.baseline(name)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 
 	progs, errs, stats := core.CompileBatch(sl.m, cfgs)
 	out := make([]BatchBinary, len(cfgs))
-	index := make(map[codegen.Fingerprint]int, len(cfgs))
 	scratch := make([]byte, 0, 1<<16)
 	compiled := 0
 	for i := range cfgs {
-		if errs[i] != nil {
-			out[i] = BatchBinary{First: i, Err: errs[i]}
-			continue
+		out[i] = BatchBinary{Prog: progs[i], Err: errs[i]}
+		if errs[i] == nil {
+			compiled++
+			out[i].FP, scratch = codegen.FingerprintInto(progs[i], scratch)
 		}
-		compiled++
-		var fp codegen.Fingerprint
-		fp, scratch = codegen.FingerprintInto(progs[i], scratch)
-		if j, ok := index[fp]; ok {
-			out[i] = BatchBinary{Prog: progs[i], FP: fp, First: j}
-			continue
-		}
-		index[fp] = i
-		out[i] = BatchBinary{Prog: progs[i], FP: fp, First: i}
 	}
 
 	e.mu.Lock()
@@ -559,7 +561,7 @@ func (e *Evaluator) TraceBatch(name string, cfgs []*opt.Config) ([]BatchBinary, 
 	e.passRuns += stats.PassRuns
 	e.passRunsSaved += stats.PassRunsSaved
 	e.mu.Unlock()
-	return out, nil
+	return out, sl.runs, nil
 }
 
 // GenerateTrace generates the trace of an already-compiled binary of the
@@ -579,15 +581,6 @@ func (e *Evaluator) GenerateTrace(name string, p *codegen.Program) (*trace.Trace
 	e.countTraceGen(tr)
 	e.mu.Unlock()
 	return tr, nil
-}
-
-// addTraceReuses records settings whose trace generation (and replay)
-// was skipped because an earlier setting produced a byte-identical
-// binary.
-func (e *Evaluator) addTraceReuses(n int64) {
-	e.mu.Lock()
-	e.traceReuses += n
-	e.mu.Unlock()
 }
 
 // SetSweepWorkers sets the worker budget each batched replay fans its

@@ -1,35 +1,57 @@
-// The persistent result store: a content-addressed on-disk cache of
-// per-architecture replay results, keyed so a hit is provably the same
-// computation - binary fingerprint (identical placed image => identical
-// trace under a fixed seed), workload parameters, architecture range
-// and the replay-model version. Generation threaded through a store
-// survives kill -9: a restart with the same directory answers most
-// cells from disk and produces byte-identical datasets.
+// The persistent result store: a content-addressed on-disk cache with
+// two entry kinds in one store.Backend. Result entries hold one replay's
+// per-architecture counters, keyed by binary fingerprint (identical
+// placed image => identical trace under a fixed seed), workload
+// parameters, architecture range and the trace and replay versions.
+// Compile-index blocks hold what that key needs and only a compile
+// could otherwise tell - the fingerprints of indexBlock consecutive
+// settings of one program's sweep, and its run count - keyed by module
+// hash, settings, workload parameters and core.Version, so a resumed
+// run compiles nothing and, even after kill -9, answers its cells from
+// disk and produces byte-identical datasets.
 //
 // Store failures are never failures of the run. Every Get/Put error is
 // absorbed into counters: corrupt entries are quarantined (typed
 // pcerr.ErrStoreCorrupt inside the store) and recomputed, ENOSPC/EIO
 // degrade Puts to cache misses, a dead store directory degrades the
-// whole run to cold-cache speed. Wrong results are impossible by
-// construction - the key pins every input of the computation and the
-// payload carries the store's end-to-end checksum.
+// whole run to cold-cache speed. A hit is the same computation as long
+// as core.Version, trace.Version and cpu.ReplayVersion are bumped with
+// the behaviour they name (TestVersionsPinBehaviour holds them to a
+// committed record); payloads carry the store's checksum, and a window
+// that does compile checks its indexed fingerprints (ErrIndexStale).
 package dataset
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"portcc/internal/codegen"
+	"portcc/internal/core"
 	"portcc/internal/cpu"
 	"portcc/internal/faultfs"
+	"portcc/internal/opt"
 	"portcc/internal/store"
+	"portcc/internal/trace"
 	"portcc/internal/uarch"
 )
 
-// resultKeySchema versions the key-material layout below; bump on any
+// The key schemas version the key-material layouts below; bump on any
 // change so old entries become unreachable rather than misinterpreted.
-const resultKeySchema = 1
+const (
+	resultKeySchema = 2
+	indexKeySchema  = 1
+)
+
+// indexBlock is the settings per compile-index entry: the minimum sweep
+// window, which every window is a multiple of (sweepWindowSize), so a
+// runner that executes a cell commits every block its window touches,
+// whatever the slot count or shard layout. fpLen: a fingerprint's width.
+const (
+	indexBlock = 8
+	fpLen      = len(codegen.Fingerprint{})
+)
 
 // resultFields is the number of uint64 counters in cpu.Result, the
 // fixed part of the payload codec (EnergyNJ rides as float64 bits).
@@ -53,22 +75,14 @@ const resultFields = 18
 // backend failure.
 type ResultStore struct {
 	s store.Backend
+	// Compile-index lookups: store.Stats cannot tell the kinds apart.
+	blockHits, blockMisses, blockCorrupt atomic.Int64
 }
 
 // OpenResultStore opens (creating if needed) a result store rooted at
 // dir, bounded to budget bytes (0 = unbounded).
 func OpenResultStore(dir string, budget int64) (*ResultStore, error) {
-	return OpenResultStoreFS(dir, budget, nil)
-}
-
-// OpenResultStoreFS is OpenResultStore on an explicit filesystem;
-// chaos tests inject faultfs schedules here.
-func OpenResultStoreFS(dir string, budget int64, fs faultfs.FS) (*ResultStore, error) {
-	s, err := store.Open(store.Options{Dir: dir, Budget: budget, FS: fs})
-	if err != nil {
-		return nil, err
-	}
-	return &ResultStore{s: s}, nil
+	return OpenResultStoreFS(dir, budget, "", nil)
 }
 
 // OpenResultStoreRemote opens a tiered result store: the local
@@ -81,19 +95,21 @@ func OpenResultStoreFS(dir string, budget int64, fs faultfs.FS) (*ResultStore, e
 // local miss, bounded in time: a run with the service down is just a
 // run with a cold shared tier.
 func OpenResultStoreRemote(dir string, budget int64, addr string) (*ResultStore, error) {
-	return OpenResultStoreRemoteFS(dir, budget, addr, nil)
+	return OpenResultStoreFS(dir, budget, addr, nil)
 }
 
-// OpenResultStoreRemoteFS is OpenResultStoreRemote on an explicit
-// filesystem for the local tier.
-func OpenResultStoreRemoteFS(dir string, budget int64, addr string, fs faultfs.FS) (*ResultStore, error) {
+// OpenResultStoreFS is the one opener under both: a local tier on fs (nil
+// = the OS), tiered over the service at addr if set (dir may then be "").
+func OpenResultStoreFS(dir string, budget int64, addr string, fs faultfs.FS) (*ResultStore, error) {
 	var local *store.Store
-	if dir != "" {
-		s, err := store.Open(store.Options{Dir: dir, Budget: budget, FS: fs})
-		if err != nil {
+	var err error
+	if dir != "" || addr == "" {
+		if local, err = store.Open(store.Options{Dir: dir, Budget: budget, FS: fs}); err != nil {
 			return nil, err
 		}
-		local = s
+	}
+	if addr == "" {
+		return &ResultStore{s: local}, nil
 	}
 	remote := store.NewRemote(store.RemoteOptions{Addr: addr, Format: FormatVersion})
 	return &ResultStore{s: store.NewTiered(local, remote)}, nil
@@ -102,9 +118,16 @@ func OpenResultStoreRemoteFS(dir string, budget int64, addr string, fs faultfs.F
 // Close compacts and closes the store's journal.
 func (rs *ResultStore) Close() error { return rs.s.Close() }
 
-// Stats returns the underlying store's operation ledger. The counters
-// are store-global: evaluators sharing one store share one ledger.
+// Stats returns the underlying store's operation ledger, store-global
+// (evaluators sharing one store share one ledger) and over both entry
+// kinds: Hits, Misses, Puts and Entries include compile-index blocks.
 func (rs *ResultStore) Stats() store.Stats { return rs.s.Stats() }
+
+// IndexStats is the compile-index share of the ledger: blocks answered,
+// blocks that had to compile, blocks quarantined (malformed or stale).
+func (rs *ResultStore) IndexStats() (hits, misses, quarantined int64) {
+	return rs.blockHits.Load(), rs.blockMisses.Load(), rs.blockCorrupt.Load()
+}
 
 // resultKey derives the content address of one replay: everything the
 // produced counters depend on is hashed in. The binary fingerprint
@@ -112,31 +135,72 @@ func (rs *ResultStore) Stats() store.Stats { return rs.s.Stats() }
 // binaries yield identical traces under a fixed seed, so twin settings
 // share entries by design, exactly like the in-memory replay memo.
 func resultKey(fp codegen.Fingerprint, runs int, cfg EvalConfig, archs []uarch.Config) store.Key {
-	material := make([]byte, 0, 64+len(archs)*80)
-	le := func(v uint64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		material = append(material, b[:]...)
+	le := binary.LittleEndian.AppendUint64
+	m := append(make([]byte, 0, 128+len(archs)*80), "portcc-result\n"...)
+	for _, v := range []uint64{resultKeySchema, FormatVersion, trace.Version, cpu.ReplayVersion} {
+		m = le(m, v)
 	}
-	material = append(material, "portcc-result\n"...)
-	le(resultKeySchema)
-	le(FormatVersion)
-	le(cpu.ReplayVersion)
-	material = append(material, fp[:]...)
-	le(uint64(runs))
-	le(uint64(cfg.Seed))
-	le(uint64(cfg.MaxInsns))
-	le(uint64(len(archs)))
+	m = append(m, fp[:]...)
+	for _, v := range []int{runs, int(cfg.Seed), cfg.MaxInsns, len(archs)} {
+		m = le(m, uint64(v))
+	}
 	for _, a := range archs {
 		for _, v := range []int{
 			a.IL1Size, a.IL1Assoc, a.IL1Block,
 			a.DL1Size, a.DL1Assoc, a.DL1Block,
 			a.BTBSize, a.BTBAssoc, a.FreqMHz, a.Width,
 		} {
-			le(uint64(v))
+			m = le(m, uint64(v))
 		}
 	}
-	return store.KeyOf(material)
+	return store.KeyOf(m)
+}
+
+// blockKey addresses one compile-index block by everything its binaries
+// and run count depend on: the program's IR (the name would survive an
+// edit to internal/prog), the settings in order, the probe's parameters.
+func blockKey(name string, module [32]byte, cfgs []opt.Config, cfg EvalConfig) store.Key {
+	le := binary.LittleEndian.AppendUint64
+	m := append(make([]byte, 0, 128+len(name)+len(cfgs)*(opt.NumFlags+opt.NumParams)), "portcc-index\n"...)
+	for _, v := range []uint64{indexKeySchema, FormatVersion, core.Version, uint64(len(name))} {
+		m = le(m, v)
+	}
+	m = append(append(m, name...), module[:]...)
+	for _, v := range []int{cfg.TargetInsns, cfg.MaxInsns, int(cfg.Seed), len(cfgs)} {
+		m = le(m, uint64(v))
+	}
+	for i := range cfgs {
+		m = append(m, cfgs[i].Key()...)
+	}
+	return store.KeyOf(m)
+}
+
+// encodeBlock packs a block's identities, fixed-width like
+// encodeResults: u64 runs, u64 count, then the 32-byte fingerprints.
+func encodeBlock(runs int, fps []codegen.Fingerprint) []byte {
+	le := binary.LittleEndian.AppendUint64
+	out := le(le(make([]byte, 0, 16+len(fps)*fpLen), uint64(runs)), uint64(len(fps)))
+	for i := range fps {
+		out = append(out, fps[i][:]...)
+	}
+	return out
+}
+
+// decodeBlock unpacks a block of n settings; like decodeResults it
+// reports any shape mismatch and allocates only what n asks for.
+func decodeBlock(payload []byte, n int) (runs int, fps []codegen.Fingerprint, err error) {
+	if len(payload) != 16+n*fpLen || binary.LittleEndian.Uint64(payload[8:]) != uint64(n) {
+		return 0, nil, fmt.Errorf("index block of %d bytes, want %d settings in %d", len(payload), n, 16+n*fpLen)
+	}
+	r := binary.LittleEndian.Uint64(payload)
+	if r < 1 || r > math.MaxInt32 {
+		return 0, nil, fmt.Errorf("index block run count %d", r)
+	}
+	fps = make([]codegen.Fingerprint, n)
+	for i := range fps {
+		copy(fps[i][:], payload[16+i*fpLen:])
+	}
+	return int(r), fps, nil
 }
 
 // encodeResults packs a result batch into the deterministic payload:
@@ -144,13 +208,8 @@ func resultKey(fp codegen.Fingerprint, runs int, cfg EvalConfig, archs []uarch.C
 // bits, all little-endian. Result.Config is not stored - it is an echo
 // of the key's architecture slice, reconstructed on decode.
 func encodeResults(results []cpu.Result) []byte {
-	out := make([]byte, 0, 8+len(results)*(resultFields+1)*8)
-	le := func(v uint64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		out = append(out, b[:]...)
-	}
-	le(uint64(len(results)))
+	le := binary.LittleEndian.AppendUint64
+	out := le(make([]byte, 0, 8+len(results)*(resultFields+1)*8), uint64(len(results)))
 	for i := range results {
 		r := &results[i]
 		for _, v := range []uint64{
@@ -162,9 +221,9 @@ func encodeResults(results []cpu.Result) []byte {
 			r.ALUOps, r.MACOps, r.ShiftOps,
 			r.FetchStalls, r.MemStalls, r.DepStalls, r.BranchStalls,
 		} {
-			le(v)
+			out = le(out, v)
 		}
-		le(math.Float64bits(r.EnergyNJ))
+		out = le(out, math.Float64bits(r.EnergyNJ))
 	}
 	return out
 }
@@ -232,4 +291,24 @@ func (rs *ResultStore) Put(fp codegen.Fingerprint, runs int, cfg EvalConfig, arc
 		return
 	}
 	rs.s.Put(resultKey(fp, runs, cfg, archs), encodeResults(results))
+}
+
+// getBlock returns the run count and n fingerprints of the block under
+// k, nil on a miss; a malformed payload is quarantined and a miss too.
+func (rs *ResultStore) getBlock(k store.Key, n int) (int, []codegen.Fingerprint) {
+	if payload, ok, _ := rs.s.Get(k); ok {
+		runs, fps, err := decodeBlock(payload, n)
+		if err == nil {
+			rs.blockHits.Add(1)
+			return runs, fps
+		}
+		rs.quarantineBlock(k, err)
+	}
+	rs.blockMisses.Add(1)
+	return 0, nil
+}
+
+func (rs *ResultStore) quarantineBlock(k store.Key, reason error) {
+	rs.blockCorrupt.Add(1)
+	rs.s.Quarantine(k, reason)
 }

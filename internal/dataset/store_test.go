@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"portcc/internal/faultfs"
+	"portcc/internal/opt"
 	"portcc/internal/pcerr"
 	"portcc/internal/store"
 )
@@ -195,7 +196,7 @@ func TestChaosMatrix(t *testing.T) {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			dir := t.TempDir()
 			inj := faultfs.New(faultfs.OS(), faultfs.Seeded(seed, 6))
-			rs, err := OpenResultStoreFS(dir, 0, inj)
+			rs, err := OpenResultStoreFS(dir, 0, "", inj)
 			opts := ExploreOptions{Workers: 2}
 			if err == nil {
 				// A store that opened must absorb every later fault.
@@ -246,6 +247,34 @@ func TestStoreKeySensitivity(t *testing.T) {
 		if k == base {
 			t.Fatalf("key ignores %s", name)
 		}
+	}
+}
+
+// TestBlockKeySensitivity is the same property for the compile index:
+// everything a block's binaries and run count depend on moves its key.
+func TestBlockKeySensitivity(t *testing.T) {
+	req := tinyRequest(t, 9)
+	eval := req.Eval.withDefaults()
+	swapped := append([]opt.Config(nil), req.Opts[:8]...)
+	swapped[0], swapped[1] = swapped[1], swapped[0]
+	with := func(f func(*EvalConfig)) EvalConfig { c := eval; f(&c); return c }
+	base := blockKey("crc", [32]byte{1}, req.Opts[:8], eval)
+	for name, k := range map[string]store.Key{
+		"program":      blockKey("qsort", [32]byte{1}, req.Opts[:8], eval),
+		"module":       blockKey("crc", [32]byte{2}, req.Opts[:8], eval),
+		"settings":     blockKey("crc", [32]byte{1}, req.Opts[1:9], eval),
+		"order":        blockKey("crc", [32]byte{1}, swapped, eval),
+		"block-length": blockKey("crc", [32]byte{1}, req.Opts[:7], eval),
+		"target":       blockKey("crc", [32]byte{1}, req.Opts[:8], with(func(c *EvalConfig) { c.TargetInsns++ })),
+		"maxinsns":     blockKey("crc", [32]byte{1}, req.Opts[:8], with(func(c *EvalConfig) { c.MaxInsns++ })),
+		"seed":         blockKey("crc", [32]byte{1}, req.Opts[:8], with(func(c *EvalConfig) { c.Seed++ })),
+	} {
+		if k == base {
+			t.Errorf("index key ignores %s", name)
+		}
+	}
+	if blockKey("crc", [32]byte{1}, req.Opts[:8], with(func(c *EvalConfig) { c.CacheBudget = 1 })) != base {
+		t.Error("index key depends on CacheBudget, which no binary does")
 	}
 }
 

@@ -1,11 +1,12 @@
 // The batched cell runner: cells of one exploration grid share a sweep
-// state that compiles a program's optimisation settings in windows
-// through Evaluator.TraceBatch (prefix-memoised pipeline) and
+// state that resolves a program's optimisation settings in windows and
 // deduplicates trace generation and replay across settings whose
-// pipelines produced byte-identical binaries. The scheduler contract is
-// untouched: cells are still dispatched, executed and streamed one by
-// one - the batch compile happens behind the first cell of each window,
-// and every result is bit-identical to the naive per-cell path.
+// pipelines produced byte-identical binaries. A window takes identities
+// (fingerprint per setting, run count) from the result store's compile
+// index and compiles (Evaluator.TraceBatch, prefix-memoised) only when
+// the index cannot answer or a replay has to run. The scheduler contract
+// is untouched: cells are still dispatched, executed and streamed one by
+// one, and every result is bit-identical to the naive per-cell path.
 //
 // Memory is bounded even when a runner serves only part of the grid (a
 // worker daemon behind sched.Remote sees interleaved chunks and may
@@ -18,34 +19,26 @@
 package dataset
 
 import (
+	"fmt"
 	"sync"
 
 	"portcc/internal/codegen"
 	"portcc/internal/cpu"
 	"portcc/internal/opt"
 	"portcc/internal/pcerr"
+	"portcc/internal/store"
 	"portcc/internal/trace"
 )
 
-// sweepWindowSize picks how many settings one TraceBatch covers: the
-// whole sweep when one worker slot runs it, shrinking with the slot count
-// so parallel workers are not serialised behind one window build, bounded
-// so a window's compiled binaries stay a few dozen at any scale.
+// sweepWindowSize picks how many settings one window covers: the whole
+// sweep when one worker slot runs it, shrinking with the slot count so
+// parallel workers are not serialised behind one window build, bounded
+// so a window's compiled binaries stay a few dozen at any scale, and a
+// whole number of index blocks so window boundaries are block boundaries.
 func sweepWindowSize(opts, slots int) int {
-	if slots < 1 {
-		slots = 1
-	}
-	w := opts / slots
-	if w < 8 {
-		w = 8
-	}
-	if w > 64 {
-		w = 64
-	}
-	if w > opts {
-		w = opts
-	}
-	return w
+	w := min(max(opts/max(slots, 1), indexBlock), 64)
+	w = (w + indexBlock - 1) / indexBlock * indexBlock
+	return min(w, opts)
 }
 
 // maxBuiltWindows bounds the compiled windows retained across the whole
@@ -90,13 +83,30 @@ type progSweep struct {
 	counted map[int]bool
 }
 
-// sweepWindow is one contiguous run of settings, batch-compiled by the
-// first cell that needs any of them. It holds binaries and fingerprints
-// only; traces are the traceSlots' business.
+// sweepWindow is one contiguous run of settings, resolved by the first
+// cell that needs any of them. It holds identities and, once compiled,
+// binaries; traces are the traceSlots' business.
 type sweepWindow struct {
-	once sync.Once
-	err  error         // whole-window failure (module build, -O3 probe)
-	bt   []BatchBinary // per setting, local index = opt - start
+	start, n int // settings [start, start+n) of the sweep
+
+	once  sync.Once
+	err   error          // whole-window failure (module build, -O3 probe, stale index)
+	runs  int            // complete runs per trace of the program
+	bt    []BatchBinary  // per setting, local index = opt - start; Prog unset
+	index []indexedBlock // the store's answer per block (nil without one)
+
+	// build guards the compile: eager when the index cannot answer,
+	// else at the first replay that needs a trace.
+	build    sync.Once
+	built    []BatchBinary
+	buildErr error
+}
+
+// indexedBlock is one compile-index lookup; nil fps is a miss.
+type indexedBlock struct {
+	key  store.Key
+	runs int
+	fps  []codegen.Fingerprint
 }
 
 // simKey identifies one (binary, architecture range) replay.
@@ -178,7 +188,7 @@ func (s *sweepState) windowAt(ps *progSweep, start int) *sweepWindow {
 	defer s.mu.Unlock()
 	w, ok := ps.windows[start]
 	if !ok {
-		w = &sweepWindow{}
+		w = &sweepWindow{start: start, n: min(s.window, len(s.req.Opts)-start)}
 		ps.windows[start] = w
 		s.built = append(s.built, windowKey{ps.prog, start})
 		for len(s.built) > maxBuiltWindows {
@@ -310,79 +320,149 @@ func (s *sweepState) retireRange(ps *progSweep, fp codegen.Fingerprint, read boo
 	}
 }
 
+// lookup asks the compile index for every block of the window; when all
+// answer, and agree on the run count, identities are set and nothing was
+// built, not even the -O3 baseline.
+func (w *sweepWindow) lookup(ev *Evaluator, st *ResultStore, name string, opts []opt.Config) {
+	sl, err := ev.module(name)
+	if err != nil {
+		return // the compile that follows reports it
+	}
+	w.index = make([]indexedBlock, (w.n+indexBlock-1)/indexBlock)
+	bt := make([]BatchBinary, 0, w.n)
+	for b := range w.index {
+		blk := &w.index[b]
+		cfgs := opts[w.start+b*indexBlock : w.start+min((b+1)*indexBlock, w.n)]
+		blk.key = blockKey(name, sl.mhash, cfgs, ev.cfg)
+		blk.runs, blk.fps = st.getBlock(blk.key, len(cfgs))
+		for _, fp := range blk.fps {
+			if blk.runs == w.index[0].runs {
+				bt = append(bt, BatchBinary{FP: fp})
+			}
+		}
+	}
+	if len(bt) == w.n {
+		w.bt, w.runs = bt, w.index[0].runs
+	}
+}
+
+// compile builds the window's binaries, once, and holds every indexed
+// block to them: one that disagrees (another compiler, same core.Version)
+// is quarantined and fails the compile typed, because earlier cells may
+// have been answered under the stale identity.
+func (w *sweepWindow) compile(ev *Evaluator, st *ResultStore, name string, opts []opt.Config) ([]BatchBinary, error) {
+	w.build.Do(func() {
+		cfgs := make([]*opt.Config, w.n)
+		for i := range cfgs {
+			cfgs[i] = &opts[w.start+i]
+		}
+		var runs int
+		if w.built, runs, w.buildErr = ev.TraceBatch(name, cfgs); w.buildErr != nil {
+			return
+		}
+		for b, blk := range w.index {
+			for i, fp := range blk.fps {
+				if got := w.built[b*indexBlock+i]; blk.runs != runs || got.Err != nil || got.FP != fp {
+					w.buildErr = fmt.Errorf("%w: %s setting %d: bump core.Version", pcerr.ErrIndexStale, name, w.start+b*indexBlock+i)
+					st.quarantineBlock(blk.key, w.buildErr)
+					break
+				}
+			}
+		}
+		if w.buildErr == nil && w.bt == nil {
+			w.bt, w.runs = w.built, runs
+		}
+	})
+	return w.built, w.buildErr
+}
+
+// commit writes the blocks the lookup missed, except any holding a
+// setting that failed to compile: a hit always means good binaries.
+func (w *sweepWindow) commit(st *ResultStore) {
+	for b, blk := range w.index {
+		bins := w.bt[b*indexBlock : min((b+1)*indexBlock, w.n)]
+		fps := make([]codegen.Fingerprint, 0, len(bins))
+		for i := range bins {
+			if bins[i].Err == nil {
+				fps = append(fps, bins[i].FP)
+			}
+		}
+		if blk.fps == nil && len(fps) == len(bins) {
+			st.s.Put(blk.key, encodeBlock(w.runs, fps))
+		}
+	}
+}
+
 // runCellBatched executes one grid cell through the sweep state:
-// identical observable behaviour to runCell, with compilation hoisted
-// into the cell's window and trace generation and replay deduplicated
-// across byte-identical binaries.
+// identical observable behaviour to runCell, with identities resolved
+// per window, compilation deferred until a replay needs a binary, and
+// trace generation and replay deduplicated across identical binaries.
 func runCellBatched(ev *Evaluator, s *sweepState, c exploreCell) (ExploreResult, error) {
 	req := s.req
 	name := req.Programs[c.prog]
 	ps := s.prog(c.prog)
+	st := ev.resultStore()
 
-	start := (c.opt / s.window) * s.window
-	n := s.window
-	if start+n > len(req.Opts) {
-		n = len(req.Opts) - start
-	}
-	w := s.windowAt(ps, start)
+	w := s.windowAt(ps, (c.opt/s.window)*s.window)
+	compiled := false
 	w.once.Do(func() {
-		cfgs := make([]*opt.Config, n)
-		for i := range cfgs {
-			cfgs[i] = &req.Opts[start+i]
+		if st != nil {
+			w.lookup(ev, st, name, req.Opts)
 		}
-		w.bt, w.err = ev.TraceBatch(name, cfgs)
+		if w.bt == nil {
+			_, w.err = w.compile(ev, st, name, req.Opts)
+			compiled = st != nil && w.err == nil
+		}
 		if w.err == nil {
-			ev.addTraceReuses(s.countReuses(ps, start, w.bt))
+			s.countReuses(ev, ps, w)
 		}
 	})
-
-	if w.err != nil {
-		s.consume(ps)
-		return ExploreResult{}, &pcerr.SimError{Program: name, Setting: c.opt, Arch: c.archStart, Err: w.err}
+	// After the window is published: no slot waits behind these fsyncs.
+	if compiled {
+		w.commit(st)
 	}
-	li := c.opt - start
+
+	li := c.opt - w.start
+	err := w.err
+	if err == nil {
+		err = w.bt[li].Err
+	}
+	if err != nil {
+		s.consume(ps)
+		return ExploreResult{}, &pcerr.SimError{Program: name, Setting: c.opt, Arch: c.archStart, Err: err}
+	}
 	bt := &w.bt[li]
-	if bt.Err != nil {
-		s.consume(ps)
-		return ExploreResult{}, &pcerr.SimError{Program: name, Setting: c.opt, Arch: c.archStart, Err: bt.Err}
-	}
 
-	// Twin settings (bt.First != li, or a fingerprint owned by an
-	// earlier window) resolve their replay from the memo below - or
-	// compute it once for all of them - without generating another
-	// trace.
+	// Twin settings (same fingerprint, any window) resolve their replay
+	// from the memo below, or compute it once for all, without a trace.
 	sc := s.sim(ps, simKey{fp: bt.FP, lo: c.archStart, hi: c.archEnd})
 	sc.once.Do(func() {
 		archs := req.Archs[c.archStart:c.archEnd]
-		// A persistent store answers before any trace exists: the
-		// binary fingerprint plus workload parameters address the
-		// previous run's replay of exactly this range.
-		st := ev.resultStore()
-		var runs int
+		// A persistent store answers before any trace (or, in an indexed
+		// window, any binary) exists: fingerprint plus workload parameters
+		// address the previous run's replay of exactly this range.
 		if st != nil {
-			var err error
-			if runs, err = ev.Runs(name); err == nil {
-				if results, ok := st.Get(bt.FP, runs, ev.cfg, archs); ok {
-					sc.runs, sc.results = runs, results
-					s.skipRange(ps, bt.FP)
-					return
-				}
+			if results, ok := st.Get(bt.FP, w.runs, ev.cfg, archs); ok {
+				sc.runs, sc.results = w.runs, results
+				s.skipRange(ps, bt.FP)
+				return
 			}
 		}
-		tr, err := s.traceFor(ev, ps, name, bt)
+		built, err := w.compile(ev, st, name, req.Opts)
 		if err != nil {
 			sc.err = err
 			return
 		}
-		runs = tr.Runs
-		if runs < 1 {
-			runs = 1
+		tr, err := s.traceFor(ev, ps, name, &built[li])
+		if err != nil {
+			sc.err = err
+			return
 		}
-		sc.runs = runs
+		sc.runs = max(tr.Runs, 1)
 		sc.results = ev.SimulateBatch(tr, archs)
 		s.releaseTrace(ps, bt.FP)
 		if st != nil {
-			st.Put(bt.FP, runs, ev.cfg, archs, sc.results)
+			st.Put(bt.FP, sc.runs, ev.cfg, archs, sc.results)
 		}
 	})
 	s.consume(ps)
@@ -401,30 +481,28 @@ func runCellBatched(ev *Evaluator, s *sweepState, c exploreCell) (ExploreResult,
 	}, nil
 }
 
-// countReuses records a freshly built window's fingerprints against the
-// program's registry and returns how many of its settings reuse an
-// earlier setting's byte-identical binary (within the window or across
-// windows). A rebuilt window contributes nothing: its start is already
-// marked counted.
-func (s *sweepState) countReuses(ps *progSweep, start int, bt []BatchBinary) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ps.counted[start] {
-		return 0
-	}
-	ps.counted[start] = true
+// countReuses records a freshly resolved window's fingerprints against
+// the program's registry and adds to the evaluator's TraceReuses how
+// many of its settings share an earlier setting's byte-identical binary
+// (within the window or across windows). A rebuilt window contributes
+// nothing: its start is already marked counted.
+func (s *sweepState) countReuses(ev *Evaluator, ps *progSweep, w *sweepWindow) {
 	var reuses int64
-	for i := range bt {
-		if bt[i].Err != nil {
+	s.mu.Lock()
+	for i := range w.bt {
+		if ps.counted[w.start] || w.bt[i].Err != nil {
 			continue
 		}
-		if bt[i].First != i || ps.seenFPs[bt[i].FP] {
+		if ps.seenFPs[w.bt[i].FP] {
 			reuses++
-			continue
 		}
-		ps.seenFPs[bt[i].FP] = true
+		ps.seenFPs[w.bt[i].FP] = true
 	}
-	return reuses
+	ps.counted[w.start] = true
+	s.mu.Unlock()
+	ev.mu.Lock()
+	ev.traceReuses += reuses
+	ev.mu.Unlock()
 }
 
 // consume retires one cell; when a program's whole grid has been

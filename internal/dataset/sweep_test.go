@@ -261,10 +261,14 @@ func TestPartialGridRunnerBoundedAndCorrect(t *testing.T) {
 	}
 }
 
-// TestSweepWindowSize pins the window heuristic's bounds.
+// TestSweepWindowSize pins the window heuristic's bounds, and that a
+// window short of the sweep is a whole number of index blocks.
 func TestSweepWindowSize(t *testing.T) {
 	for _, tc := range []struct{ opts, slots, want int }{
 		{61, 1, 61},
+		{61, 2, 32},
+		{61, 3, 24},
+		{201, 2, 64},
 		{61, 8, 8},
 		{1000, 1, 64},
 		{1000, 4, 64},

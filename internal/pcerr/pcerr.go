@@ -55,6 +55,14 @@ var (
 	// back to recomputing the cell, so the error never carries wrong
 	// data - only the fact that cached data was unusable.
 	ErrStoreCorrupt = errors.New("result store entry corrupt")
+	// ErrIndexStale reports a compile-index block of the result store
+	// whose recorded fingerprints or run count disagree with what this
+	// build compiles: the compiler changed without a core.Version bump
+	// (or the block was tampered with). The block is quarantined and the
+	// cell fails instead of continuing, because earlier cells of the same
+	// window may already have been answered under the stale identity;
+	// rerunning over the same store recompiles and is clean.
+	ErrIndexStale = errors.New("result store compile index stale")
 )
 
 // SimError locates a failure inside the exploration grid: which program,

@@ -105,6 +105,15 @@ func Get(capHint int) *Trace {
 // put back.
 func Put(t *Trace) { pool.Put(t) }
 
+// Version is the generation-semantics version of this package: any
+// change that alters the event stream or counters a given (binary,
+// Config) pair generates - the walk, outcome hashing, address synthesis,
+// dependency distances - must bump it. The result store keys on it like
+// cpu.ReplayVersion, so replays of an older generator's traces are clean
+// misses; TestVersionsPinBehaviour (internal/dataset) holds the constant
+// to the streams the suite actually generates.
+const Version = 1
+
 // Config controls trace generation.
 type Config struct {
 	// Runs, when positive, ends the trace after that many complete
