@@ -1,8 +1,9 @@
 // Command portccd is the exploration worker daemon of distributed
-// dataset generation: it serves (program, setting, arch-batch) work
-// cells shipped by a sharded coordinator (trainer -shards, expgen
-// -shards, or any Session with WithShards), executing them on this
-// machine's worker pool and streaming the results back over gob/TCP.
+// dataset generation: it serves (program, setting) work cells - one
+// binary replayed over the job's whole architecture sample - shipped by
+// a sharded coordinator (trainer -shards, expgen -shards, or any Session
+// with WithShards), executing them on this machine's worker pool and
+// streaming the results back over gob/TCP.
 //
 // Usage:
 //

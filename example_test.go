@@ -52,7 +52,6 @@ func ExampleSession_Explore() {
 	}
 	req.Programs = req.Programs[:1] // just the first benchmark
 	req.Opts = req.Opts[:2]         // -O3 plus one sampled setting
-	req.ArchBatch = 0               // all sampled archs in one cell
 
 	cells := 0
 	for res, err := range s.Explore(ctx, req) {
@@ -60,7 +59,7 @@ func ExampleSession_Explore() {
 			log.Fatal(err)
 		}
 		cells++
-		_ = res.Results // per-architecture counters
+		_ = res.Results // one cell per setting: counters for every sampled arch
 	}
 	fmt.Println(cells)
 	// Output: 2

@@ -10,13 +10,13 @@ import (
 type (
 	// ExploreRequest describes a design-space exploration grid: every
 	// optimisation setting of every program compiled once and replayed
-	// over the architecture sample, fanned out as (program, setting,
-	// arch-batch) work cells. It is a plain gob-serialisable value - the
-	// unit a coordinator will ship to worker shards.
+	// over the architecture sample, fanned out as one work cell per
+	// (program, setting). It is a plain gob-serialisable value - the unit
+	// a coordinator ships to worker shards.
 	ExploreRequest = dataset.ExploreRequest
 	// ExploreResult is one completed work cell, locating itself in the
-	// request grid via ProgIndex/OptIndex/ArchStart. Serialisable like
-	// the request.
+	// request grid via ProgIndex/OptIndex, with one result per
+	// architecture of the request in order. Serialisable like the request.
 	ExploreResult = dataset.ExploreResult
 )
 
@@ -50,13 +50,11 @@ func (s *Session) Explore(ctx context.Context, req ExploreRequest) iter.Seq2[Exp
 	return dataset.Explore(ctx, req, s.exploreOptions())
 }
 
-// genConfig is the single place the session turns its scale and options
-// into a dataset generation config - Explore, NewExploreRequest and
+// genConfig is the single place the session turns its scale into a
+// dataset generation config - Explore, NewExploreRequest and
 // GenerateDataset must all derive Eval identically.
 func (s *Session) genConfig(extended bool) dataset.GenConfig {
-	gc := s.scale().GenConfig(extended)
-	gc.Eval.CacheBudget = s.cfg.cacheBudget
-	return gc
+	return s.scale().GenConfig(extended)
 }
 
 func (s *Session) exploreOptions() dataset.ExploreOptions {

@@ -142,9 +142,8 @@ func GenerateWith(ctx context.Context, cfg GenConfig, o ExploreOptions) (*Datase
 	// whole nP x nA x nO cube.
 	cyc := make([][][]float64, nP)
 	remaining := make([]int, nP)
-	cellsPerProgram := req.Cells() / nP
 	for p := range remaining {
-		remaining[p] = cellsPerProgram
+		remaining[p] = nO // one cell per setting
 	}
 	for res, err := range Explore(ctx, req, o) {
 		if err != nil {
@@ -157,9 +156,8 @@ func GenerateWith(ctx context.Context, cfg GenConfig, o ExploreOptions) (*Datase
 				cyc[p][a] = make([]float64, nO)
 			}
 		}
-		for i := range res.Results {
-			r := &res.Results[i]
-			a := res.ArchStart + i
+		for a := range res.Results {
+			r := &res.Results[a]
 			c := float64(r.Cycles) / float64(res.Runs)
 			cyc[p][a][res.OptIndex] = c
 			if res.OptIndex == 0 {
@@ -181,7 +179,7 @@ func GenerateWith(ctx context.Context, cfg GenConfig, o ExploreOptions) (*Datase
 	return ds, nil
 }
 
-// Pair returns program and architecture counts.
+// Dims returns the program, architecture and setting counts.
 func (d *Dataset) Dims() (programs, archs, opts int) {
 	return len(d.Programs), len(d.Archs), len(d.Opts)
 }

@@ -219,61 +219,6 @@ func TestLoadVersionMismatch(t *testing.T) {
 	}
 }
 
-func TestCacheBudgetEviction(t *testing.T) {
-	// A budget of one byte keeps only the newest trace: every distinct
-	// request recompiles, but requests never fail.
-	ev := NewEvaluator(EvalConfig{TargetInsns: 4000, CacheBudget: 1})
-	o3 := opt.O3()
-	tuned, other := opt.O3(), opt.O3()
-	tuned.Flags[0] = !tuned.Flags[0]
-	other.Flags[1] = !other.Flags[1]
-	for _, c := range []*opt.Config{&tuned, &other, &tuned} {
-		if _, err := ev.Run("crc", c, uarch.XScale()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(ev.traces) != 1 {
-		t.Errorf("%d traces cached under a 1-byte budget, want 1", len(ev.traces))
-	}
-	// The -O3 baseline counts against the budget too: it is dropped like
-	// any other trace, but comes back from its slot's binary - one more
-	// generation, never another compile - and replays the same cycles.
-	want, err := NewEvaluator(EvalConfig{TargetInsns: 4000}).Run("crc", &o3, uarch.XScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := ev.Stats()
-	for _, c := range []*opt.Config{&o3, &tuned, &o3} {
-		got, err := ev.Run("crc", c, uarch.XScale())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c == &o3 && got != want {
-			t.Error("budgeted -O3 replay differs from an unbudgeted evaluator's")
-		}
-	}
-	after := ev.Stats()
-	if d := after.Compiles - before.Compiles; d != 1 {
-		t.Errorf("%d compiles for -O3, tuned, -O3 under a 1-byte budget, want 1 (tuned only)", d)
-	}
-	if d := after.TraceGens - before.TraceGens; d != 3 {
-		t.Errorf("%d trace generations, want 3 (the dropped baseline regenerates)", d)
-	}
-	if n := int64(len(ev.traces)) + after.BaselineTraces; n != 1 {
-		t.Errorf("%d traces resident (baseline included) under a 1-byte budget, want 1", n)
-	}
-	// An ample budget retains everything.
-	ev = NewEvaluator(EvalConfig{TargetInsns: 4000, CacheBudget: 64 << 20})
-	for _, c := range []*opt.Config{&o3, &tuned, &other} {
-		if _, err := ev.Run("crc", c, uarch.XScale()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := ev.Stats(); len(ev.traces) != 2 || st.BaselineTraces != 1 || st.BaselineTraceBytes+ev.bytes > 64<<20 {
-		t.Errorf("%d traces + %d baselines cached under a 64MB budget, want 2 + 1", len(ev.traces), st.BaselineTraces)
-	}
-}
-
 func TestSharedBaseDedupesProbes(t *testing.T) {
 	// However many pool workers touch a program, its module is built and
 	// its -O3 probe compiled exactly once - and results stay identical

@@ -7,6 +7,13 @@
 // the microarchitecture: the Evaluator compiles once per (program,
 // setting) and replays the trace across architectures, making the paper's
 // 7-million-simulation protocol tractable.
+//
+// Three things are resident at most: one -O3 baseline per program
+// (SharedBase), one window of compiled binaries per sweep in flight
+// (sweep.go) and the result store. A trace of any other setting lives
+// for exactly one replay, and one exploration cell is one (program,
+// setting) replayed over the request's whole architecture sample;
+// neither is configurable.
 package dataset
 
 import (
@@ -32,13 +39,11 @@ type EvalConfig struct {
 	MaxInsns int
 	// Seed drives trace generation (branch outcomes, addresses).
 	Seed int64
-	// CacheBudget, when positive, bounds resident traces - the LRU of
-	// tuned settings and the programs' -O3 baselines together - by
-	// approximate bytes instead of the default (a fixed LRU entry count,
-	// every touched program's baseline). The most recently inserted trace
-	// is always retained, so a tiny budget degrades to compile-per-request
-	// (generate-per-request for a baseline, whose binary is kept) rather
-	// than thrashing mid-request.
+	// Retired and ignored: nothing reads or sets it. EvalConfig rides in
+	// every dataset file (Dataset.Cfg.Eval) and gob writes field names
+	// into the stream, so dropping the field would change every file's
+	// bytes and Dataset.Fingerprint, unpairing the model artifacts that
+	// embed it. It goes with the next FormatVersion bump.
 	CacheBudget int64
 }
 
@@ -56,7 +61,6 @@ func (c EvalConfig) withDefaults() EvalConfig {
 	if c.Seed != 0 {
 		d.Seed = c.Seed
 	}
-	d.CacheBudget = c.CacheBudget
 	return d
 }
 
@@ -71,18 +75,15 @@ func (c EvalConfig) withDefaults() EvalConfig {
 type SharedBase struct {
 	mu    sync.Mutex
 	slots map[string]*baseline
-	// resident lists the slots holding a full-length -O3 trace, oldest
-	// first, and bytes their approximate size: the unit a CacheBudget
-	// evicts in (dropTrace).
-	resident []*baseline
-	bytes    int64
-	// compiles counts -O3 compiles actually performed (reporting).
-	compiles atomic.Int64
+	// compiles counts -O3 compiles actually performed (reporting);
+	// traces and bytes gauge the resident full-length -O3 traces, bounded
+	// by the closed suite: one per touched program, never dropped.
+	compiles, traces, bytes atomic.Int64
 }
 
-// baseline is one program's slot, built in two steps: the module and
-// its hash (all a compile-index lookup needs), then the -O3 binary and
-// probe. Everything but tr is written once, under its step's once.
+// baseline is one program's slot, built in three steps: the module and
+// its hash (all a compile-index lookup needs), the -O3 binary and probe,
+// and the full-length -O3 trace. Each is written once, under its once.
 type baseline struct {
 	modOnce sync.Once
 	m       *ir.Module
@@ -96,8 +97,8 @@ type baseline struct {
 	perRun int                 // dynamic instructions of one -O3 run (sizing hint)
 	err    error
 
-	gen sync.Mutex   // held across generation: single-flights tr
-	tr  *trace.Trace // full-length -O3 trace, droppable; guarded by SharedBase.mu
+	trOnce sync.Once
+	tr     *trace.Trace // full-length -O3 trace, resident from its first request
 }
 
 // NewSharedBase builds an empty base for a pool of evaluators.
@@ -109,24 +110,6 @@ func NewSharedBase() *SharedBase {
 // single-flight dedup this is at most one per program, however many
 // evaluators share the base.
 func (b *SharedBase) ProbeCompiles() int64 { return b.compiles.Load() }
-
-// dropTrace forgets the oldest resident -O3 trace other than keep's,
-// reporting whether there was one. The slot keeps its binary, so the
-// next request regenerates - it never recompiles. Readers still
-// replaying the dropped trace are unaffected (traces are read-only).
-func (b *SharedBase) dropTrace(keep *baseline) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for i, sl := range b.resident {
-		if sl != keep {
-			b.bytes -= traceBytes(sl.tr)
-			sl.tr = nil
-			b.resident = append(b.resident[:i], b.resident[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
 
 // deriveRuns turns the length of a 1-run -O3 probe into the per-program
 // complete-run count: enough runs to approach TargetInsns, clamped to
@@ -149,8 +132,9 @@ func (sl *baseline) capHint(cfg EvalConfig) int {
 
 // Evaluator compiles programs under optimisation settings and simulates
 // them on microarchitectures. The -O3 baseline of each program lives in
-// the base's slot and stays resident; traces of other settings are
-// cached in a small private LRU. Safe for concurrent use.
+// the base's slot and stays resident; nothing else is cached here - a
+// trace of any other setting is generated for the replay that needs it.
+// Safe for concurrent use.
 type Evaluator struct {
 	cfg  EvalConfig
 	base *SharedBase
@@ -165,10 +149,7 @@ type Evaluator struct {
 	// shared by every evaluator of a pool.
 	rstore *ResultStore
 
-	mu     sync.Mutex
-	traces map[string]*cachedTrace
-	order  []string // LRU order of trace cache keys (front = coldest)
-	bytes  int64    // approximate resident bytes of cached traces
+	mu sync.Mutex
 	// Compiles and Simulations count work done (for reporting).
 	Compiles    int
 	Simulations int
@@ -177,15 +158,6 @@ type Evaluator struct {
 	// Trace-generation counters (see Stats).
 	traceGens, traceEvents int64
 }
-
-type cachedTrace struct {
-	tr   *trace.Trace
-	prog *codegen.Program
-}
-
-// traceCacheSize bounds the LRU of non--O3 traces; generation loops are
-// ordered so a tiny cache suffices, keeping memory flat at paper scale.
-const traceCacheSize = 4
 
 // o3 is the baseline setting every slot is built for.
 var o3 = opt.O3()
@@ -196,13 +168,12 @@ func NewEvaluator(cfg EvalConfig) *Evaluator {
 }
 
 // NewEvaluatorWith builds an evaluator over base, the baseline slots a
-// worker pool shares (nil: a private base). LRU trace caches stay
-// private per evaluator.
+// worker pool shares (nil: a private base).
 func NewEvaluatorWith(cfg EvalConfig, base *SharedBase) *Evaluator {
 	if base == nil {
 		base = NewSharedBase()
 	}
-	return &Evaluator{cfg: cfg.withDefaults(), base: base, traces: map[string]*cachedTrace{}}
+	return &Evaluator{cfg: cfg.withDefaults(), base: base}
 }
 
 // Stats is the evaluator's work ledger, counting work actually
@@ -269,9 +240,7 @@ func (e *Evaluator) Stats() Stats {
 		TraceGens:     e.traceGens,
 		TraceEvents:   e.traceEvents,
 	}
-	e.base.mu.Lock()
-	st.BaselineTraces, st.BaselineTraceBytes = int64(len(e.base.resident)), e.base.bytes
-	e.base.mu.Unlock()
+	st.BaselineTraces, st.BaselineTraceBytes = e.base.traces.Load(), e.base.bytes.Load()
 	if e.rstore != nil {
 		ss := e.rstore.Stats()
 		st.StoreHits, st.StoreMisses, st.StoreCorrupt = ss.Hits, ss.Misses, ss.Corrupt
@@ -299,11 +268,14 @@ func (e *Evaluator) resultStore() *ResultStore {
 	return e.rstore
 }
 
-// countTraceGen records one performed trace generation. Called with e.mu
-// held.
-func (e *Evaluator) countTraceGen(tr *trace.Trace) {
+// countTraceGen records one performed trace generation and hands the
+// trace back.
+func (e *Evaluator) countTraceGen(tr *trace.Trace) *trace.Trace {
+	e.mu.Lock()
 	e.traceGens++
 	e.traceEvents += int64(len(tr.Events))
+	e.mu.Unlock()
+	return tr
 }
 
 // module returns the program's slot with its module built and hashed.
@@ -353,12 +325,9 @@ func (e *Evaluator) baseline(name string) (*baseline, error) {
 			return
 		}
 		sl.fp, _ = codegen.FingerprintInto(sl.prog, nil)
-		probe := trace.GenerateInto(trace.Get(0), sl.prog, trace.Config{Runs: 1, MaxInsns: e.cfg.MaxInsns, Seed: e.cfg.Seed})
+		probe := e.countTraceGen(trace.GenerateInto(trace.Get(0), sl.prog, trace.Config{Runs: 1, MaxInsns: e.cfg.MaxInsns, Seed: e.cfg.Seed}))
 		sl.perRun = probe.Insns()
 		sl.runs = deriveRuns(sl.perRun, e.cfg)
-		e.mu.Lock()
-		e.countTraceGen(probe)
-		e.mu.Unlock()
 		trace.Put(probe)
 	})
 	if sl.err != nil {
@@ -368,89 +337,23 @@ func (e *Evaluator) baseline(name string) (*baseline, error) {
 	return sl, nil
 }
 
-// baselineTrace returns the slot's full-length -O3 trace, generating it
-// from the slot's binary when it is not resident (first request, or
-// dropped under a CacheBudget). Concurrent callers wait for the one
-// generation.
+// baselineTrace returns the slot's full-length -O3 trace, generated from
+// the slot's binary at the first request; concurrent callers wait for
+// the one generation.
 func (e *Evaluator) baselineTrace(sl *baseline) *trace.Trace {
-	sl.gen.Lock()
-	defer sl.gen.Unlock()
-	b := e.base
-	b.mu.Lock()
-	tr := sl.tr
-	b.mu.Unlock()
-	if tr != nil {
-		return tr
-	}
-	tr = trace.GenerateSized(sl.prog, sl.traceConfig(e.cfg), sl.capHint(e.cfg))
-	b.mu.Lock()
-	sl.tr = tr
-	b.resident = append(b.resident, sl)
-	b.bytes += traceBytes(tr)
-	b.mu.Unlock()
-	e.mu.Lock()
-	e.countTraceGen(tr)
-	e.evict(sl)
-	e.mu.Unlock()
-	return tr
+	sl.trOnce.Do(func() {
+		sl.tr = e.countTraceGen(trace.GenerateSized(sl.prog, sl.traceConfig(e.cfg), sl.capHint(e.cfg)))
+		e.base.traces.Add(1)
+		e.base.bytes.Add(traceBytes(sl.tr))
+	})
+	return sl.tr
 }
 
-// traceBytes approximates the resident size of a cached trace: the event
-// stream dominates (16 bytes per padded Event) plus a small fixed cost for
+// traceBytes approximates the resident size of a trace: the event stream
+// dominates (16 bytes per padded Event) plus a small fixed cost for
 // counters and the binary image.
 func traceBytes(tr *trace.Trace) int64 {
 	return int64(len(tr.Events))*16 + 4096
-}
-
-// evict restores the cache bound after an insert. Without a CacheBudget
-// the LRU holds traceCacheSize entries and baselines stay resident. With
-// one, the LRU and the base's baseline traces together stay within it:
-// the LRU gives way coldest first, then the oldest baselines, and the
-// newest trace (the last LRU key, or newest's when a baseline was just
-// generated) is always retained, so a tiny budget degrades to
-// generate-per-request rather than failing. Called with e.mu held.
-func (e *Evaluator) evict(newest *baseline) {
-	for {
-		if budget := e.cfg.CacheBudget; budget <= 0 {
-			if len(e.order) <= traceCacheSize {
-				return
-			}
-		} else {
-			e.base.mu.Lock()
-			total := e.bytes + e.base.bytes
-			e.base.mu.Unlock()
-			if total <= budget {
-				return
-			}
-		}
-		if len(e.order) > 1 || (len(e.order) == 1 && newest != nil) {
-			old := e.order[0]
-			e.order = e.order[1:]
-			e.bytes -= traceBytes(e.traces[old].tr)
-			delete(e.traces, old)
-		} else if !e.base.dropTrace(newest) {
-			return
-		}
-	}
-}
-
-// cached returns the LRU entry under key, nil when absent, moving a hit
-// to the warm end so a hot entry survives an insert-heavy sweep that
-// would evict it under insertion order.
-func (e *Evaluator) cached(key string) *cachedTrace {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	ct := e.traces[key]
-	if ct != nil {
-		for i, k := range e.order {
-			if k == key {
-				copy(e.order[i:], e.order[i+1:])
-				e.order[len(e.order)-1] = key
-				break
-			}
-		}
-	}
-	return ct
 }
 
 // compile compiles the program under c, counting the work.
@@ -466,25 +369,24 @@ func (e *Evaluator) compile(sl *baseline, c *opt.Config) (*codegen.Program, erro
 	return p, nil
 }
 
-// generate traces binary p into a buffer sized from the probe and caches
-// the trace under key (a concurrent twin's insert wins; the traces are
-// identical).
-func (e *Evaluator) generate(key string, sl *baseline, p *codegen.Program) *trace.Trace {
-	tr := trace.GenerateSized(p, sl.traceConfig(e.cfg), sl.capHint(e.cfg))
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.countTraceGen(tr)
-	if _, ok := e.traces[key]; !ok {
-		e.traces[key] = &cachedTrace{tr: tr, prog: p}
-		e.order = append(e.order, key)
-		e.bytes += traceBytes(tr)
-		e.evict(nil)
+// Compile returns the binary of the program compiled under c - the
+// slot's for -O3, a fresh compile otherwise - without generating a trace.
+func (e *Evaluator) Compile(name string, c *opt.Config) (*codegen.Program, error) {
+	sl, err := e.baseline(name)
+	if err != nil {
+		return nil, err
 	}
-	return tr
+	if *c == o3 {
+		return sl.prog, nil
+	}
+	return e.compile(sl, c)
 }
 
-// Trace returns the dynamic trace of the program compiled under c: the
-// slot's resident trace for -O3, the LRU's otherwise.
+// Trace returns the dynamic trace of the program compiled under c, and
+// the binary. For -O3 it is the slot's resident trace, shared and
+// read-only. For any other setting it is compiled and generated on every
+// call into a fresh buffer sized from the probe, and the caller owns it:
+// replay it over everything that needs it, then let it go.
 func (e *Evaluator) Trace(name string, c *opt.Config) (*trace.Trace, *codegen.Program, error) {
 	sl, err := e.baseline(name)
 	if err != nil {
@@ -493,15 +395,11 @@ func (e *Evaluator) Trace(name string, c *opt.Config) (*trace.Trace, *codegen.Pr
 	if *c == o3 {
 		return e.baselineTrace(sl), sl.prog, nil
 	}
-	key := name + "/" + c.Key()
-	if ct := e.cached(key); ct != nil {
-		return ct.tr, ct.prog, nil
-	}
 	p, err := e.compile(sl, c)
 	if err != nil {
 		return nil, nil, err
 	}
-	return e.generate(key, sl, p), p, nil
+	return e.countTraceGen(trace.GenerateSized(p, sl.traceConfig(e.cfg), sl.capHint(e.cfg))), p, nil
 }
 
 // planSteps is the pass-application count of a linear compile of c over
@@ -569,18 +467,18 @@ func (e *Evaluator) TraceBatch(name string, cfgs []*opt.Config) ([]BatchBinary, 
 // steady-state generation runs without append doublings in one
 // allocation. The run count comes from the program's baseline slot, so
 // every worker slot derives the identical trace. The caller owns the
-// trace and must return it with trace.Put when done (it is never
-// inserted into the evaluator's cache).
+// trace and must return it with trace.Put when done.
 func (e *Evaluator) GenerateTrace(name string, p *codegen.Program) (*trace.Trace, error) {
 	sl, err := e.baseline(name)
 	if err != nil {
 		return nil, err
 	}
-	tr := trace.GenerateInto(trace.Get(sl.capHint(e.cfg)), p, sl.traceConfig(e.cfg))
-	e.mu.Lock()
-	e.countTraceGen(tr)
-	e.mu.Unlock()
-	return tr, nil
+	return e.pooledTrace(sl, p), nil
+}
+
+// pooledTrace is GenerateTrace with the slot in hand.
+func (e *Evaluator) pooledTrace(sl *baseline, p *codegen.Program) *trace.Trace {
+	return e.countTraceGen(trace.GenerateInto(trace.Get(sl.capHint(e.cfg)), p, sl.traceConfig(e.cfg)))
 }
 
 // SetSweepWorkers sets the worker budget each batched replay fans its
@@ -597,7 +495,7 @@ func (e *Evaluator) SetSweepWorkers(n int) {
 
 // SimulateBatch replays an already-generated trace on every architecture
 // through the batched single-pass engine, returning one result per
-// architecture in input order (bit-identical to SimulateTrace per
+// architecture in input order (bit-identical to cpu.Simulate per
 // architecture). The per-geometry sweeps inside the pass fan over the
 // evaluator's sweep-worker budget (SetSweepWorkers).
 func (e *Evaluator) SimulateBatch(tr *trace.Trace, archs []uarch.Config) []cpu.Result {
@@ -611,11 +509,6 @@ func (e *Evaluator) SimulateBatch(tr *trace.Trace, archs []uarch.Config) []cpu.R
 	return rs
 }
 
-// SimulateTrace replays an already-generated trace on an architecture.
-func (e *Evaluator) SimulateTrace(tr *trace.Trace, a uarch.Config) cpu.Result {
-	return e.simulate(tr, a)
-}
-
 // simulate replays a trace on an architecture, counting the simulation.
 func (e *Evaluator) simulate(tr *trace.Trace, a uarch.Config) cpu.Result {
 	r := cpu.Simulate(tr, a)
@@ -626,65 +519,62 @@ func (e *Evaluator) simulate(tr *trace.Trace, a uarch.Config) cpu.Result {
 }
 
 // Run simulates program name compiled under c on architecture a. With
-// a result store attached the store is asked first - for -O3 the slot's
-// memoised fingerprint addresses it without compiling, and a lookup
-// costs tens of microseconds against a replay's hundreds - the trace is
-// generated only on a store miss, and every fresh replay is committed:
-// that is what makes a store-backed prediction server's profile cache
-// persistent across restarts.
+// a result store attached the store is asked before any trace exists -
+// for -O3 the slot's memoised fingerprint addresses it without
+// compiling, and a lookup costs tens of microseconds against a replay's
+// hundreds - and every fresh replay is committed: that is what makes a
+// store-backed prediction server's profile cache persistent across
+// restarts.
 func (e *Evaluator) Run(name string, c *opt.Config, a uarch.Config) (cpu.Result, error) {
-	st := e.resultStore()
-	if st == nil {
-		tr, _, err := e.Trace(name, c)
-		if err != nil {
-			return cpu.Result{}, err
-		}
-		return e.simulate(tr, a), nil
-	}
-	sl, err := e.baseline(name)
-	if err != nil {
-		return cpu.Result{}, err
-	}
-	p, fp, key := sl.prog, sl.fp, ""
-	var ct *cachedTrace
-	if *c != o3 {
-		key = name + "/" + c.Key()
-		if ct = e.cached(key); ct != nil {
-			p = ct.prog
-		} else if p, err = e.compile(sl, c); err != nil {
-			return cpu.Result{}, err
-		}
-		fp, _ = codegen.FingerprintInto(p, nil)
-	}
-	archs := []uarch.Config{a}
-	if rs, ok := st.Get(fp, sl.runs, e.cfg, archs); ok {
-		return rs[0], nil
-	}
-	var tr *trace.Trace
-	switch {
-	case key == "":
-		tr = e.baselineTrace(sl)
-	case ct != nil:
-		tr = ct.tr
-	default:
-		tr = e.generate(key, sl, p)
-	}
-	r := e.simulate(tr, a)
-	st.Put(fp, sl.runs, e.cfg, archs, []cpu.Result{r})
-	return r, nil
+	r, _, err := e.run(name, c, a)
+	return r, err
 }
 
 // CyclesPerRun returns cycles normalised by complete program runs, the
-// comparable work-time metric.
+// comparable work-time metric. It is Run plus the division, store
+// included.
 func (e *Evaluator) CyclesPerRun(name string, c *opt.Config, a uarch.Config) (float64, error) {
-	tr, _, err := e.Trace(name, c)
+	r, runs, err := e.run(name, c, a)
 	if err != nil {
 		return 0, err
 	}
-	r := e.simulate(tr, a)
-	runs := tr.Runs
-	if runs < 1 {
-		runs = 1
-	}
 	return float64(r.Cycles) / float64(runs), nil
+}
+
+// run is the one single-replay body: baseline, compile and fingerprint
+// unless -O3, ask the store if there is one, replay, commit. It returns
+// the trace's complete-run count beside the result. A replay is
+// committed under the count its trace completed and looked up under the
+// program's, so a hit always carries the run count of the trace that was
+// replayed, instruction cap or not - the sweep keys the same way.
+func (e *Evaluator) run(name string, c *opt.Config, a uarch.Config) (cpu.Result, int, error) {
+	sl, err := e.baseline(name)
+	if err != nil {
+		return cpu.Result{}, 0, err
+	}
+	p, fp := sl.prog, sl.fp
+	if *c != o3 {
+		if p, err = e.compile(sl, c); err != nil {
+			return cpu.Result{}, 0, err
+		}
+		fp, _ = codegen.FingerprintInto(p, nil)
+	}
+	st, archs := e.resultStore(), []uarch.Config{a}
+	if st != nil {
+		if rs, ok := st.Get(fp, sl.runs, e.cfg, archs); ok {
+			return rs[0], sl.runs, nil
+		}
+	}
+	var tr *trace.Trace
+	if *c == o3 {
+		tr = e.baselineTrace(sl)
+	} else {
+		tr = e.pooledTrace(sl, p)
+		defer trace.Put(tr)
+	}
+	r, runs := e.simulate(tr, a), max(tr.Runs, 1)
+	if st != nil {
+		st.Put(fp, runs, e.cfg, archs, []cpu.Result{r})
+	}
+	return r, runs, nil
 }

@@ -161,46 +161,27 @@ func TestRunCommitsEveryProfile(t *testing.T) {
 	}
 }
 
-// TestTraceCacheLRUKeepsHotEntry pins the eviction policy: the order is
-// LRU, refreshed on every Trace hit, so a hot entry survives an
-// insert-heavy sweep under a cache budget tight enough that
-// insertion-order (FIFO) eviction would throw it out every round and
-// recompile it. The hot key is a tuned setting: the -O3 baseline lives
-// in its program's slot and does not compete for LRU room.
-func TestTraceCacheLRUKeepsHotEntry(t *testing.T) {
-	hot := opt.O3()
-	hot.Flags[0] = !hot.Flags[0]
-	// Calibrate the budget to the program's real trace size: room for
-	// about three entries, so every sweep insert forces an eviction
-	// while a refreshed hot entry still fits.
-	probe := NewEvaluator(EvalConfig{TargetInsns: 4_000, Seed: 1})
-	tr, _, err := probe.Trace("crc", &hot)
-	if err != nil {
+// TestCompileGeneratesNoTrace: a caller that wants the binary pays for
+// the compile and nothing else - no trace of the tuned setting, and for
+// -O3 not even a compile, the slot's binary is handed out.
+func TestCompileGeneratesNoTrace(t *testing.T) {
+	ev := NewEvaluator(EvalConfig{TargetInsns: 4_000, Seed: 1})
+	o3, tuned := opt.O3(), opt.O3()
+	tuned.Flags[0] = !tuned.Flags[0]
+	if _, err := ev.Run("crc", &o3, uarch.XScale()); err != nil { // touch the program
 		t.Fatal(err)
 	}
-	ev := NewEvaluator(EvalConfig{TargetInsns: 4_000, Seed: 1, CacheBudget: 3 * traceBytes(tr)})
-	if _, _, err := ev.Trace("crc", &hot); err != nil {
-		t.Fatal(err)
+	before := ev.Stats()
+	p, err := ev.Compile("crc", &tuned)
+	if err != nil || p == nil {
+		t.Fatalf("Compile: %v, %v", p, err)
 	}
-	base := ev.Stats().Compiles
-
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 8; i++ {
-		cfg := opt.Random(rng)
-		if _, _, err := ev.Trace("crc", &cfg); err != nil {
-			t.Fatal(err)
-		}
-		// The hot entry: under LRU this hit refreshes it past the insert
-		// above; under FIFO it would age out and recompile.
-		before := ev.Stats().Compiles
-		if _, _, err := ev.Trace("crc", &hot); err != nil {
-			t.Fatal(err)
-		}
-		if got := ev.Stats().Compiles; got != before {
-			t.Fatalf("round %d: hot trace was evicted and recompiled (compiles %d -> %d)", i, before, got)
-		}
+	base, err := ev.Compile("crc", &o3)
+	if err != nil || base == p {
+		t.Fatalf("Compile -O3: %v, tuned binary returned: %v", err, base == p)
 	}
-	if got, want := ev.Stats().Compiles, base+8; got != want {
-		t.Fatalf("compiles = %d, want %d (one per fresh setting only)", got, want)
+	after := ev.Stats()
+	if after.TraceGens != before.TraceGens || after.Compiles != before.Compiles+1 {
+		t.Errorf("ledger %+v -> %+v, want one compile (the tuned setting) and no generation", before, after)
 	}
 }

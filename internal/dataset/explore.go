@@ -26,9 +26,10 @@ func init() {
 
 // ExploreRequest is a serialisable (gob) description of a design-space
 // exploration grid: every sampled optimisation setting of every program is
-// compiled once and replayed over the architecture sample. It carries no
-// functions or session state, so the coordinator ships sub-grids to
-// worker shards as-is.
+// compiled once and replayed over the architecture sample - one work cell
+// per (program, setting), each the whole sample in one batched replay. It
+// carries no functions or session state, so the coordinator ships
+// sub-grids to worker shards as-is.
 type ExploreRequest struct {
 	// Programs are benchmark names from the suite.
 	Programs []string
@@ -37,10 +38,6 @@ type ExploreRequest struct {
 	// Archs is the microarchitecture sample every compiled trace is
 	// replayed over.
 	Archs []uarch.Config
-	// ArchBatch caps how many architectures one work cell simulates
-	// (0 = all of Archs in a single batched replay). Smaller batches
-	// trade batching efficiency for finer streaming granularity.
-	ArchBatch int
 	// Eval carries the workload-scaling parameters for the evaluators.
 	Eval EvalConfig
 	// Naive disables the prefix-memoised batched compile path: every
@@ -59,9 +56,6 @@ func (r *ExploreRequest) Validate() error {
 	if len(r.Programs) == 0 || len(r.Opts) == 0 || len(r.Archs) == 0 {
 		return fmt.Errorf("dataset: %w: explore request needs programs, opts and archs", pcerr.ErrInvalidConfig)
 	}
-	if r.ArchBatch < 0 {
-		return fmt.Errorf("dataset: %w: negative ArchBatch", pcerr.ErrInvalidConfig)
-	}
 	seen := make(map[string]bool, len(r.Programs))
 	for _, name := range r.Programs {
 		if !prog.Known(name) {
@@ -79,38 +73,42 @@ func (r *ExploreRequest) Validate() error {
 			return fmt.Errorf("dataset: arch %d: %w", i, err)
 		}
 	}
+	// Settings arrive from outside too (a hand-built request, a job spec
+	// off the wire); a level past the space would index out of range in
+	// the compiler.
+	for i := range r.Opts {
+		if err := r.Opts[i].Validate(); err != nil {
+			return fmt.Errorf("dataset: setting %d: %w", i, err)
+		}
+	}
 	return nil
 }
 
-// Cells returns the number of work cells the request fans out to (0 for
-// a request with an empty dimension, which Validate rejects).
+// Cells returns the number of work cells the request fans out to, one
+// per (program, setting) (0 for a request with an empty dimension, which
+// Validate rejects).
 func (r *ExploreRequest) Cells() int {
-	if len(r.Programs) == 0 || len(r.Opts) == 0 || len(r.Archs) == 0 {
+	if len(r.Archs) == 0 {
 		return 0
 	}
-	ab := r.ArchBatch
-	if ab <= 0 || ab > len(r.Archs) {
-		ab = len(r.Archs)
-	}
-	batches := (len(r.Archs) + ab - 1) / ab
-	return len(r.Programs) * len(r.Opts) * batches
+	return len(r.Programs) * len(r.Opts)
 }
 
 // ExploreResult is one completed work cell: the program compiled under one
-// optimisation setting, replayed over one architecture batch. Like the
-// request it is a plain serialisable value, so shards stream results
-// back over the wire.
+// optimisation setting, replayed over the request's architecture sample.
+// Like the request it is a plain serialisable value, so shards stream
+// results back over the wire.
 type ExploreResult struct {
-	// ProgIndex, OptIndex and ArchStart locate the cell in the request
-	// grid; Results[i] belongs to Archs[ArchStart+i].
-	ProgIndex, OptIndex, ArchStart int
+	// ProgIndex and OptIndex locate the cell in the request grid;
+	// Results[i] belongs to Archs[i].
+	ProgIndex, OptIndex int
 	// Program and Config echo the cell inputs for self-contained use.
 	Program string
 	Config  opt.Config
 	// Runs is the complete-program-run count of the trace; divide Cycles
 	// by it for the work-normalised metric.
 	Runs int
-	// Results holds the per-architecture counters, in batch order.
+	// Results holds the per-architecture counters, in Archs order.
 	Results []cpu.Result
 }
 
@@ -167,63 +165,40 @@ func (o *ExploreOptions) executor() sched.Executor {
 
 // exploreCell is one unit of fan-out work.
 type exploreCell struct {
-	index              int // position in dispatch order, for error determinism
-	prog, opt          int
-	archStart, archEnd int
+	prog, opt int
 }
 
-// cells enumerates the grid program-major, settings inner, arch batches
-// innermost: arch batches of one (program, setting) stay adjacent so a
-// worker's private trace cache serves them, and the shared pool base
-// deduplicates module builds and -O3 probes across workers.
-func (r *ExploreRequest) cells() []exploreCell {
-	ab := r.ArchBatch
-	if ab <= 0 || ab > len(r.Archs) {
-		ab = len(r.Archs)
-	}
-	out := make([]exploreCell, 0, r.Cells())
-	for p := range r.Programs {
-		for o := range r.Opts {
-			for s := 0; s < len(r.Archs); s += ab {
-				end := s + ab
-				if end > len(r.Archs) {
-					end = len(r.Archs)
-				}
-				out = append(out, exploreCell{index: len(out), prog: p, opt: o, archStart: s, archEnd: end})
-			}
-		}
-	}
-	return out
+// cell locates dispatch index i in the grid: program-major, settings
+// inner, so one program's cells are adjacent and the slots serving them
+// share its windows while they are built.
+func (r *ExploreRequest) cell(i int) exploreCell {
+	return exploreCell{prog: i / len(r.Opts), opt: i % len(r.Opts)}
 }
 
-// runCell compiles (or reuses) the cell's trace and replays it over the
-// cell's architecture batch.
+// runCell compiles the cell's setting, generates its trace and replays it
+// over the architecture sample, sharing nothing with any other cell but
+// the program's baseline slot.
 func runCell(ev *Evaluator, req *ExploreRequest, c exploreCell) (ExploreResult, error) {
 	name := req.Programs[c.prog]
 	cfg := req.Opts[c.opt]
 	tr, _, err := ev.Trace(name, &cfg)
 	if err != nil {
-		return ExploreResult{}, &pcerr.SimError{Program: name, Setting: c.opt, Arch: c.archStart, Err: err}
-	}
-	runs := tr.Runs
-	if runs < 1 {
-		runs = 1
+		return ExploreResult{}, &pcerr.SimError{Program: name, Setting: c.opt, Err: err}
 	}
 	return ExploreResult{
 		ProgIndex: c.prog,
 		OptIndex:  c.opt,
-		ArchStart: c.archStart,
 		Program:   name,
 		Config:    cfg,
-		Runs:      runs,
-		Results:   ev.SimulateBatch(tr, req.Archs[c.archStart:c.archEnd]),
+		Runs:      max(tr.Runs, 1),
+		Results:   ev.SimulateBatch(tr, req.Archs),
 	}, nil
 }
 
 // RunnerStore returns the in-process cell-execution function of the
 // request's grid - the Job.Run both the local executor and the worker
 // daemon (cmd/portccd) plug into the scheduler. Each worker slot gets a
-// private evaluator (its own trace cache), all sharing one pool base so
+// private evaluator (its own work ledger), all sharing one pool base so
 // a program's cells spread over many slots build each module and compile
 // each -O3 probe once, not once per slot. Unless the request asks for
 // the naive path, the slots additionally share a sweep state that
@@ -261,7 +236,6 @@ func (r *ExploreRequest) InstrumentedRunnerStore(st *ResultStore) (func(slot, in
 }
 
 func (r *ExploreRequest) runner(slots, sweepWorkers int, st *ResultStore) (func(slot, index int) (any, error), []*Evaluator) {
-	cells := r.cells()
 	base := NewSharedBase()
 	evs := make([]*Evaluator, slots)
 	var sw *sweepState
@@ -284,9 +258,9 @@ func (r *ExploreRequest) runner(slots, sweepWorkers int, st *ResultStore) (func(
 		var res ExploreResult
 		var err error
 		if sw != nil {
-			res, err = runCellBatched(evs[slot], sw, cells[index])
+			res, err = runCellBatched(evs[slot], sw, r.cell(index))
 		} else {
-			res, err = runCell(evs[slot], r, cells[index])
+			res, err = runCell(evs[slot], r, r.cell(index))
 		}
 		if err != nil {
 			return nil, err

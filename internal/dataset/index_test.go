@@ -65,10 +65,21 @@ func (l ledger) idle() bool {
 // ledgerRun drives every cell of req through a fresh runner of the
 // given slot count, the slots pulling cells concurrently in dispatch
 // order as sched.Local would, and returns the cells and the ledger.
-func ledgerRun(t *testing.T, req ExploreRequest, slots int, st *ResultStore) (map[[3]int]ExploreResult, ledger) {
+func ledgerRun(t *testing.T, req ExploreRequest, slots int, st *ResultStore) (map[[2]int]ExploreResult, ledger) {
+	t.Helper()
+	all := make([]int, req.Cells())
+	for i := range all {
+		all[i] = i
+	}
+	return ledgerRunCells(t, req, slots, st, all)
+}
+
+// ledgerRunCells is ledgerRun over the listed dispatch indices only: the
+// part of a grid a shard is dealt.
+func ledgerRunCells(t *testing.T, req ExploreRequest, slots int, st *ResultStore, cells []int) (map[[2]int]ExploreResult, ledger) {
 	t.Helper()
 	run, evs := req.runner(slots, 1, st)
-	out := map[[3]int]ExploreResult{}
+	out := map[[2]int]ExploreResult{}
 	var mu sync.Mutex
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -76,15 +87,15 @@ func ledgerRun(t *testing.T, req ExploreRequest, slots int, st *ResultStore) (ma
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < req.Cells(); i = int(next.Add(1)) - 1 {
-				res, err := run(slot, i)
+			for n := int(next.Add(1)) - 1; n < len(cells); n = int(next.Add(1)) - 1 {
+				res, err := run(slot, cells[n])
 				if err != nil {
-					t.Errorf("cell %d: %v", i, err)
+					t.Errorf("cell %d: %v", cells[n], err)
 					return
 				}
 				r := res.(ExploreResult)
 				mu.Lock()
-				out[[3]int{r.ProgIndex, r.OptIndex, r.ArchStart}] = r
+				out[[2]int{r.ProgIndex, r.OptIndex}] = r
 				mu.Unlock()
 			}
 		}()
@@ -192,7 +203,7 @@ func ledgerShard(t *testing.T, st *ResultStore) (addr string, fold func(*ledger)
 // fleetRun explores req on two one-worker shards whose only store tier
 // is the service at addr, returning the cells and the shards' summed
 // ledger.
-func fleetRun(t *testing.T, req ExploreRequest, addr string) (map[[3]int]ExploreResult, ledger, store.Stats) {
+func fleetRun(t *testing.T, req ExploreRequest, addr string) (map[[2]int]ExploreResult, ledger, store.Stats) {
 	t.Helper()
 	var addrs []string
 	var folds []func(*ledger)
@@ -319,10 +330,9 @@ func TestNewArchsOverIndexedSweep(t *testing.T) {
 // without a second compile.
 func TestRebuiltWindowDoesNotRecompile(t *testing.T) {
 	req := tinyRequest(t, 40)
-	cells := req.cells()
 	var firsts, rest []int
-	for i, c := range cells {
-		if c.opt%indexBlock == 0 {
+	for i := range req.Cells() {
+		if req.cell(i).opt%indexBlock == 0 {
 			firsts = append(firsts, i)
 		} else {
 			rest = append(rest, i)
@@ -334,7 +344,7 @@ func TestRebuiltWindowDoesNotRecompile(t *testing.T) {
 		ev.SetStore(st)
 		sw := newSweepState(&req, 8)
 		for _, i := range order {
-			if _, err := runCellBatched(ev, sw, cells[i]); err != nil {
+			if _, err := runCellBatched(ev, sw, req.cell(i)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"portcc/internal/faultnet"
+	"portcc/internal/opt"
 	"portcc/internal/pcerr"
 	"portcc/internal/sched"
 )
@@ -285,5 +286,18 @@ func TestValidateRejectsDuplicatePrograms(t *testing.T) {
 	}
 	if yields != 1 || !errors.Is(terminal, pcerr.ErrInvalidConfig) {
 		t.Errorf("explore with duplicate program: %d yields, terminal %v; want 1 typed yield", yields, terminal)
+	}
+}
+
+// TestDaemonRefusesOutOfSpaceSetting: a job spec arrives straight off the
+// wire, and a parameter level past the space would index out of range
+// inside the compiler. The daemon's NewRun must refuse the job typed,
+// before there is a runner to run a cell with.
+func TestDaemonRefusesOutOfSpaceSetting(t *testing.T) {
+	req := mustRequest(t)
+	req.Opts[len(req.Opts)-1].Params[opt.PMaxUnrollTimes] = opt.ParamLevelCount
+	run, err := ServeConfigStore(1, 1, time.Second, nil).NewRun(req)
+	if !errors.Is(err, pcerr.ErrInvalidConfig) || run != nil {
+		t.Fatalf("NewRun: runner %v, error %v; want no runner and ErrInvalidConfig", run != nil, err)
 	}
 }

@@ -273,9 +273,6 @@ func TestBlockKeySensitivity(t *testing.T) {
 			t.Errorf("index key ignores %s", name)
 		}
 	}
-	if blockKey("crc", [32]byte{1}, req.Opts[:8], with(func(c *EvalConfig) { c.CacheBudget = 1 })) != base {
-		t.Error("index key depends on CacheBudget, which no binary does")
-	}
 }
 
 // TestEvaluatorRunStorePath proves the single-replay path (the

@@ -11,11 +11,12 @@
 // Memory is bounded even when a runner serves only part of the grid (a
 // worker daemon behind sched.Remote sees interleaved chunks and may
 // never receive some cells): windows hold compiled binaries only and
-// live in a small FIFO that rebuilds on demand, traces are generated
-// lazily at the first replay that needs them from pooled buffers and
-// returned to the pool as soon as their last architecture range has
-// been simulated, and replay results are memoised per binary so twin
-// settings never touch a trace at all.
+// live in a small FIFO that rebuilds on demand, and replay results are
+// memoised per binary so twin settings never touch a trace at all. No
+// trace outlives its replay: a cell is the whole architecture sample, so
+// the one replay that misses the memo and the store generates the trace
+// into a pooled buffer, runs SimulateBatch over it and hands the buffer
+// straight back - the sweep state never holds one.
 package dataset
 
 import (
@@ -52,8 +53,6 @@ const maxBuiltWindows = 8
 type sweepState struct {
 	req    *ExploreRequest
 	window int // settings per window
-	// batches is the arch-batch count per (program, setting).
-	batches int
 
 	mu    sync.Mutex
 	progs map[int]*progSweep
@@ -65,16 +64,15 @@ type windowKey struct {
 	prog, start int
 }
 
-// progSweep holds one program's in-flight windows, its cross-window
-// replay memo and its live traces. It is dropped once every cell of the
-// program has been consumed (local runs; a partial-grid runner keeps the
-// small memos until the run ends).
+// progSweep holds one program's in-flight windows and its cross-window
+// replay memo, one entry per distinct binary. It is dropped once every
+// cell of the program has been consumed (local runs; a partial-grid
+// runner keeps the small memos until the run ends).
 type progSweep struct {
 	prog      int
 	cellsLeft int
 	windows   map[int]*sweepWindow
-	sims      map[simKey]*simCell
-	traces    map[codegen.Fingerprint]*traceSlot
+	sims      map[codegen.Fingerprint]*simCell
 	// seenFPs and counted drive the TraceReuses accounting: fingerprints
 	// already owned by an earlier setting of this program, and window
 	// starts whose reuse count has been recorded (a rebuilt window must
@@ -85,7 +83,7 @@ type progSweep struct {
 
 // sweepWindow is one contiguous run of settings, resolved by the first
 // cell that needs any of them. It holds identities and, once compiled,
-// binaries; traces are the traceSlots' business.
+// binaries, never traces.
 type sweepWindow struct {
 	start, n int // settings [start, start+n) of the sweep
 
@@ -109,14 +107,8 @@ type indexedBlock struct {
 	fps  []codegen.Fingerprint
 }
 
-// simKey identifies one (binary, architecture range) replay.
-type simKey struct {
-	fp     codegen.Fingerprint
-	lo, hi int
-}
-
-// simCell memoises one replay: twin settings reuse the results without
-// touching a trace.
+// simCell memoises one binary's replay over the architecture sample:
+// twin settings reuse the results without touching a trace.
 type simCell struct {
 	once    sync.Once
 	runs    int
@@ -124,37 +116,11 @@ type simCell struct {
 	err     error
 }
 
-// traceSlot owns one distinct binary's generated trace while replays
-// still need it. remaining counts the architecture ranges not yet
-// simulated and using the replays currently reading the trace; the
-// buffer returns to the pool when remaining reaches zero, so at the
-// default ArchBatch (one range) a trace lives exactly for the duration
-// of its single replay. Idle traces (using == 0) beyond maxLiveTraces
-// are evicted early and regenerated on demand - a runner that never
-// receives a binary's remaining ranges (a shard serving part of the
-// grid) cannot pin its trace forever.
-type traceSlot struct {
-	mu        sync.Mutex
-	tr        *trace.Trace
-	remaining int
-	using     int
-}
-
-// maxLiveTraces bounds the generated traces a program retains between
-// replays; only non-default ArchBatch settings keep traces across cells
-// at all, so the bound is comfortably above any real in-flight set.
-const maxLiveTraces = 16
-
 func newSweepState(req *ExploreRequest, slots int) *sweepState {
-	ab := req.ArchBatch
-	if ab <= 0 || ab > len(req.Archs) {
-		ab = len(req.Archs)
-	}
 	return &sweepState{
-		req:     req,
-		window:  sweepWindowSize(len(req.Opts), slots),
-		batches: (len(req.Archs) + ab - 1) / ab,
-		progs:   make(map[int]*progSweep),
+		req:    req,
+		window: sweepWindowSize(len(req.Opts), slots),
+		progs:  make(map[int]*progSweep),
 	}
 }
 
@@ -166,10 +132,9 @@ func (s *sweepState) prog(p int) *progSweep {
 	if !ok {
 		ps = &progSweep{
 			prog:      p,
-			cellsLeft: len(s.req.Opts) * s.batches,
+			cellsLeft: len(s.req.Opts),
 			windows:   make(map[int]*sweepWindow),
-			sims:      make(map[simKey]*simCell),
-			traces:    make(map[codegen.Fingerprint]*traceSlot),
+			sims:      make(map[codegen.Fingerprint]*simCell),
 			seenFPs:   make(map[codegen.Fingerprint]bool),
 			counted:   make(map[int]bool),
 		}
@@ -202,122 +167,16 @@ func (s *sweepState) windowAt(ps *progSweep, start int) *sweepWindow {
 	return w
 }
 
-// sim returns (creating on first use) a program's replay memo slot.
-func (s *sweepState) sim(ps *progSweep, key simKey) *simCell {
+// sim returns (creating on first use) a binary's replay memo slot.
+func (s *sweepState) sim(ps *progSweep, fp codegen.Fingerprint) *simCell {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sc, ok := ps.sims[key]
+	sc, ok := ps.sims[fp]
 	if !ok {
 		sc = &simCell{}
-		ps.sims[key] = sc
+		ps.sims[fp] = sc
 	}
 	return sc
-}
-
-// traceFor returns the binary's trace, generating it into a pooled
-// buffer on first use (or after an earlier release). Callers must pair
-// a successful acquisition with releaseTrace after their replay.
-func (s *sweepState) traceFor(ev *Evaluator, ps *progSweep, name string, bt *BatchBinary) (*trace.Trace, error) {
-	s.mu.Lock()
-	slot, ok := ps.traces[bt.FP]
-	if !ok {
-		slot = &traceSlot{remaining: s.batches}
-		ps.traces[bt.FP] = slot
-	}
-	live := len(ps.traces)
-	s.mu.Unlock()
-	if live > maxLiveTraces {
-		s.evictIdleTraces(ps, slot)
-	}
-	slot.mu.Lock()
-	defer slot.mu.Unlock()
-	if slot.tr == nil {
-		tr, err := ev.GenerateTrace(name, bt.Prog)
-		if err != nil {
-			return nil, err
-		}
-		slot.tr = tr
-	}
-	slot.using++
-	return slot.tr, nil
-}
-
-// evictIdleTraces returns idle generated traces (no replay mid-read) to
-// the pool, keeping the slots' range bookkeeping; a later range
-// regenerates deterministically from its binary. Busy slots are skipped
-// (TryLock), never stalled.
-func (s *sweepState) evictIdleTraces(ps *progSweep, keep *traceSlot) {
-	s.mu.Lock()
-	slots := make([]*traceSlot, 0, len(ps.traces))
-	for _, sl := range ps.traces {
-		if sl != keep {
-			slots = append(slots, sl)
-		}
-	}
-	s.mu.Unlock()
-	for _, sl := range slots {
-		if !sl.mu.TryLock() {
-			continue
-		}
-		if sl.using == 0 && sl.tr != nil {
-			trace.Put(sl.tr)
-			sl.tr = nil
-		}
-		sl.mu.Unlock()
-	}
-}
-
-// releaseTrace retires one architecture range of the binary's trace
-// after a replay read it, returning the buffer to the pool (and
-// forgetting the slot) once every range has been simulated.
-func (s *sweepState) releaseTrace(ps *progSweep, fp codegen.Fingerprint) {
-	s.retireRange(ps, fp, true)
-}
-
-// skipRange retires one architecture range whose replay was answered by
-// the result store: no trace was read, but the range bookkeeping must
-// advance all the same, or a binary with a mix of cached and fresh
-// ranges would pin its trace buffer until the program retires.
-func (s *sweepState) skipRange(ps *progSweep, fp codegen.Fingerprint) {
-	s.retireRange(ps, fp, false)
-}
-
-// retireRange is the shared tail: drop the range (and, for a replay
-// that read the trace, the read hold), free the buffer when no range
-// and no reader remains. A skip may arrive before any slot exists -
-// the store answered before the first trace generation - in which case
-// it creates the slot so later ranges inherit correct counts.
-func (s *sweepState) retireRange(ps *progSweep, fp codegen.Fingerprint, read bool) {
-	s.mu.Lock()
-	slot := ps.traces[fp]
-	if slot == nil {
-		if read {
-			s.mu.Unlock()
-			return
-		}
-		slot = &traceSlot{remaining: s.batches}
-		ps.traces[fp] = slot
-	}
-	s.mu.Unlock()
-	slot.mu.Lock()
-	if read {
-		slot.using--
-	}
-	slot.remaining--
-	done := slot.remaining == 0 && slot.using == 0
-	var tr *trace.Trace
-	if done {
-		tr, slot.tr = slot.tr, nil
-	}
-	slot.mu.Unlock()
-	if done {
-		s.mu.Lock()
-		delete(ps.traces, fp)
-		s.mu.Unlock()
-		if tr != nil {
-			trace.Put(tr)
-		}
-	}
 }
 
 // lookup asks the compile index for every block of the window; when all
@@ -429,22 +288,20 @@ func runCellBatched(ev *Evaluator, s *sweepState, c exploreCell) (ExploreResult,
 	}
 	if err != nil {
 		s.consume(ps)
-		return ExploreResult{}, &pcerr.SimError{Program: name, Setting: c.opt, Arch: c.archStart, Err: err}
+		return ExploreResult{}, &pcerr.SimError{Program: name, Setting: c.opt, Err: err}
 	}
 	bt := &w.bt[li]
 
 	// Twin settings (same fingerprint, any window) resolve their replay
 	// from the memo below, or compute it once for all, without a trace.
-	sc := s.sim(ps, simKey{fp: bt.FP, lo: c.archStart, hi: c.archEnd})
+	sc := s.sim(ps, bt.FP)
 	sc.once.Do(func() {
-		archs := req.Archs[c.archStart:c.archEnd]
 		// A persistent store answers before any trace (or, in an indexed
 		// window, any binary) exists: fingerprint plus workload parameters
-		// address the previous run's replay of exactly this range.
+		// address the previous run's replay of exactly this sample.
 		if st != nil {
-			if results, ok := st.Get(bt.FP, w.runs, ev.cfg, archs); ok {
+			if results, ok := st.Get(bt.FP, w.runs, ev.cfg, req.Archs); ok {
 				sc.runs, sc.results = w.runs, results
-				s.skipRange(ps, bt.FP)
 				return
 			}
 		}
@@ -453,27 +310,26 @@ func runCellBatched(ev *Evaluator, s *sweepState, c exploreCell) (ExploreResult,
 			sc.err = err
 			return
 		}
-		tr, err := s.traceFor(ev, ps, name, &built[li])
+		tr, err := ev.GenerateTrace(name, built[li].Prog)
 		if err != nil {
 			sc.err = err
 			return
 		}
 		sc.runs = max(tr.Runs, 1)
-		sc.results = ev.SimulateBatch(tr, archs)
-		s.releaseTrace(ps, bt.FP)
+		sc.results = ev.SimulateBatch(tr, req.Archs)
+		trace.Put(tr)
 		if st != nil {
-			st.Put(bt.FP, sc.runs, ev.cfg, archs, sc.results)
+			st.Put(bt.FP, sc.runs, ev.cfg, req.Archs, sc.results)
 		}
 	})
 	s.consume(ps)
 	if sc.err != nil {
-		return ExploreResult{}, &pcerr.SimError{Program: name, Setting: c.opt, Arch: c.archStart, Err: sc.err}
+		return ExploreResult{}, &pcerr.SimError{Program: name, Setting: c.opt, Err: sc.err}
 	}
 
 	return ExploreResult{
 		ProgIndex: c.prog,
 		OptIndex:  c.opt,
-		ArchStart: c.archStart,
 		Program:   name,
 		Config:    req.Opts[c.opt],
 		Runs:      sc.runs,
@@ -506,8 +362,8 @@ func (s *sweepState) countReuses(ev *Evaluator, ps *progSweep, w *sweepWindow) {
 }
 
 // consume retires one cell; when a program's whole grid has been
-// consumed (always, on local runs) its state - windows, memos, trace
-// slots - is released.
+// consumed (always, on local runs) its state - windows, memos - is
+// released.
 func (s *sweepState) consume(ps *progSweep) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -10,7 +10,12 @@ import (
 	"reflect"
 	"testing"
 
+	"portcc/internal/codegen"
+	"portcc/internal/core"
+	"portcc/internal/ir"
 	"portcc/internal/opt"
+	"portcc/internal/prog"
+	"portcc/internal/trace"
 	"portcc/internal/uarch"
 )
 
@@ -37,35 +42,31 @@ func tinyRequest(t *testing.T, opts int) ExploreRequest {
 
 // collect folds an exploration stream into a deterministic map keyed by
 // cell coordinates.
-func collect(t *testing.T, req ExploreRequest, o ExploreOptions) map[[3]int]ExploreResult {
+func collect(t *testing.T, req ExploreRequest, o ExploreOptions) map[[2]int]ExploreResult {
 	t.Helper()
-	out := map[[3]int]ExploreResult{}
+	out := map[[2]int]ExploreResult{}
 	for res, err := range Explore(context.Background(), req, o) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[[3]int{res.ProgIndex, res.OptIndex, res.ArchStart}] = res
+		out[[2]int{res.ProgIndex, res.OptIndex}] = res
 	}
 	return out
 }
 
 // TestBatchedExploreMatchesNaive is the end-to-end equivalence property:
 // the batched sweep path must yield exactly the cells the naive per-cell
-// path yields, with identical payloads, for both worker counts and for a
-// sub-window arch batching.
+// path yields, with identical payloads, for both worker counts.
 func TestBatchedExploreMatchesNaive(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		workers int
-		archB   int
 	}{
-		{"serial", 1, 0},
-		{"pooled", 4, 0},
-		{"archbatched", 3, 2},
+		{"serial", 1},
+		{"pooled", 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			req := tinyRequest(t, 21)
-			req.ArchBatch = tc.archB
 			naive := collect(t, req, ExploreOptions{Workers: tc.workers, Naive: true})
 			batched := collect(t, req, ExploreOptions{Workers: tc.workers})
 			if len(naive) != len(batched) {
@@ -133,8 +134,8 @@ func TestSweepSavesPassRunsAndTraces(t *testing.T) {
 	}
 	ev := NewEvaluator(req.Eval)
 	sw := newSweepState(&req, 1)
-	for _, c := range req.cells() {
-		if _, err := runCellBatched(ev, sw, c); err != nil {
+	for i := range req.Cells() {
+		if _, err := runCellBatched(ev, sw, req.cell(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -160,12 +161,12 @@ func TestSweepSavesPassRunsAndTraces(t *testing.T) {
 // TestPartialGridRunnerBoundedAndCorrect models a worker daemon that is
 // handed only part of the grid (interleaved chunks, as sched.Remote
 // deals them): results must still match the naive path cell for cell,
-// and the sweep state must not retain unbounded windows or traces for
-// the cells that never arrive - the memory-pinning regression a shard
-// serving half a paper-scale grid would otherwise hit.
+// and the sweep state must not retain unbounded windows for the cells
+// that never arrive - the memory-pinning regression a shard serving half
+// a paper-scale grid would otherwise hit. (It cannot retain a trace at
+// all: TestSweepGeneratesEachBinaryOnce.)
 func TestPartialGridRunnerBoundedAndCorrect(t *testing.T) {
 	req := tinyRequest(t, 40)
-	cells := req.cells()
 
 	naiveReq := req
 	naiveReq.Naive = true
@@ -173,7 +174,7 @@ func TestPartialGridRunnerBoundedAndCorrect(t *testing.T) {
 	run, ev := req.InstrumentedRunnerStore(nil)
 
 	sum := 0
-	for i, c := range cells {
+	for i := range req.Cells() {
 		// This "shard" serves chunks 0-7, 16-23, 32-39, ... of the grid.
 		if (i/8)%2 == 1 {
 			continue
@@ -187,7 +188,7 @@ func TestPartialGridRunnerBoundedAndCorrect(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("cell %d (%+v): batched partial-grid result differs from naive", i, c)
+			t.Fatalf("cell %d (%+v): batched partial-grid result differs from naive", i, req.cell(i))
 		}
 		sum++
 	}
@@ -195,9 +196,7 @@ func TestPartialGridRunnerBoundedAndCorrect(t *testing.T) {
 		t.Fatal("no cells served")
 	}
 	// The runner never saw the other half of the grid; retention must
-	// still be bounded: no trace slots left pinned (every generated
-	// trace was released after its replay) and at most the FIFO cap of
-	// compiled windows alive.
+	// still be bounded: at most the FIFO cap of compiled windows alive.
 	st := ev.Stats()
 	if st.TraceReuses <= 0 {
 		t.Errorf("TraceReuses = %d, want > 0", st.TraceReuses)
@@ -205,19 +204,18 @@ func TestPartialGridRunnerBoundedAndCorrect(t *testing.T) {
 	// Reach into the sweep state through a fresh runner to assert the
 	// invariants structurally instead: build one directly.
 	sw := newSweepState(&req, 1)
-	for i := range cells {
+	for i := range req.Cells() {
 		if (i/8)%2 == 1 {
 			continue
 		}
-		if _, err := runCellBatched(ev, sw, cells[i]); err != nil {
+		if _, err := runCellBatched(ev, sw, req.cell(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	windows, traces := 0, 0
+	windows := 0
 	sw.mu.Lock()
 	for _, ps := range sw.progs {
 		windows += len(ps.windows)
-		traces += len(ps.traces)
 	}
 	if built := len(sw.built); built > maxBuiltWindows {
 		t.Errorf("%d built windows retained, cap is %d", built, maxBuiltWindows)
@@ -226,38 +224,108 @@ func TestPartialGridRunnerBoundedAndCorrect(t *testing.T) {
 	if windows > maxBuiltWindows {
 		t.Errorf("%d windows retained after a partial run, cap is %d", windows, maxBuiltWindows)
 	}
-	if traces != 0 {
-		t.Errorf("%d trace slots still pinned after a partial run, want 0", traces)
-	}
+}
 
-	// With sub-grid arch batches a partial runner can be left holding
-	// ranges that never arrive; generated traces must still be bounded
-	// (idle ones evict and regenerate on demand).
-	abReq := req
-	abReq.ArchBatch = 1
-	abCells := abReq.cells()
-	abSw := newSweepState(&abReq, 1)
-	abEv := NewEvaluator(abReq.Eval)
-	for i := range abCells {
-		if i%3 == 0 { // serve every third cell: most binaries keep unserved ranges
-			continue
-		}
-		if _, err := runCellBatched(abEv, abSw, abCells[i]); err != nil {
-			t.Fatal(err)
-		}
+// distinctBinaries counts the (program, fingerprint) pairs among the
+// listed cells that are not in except - the replays a sweep over those
+// cells owes - with fingerprints taken by compiling every setting
+// directly, no evaluator in the loop.
+func distinctBinaries(t *testing.T, req ExploreRequest, cells, except []int) int64 {
+	t.Helper()
+	type binary struct {
+		prog int
+		fp   codegen.Fingerprint
 	}
-	liveTraces := 0
-	abSw.mu.Lock()
-	for _, ps := range abSw.progs {
-		for _, sl := range ps.traces {
-			if sl.tr != nil {
-				liveTraces++
+	set := func(cells []int) map[binary]bool {
+		out := map[binary]bool{}
+		mods := map[int]*ir.Module{}
+		for _, i := range cells {
+			c := req.cell(i)
+			if mods[c.prog] == nil {
+				m, err := prog.Build(req.Programs[c.prog])
+				if err != nil {
+					t.Fatal(err)
+				}
+				mods[c.prog] = m
+			}
+			p, err := core.Compile(mods[c.prog], &req.Opts[c.opt])
+			if err != nil {
+				t.Fatal(err)
+			}
+			fp, _ := codegen.FingerprintInto(p, nil)
+			out[binary{c.prog, fp}] = true
+		}
+		return out
+	}
+	owed, have := set(cells), set(except)
+	for b := range have {
+		delete(owed, b)
+	}
+	return int64(len(owed))
+}
+
+// typeHolds reports whether a value of type t can reach one of type
+// target through fields, elements and pointers.
+func typeHolds(t, target reflect.Type, seen map[reflect.Type]bool) bool {
+	if t == target {
+		return true
+	}
+	if seen[t] {
+		return false
+	}
+	seen[t] = true
+	switch t.Kind() {
+	case reflect.Pointer, reflect.Slice, reflect.Array, reflect.Chan:
+		return typeHolds(t.Elem(), target, seen)
+	case reflect.Map:
+		return typeHolds(t.Key(), target, seen) || typeHolds(t.Elem(), target, seen)
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if typeHolds(t.Field(i).Type, target, seen) {
+				return true
 			}
 		}
 	}
-	abSw.mu.Unlock()
-	if liveTraces > maxLiveTraces+1 {
-		t.Errorf("%d live traces retained by a partial arch-batched run, cap is %d", liveTraces, maxLiveTraces)
+	return false
+}
+
+// TestSweepGeneratesEachBinaryOnce pins the trace lifetime the sweep is
+// built on: a trace is generated for one replay and nothing else, so the
+// generations of a run are its -O3 probes plus one per distinct binary
+// that actually replayed - cold, over a store that already holds half
+// the grid, and on the interleaved part of a grid a shard is dealt, at
+// one slot and at three racing ones - and the sweep state has nowhere to
+// keep a trace once the replay is over.
+func TestSweepGeneratesEachBinaryOnce(t *testing.T) {
+	req := tinyRequest(t, 40)
+	var all, dealt []int
+	for i := range req.Cells() {
+		all = append(all, i)
+		if (i/8)%2 == 0 {
+			dealt = append(dealt, i)
+		}
+	}
+	for _, slots := range []int{1, 3} {
+		check := func(name string, st *ResultStore, cells, stored []int) {
+			t.Helper()
+			_, l := ledgerRunCells(t, req, slots, st, cells)
+			replays := distinctBinaries(t, req, cells, stored)
+			if l.probeCompiles > int64(len(req.Programs)) {
+				t.Errorf("%s, %d slots: %d -O3 probes for %d programs", name, slots, l.probeCompiles, len(req.Programs))
+			}
+			if l.TraceGens != l.probeCompiles+replays || l.Simulations != int(replays)*len(req.Archs) {
+				t.Errorf("%s, %d slots: %d generations and %d simulations, want %d probes + %d distinct binaries, each replayed once over %d architectures",
+					name, slots, l.TraceGens, l.Simulations, l.probeCompiles, replays, len(req.Archs))
+			}
+		}
+		check("cold", nil, all, nil)
+		check("partial grid", nil, dealt, nil)
+		st := openStore(t, t.TempDir())
+		check("filling half the store", st, dealt, nil)
+		check("over the half-populated store", st, all, dealt)
+	}
+	if typeHolds(reflect.TypeOf(sweepState{}), reflect.TypeOf(trace.Trace{}), map[reflect.Type]bool{}) {
+		t.Error("the sweep state can hold a trace: a trace must not outlive its replay")
 	}
 }
 

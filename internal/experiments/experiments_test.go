@@ -175,6 +175,24 @@ func TestFigure1(t *testing.T) {
 	}
 }
 
+// TestFigure1CompilesEachSettingOnce: the three architectures share one
+// compile, one trace and one batched replay per (program, setting); -O3,
+// setting 0, is the program's resident baseline.
+func TestFigure1CompilesEachSettingOnce(t *testing.T) {
+	ds := getDS(t)
+	ev := dataset.NewEvaluator(ds.Cfg.Eval)
+	f1, err := figure1(ds, ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nP, nA, nO := len(f1.Programs), len(f1.Archs), len(ds.Opts)
+	st := ev.Stats()
+	if st.Compiles != nP*nO || st.TraceGens != int64(nP*(nO+1)) || st.Simulations != nP*nO*nA {
+		t.Errorf("%d compiles, %d generations, %d simulations; want %d (programs x settings, -O3 the baseline), %d (one more per program: the probe), %d",
+			st.Compiles, st.TraceGens, st.Simulations, nP*nO, nP*(nO+1), nP*nO*nA)
+	}
+}
+
 func TestAblationKInsensitivity(t *testing.T) {
 	// The Section 3.3.2 claim: performance is not sensitive to K near 7.
 	ds := getDS(t)

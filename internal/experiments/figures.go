@@ -94,6 +94,10 @@ var figure1Passes = []opt.Flag{
 // XScale with small instruction cache, XScale with small instruction and
 // data caches), using the dataset's best-found setting per pair.
 func Figure1(ds *dataset.Dataset) (*Figure1Result, error) {
+	return figure1(ds, dataset.NewEvaluator(ds.Cfg.Eval))
+}
+
+func figure1(ds *dataset.Dataset, ev *dataset.Evaluator) (*Figure1Result, error) {
 	wanted := []string{"rijndael_e", "untoast", "madplay"}
 	xs := uarch.XScale()
 	smallI := xs
@@ -111,26 +115,30 @@ func Figure1(ds *dataset.Dataset) (*Figure1Result, error) {
 	for i, f := range figure1Passes {
 		res.Passes[i] = f.String()
 	}
-	ev := dataset.NewEvaluator(ds.Cfg.Eval)
 	for _, name := range wanted {
-		var row [][]bool
-		for _, ac := range archCfgs {
-			// Best setting for this exact pair, by direct search over the
-			// dataset's sampled settings.
-			bestO, bestCyc := 0, 0.0
-			for o := range ds.Opts {
-				c := ds.Opts[o]
-				cyc, err := ev.CyclesPerRun(name, &c, ac)
-				if err != nil {
-					return nil, err
-				}
-				if bestCyc == 0 || cyc < bestCyc {
-					bestCyc, bestO = cyc, o
+		// Best setting per architecture by direct search over the dataset's
+		// sampled settings: one compile and one trace per setting, replayed
+		// over the three architectures together; the earliest setting wins
+		// a tie.
+		bestO := make([]int, len(archCfgs))
+		bestCyc := make([]float64, len(archCfgs))
+		for o := range ds.Opts {
+			tr, _, err := ev.Trace(name, &ds.Opts[o])
+			if err != nil {
+				return nil, err
+			}
+			for a, r := range ev.SimulateBatch(tr, archCfgs) {
+				cyc := float64(r.Cycles) / float64(max(tr.Runs, 1))
+				if bestCyc[a] == 0 || cyc < bestCyc[a] {
+					bestCyc[a], bestO[a] = cyc, o
 				}
 			}
+		}
+		var row [][]bool
+		for a := range archCfgs {
 			var flags []bool
 			for _, f := range figure1Passes {
-				flags = append(flags, ds.Opts[bestO].Flag(f))
+				flags = append(flags, ds.Opts[bestO[a]].Flag(f))
 			}
 			row = append(row, flags)
 		}

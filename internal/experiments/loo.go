@@ -66,7 +66,7 @@ func PredictWithModel(ctx context.Context, ds *dataset.Dataset, model *ml.Model,
 	}
 	// The per-program evaluations are independent: the shared worker
 	// pool spreads the compile + batched-replay work over the machine,
-	// one evaluator per slot (private trace caches, each trace generated
+	// one evaluator per slot (no trace cache: each trace is generated
 	// into a buffer sized from the program's -O3 probe) over one pool
 	// base holding the per-program baseline slots. Cores the program
 	// fan-out cannot occupy (fewer held-out programs than the budget) go

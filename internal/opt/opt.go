@@ -167,8 +167,22 @@ type Config struct {
 // Flag reports the setting of boolean flag f.
 func (c *Config) Flag(f Flag) bool { return c.Flags[f] }
 
-// Param returns the concrete value of parameter p.
+// Param returns the concrete value of parameter p. The level index is
+// used unchecked: a Config from outside the process (a decoded request,
+// a job spec off the wire) must pass Validate first.
 func (c *Config) Param(p Param) int { return paramLevels[p][c.Params[p]] }
+
+// Validate rejects a configuration holding a parameter level outside
+// 0..ParamLevelCount-1 - representable in the uint8, absent from the
+// space, and an index out of range in Param.
+func (c *Config) Validate() error {
+	for p, l := range c.Params {
+		if l >= ParamLevelCount {
+			return fmt.Errorf("opt: %w: %s at level %d of %d", pcerr.ErrInvalidConfig, paramNames[p], l, ParamLevelCount)
+		}
+	}
+	return nil
+}
 
 // O3 returns the highest default optimisation level: the gcc 4.2 -O3
 // setting projected onto this space. This is the paper's baseline: all

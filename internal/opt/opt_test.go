@@ -1,9 +1,12 @@
 package opt
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"portcc/internal/pcerr"
 )
 
 func TestO3Defaults(t *testing.T) {
@@ -51,6 +54,34 @@ func TestParseKeyErrors(t *testing.T) {
 	bad := "x" + o3.Key()[1:]
 	if _, err := ParseKey(bad); err == nil {
 		t.Error("bad flag byte accepted")
+	}
+}
+
+// TestValidateBoundsParamLevels: a level index is a uint8, the space has
+// ParamLevelCount of them, and everything in between must be refused
+// typed before Param indexes with it.
+func TestValidateBoundsParamLevels(t *testing.T) {
+	level := func(p Param, l uint8) Config { c := O3(); c.Params[p] = l; return c }
+	for _, tc := range []struct {
+		name string
+		c    Config
+		ok   bool
+	}{
+		{"zero value", Config{}, true},
+		{"-O3", O3(), true},
+		{"random", Random(rand.New(rand.NewSource(3))), true},
+		{"top level", level(PMaxUnrolledInsns, ParamLevelCount-1), true},
+		{"first level past the space", level(PMaxGcsePasses, ParamLevelCount), false},
+		{"last parameter", level(PMaxUnrolledInsns, 9), false},
+		{"uint8 max", level(PInlineCallCost, 255), false},
+	} {
+		err := tc.c.Validate()
+		if tc.ok && err != nil {
+			t.Errorf("%s: refused: %v", tc.name, err)
+		}
+		if !tc.ok && !errors.Is(err, pcerr.ErrInvalidConfig) {
+			t.Errorf("%s: got %v, want ErrInvalidConfig", tc.name, err)
+		}
 	}
 }
 

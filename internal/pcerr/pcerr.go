@@ -66,8 +66,9 @@ var (
 )
 
 // SimError locates a failure inside the exploration grid: which program,
-// which optimisation-setting index and which architecture index (the first
-// of the failing batch) was being evaluated. Index -1 means "not known in
+// which optimisation-setting index and which architecture index was being
+// evaluated - 0, the first of the sample, for an exploration cell, which
+// spans every architecture of the request. Index -1 means "not known in
 // this context".
 type SimError struct {
 	Program string

@@ -43,9 +43,8 @@ func metricValue(t testing.TB, h http.Handler, name string) string {
 // TestMissReplaysResidentBaseline pins the cold path: once a program
 // has been queried, a feature-cache miss at a new architecture is one
 // replay of its resident -O3 trace - no compile, no trace generation -
-// however many other programs were profiled in between (six here: more
-// than the evaluator's LRU of tuned traces ever held), and the
-// dashboard shows both the miss's cost and the memory that buys it.
+// however many other programs were profiled in between (six here), and
+// the dashboard shows both the miss's cost and the memory that buys it.
 func TestMissReplaysResidentBaseline(t *testing.T) {
 	s := newTestServer(t, nil)
 	h := s.Handler()
@@ -89,24 +88,21 @@ func TestMissReplaysResidentBaseline(t *testing.T) {
 	}
 }
 
-// TestBaselineMemoryBounded touches every program of the suite: without
-// a CacheBudget the resident bytes are the suite's -O3 traces and stay
-// there however many architectures follow; with one, resident traces
-// honour it and every request still succeeds.
+// TestBaselineMemoryBounded touches every program of the suite: the
+// resident bytes are the suite's -O3 traces - the closed suite is the
+// bound - and stay there however many architectures follow.
 func TestBaselineMemoryBounded(t *testing.T) {
 	_, _, info := testDataset(t)
 	eval := evalFromInfo(info)
 	ref := dataset.NewEvaluator(eval)
 	o3 := opt.O3()
-	var suite, largest int64
+	var suite int64
 	for _, name := range prog.Names() {
 		tr, _, err := ref.Trace(name, &o3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := int64(len(tr.Events))*16 + 4096
-		suite += b
-		largest = max(largest, b)
+		suite += int64(len(tr.Events))*16 + 4096
 	}
 	specs := freshArchs(32, 2)
 	touchAll := func(h http.Handler, spec *ArchSpec) {
@@ -127,15 +123,6 @@ func TestBaselineMemoryBounded(t *testing.T) {
 	}
 	if got := metricValue(t, s.Handler(), "portccs_baseline_trace_bytes"); got != first || got != fmt.Sprint(st.BaselineTraceBytes) {
 		t.Errorf("portccs_baseline_trace_bytes %s after one pass, %s after two, evaluator says %d", first, got, st.BaselineTraceBytes)
-	}
-
-	budget := 3 * largest
-	eval.CacheBudget = budget
-	s = newTestServer(t, func(c *Config) { c.Eval = eval })
-	touchAll(s.Handler(), &specs[0])
-	touchAll(s.Handler(), &specs[1])
-	if st := s.Stats(); st.BaselineTraceBytes > budget || st.BaselineTraces == 0 || st.Compiles != len(prog.Names()) {
-		t.Errorf("budget %d: %d bytes in %d baselines after %d compiles; want within budget, one compile per program", budget, st.BaselineTraceBytes, st.BaselineTraces, st.Compiles)
 	}
 }
 

@@ -23,9 +23,12 @@ import (
 )
 
 // ProtoVersion is the wire protocol version. Bump it whenever the frame
-// layout or the exchange sequence changes incompatibly; the handshake
-// refuses mismatched peers with pcerr.ErrWireVersion.
-const ProtoVersion = 1
+// layout, the exchange sequence or the meaning of what a frame carries
+// changes incompatibly; the handshake refuses mismatched peers with
+// pcerr.ErrWireVersion. v2: a job's cell index is one (program, setting)
+// over the whole architecture sample - a v1 peer could be told to split
+// the sample into ranges and would number its cells differently.
+const ProtoVersion = 2
 
 // Hello opens every connection, in both directions: the client sends its
 // versions first, the server always replies with its own before judging,

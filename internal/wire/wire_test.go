@@ -101,28 +101,31 @@ func TestHandshakeFormatMismatch(t *testing.T) {
 	}
 }
 
-// TestHandshakeProtoMismatch fakes a peer speaking a future protocol
-// version: the rejection must be the wire sentinel, distinct from the
-// dataset schema sentinel.
+// TestHandshakeProtoMismatch fakes a peer speaking another protocol
+// version - the next one, and the previous one, whose jobs numbered
+// their cells differently: the rejection must be the wire sentinel,
+// distinct from the dataset schema sentinel.
 func TestHandshakeProtoMismatch(t *testing.T) {
-	client, fake := pipePair(t)
-	srvErr := make(chan error, 1)
-	go func() {
-		if _, err := fake.Recv(); err != nil {
-			srvErr <- err
-			return
+	for _, proto := range []int{ProtoVersion + 1, ProtoVersion - 1} {
+		client, fake := pipePair(t)
+		srvErr := make(chan error, 1)
+		go func() {
+			if _, err := fake.Recv(); err != nil {
+				srvErr <- err
+				return
+			}
+			srvErr <- fake.Send(&Frame{Hello: &Hello{Proto: proto, Format: 7}})
+		}()
+		_, err := client.ClientHello(7)
+		if !errors.Is(err, pcerr.ErrWireVersion) {
+			t.Errorf("v%d peer: got %v, want ErrWireVersion", proto, err)
 		}
-		srvErr <- fake.Send(&Frame{Hello: &Hello{Proto: ProtoVersion + 1, Format: 7}})
-	}()
-	_, err := client.ClientHello(7)
-	if !errors.Is(err, pcerr.ErrWireVersion) {
-		t.Errorf("got %v, want ErrWireVersion", err)
-	}
-	if errors.Is(err, pcerr.ErrDatasetVersion) {
-		t.Error("proto mismatch also matched ErrDatasetVersion")
-	}
-	if err := <-srvErr; err != nil {
-		t.Fatalf("fake server: %v", err)
+		if errors.Is(err, pcerr.ErrDatasetVersion) {
+			t.Errorf("v%d peer: proto mismatch also matched ErrDatasetVersion", proto)
+		}
+		if err := <-srvErr; err != nil {
+			t.Fatalf("fake server: %v", err)
+		}
 	}
 }
 

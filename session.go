@@ -35,7 +35,6 @@ type sessionConfig struct {
 	scaleSet     bool
 	eval         dataset.EvalConfig
 	evalSet      bool
-	cacheBudget  int64
 	progress     func(Progress)
 	shards       []string
 	retry        RetryPolicy
@@ -101,12 +100,6 @@ func WithShardRetry(p RetryPolicy) Option {
 // work and full-length traces for single runs.
 func WithScale(s Scale) Option {
 	return func(c *sessionConfig) { c.scale, c.scaleSet = s, true }
-}
-
-// WithCacheBudget bounds the per-worker compiled-trace cache by
-// approximate resident bytes (default: a small fixed entry count).
-func WithCacheBudget(bytes int64) Option {
-	return func(c *sessionConfig) { c.cacheBudget = bytes }
 }
 
 // WithProgress installs a progress callback invoked after every completed
@@ -178,16 +171,12 @@ func NewSession(opts ...Option) *Session {
 // (via genConfig, the single source), then full-length default traces.
 func (s *Session) evalConfig() dataset.EvalConfig {
 	if s.cfg.evalSet {
-		e := s.cfg.eval
-		if e.CacheBudget == 0 {
-			e.CacheBudget = s.cfg.cacheBudget
-		}
-		return e
+		return s.cfg.eval
 	}
 	if s.cfg.scaleSet {
 		return s.genConfig(false).Eval
 	}
-	return dataset.EvalConfig{CacheBudget: s.cfg.cacheBudget}
+	return dataset.EvalConfig{}
 }
 
 // scale returns the session scale (SmallScale unless WithScale was given).
@@ -207,13 +196,15 @@ func (s *Session) Stats() (compiles, simulations int) {
 }
 
 // Compile builds the named benchmark under the given optimisation setting
-// and returns its binary image.
+// and returns its binary image; no trace is generated.
 func (s *Session) Compile(ctx context.Context, program string, cfg OptConfig) (*Binary, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	_, p, err := s.ev.Trace(program, &cfg)
-	return p, err
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	return s.ev.Compile(program, &cfg)
 }
 
 // Run compiles and simulates the named benchmark on an architecture,
@@ -225,6 +216,9 @@ func (s *Session) Run(ctx context.Context, program string, cfg OptConfig, arch A
 	if err := arch.Validate(); err != nil {
 		return RunResult{}, err
 	}
+	if err := cfg.Validate(); err != nil {
+		return RunResult{}, err
+	}
 	return s.ev.Run(program, &cfg, arch)
 }
 
@@ -232,9 +226,13 @@ func (s *Session) Run(ctx context.Context, program string, cfg OptConfig, arch A
 // architecture in a single batched pass (bit-identical to calling Run per
 // architecture, but the trace is streamed once and cache/BTB state is
 // deduplicated by geometry). This is the fast path for design-space
-// exploration: one binary, many microarchitectures.
+// exploration: one binary, many microarchitectures. It always replays:
+// a result store (WithResultStore) is neither consulted nor written.
 func (s *Session) RunBatch(ctx context.Context, program string, cfg OptConfig, archs []Arch) ([]RunResult, error) {
 	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	for i, a := range archs {
@@ -259,6 +257,9 @@ func (s *Session) CyclesPerRun(ctx context.Context, program string, cfg OptConfi
 		return 0, err
 	}
 	if err := arch.Validate(); err != nil {
+		return 0, err
+	}
+	if err := cfg.Validate(); err != nil {
 		return 0, err
 	}
 	return s.ev.CyclesPerRun(program, &cfg, arch)

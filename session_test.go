@@ -61,15 +61,14 @@ func TestExploreYieldsFullGridExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.ArchBatch = 2 // 3 archs -> batches of 2 and 1 per (program, setting)
-	type cellKey struct{ p, o, a int }
+	type cellKey struct{ p, o int }
 	seen := map[cellKey]int{}
 	archsSeen := 0
 	for res, err := range s.Explore(ctx, req) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seen[cellKey{res.ProgIndex, res.OptIndex, res.ArchStart}]++
+		seen[cellKey{res.ProgIndex, res.OptIndex}]++
 		archsSeen += len(res.Results)
 		if res.Program != req.Programs[res.ProgIndex] {
 			t.Errorf("result names %q for program index %d", res.Program, res.ProgIndex)
@@ -78,7 +77,7 @@ func TestExploreYieldsFullGridExactlyOnce(t *testing.T) {
 			t.Error("non-positive run count")
 		}
 	}
-	wantCells := len(req.Programs) * len(req.Opts) * 2
+	wantCells := len(req.Programs) * len(req.Opts)
 	if len(seen) != wantCells {
 		t.Errorf("%d distinct cells, want %d", len(seen), wantCells)
 	}
@@ -104,14 +103,14 @@ func TestExploreMatchesRunBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct, err := s.RunBatch(ctx, res.Program, res.Config, req.Archs[res.ArchStart:res.ArchStart+len(res.Results)])
+		direct, err := s.RunBatch(ctx, res.Program, res.Config, req.Archs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range direct {
 			if direct[i] != res.Results[i] {
 				t.Fatalf("explore result (%d,%d,%d) differs from RunBatch",
-					res.ProgIndex, res.OptIndex, res.ArchStart+i)
+					res.ProgIndex, res.OptIndex, i)
 			}
 		}
 	}
@@ -294,7 +293,9 @@ func TestExploreValidatesRequestUpfront(t *testing.T) {
 	}
 	check(func(r *portcc.ExploreRequest) { r.Archs[1].BTBSize = 7 }, portcc.ErrInvalidConfig)
 	check(func(r *portcc.ExploreRequest) { r.Opts = nil }, portcc.ErrInvalidConfig)
-	check(func(r *portcc.ExploreRequest) { r.ArchBatch = -1 }, portcc.ErrInvalidConfig)
+	// A parameter level past the space used to pass and then panic the
+	// compiler (index out of range [9] with length 4), killing the caller.
+	check(func(r *portcc.ExploreRequest) { r.Opts[1].Params[0] = 9 }, portcc.ErrInvalidConfig)
 }
 
 func TestSpeedupBaselineMemoised(t *testing.T) {
@@ -471,5 +472,58 @@ func TestBaselineNotPoisonedByOthersCancellation(t *testing.T) {
 	}
 	if v != 1 {
 		t.Errorf("speedup %v, want 1", v)
+	}
+}
+
+// TestSpeedupAnswersFromResultStore: WithResultStore promises that the
+// single-run methods answer matching replays from the store. Two
+// sessions over one directory: the first replays and commits, the second
+// reports the identical speedup without a single simulation.
+func TestSpeedupAnswersFromResultStore(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	tuned := portcc.O3()
+	tuned.Flags[portcc.FScheduleInsns] = false
+	speedup := func() (float64, int) {
+		rs, err := portcc.OpenResultStore(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rs.Close()
+		s := tinySession(portcc.WithResultStore(rs))
+		v, err := s.Speedup(ctx, "crc", tuned, portcc.XScale())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, sims := s.Stats()
+		return v, sims
+	}
+	first, sims := speedup()
+	if sims != 2 {
+		t.Fatalf("cold Speedup ran %d simulations, want 2 (baseline + candidate)", sims)
+	}
+	if second, sims := speedup(); second != first || sims != 0 {
+		t.Errorf("Speedup over the populated store: %v after %d simulations, want %v after 0", second, sims, first)
+	}
+}
+
+// TestSingleRunMethodsValidateSetting: a parameter level past the space
+// is a typed refusal at every single-run entry point, not an index out
+// of range inside the compiler.
+func TestSingleRunMethodsValidateSetting(t *testing.T) {
+	ctx := context.Background()
+	s := tinySession()
+	bad := portcc.O3()
+	bad.Params[0] = 9
+	arch := portcc.XScale()
+	_, errCompile := s.Compile(ctx, "crc", bad)
+	_, errRun := s.Run(ctx, "crc", bad, arch)
+	_, errBatch := s.RunBatch(ctx, "crc", bad, []portcc.Arch{arch})
+	_, errCycles := s.CyclesPerRun(ctx, "crc", bad, arch)
+	_, errSpeedup := s.Speedup(ctx, "crc", bad, arch)
+	for name, err := range map[string]error{"Compile": errCompile, "Run": errRun, "RunBatch": errBatch, "CyclesPerRun": errCycles, "Speedup": errSpeedup} {
+		if !errors.Is(err, portcc.ErrInvalidConfig) {
+			t.Errorf("%s: got %v, want ErrInvalidConfig", name, err)
+		}
 	}
 }

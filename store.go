@@ -41,10 +41,12 @@ func OpenResultStoreRemote(dir string, budget int64, addr string) (*ResultStore,
 }
 
 // WithResultStore attaches a persistent result store to the session:
-// Explore, GenerateDataset and the single-run methods answer matching
-// replays from it and commit fresh ones. Pass the same store to
-// successive sessions (or reopen its directory across process
-// restarts) to make exploration resumable. The caller owns Close.
+// Explore, GenerateDataset and the single-run methods (Run,
+// CyclesPerRun, Speedup, OptimizeFor) answer matching replays from it
+// and commit fresh ones; RunBatch always replays and touches no store.
+// Pass the same store to successive sessions (or reopen its directory
+// across process restarts) to make exploration resumable. The caller
+// owns Close.
 func WithResultStore(rs *ResultStore) Option {
 	return func(c *sessionConfig) { c.store = rs }
 }
