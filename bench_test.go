@@ -3,16 +3,15 @@
 // benchmark scale and reports the headline quantities as custom metrics,
 // so `go test -bench=. -benchmem` reproduces the whole evaluation.
 //
-// Scale: set PORTCC_SCALE=tiny|small|medium|paper (default tiny for quick
-// runs; the numbers in EXPERIMENTS.md use medium or larger). The dataset
-// and leave-one-out predictions are computed once per scale and shared by
-// the benchmarks, mirroring the paper's one-off training cost.
+// Scale: set PORTCC_SCALE=tiny|small|medium|paper (unset means tiny, for
+// quick runs; the numbers in EXPERIMENTS.md use medium or larger). The
+// dataset and leave-one-out predictions are computed once per scale and
+// shared by the benchmarks, mirroring the paper's one-off training cost.
+// Throughput is not measured here: `go run ./bench` is the one ledger.
 package portcc_test
 
 import (
 	"context"
-	"fmt"
-	"math/rand"
 	"os"
 	"sync"
 	"testing"
@@ -28,17 +27,17 @@ import (
 	"portcc/internal/cpu"
 )
 
-func benchScale() experiments.Scale {
-	switch os.Getenv("PORTCC_SCALE") {
-	case "small":
-		return experiments.Small
-	case "medium":
-		return experiments.Medium
-	case "paper":
-		return experiments.Paper
-	default:
+func benchScale(b *testing.B) experiments.Scale {
+	b.Helper()
+	name := os.Getenv("PORTCC_SCALE")
+	if name == "" {
 		return experiments.Tiny
 	}
+	scale, ok := experiments.ScaleByName(name)
+	if !ok {
+		b.Fatalf("PORTCC_SCALE: unknown scale %q", name)
+	}
+	return scale
 }
 
 var (
@@ -50,8 +49,9 @@ var (
 
 func benchData(b *testing.B) (*dataset.Dataset, *experiments.Predictions) {
 	b.Helper()
+	scale := benchScale(b)
 	benchOnce.Do(func() {
-		ds, err := benchScale().Generate(context.Background(), false)
+		ds, err := scale.Generate(context.Background(), false)
 		if err != nil {
 			benchErr = err
 			return
@@ -206,7 +206,7 @@ func BenchmarkFigure9Hinton(b *testing.B) {
 // BenchmarkFigure10Extended evaluates the unmodified model on the Section 7
 // extended space (paper: best 1.24x, model 1.14x).
 func BenchmarkFigure10Extended(b *testing.B) {
-	scale := benchScale()
+	scale := benchScale(b)
 	var f10 *experiments.Figure6Result
 	for i := 0; i < b.N; i++ {
 		ds, err := scale.Generate(context.Background(), true)
@@ -250,93 +250,4 @@ func BenchmarkAblationK(b *testing.B) {
 	for i, k := range ab.Ks {
 		b.ReportMetric(ab.KAvg[i], "K"+string(rune('0'+k/10))+string(rune('0'+k%10))+"-avg-x")
 	}
-}
-
-// BenchmarkCompile measures raw compiler throughput at -O3 over the suite.
-func BenchmarkCompile(b *testing.B) {
-	o3 := opt.O3()
-	mods := make(map[string]int)
-	_ = mods
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		name := prog.Names()[i%len(prog.Names())]
-		m := prog.MustBuild(name)
-		if _, err := core.Compile(m, &o3); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSimulate measures simulator throughput (events per second).
-func BenchmarkSimulate(b *testing.B) {
-	tr := benchTrace(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cpu.Simulate(tr, uarch.XScale())
-	}
-	b.ReportMetric(float64(tr.Insns()), "events")
-}
-
-func benchTrace(b *testing.B) *trace.Trace {
-	b.Helper()
-	m := prog.MustBuild("gs")
-	o3 := opt.O3()
-	p, err := core.Compile(m, &o3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return trace.Generate(p, trace.Config{Runs: 2, MaxInsns: 200000, Seed: 1})
-}
-
-// benchArchCounts are the multi-architecture replay sizes: the protocol
-// sweep from the Small scale up to the paper's 200-architecture sample.
-var benchArchCounts = []int{16, 64, 200}
-
-// BenchmarkSimulateSequential is the pre-batching baseline: the per-config
-// loop that replays the identical trace once per architecture. The custom
-// metric is aggregate throughput in millions of (event x config) per
-// second, comparable across architecture counts.
-func BenchmarkSimulateSequential(b *testing.B) {
-	tr := benchTrace(b)
-	for _, n := range benchArchCounts {
-		rng := rand.New(rand.NewSource(7))
-		cfgs := uarch.Space{}.SampleN(rng, n)
-		b.Run(fmt.Sprintf("archs=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for _, c := range cfgs {
-					cpu.Simulate(tr, c)
-				}
-			}
-			b.ReportMetric(float64(tr.Insns()*len(cfgs))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mevc/s")
-		})
-	}
-}
-
-// BenchmarkSimulateBatch measures the batched multi-architecture engine:
-// one pass over the trace advancing every configuration together, with
-// cache and BTB state deduplicated by geometry (bit-identical to the
-// sequential loop; see internal/cpu/batch_test.go). Compare Mevc/s against
-// BenchmarkSimulateSequential at the same architecture count. The extended
-// sub-benchmark covers the §7 space whose dual-issue configurations keep a
-// per-event model.
-func BenchmarkSimulateBatch(b *testing.B) {
-	tr := benchTrace(b)
-	for _, n := range benchArchCounts {
-		rng := rand.New(rand.NewSource(7))
-		cfgs := uarch.Space{}.SampleN(rng, n)
-		b.Run(fmt.Sprintf("archs=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cpu.SimulateBatch(tr, cfgs)
-			}
-			b.ReportMetric(float64(tr.Insns()*len(cfgs))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mevc/s")
-		})
-	}
-	rng := rand.New(rand.NewSource(7))
-	cfgs := uarch.Space{Extended: true}.SampleN(rng, 64)
-	b.Run("extended-archs=64", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			cpu.SimulateBatch(tr, cfgs)
-		}
-		b.ReportMetric(float64(tr.Insns()*len(cfgs))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mevc/s")
-	})
 }

@@ -1,0 +1,118 @@
+// Package cmd_test drives the six binaries as a user does: flags in,
+// exit status and output out. A renamed flag, a lost usage error or a
+// panic on a malformed input file fails `go test`, not only a CI shell
+// step.
+package cmd_test
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"portcc/internal/dataset"
+	"portcc/internal/ml"
+)
+
+// raggedDataset writes a dataset file whose Speedups lost a program row:
+// a well-formed gob that dataset.Load must refuse.
+func raggedDataset(t *testing.T, dir string) string {
+	t.Helper()
+	ds, err := dataset.Generate(context.Background(), dataset.GenConfig{
+		Programs: []string{"crc", "qsort"},
+		NumArchs: 2,
+		NumOpts:  4,
+		Seed:     21,
+		Eval:     dataset.EvalConfig{TargetInsns: 6000, Seed: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds.Speedups = ds.Speedups[:1]
+	path := filepath.Join(dir, "ragged.gob")
+	if err := ds.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// nilNormModel writes a model artifact with no normaliser: a well-formed
+// gob that ml.Decode must refuse.
+func nilNormModel(t *testing.T, dir string) string {
+	t.Helper()
+	m := ml.Train([]ml.TrainingPair{{Prog: "crc", X: []float64{1, 2}}})
+	m.Norm = nil
+	path := filepath.Join(dir, "nilnorm.gob")
+	if err := ml.Save(path, m, ml.ArtifactInfo{}); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+func TestCommands(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds six binaries")
+	}
+	bin := t.TempDir()
+	if out, err := exec.Command("go", "build", "-o", bin+"/", "./...").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	ragged := raggedDataset(t, bin)
+	nilNorm := nilNormModel(t, bin)
+
+	type row struct {
+		name string // stable across runs: no temporary path in it
+		bin  string
+		args []string
+		code int
+		want string // substring of stdout+stderr
+	}
+	var rows []row
+	for _, b := range []string{"trainer", "expgen", "portcc", "portccd", "portccsd", "portccs"} {
+		rows = append(rows, row{b + " undefined flag", b, []string{"-no-such-flag"}, 2, "flag provided but not defined"})
+	}
+	rows = append(rows,
+		row{"portcc -list", "portcc", []string{"-list"}, 0, "rijndael_e\n"},
+		row{"portcc -model and -dataset", "portcc", []string{"-model", "a", "-dataset", "b"}, 1, "not both"},
+		row{"trainer unknown scale", "trainer", []string{"-scale", "bogus"}, 1, "unknown scale"},
+		row{"expgen unknown scale", "expgen", []string{"-scale", "bogus"}, 1, "unknown scale"},
+		row{"expgen -fig t2", "expgen", []string{"-fig", "t2"}, 0, "288"},
+		row{"expgen unknown fig", "expgen", []string{"-fig", "bogus"}, 2, "ablation"},
+		row{"expgen ragged dataset", "expgen", []string{"-dataset", ragged, "-fig", "4"}, 1, "invalid configuration: 1 speedup"},
+		row{"portcc ragged dataset", "portcc", []string{"-dataset", ragged}, 1, "invalid configuration: 1 speedup"},
+		row{"portcc nil-normaliser model", "portcc", []string{"-model", nilNorm}, 1, "invalid configuration: artifact has no normaliser"},
+		// flag answers -h itself: the flag set on stderr, status 0.
+		row{"portccd -h", "portccd", []string{"-h"}, 0, "-listen"},
+		row{"portccsd -h", "portccsd", []string{"-h"}, 0, "-listen"},
+		row{"portccs -h", "portccs", []string{"-h"}, 0, "-addr"},
+	)
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			cmd := exec.Command(filepath.Join(bin, r.bin), r.args...)
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			err := cmd.Run()
+			var exit *exec.ExitError
+			if err != nil && !errors.As(err, &exit) {
+				t.Fatal(err)
+			}
+			if code := cmd.ProcessState.ExitCode(); code != r.code {
+				t.Errorf("exit status %d, want %d\nstderr: %s", code, r.code, &stderr)
+			}
+			if all := stdout.String() + stderr.String(); !strings.Contains(all, r.want) {
+				t.Errorf("output lacks %q\nstdout: %s\nstderr: %s", r.want, &stdout, &stderr)
+			}
+			if s := stderr.String(); strings.Contains(s, "panic:") || strings.Contains(s, "goroutine ") {
+				t.Errorf("the process panicked:\n%s", s)
+			}
+			if r.args[0] == "-list" {
+				if n := strings.Count(stdout.String(), "\n"); n != 35 {
+					t.Errorf("-list printed %d lines, want the 35 programs of the suite", n)
+				}
+			}
+		})
+	}
+}

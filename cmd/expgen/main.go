@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	expgen [-scale tiny|small|medium|paper] [-fig all|1|3|4|5|6|7|8|9|10|t1|t2|iters]
+//	expgen [-scale tiny|small|medium|paper] [-fig all|1|3|4|5|6|7|8|9|10|t1|t2|iters|ablation]
 //	       [-dataset file] [-model file] [-workers N] [-sweep-workers N]
 //	       [-store dir] [-store-budget bytes]
 //	       [-shards host:port,host:port]
@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -37,6 +38,9 @@ import (
 	"portcc/internal/cliutil"
 	"portcc/internal/experiments"
 )
+
+// figNames are the values -fig accepts.
+var figNames = []string{"all", "1", "3", "4", "5", "6", "7", "8", "9", "10", "t1", "t2", "iters", "ablation"}
 
 func main() {
 	var cf cliutil.Flags
@@ -47,11 +51,17 @@ func main() {
 	cf.RegisterShardRetry()
 	cf.RegisterStore()
 	cf.RegisterProfile()
-	fig := flag.String("fig", "all", "figure/table to regenerate (all, 1, 3, 4, 5, 6, 7, 8, 9, 10, t1, t2, iters, ablation)")
+	fig := flag.String("fig", "all", "figure/table to regenerate ("+strings.Join(figNames, ", ")+")")
 	dsFile := flag.String("dataset", "", "reuse a dataset file generated by cmd/trainer")
 	cf.RegisterModel("pre-trained model artifact for the prediction experiments (from trainer -model-out)")
 	ctx, stop := cliutil.Init("expgen")
 	defer stop()
+	if !slices.Contains(figNames, *fig) {
+		// Nothing below matches an unknown name: without this the run
+		// prints nothing and exits 0.
+		fmt.Fprintf(os.Stderr, "expgen: unknown -fig %q (want one of %s)\n", *fig, strings.Join(figNames, ", "))
+		os.Exit(2)
+	}
 	stopProfiles, err := cf.StartProfiles()
 	if err != nil {
 		log.Fatal(err)

@@ -309,5 +309,52 @@ func Load(path string) (*Dataset, error) {
 	if err := dec.Decode(&d); err != nil {
 		return nil, err
 	}
+	if err := d.validate(); err != nil {
+		return nil, fmt.Errorf("dataset: %s: %w", path, err)
+	}
 	return &d, nil
+}
+
+// validate checks that a decoded file's arrays agree with one another
+// and that every configuration lies inside its space. Gob checks types,
+// not shapes: without this a truncated-and-re-encoded, hand-edited or
+// foreign-build file indexes out of range in TrainingPairs or ml.FitGood
+// long after Load returned nil. The generate path builds the arrays from
+// one request and never needs it.
+func (d *Dataset) validate() error {
+	nP, nA, nO := d.Dims()
+	if nO < 1 {
+		return fmt.Errorf("%w: no optimisation settings", pcerr.ErrInvalidConfig)
+	}
+	if len(d.Speedups) != nP || len(d.Features) != nP || len(d.BaselineCycles) != nP || len(d.Runs) != nP {
+		return fmt.Errorf("%w: %d speedup, %d feature, %d baseline and %d run-count rows for %d programs",
+			pcerr.ErrInvalidConfig, len(d.Speedups), len(d.Features), len(d.BaselineCycles), len(d.Runs), nP)
+	}
+	for a, c := range d.Archs {
+		if err := c.Validate(); err != nil {
+			return fmt.Errorf("arch %d: %w", a, err)
+		}
+	}
+	for o := range d.Opts {
+		if err := d.Opts[o].Validate(); err != nil {
+			return fmt.Errorf("setting %d: %w", o, err)
+		}
+	}
+	for p := 0; p < nP; p++ {
+		if len(d.Speedups[p]) != nA || len(d.Features[p]) != nA || len(d.BaselineCycles[p]) != nA {
+			return fmt.Errorf("%w: program %d: %d speedup, %d feature and %d baseline rows for %d architectures",
+				pcerr.ErrInvalidConfig, p, len(d.Speedups[p]), len(d.Features[p]), len(d.BaselineCycles[p]), nA)
+		}
+		for a := 0; a < nA; a++ {
+			if len(d.Speedups[p][a]) != nO {
+				return fmt.Errorf("%w: program %d, arch %d: %d speedups for %d settings",
+					pcerr.ErrInvalidConfig, p, a, len(d.Speedups[p][a]), nO)
+			}
+			if len(d.Features[p][a]) != features.Dim {
+				return fmt.Errorf("%w: program %d, arch %d: feature vector of length %d, want %d",
+					pcerr.ErrInvalidConfig, p, a, len(d.Features[p][a]), features.Dim)
+			}
+		}
+	}
+	return nil
 }

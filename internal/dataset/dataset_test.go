@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"portcc/internal/cpu"
@@ -216,6 +217,67 @@ func TestLoadVersionMismatch(t *testing.T) {
 	}
 	if _, err := Load(garbage); !errors.Is(err, pcerr.ErrDatasetVersion) {
 		t.Errorf("garbage file: got %v, want ErrDatasetVersion", err)
+	}
+}
+
+// TestLoadValidatesShape: gob checks types, not shapes, so Load itself
+// must refuse a file whose arrays disagree or whose configurations lie
+// outside their spaces - each row below used to load with a nil error
+// and panic later in TrainingPairs or ml.FitGood.
+func TestLoadValidatesShape(t *testing.T) {
+	dir := t.TempDir()
+	// Every legitimate file loads, from either space; the base-space one
+	// is written last and stays as the rows' starting point.
+	for _, extended := range []bool{true, false} {
+		cfg := tinyConfig()
+		cfg.Extended = extended
+		ds, err := Generate(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ds.Save(filepath.Join(dir, "valid.gob")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(filepath.Join(dir, "valid.gob")); err != nil {
+			t.Fatalf("extended=%v: a generated dataset must load: %v", extended, err)
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(d *Dataset)
+		want   string // names the first offending index
+	}{
+		{"speedups short of a program", func(d *Dataset) { d.Speedups = d.Speedups[:2] }, "2 speedup"},
+		{"features short of a program", func(d *Dataset) { d.Features = d.Features[:2] }, "2 feature"},
+		{"baselines short of a program", func(d *Dataset) { d.BaselineCycles = d.BaselineCycles[:2] }, "2 baseline"},
+		{"runs short of a program", func(d *Dataset) { d.Runs = d.Runs[:2] }, "2 run-count"},
+		{"speedups short of an arch", func(d *Dataset) { d.Speedups[1] = d.Speedups[1][:2] }, "program 1: 2 speedup"},
+		{"features short of an arch", func(d *Dataset) { d.Features[2] = d.Features[2][:1] }, "program 2: 3 speedup, 1 feature"},
+		{"baselines short of an arch", func(d *Dataset) { d.BaselineCycles[0] = nil }, "program 0: 3 speedup, 3 feature and 0 baseline"},
+		{"speedups short of a setting", func(d *Dataset) { d.Speedups[1][2] = d.Speedups[1][2][:10] }, "program 1, arch 2: 10 speedups"},
+		{"feature vector short", func(d *Dataset) { d.Features[0][1] = d.Features[0][1][:18] }, "program 0, arch 1: feature vector of length 18"},
+		{"no settings", func(d *Dataset) { d.Opts = nil }, "no optimisation settings"},
+		{"arch outside the space", func(d *Dataset) { d.Archs[1].IL1Size = 3 }, "arch 1: "},
+		{"setting outside the space", func(d *Dataset) { d.Opts[4].Params[0] = 9 }, "setting 4: "},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, err := Load(filepath.Join(dir, "valid.gob"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.mutate(d)
+			path := filepath.Join(t.TempDir(), "bad.gob")
+			if err := d.Save(path); err != nil {
+				t.Fatal(err)
+			}
+			_, err = Load(path)
+			if !errors.Is(err, pcerr.ErrInvalidConfig) {
+				t.Fatalf("got %v, want ErrInvalidConfig", err)
+			}
+			if msg := err.Error(); !strings.Contains(msg, path) || !strings.Contains(msg, tc.want) {
+				t.Errorf("error %q must name the file and %q", msg, tc.want)
+			}
+		})
 	}
 }
 

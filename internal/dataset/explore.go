@@ -222,9 +222,9 @@ func (r *ExploreRequest) RunnerStore(slots, sweepWorkers int, st *ResultStore) f
 // InstrumentedRunnerStore is RunnerStore with one worker slot and
 // sequential sweeps, returning the slot's evaluator alongside so a
 // caller driving the grid itself can read the work counters (Stats)
-// afterwards - the benchmark harnesses use it to report pass runs saved
-// without a profiler and, with a store attached (nil = none), to
-// measure warm-store replay speed.
+// afterwards, with a store attached or not (nil = none). Two callers
+// remain: bench/staged.go, for the dataset.* work counters of the one
+// benchmark, and sweep_test.go, which pins those counters.
 func (r *ExploreRequest) InstrumentedRunnerStore(st *ResultStore) (func(slot, index int) (any, error), *Evaluator) {
 	run, evs := r.runner(1, 1, st)
 	evs[0] = NewEvaluator(r.Eval)

@@ -223,3 +223,40 @@ func TestAblationKInsensitivity(t *testing.T) {
 		t.Error("empty render")
 	}
 }
+
+// TestFigureShape pins the shape of the reproduction at the tiny scale,
+// so regenerating golden.json cannot silently bend it: digests prove the
+// results did not change, this proves they still say what the paper
+// says. Measured when written: wrong-avg 0.84, model-avg 1.133, best-avg
+// 1.310, model above 1.0 on 5 of 5 architectures, correlation 0.796.
+func TestFigureShape(t *testing.T) {
+	ctx := context.Background()
+	ds, err := Tiny.Generate(ctx, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := Predict(ctx, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f4, f5, f6, f7 := Figure4(ds), Figure5(pr), Figure6(pr), Figure7(pr)
+	// Fig. 4 and 6: the wrong passes lose, the model wins, and iterative
+	// compilation bounds the model.
+	if !(f4.WrongAvg < 1 && 1 < f6.ModelAvg && f6.ModelAvg <= f6.BestAvg) {
+		t.Errorf("want wrong-avg %.3f < 1 < model-avg %.3f <= best-avg %.3f", f4.WrongAvg, f6.ModelAvg, f6.BestAvg)
+	}
+	// Fig. 7: the model beats -O3 on most microarchitectures.
+	wins := 0
+	for _, m := range f7.Model {
+		if m > 1 {
+			wins++
+		}
+	}
+	if 2*wins <= len(f7.Model) {
+		t.Errorf("model beats -O3 on %d of %d architectures, want a majority", wins, len(f7.Model))
+	}
+	// Fig. 5: the predicted surface follows the best one (paper: 0.93).
+	if f5.Correlation < 0.5 {
+		t.Errorf("best/predicted correlation %.3f, want at least 0.5", f5.Correlation)
+	}
+}

@@ -118,6 +118,21 @@ func TestGoldenTinyFixture(t *testing.T) {
 		DatasetSHA256:  datasetDigest(t, ds),
 		ExtendedSHA256: datasetDigest(t, eds),
 	}
+	// The fixture's datasets are legitimate files: Load's validation must
+	// accept them and hand back the same bytes.
+	for name, d := range map[string]*dataset.Dataset{"base": ds, "extended": eds} {
+		path := filepath.Join(t.TempDir(), name+".gob")
+		if err := d.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		back, err := dataset.Load(path)
+		if err != nil {
+			t.Fatalf("%s dataset does not load: %v", name, err)
+		}
+		if datasetDigest(t, back) != datasetDigest(t, d) {
+			t.Errorf("%s dataset changed across Save and Load", name)
+		}
+	}
 	figs := renderAll(t, ctx, ds, eds)
 	sum := sha256.Sum256([]byte(figs))
 	got.FiguresSHA256 = hex.EncodeToString(sum[:])

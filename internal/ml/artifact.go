@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sync"
 
@@ -124,7 +125,40 @@ func Decode(r io.Reader) (*Model, ArtifactInfo, error) {
 	if err := dec.Decode(&b); err != nil {
 		return nil, ArtifactInfo{}, err
 	}
+	if err := b.Model.validate(); err != nil {
+		return nil, ArtifactInfo{}, err
+	}
 	return &b.Model, b.Info, nil
+}
+
+// validate checks what Mixture indexes without looking: gob guarantees
+// the types of a decoded model, not that it has a normaliser or that
+// its vectors agree in length, and a prediction server hot-reloads
+// whatever Decode accepts.
+func (m *Model) validate() error {
+	if m.Norm == nil {
+		return fmt.Errorf("ml: %w: artifact has no normaliser", pcerr.ErrInvalidConfig)
+	}
+	dim := len(m.Norm.Mean)
+	if len(m.Norm.Std) != dim {
+		return fmt.Errorf("ml: %w: artifact normaliser has %d means and %d deviations", pcerr.ErrInvalidConfig, dim, len(m.Norm.Std))
+	}
+	if dim == 0 && len(m.Pairs) > 0 {
+		// Apply passes vectors through unscaled; they must still agree.
+		dim = len(m.Pairs[0].X)
+	}
+	for i := range m.Pairs {
+		if len(m.Pairs[i].X) != dim {
+			return fmt.Errorf("ml: %w: artifact pair %d has a feature vector of length %d, want %d", pcerr.ErrInvalidConfig, i, len(m.Pairs[i].X), dim)
+		}
+	}
+	if m.KNeighbours < 0 {
+		return fmt.Errorf("ml: %w: artifact has neighbour count %d", pcerr.ErrInvalidConfig, m.KNeighbours)
+	}
+	if !(m.BetaValue >= 0) || math.IsInf(m.BetaValue, 0) {
+		return fmt.Errorf("ml: %w: artifact has beta %v", pcerr.ErrInvalidConfig, m.BetaValue)
+	}
+	return nil
 }
 
 // Save writes the model artifact to path (see Encode).

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -148,6 +149,49 @@ func TestArtifactForeignFile(t *testing.T) {
 	}
 	if _, _, err := Decode(bytes.NewReader(buf.Bytes())); !errors.Is(err, pcerr.ErrModelVersion) {
 		t.Errorf("wrong magic: err = %v, want ErrModelVersion", err)
+	}
+}
+
+// TestDecodeValidatesModel: each row encodes cleanly and used to decode
+// with a nil error, then panic in Predict (a nil normaliser) or in
+// features.Distance (a short vector) - inside a daemon, since the
+// prediction server hot-reloads whatever Decode accepts.
+func TestDecodeValidatesModel(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(m *Model)
+	}{
+		{"nil normaliser", func(m *Model) { m.Norm = nil }},
+		{"normaliser arrays disagree", func(m *Model) { m.Norm.Std = m.Norm.Std[:3] }},
+		{"short feature vector", func(m *Model) { m.Pairs[1].X = m.Pairs[1].X[:1] }},
+		{"short feature vector, pass-through normaliser", func(m *Model) {
+			m.Norm = &features.Normalizer{}
+			m.Pairs[1].X = m.Pairs[1].X[:1]
+		}},
+		{"negative neighbour count", func(m *Model) { m.KNeighbours = -1 }},
+		{"negative beta", func(m *Model) { m.BetaValue = -1 }},
+		{"NaN beta", func(m *Model) { m.BetaValue = math.NaN() }},
+		{"infinite beta", func(m *Model) { m.BetaValue = math.Inf(1) }},
+	} {
+		m := synthModel(t)
+		tc.mutate(m)
+		var buf bytes.Buffer
+		if err := Encode(&buf, m, testInfo()); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if _, _, err := Decode(&buf); !errors.Is(err, pcerr.ErrInvalidConfig) {
+			t.Errorf("%s: err = %v, want ErrInvalidConfig", tc.name, err)
+		}
+	}
+	// The pass-through normaliser and explicit hyper-parameters are legal.
+	m := synthModel(t)
+	m.Norm, m.KNeighbours, m.BetaValue = &features.Normalizer{}, 3, 0.5
+	var buf bytes.Buffer
+	if err := Encode(&buf, m, testInfo()); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Decode(&buf); err != nil {
+		t.Errorf("legal model refused: %v", err)
 	}
 }
 

@@ -332,7 +332,9 @@ func waitFor(t *testing.T, cond func() bool) {
 
 // TestHotReload swaps the artifact on disk and expects the server to
 // pick it up; a subsequent artifact with different profiling parameters
-// must be rejected while the last good model keeps serving.
+// must be rejected, and a malformed one (no normaliser: Predict would
+// dereference nil) must fail to decode, while the last good model keeps
+// serving.
 func TestHotReload(t *testing.T) {
 	ds, m, info := testDataset(t)
 	dir := t.TempDir()
@@ -384,10 +386,24 @@ func TestHotReload(t *testing.T) {
 		t.Fatalf("rejected artifact was swapped in (dataset %s)", got)
 	}
 
+	// A well-formed gob of a malformed model: a decode error, not a swap.
+	m4 := *m
+	m4.Norm = nil
+	info4 := info
+	info4.DatasetSHA256 = "test-fixture-malformed"
+	time.Sleep(10 * time.Millisecond)
+	if err := ml.Save(path, &m4, info4); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { healthz(); return s.mReloads.Value("error") >= 1 })
+	if got := healthz().DatasetSHA256; got != "test-fixture-v2" {
+		t.Fatalf("malformed artifact was swapped in (dataset %s)", got)
+	}
+
 	// Predictions still work against the sane grid cell.
 	_, resp := postPredict(t, s.Handler(), PredictRequest{Features: ds.Features[0][0]})
 	if resp == nil {
-		t.Fatal("prediction failed after rejected reload")
+		t.Fatal("prediction failed after the refused reloads")
 	}
 }
 

@@ -147,7 +147,10 @@ func transientAcceptErr(err error) bool {
 // heartbeat ticker, then the service's handler.
 func (s Server) serveConn(ctx context.Context, nc net.Conn, peer string, handle func(context.Context, *Conn, string)) {
 	// Cancellation kills the connection outright, mid-handshake included.
-	stop := context.AfterFunc(ctx, func() { nc.SetDeadline(expired) })
+	// The poke closes over its own copy: a failure return below clears
+	// the named result nc while a cancellation's poke may still be running.
+	raw := nc
+	stop := context.AfterFunc(ctx, func() { raw.SetDeadline(expired) })
 	defer stop()
 
 	// A peer that connects and never speaks must not pin this goroutine
@@ -213,7 +216,10 @@ func Dial(ctx context.Context, addr string, format int, timeout time.Duration) (
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	stop := context.AfterFunc(ctx, func() { nc.SetDeadline(expired) })
+	// The poke closes over its own copy: a failure return below clears
+	// the named result nc while a cancellation's poke may still be running.
+	raw := nc
+	stop := context.AfterFunc(ctx, func() { raw.SetDeadline(expired) })
 	defer stop()
 	nc.SetDeadline(DeadlineFor(ctx, timeout))
 	conn = NewConn(nc)
