@@ -61,7 +61,7 @@ func main() {
 	archs := flag.Int("archs", 0, "override architecture sample count")
 	opts := flag.Int("opts", 0, "override optimisation sample count")
 	extended := flag.Bool("extended", false, "use the Section 7 extended space")
-	naive := flag.Bool("naive", false, "disable the batched compile engine (per-cell equivalence baseline; output is bit-identical)")
+	naive := flag.Bool("naive", false, "bypass the sweep state - compile index, windows, twin replay memo, result store (per-cell equivalence baseline; output is bit-identical)")
 	ctx, stop := cliutil.Init("trainer")
 	defer stop()
 	stopProfiles, err := cf.StartProfiles()

@@ -1,76 +1,19 @@
-// The prefix-memoised batch compiler: a whole sweep of optimisation
-// settings over one program is compiled by walking a trie of pipeline
-// plans depth-first, so a pass shared by many settings runs once per
-// distinct pipeline prefix instead of once per setting.
-//
-// Correctness rests on two properties the linear pipeline already has:
-// every per-function pass mutates only its function (the module steps run
-// before any fork), and every pass recomputes its analyses from the IR it
-// receives (passes Invalidate+Analyze at entry), so a state cloned at a
-// fork point continues exactly as the unforked state would have. The
-// equivalence property test in batch_test.go pins both.
 package core
 
 import (
 	"portcc/internal/codegen"
 	"portcc/internal/ir"
 	"portcc/internal/opt"
-	"portcc/internal/passes"
 )
 
-// BatchStats reports the work one batched compile performed against what
-// a per-setting pipeline would have: PassRuns is the number of pass
-// applications actually executed, PassRunsSaved the number the prefix
-// trie avoided. PassRuns+PassRunsSaved equals the linear-path total for
-// the call's settings, so the saving is observable without a profiler.
-type BatchStats struct {
-	PassRuns      int64
-	PassRunsSaved int64
-}
-
-// planGroup is one distinct canonical plan and the config indices that
-// share it; configs with equal plans compile once and share the binary.
-type planGroup struct {
-	plan opt.Plan
-	// fnSeq/libSeq cache FuncSteps per group.
-	fnSeq, libSeq []opt.Step
-	cfgs          []int
-}
-
-// batch carries the walk state of one CompileBatch call.
-type batch struct {
-	groups []*planGroup
-	progs  []*codegen.Program
-	errs   []error
-	stats  BatchStats
-	// finals[g][fi] is the compiled state of function fi for group g,
-	// filled per module node as the function tries bottom out.
-	finals [][]*ir.Func
-}
-
 // CompileBatch compiles one module under every configuration of a sweep,
-// sharing work across settings: configurations with identical canonical
-// plans compile once, and distinct plans share every pass application
-// along common pipeline prefixes via a depth-first trie walk that clones
-// the intermediate IR only where suffixes diverge. Results are positional:
-// progs[i] (or errs[i]) belongs to cfgs[i], and every progs[i] is
-// bit-identical to a fresh Compile(src, cfgs[i]).
-//
-// The source module is never mutated. Returned programs may share
-// function IR and whole binaries between settings whose pipelines agree;
-// they are read-only, as compiled programs always are.
-func CompileBatch(src *ir.Module, cfgs []*opt.Config) ([]*codegen.Program, []error, BatchStats) {
-	b := &batch{
-		progs: make([]*codegen.Program, len(cfgs)),
-		errs:  make([]error, len(cfgs)),
-	}
-	if len(cfgs) == 0 {
-		return b.progs, b.errs, b.stats
-	}
-
-	// Group configs by canonical plan, first-occurrence order.
-	index := make(map[string]int, len(cfgs))
-	var naive int64
+// one CompilePlan per setting. Results are positional: progs[i] (or
+// errs[i]) belongs to cfgs[i], and every progs[i] is what a fresh
+// Compile(src, cfgs[i]) returns. passRuns is the number of pass
+// applications the call performed. The source module is never mutated.
+func CompileBatch(src *ir.Module, cfgs []*opt.Config) (progs []*codegen.Program, errs []error, passRuns int64) {
+	progs = make([]*codegen.Program, len(cfgs))
+	errs = make([]error, len(cfgs))
 	nonLib, lib := 0, 0
 	for _, f := range src.Funcs {
 		if f.Library {
@@ -81,155 +24,8 @@ func CompileBatch(src *ir.Module, cfgs []*opt.Config) ([]*codegen.Program, []err
 	}
 	for i, c := range cfgs {
 		plan := opt.PlanFor(c)
-		naive += int64(plan.Steps(nonLib, lib))
-		key := plan.Key()
-		gi, ok := index[key]
-		if !ok {
-			gi = len(b.groups)
-			index[key] = gi
-			b.groups = append(b.groups, &planGroup{
-				plan:   plan,
-				fnSeq:  plan.FuncSteps(false),
-				libSeq: plan.FuncSteps(true),
-			})
-		}
-		b.groups[gi].cfgs = append(b.groups[gi].cfgs, i)
+		progs[i], errs[i] = CompilePlan(src, &plan)
+		passRuns += int64(plan.Steps(nonLib, lib))
 	}
-	b.finals = make([][]*ir.Func, len(b.groups))
-
-	all := make([]int, len(b.groups))
-	for i := range all {
-		all[i] = i
-	}
-	b.modWalk(src, false, all, 0)
-	b.stats.PassRunsSaved = naive - b.stats.PassRuns
-	return b.progs, b.errs, b.stats
-}
-
-// modWalk walks the module-step trie. state is the IR after the first
-// depth module steps; owned reports whether this walk may mutate it (the
-// root is the caller's pristine module and is never owned).
-func (b *batch) modWalk(state *ir.Module, owned bool, groups []int, depth int) {
-	var terminal []int
-	type child struct {
-		step   opt.Step
-		groups []int
-	}
-	var children []child
-	for _, gi := range groups {
-		mod := b.groups[gi].plan.Mod
-		if len(mod) == depth {
-			terminal = append(terminal, gi)
-			continue
-		}
-		s := mod[depth]
-		found := false
-		for ci := range children {
-			if children[ci].step == s {
-				children[ci].groups = append(children[ci].groups, gi)
-				found = true
-				break
-			}
-		}
-		if !found {
-			children = append(children, child{step: s, groups: []int{gi}})
-		}
-	}
-	if len(terminal) > 0 {
-		// The function stage only clones out of state, so it leaves the
-		// node intact for the deeper children walked next.
-		b.funcStage(state, terminal)
-	}
-	for i, ch := range children {
-		st := state
-		if owned && i == len(children)-1 {
-			// Last consumer of an owned node: mutate it in place.
-		} else {
-			st = state.Clone()
-		}
-		applyModStep(ch.step, st)
-		b.stats.PassRuns++
-		b.modWalk(st, true, ch.groups, depth+1)
-	}
-}
-
-// funcStage compiles every function of a settled module state through the
-// per-function step tries of the given plan groups, then assembles and
-// lowers one binary per group. mod is read-only from here on: function
-// tries fork clones before the first mutation.
-func (b *batch) funcStage(mod *ir.Module, groups []int) {
-	stored := passes.StoredStreams(mod)
-	for _, gi := range groups {
-		b.finals[gi] = make([]*ir.Func, len(mod.Funcs))
-	}
-	seqs := make([][]opt.Step, len(groups))
-	for fi, f := range mod.Funcs {
-		for k, gi := range groups {
-			if f.Library {
-				seqs[k] = b.groups[gi].libSeq
-			} else {
-				seqs[k] = b.groups[gi].fnSeq
-			}
-		}
-		b.funcWalk(f, false, fi, groups, seqs, stored, 0)
-	}
-	for _, gi := range groups {
-		m := &ir.Module{Name: mod.Name, Entry: mod.Entry, Funcs: b.finals[gi]}
-		p, err := codegen.Lower(m)
-		for _, ci := range b.groups[gi].cfgs {
-			b.progs[ci], b.errs[ci] = p, err
-		}
-		b.finals[gi] = nil
-	}
-}
-
-// funcWalk walks one function's step trie. items indexes groups/seqs;
-// each item's remaining steps are seqs[k][depth:]. Groups whose sequence
-// ends at this node take state as their final function (shared, read-only
-// afterwards); longer sequences fork clones, with the last child of an
-// owned node stealing it when no terminal needs it preserved.
-func (b *batch) funcWalk(state *ir.Func, owned bool, fi int, groups []int, seqs [][]opt.Step, stored map[int32]bool, depth int) {
-	terminals := 0
-	type child struct {
-		step  opt.Step
-		items []int
-	}
-	var children []child
-	for k, gi := range groups {
-		seq := seqs[k]
-		if len(seq) == depth {
-			b.finals[gi][fi] = state
-			terminals++
-			continue
-		}
-		s := seq[depth]
-		found := false
-		for ci := range children {
-			if children[ci].step == s {
-				children[ci].items = append(children[ci].items, k)
-				found = true
-				break
-			}
-		}
-		if !found {
-			children = append(children, child{step: s, items: []int{k}})
-		}
-	}
-	for i, ch := range children {
-		st := state
-		if owned && terminals == 0 && i == len(children)-1 {
-			// Steal: the node state has no other consumers left.
-		} else {
-			st = state.Clone()
-		}
-		applyFuncStep(ch.step, st, stored)
-		b.stats.PassRuns++
-		subGroups := make([]int, len(ch.items))
-		subSeqs := make([][]opt.Step, len(ch.items))
-		for j, k := range ch.items {
-			subGroups[j] = groups[k]
-			subSeqs[j] = seqs[k]
-		}
-		b.funcWalk(st, true, fi, subGroups, subSeqs, stored, depth+1)
-	}
+	return progs, errs, passRuns
 }

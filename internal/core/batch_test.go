@@ -20,7 +20,7 @@ func imageBytes(p *codegen.Program) []byte {
 
 // sweepConfigs samples a sweep the way dataset generation does: -O3 first,
 // then random settings, plus a deliberate duplicate (of the returned
-// index, appended last) to exercise plan-level sharing.
+// index, appended last): equal settings compile to equal binaries.
 func sweepConfigs(seed int64, n int) ([]*opt.Config, int) {
 	rng := rand.New(rand.NewSource(seed))
 	cfgs := make([]*opt.Config, 0, n+2)
@@ -36,20 +36,20 @@ func sweepConfigs(seed int64, n int) ([]*opt.Config, int) {
 	return cfgs, twin
 }
 
-// TestCompileBatchMatchesCompile is the central equivalence property:
-// for random setting sweeps over real programs, the prefix-trie walk must
-// produce binaries byte-identical to fresh per-setting compiles, and the
-// honest work counters must balance against the naive cost.
+// TestCompileBatchMatchesCompile: for random setting sweeps over real
+// programs the binaries are positional and byte-identical to fresh
+// per-setting compiles, and the pass-application count is the sum of the
+// settings' plan lengths.
 func TestCompileBatchMatchesCompile(t *testing.T) {
 	programs := []string{"rijndael_e", "search", "qsort", "toast", "crc", "susan_c", "fft"}
 	for pi, name := range programs {
 		m := prog.MustBuild(name)
 		cfgs, twin := sweepConfigs(int64(100+pi), 24)
-		progs, errs, stats := core.CompileBatch(m, cfgs)
+		progs, errs, passRuns := core.CompileBatch(m, cfgs)
 		if len(progs) != len(cfgs) || len(errs) != len(cfgs) {
 			t.Fatalf("%s: %d progs / %d errs for %d cfgs", name, len(progs), len(errs), len(cfgs))
 		}
-		var naive int64
+		var want int64
 		nonLib, lib := 0, 0
 		for _, f := range m.Funcs {
 			if f.Library {
@@ -62,34 +62,29 @@ func TestCompileBatchMatchesCompile(t *testing.T) {
 			if errs[i] != nil {
 				t.Fatalf("%s cfg %d: batch error: %v", name, i, errs[i])
 			}
-			want, err := core.Compile(m, c)
+			fresh, err := core.Compile(m, c)
 			if err != nil {
 				t.Fatalf("%s cfg %d: fresh compile: %v", name, i, err)
 			}
-			if !bytes.Equal(imageBytes(progs[i]), imageBytes(want)) {
+			if !bytes.Equal(imageBytes(progs[i]), imageBytes(fresh)) {
 				t.Errorf("%s cfg %d: batched binary differs from fresh compile", name, i)
 			}
 			plan := opt.PlanFor(c)
-			naive += int64(plan.Steps(nonLib, lib))
+			want += int64(plan.Steps(nonLib, lib))
 		}
-		if got := stats.PassRuns + stats.PassRunsSaved; got != naive {
-			t.Errorf("%s: PassRuns(%d)+PassRunsSaved(%d) = %d, want naive total %d",
-				name, stats.PassRuns, stats.PassRunsSaved, got, naive)
+		if passRuns != want {
+			t.Errorf("%s: %d pass runs, want the plans' total %d", name, passRuns, want)
 		}
-		if stats.PassRunsSaved <= 0 {
-			t.Errorf("%s: no pass runs saved over %d settings (PassRuns=%d)", name, len(cfgs), stats.PassRuns)
-		}
-		// The duplicated config must share its twin's binary outright.
-		if progs[len(cfgs)-1] != progs[twin] {
-			t.Errorf("%s: duplicate config did not share the compiled binary", name)
+		if !bytes.Equal(imageBytes(progs[len(cfgs)-1]), imageBytes(progs[twin])) {
+			t.Errorf("%s: duplicate config compiled to a different binary than its twin", name)
 		}
 	}
 }
 
-// TestCompileBatchLeavesSourcePristine pins the clone discipline of the
-// trie walk: neither the source module nor any cached snapshot may be
-// mutated by a later branch. Compiling the same sweep twice from the same
-// module - and a disjoint sweep in between - must keep outputs stable.
+// TestCompileBatchLeavesSourcePristine pins the clone discipline: neither
+// the source module nor an earlier output may be mutated by a later
+// compile. Compiling the same sweep twice from the same module - and a
+// disjoint sweep in between - must keep outputs stable.
 func TestCompileBatchLeavesSourcePristine(t *testing.T) {
 	m := prog.MustBuild("crc")
 	before := m.String()
@@ -109,8 +104,8 @@ func TestCompileBatchLeavesSourcePristine(t *testing.T) {
 	if m.String() != before {
 		t.Fatal("CompileBatch mutated the source module")
 	}
-	// Earlier outputs must not have been touched by the later walk
-	// (forked snapshots aliasing live output IR would show here).
+	// Earlier outputs must not have been touched by the later compiles
+	// (output IR aliasing the source module would show here).
 	again, _, _ := core.CompileBatch(m, cfgs)
 	for i := range first {
 		if !bytes.Equal(imageBytes(first[i]), firstBytes[i]) {
@@ -119,37 +114,5 @@ func TestCompileBatchLeavesSourcePristine(t *testing.T) {
 		if !bytes.Equal(imageBytes(again[i]), firstBytes[i]) {
 			t.Errorf("cfg %d: batch output not reproducible", i)
 		}
-	}
-}
-
-// TestCompileBatchSharesLibraryAllocation pins the library fast path: a
-// module's library functions go through register allocation once per
-// module state, however many settings the sweep holds, and the shared
-// final IR is aliased across the assembled binaries.
-func TestCompileBatchSharesLibraryAllocation(t *testing.T) {
-	m := prog.MustBuild("qsort")
-	libIdx := -1
-	for i, f := range m.Funcs {
-		if f.Library {
-			libIdx = i
-			break
-		}
-	}
-	if libIdx < 0 {
-		t.Fatal("qsort lost its library functions")
-	}
-	// Two settings that differ only pre-allocation and share no module
-	// steps with each other would still share the library function if it
-	// is allocated per module state.
-	a, b := opt.O3(), opt.O3()
-	b.Flags[opt.FPeephole2] = !b.Flags[opt.FPeephole2]
-	progs, errs, _ := core.CompileBatch(m, []*opt.Config{&a, &b})
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("cfg %d: %v", i, err)
-		}
-	}
-	if progs[0].Module.Funcs[libIdx] != progs[1].Module.Funcs[libIdx] {
-		t.Error("library function not shared between settings of one module state")
 	}
 }

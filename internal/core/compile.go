@@ -1,10 +1,9 @@
 // Package core assembles the portable optimising compiler of the paper's
 // Figure 2: the pass pipeline driven by an optimisation configuration
-// (compile.go), the prefix-memoised batch engine that compiles whole
-// setting sweeps at once (batch.go), and the deployment path that takes a
-// program source, one profile run's performance counters and a
-// microarchitecture description and produces a binary optimised by the
-// learned model (compiler.go).
+// (compile.go, and batch.go's loop of it over a sweep's settings) and the
+// deployment path that takes a program source, one profile run's
+// performance counters and a microarchitecture description and produces a
+// binary optimised by the learned model (compiler.go).
 package core
 
 import (
@@ -34,8 +33,7 @@ const Version = 1
 // The pass order mirrors gcc 4.2: interprocedural (inlining) first, then
 // scalar and loop optimisation, scheduling, allocation, and post-reload
 // cleanup. The pipeline is materialised as a canonical opt.Plan and
-// interpreted step by step - the same interpreter the prefix-memoised
-// CompileBatch walks, so the two paths cannot drift.
+// interpreted step by step; this is the only interpreter of a plan.
 func Compile(src *ir.Module, cfg *opt.Config) (*codegen.Program, error) {
 	plan := opt.PlanFor(cfg)
 	return CompilePlan(src, &plan)
@@ -98,7 +96,7 @@ func applyModStep(s opt.Step, m *ir.Module) {
 
 // applyFuncStep executes one per-function plan step in place. stored is
 // the module-wide stored-streams analysis computed after the module steps
-// (read-only, shared by every function and every trie fork).
+// (read-only, shared by every function).
 func applyFuncStep(s opt.Step, f *ir.Func, stored map[int32]bool) {
 	switch s.Pass {
 	case opt.PassVRP:

@@ -147,15 +147,16 @@ func TestEvaluatorCaching(t *testing.T) {
 	if _, err := ev.Run("crc", &o3, uarch.XScale()); err != nil {
 		t.Fatal(err)
 	}
-	c1 := ev.Compiles
+	c1 := ev.Stats().Compiles
 	if _, err := ev.Run("crc", &o3, uarch.XScale()); err != nil {
 		t.Fatal(err)
 	}
-	if ev.Compiles != c1 {
+	st := ev.Stats()
+	if st.Compiles != c1 {
 		t.Error("second run recompiled despite the trace cache")
 	}
-	if ev.Simulations != 2 {
-		t.Errorf("%d simulations recorded, want 2", ev.Simulations)
+	if st.Simulations != 2 {
+		t.Errorf("%d simulations recorded, want 2", st.Simulations)
 	}
 }
 

@@ -150,12 +150,9 @@ type Evaluator struct {
 	rstore *ResultStore
 
 	mu sync.Mutex
-	// Compiles and Simulations count work done (for reporting).
-	Compiles    int
-	Simulations int
-	// Batched-path counters (see Stats).
-	passRuns, passRunsSaved, traceReuses int64
-	// Trace-generation counters (see Stats).
+	// The work ledger, read through Stats.
+	compiles, simulations  int
+	passRuns, traceReuses  int64
 	traceGens, traceEvents int64
 }
 
@@ -178,13 +175,11 @@ func NewEvaluatorWith(cfg EvalConfig, base *SharedBase) *Evaluator {
 
 // Stats is the evaluator's work ledger, counting work actually
 // performed. Compiles counts per-setting compilations: a storeless
-// batched window that is evicted and later rebuilt recompiles, and
+// sweep window that is evicted and later rebuilt recompiles, and
 // recounts, while a fully indexed run over a result store reads 0, the
-// -O3 probe included. PassRuns
-// counts pipeline pass applications executed and PassRunsSaved the
-// applications the batched engine's prefix trie avoided, so for every
-// performed batch PassRuns+PassRunsSaved is what a naive pipeline would
-// have run for it. TraceReuses counts settings whose trace generation
+// -O3 probe included. PassRuns counts pipeline pass applications
+// executed; PassRunsSaved always reads 0 and stays only because bench/
+// reads the field. TraceReuses counts settings whose trace generation
 // (and replay) was skipped because an earlier setting of the same sweep
 // produced a byte-identical binary - each such setting once, however
 // many cells it spans. TraceGens counts trace generations this evaluator
@@ -232,13 +227,12 @@ func (e *Evaluator) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	st := Stats{
-		Compiles:      e.Compiles,
-		Simulations:   e.Simulations,
-		PassRuns:      e.passRuns,
-		PassRunsSaved: e.passRunsSaved,
-		TraceReuses:   e.traceReuses,
-		TraceGens:     e.traceGens,
-		TraceEvents:   e.traceEvents,
+		Compiles:    e.compiles,
+		Simulations: e.simulations,
+		PassRuns:    e.passRuns,
+		TraceReuses: e.traceReuses,
+		TraceGens:   e.traceGens,
+		TraceEvents: e.traceEvents,
 	}
 	st.BaselineTraces, st.BaselineTraceBytes = e.base.traces.Load(), e.base.bytes.Load()
 	if e.rstore != nil {
@@ -363,7 +357,7 @@ func (e *Evaluator) compile(sl *baseline, c *opt.Config) (*codegen.Program, erro
 		return nil, err
 	}
 	e.mu.Lock()
-	e.Compiles++
+	e.compiles++
 	e.passRuns += planSteps(c, sl.m)
 	e.mu.Unlock()
 	return p, nil
@@ -402,8 +396,8 @@ func (e *Evaluator) Trace(name string, c *opt.Config) (*trace.Trace, *codegen.Pr
 	return e.countTraceGen(trace.GenerateSized(p, sl.traceConfig(e.cfg), sl.capHint(e.cfg))), p, nil
 }
 
-// planSteps is the pass-application count of a linear compile of c over
-// m, the unit both Stats paths count in.
+// planSteps is the pass-application count of a compile of c over m, the
+// unit of Stats.PassRuns.
 func planSteps(c *opt.Config, m *ir.Module) int64 {
 	nonLib, lib := 0, 0
 	for _, f := range m.Funcs {
@@ -417,48 +411,33 @@ func planSteps(c *opt.Config, m *ir.Module) int64 {
 	return int64(plan.Steps(nonLib, lib))
 }
 
-// BatchBinary is one setting's slot in a TraceBatch result: the binary
-// and its fingerprint, or the per-setting compile failure. Twins -
-// byte-identical binaries - share a fingerprint, which is how consumers
-// generate one trace (and one replay) per distinct binary.
-type BatchBinary struct {
+// settingBinary is one setting of a compiled sweep window: the binary and
+// its fingerprint, or the setting's compile failure. Twins -
+// byte-identical binaries - share a fingerprint, which is how the sweep
+// generates one trace (and one replay) per distinct binary.
+type settingBinary struct {
 	Prog *codegen.Program
 	FP   codegen.Fingerprint
 	Err  error
 }
 
-// TraceBatch compiles every setting of a sweep over one program through
-// the prefix-memoised batch engine (core.CompileBatch) and fingerprints
-// the binaries; it also returns the program's complete-run count. A
-// non-nil top-level error (module build or -O3 probe failure) fails
-// every setting alike. Traces are generated separately (GenerateTrace,
-// typically lazily per distinct binary) so a caller serving only part
-// of the sweep never holds more than its in-flight traces.
-func (e *Evaluator) TraceBatch(name string, cfgs []*opt.Config) ([]BatchBinary, int, error) {
+// compileSettings compiles the program under each of cfgs and
+// fingerprints the binaries; it also returns the program's complete-run
+// count. A non-nil error (module build or -O3 probe failure) fails every
+// setting alike.
+func (e *Evaluator) compileSettings(name string, cfgs []opt.Config) ([]settingBinary, int, error) {
 	sl, err := e.baseline(name)
 	if err != nil {
 		return nil, 0, err
 	}
-
-	progs, errs, stats := core.CompileBatch(sl.m, cfgs)
-	out := make([]BatchBinary, len(cfgs))
+	out := make([]settingBinary, len(cfgs))
 	scratch := make([]byte, 0, 1<<16)
-	compiled := 0
 	for i := range cfgs {
-		out[i] = BatchBinary{Prog: progs[i], Err: errs[i]}
-		if errs[i] == nil {
-			compiled++
-			out[i].FP, scratch = codegen.FingerprintInto(progs[i], scratch)
+		b := &out[i]
+		if b.Prog, b.Err = e.compile(sl, &cfgs[i]); b.Err == nil {
+			b.FP, scratch = codegen.FingerprintInto(b.Prog, scratch)
 		}
 	}
-
-	e.mu.Lock()
-	// Like the naive Trace path, Compiles counts successful per-setting
-	// compilations only, so the two paths stay comparable.
-	e.Compiles += compiled
-	e.passRuns += stats.PassRuns
-	e.passRunsSaved += stats.PassRunsSaved
-	e.mu.Unlock()
 	return out, sl.runs, nil
 }
 
@@ -504,7 +483,7 @@ func (e *Evaluator) SimulateBatch(tr *trace.Trace, archs []uarch.Config) []cpu.R
 	e.mu.Unlock()
 	rs := cpu.SimulateBatchWith(tr, archs, workers)
 	e.mu.Lock()
-	e.Simulations += len(archs)
+	e.simulations += len(archs)
 	e.mu.Unlock()
 	return rs
 }
@@ -513,7 +492,7 @@ func (e *Evaluator) SimulateBatch(tr *trace.Trace, archs []uarch.Config) []cpu.R
 func (e *Evaluator) simulate(tr *trace.Trace, a uarch.Config) cpu.Result {
 	r := cpu.Simulate(tr, a)
 	e.mu.Lock()
-	e.Simulations++
+	e.simulations++
 	e.mu.Unlock()
 	return r
 }

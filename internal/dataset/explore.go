@@ -40,13 +40,13 @@ type ExploreRequest struct {
 	Archs []uarch.Config
 	// Eval carries the workload-scaling parameters for the evaluators.
 	Eval EvalConfig
-	// Naive disables the prefix-memoised batched compile path: every
-	// cell compiles, traces and replays its own setting independently,
-	// as before the batch engine existed. The produced results (and any
-	// saved dataset) are bit-identical either way; the naive path exists
-	// for equivalence checks and as the benchmark baseline. The field
-	// rides to worker shards with the request, so a sharded run honours
-	// it on every daemon.
+	// Naive bypasses the sweep state (compile index, window FIFO, twin
+	// replay memo, result store): every cell compiles, traces and replays
+	// its own setting independently. The produced results (and any saved
+	// dataset) are bit-identical either way; the naive path exists for
+	// equivalence checks and as the benchmark baseline. The field rides
+	// to worker shards with the request, so a sharded run honours it on
+	// every daemon.
 	Naive bool
 }
 
@@ -133,7 +133,8 @@ type ExploreOptions struct {
 	// Retry.MaxStrands strandings. The zero value applies the scheduler
 	// defaults. Ignored for local runs.
 	Retry sched.RetryPolicy
-	// Naive forces the per-cell compile path (see ExploreRequest.Naive).
+	// Naive forces the per-cell path, past the sweep state (see
+	// ExploreRequest.Naive).
 	Naive bool
 	// SweepWorkers bounds the per-geometry sweep parallelism inside each
 	// worker slot's batched replays: 0 auto-tunes (the slots divide
@@ -202,7 +203,7 @@ func runCell(ev *Evaluator, req *ExploreRequest, c exploreCell) (ExploreResult, 
 // a program's cells spread over many slots build each module and compile
 // each -O3 probe once, not once per slot. Unless the request asks for
 // the naive path, the slots additionally share a sweep state that
-// batch-compiles each program's settings in windows (prefix-memoised)
+// resolves each program's settings in windows of one compile-index block
 // and deduplicates trace generation and replay across settings whose
 // binaries came out byte-identical. The request must already be
 // validated.
@@ -240,7 +241,7 @@ func (r *ExploreRequest) runner(slots, sweepWorkers int, st *ResultStore) (func(
 	evs := make([]*Evaluator, slots)
 	var sw *sweepState
 	if !r.Naive {
-		sw = newSweepState(r, slots)
+		sw = newSweepState(r)
 	}
 	if sweepWorkers <= 0 {
 		// Auto-tune: the slot fan-out claims the machine first, and each

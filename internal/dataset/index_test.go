@@ -47,7 +47,6 @@ func (l *ledger) add(evs []*Evaluator) {
 		l.Simulations += s.Simulations
 		l.TraceGens += s.TraceGens
 		l.PassRuns += s.PassRuns
-		l.PassRunsSaved += s.PassRunsSaved
 		l.TraceReuses += s.TraceReuses
 		base = ev.base
 	}
@@ -168,8 +167,7 @@ func TestColdLedgerIgnoresTheStore(t *testing.T) {
 	req := tinyRequest(t, 21)
 	_, plain := ledgerRun(t, req, 1, nil)
 	_, stored := ledgerRun(t, req, 1, openStore(t, t.TempDir()))
-	if plain.TraceReuses != stored.TraceReuses || plain.PassRunsSaved != stored.PassRunsSaved ||
-		plain.PassRuns != stored.PassRuns || plain.Compiles != stored.Compiles {
+	if plain.TraceReuses != stored.TraceReuses || plain.PassRuns != stored.PassRuns || plain.Compiles != stored.Compiles {
 		t.Errorf("cold ledgers differ:\nno store %+v\nstore    %+v", plain, stored)
 	}
 }
@@ -226,14 +224,31 @@ func fleetRun(t *testing.T, req ExploreRequest, addr string) (map[[2]int]Explore
 }
 
 // TestIndexPartitionIndependence: the index a run leaves behind serves
-// every other partition of the same grid. Cold with two slots (windows
-// of 16), then one slot (one window of 21), three slots (windows of 8)
-// and a two-shard fleet dealt interleaved 8-cell chunks, all through
-// one store service with no local tier: zero misses and zero compiles
-// each time, because every window boundary is a block boundary.
+// every other partition of the same grid. Cold with two slots, then one
+// slot, three slots and a two-shard fleet dealt interleaved 8-cell
+// chunks, all through one store service with no local tier: zero misses
+// and zero compiles each time, because a window is a block under every
+// partition - which also makes a cold run's store and index ledgers the
+// same at every slot count.
 func TestIndexPartitionIndependence(t *testing.T) {
 	req := tinyRequest(t, 21)
 	ref := collect(t, req, ExploreOptions{Workers: 2})
+	type ledgers struct {
+		store   store.Stats
+		h, m, q int64
+	}
+	var oneSlot ledgers
+	for slots := 1; slots <= 3; slots++ {
+		rs := openStore(t, t.TempDir())
+		ledgerRun(t, req, slots, rs)
+		l := ledgers{store: rs.Stats()}
+		l.h, l.m, l.q = rs.IndexStats()
+		if slots == 1 {
+			oneSlot = l
+		} else if l != oneSlot {
+			t.Errorf("cold ledgers at %d slots %+v, at 1 slot %+v", slots, l, oneSlot)
+		}
+	}
 	ss := startStoreService(t, nil)
 
 	if got, _ := ledgerRun(t, req, 2, openRemoteStore(t, "", ss.addr)); !reflect.DeepEqual(got, ref) {
@@ -327,7 +342,8 @@ func TestNewArchsOverIndexedSweep(t *testing.T) {
 // each window; this one runs those first cells (a window compiles,
 // lazily, when that one replay has to run), then everything else - by
 // which time the FIFO of eight has evicted and rebuilt all ten windows,
-// without a second compile.
+// without a second compile. Windows are 8 settings - five per program,
+// ten in all - whatever the runner's slot count.
 func TestRebuiltWindowDoesNotRecompile(t *testing.T) {
 	req := tinyRequest(t, 40)
 	var firsts, rest []int
@@ -338,32 +354,32 @@ func TestRebuiltWindowDoesNotRecompile(t *testing.T) {
 			rest = append(rest, i)
 		}
 	}
-	// Eight slots make 8-setting windows: five per program, ten in all.
-	drive := func(st *ResultStore, order []int) *Evaluator {
-		ev := NewEvaluator(req.Eval)
-		ev.SetStore(st)
-		sw := newSweepState(&req, 8)
-		for _, i := range order {
-			if _, err := runCellBatched(ev, sw, req.cell(i)); err != nil {
-				t.Fatal(err)
+	for _, slots := range []int{1, 2, 8} {
+		// One slot of a slots-wide runner executes every cell, in order.
+		drive := func(st *ResultStore, order []int) *Evaluator {
+			run, evs := req.runner(slots, 1, st)
+			for _, i := range order {
+				if _, err := run(0, i); err != nil {
+					t.Fatal(err)
+				}
 			}
+			return evs[0]
 		}
-		return ev
-	}
-	dir := t.TempDir()
-	drive(openStore(t, dir), rest)
+		dir := t.TempDir()
+		drive(openStore(t, dir), rest)
 
-	rs := openStore(t, dir)
-	ev := drive(rs, append(firsts, rest...))
-	// Twins of stored settings answer some first cells without a binary;
-	// every other first cell is one store miss, one replay and one
-	// compile of its 8-setting window. Nothing else may compile.
-	misses := rs.Stats().Misses
-	if got := int64(ev.Stats().Compiles) - ev.base.ProbeCompiles(); misses == 0 || got != indexBlock*misses {
-		t.Errorf("%d settings compiled for %d replays that had to run, want %d", got, misses, indexBlock*misses)
-	}
-	if h, m, _ := rs.IndexStats(); m != 0 || h <= blocksOf(req) {
-		t.Errorf("index ledger %d hits, %d misses; want more than %d hits (windows were rebuilt) and no miss", h, m, blocksOf(req))
+		rs := openStore(t, dir)
+		ev := drive(rs, append(firsts, rest...))
+		// Twins of stored settings answer some first cells without a binary;
+		// every other first cell is one store miss, one replay and one
+		// compile of its 8-setting window. Nothing else may compile.
+		misses := rs.Stats().Misses
+		if got := int64(ev.Stats().Compiles) - ev.base.ProbeCompiles(); misses == 0 || got != indexBlock*misses {
+			t.Errorf("%d slots: %d settings compiled for %d replays that had to run, want %d", slots, got, misses, indexBlock*misses)
+		}
+		if h, m, _ := rs.IndexStats(); m != 0 || h <= blocksOf(req) {
+			t.Errorf("%d slots: index ledger %d hits, %d misses; want more than %d hits (windows were rebuilt) and no miss", slots, h, m, blocksOf(req))
+		}
 	}
 }
 

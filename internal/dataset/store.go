@@ -44,9 +44,8 @@ const (
 	indexKeySchema  = 1
 )
 
-// indexBlock is the settings per compile-index entry: the minimum sweep
-// window, which every window is a multiple of (sweepWindowSize), so a
-// runner that executes a cell commits every block its window touches,
+// indexBlock is the settings per compile-index entry, and per sweep
+// window: a runner that executes a cell commits the cell's block,
 // whatever the slot count or shard layout. fpLen: a fingerprint's width.
 const (
 	indexBlock = 8

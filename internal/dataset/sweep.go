@@ -1,12 +1,15 @@
 // The batched cell runner: cells of one exploration grid share a sweep
 // state that resolves a program's optimisation settings in windows and
 // deduplicates trace generation and replay across settings whose
-// pipelines produced byte-identical binaries. A window takes identities
-// (fingerprint per setting, run count) from the result store's compile
-// index and compiles (Evaluator.TraceBatch, prefix-memoised) only when
-// the index cannot answer or a replay has to run. The scheduler contract
-// is untouched: cells are still dispatched, executed and streamed one by
-// one, and every result is bit-identical to the naive per-cell path.
+// pipelines produced byte-identical binaries. A window is one block of
+// the result store's compile index (indexBlock settings): it takes its
+// identities (fingerprint per setting, run count) from the index and
+// compiles, one core.Compile per setting, only when the index cannot
+// answer or a replay has to run. The scheduler contract is untouched:
+// cells are still dispatched, executed and streamed one by one, and every
+// result is bit-identical to the naive per-cell path (ExploreRequest.Naive),
+// which bypasses all of this state - index, window FIFO, twin replay
+// memo and result store.
 //
 // Memory is bounded even when a runner serves only part of the grid (a
 // worker daemon behind sched.Remote sees interleaved chunks and may
@@ -31,17 +34,6 @@ import (
 	"portcc/internal/trace"
 )
 
-// sweepWindowSize picks how many settings one window covers: the whole
-// sweep when one worker slot runs it, shrinking with the slot count so
-// parallel workers are not serialised behind one window build, bounded
-// so a window's compiled binaries stay a few dozen at any scale, and a
-// whole number of index blocks so window boundaries are block boundaries.
-func sweepWindowSize(opts, slots int) int {
-	w := min(max(opts/max(slots, 1), indexBlock), 64)
-	w = (w + indexBlock - 1) / indexBlock * indexBlock
-	return min(w, opts)
-}
-
 // maxBuiltWindows bounds the compiled windows retained across the whole
 // sweep state (FIFO): a runner that executes cells in dispatch order
 // never revisits an evicted window, and one that does (a shard serving
@@ -51,8 +43,7 @@ const maxBuiltWindows = 8
 
 // sweepState is shared by every worker slot of one Runner.
 type sweepState struct {
-	req    *ExploreRequest
-	window int // settings per window
+	req *ExploreRequest
 
 	mu    sync.Mutex
 	progs map[int]*progSweep
@@ -81,30 +72,23 @@ type progSweep struct {
 	counted map[int]bool
 }
 
-// sweepWindow is one contiguous run of settings, resolved by the first
-// cell that needs any of them. It holds identities and, once compiled,
+// sweepWindow is one index block of settings, resolved by the first cell
+// that needs any of them. It holds identities and, once compiled,
 // binaries, never traces.
 type sweepWindow struct {
 	start, n int // settings [start, start+n) of the sweep
 
-	once  sync.Once
-	err   error          // whole-window failure (module build, -O3 probe, stale index)
-	runs  int            // complete runs per trace of the program
-	bt    []BatchBinary  // per setting, local index = opt - start; Prog unset
-	index []indexedBlock // the store's answer per block (nil without one)
+	once sync.Once
+	err  error           // whole-window failure (module build, -O3 probe, stale index)
+	runs int             // complete runs per trace of the program
+	bt   []settingBinary // per setting, local index = opt - start; Prog unset
+	key  store.Key       // the block's index key (unset without a store)
 
 	// build guards the compile: eager when the index cannot answer,
 	// else at the first replay that needs a trace.
 	build    sync.Once
-	built    []BatchBinary
+	built    []settingBinary
 	buildErr error
-}
-
-// indexedBlock is one compile-index lookup; nil fps is a miss.
-type indexedBlock struct {
-	key  store.Key
-	runs int
-	fps  []codegen.Fingerprint
 }
 
 // simCell memoises one binary's replay over the architecture sample:
@@ -116,12 +100,8 @@ type simCell struct {
 	err     error
 }
 
-func newSweepState(req *ExploreRequest, slots int) *sweepState {
-	return &sweepState{
-		req:    req,
-		window: sweepWindowSize(len(req.Opts), slots),
-		progs:  make(map[int]*progSweep),
-	}
+func newSweepState(req *ExploreRequest) *sweepState {
+	return &sweepState{req: req, progs: make(map[int]*progSweep)}
 }
 
 // prog returns (creating on first use) the per-program state.
@@ -153,7 +133,7 @@ func (s *sweepState) windowAt(ps *progSweep, start int) *sweepWindow {
 	defer s.mu.Unlock()
 	w, ok := ps.windows[start]
 	if !ok {
-		w = &sweepWindow{start: start, n: min(s.window, len(s.req.Opts)-start)}
+		w = &sweepWindow{start: start, n: min(indexBlock, len(s.req.Opts)-start)}
 		ps.windows[start] = w
 		s.built = append(s.built, windowKey{ps.prog, start})
 		for len(s.built) > maxBuiltWindows {
@@ -179,77 +159,62 @@ func (s *sweepState) sim(ps *progSweep, fp codegen.Fingerprint) *simCell {
 	return sc
 }
 
-// lookup asks the compile index for every block of the window; when all
-// answer, and agree on the run count, identities are set and nothing was
-// built, not even the -O3 baseline.
-func (w *sweepWindow) lookup(ev *Evaluator, st *ResultStore, name string, opts []opt.Config) {
+// lookup asks the compile index for the window's block; when it answers,
+// identities are set and nothing was built, not even the -O3 baseline.
+func (w *sweepWindow) lookup(ev *Evaluator, st *ResultStore, name string, opts []opt.Config) error {
 	sl, err := ev.module(name)
 	if err != nil {
-		return // the compile that follows reports it
+		return err
 	}
-	w.index = make([]indexedBlock, (w.n+indexBlock-1)/indexBlock)
-	bt := make([]BatchBinary, 0, w.n)
-	for b := range w.index {
-		blk := &w.index[b]
-		cfgs := opts[w.start+b*indexBlock : w.start+min((b+1)*indexBlock, w.n)]
-		blk.key = blockKey(name, sl.mhash, cfgs, ev.cfg)
-		blk.runs, blk.fps = st.getBlock(blk.key, len(cfgs))
-		for _, fp := range blk.fps {
-			if blk.runs == w.index[0].runs {
-				bt = append(bt, BatchBinary{FP: fp})
-			}
-		}
+	w.key = blockKey(name, sl.mhash, opts[w.start:w.start+w.n], ev.cfg)
+	runs, fps := st.getBlock(w.key, w.n)
+	if fps == nil {
+		return nil
 	}
-	if len(bt) == w.n {
-		w.bt, w.runs = bt, w.index[0].runs
+	w.runs, w.bt = runs, make([]settingBinary, w.n)
+	for i, fp := range fps {
+		w.bt[i].FP = fp
 	}
+	return nil
 }
 
-// compile builds the window's binaries, once, and holds every indexed
+// compile builds the window's binaries, once. They become the window's
+// identities when the index had none, and otherwise hold the indexed
 // block to them: one that disagrees (another compiler, same core.Version)
 // is quarantined and fails the compile typed, because earlier cells may
 // have been answered under the stale identity.
-func (w *sweepWindow) compile(ev *Evaluator, st *ResultStore, name string, opts []opt.Config) ([]BatchBinary, error) {
+func (w *sweepWindow) compile(ev *Evaluator, st *ResultStore, name string, opts []opt.Config) ([]settingBinary, error) {
 	w.build.Do(func() {
-		cfgs := make([]*opt.Config, w.n)
-		for i := range cfgs {
-			cfgs[i] = &opts[w.start+i]
-		}
 		var runs int
-		if w.built, runs, w.buildErr = ev.TraceBatch(name, cfgs); w.buildErr != nil {
+		if w.built, runs, w.buildErr = ev.compileSettings(name, opts[w.start:w.start+w.n]); w.buildErr != nil {
 			return
 		}
-		for b, blk := range w.index {
-			for i, fp := range blk.fps {
-				if got := w.built[b*indexBlock+i]; blk.runs != runs || got.Err != nil || got.FP != fp {
-					w.buildErr = fmt.Errorf("%w: %s setting %d: bump core.Version", pcerr.ErrIndexStale, name, w.start+b*indexBlock+i)
-					st.quarantineBlock(blk.key, w.buildErr)
-					break
-				}
-			}
-		}
-		if w.buildErr == nil && w.bt == nil {
+		if w.bt == nil {
 			w.bt, w.runs = w.built, runs
+			return
+		}
+		for i, got := range w.built {
+			if w.runs != runs || got.Err != nil || got.FP != w.bt[i].FP {
+				w.buildErr = fmt.Errorf("%w: %s setting %d: bump core.Version", pcerr.ErrIndexStale, name, w.start+i)
+				st.quarantineBlock(w.key, w.buildErr)
+				return
+			}
 		}
 	})
 	return w.built, w.buildErr
 }
 
-// commit writes the blocks the lookup missed, except any holding a
-// setting that failed to compile: a hit always means good binaries.
+// commit writes the block the lookup missed, unless a setting of it
+// failed to compile: a hit always means good binaries.
 func (w *sweepWindow) commit(st *ResultStore) {
-	for b, blk := range w.index {
-		bins := w.bt[b*indexBlock : min((b+1)*indexBlock, w.n)]
-		fps := make([]codegen.Fingerprint, 0, len(bins))
-		for i := range bins {
-			if bins[i].Err == nil {
-				fps = append(fps, bins[i].FP)
-			}
+	fps := make([]codegen.Fingerprint, len(w.bt))
+	for i := range w.bt {
+		if w.bt[i].Err != nil {
+			return
 		}
-		if blk.fps == nil && len(fps) == len(bins) {
-			st.s.Put(blk.key, encodeBlock(w.runs, fps))
-		}
+		fps[i] = w.bt[i].FP
 	}
+	st.s.Put(w.key, encodeBlock(w.runs, fps))
 }
 
 // runCellBatched executes one grid cell through the sweep state:
@@ -262,13 +227,13 @@ func runCellBatched(ev *Evaluator, s *sweepState, c exploreCell) (ExploreResult,
 	ps := s.prog(c.prog)
 	st := ev.resultStore()
 
-	w := s.windowAt(ps, (c.opt/s.window)*s.window)
+	w := s.windowAt(ps, c.opt/indexBlock*indexBlock)
 	compiled := false
 	w.once.Do(func() {
 		if st != nil {
-			w.lookup(ev, st, name, req.Opts)
+			w.err = w.lookup(ev, st, name, req.Opts)
 		}
-		if w.bt == nil {
+		if w.err == nil && w.bt == nil {
 			_, w.err = w.compile(ev, st, name, req.Opts)
 			compiled = st != nil && w.err == nil
 		}

@@ -5,9 +5,7 @@ import (
 	"strings"
 )
 
-// Pass identifies one pipeline step kind. The numbering is part of the
-// canonical plan encoding (Plan.Key) and must stay stable; new kinds go
-// at the end.
+// Pass identifies one pipeline step kind.
 type Pass uint8
 
 // The pipeline step kinds, in rough pipeline order.
@@ -55,10 +53,7 @@ func (p Pass) String() string {
 }
 
 // Step is one pass application of a pipeline plan: the pass kind plus the
-// concrete argument values it runs with. Steps are comparable values, so
-// the batch compiler's prefix trie groups plans by their next step with
-// plain equality - a prefix is identified by its exact step sequence, so
-// no hashing scheme can ever merge distinct prefixes.
+// concrete argument values it runs with. Steps are comparable values.
 type Step struct {
 	Pass Pass
 	// Args carries the concrete pass arguments (booleans as 0/1,
@@ -84,9 +79,7 @@ func b2i(b bool) int32 {
 // applications Compile performs, with every don't-care dimension of the
 // configuration folded away (a flag that gates a pass that does not run,
 // or a parameter of such a pass, does not appear). Two configurations
-// with equal plans compile to bit-identical binaries, and plans sharing a
-// step-list prefix share the intermediate IR state reached after it -
-// the foundation of the batched compile engine's prefix trie.
+// with equal plans compile to bit-identical binaries.
 type Plan struct {
 	// Mod is the module-level prefix (inlining, sibling calls), applied
 	// once per module before any per-function work.
@@ -194,63 +187,13 @@ func PlanFor(c *Config) Plan {
 	return p
 }
 
-// libAlloc is the allocation step of library functions: caller-saves is
-// always off for them, so every plan shares it and a batched compile runs
-// register allocation over library code once per module state, not once
-// per setting.
-var libAlloc = Step{Pass: PassAlloc}
-
-// FuncSteps returns the complete per-function step sequence: the
-// optimisation sequence, allocation and post-reload cleanups for ordinary
-// functions; allocation alone for library functions (whose bodies the
-// optimisation passes must not touch).
-func (p *Plan) FuncSteps(library bool) []Step {
-	if library {
-		return []Step{libAlloc}
-	}
-	seq := make([]Step, 0, len(p.Fn)+1+len(p.Post))
-	seq = append(seq, p.Fn...)
-	seq = append(seq, p.Alloc)
-	seq = append(seq, p.Post...)
-	return seq
-}
-
-// Steps counts the pass applications a linear (per-setting) compile of
-// this plan performs on a module with the given function counts: the
-// naive-cost denominator for batch statistics.
+// Steps counts the pass applications a compile of this plan performs on a
+// module with the given function counts (allocation alone for a library
+// function): the unit of Stats.PassRuns.
 func (p *Plan) Steps(nonLibraryFuncs, libraryFuncs int) int {
 	return len(p.Mod) +
 		nonLibraryFuncs*(len(p.Fn)+1+len(p.Post)) +
 		libraryFuncs
-}
-
-// Key returns a compact canonical encoding of the plan, stable across
-// runs: equal keys mean equal plans mean bit-identical compiler output.
-func (p *Plan) Key() string {
-	var b strings.Builder
-	writeSeq := func(seq []Step) {
-		for _, s := range seq {
-			fmt.Fprintf(&b, "%d", uint8(s.Pass))
-			// Trailing zero args are dropped; interior ones keep their
-			// position, so argument lists encode unambiguously.
-			args := s.Args[:]
-			for len(args) > 0 && args[len(args)-1] == 0 {
-				args = args[:len(args)-1]
-			}
-			for _, a := range args {
-				fmt.Fprintf(&b, ",%d", a)
-			}
-			b.WriteByte(';')
-		}
-	}
-	writeSeq(p.Mod)
-	b.WriteByte('|')
-	writeSeq(p.Fn)
-	b.WriteByte('|')
-	writeSeq([]Step{p.Alloc})
-	b.WriteByte('|')
-	writeSeq(p.Post)
-	return b.String()
 }
 
 // String renders the plan with pass names, for diagnostics.

@@ -2,6 +2,7 @@ package opt_test
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"portcc/internal/opt"
@@ -9,8 +10,7 @@ import (
 
 // TestPlanFoldsDontCares pins the canonicalisation: dimensions that gate
 // passes which do not run must not influence the plan, so settings
-// differing only in don't-care dimensions share one plan (and therefore
-// one compile in a batched sweep).
+// differing only in don't-care dimensions share one plan.
 func TestPlanFoldsDontCares(t *testing.T) {
 	base := opt.O3()
 	base.Flags[opt.FGcse] = false
@@ -35,48 +35,31 @@ func TestPlanFoldsDontCares(t *testing.T) {
 		c := base
 		mut(&c)
 		p := opt.PlanFor(&c)
-		if p.Key() != bp.Key() {
-			t.Errorf("mutation %d changed the plan key:\n  base %s\n  got  %s", i, bp.Key(), p.Key())
+		if !reflect.DeepEqual(p, bp) {
+			t.Errorf("mutation %d changed the plan:\n  base %+v\n  got  %+v", i, bp, p)
 		}
 	}
 }
 
-// TestPlanKeyDistinguishesArgPositions guards the key encoding against
-// positional ambiguity: boolean argument vectors (0,1) and (1,0) of the
-// same pass must produce different keys.
-func TestPlanKeyDistinguishesArgPositions(t *testing.T) {
-	a, b := opt.O3(), opt.O3()
-	a.Flags[opt.FCseFollowJumps] = false
-	a.Flags[opt.FCseSkipBlocks] = true
-	b.Flags[opt.FCseFollowJumps] = true
-	b.Flags[opt.FCseSkipBlocks] = false
-	pa, pb := opt.PlanFor(&a), opt.PlanFor(&b)
-	if pa.Key() == pb.Key() {
-		t.Fatalf("plans with swapped boolean args share key %q", pa.Key())
-	}
-}
-
-// TestPlanStepsMatchesSequenceLengths checks the naive-cost arithmetic
-// used for PassRunsSaved accounting.
+// TestPlanStepsMatchesSequenceLengths checks the pass-application
+// arithmetic behind Stats.PassRuns: every non-library function runs the
+// optimisation sequence, allocation and the post-reload sequence, a
+// library function allocation alone.
 func TestPlanStepsMatchesSequenceLengths(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 50; i++ {
 		c := opt.Random(rng)
 		p := opt.PlanFor(&c)
 		nonLib, lib := 3, 2
-		want := len(p.Mod) + nonLib*len(p.FuncSteps(false)) + lib*len(p.FuncSteps(true))
+		want := len(p.Mod) + nonLib*(len(p.Fn)+1+len(p.Post)) + lib
 		if got := p.Steps(nonLib, lib); got != want {
 			t.Fatalf("cfg %d: Steps=%d, want %d", i, got, want)
-		}
-		if len(p.FuncSteps(true)) != 1 {
-			t.Fatalf("library sequence has %d steps, want 1 (allocation only)", len(p.FuncSteps(true)))
 		}
 	}
 }
 
-// TestStepComparable pins the trie's grouping primitive: steps are plain
-// comparable values, equal iff pass kind and every argument position
-// agree.
+// TestStepComparable: steps are plain comparable values, equal iff pass
+// kind and every argument position agree.
 func TestStepComparable(t *testing.T) {
 	c := opt.O3()
 	p := opt.PlanFor(&c)

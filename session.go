@@ -108,12 +108,12 @@ func WithProgress(fn func(Progress)) Option {
 	return func(c *sessionConfig) { c.progress = fn }
 }
 
-// WithNaiveCompile disables the prefix-memoised batched compile engine in
-// Explore and GenerateDataset: every grid cell then compiles, traces and
-// replays its own setting independently. Datasets are bit-identical
-// either way; the naive path exists as the equivalence baseline for
-// verification and benchmarking. Sharded runs forward the choice to the
-// worker daemons.
+// WithNaiveCompile bypasses the sweep state of Explore and
+// GenerateDataset - compile index, window FIFO, twin replay memo, result
+// store: every grid cell then compiles, traces and replays its own
+// setting independently. Datasets are bit-identical either way; the naive
+// path exists as the equivalence baseline for verification and
+// benchmarking. Sharded runs forward the choice to the worker daemons.
 func WithNaiveCompile() Option {
 	return func(c *sessionConfig) { c.naive = true }
 }
