@@ -86,6 +86,9 @@ func TestCommands(t *testing.T) {
 		row{"portcc nil-normaliser model", "portcc", []string{"-model", nilNorm}, 1, "invalid configuration: artifact has no normaliser"},
 		// flag answers -h itself: the flag set on stderr, status 0.
 		row{"portccd -h", "portccd", []string{"-h"}, 0, "-listen"},
+		row{"portccd -h lists -cpuprofile", "portccd", []string{"-h"}, 0, "-cpuprofile"},
+		row{"portccd -h lists -memprofile", "portccd", []string{"-h"}, 0, "-memprofile"},
+		row{"portccd unwritable -cpuprofile", "portccd", []string{"-cpuprofile", filepath.Join(bin, "missing", "cpu.pprof")}, 1, "-cpuprofile"},
 		row{"portccsd -h", "portccsd", []string{"-h"}, 0, "-listen"},
 		row{"portccs -h", "portccs", []string{"-h"}, 0, "-addr"},
 	)

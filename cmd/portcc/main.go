@@ -110,19 +110,11 @@ func main() {
 		}
 	}
 
-	bin, err := s.Compile(ctx, *progName, cfg)
+	bin, res, speedup, err := s.CompileAndRun(ctx, *progName, cfg, arch)
 	if err != nil {
 		if errors.Is(err, portcc.ErrUnknownProgram) {
 			log.Fatalf("%v (use -list for the benchmark suite)", err)
 		}
-		log.Fatal(err)
-	}
-	res, err := s.Run(ctx, *progName, cfg, arch)
-	if err != nil {
-		log.Fatal(err)
-	}
-	speedup, err := s.Speedup(ctx, *progName, cfg, arch)
-	if err != nil {
 		log.Fatal(err)
 	}
 

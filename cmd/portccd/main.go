@@ -9,6 +9,7 @@
 //
 //	portccd [-listen :7077] [-workers N] [-sweep-workers N] [-heartbeat 1s]
 //	        [-store dir] [-store-budget bytes] [-store-remote host:port]
+//	        [-cpuprofile file] [-memprofile file]
 //
 // With -store the daemon keeps a persistent content-addressed result
 // store shared by every run it serves: replays whose inputs match a
@@ -44,6 +45,10 @@
 // everything else onto surviving shards. A second signal hard-stops:
 // in-flight cells are abandoned and the exit is forced after a short
 // grace (coordinators detect the drop and requeue).
+//
+// A fleet's compiles, trace generations and replays all run here, so
+// this is the binary to profile: -cpuprofile and -memprofile cover the
+// daemon's life and are written when it drains.
 package main
 
 import (
@@ -65,9 +70,15 @@ func main() {
 	cf.RegisterWorkers()
 	cf.RegisterSweepWorkers()
 	cf.RegisterStore()
+	cf.RegisterProfile()
 	listen := flag.String("listen", ":7077", "address to serve coordinator connections on")
 	heartbeat := flag.Duration("heartbeat", time.Second, "liveness heartbeat period on quiet connections")
 	flag.Parse()
+	stopProfiles, err := cf.StartProfiles()
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer stopProfiles()
 
 	// One store across every run the daemon serves.
 	rstore, err := cf.OpenStore()

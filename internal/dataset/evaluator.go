@@ -154,6 +154,13 @@ type Evaluator struct {
 	compiles, simulations  int
 	passRuns, traceReuses  int64
 	traceGens, traceEvents int64
+
+	// fpScratch is compileSetting's fingerprint buffer, outside mu.
+	fpScratch []byte
+	// compileHook, set by tests only, runs before each compile and fails
+	// it by returning an error: core.Compile itself rejects nothing
+	// Validate lets through.
+	compileHook func(*opt.Config) error
 }
 
 // o3 is the baseline setting every slot is built for.
@@ -352,6 +359,11 @@ func traceBytes(tr *trace.Trace) int64 {
 
 // compile compiles the program under c, counting the work.
 func (e *Evaluator) compile(sl *baseline, c *opt.Config) (*codegen.Program, error) {
+	if e.compileHook != nil {
+		if err := e.compileHook(c); err != nil {
+			return nil, err
+		}
+	}
 	p, err := core.Compile(sl.m, c)
 	if err != nil {
 		return nil, err
@@ -421,24 +433,15 @@ type settingBinary struct {
 	Err  error
 }
 
-// compileSettings compiles the program under each of cfgs and
-// fingerprints the binaries; it also returns the program's complete-run
-// count. A non-nil error (module build or -O3 probe failure) fails every
-// setting alike.
-func (e *Evaluator) compileSettings(name string, cfgs []opt.Config) ([]settingBinary, int, error) {
-	sl, err := e.baseline(name)
-	if err != nil {
-		return nil, 0, err
+// compileSetting compiles the program whose built slot is sl under c and
+// fingerprints the binary. The serialisation scratch lives on the
+// evaluator, unguarded: only the sweep calls this, on its slot's own
+// evaluator, and a slot runs one cell at a time (the sched contract).
+func (e *Evaluator) compileSetting(sl *baseline, c *opt.Config) (b settingBinary) {
+	if b.Prog, b.Err = e.compile(sl, c); b.Err == nil {
+		b.FP, e.fpScratch = codegen.FingerprintInto(b.Prog, e.fpScratch)
 	}
-	out := make([]settingBinary, len(cfgs))
-	scratch := make([]byte, 0, 1<<16)
-	for i := range cfgs {
-		b := &out[i]
-		if b.Prog, b.Err = e.compile(sl, &cfgs[i]); b.Err == nil {
-			b.FP, scratch = codegen.FingerprintInto(b.Prog, scratch)
-		}
-	}
-	return out, sl.runs, nil
+	return b
 }
 
 // GenerateTrace generates the trace of an already-compiled binary of the
@@ -505,7 +508,7 @@ func (e *Evaluator) simulate(tr *trace.Trace, a uarch.Config) cpu.Result {
 // store-backed prediction server's profile cache persistent across
 // restarts.
 func (e *Evaluator) Run(name string, c *opt.Config, a uarch.Config) (cpu.Result, error) {
-	r, _, err := e.run(name, c, a)
+	_, r, _, err := e.CompileAndRun(name, c, a)
 	return r, err
 }
 
@@ -513,35 +516,37 @@ func (e *Evaluator) Run(name string, c *opt.Config, a uarch.Config) (cpu.Result,
 // comparable work-time metric. It is Run plus the division, store
 // included.
 func (e *Evaluator) CyclesPerRun(name string, c *opt.Config, a uarch.Config) (float64, error) {
-	r, runs, err := e.run(name, c, a)
+	_, r, runs, err := e.CompileAndRun(name, c, a)
 	if err != nil {
 		return 0, err
 	}
 	return float64(r.Cycles) / float64(runs), nil
 }
 
-// run is the one single-replay body: baseline, compile and fingerprint
-// unless -O3, ask the store if there is one, replay, commit. It returns
-// the trace's complete-run count beside the result. A replay is
-// committed under the count its trace completed and looked up under the
-// program's, so a hit always carries the run count of the trace that was
-// replayed, instruction cap or not - the sweep keys the same way.
-func (e *Evaluator) run(name string, c *opt.Config, a uarch.Config) (cpu.Result, int, error) {
+// CompileAndRun is the one single-replay body: baseline, compile and
+// fingerprint unless -O3, ask the store if there is one, replay, commit.
+// It returns the binary and the trace's complete-run count beside the
+// result, so a caller that wants the image, the counters and cycles per
+// run compiles once. A replay is committed under the count its trace
+// completed and looked up under the program's, so a hit always carries
+// the run count of the trace that was replayed, instruction cap or not -
+// the sweep keys the same way.
+func (e *Evaluator) CompileAndRun(name string, c *opt.Config, a uarch.Config) (*codegen.Program, cpu.Result, int, error) {
 	sl, err := e.baseline(name)
 	if err != nil {
-		return cpu.Result{}, 0, err
+		return nil, cpu.Result{}, 0, err
 	}
 	p, fp := sl.prog, sl.fp
 	if *c != o3 {
 		if p, err = e.compile(sl, c); err != nil {
-			return cpu.Result{}, 0, err
+			return nil, cpu.Result{}, 0, err
 		}
 		fp, _ = codegen.FingerprintInto(p, nil)
 	}
 	st, archs := e.resultStore(), []uarch.Config{a}
 	if st != nil {
 		if rs, ok := st.Get(fp, sl.runs, e.cfg, archs); ok {
-			return rs[0], sl.runs, nil
+			return p, rs[0], sl.runs, nil
 		}
 	}
 	var tr *trace.Trace
@@ -555,5 +560,5 @@ func (e *Evaluator) run(name string, c *opt.Config, a uarch.Config) (cpu.Result,
 	if st != nil {
 		st.Put(fp, runs, e.cfg, archs, []cpu.Result{r})
 	}
-	return r, runs, nil
+	return p, r, runs, nil
 }

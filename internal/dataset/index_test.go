@@ -23,6 +23,7 @@ import (
 	"portcc/internal/cpu"
 	"portcc/internal/faultfs"
 	"portcc/internal/faultnet"
+	"portcc/internal/opt"
 	"portcc/internal/pcerr"
 	"portcc/internal/sched"
 	"portcc/internal/store"
@@ -66,11 +67,7 @@ func (l ledger) idle() bool {
 // order as sched.Local would, and returns the cells and the ledger.
 func ledgerRun(t *testing.T, req ExploreRequest, slots int, st *ResultStore) (map[[2]int]ExploreResult, ledger) {
 	t.Helper()
-	all := make([]int, req.Cells())
-	for i := range all {
-		all[i] = i
-	}
-	return ledgerRunCells(t, req, slots, st, all)
+	return ledgerRunCells(t, req, slots, st, allCells(req))
 }
 
 // ledgerRunCells is ledgerRun over the listed dispatch indices only: the
@@ -78,7 +75,24 @@ func ledgerRun(t *testing.T, req ExploreRequest, slots int, st *ResultStore) (ma
 func ledgerRunCells(t *testing.T, req ExploreRequest, slots int, st *ResultStore, cells []int) (map[[2]int]ExploreResult, ledger) {
 	t.Helper()
 	run, evs := req.runner(slots, 1, st)
-	out := map[[2]int]ExploreResult{}
+	out, errs := driveCells(run, slots, cells)
+	for i, err := range errs {
+		t.Errorf("cell %d: %v", i, err)
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+	var l ledger
+	l.add(evs)
+	return out, l
+}
+
+// driveCells runs the listed dispatch indices through run, the slots
+// pulling them concurrently in order as sched.Local would - except that a
+// failed cell does not stop the dispatch: it returns the cells that
+// completed and the errors of those that failed, by dispatch index.
+func driveCells(run func(slot, index int) (any, error), slots int, cells []int) (map[[2]int]ExploreResult, map[int]error) {
+	out, errs := map[[2]int]ExploreResult{}, map[int]error{}
 	var mu sync.Mutex
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -88,24 +102,37 @@ func ledgerRunCells(t *testing.T, req ExploreRequest, slots int, st *ResultStore
 			defer wg.Done()
 			for n := int(next.Add(1)) - 1; n < len(cells); n = int(next.Add(1)) - 1 {
 				res, err := run(slot, cells[n])
-				if err != nil {
-					t.Errorf("cell %d: %v", cells[n], err)
-					return
-				}
-				r := res.(ExploreResult)
 				mu.Lock()
-				out[[2]int{r.ProgIndex, r.OptIndex}] = r
+				if err != nil {
+					errs[cells[n]] = err
+				} else {
+					r := res.(ExploreResult)
+					out[[2]int{r.ProgIndex, r.OptIndex}] = r
+				}
 				mu.Unlock()
 			}
 		}()
 	}
 	wg.Wait()
-	if t.Failed() {
-		t.FailNow()
+	return out, errs
+}
+
+// hookedRunner is req.runner with every slot's evaluator built up front,
+// over one base as the runner would, and hook installed as its compile
+// hook: the seam through which a test watches, gates or fails compiles.
+func hookedRunner(req *ExploreRequest, slots int, st *ResultStore, hook func(slot int, c *opt.Config) error) (func(slot, index int) (any, error), []*Evaluator) {
+	run, evs := req.runner(slots, 1, st)
+	base := NewSharedBase()
+	for slot := range evs {
+		ev := NewEvaluatorWith(req.Eval, base)
+		ev.SetSweepWorkers(1)
+		if st != nil {
+			ev.SetStore(st)
+		}
+		ev.compileHook = func(c *opt.Config) error { return hook(slot, c) }
+		evs[slot] = ev
 	}
-	var l ledger
-	l.add(evs)
-	return out, l
+	return run, evs
 }
 
 // blocksOf is the number of compile-index blocks req's sweeps span.
@@ -304,8 +331,9 @@ func TestFleetFirstRunCompletesIndex(t *testing.T) {
 }
 
 // TestNewArchsOverIndexedSweep: new architectures over an indexed sweep
-// hit every identity and miss every result, so each window compiles
-// lazily - exactly once - and the fresh replays are committed.
+// hit every identity and miss every result, so each replay that has to
+// run compiles its own setting - once, twins nothing - and the fresh
+// replays are committed.
 func TestNewArchsOverIndexedSweep(t *testing.T) {
 	req := tinyRequest(t, 21)
 	dir := t.TempDir()
@@ -322,14 +350,15 @@ func TestNewArchsOverIndexedSweep(t *testing.T) {
 	if !reflect.DeepEqual(got, ref) {
 		t.Fatal("cells over new architectures differ from storeless cells")
 	}
-	if want := len(req.Programs) * (len(req.Opts) + 1); l.Compiles != want {
-		t.Errorf("compiled %d settings, want %d (each window once)", l.Compiles, want)
-	}
 	if h, m, _ := rs.IndexStats(); h != blocksOf(req) || m != 0 {
 		t.Errorf("index ledger %d hits, %d misses; want %d, 0", h, m, blocksOf(req))
 	}
-	if s := rs.Stats(); s.Puts == 0 || s.Puts != s.Misses {
+	s := rs.Stats()
+	if s.Puts == 0 || s.Puts != s.Misses {
 		t.Errorf("store ledger %+v: want every missed replay committed", s)
+	}
+	if want := s.Misses + l.probeCompiles; int64(l.Compiles) != want || l.Compiles > len(req.Programs)*(len(req.Opts)+1) {
+		t.Errorf("compiled %d settings, want %d (one per replay that ran and one probe per program, no setting twice)", l.Compiles, want)
 	}
 	if _, again := ledgerRun(t, wide, 2, rs); !again.idle() {
 		t.Errorf("third run did work: %+v", again)
@@ -337,13 +366,13 @@ func TestNewArchsOverIndexedSweep(t *testing.T) {
 }
 
 // TestRebuiltWindowDoesNotRecompile: a window evicted from the FIFO and
-// rebuilt resolves from the index again and compiles only if a replay
-// needs a binary. An earlier runner stored every cell but the first of
-// each window; this one runs those first cells (a window compiles,
-// lazily, when that one replay has to run), then everything else - by
-// which time the FIFO of eight has evicted and rebuilt all ten windows,
-// without a second compile. Windows are 8 settings - five per program,
-// ten in all - whatever the runner's slot count.
+// rebuilt resolves from the index again and compiles only the setting a
+// replay needs a binary of. An earlier runner stored every cell but the
+// first of each window; this one runs those first cells (each compiles
+// its own setting, lazily, when its replay has to run), then everything
+// else - by which time the FIFO of eight has evicted and rebuilt all ten
+// windows, without a second compile. Windows are 8 settings - five per
+// program, ten in all - whatever the runner's slot count.
 func TestRebuiltWindowDoesNotRecompile(t *testing.T) {
 	req := tinyRequest(t, 40)
 	var firsts, rest []int
@@ -372,10 +401,10 @@ func TestRebuiltWindowDoesNotRecompile(t *testing.T) {
 		ev := drive(rs, append(firsts, rest...))
 		// Twins of stored settings answer some first cells without a binary;
 		// every other first cell is one store miss, one replay and one
-		// compile of its 8-setting window. Nothing else may compile.
+		// compile, of its own setting. Nothing else may compile.
 		misses := rs.Stats().Misses
-		if got := int64(ev.Stats().Compiles) - ev.base.ProbeCompiles(); misses == 0 || got != indexBlock*misses {
-			t.Errorf("%d slots: %d settings compiled for %d replays that had to run, want %d", slots, got, misses, indexBlock*misses)
+		if got := int64(ev.Stats().Compiles) - ev.base.ProbeCompiles(); misses == 0 || got != misses {
+			t.Errorf("%d slots: %d settings compiled for %d replays that had to run, want as many", slots, got, misses)
 		}
 		if h, m, _ := rs.IndexStats(); m != 0 || h <= blocksOf(req) {
 			t.Errorf("%d slots: index ledger %d hits, %d misses; want more than %d hits (windows were rebuilt) and no miss", slots, h, m, blocksOf(req))
@@ -657,8 +686,9 @@ func evictKind(t *testing.T, dir string, keep func(payload []byte) bool) int64 {
 
 // TestIndexAndResultsEvictIndependently: a budget that evicts only the
 // index blocks costs a recompile of every window and no replay; one
-// that evicts only the results costs every replay and a lazy compile,
-// with every identity still a hit. The datasets are identical both
+// that evicts only the results costs every replay and, for each, a lazy
+// compile of its own setting (twins compile nothing), with every
+// identity still a hit. The datasets are identical both
 // ways, and both runs leave the store complete again.
 func TestIndexAndResultsEvictIndependently(t *testing.T) {
 	req := tinyRequest(t, 21)
@@ -687,13 +717,18 @@ func TestIndexAndResultsEvictIndependently(t *testing.T) {
 			if !reflect.DeepEqual(got, ref) {
 				t.Fatal("cells after eviction differ")
 			}
-			if l.Compiles != settings || (l.Simulations != 0) != tc.sims {
-				t.Errorf("ledger %+v: want %d compiles, simulations %v", l, settings, tc.sims)
+			s := rs.Stats()
+			want := settings
+			if tc.resultMiss {
+				want = int(s.Misses + l.probeCompiles) // the replays that ran, and their programs' probes
+			}
+			if l.Compiles != want || l.Compiles > settings || (l.Simulations != 0) != tc.sims {
+				t.Errorf("ledger %+v: want %d compiles, simulations %v", l, want, tc.sims)
 			}
 			if _, m, _ := rs.IndexStats(); m != tc.indexMiss {
 				t.Errorf("%d index misses, want %d", m, tc.indexMiss)
 			}
-			if s := rs.Stats(); (s.Misses-tc.indexMiss != 0) != tc.resultMiss || s.Puts != s.Misses {
+			if (s.Misses-tc.indexMiss != 0) != tc.resultMiss || s.Puts != s.Misses {
 				t.Errorf("store ledger %+v: result misses expected %v, every miss recommitted", s, tc.resultMiss)
 			}
 			if _, again := ledgerRun(t, req, 2, rs); !again.idle() {

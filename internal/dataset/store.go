@@ -17,8 +17,8 @@
 // whole run to cold-cache speed. A hit is the same computation as long
 // as core.Version, trace.Version and cpu.ReplayVersion are bumped with
 // the behaviour they name (TestVersionsPinBehaviour holds them to a
-// committed record); payloads carry the store's checksum, and a window
-// that does compile checks its indexed fingerprints (ErrIndexStale).
+// committed record); payloads carry the store's checksum, and a setting
+// that does compile checks its indexed fingerprint (ErrIndexStale).
 package dataset
 
 import (

@@ -2,14 +2,17 @@
 // state that resolves a program's optimisation settings in windows and
 // deduplicates trace generation and replay across settings whose
 // pipelines produced byte-identical binaries. A window is one block of
-// the result store's compile index (indexBlock settings): it takes its
-// identities (fingerprint per setting, run count) from the index and
-// compiles, one core.Compile per setting, only when the index cannot
-// answer or a replay has to run. The scheduler contract is untouched:
-// cells are still dispatched, executed and streamed one by one, and every
-// result is bit-identical to the naive per-cell path (ExploreRequest.Naive),
-// which bypasses all of this state - index, window FIFO, twin replay
-// memo and result store.
+// the result store's compile index (indexBlock settings), each setting
+// with its own claim-once compile slot. When the index answers, the
+// window takes its identities (fingerprint per setting, run count) from
+// it and a setting compiles only when its own replay has to run; when it
+// cannot, every worker slot whose cell reaches the window compiles
+// unclaimed settings until none is left - the cores share the compile,
+// nobody waits for a window - and goes on as soon as its own setting is
+// in. The scheduler contract is untouched: cells are still dispatched,
+// executed and streamed one by one, and every result is bit-identical to
+// the naive per-cell path (ExploreRequest.Naive), which bypasses all of
+// this state - index, window FIFO, twin replay memo and result store.
 //
 // Memory is bounded even when a runner serves only part of the grid (a
 // worker daemon behind sched.Remote sees interleaved chunks and may
@@ -25,10 +28,10 @@ package dataset
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"portcc/internal/codegen"
 	"portcc/internal/cpu"
-	"portcc/internal/opt"
 	"portcc/internal/pcerr"
 	"portcc/internal/store"
 	"portcc/internal/trace"
@@ -72,23 +75,29 @@ type progSweep struct {
 	counted map[int]bool
 }
 
-// sweepWindow is one index block of settings, resolved by the first cell
+// sweepWindow is one index block of settings, looked up by the first cell
 // that needs any of them. It holds identities and, once compiled,
 // binaries, never traces.
 type sweepWindow struct {
 	start, n int // settings [start, start+n) of the sweep
 
 	once sync.Once
-	err  error           // whole-window failure (module build, -O3 probe, stale index)
-	runs int             // complete runs per trace of the program
-	bt   []settingBinary // per setting, local index = opt - start; Prog unset
-	key  store.Key       // the block's index key (unset without a store)
+	err  error                 // whole-window failure (module build, -O3 probe)
+	runs int                   // complete runs per trace of the program
+	fps  []codegen.Fingerprint // identities from the index, nil when it had none
+	key  store.Key             // the block's index key (unset without a store)
 
-	// build guards the compile: eager when the index cannot answer,
-	// else at the first replay that needs a trace.
-	build    sync.Once
-	built    []settingBinary
-	buildErr error
+	bins []windowBinary // per setting, local index = opt - start
+	// next hands the settings of a window the index could not name to the
+	// slots that reach it, each to one; landed counts those compiled.
+	next, landed atomic.Int32
+}
+
+// windowBinary is one setting's claim-once compile slot: the binary is
+// written inside once and read after it.
+type windowBinary struct {
+	once sync.Once
+	settingBinary
 }
 
 // simCell memoises one binary's replay over the architecture sample:
@@ -134,6 +143,7 @@ func (s *sweepState) windowAt(ps *progSweep, start int) *sweepWindow {
 	w, ok := ps.windows[start]
 	if !ok {
 		w = &sweepWindow{start: start, n: min(indexBlock, len(s.req.Opts)-start)}
+		w.bins = make([]windowBinary, w.n)
 		ps.windows[start] = w
 		s.built = append(s.built, windowKey{ps.prog, start})
 		for len(s.built) > maxBuiltWindows {
@@ -159,68 +169,72 @@ func (s *sweepState) sim(ps *progSweep, fp codegen.Fingerprint) *simCell {
 	return sc
 }
 
-// lookup asks the compile index for the window's block; when it answers,
-// identities are set and nothing was built, not even the -O3 baseline.
-func (w *sweepWindow) lookup(ev *Evaluator, st *ResultStore, name string, opts []opt.Config) error {
-	sl, err := ev.module(name)
-	if err != nil {
-		return err
+// resolve is the window's first touch: ask the compile index for the
+// block - when it answers, identities are set and nothing was built, not
+// even the -O3 baseline - and otherwise build the baseline the compiles
+// below start from.
+func (w *sweepWindow) resolve(ev *Evaluator, s *sweepState, ps *progSweep, st *ResultStore, name string) {
+	var sl *baseline
+	if st != nil {
+		if sl, w.err = ev.module(name); w.err != nil {
+			return
+		}
+		w.key = blockKey(name, sl.mhash, s.req.Opts[w.start:w.start+w.n], ev.cfg)
+		if w.runs, w.fps = st.getBlock(w.key, w.n); w.fps != nil {
+			s.countReuses(ev, ps, w.start, w.fps)
+			return
+		}
 	}
-	w.key = blockKey(name, sl.mhash, opts[w.start:w.start+w.n], ev.cfg)
-	runs, fps := st.getBlock(w.key, w.n)
-	if fps == nil {
-		return nil
+	if sl, w.err = ev.baseline(name); w.err == nil {
+		w.runs = sl.runs
 	}
-	w.runs, w.bt = runs, make([]settingBinary, w.n)
-	for i, fp := range fps {
-		w.bt[i].FP = fp
-	}
-	return nil
 }
 
-// compile builds the window's binaries, once. They become the window's
-// identities when the index had none, and otherwise hold the indexed
-// block to them: one that disagrees (another compiler, same core.Version)
-// is quarantined and fails the compile typed, because earlier cells may
-// have been answered under the stale identity.
-func (w *sweepWindow) compile(ev *Evaluator, st *ResultStore, name string, opts []opt.Config) ([]settingBinary, error) {
-	w.build.Do(func() {
-		var runs int
-		if w.built, runs, w.buildErr = ev.compileSettings(name, opts[w.start:w.start+w.n]); w.buildErr != nil {
+// compile returns setting li's binary, compiled on this slot unless
+// another has claimed it, and then waited for. Under indexed identities
+// the binary is held to them: one that disagrees (another compiler, same
+// core.Version) quarantines the block and fails the setting typed,
+// because earlier cells may have been answered under the stale identity.
+// Without them, whoever lands the window's last setting publishes the
+// identities and commits the block - unless a setting failed to compile:
+// a hit always means good binaries - after releasing the setting, so no
+// slot waits behind the fsync.
+func (w *sweepWindow) compile(ev *Evaluator, s *sweepState, ps *progSweep, st *ResultStore, name string, li int) *settingBinary {
+	b, last := &w.bins[li], false
+	b.once.Do(func() {
+		sl, err := ev.baseline(name)
+		if err != nil {
+			b.Err = err
 			return
 		}
-		if w.bt == nil {
-			w.bt, w.runs = w.built, runs
-			return
-		}
-		for i, got := range w.built {
-			if w.runs != runs || got.Err != nil || got.FP != w.bt[i].FP {
-				w.buildErr = fmt.Errorf("%w: %s setting %d: bump core.Version", pcerr.ErrIndexStale, name, w.start+i)
-				st.quarantineBlock(w.key, w.buildErr)
-				return
-			}
+		b.settingBinary = ev.compileSetting(sl, &s.req.Opts[w.start+li])
+		if w.fps == nil {
+			last = w.landed.Add(1) == int32(w.n)
+		} else if b.Err != nil || sl.runs != w.runs || b.FP != w.fps[li] {
+			b.Err = fmt.Errorf("%w: %s setting %d: bump core.Version", pcerr.ErrIndexStale, name, w.start+li)
+			st.quarantineBlock(w.key, b.Err)
 		}
 	})
-	return w.built, w.buildErr
-}
-
-// commit writes the block the lookup missed, unless a setting of it
-// failed to compile: a hit always means good binaries.
-func (w *sweepWindow) commit(st *ResultStore) {
-	fps := make([]codegen.Fingerprint, len(w.bt))
-	for i := range w.bt {
-		if w.bt[i].Err != nil {
-			return
+	if last {
+		fps := make([]codegen.Fingerprint, 0, w.n)
+		for i := range w.bins {
+			if w.bins[i].Err == nil {
+				fps = append(fps, w.bins[i].FP)
+			}
 		}
-		fps[i] = w.bt[i].FP
+		s.countReuses(ev, ps, w.start, fps)
+		if st != nil && len(fps) == w.n {
+			st.s.Put(w.key, encodeBlock(w.runs, fps))
+		}
 	}
-	st.s.Put(w.key, encodeBlock(w.runs, fps))
+	return &b.settingBinary
 }
 
 // runCellBatched executes one grid cell through the sweep state:
 // identical observable behaviour to runCell, with identities resolved
-// per window, compilation deferred until a replay needs a binary, and
-// trace generation and replay deduplicated across identical binaries.
+// per window, compilation shared between the slots or deferred until a
+// replay needs the binary, and trace generation and replay deduplicated
+// across identical binaries.
 func runCellBatched(ev *Evaluator, s *sweepState, c exploreCell) (ExploreResult, error) {
 	req := s.req
 	name := req.Programs[c.prog]
@@ -228,54 +242,48 @@ func runCellBatched(ev *Evaluator, s *sweepState, c exploreCell) (ExploreResult,
 	st := ev.resultStore()
 
 	w := s.windowAt(ps, c.opt/indexBlock*indexBlock)
-	compiled := false
-	w.once.Do(func() {
-		if st != nil {
-			w.err = w.lookup(ev, st, name, req.Opts)
-		}
-		if w.err == nil && w.bt == nil {
-			_, w.err = w.compile(ev, st, name, req.Opts)
-			compiled = st != nil && w.err == nil
-		}
-		if w.err == nil {
-			s.countReuses(ev, ps, w)
-		}
-	})
-	// After the window is published: no slot waits behind these fsyncs.
-	if compiled {
-		w.commit(st)
-	}
+	w.once.Do(func() { w.resolve(ev, s, ps, st, name) })
 
 	li := c.opt - w.start
+	var fp codegen.Fingerprint
 	err := w.err
-	if err == nil {
-		err = w.bt[li].Err
+	switch {
+	case err != nil:
+	case w.fps != nil:
+		fp = w.fps[li]
+	default:
+		// Help while a setting is unclaimed, then wait for this cell's only.
+		for i := w.next.Add(1) - 1; int(i) < w.n; i = w.next.Add(1) - 1 {
+			w.compile(ev, s, ps, st, name, int(i))
+		}
+		b := w.compile(ev, s, ps, st, name, li)
+		fp, err = b.FP, b.Err
 	}
 	if err != nil {
 		s.consume(ps)
 		return ExploreResult{}, &pcerr.SimError{Program: name, Setting: c.opt, Err: err}
 	}
-	bt := &w.bt[li]
 
 	// Twin settings (same fingerprint, any window) resolve their replay
 	// from the memo below, or compute it once for all, without a trace.
-	sc := s.sim(ps, bt.FP)
+	sc := s.sim(ps, fp)
 	sc.once.Do(func() {
 		// A persistent store answers before any trace (or, in an indexed
 		// window, any binary) exists: fingerprint plus workload parameters
 		// address the previous run's replay of exactly this sample.
 		if st != nil {
-			if results, ok := st.Get(bt.FP, w.runs, ev.cfg, req.Archs); ok {
+			if results, ok := st.Get(fp, w.runs, ev.cfg, req.Archs); ok {
 				sc.runs, sc.results = w.runs, results
 				return
 			}
 		}
-		built, err := w.compile(ev, st, name, req.Opts)
-		if err != nil {
-			sc.err = err
+		// An indexed window compiles here, this setting only.
+		b := w.compile(ev, s, ps, st, name, li)
+		if b.Err != nil {
+			sc.err = b.Err
 			return
 		}
-		tr, err := ev.GenerateTrace(name, built[li].Prog)
+		tr, err := ev.GenerateTrace(name, b.Prog)
 		if err != nil {
 			sc.err = err
 			return
@@ -284,7 +292,7 @@ func runCellBatched(ev *Evaluator, s *sweepState, c exploreCell) (ExploreResult,
 		sc.results = ev.SimulateBatch(tr, req.Archs)
 		trace.Put(tr)
 		if st != nil {
-			st.Put(bt.FP, sc.runs, ev.cfg, req.Archs, sc.results)
+			st.Put(fp, sc.runs, ev.cfg, req.Archs, sc.results)
 		}
 	})
 	s.consume(ps)
@@ -307,19 +315,18 @@ func runCellBatched(ev *Evaluator, s *sweepState, c exploreCell) (ExploreResult,
 // many of its settings share an earlier setting's byte-identical binary
 // (within the window or across windows). A rebuilt window contributes
 // nothing: its start is already marked counted.
-func (s *sweepState) countReuses(ev *Evaluator, ps *progSweep, w *sweepWindow) {
+func (s *sweepState) countReuses(ev *Evaluator, ps *progSweep, start int, fps []codegen.Fingerprint) {
 	var reuses int64
 	s.mu.Lock()
-	for i := range w.bt {
-		if ps.counted[w.start] || w.bt[i].Err != nil {
-			continue
+	if !ps.counted[start] {
+		for _, fp := range fps {
+			if ps.seenFPs[fp] {
+				reuses++
+			}
+			ps.seenFPs[fp] = true
 		}
-		if ps.seenFPs[w.bt[i].FP] {
-			reuses++
-		}
-		ps.seenFPs[w.bt[i].FP] = true
+		ps.counted[start] = true
 	}
-	ps.counted[w.start] = true
 	s.mu.Unlock()
 	ev.mu.Lock()
 	ev.traceReuses += reuses

@@ -4,16 +4,20 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"portcc/internal/codegen"
 	"portcc/internal/core"
 	"portcc/internal/ir"
 	"portcc/internal/opt"
+	"portcc/internal/pcerr"
 	"portcc/internal/prog"
 	"portcc/internal/trace"
 	"portcc/internal/uarch"
@@ -322,6 +326,182 @@ func TestSweepGeneratesEachBinaryOnce(t *testing.T) {
 	}
 	if typeHolds(reflect.TypeOf(sweepState{}), reflect.TypeOf(trace.Trace{}), map[reflect.Type]bool{}) {
 		t.Error("the sweep state can hold a trace: a trace must not outlive its replay")
+	}
+}
+
+// allCells lists every dispatch index of req.
+func allCells(req ExploreRequest) []int {
+	all := make([]int, req.Cells())
+	for i := range all {
+		all[i] = i
+	}
+	return all
+}
+
+// TestWindowCompilesOnEverySlot: a window the index cannot answer is
+// compiled by every slot that reaches it, setting by setting, and the
+// work is the same work at every slot count - each setting once, one
+// probe per program, the same generations, replays and twins - with
+// cells identical to the naive path's. The hook holds the run's first
+// setting compile until a second slot has compiled in the same window
+// (the first cells of a run all share one), so that sharing is a
+// property of the state machine here, not a likelihood of the scheduler.
+func TestWindowCompilesOnEverySlot(t *testing.T) {
+	req := tinyRequest(t, 21)
+	req.Opts = req.Opts[1:] // no -O3 setting: every -O3 compile below is a probe
+	naive := collect(t, req, ExploreOptions{Workers: 1, Naive: true})
+	optIndex := map[opt.Config]int{}
+	for i, c := range req.Opts {
+		optIndex[c] = i
+	}
+	if len(optIndex) != len(req.Opts) {
+		t.Fatal("the sample repeats a setting")
+	}
+
+	var oneSlot ledger
+	for _, slots := range []int{1, 2, 3, 8} {
+		var mu sync.Mutex
+		compiled := map[opt.Config]int{}
+		slotsOf := map[int]map[int]bool{} // window start -> slots that compiled one of its settings
+		first, gate := slots > 1, make(chan struct{})
+		var open sync.Once
+		run, evs := hookedRunner(&req, slots, nil, func(slot int, c *opt.Config) error {
+			if *c == o3 {
+				return nil
+			}
+			mu.Lock()
+			compiled[*c]++
+			w := optIndex[*c] / indexBlock * indexBlock
+			if slotsOf[w] == nil {
+				slotsOf[w] = map[int]bool{}
+			}
+			slotsOf[w][slot] = true
+			hold, shared := first, len(slotsOf[0]) > 1
+			first = false
+			mu.Unlock()
+			if shared {
+				open.Do(func() { close(gate) })
+			}
+			if hold {
+				<-gate
+			}
+			return nil
+		})
+		got, errs := driveCells(run, slots, allCells(req))
+		if len(errs) != 0 {
+			t.Fatalf("%d slots: %v", slots, errs)
+		}
+		if !reflect.DeepEqual(got, naive) {
+			t.Fatalf("%d slots: cells differ from the naive path's", slots)
+		}
+		var l ledger
+		l.add(evs)
+		if slots == 1 {
+			oneSlot = l
+		}
+		if want := len(req.Programs) * (len(req.Opts) + 1); l.Compiles != want || l.probeCompiles != int64(len(req.Programs)) {
+			t.Errorf("%d slots: %d compiles, %d of them probes; want %d and %d", slots, l.Compiles, l.probeCompiles, want, len(req.Programs))
+		}
+		for i, c := range req.Opts {
+			if compiled[c] != len(req.Programs) {
+				t.Errorf("%d slots: setting %d compiled %d times for %d programs", slots, i, compiled[c], len(req.Programs))
+			}
+		}
+		if l != oneSlot {
+			t.Errorf("%d slots: ledger %+v, at one slot %+v", slots, l, oneSlot)
+		}
+		if slots > 1 && len(slotsOf[0]) < 2 {
+			t.Errorf("%d slots: one slot compiled the whole first window", slots)
+		}
+	}
+}
+
+// TestCompileFailuresStayWhereTheyHappen is the error half of the
+// window's state machine. A setting whose compile fails fails its own
+// cells typed, wakes whoever waits for it, poisons no sibling and keeps
+// its block - only its block - out of the index; a failed -O3 probe or
+// module build fails every cell of the program alike.
+func TestCompileFailuresStayWhereTheyHappen(t *testing.T) {
+	req := tinyRequest(t, 21)
+	ref := collect(t, req, ExploreOptions{Workers: 1, Naive: true})
+	boom := errors.New("test: compile refused")
+	const bad = 10
+	fails := func(t *testing.T, err error, prog, setting int, cause error) {
+		t.Helper()
+		var se *pcerr.SimError
+		if !errors.As(err, &se) || se.Program != req.Programs[prog] || se.Setting != setting || !errors.Is(err, cause) {
+			t.Errorf("cell (%d, %d) returned %v; want a SimError of its own wrapping %v", prog, setting, err, cause)
+		}
+	}
+	for _, slots := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("setting/%d-slots", slots), func(t *testing.T) {
+			dir := t.TempDir()
+			run, _ := hookedRunner(&req, slots, openStore(t, dir), func(_ int, c *opt.Config) error {
+				if *c == req.Opts[bad] {
+					return boom
+				}
+				return nil
+			})
+			got, errs := driveCells(run, slots, allCells(req))
+			if len(errs) != len(req.Programs) {
+				t.Fatalf("%d cells failed, want one per program: %v", len(errs), errs)
+			}
+			for p := range req.Programs {
+				fails(t, errs[p*len(req.Opts)+bad], p, bad, boom)
+			}
+			for k, want := range ref {
+				if k[1] != bad && !reflect.DeepEqual(got[k], want) {
+					t.Fatalf("sibling cell %v differs from the naive path's", k)
+				}
+			}
+			// The rerun finds every block but the failed setting's.
+			rs := openStore(t, dir)
+			if again, _ := ledgerRun(t, req, slots, rs); !reflect.DeepEqual(again, ref) {
+				t.Fatal("rerun differs from the naive path")
+			}
+			if h, m, _ := rs.IndexStats(); m != int64(len(req.Programs)) || h != blocksOf(req)-m {
+				t.Errorf("rerun index ledger %d hits, %d misses; want only the failed setting's block missing per program", h, m)
+			}
+		})
+		t.Run(fmt.Sprintf("probe/%d-slots", slots), func(t *testing.T) {
+			for _, st := range []*ResultStore{nil, openStore(t, t.TempDir())} {
+				run, _ := hookedRunner(&req, slots, st, func(_ int, c *opt.Config) error {
+					if *c == o3 {
+						return boom
+					}
+					return nil
+				})
+				got, errs := driveCells(run, slots, allCells(req))
+				if len(got) != 0 || len(errs) != req.Cells() {
+					t.Fatalf("%d cells completed over a failing probe, %d failed", len(got), len(errs))
+				}
+				for i, err := range errs {
+					fails(t, err, req.cell(i).prog, req.cell(i).opt, boom)
+				}
+			}
+		})
+		t.Run(fmt.Sprintf("module/%d-slots", slots), func(t *testing.T) {
+			broken := req
+			broken.Programs = []string{req.Programs[0], "no-such-program"} // past Validate
+			for _, st := range []*ResultStore{nil, openStore(t, t.TempDir())} {
+				run, _ := broken.runner(slots, 1, st)
+				got, errs := driveCells(run, slots, allCells(broken))
+				if len(got) != len(req.Opts) || len(errs) != len(req.Opts) {
+					t.Fatalf("%d cells completed, %d failed; want one program each", len(got), len(errs))
+				}
+				for i, err := range errs {
+					var se *pcerr.SimError
+					if !errors.As(err, &se) || se.Program != "no-such-program" || !errors.Is(err, pcerr.ErrUnknownProgram) {
+						t.Errorf("cell %d returned %v; want a SimError wrapping ErrUnknownProgram", i, err)
+					}
+				}
+				for k, r := range got {
+					if !reflect.DeepEqual(r, ref[k]) {
+						t.Fatalf("cell %v of the healthy program differs", k)
+					}
+				}
+			}
+		})
 	}
 }
 

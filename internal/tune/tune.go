@@ -19,9 +19,10 @@ import "runtime"
 // outer fan-out of up to outer independent tasks and the inner sweep
 // parallelism of each, bounded by inner (the per-replay sweep width,
 // typically the architecture count). The outer level claims the budget
-// first - fan-out parallelises compile work and trace generation too,
-// which sweeps cannot - and whatever cores the fan-out cannot occupy
-// (budget / outerW, at least 1) go to each task's sweeps:
+// first - fan-out parallelises compile work (the slots of a sweep claim
+// a window's settings one by one, internal/dataset/sweep.go) and trace
+// generation too, which sweeps cannot - and whatever cores the fan-out
+// cannot occupy (budget / outerW, at least 1) go to each task's sweeps:
 //
 //	many programs x few archs  -> outerW = budget, innerW = 1 (fan-out heavy)
 //	few programs x many archs  -> outerW = programs, innerW = budget/programs

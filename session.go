@@ -284,6 +284,31 @@ func (s *Session) Speedup(ctx context.Context, program string, cfg OptConfig, ar
 	return base / got, nil
 }
 
+// CompileAndRun compiles the named benchmark under cfg once and measures
+// that binary on arch: the image, its counters and its speedup over -O3
+// (the session's memoised baseline). It returns what Compile, Run and
+// Speedup return, for one compile where the three calls pay three.
+func (s *Session) CompileAndRun(ctx context.Context, program string, cfg OptConfig, arch Arch) (*Binary, RunResult, float64, error) {
+	if err := arch.Validate(); err != nil {
+		return nil, RunResult{}, 0, err
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, RunResult{}, 0, err
+	}
+	base, err := s.baselineCyclesPerRun(ctx, program, arch)
+	if err != nil {
+		return nil, RunResult{}, 0, err
+	}
+	bin, res, runs, err := s.ev.CompileAndRun(program, &cfg, arch)
+	if err != nil {
+		return nil, RunResult{}, 0, err
+	}
+	if res.Cycles == 0 {
+		return nil, RunResult{}, 0, fmt.Errorf("portcc: zero cycle count for %s", program)
+	}
+	return bin, res, base / (float64(res.Cycles) / float64(runs)), nil
+}
+
 func (s *Session) baselineCyclesPerRun(ctx context.Context, program string, arch Arch) (float64, error) {
 	key := baselineKey{program: program, arch: arch}
 	for {

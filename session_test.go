@@ -298,6 +298,56 @@ func TestExploreValidatesRequestUpfront(t *testing.T) {
 	check(func(r *portcc.ExploreRequest) { r.Opts[1].Params[0] = 9 }, portcc.ErrInvalidConfig)
 }
 
+// TestCompileAndRunCompilesOnce pins what cmd/portcc pays for its chosen
+// setting: the -O3 probe and one compile, where Compile, Run and Speedup
+// in turn compile it three times - and the same three answers.
+func TestCompileAndRunCompilesOnce(t *testing.T) {
+	ctx := context.Background()
+	arch := portcc.XScale()
+	tuned := portcc.O3()
+	tuned.Flags[portcc.FScheduleInsns] = false
+
+	three := tinySession()
+	wantBin, err := three.Compile(ctx, "crc", tuned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRes, err := three.Run(ctx, "crc", tuned, arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSpeedup, err := three.Speedup(ctx, "crc", tuned, arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if compiles, _ := three.Stats(); compiles != 4 {
+		t.Fatalf("Compile, Run and Speedup compiled %d times, want 4 (probe + 3)", compiles)
+	}
+
+	s := tinySession()
+	bin, res, speedup, err := s.CompileAndRun(ctx, "crc", tuned, arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if compiles, sims := s.Stats(); compiles != 2 || sims != 2 {
+		t.Errorf("CompileAndRun: %d compiles and %d simulations, want 2 and 2 (probe + setting, baseline + candidate)", compiles, sims)
+	}
+	if bin.TotalBytes != wantBin.TotalBytes || bin.PadBytes != wantBin.PadBytes || res != wantRes || speedup != wantSpeedup {
+		t.Errorf("CompileAndRun answered (%d bytes, %d cycles, %v), the three calls (%d bytes, %d cycles, %v)",
+			bin.TotalBytes, res.Cycles, speedup, wantBin.TotalBytes, wantRes.Cycles, wantSpeedup)
+	}
+	// -O3 compiles nothing beyond the probe, and unknown names stay typed.
+	if _, _, v, err := s.CompileAndRun(ctx, "crc", portcc.O3(), arch); err != nil || v != 1 {
+		t.Errorf("-O3 against itself: speedup %v, err %v; want exactly 1", v, err)
+	}
+	if compiles, _ := s.Stats(); compiles != 2 {
+		t.Errorf("%d compiles after an -O3 CompileAndRun, want still 2", compiles)
+	}
+	if _, _, _, err := s.CompileAndRun(ctx, "no-such-program", tuned, arch); !errors.Is(err, portcc.ErrUnknownProgram) {
+		t.Errorf("unknown program returned %v, want ErrUnknownProgram", err)
+	}
+}
+
 func TestSpeedupBaselineMemoised(t *testing.T) {
 	ctx := context.Background()
 	s := tinySession()
