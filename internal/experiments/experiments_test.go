@@ -2,11 +2,14 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	"portcc/internal/dataset"
+	"portcc/internal/ml"
 	"portcc/internal/opt"
+	"portcc/internal/pcerr"
 )
 
 // testDS caches one tiny dataset for the whole test file.
@@ -133,6 +136,16 @@ func TestPredictionsAndFigures(t *testing.T) {
 	}
 	if it.MeanEvals < 1 {
 		t.Error("mean evaluations below 1 impossible")
+	}
+}
+
+// TestPredictWithModelRefusesWrongWidth: a model artifact of another
+// feature width (legal to ml.Decode, the expgen -model path loads it)
+// is a typed error, not an index panic in the first prediction.
+func TestPredictWithModelRefusesWrongWidth(t *testing.T) {
+	narrow := ml.Train([]ml.TrainingPair{{Prog: "crc", X: []float64{1, 2}}})
+	if _, err := PredictWithModel(context.Background(), getDS(t), narrow, 1); !errors.Is(err, pcerr.ErrInvalidConfig) {
+		t.Fatalf("%d-wide model: err = %v, want ErrInvalidConfig", narrow.Dim(), err)
 	}
 }
 

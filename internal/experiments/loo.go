@@ -58,6 +58,10 @@ func PredictWith(ctx context.Context, ds *dataset.Dataset, k int, beta float64, 
 // (compare the artifact's dataset fingerprint before calling).
 func PredictWithModel(ctx context.Context, ds *dataset.Dataset, model *ml.Model, workers int) (*Predictions, error) {
 	nP, nA, _ := ds.Dims()
+	if nP > 0 && nA > 0 && model.Dim() != len(ds.Features[0][0]) {
+		return nil, fmt.Errorf("experiments: %w: model has %d-wide feature vectors, the dataset's are %d wide",
+			pcerr.ErrInvalidConfig, model.Dim(), len(ds.Features[0][0]))
+	}
 	pr := &Predictions{
 		DS:      ds,
 		Config:  make([][]opt.Config, nP),

@@ -128,6 +128,7 @@ func Decode(r io.Reader) (*Model, ArtifactInfo, error) {
 	if err := b.Model.validate(); err != nil {
 		return nil, ArtifactInfo{}, err
 	}
+	b.Model.index()
 	return &b.Model, b.Info, nil
 }
 

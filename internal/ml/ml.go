@@ -12,6 +12,13 @@
 //
 //   - prediction takes the mode of the mixture (equation 1), which
 //     factorises per optimisation dimension under the IID assumption.
+//
+// A prediction must be free beside the compile it steers, so a Model
+// carries its training vectors already normalised in one flat matrix,
+// derived once in Train or Decode and never stored in an artifact. A
+// query normalises itself and walks the matrix once keeping the K
+// nearest in order: no allocation, no sort, and the same floats the sort
+// over freshly normalised vectors gave (mixtureReference in ml_test.go).
 package ml
 
 import (
@@ -154,7 +161,9 @@ const (
 	Beta = 1.0
 )
 
-// Model is the trained predictor.
+// Model is the trained predictor, made by Train or Decode and nowhere
+// else. Once either returns, Pairs and Norm are frozen; the
+// hyper-parameters may still change and a Model may be copied by value.
 type Model struct {
 	Pairs []TrainingPair
 	Norm  *features.Normalizer
@@ -162,6 +171,28 @@ type Model struct {
 	// hyper-parameters; zero values select K and Beta.
 	KNeighbours int
 	BetaValue   float64
+
+	// rows is what a query reads instead of Pairs[i].X: Norm.Apply of
+	// each, row-major and dim wide, built once by index. Unexported, so
+	// gob never sees it and artifact bytes do not depend on it.
+	rows []float64
+	dim  int
+}
+
+// Dim returns the width of the model's feature vectors.
+func (m *Model) Dim() int { return m.dim }
+
+// index derives rows and dim from Pairs and Norm, whose lengths agree
+// (Train estimates one from the other; Decode validates first).
+func (m *Model) index() {
+	m.dim = len(m.Norm.Mean)
+	if m.dim == 0 && len(m.Pairs) > 0 {
+		m.dim = len(m.Pairs[0].X)
+	}
+	m.rows = make([]float64, 0, len(m.Pairs)*m.dim)
+	for i := range m.Pairs {
+		m.rows = append(m.rows, m.Norm.Apply(m.Pairs[i].X)...)
+	}
 }
 
 // trainCalls counts Train invocations process-wide. Pre-trained
@@ -180,16 +211,17 @@ func Train(pairs []TrainingPair) *Model {
 	for i := range pairs {
 		vecs[i] = pairs[i].X
 	}
-	return &Model{Pairs: pairs, Norm: features.NewNormalizer(vecs)}
+	m := &Model{Pairs: pairs, Norm: features.NewNormalizer(vecs)}
+	m.index()
+	return m
 }
 
-// PredictOption configures a single prediction or mixture query.
-type PredictOption func(*predictSettings)
-
-type predictSettings struct {
-	// exclude drops matching training pairs from the neighbour search;
-	// nil excludes nothing.
-	exclude func(*TrainingPair) bool
+// PredictOption configures a single prediction or mixture query. It is
+// a plain value, not a closure, so passing one allocates nothing.
+type PredictOption struct {
+	exclude bool
+	prog    string
+	arch    int
 }
 
 // WithExclude implements the leave-one-out mask of Section 5.1.1: any
@@ -197,24 +229,7 @@ type predictSettings struct {
 // dropped from the neighbour search (neither the test program nor the
 // test microarchitecture is ever trained on).
 func WithExclude(prog string, arch int) PredictOption {
-	return func(s *predictSettings) {
-		s.exclude = func(p *TrainingPair) bool {
-			return p.Prog == prog || p.Arch == arch
-		}
-	}
-}
-
-func applyPredictOptions(opts []PredictOption) predictSettings {
-	var s predictSettings
-	for _, o := range opts {
-		o(&s)
-	}
-	return s
-}
-
-type neighbour struct {
-	dist float64
-	pair *TrainingPair
+	return PredictOption{exclude: true, prog: prog, arch: arch}
 }
 
 // Predict returns the predicted-best configuration for feature vector x
@@ -226,39 +241,81 @@ func (m *Model) Predict(x []float64, opts ...PredictOption) opt.Config {
 	return mix.Mode()
 }
 
+// Stack room for one query; a wider vector or a larger neighbourhood
+// than any the repo trains spills to the heap through append.
+const stackDim, stackK = 32, 16
+
+// candidate is one training pair in the running for the neighbourhood.
+type candidate struct {
+	dist float64
+	pair *TrainingPair
+}
+
+// nearer is the neighbourhood's total order: distance, then the pair's
+// identity, so equidistant pairs rank the same on every run.
+func nearer(a, b candidate) bool {
+	if a.dist != b.dist {
+		return a.dist < b.dist
+	}
+	if a.pair.Prog != b.pair.Prog {
+		return a.pair.Prog < b.pair.Prog
+	}
+	return a.pair.Arch < b.pair.Arch
+}
+
 // Mixture computes q(y|x): the convex combination of the K nearest
 // training distributions with weights w_k = exp(-beta d_k)/sum (eq. 6).
+// One pass over the normalised rows, no allocation, safe for concurrent
+// use.
 func (m *Model) Mixture(x []float64, opts ...PredictOption) Dist {
-	set := applyPredictOptions(opts)
+	var set PredictOption
+	for _, o := range opts {
+		set = o
+	}
 	k := m.KNeighbours
 	if k <= 0 {
 		k = K
 	}
+	k = min(k, len(m.Pairs))
 	beta := m.BetaValue
 	if beta <= 0 {
 		beta = Beta
 	}
-	nx := m.Norm.Apply(x)
-	var nbrs []neighbour
+	nx := x
+	if mean, std := m.Norm.Mean, m.Norm.Std; len(mean) > 0 {
+		var qbuf [stackDim]float64
+		nx = append(qbuf[:0], x...)
+		for i, v := range x {
+			nx[i] = (v - mean[i]) / std[i]
+		}
+	}
+	var kbuf [stackK]candidate
+	nbrs := kbuf[:0] // the k nearest so far, nearest first
 	for i := range m.Pairs {
 		p := &m.Pairs[i]
-		if set.exclude != nil && set.exclude(p) {
+		if set.exclude && (p.Prog == set.prog || p.Arch == set.arch) {
 			continue
 		}
-		nbrs = append(nbrs, neighbour{dist: features.Distance(nx, m.Norm.Apply(p.X)), pair: p})
-	}
-	sort.Slice(nbrs, func(a, b int) bool {
-		if nbrs[a].dist != nbrs[b].dist {
-			return nbrs[a].dist < nbrs[b].dist
+		// features.Distance(nx, row), operation for operation.
+		row := m.rows[i*m.dim : (i+1)*m.dim]
+		s := 0.0
+		for j, q := range nx {
+			d := q - row[j]
+			s += d * d
 		}
-		// Deterministic tie-break on identity.
-		if nbrs[a].pair.Prog != nbrs[b].pair.Prog {
-			return nbrs[a].pair.Prog < nbrs[b].pair.Prog
+		c := candidate{dist: math.Sqrt(s), pair: p}
+		if len(nbrs) == k {
+			if !nearer(c, nbrs[k-1]) {
+				continue
+			}
+			nbrs = nbrs[:k-1]
 		}
-		return nbrs[a].pair.Arch < nbrs[b].pair.Arch
-	})
-	if len(nbrs) > k {
-		nbrs = nbrs[:k]
+		j := len(nbrs)
+		nbrs = append(nbrs, c)
+		for ; j > 0 && nearer(c, nbrs[j-1]); j-- {
+			nbrs[j] = nbrs[j-1]
+		}
+		nbrs[j] = c
 	}
 	var mix Dist
 	if len(nbrs) == 0 {
@@ -270,16 +327,16 @@ func (m *Model) Mixture(x []float64, opts ...PredictOption) Dist {
 		}
 		return mix
 	}
-	// Weights relative to the nearest distance for numerical stability.
+	// Weights relative to the nearest distance for numerical stability;
+	// they overwrite the distances they were computed from.
 	d0 := nbrs[0].dist
 	wsum := 0.0
-	ws := make([]float64, len(nbrs))
-	for i, nb := range nbrs {
-		ws[i] = math.Exp(-beta * (nb.dist - d0))
-		wsum += ws[i]
+	for i := range nbrs {
+		nbrs[i].dist = math.Exp(-beta * (nbrs[i].dist - d0))
+		wsum += nbrs[i].dist
 	}
-	for i, nb := range nbrs {
-		w := ws[i] / wsum
+	for _, nb := range nbrs {
+		w := nb.dist / wsum
 		for l := 0; l < opt.NumDims; l++ {
 			for j := 0; j < opt.DimSize(l); j++ {
 				mix.Theta[l][j] += w * nb.pair.G.Theta[l][j]

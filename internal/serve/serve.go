@@ -32,9 +32,11 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -183,12 +185,17 @@ func evalFromInfo(info ml.ArtifactInfo) dataset.EvalConfig {
 	}
 }
 
-// acceptModel gates hot-reloaded artifacts: a replacement trained with
-// different profiling parameters would make cached and future feature
-// vectors incomparable to its training distribution, so it is rejected
-// (the server keeps serving the old model; deploy such a change with a
-// restart instead).
+// acceptModel gates every artifact: a model of another feature width
+// would index past the vectors this server measures, and a replacement
+// trained with different profiling parameters would make cached and
+// future feature vectors incomparable to its training distribution, so
+// it is rejected (the server keeps serving the old model; deploy such a
+// change with a restart instead).
 func (s *Server) acceptModel(next, cur *Loaded) error {
+	if d := next.Model.Dim(); d != features.Dim {
+		return fmt.Errorf("serve: %w: artifact models %d-wide feature vectors, this server measures %d",
+			pcerr.ErrInvalidConfig, d, features.Dim)
+	}
 	if cur == nil {
 		return nil // first load establishes the parameters
 	}
@@ -387,7 +394,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, status, *errResp)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	if !writeJSON(w, http.StatusOK, resp) {
+		outcome = "error"
+	}
 }
 
 // statusClientClosedRequest is nginx's non-standard 499: the client went
@@ -431,7 +440,7 @@ func (s *Server) predict(req *PredictRequest) (*PredictResponse, int, *errorResp
 			return nil, http.StatusBadRequest, &errorResponse{Error: err.Error(), Code: "bad_request"}
 		}
 		resp.Program, resp.Arch = req.Program, arch.String()
-		key := req.Program + "|" + arch.String()
+		key := req.Program + "|" + resp.Arch
 		var hit bool
 		x, hit, err = s.cache.get(key, func() ([]float64, error) {
 			start := time.Now()
@@ -460,6 +469,11 @@ func (s *Server) predict(req *PredictRequest) (*PredictResponse, int, *errorResp
 	}
 
 	mix := loaded.Model.Mixture(x)
+	// One NaN weight makes every entry NaN, and a weight is NaN only when
+	// the nearest distance is not finite: features beyond float64's reach.
+	if math.IsNaN(mix.Theta[0][0]) {
+		return nil, http.StatusBadRequest, &errorResponse{Error: "feature vector is not at a finite distance from the training set", Code: "bad_request"}
+	}
 	cfg := mix.Mode()
 	resp.ConfigKey = cfg.Key()
 	resp.ConfigGCC = cfg.String()
@@ -471,10 +485,11 @@ func (s *Server) predict(req *PredictRequest) (*PredictResponse, int, *errorResp
 // distributions, each trimmed to its dimension's true value count.
 func mixtureDims(mix *ml.Dist) []DimMixture {
 	out := make([]DimMixture, opt.NumDims)
+	probs := make([]float64, 0, opt.NumDims*opt.MaxDimSize)
 	for l := 0; l < opt.NumDims; l++ {
-		probs := make([]float64, opt.DimSize(l))
-		copy(probs, mix.Theta[l][:opt.DimSize(l)])
-		out[l] = DimMixture{Dim: opt.DimName(l), Probs: probs}
+		n := len(probs)
+		probs = append(probs, mix.Theta[l][:opt.DimSize(l)]...)
+		out[l] = DimMixture{Dim: opt.DimName(l), Probs: probs[n:len(probs):len(probs)]}
 	}
 	return out
 }
@@ -521,8 +536,19 @@ func (s *Server) syncGauges() {
 	s.mBaseBytes.Set(st.BaselineTraceBytes)
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// writeJSON encodes before it sends the status: a value the encoder
+// refuses (a NaN, say) becomes a typed 500, never a 200 with no body.
+// It reports whether v itself was sent.
+func writeJSON(w http.ResponseWriter, status int, v any) bool {
+	var body bytes.Buffer
+	err := json.NewEncoder(&body).Encode(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		body.Reset()
+		json.NewEncoder(&body).Encode(errorResponse{Error: "encoding the response: " + err.Error(), Code: "error"})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	w.Write(body.Bytes())
+	return err == nil
 }

@@ -140,6 +140,17 @@ func TestOptimizeForMatchesDatasetFeatures(t *testing.T) {
 	}
 }
 
+// TestOptimizeForRefusesWrongWidthModel: an artifact of another feature
+// width is a legal file (LoadModel takes it) but cannot meet a profile
+// run's vector - a typed error before any profiling, not an index panic.
+func TestOptimizeForRefusesWrongWidthModel(t *testing.T) {
+	narrow := ml.Train([]ml.TrainingPair{{Prog: "crc", X: []float64{1, 2}}})
+	_, err := portcc.NewSession().OptimizeFor(context.Background(), "crc", portcc.XScale(), narrow)
+	if !errors.Is(err, portcc.ErrInvalidConfig) {
+		t.Fatalf("OptimizeFor with a 2-wide model: err = %v, want ErrInvalidConfig", err)
+	}
+}
+
 func TestLoadModelRejectsDatasetFile(t *testing.T) {
 	ds, _ := tinyModel(t)
 	path := filepath.Join(t.TempDir(), "ds.gob")

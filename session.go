@@ -344,6 +344,10 @@ func (s *Session) baselineCyclesPerRun(ctx context.Context, program string, arch
 // counters; the model predicts the best passes; the returned configuration
 // is ready to compile with.
 func (s *Session) OptimizeFor(ctx context.Context, program string, arch Arch, m *Model) (OptConfig, error) {
+	if m.Dim() != features.Dim {
+		return OptConfig{}, fmt.Errorf("portcc: %w: model has %d-wide feature vectors, a profile run measures %d",
+			ErrInvalidConfig, m.Dim(), features.Dim)
+	}
 	r, err := s.Run(ctx, program, O3(), arch)
 	if err != nil {
 		return OptConfig{}, err
