@@ -3,7 +3,7 @@
 // microarchitecture together, instead of one full replay per
 // configuration. Results are bit-identical to per-configuration Simulate.
 //
-// Four structural facts of the model make the batch engine fast:
+// Five structural facts of the model make the batch engine fast:
 //
 //  1. The trace is microarchitecture-independent, so per-event decode work
 //     (operation class, flags, dependency distances) is shared by all
@@ -50,6 +50,14 @@
 //     PCs, memory records, branch records) that the sweeps stream over,
 //     and the trace is still read from main memory once.
 //
+//  5. Data-cache outcomes depend on the data stream and the geometry,
+//     nothing else - not on PCs, code layout, scheduling distances or
+//     branch shape - and most optimisation settings of a program change
+//     the code without changing its sequence of loads and stores. Given
+//     a DataMemo, the first binary to issue a stream sweeps the data
+//     caches and publishes every member's miss counts; every later one
+//     reads them back and sets up no data-cache tag array at all.
+//
 // The per-block sweeps are independent within three dependency waves, so
 // SimulateBatchWith can fan them over a worker pool on multi-core
 // machines - bit-identical under any schedule; SimulateBatch keeps the
@@ -57,6 +65,8 @@
 package cpu
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"math/bits"
 	"sort"
 	"sync"
@@ -257,13 +267,16 @@ func (s *lruStack) member(assoc int) *cacheMember {
 	return m
 }
 
-// finalize sorts members and sizes the tag store once all are registered;
-// the backing arrays come zeroed from the call's scratch arena. Stacks up
-// to permMaxDepth deep take the permutation-word representation, deeper
-// ones the ring.
-func (s *lruStack) finalize(sc *simScratch) {
+// finalize sorts the members once all are registered and fixes the depth.
+func (s *lruStack) finalize() {
 	sort.Slice(s.members, func(a, b int) bool { return s.members[a].assoc < s.members[b].assoc })
 	s.depth = s.members[len(s.members)-1].assoc
+}
+
+// alloc sizes a finalized stack's tag store; the backing arrays come
+// zeroed from the call's scratch arena. Stacks up to permMaxDepth deep
+// take the permutation-word representation, deeper ones the ring.
+func (s *lruStack) alloc(sc *simScratch) {
 	sets := int(s.setMask) + 1
 	s.lines = sc.u32.get(sets*s.depth, true)
 	s.lastLine = ^uint32(0)
@@ -665,16 +678,84 @@ func SimulateBatch(tr *trace.Trace, cfgs []uarch.Config) []Result {
 // multiplies with the program-level pools on multi-core machines.
 // Workers <= 1 (SimulateBatch's default) keeps the sequential fast path.
 func SimulateBatchWith(tr *trace.Trace, cfgs []uarch.Config, workers int) []Result {
-	return simulateBatch(tr, cfgs, workers, false)
+	rs, _ := simulateBatch(tr, cfgs, workers, false, nil)
+	return rs
 }
 
-// simulateBatch is the engine behind SimulateBatchWith. wideOracle
-// forces every multi-issue configuration onto the per-event replay path
-// instead of the width-2 closed forms - the equivalence tests use it to
-// drive both models over one trace and demand bit-identical results.
-func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle bool) []Result {
+// DataMemo holds, per data stream, the (load, store) misses of every DL1
+// member of an architecture sample (fact 5). The zero value is ready and
+// safe for concurrent use: nobody claims a stream, replays that reach
+// the same new one at once all sweep and publish equal counts.
+type DataMemo struct{ m sync.Map } // [sha256.Size]byte -> [][2]uint64
+
+// load fills the members' miss counts from the entry under key, if any.
+func (d *DataMemo) load(key [sha256.Size]byte, members []*cacheMember) bool {
+	v, ok := d.m.Load(key)
+	if ok {
+		for i, c := range v.([][2]uint64) {
+			members[i].loadMisses, members[i].storeMisses = c[0], c[1]
+		}
+	}
+	return ok
+}
+
+// store publishes the members' miss counts under key.
+func (d *DataMemo) store(key [sha256.Size]byte, members []*cacheMember) {
+	counts := make([][2]uint64, len(members))
+	for i, m := range members {
+		counts[i] = [2]uint64{m.loadMisses, m.storeMisses}
+	}
+	d.m.Store(key, counts)
+}
+
+// SimulateBatchMemo is SimulateBatchWith with the data caches answered
+// from memo when an earlier call published this trace's data stream
+// (reused), and published to it otherwise; bit-identical either way.
+func SimulateBatchMemo(tr *trace.Trace, cfgs []uarch.Config, workers int, memo *DataMemo) (rs []Result, reused bool) {
+	return simulateBatch(tr, cfgs, workers, false, memo)
+}
+
+// dataKey names what a data-cache outcome depends on: the DL1 member
+// layout of this call, in stack order - a memo never answers for another
+// architecture sample - and every load and store of the whole trace as
+// (op, address), position-free: a binary with more instructions between
+// the same accesses hits. SHA-256, as codegen.Fingerprint.
+func dataKey(dcs []*lruStack, tr *trace.Trace) (key [sha256.Size]byte) {
+	h := sha256.New()
+	buf := make([]byte, 0, 4096)
+	for _, s := range dcs {
+		for _, v := range []uint32{s.setBits, s.blockLg, uint32(len(s.members))} {
+			buf = binary.LittleEndian.AppendUint32(buf, v)
+		}
+		for _, m := range s.members {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(m.assoc))
+		}
+	}
+	for i := range tr.Events {
+		ev := &tr.Events[i]
+		if !isa.Op(ev.Op).IsMem() {
+			continue
+		}
+		if len(buf)+5 > cap(buf) {
+			h.Write(buf)
+			buf = buf[:0]
+		}
+		buf = binary.LittleEndian.AppendUint32(append(buf, ev.Op), ev.Addr)
+	}
+	h.Write(buf)
+	h.Sum(key[:0])
+	return key
+}
+
+// simulateBatch is the one engine behind the exported entry points.
+// wideOracle forces every multi-issue configuration onto the per-event
+// replay path instead of the width-2 closed forms - the equivalence tests
+// use it to drive both models over one trace and demand bit-identical
+// results. memo (nil: none) answers or learns the data caches (fact 5)
+// unless a configuration takes the per-event path; reused: it answered.
+func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle bool, memo *DataMemo) (results []Result, reused bool) {
 	if len(cfgs) == 0 {
-		return nil
+		return nil, false
 	}
 	sc := getSimScratch()
 	defer putSimScratch(sc)
@@ -828,10 +909,11 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 		st.pgIdx = pi
 	}
 	for _, s := range icStacks {
-		s.stack.finalize(sc)
+		s.stack.finalize()
+		s.stack.alloc(sc)
 	}
 	for _, s := range dcs {
-		s.finalize(sc)
+		s.finalize()
 	}
 	// Per-event outcome bitsets exist only where a multi-issue
 	// configuration will read them back; everyone else keeps counters
@@ -895,6 +977,28 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 	memList := sc.u64.get(blockEvents, false)[:0]
 	pcList := sc.u32.get(blockEvents, false)[:0]
 	var memOps, branches uint64
+
+	// Data caches last, so a call the memo answers - no tag array, no
+	// sweepDC in any block - draws a prefix of a sweeping call's arena
+	// sequence. The per-event path reads outcomes back and never asks.
+	var key [sha256.Size]byte
+	if len(wide) > 0 {
+		memo = nil
+	}
+	swept := dcs
+	var dcMembers []*cacheMember // stack order, as a memo entry lists them
+	if memo != nil {
+		for _, s := range dcs {
+			dcMembers = append(dcMembers, s.members...)
+		}
+		key = dataKey(dcs, tr)
+		if reused = memo.load(key, dcMembers); reused {
+			swept = nil
+		}
+	}
+	for _, s := range swept {
+		s.alloc(sc)
+	}
 	var opCount [256]uint64
 
 	// Per-block state shared with the sweep closures below; the closures
@@ -941,7 +1045,7 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 		}
 	}
 	sweepDC := func(k int) {
-		s := dcs[k]
+		s := swept[k]
 		for _, mp := range memList {
 			s.access(uint32(mp), int(mp>>32&0x7fffffff), mp>>63 != 0, true)
 		}
@@ -1251,7 +1355,7 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 		// the BTB deviations and line changes, instruction stacks read
 		// the line changes, and the multi-issue replay reads every
 		// shared outcome bitset.
-		parallelSweep(workers, len(lineTracks)+len(btbs)+len(dcs), wave1)
+		parallelSweep(workers, len(lineTracks)+len(btbs)+len(swept), wave1)
 		parallelSweep(workers, len(ics)+len(icStacks), wave2)
 		parallelSweep(workers, len(pairGroups)+len(wide), wave3)
 	}
@@ -1263,6 +1367,10 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 			g.pairs += (g.open + 1) / 2
 			g.open = 0
 		}
+	}
+
+	if memo != nil && !reused {
+		memo.store(key, dcMembers)
 	}
 
 	var aluOps, macOps, shiftOps uint64
@@ -1281,7 +1389,7 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 	}
 
 	insns := uint64(len(tr.Events))
-	results := make([]Result, len(cfgs))
+	results = make([]Result, len(cfgs))
 	for i := range states {
 		st := &states[i]
 		res := &results[i]
@@ -1345,7 +1453,7 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 			float64(res.Insns)*coreEnergyPerInsn +
 			float64(res.Cycles)*coreEnergyPerCycle
 	}
-	return results
+	return results, reused
 }
 
 // depStallDot folds the dependency histogram with one configuration's

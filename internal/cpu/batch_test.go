@@ -254,7 +254,7 @@ func TestSimulateBatchWideOracle(t *testing.T) {
 		t.Helper()
 		closed := SimulateBatch(tr, archs)
 		for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-			oracle := simulateBatch(tr, archs, workers, true)
+			oracle, _ := simulateBatch(tr, archs, workers, true, nil)
 			for i := range archs {
 				if closed[i] != oracle[i] {
 					t.Fatalf("workers=%d config %d (%s): closed form differs from per-event oracle:\n  got %+v\n want %+v",

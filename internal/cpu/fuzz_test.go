@@ -189,8 +189,9 @@ func fuzzTrace(data []byte) *trace.Trace {
 // FuzzSimulateBatchVsSimulate fuzzes the end-to-end equivalence: an
 // arbitrary event sequence replayed through the batched one-pass engine
 // must produce, for every architecture of a base+extended sample,
-// exactly the Result of per-configuration Simulate. The first byte seeds
-// the architecture sample so geometry sharing patterns vary too.
+// exactly the Result of per-configuration Simulate - memo-less, filling a
+// data-stream memo and answered from it. The first byte seeds the
+// architecture sample so geometry sharing patterns vary too.
 func FuzzSimulateBatchVsSimulate(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	rng := rand.New(rand.NewSource(3))
@@ -214,9 +215,23 @@ func FuzzSimulateBatchVsSimulate(f *testing.F) {
 				t.Fatalf("config %d (%s):\n batch %+v\n  want %+v", i, cfg.String(), batch[i], want)
 			}
 		}
+		// Twice through one shared memo: the pass that fills it and the
+		// pass it answers are both held to the same results.
+		var memo DataMemo
+		for pass := 0; pass < 2; pass++ {
+			memod, reused := SimulateBatchMemo(tr, archs, 1, &memo)
+			if reused != (pass == 1) {
+				t.Fatalf("memo pass %d: reused = %v", pass, reused)
+			}
+			for i := range archs {
+				if memod[i] != batch[i] {
+					t.Fatalf("memo pass %d config %d (%s):\n  got %+v\n want %+v", pass, i, archs[i].String(), memod[i], batch[i])
+				}
+			}
+		}
 		// The width-2 closed forms must agree with the per-event oracle,
 		// and any worker count must agree with the sequential pass.
-		oracle := simulateBatch(tr, archs, 1, true)
+		oracle, _ := simulateBatch(tr, archs, 1, true, nil)
 		for i := range archs {
 			if oracle[i] != batch[i] {
 				t.Fatalf("config %d (%s): per-event oracle differs from closed form:\n  got %+v\n want %+v",

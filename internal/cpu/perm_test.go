@@ -14,7 +14,8 @@ func newTestStack(setBits, blockLg uint32, assocs []int, ring bool) (*lruStack, 
 	for _, a := range assocs {
 		s.member(a)
 	}
-	s.finalize(sc)
+	s.finalize()
+	s.alloc(sc)
 	return s, sc
 }
 

@@ -143,7 +143,7 @@ type Evaluator struct {
 	// Worker pools that already fan out over programs set an explicit
 	// share via SetSweepWorkers so the two levels together match the
 	// machine (see internal/tune).
-	sweepWorkers int
+	sweepWorkers atomic.Int64
 	// rstore, when set, is the persistent content-addressed result store
 	// replays are answered from and committed to (SetStore). Typically
 	// shared by every evaluator of a pool.
@@ -151,9 +151,10 @@ type Evaluator struct {
 
 	mu sync.Mutex
 	// The work ledger, read through Stats.
-	compiles, simulations  int
-	passRuns, traceReuses  int64
-	traceGens, traceEvents int64
+	compiles, simulations       int
+	passRuns, traceReuses       int64
+	traceGens, traceEvents      int64
+	dataSweeps, dataSweepReuses int64
 
 	// fpScratch is compileSetting's fingerprint buffer, outside mu.
 	fpScratch []byte
@@ -192,8 +193,11 @@ func NewEvaluatorWith(cfg EvalConfig, base *SharedBase) *Evaluator {
 // many cells it spans. TraceGens counts trace generations this evaluator
 // performed and TraceEvents the dynamic instructions they emitted - the
 // denominator that makes generator-throughput changes observable from a
-// benchmark run without a profiler. A slot's -O3 compile and probe are
-// counted by the one evaluator that built it.
+// benchmark run without a profiler. DataSweeps counts batched replays
+// that swept the data caches, DataSweepReuses those answered from the
+// sweep's data-stream memo instead; together, the batched replays run.
+// A slot's -O3 compile and probe are counted by the one evaluator that
+// built it.
 type Stats struct {
 	Compiles    int
 	Simulations int
@@ -204,6 +208,9 @@ type Stats struct {
 
 	TraceGens   int64
 	TraceEvents int64
+
+	DataSweeps      int64
+	DataSweepReuses int64
 
 	// BaselineTraces and BaselineTraceBytes are gauges, not counters: the
 	// -O3 traces resident in the evaluator's base right now and their
@@ -240,6 +247,9 @@ func (e *Evaluator) Stats() Stats {
 		TraceReuses: e.traceReuses,
 		TraceGens:   e.traceGens,
 		TraceEvents: e.traceEvents,
+
+		DataSweeps:      e.dataSweeps,
+		DataSweepReuses: e.dataSweepReuses,
 	}
 	st.BaselineTraces, st.BaselineTraceBytes = e.base.traces.Load(), e.base.bytes.Load()
 	if e.rstore != nil {
@@ -469,11 +479,7 @@ func (e *Evaluator) pooledTrace(sl *baseline, p *codegen.Program) *trace.Trace {
 // call; n >= 1 pins an explicit share, which worker pools use to divide
 // the machine between program fan-out and sweep parallelism. Results
 // are bit-identical at every setting.
-func (e *Evaluator) SetSweepWorkers(n int) {
-	e.mu.Lock()
-	e.sweepWorkers = n
-	e.mu.Unlock()
-}
+func (e *Evaluator) SetSweepWorkers(n int) { e.sweepWorkers.Store(int64(n)) }
 
 // SimulateBatch replays an already-generated trace on every architecture
 // through the batched single-pass engine, returning one result per
@@ -481,12 +487,20 @@ func (e *Evaluator) SetSweepWorkers(n int) {
 // architecture). The per-geometry sweeps inside the pass fan over the
 // evaluator's sweep-worker budget (SetSweepWorkers).
 func (e *Evaluator) SimulateBatch(tr *trace.Trace, archs []uarch.Config) []cpu.Result {
-	e.mu.Lock()
-	workers := e.sweepWorkers
-	e.mu.Unlock()
-	rs := cpu.SimulateBatchWith(tr, archs, workers)
+	return e.simulateBatch(tr, archs, nil)
+}
+
+// simulateBatch is the one counted batched replay: SimulateBatch's with
+// no memo, the sweep's with its program's data-stream memo.
+func (e *Evaluator) simulateBatch(tr *trace.Trace, archs []uarch.Config, memo *cpu.DataMemo) []cpu.Result {
+	rs, reused := cpu.SimulateBatchMemo(tr, archs, int(e.sweepWorkers.Load()), memo)
 	e.mu.Lock()
 	e.simulations += len(archs)
+	if reused {
+		e.dataSweepReuses++
+	} else {
+		e.dataSweeps++
+	}
 	e.mu.Unlock()
 	return rs
 }

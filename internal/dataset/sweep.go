@@ -23,6 +23,12 @@
 // the one replay that misses the memo and the store generates the trace
 // into a pooled buffer, runs SimulateBatch over it and hands the buffer
 // straight back - the sweep state never holds one.
+//
+// That replay carries the program's data-stream memo (cpu.DataMemo),
+// scoped like the twin memo beside it: different binaries that issue the
+// same loads and stores share one data-cache sweep. It is born with the
+// program's sweep state, handed to the engine by that replay alone and
+// dropped with the state at the program's last cell; Naive never sees it.
 package dataset
 
 import (
@@ -67,6 +73,7 @@ type progSweep struct {
 	cellsLeft int
 	windows   map[int]*sweepWindow
 	sims      map[codegen.Fingerprint]*simCell
+	data      cpu.DataMemo // data-cache outcomes per distinct data stream
 	// seenFPs and counted drive the TraceReuses accounting: fingerprints
 	// already owned by an earlier setting of this program, and window
 	// starts whose reuse count has been recorded (a rebuilt window must
@@ -289,7 +296,7 @@ func runCellBatched(ev *Evaluator, s *sweepState, c exploreCell) (ExploreResult,
 			return
 		}
 		sc.runs = max(tr.Runs, 1)
-		sc.results = ev.SimulateBatch(tr, req.Archs)
+		sc.results = ev.simulateBatch(tr, req.Archs, &ps.data)
 		trace.Put(tr)
 		if st != nil {
 			st.Put(fp, sc.runs, ev.cfg, req.Archs, sc.results)

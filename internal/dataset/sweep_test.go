@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -15,7 +16,9 @@ import (
 
 	"portcc/internal/codegen"
 	"portcc/internal/core"
+	"portcc/internal/cpu"
 	"portcc/internal/ir"
+	"portcc/internal/isa"
 	"portcc/internal/opt"
 	"portcc/internal/pcerr"
 	"portcc/internal/prog"
@@ -326,6 +329,96 @@ func TestSweepGeneratesEachBinaryOnce(t *testing.T) {
 	}
 	if typeHolds(reflect.TypeOf(sweepState{}), reflect.TypeOf(trace.Trace{}), map[reflect.Type]bool{}) {
 		t.Error("the sweep state can hold a trace: a trace must not outlive its replay")
+	}
+}
+
+// TestSweepSweepsEachDataStreamOnce pins the data-stream memo beside the
+// twin memo: of a program's distinct binaries, only the first to issue a
+// given sequence of loads and stores sweeps the data caches - recounted
+// here from trace.Generate over the distinct binaries, no evaluator's
+// ledger in the loop - every other replay is answered from the program's
+// memo, the cells are byte-identical to the naive path's, which never
+// sees a memo, and the memo goes when the program's last cell does.
+func TestSweepSweepsEachDataStreamOnce(t *testing.T) {
+	req := tinyRequest(t, 40)
+
+	type ident struct { // a program's binary or data stream, by hash
+		prog int
+		sum  [sha256.Size]byte
+	}
+	binaries, streams := map[ident]bool{}, map[ident]bool{}
+	probe := NewEvaluator(req.Eval)
+	for pi, name := range req.Programs {
+		sl, err := probe.baseline(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range req.Opts {
+			p, err := core.Compile(sl.m, &req.Opts[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fp, _ := codegen.FingerprintInto(p, nil); !binaries[ident{pi, fp}] {
+				binaries[ident{pi, fp}] = true
+				h := sha256.New()
+				for _, ev := range trace.Generate(p, sl.traceConfig(probe.cfg)).Events {
+					if op := isa.Op(ev.Op); op.IsMem() {
+						fmt.Fprintln(h, ev.Addr, op == isa.OpStore)
+					}
+				}
+				streams[ident{pi, [sha256.Size]byte(h.Sum(nil))}] = true
+			}
+		}
+	}
+	if len(streams) == len(binaries) {
+		t.Fatal("every binary has its own data stream: the sample exercises no reuse")
+	}
+
+	cells := func(r ExploreRequest) ([]byte, Stats) {
+		run, ev := r.InstrumentedRunnerStore(nil)
+		var buf bytes.Buffer
+		enc := gob.NewEncoder(&buf)
+		for i := range r.Cells() {
+			res, err := run(0, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := enc.Encode(res); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return buf.Bytes(), ev.Stats()
+	}
+	got, st := cells(req)
+	replays := int64(st.Simulations / len(req.Archs))
+	if st.DataSweeps != int64(len(streams)) || st.DataSweeps+st.DataSweepReuses != replays || replays != int64(len(binaries)) {
+		t.Errorf("%d data sweeps and %d reuses over %d replays, want %d distinct streams among %d distinct binaries",
+			st.DataSweeps, st.DataSweepReuses, replays, len(streams), len(binaries))
+	}
+	naive := req
+	naive.Naive = true
+	want, nst := cells(naive)
+	if !bytes.Equal(got, want) {
+		t.Error("cells answered from the data-stream memo differ from the naive path's")
+	}
+	if nst.DataSweepReuses != 0 || nst.DataSweeps != int64(req.Cells()) {
+		t.Errorf("naive path: %d data sweeps and %d reuses over %d cells, want every cell swept", nst.DataSweeps, nst.DataSweepReuses, req.Cells())
+	}
+
+	// The memo lives in the program's sweep state and nowhere else, so it
+	// is gone exactly when that state is.
+	memo := reflect.TypeOf(cpu.DataMemo{})
+	if !typeHolds(reflect.TypeOf(progSweep{}), memo, map[reflect.Type]bool{}) || typeHolds(reflect.TypeOf(Evaluator{}), memo, map[reflect.Type]bool{}) {
+		t.Error("the data-stream memo must be held by progSweep and by no evaluator")
+	}
+	ev, sw := NewEvaluator(req.Eval), newSweepState(&req)
+	for i := range req.Cells() {
+		if _, err := runCellBatched(ev, sw, req.cell(i)); err != nil {
+			t.Fatal(err)
+		}
+		if c := req.cell(i); (sw.progs[c.prog] != nil) != (c.opt < len(req.Opts)-1) {
+			t.Fatalf("after cell %d (%+v): program state present = %v", i, c, sw.progs[c.prog] != nil)
+		}
 	}
 }
 

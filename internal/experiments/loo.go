@@ -109,24 +109,19 @@ func predictProgram(ds *dataset.Dataset, model *ml.Model, ev *dataset.Evaluator,
 	pr.Config[p] = make([]opt.Config, nA)
 	pr.Speedup[p] = make([]float64, nA)
 	pr.Best[p] = make([]float64, nA)
-	groups := map[string][]int{}
-	var orderKeys []string
+	groups := map[opt.Config][]int{}
+	var order []opt.Config // distinct predictions, first architecture first
 	for a := 0; a < nA; a++ {
 		cfg := model.Predict(ds.Features[p][a], ml.WithExclude(ds.Programs[p], a))
 		pr.Config[p][a] = cfg
-		k := cfg.Key()
-		if _, ok := groups[k]; !ok {
-			orderKeys = append(orderKeys, k)
+		if _, ok := groups[cfg]; !ok {
+			order = append(order, cfg)
 		}
-		groups[k] = append(groups[k], a)
+		groups[cfg] = append(groups[cfg], a)
 		pr.Best[p][a], _ = ds.BestSpeedup(p, a)
 	}
-	for _, k := range orderKeys {
-		archIdx := groups[k]
-		cfg, err := opt.ParseKey(k)
-		if err != nil {
-			return fmt.Errorf("experiments: bad config key: %w", err)
-		}
+	for _, cfg := range order {
+		archIdx := groups[cfg]
 		tr, _, err := ev.Trace(ds.Programs[p], &cfg)
 		if err != nil {
 			return fmt.Errorf("experiments: evaluating prediction for %s: %w", ds.Programs[p], err)

@@ -57,6 +57,34 @@ func TestParseKeyErrors(t *testing.T) {
 	}
 }
 
+// FuzzParseKey: a key arrives from outside (dataset files, the
+// prediction server's answers, command lines). Arbitrary bytes never
+// panic, and either fail typed or name a valid configuration whose Key
+// is the input, byte for byte.
+func FuzzParseKey(f *testing.F) {
+	o3 := O3()
+	f.Add(o3.Key())
+	f.Add((&Config{}).Key())
+	f.Add("short")
+	f.Add("x" + o3.Key()[1:])
+	f.Add(o3.Key()[:NumFlags+NumParams-1] + string(rune('0'+ParamLevelCount)))
+	f.Fuzz(func(t *testing.T, s string) {
+		c, err := ParseKey(s)
+		if err != nil {
+			if !errors.Is(err, pcerr.ErrInvalidConfig) {
+				t.Fatalf("ParseKey(%q): untyped error %v", s, err)
+			}
+			return
+		}
+		if err := c.Validate(); err != nil {
+			t.Fatalf("ParseKey(%q) accepted a configuration Validate refuses: %v", s, err)
+		}
+		if got := c.Key(); got != s {
+			t.Fatalf("ParseKey(%q).Key() = %q", s, got)
+		}
+	})
+}
+
 // TestValidateBoundsParamLevels: a level index is a uint8, the space has
 // ParamLevelCount of them, and everything in between must be refused
 // typed before Param indexes with it.
