@@ -106,7 +106,7 @@ func BenchmarkFigure1Example(b *testing.B) {
 	ds, _ := benchData(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure1(ds); err != nil {
+		if _, err := experiments.Figure1(context.Background(), ds, dataset.ExploreOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -242,7 +242,7 @@ func BenchmarkAblationK(b *testing.B) {
 	var ab *experiments.AblationResult
 	var err error
 	for i := 0; i < b.N; i++ {
-		ab, err = experiments.Ablation(context.Background(), ds, 0)
+		ab, err = experiments.Ablation(context.Background(), ds, dataset.ExploreOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

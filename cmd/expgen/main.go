@@ -17,11 +17,12 @@
 // artifact's dataset fingerprint must match the dataset in use. Dataset
 // generation streams through the portcc Session exploration engine:
 // progress is reported as grid cells complete, and Ctrl-C cancels
-// cleanly, draining the worker pool. With -shards generation is
-// distributed over portccd worker daemons (bit-identical datasets);
-// leave-one-out prediction stays local. With -store the in-process
-// generation commits replay results to a persistent store and resumes
-// from it after interruption, byte-identically.
+// cleanly, draining the worker pool. Generation, the leave-one-out
+// evaluation, Figure 1 and the ablation all measure through that engine
+// under one set of options: with -shards they are distributed over
+// portccd worker daemons, with -store they commit replay results to a
+// persistent store and answer from it on a rerun - output byte-identical
+// either way, and a second run over a warm store compiles nothing.
 package main
 
 import (
@@ -36,6 +37,7 @@ import (
 
 	"portcc"
 	"portcc/internal/cliutil"
+	"portcc/internal/dataset"
 	"portcc/internal/experiments"
 )
 
@@ -92,6 +94,20 @@ func main() {
 		defer rstore.Close()
 	}
 	session := portcc.NewSession(sessionOpts...)
+	// The measurements after generation, without Progress: per-program
+	// grid totals would redraw a misleading line.
+	exploreOpts := dataset.ExploreOptions{
+		Workers:      cf.Workers,
+		SweepWorkers: cf.SweepWorkers,
+		Shards:       shards,
+		Retry:        cf.ShardRetry(),
+		Store:        rstore,
+	}
+	storeStats := func() {
+		if line := cliutil.StoreStats(rstore); line != "" {
+			fmt.Fprintln(os.Stderr, line)
+		}
+	}
 
 	want := func(names ...string) bool {
 		if *fig == "all" {
@@ -145,9 +161,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "dataset ready in %s\n", time.Since(start).Round(time.Second))
-		if line := cliutil.StoreStats(rstore); line != "" {
-			fmt.Fprintln(os.Stderr, line)
-		}
+		storeStats()
 	}
 
 	var pr *experiments.Predictions
@@ -172,18 +186,19 @@ func main() {
 				log.Fatalf("model artifact %s was trained on dataset %.12s..., but this run uses dataset %.12s... (retrain, or pass the matching -dataset)",
 					cf.Model, info.DatasetSHA256, fp)
 			}
-			pr, err = experiments.PredictWithModel(ctx, ds, model, cf.Workers)
+			pr, err = experiments.PredictWithModel(ctx, ds, model, exploreOpts)
 			if err != nil {
 				log.Fatal(err)
 			}
-		} else if pr, err = experiments.PredictWith(ctx, ds, 0, 0, cf.Workers); err != nil {
+		} else if pr, err = experiments.PredictWith(ctx, ds, 0, 0, exploreOpts); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "leave-one-out predictions in %s\n", time.Since(start).Round(time.Second))
+		storeStats()
 	}
 
 	if want("1") {
-		f1, err := experiments.Figure1(ds)
+		f1, err := experiments.Figure1(ctx, ds, exploreOpts)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -217,7 +232,7 @@ func main() {
 		fmt.Print(experiments.IterationsToMatch(pr).Render())
 	}
 	if want("ablation") {
-		ab, err := experiments.Ablation(ctx, ds, cf.Workers)
+		ab, err := experiments.Ablation(ctx, ds, exploreOpts)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -231,7 +246,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		epr, err := experiments.PredictWith(ctx, eds, 0, 0, cf.Workers)
+		epr, err := experiments.PredictWith(ctx, eds, 0, 0, exploreOpts)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -239,5 +254,6 @@ func main() {
 		fmt.Println("Figure 10 (extended space: frequency 200-600MHz, width 1-2):")
 		fmt.Print(f10.Render())
 		fmt.Fprintf(os.Stderr, "extended space done in %s\n", time.Since(start).Round(time.Second))
+		storeStats()
 	}
 }

@@ -286,13 +286,13 @@ func TestSharedBaseDedupesProbes(t *testing.T) {
 	// However many pool workers touch a program, its module is built and
 	// its -O3 probe compiled exactly once - and results stay identical
 	// to a standalone evaluator's.
-	base := NewSharedBase()
+	base := newSharedBase()
 	o3 := opt.O3()
 	tuned := opt.O3()
 	tuned.Flags[0] = !tuned.Flags[0]
 	var pooled [3]cpu.Result
 	for i := range pooled {
-		ev := NewEvaluatorWith(EvalConfig{TargetInsns: 4000}, base)
+		ev := newEvaluatorWith(EvalConfig{TargetInsns: 4000}, base)
 		r, err := ev.Run("crc", &o3, uarch.XScale())
 		if err != nil {
 			t.Fatal(err)
@@ -302,7 +302,7 @@ func TestSharedBaseDedupesProbes(t *testing.T) {
 		}
 		pooled[i] = r
 	}
-	if n := base.ProbeCompiles(); n != 1 {
+	if n := base.compiles.Load(); n != 1 {
 		t.Errorf("%d probe compiles across 3 pooled evaluators, want 1", n)
 	}
 	standalone := NewEvaluator(EvalConfig{TargetInsns: 4000})

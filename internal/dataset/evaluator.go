@@ -8,8 +8,12 @@
 // setting) and replays the trace across architectures, making the paper's
 // 7-million-simulation protocol tractable.
 //
+// Explore measures every grid - generation, leave-one-out, Figure 1 -
+// on a pool of evaluators over one sharedBase; a standalone Evaluator
+// (NewEvaluator) serves single replays.
+//
 // Three things are resident at most: one -O3 baseline per program
-// (SharedBase), one window of compiled binaries per sweep in flight
+// (sharedBase), one window of compiled binaries per sweep in flight
 // (sweep.go) and the result store. A trace of any other setting lives
 // for exactly one replay, and one exploration cell is one (program,
 // setting) replayed over the request's whole architecture sample;
@@ -64,18 +68,18 @@ func (c EvalConfig) withDefaults() EvalConfig {
 	return d
 }
 
-// SharedBase holds one baseline slot per program - everything about a
+// sharedBase holds one baseline slot per program - everything about a
 // program that depends on neither the microarchitecture nor the setting
-// under test - for one evaluator or a pool of them. A fan-out that
-// spreads one program's cells over many workers still builds each module
-// and compiles each -O3 binary exactly once (single-flight); a
+// under test - for one evaluator or a runner's pool of them. A fan-out
+// that spreads one program's cells over many workers still builds each
+// module and compiles each -O3 binary exactly once (single-flight); a
 // standalone evaluator is simply one with a private base. Every
 // evaluator sharing a base must use the same EvalConfig, or run counts
 // would disagree between workers.
-type SharedBase struct {
+type sharedBase struct {
 	mu    sync.Mutex
 	slots map[string]*baseline
-	// compiles counts -O3 compiles actually performed (reporting);
+	// compiles counts -O3 compiles actually performed (tests pin it);
 	// traces and bytes gauge the resident full-length -O3 traces, bounded
 	// by the closed suite: one per touched program, never dropped.
 	compiles, traces, bytes atomic.Int64
@@ -101,15 +105,10 @@ type baseline struct {
 	tr     *trace.Trace // full-length -O3 trace, resident from its first request
 }
 
-// NewSharedBase builds an empty base for a pool of evaluators.
-func NewSharedBase() *SharedBase {
-	return &SharedBase{slots: map[string]*baseline{}}
+// newSharedBase builds an empty base for a pool of evaluators.
+func newSharedBase() *sharedBase {
+	return &sharedBase{slots: map[string]*baseline{}}
 }
-
-// ProbeCompiles returns how many -O3 compiles the base performed - with
-// single-flight dedup this is at most one per program, however many
-// evaluators share the base.
-func (b *SharedBase) ProbeCompiles() int64 { return b.compiles.Load() }
 
 // deriveRuns turns the length of a 1-run -O3 probe into the per-program
 // complete-run count: enough runs to approach TargetInsns, clamped to
@@ -137,7 +136,7 @@ func (sl *baseline) capHint(cfg EvalConfig) int {
 // Safe for concurrent use.
 type Evaluator struct {
 	cfg  EvalConfig
-	base *SharedBase
+	base *sharedBase
 	// sweepWorkers bounds the per-geometry sweep parallelism inside each
 	// batched replay (0 = GOMAXPROCS, cpu.SimulateBatchWith's contract).
 	// Worker pools that already fan out over programs set an explicit
@@ -169,14 +168,14 @@ var o3 = opt.O3()
 
 // NewEvaluator builds a standalone evaluator.
 func NewEvaluator(cfg EvalConfig) *Evaluator {
-	return NewEvaluatorWith(cfg, nil)
+	return newEvaluatorWith(cfg, nil)
 }
 
-// NewEvaluatorWith builds an evaluator over base, the baseline slots a
+// newEvaluatorWith builds an evaluator over base, the baseline slots a
 // worker pool shares (nil: a private base).
-func NewEvaluatorWith(cfg EvalConfig, base *SharedBase) *Evaluator {
+func newEvaluatorWith(cfg EvalConfig, base *sharedBase) *Evaluator {
 	if base == nil {
-		base = NewSharedBase()
+		base = newSharedBase()
 	}
 	return &Evaluator{cfg: cfg.withDefaults(), base: base}
 }
@@ -314,7 +313,7 @@ func (e *Evaluator) module(name string) (*baseline, error) {
 }
 
 // forget drops a slot whose build failed.
-func (b *SharedBase) forget(name string, sl *baseline) {
+func (b *sharedBase) forget(name string, sl *baseline) {
 	b.mu.Lock()
 	if b.slots[name] == sl {
 		delete(b.slots, name)
@@ -454,21 +453,12 @@ func (e *Evaluator) compileSetting(sl *baseline, c *opt.Config) (b settingBinary
 	return b
 }
 
-// GenerateTrace generates the trace of an already-compiled binary of the
-// named program into a pooled buffer sized from the -O3 probe, so
-// steady-state generation runs without append doublings in one
-// allocation. The run count comes from the program's baseline slot, so
-// every worker slot derives the identical trace. The caller owns the
-// trace and must return it with trace.Put when done.
-func (e *Evaluator) GenerateTrace(name string, p *codegen.Program) (*trace.Trace, error) {
-	sl, err := e.baseline(name)
-	if err != nil {
-		return nil, err
-	}
-	return e.pooledTrace(sl, p), nil
-}
-
-// pooledTrace is GenerateTrace with the slot in hand.
+// pooledTrace generates the trace of p, an already-compiled binary of the
+// program whose built slot is sl, into a pooled buffer sized from the
+// -O3 probe, so steady-state generation runs without append doublings in
+// one allocation. The run count comes from the slot, so every worker
+// slot derives the identical trace. The caller owns the trace and must
+// return it with trace.Put when done.
 func (e *Evaluator) pooledTrace(sl *baseline, p *codegen.Program) *trace.Trace {
 	return e.countTraceGen(trace.GenerateInto(trace.Get(sl.capHint(e.cfg)), p, sl.traceConfig(e.cfg)))
 }

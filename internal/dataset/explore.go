@@ -237,7 +237,7 @@ func (r *ExploreRequest) InstrumentedRunnerStore(st *ResultStore) (func(slot, in
 }
 
 func (r *ExploreRequest) runner(slots, sweepWorkers int, st *ResultStore) (func(slot, index int) (any, error), []*Evaluator) {
-	base := NewSharedBase()
+	base := newSharedBase()
 	evs := make([]*Evaluator, slots)
 	var sw *sweepState
 	if !r.Naive {
@@ -250,7 +250,7 @@ func (r *ExploreRequest) runner(slots, sweepWorkers int, st *ResultStore) (func(
 	}
 	return func(slot, index int) (any, error) {
 		if evs[slot] == nil {
-			evs[slot] = NewEvaluatorWith(r.Eval, base)
+			evs[slot] = newEvaluatorWith(r.Eval, base)
 			evs[slot].SetSweepWorkers(sweepWorkers)
 			if st != nil {
 				evs[slot].SetStore(st)

@@ -38,7 +38,7 @@ type ledger struct {
 
 // add folds in one runner's slot evaluators, which share one base.
 func (l *ledger) add(evs []*Evaluator) {
-	var base *SharedBase
+	var base *sharedBase
 	for _, ev := range evs {
 		if ev == nil {
 			continue
@@ -52,7 +52,7 @@ func (l *ledger) add(evs []*Evaluator) {
 		base = ev.base
 	}
 	if base != nil {
-		l.probeCompiles += base.ProbeCompiles()
+		l.probeCompiles += base.compiles.Load()
 	}
 }
 
@@ -122,9 +122,9 @@ func driveCells(run func(slot, index int) (any, error), slots int, cells []int) 
 // hook: the seam through which a test watches, gates or fails compiles.
 func hookedRunner(req *ExploreRequest, slots int, st *ResultStore, hook func(slot int, c *opt.Config) error) (func(slot, index int) (any, error), []*Evaluator) {
 	run, evs := req.runner(slots, 1, st)
-	base := NewSharedBase()
+	base := newSharedBase()
 	for slot := range evs {
-		ev := NewEvaluatorWith(req.Eval, base)
+		ev := newEvaluatorWith(req.Eval, base)
 		ev.SetSweepWorkers(1)
 		if st != nil {
 			ev.SetStore(st)
@@ -403,7 +403,7 @@ func TestRebuiltWindowDoesNotRecompile(t *testing.T) {
 		// every other first cell is one store miss, one replay and one
 		// compile, of its own setting. Nothing else may compile.
 		misses := rs.Stats().Misses
-		if got := int64(ev.Stats().Compiles) - ev.base.ProbeCompiles(); misses == 0 || got != misses {
+		if got := int64(ev.Stats().Compiles) - ev.base.compiles.Load(); misses == 0 || got != misses {
 			t.Errorf("%d slots: %d settings compiled for %d replays that had to run, want as many", slots, got, misses)
 		}
 		if h, m, _ := rs.IndexStats(); m != 0 || h <= blocksOf(req) {

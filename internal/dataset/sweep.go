@@ -290,11 +290,12 @@ func runCellBatched(ev *Evaluator, s *sweepState, c exploreCell) (ExploreResult,
 			sc.err = b.Err
 			return
 		}
-		tr, err := ev.GenerateTrace(name, b.Prog)
+		sl, err := ev.baseline(name)
 		if err != nil {
 			sc.err = err
 			return
 		}
+		tr := ev.pooledTrace(sl, b.Prog)
 		sc.runs = max(tr.Runs, 1)
 		sc.results = ev.simulateBatch(tr, req.Archs, &ps.data)
 		trace.Put(tr)

@@ -22,8 +22,9 @@ type AblationResult struct {
 }
 
 // Ablation sweeps K (at beta=1) and beta (at K=7) over a dataset,
-// bounding each leave-one-out evaluation to workers (0 = GOMAXPROCS).
-func Ablation(ctx context.Context, ds *dataset.Dataset, workers int) (*AblationResult, error) {
+// measuring each leave-one-out evaluation under o (see PredictWithModel):
+// with a result store, a prediction repeated across K is replayed once.
+func Ablation(ctx context.Context, ds *dataset.Dataset, o dataset.ExploreOptions) (*AblationResult, error) {
 	res := &AblationResult{
 		Ks:    []int{3, 5, 7, 9, 15},
 		Betas: []float64{0.5, 1, 2},
@@ -39,14 +40,14 @@ func Ablation(ctx context.Context, ds *dataset.Dataset, workers int) (*AblationR
 		return s / float64(nP*nA)
 	}
 	for _, k := range res.Ks {
-		pr, err := PredictWith(ctx, ds, k, 1, workers)
+		pr, err := PredictWith(ctx, ds, k, 1, o)
 		if err != nil {
 			return nil, err
 		}
 		res.KAvg = append(res.KAvg, avg(pr))
 	}
 	for _, b := range res.Betas {
-		pr, err := PredictWith(ctx, ds, 7, b, workers)
+		pr, err := PredictWith(ctx, ds, 7, b, o)
 		if err != nil {
 			return nil, err
 		}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"portcc/internal/ml"
 	"portcc/internal/opt"
 	"portcc/internal/pcerr"
+	"portcc/internal/uarch"
 )
 
 // testDS caches one tiny dataset for the whole test file.
@@ -144,7 +146,7 @@ func TestPredictionsAndFigures(t *testing.T) {
 // is a typed error, not an index panic in the first prediction.
 func TestPredictWithModelRefusesWrongWidth(t *testing.T) {
 	narrow := ml.Train([]ml.TrainingPair{{Prog: "crc", X: []float64{1, 2}}})
-	if _, err := PredictWithModel(context.Background(), getDS(t), narrow, 1); !errors.Is(err, pcerr.ErrInvalidConfig) {
+	if _, err := PredictWithModel(context.Background(), getDS(t), narrow, dataset.ExploreOptions{Workers: 1}); !errors.Is(err, pcerr.ErrInvalidConfig) {
 		t.Fatalf("%d-wide model: err = %v, want ErrInvalidConfig", narrow.Dim(), err)
 	}
 }
@@ -175,7 +177,7 @@ func TestHintonDiagrams(t *testing.T) {
 
 func TestFigure1(t *testing.T) {
 	ds := getDS(t)
-	f1, err := Figure1(ds)
+	f1, err := Figure1(context.Background(), ds, dataset.ExploreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,28 +190,178 @@ func TestFigure1(t *testing.T) {
 	}
 }
 
-// TestFigure1CompilesEachSettingOnce: the three architectures share one
-// compile, one trace and one batched replay per (program, setting); -O3,
-// setting 0, is the program's resident baseline.
+// TestFigure1CompilesEachSettingOnce, read off the result store: every
+// setting of every program is compiled in exactly one compile-index
+// block, at most one replay per setting misses, and a second Figure 1
+// over the same store compiles and replays nothing and draws the same
+// diagram.
 func TestFigure1CompilesEachSettingOnce(t *testing.T) {
+	ctx := context.Background()
 	ds := getDS(t)
-	ev := dataset.NewEvaluator(ds.Cfg.Eval)
-	f1, err := figure1(ds, ev)
+	st, err := dataset.OpenResultStore(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nP, nA, nO := len(f1.Programs), len(f1.Archs), len(ds.Opts)
-	st := ev.Stats()
-	if st.Compiles != nP*nO || st.TraceGens != int64(nP*(nO+1)) || st.Simulations != nP*nO*nA {
-		t.Errorf("%d compiles, %d generations, %d simulations; want %d (programs x settings, -O3 the baseline), %d (one more per program: the probe), %d",
-			st.Compiles, st.TraceGens, st.Simulations, nP*nO, nP*(nO+1), nP*nO*nA)
+	defer st.Close()
+	o := dataset.ExploreOptions{Store: st}
+	first, err := Figure1(ctx, ds, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nP, nO := len(first.Programs), len(ds.Opts)
+	blocks := int64(nP * ((nO + 7) / 8))
+	ih, im, _ := st.IndexStats()
+	misses := st.Stats().Misses - im
+	if ih != 0 || im != blocks || misses < 1 || misses > int64(nP*nO) {
+		t.Errorf("cold: %d index hits, %d index misses, %d result misses; want 0, %d (one per 8 settings), 1..%d",
+			ih, im, misses, blocks, nP*nO)
+	}
+	before := st.Stats()
+	again, err := Figure1(ctx, ds, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ih2, im2, _ := st.IndexStats()
+	if after := st.Stats(); after.Misses != before.Misses || after.Puts != before.Puts || im2 != im || ih2 != blocks {
+		t.Errorf("warm: %d new misses, %d new puts, %d new index misses, %d index hits; want 0, 0, 0, %d",
+			after.Misses-before.Misses, after.Puts-before.Puts, im2-im, ih2, blocks)
+	}
+	if again.Render() != first.Render() {
+		t.Error("Figure 1 over a warm store differs from the cold run")
+	}
+}
+
+// predictReference is the leave-one-out evaluation as it was before it
+// ran through dataset.Explore: per program, one compile, trace and
+// batched replay per distinct prediction over the architectures that
+// chose it. It is the oracle PredictWithModel is held to.
+func predictReference(ds *dataset.Dataset, model *ml.Model) (*Predictions, error) {
+	nP, nA, _ := ds.Dims()
+	pr := &Predictions{
+		DS:      ds,
+		Config:  make([][]opt.Config, nP),
+		Speedup: make([][]float64, nP),
+		Best:    make([][]float64, nP),
+	}
+	ev := dataset.NewEvaluator(ds.Cfg.Eval)
+	for p := range nP {
+		pr.Config[p] = make([]opt.Config, nA)
+		pr.Speedup[p] = make([]float64, nA)
+		pr.Best[p] = make([]float64, nA)
+		groups := map[opt.Config][]int{}
+		var order []opt.Config
+		for a := range nA {
+			cfg := model.Predict(ds.Features[p][a], ml.WithExclude(ds.Programs[p], a))
+			pr.Config[p][a] = cfg
+			if _, ok := groups[cfg]; !ok {
+				order = append(order, cfg)
+			}
+			groups[cfg] = append(groups[cfg], a)
+			pr.Best[p][a], _ = ds.BestSpeedup(p, a)
+		}
+		for _, cfg := range order {
+			archIdx := groups[cfg]
+			tr, _, err := ev.Trace(ds.Programs[p], &cfg)
+			if err != nil {
+				return nil, err
+			}
+			archs := make([]uarch.Config, len(archIdx))
+			for i, a := range archIdx {
+				archs[i] = ds.Archs[a]
+			}
+			for i, r := range ev.SimulateBatch(tr, archs) {
+				cyc := float64(r.Cycles) / float64(max(tr.Runs, 1))
+				pr.Speedup[p][archIdx[i]] = ds.BaselineCycles[p][archIdx[i]] / cyc
+			}
+		}
+	}
+	return pr, nil
+}
+
+// TestPredictMatchesReference: measuring the predictions as exploration
+// grids (every architecture replays every distinct prediction, twins
+// share a replay) lands on the reference's floats bit for bit.
+func TestPredictMatchesReference(t *testing.T) {
+	ds := getDS(t)
+	pairs, err := ds.TrainingPairs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{3, 7, 15} {
+		model := ml.Train(pairs)
+		model.KNeighbours = k
+		want, err := predictReference(ds, model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := PredictWithModel(context.Background(), ds, model, dataset.ExploreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := range want.Speedup {
+			for a := range want.Speedup[p] {
+				if got.Config[p][a] != want.Config[p][a] ||
+					math.Float64bits(got.Speedup[p][a]) != math.Float64bits(want.Speedup[p][a]) ||
+					math.Float64bits(got.Best[p][a]) != math.Float64bits(want.Best[p][a]) {
+					t.Fatalf("K=%d (%s, arch %d): speedup %v best %v, reference %v best %v",
+						k, ds.Programs[p], a, got.Speedup[p][a], got.Best[p][a], want.Speedup[p][a], want.Best[p][a])
+				}
+			}
+		}
+	}
+}
+
+// TestPredictResumesFromStore: a second leave-one-out over the same
+// result store is answered from it - hits only, no result or index miss
+// - and lands on the same speedups.
+func TestPredictResumesFromStore(t *testing.T) {
+	ctx := context.Background()
+	ds := getDS(t)
+	st, err := dataset.OpenResultStore(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	o := dataset.ExploreOptions{Store: st}
+	first, err := PredictWith(ctx, ds, 0, 0, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := st.Stats()
+	ih, im, _ := st.IndexStats()
+	again, err := PredictWith(ctx, ds, 0, 0, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := st.Stats()
+	ih2, im2, _ := st.IndexStats()
+	if after.Misses != before.Misses || im2 != im || after.Hits <= before.Hits || ih2 <= ih {
+		t.Errorf("second pass: %d new hits, %d new misses, %d new index hits, %d new index misses; want hits only",
+			after.Hits-before.Hits, after.Misses-before.Misses, ih2-ih, im2-im)
+	}
+	for p := range first.Speedup {
+		for a := range first.Speedup[p] {
+			if math.Float64bits(again.Speedup[p][a]) != math.Float64bits(first.Speedup[p][a]) {
+				t.Fatalf("(%s, arch %d): %v from the store, %v measured", ds.Programs[p], a, again.Speedup[p][a], first.Speedup[p][a])
+			}
+		}
+	}
+}
+
+// TestPredictCancelled: a cancelled context stops the leave-one-out with
+// an error wrapping context.Canceled.
+func TestPredictCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := PredictWith(ctx, getDS(t), 0, 0, dataset.ExploreOptions{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled PredictWith returned %v, want context.Canceled", err)
 	}
 }
 
 func TestAblationKInsensitivity(t *testing.T) {
 	// The Section 3.3.2 claim: performance is not sensitive to K near 7.
 	ds := getDS(t)
-	ab, err := Ablation(context.Background(), ds, 0)
+	ab, err := Ablation(context.Background(), ds, dataset.ExploreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

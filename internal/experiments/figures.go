@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -92,12 +93,10 @@ var figure1Passes = []opt.Flag{
 // Figure1 reproduces the Section 2 example on three named programs and
 // the three XScale-derived microarchitectures of the paper (XScale,
 // XScale with small instruction cache, XScale with small instruction and
-// data caches), using the dataset's best-found setting per pair.
-func Figure1(ds *dataset.Dataset) (*Figure1Result, error) {
-	return figure1(ds, dataset.NewEvaluator(ds.Cfg.Eval))
-}
-
-func figure1(ds *dataset.Dataset, ev *dataset.Evaluator) (*Figure1Result, error) {
+// data caches), using the best of the dataset's sampled settings per
+// pair. The three programs by the dataset's settings by the three
+// architectures is one exploration grid, run by dataset.Explore under o.
+func Figure1(ctx context.Context, ds *dataset.Dataset, o dataset.ExploreOptions) (*Figure1Result, error) {
 	wanted := []string{"rijndael_e", "untoast", "madplay"}
 	xs := uarch.XScale()
 	smallI := xs
@@ -115,22 +114,27 @@ func figure1(ds *dataset.Dataset, ev *dataset.Evaluator) (*Figure1Result, error)
 	for i, f := range figure1Passes {
 		res.Passes[i] = f.String()
 	}
-	for _, name := range wanted {
-		// Best setting per architecture by direct search over the dataset's
-		// sampled settings: one compile and one trace per setting, replayed
-		// over the three architectures together; the earliest setting wins
-		// a tie.
+	cells := make([][]dataset.ExploreResult, len(wanted)) // [program][setting], in completion order
+	for p := range cells {
+		cells[p] = make([]dataset.ExploreResult, len(ds.Opts))
+	}
+	req := dataset.ExploreRequest{Programs: wanted, Opts: ds.Opts, Archs: archCfgs, Eval: ds.Cfg.Eval}
+	for c, err := range dataset.Explore(ctx, req, o) {
+		if err != nil {
+			return nil, err
+		}
+		cells[c.ProgIndex][c.OptIndex] = c
+	}
+	for p := range wanted {
+		// Best setting per architecture, scanning the settings in order so
+		// the earliest wins a tie.
 		bestO := make([]int, len(archCfgs))
 		bestCyc := make([]float64, len(archCfgs))
-		for o := range ds.Opts {
-			tr, _, err := ev.Trace(name, &ds.Opts[o])
-			if err != nil {
-				return nil, err
-			}
-			for a, r := range ev.SimulateBatch(tr, archCfgs) {
-				cyc := float64(r.Cycles) / float64(max(tr.Runs, 1))
+		for oi, c := range cells[p] {
+			for a, r := range c.Results {
+				cyc := float64(r.Cycles) / float64(c.Runs)
 				if bestCyc[a] == 0 || cyc < bestCyc[a] {
-					bestCyc[a], bestO[a] = cyc, o
+					bestCyc[a], bestO[a] = cyc, oi
 				}
 			}
 		}

@@ -59,7 +59,7 @@ func renderAll(t *testing.T, ctx context.Context, ds, eds *dataset.Dataset) stri
 	b.WriteString(Table2())
 	b.WriteString(Figure3())
 
-	f1, err := Figure1(ds)
+	f1, err := Figure1(ctx, ds, dataset.ExploreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func renderAll(t *testing.T, ctx context.Context, ds, eds *dataset.Dataset) stri
 
 	b.WriteString(IterationsToMatch(pr).Render())
 
-	ab, err := Ablation(ctx, ds, 1)
+	ab, err := Ablation(ctx, ds, dataset.ExploreOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

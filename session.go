@@ -289,6 +289,10 @@ func (s *Session) Speedup(ctx context.Context, program string, cfg OptConfig, ar
 // (the session's memoised baseline). It returns what Compile, Run and
 // Speedup return, for one compile where the three calls pay three.
 func (s *Session) CompileAndRun(ctx context.Context, program string, cfg OptConfig, arch Arch) (*Binary, RunResult, float64, error) {
+	// A memoised baseline answers without looking at ctx.
+	if err := ctx.Err(); err != nil {
+		return nil, RunResult{}, 0, err
+	}
 	if err := arch.Validate(); err != nil {
 		return nil, RunResult{}, 0, err
 	}

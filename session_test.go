@@ -348,6 +348,29 @@ func TestCompileAndRunCompilesOnce(t *testing.T) {
 	}
 }
 
+// TestCompileAndRunHonoursCancelAfterBaseline: once the -O3 baseline of
+// a (program, arch) is memoised nothing below CompileAndRun looks at
+// ctx, so a cancelled call must stop at the door - no compile.
+func TestCompileAndRunHonoursCancelAfterBaseline(t *testing.T) {
+	s := tinySession()
+	arch := portcc.XScale()
+	tuned := portcc.O3()
+	tuned.Flags[portcc.FScheduleInsns] = false
+	if _, _, _, err := s.CompileAndRun(context.Background(), "crc", tuned, arch); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := s.Stats()
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	tuned.Flags[portcc.FUnrollLoops] = true
+	if _, _, _, err := s.CompileAndRun(cancelled, "crc", tuned, arch); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled CompileAndRun returned %v, want context.Canceled", err)
+	}
+	if compiles, _ := s.Stats(); compiles != before {
+		t.Errorf("cancelled CompileAndRun compiled: %d compiles, want still %d", compiles, before)
+	}
+}
+
 func TestSpeedupBaselineMemoised(t *testing.T) {
 	ctx := context.Background()
 	s := tinySession()
