@@ -34,20 +34,30 @@ func New(entries, assoc int) (*BTB, error) {
 	return b, nil
 }
 
+// CheckGeometry reports whether a BTB of the given entry count and
+// associativity can be built: both powers of two, entries divisible by
+// assoc. It allocates nothing unless the geometry is bad.
+func CheckGeometry(entries, assoc int) error {
+	if entries <= 0 || assoc <= 0 || entries%assoc != 0 {
+		return fmt.Errorf("bpred: bad geometry entries=%d assoc=%d", entries, assoc)
+	}
+	for _, v := range [...]int{entries, assoc, entries / assoc} {
+		if v&(v-1) != 0 {
+			return fmt.Errorf("bpred: geometry %d not a power of two", v)
+		}
+	}
+	return nil
+}
+
 // Reshape reconfigures the BTB to the given geometry in place, reusing the
 // backing arrays when they are large enough, and clears all contents and
 // statistics. It is the allocation-free path for pooled reuse across
 // simulations of different microarchitectures.
 func (b *BTB) Reshape(entries, assoc int) error {
-	if entries <= 0 || assoc <= 0 || entries%assoc != 0 {
-		return fmt.Errorf("bpred: bad geometry entries=%d assoc=%d", entries, assoc)
+	if err := CheckGeometry(entries, assoc); err != nil {
+		return err
 	}
 	sets := entries / assoc
-	for _, v := range []int{entries, assoc, sets} {
-		if v&(v-1) != 0 {
-			return fmt.Errorf("bpred: geometry %d not a power of two", v)
-		}
-	}
 	if cap(b.tags) >= entries && cap(b.ctr) >= entries && cap(b.used) >= entries {
 		b.tags = b.tags[:entries]
 		b.ctr = b.ctr[:entries]

@@ -92,10 +92,26 @@ func TestNotTakenBranchesNotAllocated(t *testing.T) {
 }
 
 func TestGeometryErrors(t *testing.T) {
-	for _, g := range [][2]int{{0, 1}, {3, 1}, {8, 3}, {-2, 1}} {
+	for _, g := range [][2]int{{0, 1}, {3, 1}, {8, 3}, {-2, 1}, {12, 4}} {
 		if _, err := New(g[0], g[1]); err == nil {
 			t.Errorf("geometry %v accepted", g)
 		}
+		if CheckGeometry(g[0], g[1]) == nil {
+			t.Errorf("geometry %v passes CheckGeometry", g)
+		}
+	}
+}
+
+// TestCheckGeometryAllocatesNothing pins the check the batched replay
+// runs per BTB geometry: a good geometry costs no allocation.
+func TestCheckGeometryAllocatesNothing(t *testing.T) {
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := CheckGeometry(2048, 8); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("CheckGeometry allocates %.1f times per call, want 0", allocs)
 	}
 }
 

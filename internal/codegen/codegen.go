@@ -17,7 +17,7 @@ import (
 )
 
 // CodeBase is the address of the first function; data streams live far
-// above it (see internal/trace).
+// above it (DataBase, FrameBase).
 const CodeBase uint32 = 0x8000
 
 // Program is the binary image of a module.
@@ -36,7 +36,7 @@ type Program struct {
 	// ByFuncID maps IR function ID to its image (call-target lookup).
 	ByFuncID []*FuncImage
 	// NumStreams counts the distinct address streams referenced by the
-	// image's memory instructions; BlockImage.StreamSlot indexes them.
+	// image's memory instructions; Uop.Slot indexes them.
 	NumStreams int
 	// NumLatchSlots counts counted-loop latch branches (one trip counter
 	// each); BlockImage.LatchSlot indexes them.
@@ -90,15 +90,18 @@ type BlockImage struct {
 	// excluding padding.
 	Bytes int
 
+	// Uops parallels Insns with the body decoded for the trace generator
+	// (stream cursor slots included), which walks it instead of the IR.
+	Uops []Uop
+	// CondUse is the scoreboard index of Term.CondReg (0 = none).
+	CondUse uint8
+
 	// Trace-generator cursor slots (see Program): LatchSlot is the dense
 	// trip-counter index of a counted-latch branch, SiteSlot the dense
 	// outcome-counter index of a probabilistic branch site; -1 when the
-	// terminator keeps no such counter. StreamSlot parallels Insns with
-	// the dense address-stream index of each memory instruction (-1 for
-	// non-memory instructions and deterministic frame-slot accesses).
-	LatchSlot  int32
-	SiteSlot   int32
-	StreamSlot []int32
+	// terminator keeps no such counter.
+	LatchSlot int32
+	SiteSlot  int32
 }
 
 // End returns the address just past the block's last instruction.
@@ -106,11 +109,13 @@ func (b *BlockImage) End() uint32 { return b.Addr + uint32(b.Bytes) }
 
 // slotAlloc hands out the image's dense cursor indices in first-appearance
 // order - a pure function of the placed instruction stream, so equal
-// images (equal fingerprints) always carry equal slot assignments.
+// images (equal fingerprints) always carry equal slot assignments - and
+// carves every block's micro-ops from one slab.
 type slotAlloc struct {
 	streams map[int32]int32
 	sites   map[int32]int32
 	latches int32
+	uops    []Uop // the unused tail of the module's micro-op slab
 }
 
 func (a *slotAlloc) stream(id int32) int32 {
@@ -137,6 +142,13 @@ func (a *slotAlloc) site(id int32) int32 {
 func Lower(m *ir.Module) (*Program, error) {
 	p := &Program{Module: m}
 	alloc := &slotAlloc{streams: map[int32]int32{}, sites: map[int32]int32{}}
+	body := 0
+	for _, f := range m.Funcs {
+		for _, b := range f.Blocks {
+			body += len(b.Insns)
+		}
+	}
+	alloc.uops = make([]Uop, body)
 	addr := CodeBase
 	totalPad := 0
 	maxID := -1
@@ -168,6 +180,9 @@ func Lower(m *ir.Module) (*Program, error) {
 	p.NumStreams = len(alloc.streams)
 	p.NumLatchSlots = int(alloc.latches)
 	p.NumSiteSlots = len(alloc.sites)
+	if err := p.resolveCallees(); err != nil {
+		return nil, err
+	}
 	return p, nil
 }
 
@@ -212,17 +227,11 @@ func lowerFunc(f *ir.Func, base uint32, alloc *slotAlloc) (*FuncImage, error) {
 		pad := padTo(addr, uint32(b.Align))
 		addr += pad
 		bi := &BlockImage{ID: id, Pos: pos, Addr: addr, Pad: int(pad), Insns: b.Insns, Term: b.Term,
-			LatchSlot: -1, SiteSlot: -1}
-		if len(b.Insns) > 0 {
-			bi.StreamSlot = make([]int32, len(b.Insns))
-			for i := range b.Insns {
-				in := &b.Insns[i]
-				bi.StreamSlot[i] = -1
-				if in.Op.IsMem() &&
-					!in.HasFlag(ir.FlagSpill) && !in.HasFlag(ir.FlagSave) && !in.HasFlag(ir.FlagPrologue) {
-					bi.StreamSlot[i] = alloc.stream(in.Mem.Stream)
-				}
-			}
+			CondUse: scoreboardIndex(b.Term.CondReg), LatchSlot: -1, SiteSlot: -1}
+		n := len(b.Insns)
+		bi.Uops, alloc.uops = alloc.uops[:n:n], alloc.uops[n:]
+		for i := range b.Insns {
+			bi.Uops[i] = alloc.decode(&b.Insns[i])
 		}
 		if b.Term.Kind == ir.TermBranch {
 			switch t := b.Term; {

@@ -145,3 +145,15 @@ func TestAddressesMonotonic(t *testing.T) {
 		t.Errorf("first function at %#x, want CodeBase %#x", p.Funcs[0].Addr, CodeBase)
 	}
 }
+
+func TestStreamBases(t *testing.T) {
+	if StreamBase(0) != DataBase {
+		t.Error("stream 0 must start at DataBase")
+	}
+	if StreamBase(1)-StreamBase(0) != DataSpacing {
+		t.Error("data streams must be DataSpacing apart")
+	}
+	if StreamBase(FrameStream) != FrameBase {
+		t.Error("first frame stream must start at FrameBase")
+	}
+}

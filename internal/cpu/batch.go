@@ -797,8 +797,8 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 		bi, ok := btbIndex[bk]
 		if !ok {
 			// Geometry rules are bpred's; reject bad input the same way
-			// Simulate's MustNew would.
-			if _, err := bpred.New(cfg.BTBSize, cfg.BTBAssoc); err != nil {
+			// Simulate's pooled BTB would.
+			if err := bpred.CheckGeometry(cfg.BTBSize, cfg.BTBAssoc); err != nil {
 				panic(err)
 			}
 			sets := cfg.BTBSize / cfg.BTBAssoc

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -332,4 +333,25 @@ func TestSimulateBatchDegenerate(t *testing.T) {
 	tr := randomTrace(rng, 1000)
 	dup := []uarch.Config{uarch.XScale(), uarch.XScale(), uarch.XScale()}
 	assertBatchMatches(t, tr, dup)
+}
+
+// TestSimulateBatchRejectsBadBTBGeometry holds the batched engine to
+// Simulate's contract on a BTB geometry bpred refuses: the same panic.
+func TestSimulateBatchRejectsBadBTBGeometry(t *testing.T) {
+	bad := uarch.XScale()
+	bad.BTBAssoc = 3
+	tr := randomTrace(rand.New(rand.NewSource(1)), 100)
+	panicOf := func(f func()) (v any) {
+		defer func() { v = recover() }()
+		f()
+		return nil
+	}
+	want := panicOf(func() { Simulate(tr, bad) })
+	if want == nil {
+		t.Fatal("Simulate accepted BTB associativity 3")
+	}
+	got := panicOf(func() { SimulateBatch(tr, []uarch.Config{uarch.XScale(), bad}) })
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("SimulateBatch panics with %v, Simulate with %v", got, want)
+	}
 }

@@ -14,10 +14,12 @@
 //
 // Three things are resident at most: one -O3 baseline per program
 // (sharedBase), one window of compiled binaries per sweep in flight
-// (sweep.go) and the result store. A trace of any other setting lives
-// for exactly one replay, and one exploration cell is one (program,
-// setting) replayed over the request's whole architecture sample;
-// neither is configurable.
+// (sweep.go) and the result store - plus, on each sweep worker slot's
+// evaluator, one trace buffer, reused from replay to replay at the size
+// of the longest trace that slot has generated. A trace of any other
+// setting lives for exactly one replay, and one exploration cell is one
+// (program, setting) replayed over the request's whole architecture
+// sample; neither is configurable.
 package dataset
 
 import (
@@ -155,8 +157,11 @@ type Evaluator struct {
 	traceGens, traceEvents      int64
 	dataSweeps, dataSweepReuses int64
 
-	// fpScratch is compileSetting's fingerprint buffer, outside mu.
+	// fpScratch is compileSetting's fingerprint buffer and slotTr the
+	// sweep's trace buffer, both outside mu: only the sweep uses them, on
+	// its slot's own evaluator, one cell at a time.
 	fpScratch []byte
+	slotTr    trace.Trace
 	// compileHook, set by tests only, runs before each compile and fails
 	// it by returning an error: core.Compile itself rejects nothing
 	// Validate lets through.
@@ -461,6 +466,18 @@ func (e *Evaluator) compileSetting(sl *baseline, c *opt.Config) (b settingBinary
 // return it with trace.Put when done.
 func (e *Evaluator) pooledTrace(sl *baseline, p *codegen.Program) *trace.Trace {
 	return e.countTraceGen(trace.GenerateInto(trace.Get(sl.capHint(e.cfg)), p, sl.traceConfig(e.cfg)))
+}
+
+// slotTrace is pooledTrace into the evaluator's own buffer, which keeps
+// its largest size from cell to cell: unlike a sync.Pool entry, which
+// the collector may drop between cells, it is never regrown once warm.
+// Sweep-only and unguarded, like fpScratch; the trace is valid until the
+// slot's next cell.
+func (e *Evaluator) slotTrace(sl *baseline, p *codegen.Program) *trace.Trace {
+	if hint := sl.capHint(e.cfg); cap(e.slotTr.Events) < hint {
+		e.slotTr.Events = make([]trace.Event, 0, hint)
+	}
+	return e.countTraceGen(trace.GenerateInto(&e.slotTr, p, sl.traceConfig(e.cfg)))
 }
 
 // SetSweepWorkers sets the worker budget each batched replay fans its

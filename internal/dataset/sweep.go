@@ -21,8 +21,12 @@
 // memoised per binary so twin settings never touch a trace at all. No
 // trace outlives its replay: a cell is the whole architecture sample, so
 // the one replay that misses the memo and the store generates the trace
-// into a pooled buffer, runs SimulateBatch over it and hands the buffer
-// straight back - the sweep state never holds one.
+// into its worker slot's trace buffer and runs SimulateBatch over it, and
+// the slot's next such replay overwrites it - the sweep state never holds
+// one. The buffer lives on the slot's evaluator, unguarded (a slot runs
+// one cell at a time), and keeps its size across cells, so a warm slot
+// generates without allocating; a pooled buffer would be emptied by the
+// collector between cells and regrown.
 //
 // That replay carries the program's data-stream memo (cpu.DataMemo),
 // scoped like the twin memo beside it: different binaries that issue the
@@ -40,7 +44,6 @@ import (
 	"portcc/internal/cpu"
 	"portcc/internal/pcerr"
 	"portcc/internal/store"
-	"portcc/internal/trace"
 )
 
 // maxBuiltWindows bounds the compiled windows retained across the whole
@@ -295,10 +298,9 @@ func runCellBatched(ev *Evaluator, s *sweepState, c exploreCell) (ExploreResult,
 			sc.err = err
 			return
 		}
-		tr := ev.pooledTrace(sl, b.Prog)
+		tr := ev.slotTrace(sl, b.Prog)
 		sc.runs = max(tr.Runs, 1)
 		sc.results = ev.simulateBatch(tr, req.Archs, &ps.data)
-		trace.Put(tr)
 		if st != nil {
 			st.Put(fp, sc.runs, ev.cfg, req.Archs, sc.results)
 		}

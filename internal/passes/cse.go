@@ -1,6 +1,8 @@
 package passes
 
 import (
+	"sync"
+
 	"portcc/internal/ir"
 	"portcc/internal/isa"
 )
@@ -10,37 +12,73 @@ import (
 // opaque. Copies are transparent. Because single-definition registers are
 // immutable and read-only loads have no kills, value numbers are valid
 // function-wide.
+//
+// Its tables come from vnPool and go back with release, so a compile's
+// many value-numbering passes reuse them instead of allocating per pass.
 type vnAssign struct {
 	f        *ir.Func
-	defOK    []bool
+	defs     []uint8   // per register: definitions seen, capped at 2
 	defInsn  []ir.Insn // snapshot of each register's unique definition
 	vn       []int32
 	visiting []bool
 	keys     map[insnKey]int32
 	next     int32
+
+	// Scratch for computeAvailability, reused like the tables above.
+	words []uint64
+	sets  []bitset
+	canon map[int32]canonSite
+}
+
+var vnPool = sync.Pool{New: func() any {
+	return &vnAssign{keys: make(map[insnKey]int32), canon: make(map[int32]canonSite)}
+}}
+
+// grown returns buf resized to n zeroed elements, reusing its capacity.
+func grown[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 func newVNAssign(f *ir.Func) *vnAssign {
-	v := &vnAssign{
-		f:        f,
-		defOK:    make([]bool, f.NextReg),
-		defInsn:  make([]ir.Insn, f.NextReg),
-		vn:       make([]int32, f.NextReg),
-		visiting: make([]bool, f.NextReg),
-		keys:     make(map[insnKey]int32),
-		next:     1,
-	}
+	v := vnPool.Get().(*vnAssign)
+	n := int(f.NextReg)
+	v.f = f
+	v.defs = grown(v.defs, n)
+	v.defInsn = grown(v.defInsn, n)
+	v.vn = grown(v.vn, n)
+	v.visiting = grown(v.visiting, n)
+	clear(v.keys)
+	v.next = 1
 	// Snapshot unique definitions so later block mutation by the calling
 	// pass cannot invalidate operand resolution.
-	defs := singleDefs(f)
-	for r := ir.Reg(1); r < f.NextReg; r++ {
-		if ds := defs[r]; ds != nil {
-			v.defOK[r] = true
-			v.defInsn[r] = f.Blocks[ds.block].Insns[ds.index]
+	for _, b := range f.Blocks {
+		for i := range b.Insns {
+			d := b.Insns[i].Def
+			if d == ir.RegNone {
+				continue
+			}
+			if v.defs[d] == 0 {
+				v.defInsn[d] = b.Insns[i]
+			}
+			v.defs[d] = min(v.defs[d]+1, 2)
 		}
 	}
 	return v
 }
+
+// release hands the tables back to the pool; v must not be used after.
+func (v *vnAssign) release() {
+	v.f = nil
+	vnPool.Put(v)
+}
+
+// defOK reports whether register r has exactly one definition.
+func (v *vnAssign) defOK(r ir.Reg) bool { return v.defs[r] == 1 }
 
 func (v *vnAssign) fresh() int32 {
 	id := v.next
@@ -67,7 +105,7 @@ func (v *vnAssign) of(r ir.Reg) int32 {
 	}
 	v.visiting[r] = true
 	var cand int32
-	if !v.defOK[r] {
+	if !v.defOK(r) {
 		cand = v.fresh()
 	} else {
 		in := &v.defInsn[r]
@@ -94,10 +132,10 @@ func (v *vnAssign) of(r ir.Reg) int32 {
 // exprOf returns the value number an instruction computes, and whether the
 // instruction is a value-numberable pure computation.
 func (v *vnAssign) exprOf(in *ir.Insn) (int32, bool) {
-	if in.Def == ir.RegNone || int(in.Def) >= len(v.defOK) {
+	if in.Def == ir.RegNone || int(in.Def) >= len(v.defs) {
 		return 0, false
 	}
-	if !v.defOK[in.Def] {
+	if !v.defOK(in.Def) {
 		return 0, false // merge register
 	}
 	if in.Op == isa.OpMove {
@@ -121,6 +159,7 @@ func LocalCSE(f *ir.Func, followJumps, skipBlocks bool) int {
 		return 0
 	}
 	v := newVNAssign(f)
+	defer v.release()
 	tables := make(map[int]map[int32]ir.Reg) // per-block end-of-block table
 	repl := make(map[ir.Reg]ir.Reg)
 	eliminated := 0

@@ -8,8 +8,6 @@ import (
 // bitset is a simple dense bitset over value numbers.
 type bitset []uint64
 
-func newBitset(n int32) bitset { return make(bitset, (n+63)/64) }
-
 func (s bitset) set(i int32)      { s[i/64] |= 1 << (uint(i) % 64) }
 func (s bitset) has(i int32) bool { return s[i/64]&(1<<(uint(i)%64)) != 0 }
 
@@ -57,21 +55,31 @@ type canonSite struct {
 	reg   ir.Reg
 }
 
-func computeAvailability(f *ir.Func) *availability {
+// computeAvailability numbers f and solves the dataflow. Every bitset is
+// carved from one slab of the value-numbering tables, so the result lives
+// until the caller releases av.vn.
+func computeAvailability(f *ir.Func) availability {
 	v := newVNAssign(f)
+	rpo := f.RPO()
 	// Pre-number every expression so bitset capacity is known.
-	for _, id := range f.RPO() {
+	for _, id := range rpo {
 		b := f.Blocks[id]
 		for i := range b.Insns {
 			v.exprOf(&b.Insns[i])
 		}
 	}
 	n := len(f.Blocks)
-	av := &availability{vn: v, in: make([]bitset, n), out: make([]bitset, n), canon: map[int32]canonSite{}}
-	cap := v.next
-	gen := make([]bitset, n)
-	for _, id := range f.RPO() {
-		gen[id] = newBitset(cap)
+	words := int(v.next+63) / 64
+	// gen, in and out per block, plus the fixpoint's scratch copy.
+	v.words = grown(v.words, (3*n+1)*words)
+	v.sets = grown(v.sets, 3*n)
+	for i := range v.sets {
+		v.sets[i] = v.words[i*words : (i+1)*words : (i+1)*words]
+	}
+	clear(v.canon)
+	gen := v.sets[:n]
+	av := availability{vn: v, in: v.sets[n : 2*n], out: v.sets[2*n:], canon: v.canon}
+	for _, id := range rpo {
 		b := f.Blocks[id]
 		for i := range b.Insns {
 			if e, ok := v.exprOf(&b.Insns[i]); ok {
@@ -82,16 +90,14 @@ func computeAvailability(f *ir.Func) *availability {
 			}
 		}
 	}
-	rpo := f.RPO()
 	for _, id := range rpo {
-		av.in[id] = newBitset(cap)
-		av.out[id] = newBitset(cap)
 		if id != rpo[0] {
 			av.in[id].fill()
 		}
 		av.out[id].copyFrom(av.in[id])
 		av.out[id].union(gen[id])
 	}
+	old := bitset(v.words[3*n*words:])
 	for changed := true; changed; {
 		changed = false
 		for _, id := range rpo {
@@ -101,7 +107,7 @@ func computeAvailability(f *ir.Func) *availability {
 			b := f.Blocks[id]
 			first := true
 			for _, p := range b.Preds {
-				if av.out[p] == nil {
+				if !f.Reachable(p) {
 					continue
 				}
 				if first {
@@ -111,7 +117,6 @@ func computeAvailability(f *ir.Func) *availability {
 					av.in[id].intersect(av.out[p])
 				}
 			}
-			old := make(bitset, len(av.out[id]))
 			old.copyFrom(av.out[id])
 			av.out[id].copyFrom(av.in[id])
 			av.out[id].union(gen[id])
@@ -136,6 +141,7 @@ func GCSE(f *ir.Func) int {
 	}
 	f.Invalidate()
 	av := computeAvailability(f)
+	defer av.vn.release()
 	repl := make(map[ir.Reg]ir.Reg)
 	eliminated := 0
 	for _, id := range f.RPO() {
@@ -176,6 +182,7 @@ func PRE(f *ir.Func) int {
 	}
 	f.Invalidate()
 	av := computeAvailability(f)
+	defer av.vn.release()
 	defs := singleDefs(f)
 	repl := make(map[ir.Reg]ir.Reg)
 	dirty := make(map[int32]bool) // expressions whose sites were mutated

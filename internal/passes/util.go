@@ -47,9 +47,11 @@ type defSite struct {
 }
 
 // singleDefs maps each register to its unique definition site; registers
-// with zero or multiple definitions (merge registers) map to nil.
+// with zero or multiple definitions (merge registers) map to nil. The
+// sites share one backing array.
 func singleDefs(f *ir.Func) []*defSite {
 	defs := make([]*defSite, f.NextReg)
+	sites := make([]defSite, f.NextReg)
 	multi := make([]bool, f.NextReg)
 	for _, b := range f.Blocks {
 		for i := range b.Insns {
@@ -62,7 +64,8 @@ func singleDefs(f *ir.Func) []*defSite {
 				multi[d] = true
 				continue
 			}
-			defs[d] = &defSite{block: b.ID, index: i}
+			sites[d] = defSite{block: b.ID, index: i}
+			defs[d] = &sites[d]
 		}
 	}
 	return defs

@@ -13,9 +13,9 @@ package regalloc
 import (
 	"sort"
 
+	"portcc/internal/codegen"
 	"portcc/internal/ir"
 	"portcc/internal/isa"
-	"portcc/internal/trace"
 )
 
 // Register pools.
@@ -38,9 +38,9 @@ type Options struct {
 	CallerSaves bool
 }
 
-// frameWSet is the addressable frame window per function (trace package
-// allocates FrameSpacing bytes per frame stream).
-const frameWSet = int32(trace.FrameSpacing)
+// frameWSet is the addressable frame window per function (the image
+// carves FrameSpacing bytes per frame stream).
+const frameWSet = int32(codegen.FrameSpacing)
 
 type interval struct {
 	vreg       ir.Reg
@@ -76,7 +76,7 @@ func Allocate(f *ir.Func, funcID int, opts Options) {
 		f:    f,
 		opts: opts,
 		frame: ir.MemRef{
-			Stream: trace.FrameStream + int32(funcID),
+			Stream: codegen.FrameStream + int32(funcID),
 			Kind:   ir.MemStack,
 			WSet:   frameWSet,
 		},

@@ -7,14 +7,21 @@
 // (program, optimisation setting) and replayed against every
 // microarchitecture configuration, exactly like trace-driven simulation.
 //
-// Generation is cursor-free: the image (internal/codegen) assigns every
-// address stream, loop-latch counter and probabilistic branch site a
-// dense slot at build time, so the generator's per-event state lives in
-// flat pooled slices and steady-state generation performs no allocations
-// and no map probes.
+// The generator walks pre-decoded micro-ops, not IR: the image
+// (internal/codegen) decodes every block body once into codegen.Uop
+// records - operands folded to scoreboard indices, the address pattern
+// resolved to a kind, base, stride and working set, calls to their
+// callee's entry - and assigns every address stream, loop-latch counter
+// and probabilistic branch site a dense slot at build time. The per-event
+// state therefore lives in flat pooled slices, a block body is emitted as
+// one segment into an event buffer grown once for it, and steady-state
+// generation performs no allocations and no map probes.
+//
+// Data addresses fall in the regions codegen carves (codegen.StreamBase).
 package trace
 
 import (
+	"slices"
 	"sync"
 
 	"portcc/internal/codegen"
@@ -131,60 +138,43 @@ type Config struct {
 	Seed int64
 }
 
-// Stream address-space carving: ordinary data streams get 1 MiB regions
-// from DataBase; per-function frame streams (spill slots, register saves)
-// get 4 KiB regions from FrameBase.
-const (
-	// DataBase is the base address of ordinary data streams.
-	DataBase uint32 = 0x1000_0000
-	// DataSpacing is the region size per ordinary stream.
-	DataSpacing uint32 = 0x10_0000
-	// FrameStream is the stream-ID base for per-function frame streams.
-	FrameStream int32 = 1 << 20
-	// FrameBase is the base address of frame streams.
-	FrameBase uint32 = 0xF000_0000
-	// FrameSpacing is the region size per frame stream.
-	FrameSpacing uint32 = 0x1000
-)
-
-// StreamBase returns the base address of a stream's region.
-func StreamBase(id int32) uint32 {
-	if id >= FrameStream {
-		return FrameBase + uint32(id-FrameStream)*FrameSpacing
-	}
-	return DataBase + uint32(id)*DataSpacing
-}
-
 type retSite struct {
 	fi   *codegen.FuncImage
 	bpos int // layout position within fi.Blocks
-	ipos int // next instruction index within the block body
+	ipos int // next micro-op index within the block body
 }
 
-// generator walks the binary image. All its per-program cursor state is
-// cursor-free in the map sense: codegen assigns every address stream,
-// latch trip counter and probabilistic branch site a dense slot at
-// image-build time (Program.NumStreams/NumLatchSlots/NumSiteSlots with
-// the per-block/per-insn slot indices), so the per-event lookups below
-// are flat slice indexing into pooled scratch arrays.
+// sbEntry is one register's scoreboard state: the dynamic index of its
+// last write, whether a load wrote it, and the writer's result latency.
+type sbEntry struct {
+	idx  int64
+	load bool
+	lat  uint8
+}
+
+// generator walks the binary image's pre-decoded micro-ops. Every address
+// stream, latch trip counter and probabilistic branch site has a dense
+// image-assigned slot (Program.NumStreams/NumLatchSlots/NumSiteSlots with
+// Uop.Slot and the per-block slot indices), so the per-event state is
+// flat slice indexing into pooled scratch arrays, and the trace under
+// construction is held by value: no per-event indirection through the
+// destination.
 type generator struct {
 	prog     *codegen.Program
 	seed     uint64
-	tr       *Trace
 	max      int
 	wantRuns int
+
+	// out is the trace being built; its event count is the dynamic
+	// instruction index.
+	out Trace
 
 	streamCursor []uint32 // per stream slot: next sequential offset
 	streamCount  []uint64 // per stream slot: accesses (random-address hash)
 	trips        []int32  // per latch slot: trip counter
 	sites        []uint64 // per site slot: execution counter
 
-	// Register scoreboard indexed by physical register number.
-	lastIdx  [isa.NumRegs + 1]int64
-	lastLoad [isa.NumRegs + 1]bool
-	lastLat  [isa.NumRegs + 1]uint8
-
-	dyn       int64 // dynamic instruction index
+	sb        [codegen.ScoreboardSize]sbEntry
 	callStack []retSite
 }
 
@@ -223,30 +213,28 @@ func GenerateInto(dst *Trace, p *codegen.Program, cfg Config) *Trace {
 	if cfg.MaxInsns <= 0 {
 		cfg.MaxInsns = 100_000
 	}
-	dst.Reshape()
 	g := genPool.Get().(*generator)
 	g.prog = p
 	g.seed = splitmix(uint64(cfg.Seed) ^ 0x9e3779b97f4a7c15)
-	g.tr = dst
 	g.max = cfg.MaxInsns
 	g.wantRuns = cfg.Runs
-	g.dyn = 0
+	g.out = Trace{Events: dst.Events[:0]}
 	g.callStack = g.callStack[:0]
 	g.streamCursor = sized(g.streamCursor, p.NumStreams)
 	g.streamCount = sized(g.streamCount, p.NumStreams)
 	g.trips = sized(g.trips, p.NumLatchSlots)
 	g.sites = sized(g.sites, p.NumSiteSlots)
-	for i := range g.lastIdx {
-		g.lastIdx[i] = -1 << 60
-		g.lastLoad[i] = false
-		g.lastLat[i] = 0
+	for i := range g.sb {
+		g.sb[i] = sbEntry{idx: -1 << 60}
 	}
 	g.run()
-	if g.wantRuns > 0 && g.tr.Runs < g.wantRuns {
-		g.tr.Truncated = true
-		g.tr.Runs++ // count the partial run so rates stay finite
+	if g.wantRuns > 0 && g.out.Runs < g.wantRuns {
+		g.out.Truncated = true
+		g.out.Runs++ // count the partial run so rates stay finite
 	}
-	g.prog, g.tr = nil, nil
+	g.out.MemOps = g.out.OpCount[isa.OpLoad] + g.out.OpCount[isa.OpStore]
+	*dst = g.out
+	g.prog, g.out = nil, Trace{}
 	genPool.Put(g)
 	return dst
 }
@@ -265,56 +253,48 @@ func hashFloat(h uint64) float64 {
 	return float64(h>>11) / float64(1<<53)
 }
 
-func (g *generator) full() bool {
-	if len(g.tr.Events) >= g.max {
-		return true
-	}
-	return g.wantRuns > 0 && g.tr.Runs >= g.wantRuns
-}
-
+// run walks the image until the event budget is spent or, with Runs set,
+// the requested executions have completed - the run count only moves at
+// an entry return, so only there is it checked. Block bodies go in
+// segments bounded by the body's end and the budget left, each ended
+// early by a call.
 func (g *generator) run() {
 	fi := g.prog.Entry()
 	bpos, ipos := 0, 0
 	fellThrough := false
 
-	for !g.full() {
+	for len(g.out.Events) < g.max {
 		bi := fi.Blocks[bpos]
 
 		// Alignment padding is executed as no-ops when entered by
 		// fall-through (a real cost of the alignment passes).
 		if ipos == 0 && fellThrough && bi.Pad > 0 {
-			padBase := bi.Addr - uint32(bi.Pad)
-			for k := 0; k < bi.Pad/isa.InsnBytes && !g.full(); k++ {
-				g.emit(Event{PC: padBase + uint32(k*isa.InsnBytes),
+			n := min(bi.Pad/isa.InsnBytes, g.max-len(g.out.Events))
+			pc := bi.Addr - uint32(bi.Pad)
+			for k := 0; k < n; k++ {
+				g.out.Events = append(g.out.Events, Event{PC: pc + uint32(k*isa.InsnBytes),
 					Op: uint8(isa.OpNop), DistLoad: NoDist, DistFU: NoDist})
 			}
+			g.out.OpCount[isa.OpNop] += uint64(n)
 		}
 		fellThrough = false
 
-		// Body instructions (possibly resuming mid-block after a call).
-		calledInto := false
-		for ipos < len(bi.Insns) && !g.full() {
-			in := &bi.Insns[ipos]
-			slot := bi.StreamSlot[ipos]
-			pc := bi.Addr + uint32(ipos*isa.InsnBytes)
-			ipos++
-			if in.Op == isa.OpCall {
-				callee := g.prog.FuncOf(int(in.Callee))
-				ev := Event{PC: pc, Addr: callee.Addr, Op: uint8(isa.OpCall),
-					Flags: FlagTaken, DistLoad: NoDist, DistFU: NoDist}
-				g.depends(&ev, in)
-				g.emit(ev)
-				if !in.HasFlag(ir.FlagTailCall) {
+		// Body micro-ops (possibly resuming mid-block after a call).
+		if ipos < len(bi.Uops) && len(g.out.Events) < g.max {
+			end := min(len(bi.Uops), ipos+g.max-len(g.out.Events))
+			k := g.body(bi.Uops[ipos:end], bi.Addr+uint32(ipos*isa.InsnBytes))
+			u := &bi.Uops[ipos+k-1]
+			ipos += k
+			if u.Addr == codegen.AddrCallee {
+				if !u.TailCall {
 					g.callStack = append(g.callStack, retSite{fi, bpos, ipos})
 				}
-				fi, bpos, ipos = callee, 0, 0
-				calledInto = true
-				break
+				fi, bpos, ipos = g.prog.FuncOf(int(u.Callee)), 0, 0
+				continue
 			}
-			g.step(pc, in, slot)
 		}
-		if calledInto || g.full() {
-			continue
+		if len(g.out.Events) >= g.max {
+			break
 		}
 
 		// Terminator.
@@ -324,8 +304,11 @@ func (g *generator) run() {
 				Flags: FlagTaken, DistLoad: NoDist, DistFU: NoDist})
 			if len(g.callStack) == 0 {
 				// Entry function returned: one complete program run.
-				g.tr.Restarts++
-				g.tr.Runs++
+				g.out.Restarts++
+				g.out.Runs++
+				if g.wantRuns > 0 && g.out.Runs >= g.wantRuns {
+					return
+				}
 				fi, bpos, ipos = g.prog.Entry(), 0, 0
 				continue
 			}
@@ -370,11 +353,12 @@ func (g *generator) run() {
 			ev := Event{PC: bi.BranchAddr, Addr: fi.Blocks[npos].Addr,
 				Op: uint8(isa.OpBranch), Flags: flags,
 				DistLoad: NoDist, DistFU: NoDist}
-			if bi.Term.CondReg != ir.RegNone {
-				g.useDep(&ev, bi.Term.CondReg)
-				g.tr.RegReads++
+			if bi.CondUse != 0 {
+				g.use(&ev, bi.CondUse, int64(len(g.out.Events)))
+				g.out.RegReads++
 			}
 			g.emit(ev)
+			g.out.Branches++
 			if bi.HasJump && !taken {
 				g.emit(Event{PC: bi.JumpAddr, Addr: fi.Blocks[npos].Addr,
 					Op: uint8(isa.OpJump), Flags: FlagTaken,
@@ -385,6 +369,99 @@ func (g *generator) run() {
 			bpos, ipos = npos, 0
 		}
 	}
+}
+
+// body emits the events of seg - consecutive micro-ops of one block body,
+// the first at pc, already bounded by the event budget - into the event
+// buffer grown once to hold them all. It stops after a call and returns
+// how many micro-ops it consumed.
+func (g *generator) body(seg []codegen.Uop, pc uint32) int {
+	events := slices.Grow(g.out.Events, len(seg))
+	n := len(events)
+	out := events[n : n+len(seg)]
+	var reads, writes uint64
+	for i := range seg {
+		u := &seg[i]
+		dyn := int64(n + i)
+		ev := Event{PC: pc + uint32(i*isa.InsnBytes), Op: uint8(u.Op), DistLoad: NoDist, DistFU: NoDist}
+		if u.Use[0] != 0 {
+			g.use(&ev, u.Use[0], dyn)
+			reads++
+		}
+		if u.Use[1] != 0 {
+			g.use(&ev, u.Use[1], dyn)
+			reads++
+		}
+		switch u.Addr {
+		case codegen.AddrFixed:
+			ev.Addr = u.Base
+		case codegen.AddrStream:
+			cur := g.streamCursor[u.Slot]
+			ev.Addr = u.Base + cur
+			cur += u.Stride
+			if cur >= u.WSet {
+				cur = 0
+			}
+			g.streamCursor[u.Slot] = cur
+		case codegen.AddrHashed:
+			c := g.streamCount[u.Slot] + 1
+			g.streamCount[u.Slot] = c
+			h := splitmix(g.seed ^ uint64(u.Stream)<<32 ^ c)
+			ev.Addr = u.Base + (uint32(h)%u.WSet)&^3
+		case codegen.AddrCallee:
+			ev.Addr = u.Base
+			ev.Flags |= FlagTaken
+			out[i] = ev
+			g.out.OpCount[isa.OpCall]++
+			g.out.Events = events[:n+i+1]
+			g.out.RegReads += reads
+			g.out.RegWrites += writes
+			return i + 1
+		}
+		if u.PtrLoad {
+			// Pointer chasing: the address depends on the previous load.
+			ev.DistLoad = 1
+		}
+		out[i] = ev
+		if u.Def != 0 {
+			g.sb[u.Def] = sbEntry{idx: dyn, load: u.Op == isa.OpLoad, lat: u.Lat}
+			writes++
+		}
+		g.out.OpCount[u.Op]++
+	}
+	g.out.Events = events[:n+len(seg)]
+	g.out.RegReads += reads
+	g.out.RegWrites += writes
+	return len(seg)
+}
+
+// use folds the scoreboard entry of operand r into the dependency
+// distances of ev, the event at dynamic index dyn.
+func (g *generator) use(ev *Event, r uint8, dyn int64) {
+	s := &g.sb[r]
+	d := dyn - s.idx
+	if d <= 0 || d > 254 {
+		return
+	}
+	if d == 1 {
+		ev.Flags |= FlagDepPrev
+	}
+	if s.load {
+		if uint8(d) < ev.DistLoad {
+			ev.DistLoad = uint8(d)
+		}
+	} else if s.lat > 1 {
+		if uint8(d) < ev.DistFU {
+			ev.DistFU = uint8(d)
+			ev.FULat = s.lat
+		}
+	}
+}
+
+// emit appends a control event and counts its operation class.
+func (g *generator) emit(ev Event) {
+	g.out.Events = append(g.out.Events, ev)
+	g.out.OpCount[ev.Op]++
 }
 
 // posOf finds the layout position of block id within the function image.
@@ -425,125 +502,11 @@ func (g *generator) decide(bi *codegen.BlockImage) bool {
 		return true
 	}
 	if t.InvariantIn > 0 {
-		h := splitmix(g.seed ^ uint64(uint32(t.Site))<<20 ^ uint64(g.tr.Runs))
+		h := splitmix(g.seed ^ uint64(uint32(t.Site))<<20 ^ uint64(g.out.Runs))
 		return hashFloat(h) < t.Prob
 	}
 	n := g.sites[bi.SiteSlot]
 	g.sites[bi.SiteSlot] = n + 1
 	h := splitmix(g.seed ^ uint64(uint32(t.Site))<<20 ^ n)
 	return hashFloat(h) < t.Prob
-}
-
-// step emits the event for a non-control instruction; slot is the
-// instruction's dense stream index from the image (-1 when it keeps no
-// stream cursor).
-func (g *generator) step(pc uint32, in *ir.Insn, slot int32) {
-	ev := Event{PC: pc, Op: uint8(in.Op), DistLoad: NoDist, DistFU: NoDist}
-	g.depends(&ev, in)
-	if in.Op.IsMem() {
-		ev.Addr = g.address(in, slot)
-		if in.Mem.Kind == ir.MemPointer && in.Op == isa.OpLoad {
-			// Pointer chasing: the address depends on the previous load.
-			ev.DistLoad = 1
-		}
-	}
-	g.emit(ev)
-	if in.Def != ir.RegNone {
-		g.writeDep(in)
-		g.tr.RegWrites++
-	}
-}
-
-// depends fills dependency distances from the register scoreboard.
-func (g *generator) depends(ev *Event, in *ir.Insn) {
-	for _, u := range in.Use {
-		if u == ir.RegNone {
-			continue
-		}
-		g.useDep(ev, u)
-		g.tr.RegReads++
-	}
-}
-
-func foldReg(r ir.Reg) int {
-	i := int(r)
-	if i > isa.NumRegs {
-		// Traces of pre-allocation IR (used by unit tests) fold virtual
-		// registers onto the physical scoreboard.
-		i = 1 + (i % isa.NumRegs)
-	}
-	return i
-}
-
-func (g *generator) useDep(ev *Event, u ir.Reg) {
-	r := foldReg(u)
-	d := g.dyn - g.lastIdx[r]
-	if d <= 0 || d > 254 {
-		return
-	}
-	if d == 1 {
-		ev.Flags |= FlagDepPrev
-	}
-	if g.lastLoad[r] {
-		if uint8(d) < ev.DistLoad {
-			ev.DistLoad = uint8(d)
-		}
-	} else if g.lastLat[r] > 1 {
-		if uint8(d) < ev.DistFU {
-			ev.DistFU = uint8(d)
-			ev.FULat = g.lastLat[r]
-		}
-	}
-}
-
-func (g *generator) writeDep(in *ir.Insn) {
-	r := foldReg(in.Def)
-	g.lastIdx[r] = g.dyn - 1 // emit already advanced dyn
-	g.lastLoad[r] = in.Op == isa.OpLoad
-	g.lastLat[r] = uint8(in.Op.Latency())
-}
-
-// address synthesises the data address for a memory instruction; slot is
-// the image-assigned dense stream index (-1 exactly for the deterministic
-// frame-slot accesses, which keep no cursor).
-func (g *generator) address(in *ir.Insn, slot int32) uint32 {
-	m := in.Mem
-	base := StreamBase(m.Stream)
-	if slot < 0 {
-		// Frame slots are deterministic: slot index in Imm.
-		return base + uint32(in.Imm)*4
-	}
-	w := uint32(m.WSet)
-	switch m.Kind {
-	case ir.MemSeq, ir.MemStrided:
-		cur := g.streamCursor[slot]
-		a := base + cur
-		cur += uint32(m.Stride)
-		if cur >= w {
-			cur = 0
-		}
-		g.streamCursor[slot] = cur
-		return a
-	case ir.MemScalar:
-		return base
-	default: // MemRandom, MemPointer, MemTable, MemStack
-		n := g.streamCount[slot] + 1
-		g.streamCount[slot] = n
-		h := splitmix(g.seed ^ uint64(uint32(m.Stream))<<32 ^ n)
-		return base + (uint32(h)%w)&^3
-	}
-}
-
-// emit appends the event and updates the trace-level counters.
-func (g *generator) emit(ev Event) {
-	g.tr.Events = append(g.tr.Events, ev)
-	g.dyn++
-	op := isa.Op(ev.Op)
-	g.tr.OpCount[op]++
-	if op.IsMem() {
-		g.tr.MemOps++
-	}
-	if ev.Flags&FlagCond != 0 {
-		g.tr.Branches++
-	}
 }

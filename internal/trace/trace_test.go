@@ -1,6 +1,7 @@
 package trace_test
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -115,8 +116,8 @@ func TestAddressesWithinRegions(t *testing.T) {
 	for _, ev := range tr.Events {
 		op := isa.Op(ev.Op)
 		if op.IsMem() {
-			if ev.Addr < trace.DataBase {
-				t.Fatalf("data address %#x below trace.DataBase", ev.Addr)
+			if ev.Addr < codegen.DataBase {
+				t.Fatalf("data address %#x below codegen.DataBase", ev.Addr)
 			}
 		} else if op != isa.OpNop && ev.PC < codegen.CodeBase {
 			t.Fatalf("instruction address %#x below CodeBase", ev.PC)
@@ -151,18 +152,6 @@ func TestCountedLoopPattern(t *testing.T) {
 	}
 	if total != 5 || taken != 4 {
 		t.Errorf("latch executed %d times with %d taken, want 5/4", total, taken)
-	}
-}
-
-func TestStreamBases(t *testing.T) {
-	if trace.StreamBase(0) != trace.DataBase {
-		t.Error("stream 0 must start at trace.DataBase")
-	}
-	if trace.StreamBase(1)-trace.StreamBase(0) != trace.DataSpacing {
-		t.Error("data streams must be trace.DataSpacing apart")
-	}
-	if trace.StreamBase(trace.FrameStream) != trace.FrameBase {
-		t.Error("first frame stream must start at trace.FrameBase")
 	}
 }
 
@@ -204,4 +193,138 @@ func TestGenerateSizedMatchesGenerate(t *testing.T) {
 			t.Fatalf("hint %d: counters differ from Generate's", hint)
 		}
 	}
+}
+
+// sameTrace fails the test unless got equals want event for event and
+// counter for counter.
+func sameTrace(t *testing.T, what string, got, want *trace.Trace) {
+	t.Helper()
+	if len(got.Events) != len(want.Events) {
+		t.Fatalf("%s: %d events, reference has %d", what, len(got.Events), len(want.Events))
+	}
+	for i := range want.Events {
+		if got.Events[i] != want.Events[i] {
+			t.Fatalf("%s: event %d is %+v, reference has %+v", what, i, got.Events[i], want.Events[i])
+		}
+	}
+	g, w := *got, *want
+	g.Events, w.Events = nil, nil
+	if !reflect.DeepEqual(g, w) {
+		t.Fatalf("%s: counters\n got %+v\nwant %+v", what, g, w)
+	}
+}
+
+// cutPoints returns instruction caps that end a trace at the awkward
+// places: mid-body, inside alignment padding, right after a call, right
+// before one, and between a conditional branch and its trailing jump
+// (the one place a trace may overshoot its cap).
+func cutPoints(evs []trace.Event) []int {
+	var cuts []int
+	body := func(op uint8) bool { return !isa.Op(op).IsControl() && isa.Op(op) != isa.OpNop }
+	var call, mid, pad, pair bool
+	for i := 0; i+1 < len(evs) && !(call && mid && pad && pair); i++ {
+		switch op, next := isa.Op(evs[i].Op), isa.Op(evs[i+1].Op); {
+		case !call && op == isa.OpCall:
+			cuts, call = append(cuts, i+1, i), true
+		case !mid && body(evs[i].Op) && body(evs[i+1].Op) && evs[i+1].PC == evs[i].PC+isa.InsnBytes:
+			cuts, mid = append(cuts, i+1), true
+		case !pad && op == isa.OpNop:
+			cuts, pad = append(cuts, i+1), true
+		case !pair && op == isa.OpBranch && next == isa.OpJump:
+			cuts, pair = append(cuts, i+1), true
+		}
+	}
+	return append(cuts, len(evs)/2, 1)
+}
+
+// paddedLoop is a two-function module whose loop body sits behind a
+// 32-byte alignment pad entered by fall-through, and calls a leaf: every
+// awkward cut - inside the pad, mid-body, at the call, in the callee,
+// between branch and exit - is a few dozen events in.
+func paddedLoop(t *testing.T) *codegen.Program {
+	t.Helper()
+	seq := ir.MemRef{Stream: 0, Kind: ir.MemSeq, WSet: 64, Stride: 4}
+	f := &ir.Func{Name: "main", ID: 0, NextReg: 4}
+	f.Blocks = []*ir.Block{
+		{ID: 0, Insns: []ir.Insn{{Op: isa.OpALU, Def: 1, Imm: 1}},
+			Term: ir.Term{Kind: ir.TermFall, Fall: 1}},
+		{ID: 1, Align: 32, Insns: []ir.Insn{
+			{Op: isa.OpALU, Def: 2, Use: [2]ir.Reg{1}, Imm: 2},
+			{Op: isa.OpLoad, Def: 3, Use: [2]ir.Reg{2}, Mem: seq},
+			{Op: isa.OpCall, Callee: 1},
+			{Op: isa.OpStore, Use: [2]ir.Reg{3, 2}, Mem: seq},
+		}, Term: ir.Term{Kind: ir.TermBranch, Taken: 1, Fall: 2, Trip: 3, Site: 1, CondReg: 2}},
+		{ID: 2, Term: ir.Term{Kind: ir.TermRet}},
+	}
+	leaf := &ir.Func{Name: "leaf", ID: 1, NextReg: 2}
+	leaf.Blocks = []*ir.Block{{ID: 0, Insns: []ir.Insn{{Op: isa.OpMul, Def: 1, Imm: 3}},
+		Term: ir.Term{Kind: ir.TermRet}}}
+	p, err := codegen.Lower(&ir.Module{Name: "padded", Funcs: []*ir.Func{f, leaf}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Funcs[0].ByID[1].Pad < 2*isa.InsnBytes {
+		t.Fatalf("loop body pad is %d bytes, want several no-ops", p.Funcs[0].ByID[1].Pad)
+	}
+	return p
+}
+
+// TestGenerateMatchesReference holds the micro-op generator to the IR
+// walk it replaced, over every suite program under -O3, the all-off
+// setting and sampled settings: complete runs, fill-to-cap traces, and
+// caps that cut mid-body, at a call and inside a branch-jump pair; and
+// over a hand-built padded loop at every cap.
+func TestGenerateMatchesReference(t *testing.T) {
+	p := paddedLoop(t)
+	full := generateReference(p, trace.Config{Runs: 2, Seed: 1})
+	for c := 1; c <= len(full.Events)+1; c++ {
+		cfg := trace.Config{Runs: 2, MaxInsns: c, Seed: 1}
+		sameTrace(t, "padded loop", trace.Generate(p, cfg), generateReference(p, cfg))
+	}
+
+	rng := rand.New(rand.NewSource(5))
+	settings := []opt.Config{opt.O3(), {}}
+	for range 3 {
+		settings = append(settings, opt.Random(rng))
+	}
+	for _, name := range prog.Names() {
+		m := prog.MustBuild(name)
+		for si := range settings {
+			p, err := core.Compile(m, &settings[si])
+			if err != nil {
+				t.Fatal(err)
+			}
+			full := trace.Config{Runs: 2, MaxInsns: 400_000, Seed: 7}
+			want := generateReference(p, full)
+			sameTrace(t, name+" complete runs", trace.Generate(p, full), want)
+			for _, c := range cutPoints(want.Events) {
+				cfg := trace.Config{Runs: 2, MaxInsns: c, Seed: 7}
+				sameTrace(t, name+" cut", trace.Generate(p, cfg), generateReference(p, cfg))
+			}
+			fill := trace.Config{MaxInsns: len(want.Events) + 999, Seed: 3}
+			sameTrace(t, name+" fill", trace.Generate(p, fill), generateReference(p, fill))
+		}
+	}
+}
+
+// FuzzGenerateVsReference fuzzes the program, the setting, the run count
+// and the cap, holding the micro-op generator to the reference walk.
+func FuzzGenerateVsReference(f *testing.F) {
+	f.Add(uint8(0), int64(0), uint8(2), uint32(100_000))
+	f.Add(uint8(7), int64(11), uint8(1), uint32(333))
+	f.Add(uint8(20), int64(-4), uint8(0), uint32(20_000))
+	f.Add(uint8(33), int64(99), uint8(3), uint32(1))
+	names := prog.Names()
+	f.Fuzz(func(t *testing.T, pi uint8, setting int64, runs uint8, maxInsns uint32) {
+		c := opt.O3()
+		if setting != 0 {
+			c = opt.Random(rand.New(rand.NewSource(setting)))
+		}
+		p, err := core.Compile(prog.MustBuild(names[int(pi)%len(names)]), &c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := trace.Config{Runs: int(runs % 4), MaxInsns: 1 + int(maxInsns%200_000), Seed: setting}
+		sameTrace(t, "fuzzed", trace.Generate(p, cfg), generateReference(p, cfg))
+	})
 }
