@@ -33,13 +33,13 @@
 //     factors into a configuration-independent pairability bit (dep-prev
 //     flag, mem-after-mem, after-control - one shared bitset) and a
 //     per-(fetch stream, load-use latency) eligibility bit (no fetch
-//     this cycle, no dependency stall), so the paired count is a
-//     run-length scan over an eligibility bitset shared by every width-2
-//     configuration with that stream and latency: within a maximal run
-//     of eligible events the pairing alternates, contributing ceil(L/2)
-//     pairs. Widths the closed form does not cover (>2, never sampled)
-//     keep a full per-event replay, which also serves as the oracle the
-//     equivalence tests drive against the closed forms.
+//     this cycle, no dependency stall), so the paired count is word
+//     arithmetic over an eligibility bitset shared by every width-2
+//     configuration with that stream and latency: the pairing alternates
+//     through a maximal run of eligible events, so those at an even
+//     offset from its start pair. Widths the closed form does not cover
+//     (>2, never sampled) keep a full per-event replay, which also serves
+//     as the oracle the equivalence tests drive against the closed forms.
 //
 //  4. The pass is cache-blocked: the trace is consumed in blocks of
 //     blockEvents events, and each shared structure sweeps a whole block
@@ -549,16 +549,13 @@ type batchState struct {
 // pairGroup accumulates the paired-issue count shared by every width-2
 // configuration with the same fetch stream and load-use latency: those
 // two inputs are all that distinguishes their pairing-eligibility
-// bitsets. The scan decomposes each block's eligibility word into
-// maximal runs; a run of L consecutive eligible events pairs ceil(L/2)
-// of them (the slot alternates open/closed through the run), and open
-// carries a run across word and block boundaries, where the slot state
-// persists.
+// bitsets. pairWord counts a word's paired events; paired carries the
+// slot state across word and block boundaries, where it persists.
 type pairGroup struct {
 	icIdx  int
 	latIdx int // index into the per-latency load-stall bitsets
 	pairs  uint64
-	open   uint64 // length of the eligible run entering the next word
+	paired bool // the last event of the previous word paired
 }
 
 type icKey struct {
@@ -608,6 +605,28 @@ func log2u32(v uint32) uint32 {
 func nibblePos(p, w uint64) int {
 	x := p ^ w*0x1111111111111111
 	return bits.TrailingZeros64((x-0x1111111111111111)&^x&0x8888888888888888) >> 2
+}
+
+// evenBits marks the even positions of a word.
+const evenBits = 0x5555555555555555
+
+// pairWord counts the paired events of one eligibility word v - those at
+// an even offset from their maximal run's start, ceil(L/2) of a run of L
+// - and reports whether bit 63 paired. If the previous word's last event
+// paired, a run continuing into bit 0 sits at an odd offset (cont); any
+// other entering run counts as one starting at bit 0. Adding a run's
+// start bit ripples through it and stops at the 0 after it, so re holds
+// the runs starting on even bits, which pair their even bits; the rest
+// (ro, cont included) pair their odd bits. Counts add across words.
+func pairWord(v uint64, paired bool) (int, bool) {
+	var cont uint64
+	if paired {
+		cont = ((v + 1) ^ v) & v
+	}
+	starts := v &^ (v << 1) &^ cont
+	re := ((v + starts&evenBits) ^ v) & v
+	ro := v &^ re
+	return bits.OnesCount64(re&evenBits) + bits.OnesCount64(ro&^evenBits), ro>>63 != 0
 }
 
 // geomBits decomposes a validated cache geometry into set and block bits,
@@ -1114,13 +1133,10 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 		}
 	}
 
-	// Wave 3 - the multi-issue work. Pairing groups fold the block's
-	// eligibility words into their run accounting: eligible events are
-	// pairable ones the configuration neither fetches at nor stalls on,
-	// and within a maximal run of them the pairing slot alternates, so a
-	// run of length L pairs ceil(L/2) events. A run is closed by the
-	// first ineligible event after it; open carries runs across word and
-	// block boundaries. Per-event states replay the block mirroring
+	// Wave 3 - the multi-issue work. Pairing groups count the paired
+	// events of the block's eligibility words (eligible events are
+	// pairable ones the configuration neither fetches at nor stalls on;
+	// see pairWord). Per-event states replay the block mirroring
 	// Simulate statement for statement, every decoded input read back
 	// from the shared bitsets (pairOK folds the dep-prev flag and the
 	// previous event's memory/control class; dcm.missBits and
@@ -1130,43 +1146,13 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 		g := &pairGroups[k]
 		acc := ics[g.icIdx].accBits
 		lt := loadLts[g.latIdx]
-		open, pairs := g.open, g.pairs
+		pairs, paired := 0, g.paired
 		for w := 0; w < words; w++ {
-			v := pairOK[w] &^ (acc[w] | fu2[w] | lt[w])
-			switch v {
-			case 0:
-				if open != 0 {
-					pairs += (open + 1) / 2
-					open = 0
-				}
-				continue
-			case ^uint64(0):
-				open += 64
-				continue
-			}
-			for pos := 0; pos < 64; {
-				rest := v >> uint(pos)
-				if rest == 0 {
-					break
-				}
-				if gap := bits.TrailingZeros64(rest); gap > 0 {
-					if open != 0 {
-						pairs += (open + 1) / 2
-						open = 0
-					}
-					pos += gap
-				}
-				run := bits.TrailingZeros64(^(v >> uint(pos)))
-				open += uint64(run)
-				pos += run
-				if pos < 64 {
-					// The run ends inside the word: the next bit is a gap.
-					pairs += (open + 1) / 2
-					open = 0
-				}
-			}
+			n, p := pairWord(pairOK[w]&^(acc[w]|fu2[w]|lt[w]), paired)
+			pairs, paired = pairs+n, p
 		}
-		g.open, g.pairs = open, pairs
+		g.pairs += uint64(pairs)
+		g.paired = paired
 	}
 	wideReplay := func(st *batchState) {
 		g := &ics[st.icIdx]
@@ -1360,15 +1346,6 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 		parallelSweep(workers, len(pairGroups)+len(wide), wave3)
 	}
 
-	// A run still open at the end of the trace pairs like any other:
-	// its events all issued, alternating.
-	for k := range pairGroups {
-		if g := &pairGroups[k]; g.open > 0 {
-			g.pairs += (g.open + 1) / 2
-			g.open = 0
-		}
-	}
-
 	if memo != nil && !reused {
 		memo.store(key, dcMembers)
 	}
@@ -1389,6 +1366,7 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 	}
 
 	insns := uint64(len(tr.Events))
+	dep1, dep2 := depStallMemo(hist, maxDl1), depStallMemo(hist2, maxDl1W)
 	results = make([]Result, len(cfgs))
 	for i := range states {
 		st := &states[i]
@@ -1420,7 +1398,7 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 			res.MemStalls = st.dcm.loadMisses*st.dcPenalty +
 				st.dcm.storeMisses*st.stPenalty
 			res.BranchStalls = bg.mispredicts * mispredictPenalty
-			res.DepStalls = depStallDot(hist, maxDl1, st.dl1Lat)
+			res.DepStalls = dep1(st.dl1Lat)
 			res.Cycles = insns + res.FetchStalls + res.MemStalls +
 				res.DepStalls + res.BranchStalls
 			res.Decodes = insns + bg.mispredicts*uint64(mispredictPenalty/2)
@@ -1434,7 +1412,7 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 			res.MemStalls = st.dcm.loadMisses*st.dcPenalty +
 				st.dcm.storeMisses*st.stPenalty
 			res.BranchStalls = bg.mispredicts * mispredictPenalty
-			res.DepStalls = depStallDot(hist2, maxDl1W, st.dl1Lat)
+			res.DepStalls = dep2(st.dl1Lat)
 			res.Cycles = insns - pairGroups[st.pgIdx].pairs +
 				res.FetchStalls + res.MemStalls +
 				res.DepStalls + res.BranchStalls
@@ -1479,4 +1457,18 @@ func depStallDot(hist []uint64, maxDl1, dl1Lat int) uint64 {
 		}
 	}
 	return total
+}
+
+// depStallMemo folds hist once per distinct load-use latency, the one
+// input the fold takes from a configuration.
+func depStallMemo(hist []uint64, maxDl1 int) func(dl1Lat int) uint64 {
+	memo := map[int]uint64{}
+	return func(dl1Lat int) uint64 {
+		d, ok := memo[dl1Lat]
+		if !ok {
+			d = depStallDot(hist, maxDl1, dl1Lat)
+			memo[dl1Lat] = d
+		}
+		return d
+	}
 }

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -128,14 +129,140 @@ func TestSimulateBatchRandomTraces(t *testing.T) {
 	}
 }
 
+// pairsReference is the run-length scan pairWord replaced: it decomposes
+// each eligibility word into maximal runs, carries the length of the run
+// still open across words, closes each run with ceil(L/2) pairs and
+// flushes the run open after the last word. open is the length of the
+// run entering ws; the count includes that run's pairs, and openOut is
+// the open length before the flush.
+func pairsReference(ws []uint64, open uint64) (pairs, openOut uint64) {
+	for _, v := range ws {
+		switch v {
+		case 0:
+			if open != 0 {
+				pairs += (open + 1) / 2
+				open = 0
+			}
+			continue
+		case ^uint64(0):
+			open += 64
+			continue
+		}
+		for pos := 0; pos < 64; {
+			rest := v >> uint(pos)
+			if rest == 0 {
+				break
+			}
+			if gap := bits.TrailingZeros64(rest); gap > 0 {
+				if open != 0 {
+					pairs += (open + 1) / 2
+					open = 0
+				}
+				pos += gap
+			}
+			run := bits.TrailingZeros64(^(v >> uint(pos)))
+			open += uint64(run)
+			pos += run
+			if pos < 64 {
+				// The run ends inside the word: the next bit is a gap.
+				pairs += (open + 1) / 2
+				open = 0
+			}
+		}
+	}
+	return pairs + (open+1)/2, open
+}
+
+// pairWordsMatch chains pairWord over ws from the state a run of length
+// open leaves (its last event paired when open is odd) and compares the
+// total and the carried state with pairsReference, whose count also
+// holds the entering run's own pairs.
+func pairWordsMatch(ws []uint64, open uint64) error {
+	paired := open%2 == 1
+	got := 0
+	for _, v := range ws {
+		var n int
+		n, paired = pairWord(v, paired)
+		got += n
+	}
+	want, openOut := pairsReference(ws, open)
+	want -= (open + 1) / 2
+	if uint64(got) != want || paired != (openOut%2 == 1) {
+		return fmt.Errorf("words %#x entered by a run of %d: pairWord %d pairs, last paired %v; reference %d pairs, open run %d",
+			ws, open, got, paired, want, openOut)
+	}
+	return nil
+}
+
+// TestPairWordMatchesReference holds the bit-parallel pairing count to
+// the run-length scan over every single run of a word, the degenerate
+// and alternating words, runs spanning two to four words and seeded
+// random word sequences, each entered with no run, an odd-length run and
+// an even-length run.
+func TestPairWordMatchesReference(t *testing.T) {
+	check := func(ws ...uint64) {
+		t.Helper()
+		for _, open := range []uint64{0, 1, 2, 3} {
+			if err := pairWordsMatch(ws, open); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for s := 0; s < 64; s++ {
+		for l := 1; s+l <= 64; l++ {
+			run := ^uint64(0) >> (64 - l) << s
+			check(run)
+			check(run, 0)
+			check(run, ^uint64(0))
+		}
+	}
+	for _, v := range []uint64{0, ^uint64(0), 0x5555555555555555, 0xAAAAAAAAAAAAAAAA} {
+		check(v)
+		check(v, v)
+	}
+	// One run from bit s of the first word to bit e of the n words.
+	for n := 2; n <= 4; n++ {
+		for s := 0; s < 64; s++ {
+			for e := 64*(n-1) + 1; e <= 64*n; e++ {
+				ws := make([]uint64, n)
+				for b := s; b < e; b++ {
+					ws[b/64] |= 1 << (b % 64)
+				}
+				check(ws...)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(27))
+	for i := 0; i < 10000; i++ {
+		ws := make([]uint64, 1+rng.Intn(6))
+		for w := range ws {
+			// Vary the density so long runs and all-ones words occur.
+			switch v := rng.Uint64(); rng.Intn(5) {
+			case 0:
+				ws[w] = v
+			case 1:
+				ws[w] = v & rng.Uint64()
+			case 2:
+				ws[w] = v | rng.Uint64() | rng.Uint64()
+			case 3:
+				ws[w] = ^(v & rng.Uint64() & rng.Uint64() & rng.Uint64())
+			default:
+				ws[w] = ^uint64(0)
+			}
+		}
+		check(ws...)
+	}
+}
+
 // pairingEdgeTrace builds a deterministic trace that forces every
 // dual-issue pairing edge case through the closed forms: maximal
 // pairable runs of both parities, dep-chain breaks (FlagDepPrev),
 // memory-after-memory sequences, pairing directly after taken and
 // mispredicted control flow, load-use and functional-unit stalls with
-// distances straddling the latency thresholds, a pairable run that
-// deterministically crosses the 32768-event block boundary, and a
-// trace length that ends mid-word with the final run still open.
+// distances straddling the latency thresholds, eligible runs placed on
+// exact word boundaries, a pairable run that deterministically crosses
+// the 32768-event block boundary, and a trace length that ends mid-word
+// with the final run still open.
 func pairingEdgeTrace(n int) *trace.Trace {
 	tr := &trace.Trace{Runs: 1}
 	tr.Events = make([]trace.Event, 0, n)
@@ -158,9 +285,9 @@ func pairingEdgeTrace(n int) *trace.Trace {
 	}
 	alu := trace.Event{Op: uint8(isa.OpALU), DistLoad: trace.NoDist, DistFU: trace.NoDist}
 	phase := 0
-	// emitPhase appends at most 66 events of one edge-case pattern.
+	// emitPhase appends at most 512 events of one edge-case pattern.
 	emitPhase := func() {
-		switch phase % 8 {
+		switch phase % 9 {
 		case 0: // maximal pairable runs, length parity varying
 			for i := 0; i < 63+phase%3; i++ {
 				emit(alu)
@@ -221,17 +348,42 @@ func pairingEdgeTrace(n int) *trace.Trace {
 			ev := alu
 			ev.Flags = trace.FlagDepPrev
 			emit(ev)
+		case 8: // eligibility words laid on exact word boundaries
+			emit(alu)
+			for len(tr.Events)%64 != 0 {
+				emit(alu)
+			}
+			// Every event repeats the previous PC, so none fetches and
+			// each is eligible unless it carries FlagDepPrev: a run from
+			// bit 1 ending exactly at bit 63; a gap at bit 63, then a run
+			// from exactly bit 0; all-ones words entered by an even-length
+			// (22) and an odd-length (61) run, each run going on into the
+			// next word, where only the parity carried out of bit 63 says
+			// which of its events pair.
+			for _, w := range []uint64{
+				^uint64(1), ^uint64(1) >> 1 &^ 1, ^uint64(1 << 41),
+				^uint64(0), ^uint64(1 << 2), ^uint64(0), 1,
+			} {
+				for b := 0; b < 64; b++ {
+					ev := alu
+					if w>>b&1 == 0 {
+						ev.Flags = trace.FlagDepPrev
+					}
+					pc -= 4
+					emit(ev)
+				}
+			}
 		}
 		phase++
 	}
-	for len(tr.Events) < blockEvents-100 && len(tr.Events) < n {
+	for len(tr.Events) < blockEvents-600 && len(tr.Events) < n {
 		emitPhase()
 	}
 	// Straddle the block boundary with one maximal pairable run.
 	for len(tr.Events) < blockEvents+64 && len(tr.Events) < n {
 		emit(alu)
 	}
-	for len(tr.Events) < n-100 {
+	for len(tr.Events) < n-600 {
 		emitPhase()
 	}
 	for len(tr.Events) < n {

@@ -1,12 +1,13 @@
-// Differential fuzz targets for the two engines this package keeps
-// bit-identical by construction: the shared LRU stack (permutation-word
-// and ring encodings) against a naive per-member set-associative
-// reference model, and SimulateBatch against per-configuration Simulate.
-// CI runs both with a short -fuzztime as a smoke; seed corpora live under
-// testdata/fuzz.
+// Differential fuzz targets for what this package keeps bit-identical by
+// construction: the shared LRU stack (permutation-word and ring
+// encodings) against a naive per-member set-associative reference model,
+// the bit-parallel pairing count against the run-length scan, and
+// SimulateBatch against per-configuration Simulate. CI runs each with a
+// short -fuzztime as a smoke; seed corpora live under testdata/fuzz.
 package cpu
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -138,6 +139,33 @@ func FuzzLRUStackVsReference(f *testing.F) {
 				}
 			}
 			putSimScratch(sc)
+		}
+	})
+}
+
+// FuzzPairWord drives the bit-parallel pairing count against the
+// run-length reference: byte 0 chooses the length of the run entering
+// the first word (0-3: none, odd, even, odd), the rest are little-endian
+// eligibility words, a short tail zero-padded.
+func FuzzPairWord(f *testing.F) {
+	f.Add([]byte{0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xfe})
+	f.Add([]byte{1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte{2, 0x55, 0x55, 0x55, 0x55, 0x55, 0x55, 0x55, 0xd5, 0xaa})
+	f.Add([]byte{3, 0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0x80, 0xff})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 1 {
+			return
+		}
+		open := uint64(data[0] % 4)
+		var ws []uint64
+		for i := 1; i < len(data); i += 8 {
+			var b [8]byte
+			copy(b[:], data[i:])
+			ws = append(ws, binary.LittleEndian.Uint64(b[:]))
+		}
+		if err := pairWordsMatch(ws, open); err != nil {
+			t.Fatal(err)
 		}
 	})
 }
