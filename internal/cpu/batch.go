@@ -19,8 +19,16 @@
 //     associativity > k. One MRU-ordered tag stack per (set count, block
 //     size) therefore resolves hit/miss for every sampled associativity at
 //     once (Table 2 has far fewer unique cache geometries than the 200
-//     sampled architectures). BTB prediction state is likewise shared per
-//     BTB geometry.
+//     sampled architectures). Across set counts, bit-selection indexing
+//     gives set-refinement inclusion (Hill & Smith, IEEE TC 1989): a
+//     line's set at 2S sets fixes its set at S sets, so the lines touched
+//     since its last access that share its set at 2S sets are a subset of
+//     those that share it at S sets, and its depth never grows with the
+//     set count. An MRU hit - the one outcome that changes no state - at
+//     S sets is therefore an MRU hit at every larger set count of the
+//     block size: each block size's stacks form one chain, coarsest
+//     first, where a stack replays only the accesses its predecessor did
+//     not answer at MRU. BTB prediction state is shared per BTB geometry.
 //
 //  3. For single-issue configurations (the whole Table 2 base space) every
 //     instruction issues in exactly one cycle plus stalls, and each stall
@@ -198,12 +206,15 @@ type cacheMember struct {
 //     position packed into a uint64 per set. A hit probe is a scan of at
 //     most depth contiguous tags plus a constant-time nibble search of
 //     the word; the rotate-to-MRU and the miss eviction are a shift/mask
-//     each, so no tag ever moves on a hit (the ring rotated up to depth
-//     tags per access, the dominant cost of the replay profile).
+//     each, so no tag ever moves on a hit.
 //
 //   - deeper stacks keep the circular MRU tag list: a 32- or 64-deep
 //     order does not fit a word, and the ring's probe scans in recency
-//     order, which high-locality traces cut short early.
+//     order, which high-locality traces cut short early. A hit at depth
+//     d rotates from the nearer end: either the d more recent tags shift
+//     back one slot, or the n-1-d older ones (n valid) shift forward one
+//     and the head steps back onto the freed slot, so no hit moves more
+//     than n/2 tags.
 //
 // Both orderings evolve identically (proved state-for-state by
 // TestPermStackMatchesRingExhaustive and fuzzed differentially against a
@@ -221,7 +232,6 @@ type lruStack struct {
 	setMask  uint32
 	blockLg  uint32
 	setBits  uint32
-	lastLine uint32 // line of the most recent access (same-line fast path)
 	members  []*cacheMember
 	// forceRing pins the ring representation regardless of depth; the
 	// equivalence tests and benchmarks use it to drive both encodings
@@ -279,7 +289,6 @@ func (s *lruStack) finalize() {
 func (s *lruStack) alloc(sc *simScratch) {
 	sets := int(s.setMask) + 1
 	s.lines = sc.u32.get(sets*s.depth, true)
-	s.lastLine = ^uint32(0)
 	if s.depth <= permMaxDepth && !s.forceRing {
 		s.perm = sc.u64.get(sets, false)
 		ident := permIdentity(s.depth)
@@ -296,12 +305,13 @@ func (s *lruStack) alloc(sc *simScratch) {
 	s.fill = sc.u8.get(sets, true)
 }
 
-// access touches addr at block position j, updates recency, and records
-// the outcome in the members the hit depth reaches. Both representations
-// live in this one function on purpose: it is the hottest call in the
-// whole replay profile and too large to inline, so a probe must not pay
-// a second call hop - and each stack is mono-mode, so the perm branch
-// predicts perfectly.
+// access touches addr at block position j, updates recency, records the
+// outcome in the members the hit depth reaches, and reports an MRU hit,
+// which changes no state here nor later in the stack's chain (fact 2).
+// Both representations live in this one function on purpose: it is the
+// hottest call in the whole replay profile and too large to inline, so a
+// probe must not pay a second call hop - and each stack is mono-mode, so
+// the perm branch predicts perfectly.
 //
 // Permutation-word mode: tags sit at fixed ways and only the recency
 // word changes on a hit. The probe scans the tags in way order - the
@@ -315,14 +325,8 @@ func (s *lruStack) alloc(sc *simScratch) {
 //
 // Ring mode: invalid (zero) tags only ever occupy the tail of a set's
 // list, beyond its fill count.
-func (s *lruStack) access(addr uint32, j int, isStore, isData bool) {
+func (s *lruStack) access(addr uint32, j int, isStore, isData bool) (mru bool) {
 	line := addr >> s.blockLg
-	if line == s.lastLine {
-		// The previous access put this very line at the front of its
-		// set, so this is an MRU hit with no state to update.
-		return
-	}
-	s.lastLine = line
 	set := line & s.setMask
 	tag := (line >> s.setBits) + 1 // +1 so 0 means invalid, collision-free
 	base := int(set) * s.depth
@@ -331,7 +335,7 @@ func (s *lruStack) access(addr uint32, j int, isStore, isData bool) {
 	if s.perm != nil {
 		p := s.perm[set]
 		if buf[p&0xF] == tag {
-			return // MRU hit: no reordering, no member can miss at depth 0
+			return true // MRU hit: no reordering, no member can miss at depth 0
 		}
 		w := -1
 		for i, t := range buf {
@@ -358,30 +362,41 @@ func (s *lruStack) access(addr uint32, j int, isStore, isData bool) {
 			buf[v] = tag
 		}
 	} else {
-		h := int(s.head[set]) & (len(buf) - 1)
+		r := len(buf) - 1 // ring index mask
+		h := int(s.head[set]) & r
 		if buf[h] == tag {
-			return // MRU hit: no reordering, no member can miss at depth 0
+			return true // MRU hit: no reordering, no member can miss at depth 0
 		}
 		n := int(s.fill[set])
 		d := 1
-		for d < n && buf[(h+d)&(len(buf)-1)] != tag {
+		for d < n && buf[(h+d)&r] != tag {
 			d++
 		}
-		if d < n {
-			// Hit at depth d: rotate the d entries in front of it back
-			// by one and install the line at the MRU slot.
+		if d < n && d <= n-1-d {
+			// Hit at depth d in the front half: rotate the d entries in
+			// front of it back by one and install the line at the MRU slot.
 			for i := d; i > 0; i-- {
-				buf[(h+i)&(len(buf)-1)] = buf[(h+i-1)&(len(buf)-1)]
+				buf[(h+i)&r] = buf[(h+i-1)&r]
 			}
 			buf[h] = tag
 			hitDepth = d
 		} else {
-			// Miss: the ring makes insertion O(1) - step the head back
-			// onto the LRU slot (evicting it when the set is full).
-			if n < s.depth {
+			if d < n {
+				// Hit in the back half: pull the n-1-d older entries
+				// forward one slot over it and zero the vacated tail slot,
+				// then step the head back as a miss does.
+				for i := d; i < n-1; i++ {
+					buf[(h+i)&r] = buf[(h+i+1)&r]
+				}
+				buf[(h+n-1)&r] = 0
+				hitDepth = d
+			} else if n < s.depth {
 				s.fill[set] = uint8(n + 1)
 			}
-			h = (h - 1) & (len(buf) - 1)
+			// The ring makes insertion O(1): the head steps back onto the
+			// LRU slot of a full set (evicting it on a miss, the slot just
+			// zeroed on a hit) or an invalid tail slot of a filling one.
+			h = (h - 1) & r
 			buf[h] = tag
 			s.head[set] = uint8(h)
 		}
@@ -401,6 +416,83 @@ func (s *lruStack) access(addr uint32, j int, isStore, isData bool) {
 		if m.missBits != nil {
 			m.missBits.set(j)
 		}
+	}
+	return false
+}
+
+// stackChain is one block size's tag stacks, set count ascending (fact
+// 2): the first stack takes every access of the block, each later one
+// only those its predecessor did not answer at MRU. The order is a view;
+// the stacks themselves keep theirs, which dataKey hashes.
+type stackChain struct {
+	stacks []*lruStack
+	// changed is the block size's line changes, the instruction stream's
+	// accesses (icStream); nil marks a data chain, which takes memList.
+	changed bitset
+	// live holds the surviving accesses between stages: memList indices
+	// (data) or block positions into pcList (instructions).
+	live []uint32
+}
+
+// chainStacks groups stacks into chains by block size; instruction chains
+// take their line changes from the tracker of their block size.
+func chainStacks(stacks []*lruStack, tracks []lineTrack, sc *simScratch) []stackChain {
+	order := append([]*lruStack(nil), stacks...)
+	sort.Slice(order, func(a, b int) bool {
+		x, y := order[a], order[b]
+		return x.blockLg < y.blockLg || x.blockLg == y.blockLg && x.setBits < y.setBits
+	})
+	var chains []stackChain
+	for i, j := 0, 0; i < len(order); i = j {
+		for j = i + 1; j < len(order) && order[j].blockLg == order[i].blockLg; j++ {
+		}
+		c := stackChain{stacks: order[i:j], live: sc.u32.get(blockEvents, false)}
+		for _, lt := range tracks {
+			if lt.blockLg == order[i].blockLg {
+				c.changed = lt.changed
+			}
+		}
+		chains = append(chains, c)
+	}
+	return chains
+}
+
+// sweep replays one block through the chain. memList and pcList are the
+// block's packed memory events and PCs, words its bitset length.
+func (c *stackChain) sweep(memList []uint64, pcList []uint32, words int) {
+	live, first := c.live[:0], c.stacks[0]
+	if c.changed == nil {
+		for k, mp := range memList {
+			if !first.access(uint32(mp), int(mp>>32&0x7fffffff), mp>>63 != 0, true) {
+				live = append(live, uint32(k))
+			}
+		}
+	} else {
+		for w := 0; w < words; w++ {
+			for word := c.changed[w]; word != 0; word &= word - 1 {
+				j := w<<6 + bits.TrailingZeros64(word)
+				if !first.access(pcList[j], j, false, false) {
+					live = append(live, uint32(j))
+				}
+			}
+		}
+	}
+	for _, s := range c.stacks[1:] {
+		n := 0
+		for _, k := range live {
+			var mru bool
+			if c.changed == nil {
+				mp := memList[k]
+				mru = s.access(uint32(mp), int(mp>>32&0x7fffffff), mp>>63 != 0, true)
+			} else {
+				mru = s.access(pcList[k], int(k), false, false)
+			}
+			if !mru {
+				live[n] = k
+				n++
+			}
+		}
+		live = live[:n]
 	}
 }
 
@@ -487,7 +579,8 @@ func (g *btbGroup) step(pc uint32, taken bool) bool {
 // is a guaranteed MRU hit that neither reorders the LRU stack nor misses,
 // so every state-changing access happens at a line-change position. Those
 // positions are BTB-independent, which is what lets the tag stacks merge
-// across BTB geometries (icStack below) while streams reduce to popcount
+// across BTB geometries - one per (IL1 sets, IL1 block), chained per
+// block size over its line changes - while streams reduce to popcount
 // bookkeeping.
 type icStream struct {
 	btbIdx     int // index into the BTB group list (redirect deviations)
@@ -500,14 +593,6 @@ type icStream struct {
 	// fetch decision redirBits | lineChanged.
 	redirBits bitset
 	accBits   bitset
-}
-
-// icStack is one merged instruction-cache tag stack, keyed by (IL1 sets,
-// IL1 block) alone: its access sequence is exactly the line-change
-// positions of its block size, shared by every BTB geometry.
-type icStack struct {
-	stack   lruStack
-	lineIdx int
 }
 
 // lineTrack follows the fetch line for one IL1 block size. The previous
@@ -563,9 +648,7 @@ type icKey struct {
 	blockLg           uint32
 }
 
-type icStackKey struct{ setBits, blockLg uint32 }
-
-type dcKey struct{ setBits, blockLg uint32 }
+type stackKey struct{ setBits, blockLg uint32 }
 
 type btbKey struct{ entries, assoc int }
 
@@ -688,14 +771,15 @@ func SimulateBatch(tr *trace.Trace, cfgs []uarch.Config) []Result {
 }
 
 // SimulateBatchWith is SimulateBatch with the independent per-geometry
-// sweeps of each block - line trackers, BTB groups and data-cache stacks
-// first, then fetch streams and instruction-cache stacks, then the
-// multi-issue states - fanned over a bounded worker pool (0 =
-// GOMAXPROCS). Sweeps within a wave touch disjoint state and waves
-// barrier on their data dependencies, so any worker count and any
-// schedule is bit-identical to the sequential pass; parallelism here
-// multiplies with the program-level pools on multi-core machines.
-// Workers <= 1 (SimulateBatch's default) keeps the sequential fast path.
+// sweeps of each block - line trackers, BTB groups and data-cache chains
+// first, then fetch streams and instruction-cache chains (one task per
+// block size, fact 2), then the multi-issue states - fanned over a
+// bounded worker pool (0 = GOMAXPROCS). Sweeps within a wave touch
+// disjoint state and waves barrier on their data dependencies, so any
+// worker count and any schedule is bit-identical to the sequential pass;
+// parallelism here multiplies with the program-level pools on multi-core
+// machines. Workers <= 1 (SimulateBatch's default) keeps the sequential
+// fast path.
 func SimulateBatchWith(tr *trace.Trace, cfgs []uarch.Config, workers int) []Result {
 	rs, _ := simulateBatch(tr, cfgs, workers, false, nil)
 	return rs
@@ -782,18 +866,27 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 
 	// Shared state, deduplicated by geometry.
 	icIndex := map[icKey]int{}
-	icStackIndex := map[icStackKey]int{}
-	dcIndex := map[dcKey]int{}
+	icStackIndex := map[stackKey]*lruStack{}
+	dcIndex := map[stackKey]*lruStack{}
 	btbIndex := map[btbKey]int{}
 	lineIndex := map[uint32]int{}
 	var ics []icStream
-	var icStacks []*icStack
-	var dcs []*lruStack
+	var icStacks, dcs []*lruStack // first-seen order
 	var btbs []btbGroup
 	var lineTracks []lineTrack
 	var wide []*batchState // multi-issue configurations, per-event path
 	maxDl1 := 0            // deepest load-use latency among single-issue configs
 	maxDl1W := 0           // deepest load-use latency among closed-form width-2 configs
+	stackOf := func(index map[stackKey]*lruStack, list *[]*lruStack, setBits, blockLg uint32) *lruStack {
+		k := stackKey{setBits, blockLg}
+		s := index[k]
+		if s == nil {
+			s = &lruStack{setMask: uint32(1)<<setBits - 1, blockLg: blockLg, setBits: setBits}
+			index[k] = s
+			*list = append(*list, s)
+		}
+		return s
+	}
 
 	for i, cfg := range cfgs {
 		st := &states[i]
@@ -853,28 +946,9 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 			icIndex[ik] = ii
 		}
 		st.icIdx = ii
-		sk := icStackKey{iSet, iBlk}
-		si, ok := icStackIndex[sk]
-		if !ok {
-			si = len(icStacks)
-			s := &icStack{lineIdx: li}
-			s.stack.setMask = uint32(1)<<iSet - 1
-			s.stack.blockLg = iBlk
-			s.stack.setBits = iSet
-			icStacks = append(icStacks, s)
-			icStackIndex[sk] = si
-		}
-		st.icm = icStacks[si].stack.member(cfg.IL1Assoc)
-
+		st.icm = stackOf(icStackIndex, &icStacks, iSet, iBlk).member(cfg.IL1Assoc)
 		dSet, dBlk := geomBits(cfg.DL1Size, cfg.DL1Assoc, cfg.DL1Block)
-		dk := dcKey{dSet, dBlk}
-		di, ok := dcIndex[dk]
-		if !ok {
-			di = len(dcs)
-			dcs = append(dcs, &lruStack{setMask: uint32(1)<<dSet - 1, blockLg: dBlk, setBits: dSet})
-			dcIndex[dk] = di
-		}
-		st.dcm = dcs[di].member(cfg.DL1Assoc)
+		st.dcm = stackOf(dcIndex, &dcs, dSet, dBlk).member(cfg.DL1Assoc)
 
 		if st.width == 1 && st.dl1Lat > maxDl1 {
 			maxDl1 = st.dl1Lat
@@ -928,9 +1002,10 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 		st.pgIdx = pi
 	}
 	for _, s := range icStacks {
-		s.stack.finalize()
-		s.stack.alloc(sc)
+		s.finalize()
+		s.alloc(sc)
 	}
+	icChains := chainStacks(icStacks, lineTracks, sc)
 	for _, s := range dcs {
 		s.finalize()
 	}
@@ -998,7 +1073,7 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 	var memOps, branches uint64
 
 	// Data caches last, so a call the memo answers - no tag array, no
-	// sweepDC in any block - draws a prefix of a sweeping call's arena
+	// data chain in any block - draws a prefix of a sweeping call's arena
 	// sequence. The per-event path reads outcomes back and never asks.
 	var key [sha256.Size]byte
 	if len(wide) > 0 {
@@ -1018,6 +1093,7 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 	for _, s := range swept {
 		s.alloc(sc)
 	}
+	dcChains := chainStacks(swept, nil, sc)
 	var opCount [256]uint64
 
 	// Per-block state shared with the sweep closures below; the closures
@@ -1037,8 +1113,8 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 	// Wave 1 - line-change detection (one tight pass over the packed
 	// PCs per IL1 block size), branch predictors (one fused
 	// predict+resolve sweep per BTB geometry over the block's
-	// conditional branches), and data caches (one sweep per geometry
-	// family over the packed memory events).
+	// conditional branches), and data caches (one chain per block size
+	// over the packed memory events).
 	sweepLine := func(t int) {
 		lt := &lineTracks[t]
 		b := lt.blockLg
@@ -1063,12 +1139,6 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 			btbStep(g, cp)
 		}
 	}
-	sweepDC := func(k int) {
-		s := swept[k]
-		for _, mp := range memList {
-			s.access(uint32(mp), int(mp>>32&0x7fffffff), mp>>63 != 0, true)
-		}
-	}
 	wave1 := func(i int) {
 		switch {
 		case i < len(lineTracks):
@@ -1076,7 +1146,7 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 		case i < len(lineTracks)+len(btbs):
 			sweepBTB(i - len(lineTracks))
 		default:
-			sweepDC(i - len(lineTracks) - len(btbs))
+			dcChains[i-len(lineTracks)-len(btbs)].sweep(memList, pcList, words)
 		}
 	}
 
@@ -1085,8 +1155,8 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 	// (base | deviation) outcome - folded into counters by popcount)
 	// and instruction caches (every state-changing access happens at
 	// a line-change position, redirect-only refetches being
-	// guaranteed MRU hits, so each merged stack replays just its
-	// block size's line changes).
+	// guaranteed MRU hits, so each block size's chain replays just its
+	// line changes).
 	sweepIC := func(k int) {
 		g := &ics[k]
 		dev := btbs[g.btbIdx].dev
@@ -1113,23 +1183,11 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 		g.accesses += uint64(accs)
 		g.redirects += uint64(redirs)
 	}
-	sweepICStack := func(k int) {
-		s := icStacks[k]
-		changed := lineTracks[s.lineIdx].changed
-		for w := 0; w < words; w++ {
-			word := changed[w]
-			for word != 0 {
-				j := w<<6 + bits.TrailingZeros64(word)
-				word &= word - 1
-				s.stack.access(pcList[j], j, false, false)
-			}
-		}
-	}
 	wave2 := func(i int) {
 		if i < len(ics) {
 			sweepIC(i)
 		} else {
-			sweepICStack(i - len(ics))
+			icChains[i-len(ics)].sweep(memList, pcList, words)
 		}
 	}
 
@@ -1338,11 +1396,11 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 		// The per-geometry sweeps touch pairwise-disjoint state, so each
 		// wave fans over the worker pool (sequential at workers=1); the
 		// wave boundaries are the data dependencies: fetch streams read
-		// the BTB deviations and line changes, instruction stacks read
+		// the BTB deviations and line changes, instruction chains read
 		// the line changes, and the multi-issue replay reads every
 		// shared outcome bitset.
-		parallelSweep(workers, len(lineTracks)+len(btbs)+len(swept), wave1)
-		parallelSweep(workers, len(ics)+len(icStacks), wave2)
+		parallelSweep(workers, len(lineTracks)+len(btbs)+len(dcChains), wave1)
+		parallelSweep(workers, len(ics)+len(icChains), wave2)
 		parallelSweep(workers, len(pairGroups)+len(wide), wave3)
 	}
 

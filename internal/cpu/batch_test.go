@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"portcc/internal/core"
@@ -468,6 +469,218 @@ func TestSimulateBatchParallelSweepsBitIdentical(t *testing.T) {
 		ftr := randomTrace(frng, 2000+frng.Intn(3000))
 		check(ftr, sampleArchs(frng, 1+frng.Intn(24), seed%2 == 0))
 	}
+}
+
+// sweepStackReference is the per-stack sweep the chains replaced: a stack
+// replays its block's whole access list on its own - memList for a data
+// stack (changed nil), every line-change position for an instruction one.
+func sweepStackReference(s *lruStack, memList []uint64, pcList []uint32, changed bitset, words int) {
+	if changed == nil {
+		for _, mp := range memList {
+			s.access(uint32(mp), int(mp>>32&0x7fffffff), mp>>63 != 0, true)
+		}
+		return
+	}
+	for w := 0; w < words; w++ {
+		for word := changed[w]; word != 0; word &= word - 1 {
+			j := w<<6 + bits.TrailingZeros64(word)
+			s.access(pcList[j], j, false, false)
+		}
+	}
+}
+
+// stackGeom is one tag stack of a chain test.
+type stackGeom struct {
+	setBits, blockLg uint32
+	assocs           []int
+	ring             bool // force the ring encoding
+}
+
+// sampleGeoms lists the data (or instruction) cache stacks the engine
+// builds for archs: one per (set count, block size), first-seen order.
+func sampleGeoms(archs []uarch.Config, data bool) []stackGeom {
+	var geoms []stackGeom
+	for _, cfg := range archs {
+		size, assoc, block := cfg.IL1Size, cfg.IL1Assoc, cfg.IL1Block
+		if data {
+			size, assoc, block = cfg.DL1Size, cfg.DL1Assoc, cfg.DL1Block
+		}
+		setBits, blockLg := geomBits(size, assoc, block)
+		i := slices.IndexFunc(geoms, func(g stackGeom) bool { return g.setBits == setBits && g.blockLg == blockLg })
+		if i < 0 {
+			i = len(geoms)
+			geoms = append(geoms, stackGeom{setBits: setBits, blockLg: blockLg})
+		}
+		if !slices.Contains(geoms[i].assocs, assoc) {
+			geoms[i].assocs = append(geoms[i].assocs, assoc)
+		}
+	}
+	return geoms
+}
+
+// chainsMatchIndependent replays tr through the stacks of geoms twice -
+// chained, as the engine sweeps them, and each on its own through
+// sweepStackReference - as data stacks or as instruction stacks over
+// their block size's line changes, and compares every member's miss,
+// load-miss and store-miss counts and, block by block, its missBits.
+func chainsMatchIndependent(tr *trace.Trace, geoms []stackGeom, data bool) error {
+	sc := getSimScratch()
+	defer putSimScratch(sc)
+	build := func() []*lruStack {
+		var out []*lruStack
+		for _, g := range geoms {
+			s := newStackIn(sc, g.setBits, g.blockLg, g.assocs, g.ring)
+			for _, m := range s.members {
+				m.missBits = newBitset()
+			}
+			out = append(out, s)
+		}
+		return out
+	}
+	chained, indep := build(), build()
+	var tracks []lineTrack // one per instruction block size
+	for _, g := range geoms {
+		if !data && !slices.ContainsFunc(tracks, func(lt lineTrack) bool { return lt.blockLg == g.blockLg }) {
+			tracks = append(tracks, lineTrack{blockLg: g.blockLg, prevLine: ^uint32(0), changed: newBitset()})
+		}
+	}
+	chains := chainStacks(chained, tracks, sc)
+	var memList []uint64
+	var pcList []uint32
+	for start := 0; start < len(tr.Events); start += blockEvents {
+		evs := tr.Events[start:min(start+blockEvents, len(tr.Events))]
+		words := (len(evs) + 63) / 64
+		memList, pcList = memList[:0], pcList[:0]
+		for j, ev := range evs {
+			pcList = append(pcList, ev.PC)
+			switch isa.Op(ev.Op) {
+			case isa.OpLoad:
+				memList = append(memList, uint64(ev.Addr)|uint64(j)<<32)
+			case isa.OpStore:
+				memList = append(memList, uint64(ev.Addr)|uint64(j)<<32|1<<63)
+			}
+		}
+		for t := range tracks {
+			lt := &tracks[t]
+			lt.changed.clearWords(blockWords)
+			for j, pc := range pcList {
+				if line := pc >> lt.blockLg; line != lt.prevLine {
+					lt.changed.set(j)
+					lt.prevLine = line
+				}
+			}
+		}
+		for i := range chains {
+			chains[i].sweep(memList, pcList, words)
+		}
+		for i, s := range indep {
+			var changed bitset
+			for _, lt := range tracks {
+				if lt.blockLg == s.blockLg {
+					changed = lt.changed
+				}
+			}
+			sweepStackReference(s, memList, pcList, changed, words)
+			for k, m := range s.members {
+				c := chained[i].members[k]
+				if !slices.Equal(c.missBits, m.missBits) {
+					return fmt.Errorf("sets=%d block=%d assoc=%d: block at event %d: chained and independent missBits differ",
+						1<<s.setBits, 1<<s.blockLg, m.assoc, start)
+				}
+				c.missBits.clearWords(blockWords)
+				m.missBits.clearWords(blockWords)
+			}
+		}
+	}
+	for i, s := range indep {
+		for k, m := range s.members {
+			c := chained[i].members[k]
+			if c.misses != m.misses || c.loadMisses != m.loadMisses || c.storeMisses != m.storeMisses {
+				return fmt.Errorf("sets=%d block=%d assoc=%d: chained (miss=%d load=%d store=%d) != independent (miss=%d load=%d store=%d)",
+					1<<s.setBits, 1<<s.blockLg, m.assoc, c.misses, c.loadMisses, c.storeMisses, m.misses, m.loadMisses, m.storeMisses)
+			}
+		}
+	}
+	return nil
+}
+
+// TestStackChainMatchesIndependent holds the chained tag-stack sweep to
+// the independent per-stack sweep it replaced, member for member, over
+// real program traces (one spanning several blocks) and seeded random
+// ones: the instruction and data stacks of 12- and 200-architecture
+// samples, set-count gaps, chains of length 1, permutation-word and ring
+// stacks mixed in one chain, and several block sizes at once. A call the
+// data-stream memo answers runs instruction chains only, and is held to
+// Simulate.
+func TestStackChainMatchesIndependent(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	var trs []*trace.Trace
+	for _, name := range []string{"gs", "crc", "patricia"} {
+		trs = append(trs, programTraces(t, name, rng, 1)...)
+	}
+	m := prog.MustBuild("rijndael_e")
+	o3 := opt.O3()
+	p, err := core.Compile(m, &o3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trs = append(trs, trace.Generate(p, trace.Config{Runs: 1, MaxInsns: 2*blockEvents + 4321, Seed: 3}))
+	for seed := int64(0); seed < 3; seed++ {
+		trs = append(trs, randomTrace(rand.New(rand.NewSource(seed)), blockEvents+3000*int(seed)+17))
+	}
+	crafted := map[string][]stackGeom{
+		"set-count gap, 2 and 64 sets": {{setBits: 6, blockLg: 5, assocs: []int{1, 4}}, {setBits: 1, blockLg: 5, assocs: []int{2, 64}}},
+		"chain of length 1":            {{setBits: 3, blockLg: 4, assocs: []int{1, 2, 8}}},
+		"perm and ring in one chain": {
+			{setBits: 0, blockLg: 3, assocs: []int{4, 64}},
+			{setBits: 2, blockLg: 3, assocs: []int{2, 16}},
+			{setBits: 4, blockLg: 3, assocs: []int{1, 8}, ring: true},
+			{setBits: 5, blockLg: 3, assocs: []int{32}},
+			{setBits: 7, blockLg: 3, assocs: []int{1, 2}},
+		},
+		"three block sizes": {
+			{setBits: 2, blockLg: 2, assocs: []int{32}}, {setBits: 5, blockLg: 5, assocs: []int{4}},
+			{setBits: 1, blockLg: 4, assocs: []int{8}}, {setBits: 0, blockLg: 5, assocs: []int{64}},
+			{setBits: 3, blockLg: 2, assocs: []int{1, 2}}, {setBits: 9, blockLg: 4, assocs: []int{16}},
+		},
+	}
+	samples := [][]uarch.Config{sampleArchs(rng, 11, false), sampleArchs(rng, 198, true)}
+	for ti, tr := range trs {
+		for _, data := range []bool{true, false} {
+			for name, geoms := range crafted {
+				if err := chainsMatchIndependent(tr, geoms, data); err != nil {
+					t.Fatalf("trace %d, %s, data=%v: %v", ti, name, data, err)
+				}
+			}
+			for si, archs := range samples {
+				if err := chainsMatchIndependent(tr, sampleGeoms(archs, data), data); err != nil {
+					t.Fatalf("trace %d, sample %d, data=%v: %v", ti, si, data, err)
+				}
+			}
+		}
+	}
+
+	t.Run("memo hit", func(t *testing.T) {
+		archs := samples[1]
+		var memo DataMemo
+		for _, tr := range trs[len(trs)-4 : len(trs)-2] {
+			want := make([]Result, len(archs))
+			for i, cfg := range archs {
+				want[i] = Simulate(tr, cfg)
+			}
+			for pass := 0; pass < 2; pass++ {
+				rs, reused := SimulateBatchMemo(tr, archs, 1, &memo)
+				if reused != (pass == 1) {
+					t.Fatalf("pass %d: reused = %v", pass, reused)
+				}
+				for i := range archs {
+					if rs[i] != want[i] {
+						t.Fatalf("pass %d config %d (%s):\n  got %+v\n want %+v", pass, i, archs[i].String(), rs[i], want[i])
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestSimulateBatchDegenerate covers the edges: no configurations, an

@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"portcc/internal/isa"
@@ -66,8 +67,8 @@ func (c *refCache) access(addr uint32, j int, isStore bool) {
 
 // fuzzAssocs decodes a member-associativity subset from a mask byte;
 // the menu spans both stack representations (perm words up to 16, ring
-// beyond).
-var fuzzAssocMenu = []int{1, 2, 4, 8, 16, 32}
+// beyond) up to the sampled space's deepest cache, 64 ways.
+var fuzzAssocMenu = []int{1, 2, 4, 8, 16, 32, 64}
 
 func fuzzAssocs(mask byte) []int {
 	var out []int
@@ -82,20 +83,25 @@ func fuzzAssocs(mask byte) []int {
 	return out
 }
 
-// FuzzLRUStackVsReference drives a random access sequence through the
-// shared lruStack - in whichever representation its depth selects, and
-// again with the ring forced - and through one naive reference cache per
-// member, asserting identical per-member miss, load-miss and store-miss
-// counts and identical per-event missBits. Input layout: byte 0 selects
-// the set count (1..16 sets), byte 1 the member associativities, then
-// 3-byte records of (addr16, flags).
+// FuzzLRUStackVsReference drives a random access sequence through one
+// chain of shared lruStacks, one per set count, each in whichever
+// representation its depth selects and again with the ring forced, and
+// through one naive reference cache per member. It asserts identical
+// per-member miss, load-miss and store-miss counts, identical per-event
+// missBits, and every set's MRU order, invalid tail included, equal to
+// that of the stack's deepest member. Input layout: byte 0 is a mask of
+// set counts (bit b: 2^b sets; no bit: one set), byte 1 the member
+// associativities, then 3-byte records of (addr16, flags).
 func FuzzLRUStackVsReference(f *testing.F) {
 	f.Add([]byte{2, 0b0110, 0, 0, 0, 1, 0, 1, 4, 0, 0, 0, 0, 1})
 	f.Add([]byte{0, 0b0001, 9, 9, 0, 9, 9, 1})
 	f.Add([]byte{4, 0b111111, 1, 2, 0, 3, 4, 1, 1, 2, 0, 250, 250, 1})
+	// A partly filled 64-deep ring hit past its midpoint (A B C D B in
+	// one set), in a chain with a set-count gap (2 and 64 sets).
+	f.Add([]byte{0b1000010, 0b1000100, 1, 0, 0, 3, 0, 1, 5, 0, 0, 7, 0, 1, 3, 0, 0, 2, 0, 0})
 	rng := rand.New(rand.NewSource(7))
 	long := make([]byte, 2, 2+3*300)
-	long[0], long[1] = 3, 0b101101
+	long[0], long[1] = 0b1011, 0b1101101
 	for i := 0; i < 300; i++ {
 		long = append(long, byte(rng.Intn(64)), byte(rng.Intn(4)), byte(rng.Intn(256)))
 	}
@@ -105,36 +111,66 @@ func FuzzLRUStackVsReference(f *testing.F) {
 		if len(data) < 2 {
 			return
 		}
-		setBits := uint32(data[0]) % 5
+		setMask := data[0]
+		if setMask == 0 {
+			setMask = 1
+		}
 		const blockLg = 2
 		assocs := fuzzAssocs(data[1])
-		data = data[2:]
+		var memList []uint64
+		for j := 2; j+3 <= len(data) && len(memList) < blockEvents; j += 3 {
+			mp := uint64(uint32(data[j])|uint32(data[j+1])<<8)<<2 | uint64(len(memList))<<32
+			if data[j+2]&1 != 0 {
+				mp |= 1 << 63
+			}
+			memList = append(memList, mp)
+		}
 
 		for _, ring := range []bool{false, true} {
-			s, sc := newTestStack(setBits, blockLg, assocs, ring)
-			refs := make([]*refCache, len(s.members))
-			for i, m := range s.members {
-				m.missBits = newBitset()
-				refs[i] = newRefCache(setBits, blockLg, m.assoc)
-			}
-			for j := 0; j+3 <= len(data) && j/3 < blockEvents; j += 3 {
-				addr := (uint32(data[j]) | uint32(data[j+1])<<8) << 2
-				isStore := data[j+2]&1 != 0
-				s.access(addr, j/3, isStore, true)
-				for _, rc := range refs {
-					rc.access(addr, j/3, isStore)
+			sc := getSimScratch()
+			// Finest first: the chain must put them in order itself.
+			var stacks []*lruStack
+			for b := 7; b >= 0; b-- {
+				if setMask>>b&1 != 0 {
+					stacks = append(stacks, newStackIn(sc, uint32(b), blockLg, assocs, ring))
 				}
 			}
-			for i, m := range s.members {
-				rc := refs[i]
-				if m.misses != rc.misses || m.loadMisses != rc.loadMisses || m.storeMisses != rc.storeMisses {
-					t.Fatalf("ring=%v assoc=%d sets=%d: stack (miss=%d load=%d store=%d) != reference (miss=%d load=%d store=%d)",
-						ring, m.assoc, 1<<setBits, m.misses, m.loadMisses, m.storeMisses, rc.misses, rc.loadMisses, rc.storeMisses)
+			for _, s := range stacks {
+				for _, m := range s.members {
+					m.missBits = newBitset()
 				}
-				for w := range m.missBits {
-					if m.missBits[w] != rc.missBits[w] {
-						t.Fatalf("ring=%v assoc=%d: missBits word %d: stack %x != reference %x",
-							ring, m.assoc, w, m.missBits[w], rc.missBits[w])
+			}
+			chains := chainStacks(stacks, nil, sc)
+			if len(chains) != 1 || len(chains[0].stacks) != len(stacks) {
+				t.Fatalf("%d stacks of one block size made %d chains", len(stacks), len(chains))
+			}
+			chains[0].sweep(memList, nil, 0)
+			for _, s := range stacks {
+				for _, m := range s.members {
+					rc := newRefCache(s.setBits, blockLg, m.assoc)
+					for _, mp := range memList {
+						rc.access(uint32(mp), int(mp>>32&0x7fffffff), mp>>63 != 0)
+					}
+					if m.misses != rc.misses || m.loadMisses != rc.loadMisses || m.storeMisses != rc.storeMisses {
+						t.Fatalf("ring=%v assoc=%d sets=%d: stack (miss=%d load=%d store=%d) != reference (miss=%d load=%d store=%d)",
+							ring, m.assoc, 1<<s.setBits, m.misses, m.loadMisses, m.storeMisses, rc.misses, rc.loadMisses, rc.storeMisses)
+					}
+					for w := range m.missBits {
+						if m.missBits[w] != rc.missBits[w] {
+							t.Fatalf("ring=%v assoc=%d sets=%d: missBits word %d: stack %x != reference %x",
+								ring, m.assoc, 1<<s.setBits, w, m.missBits[w], rc.missBits[w])
+						}
+					}
+					if m.assoc == s.depth {
+						for set, tags := range rc.sets {
+							want := make([]uint32, s.depth)
+							for i, tg := range tags {
+								want[i] = tg + 1
+							}
+							if got := s.mruOrder(uint32(set)); !slices.Equal(got, want) {
+								t.Fatalf("ring=%v sets=%d set %d: MRU order %v, reference %v", ring, 1<<s.setBits, set, got, want)
+							}
+						}
 					}
 				}
 			}

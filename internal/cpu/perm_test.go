@@ -10,13 +10,18 @@ import (
 // one member per associativity in assocs.
 func newTestStack(setBits, blockLg uint32, assocs []int, ring bool) (*lruStack, *simScratch) {
 	sc := getSimScratch()
+	return newStackIn(sc, setBits, blockLg, assocs, ring), sc
+}
+
+// newStackIn is newTestStack over a shared arena.
+func newStackIn(sc *simScratch, setBits, blockLg uint32, assocs []int, ring bool) *lruStack {
 	s := &lruStack{setMask: uint32(1)<<setBits - 1, blockLg: blockLg, setBits: setBits, forceRing: ring}
 	for _, a := range assocs {
 		s.member(a)
 	}
 	s.finalize()
 	s.alloc(sc)
-	return s, sc
+	return s
 }
 
 // mruOrder extracts a set's tags in MRU->LRU order from either
@@ -148,8 +153,8 @@ func TestPermStackMatchesRingExhaustive(t *testing.T) {
 				sp := newStackPair(t, setBits, blockLg, depth)
 				defer sp.close()
 				ctx := fmt.Sprintf("setBits=%d depth=%d order=%v", setBits, depth, order)
-				// Interleave a second set's accesses so the lastLine
-				// fast path cannot linearise the sequence away.
+				// Interleave a second set's accesses so two sets evolve
+				// side by side.
 				other := uint32(1) % (sp.perm.setMask + 1)
 				for pass := 0; pass < 2; pass++ {
 					for i, tg := range order {
