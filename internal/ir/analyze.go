@@ -1,5 +1,7 @@
 package ir
 
+import "slices"
+
 // analysis caches the CFG facts the optimisation passes consume: reverse
 // postorder, immediate dominators and natural loops.
 type analysis struct {
@@ -38,8 +40,13 @@ func (l *Loop) Contains(id int) bool {
 	return false
 }
 
-// Analyze computes (or returns cached) CFG analyses. Passes must call
-// Invalidate after structural mutation.
+// Analyze computes (or returns cached) CFG analyses: reverse postorder,
+// every block's Preds and LoopDepth, dominators and loops. They read
+// nothing but the block list and the terminators' targets, so the cache
+// outlives a pass that only adds, removes, reorders or rewrites
+// instructions, or sets Layout, alignment or a condition register. A
+// pass that retargets a terminator, changes its kind, or adds, removes
+// or renumbers blocks must call Invalidate once it has.
 func (f *Func) Analyze() {
 	if f.analysis != nil {
 		return
@@ -113,40 +120,32 @@ func (a *analysis) computeOrder(f *Func) {
 	}
 	visited := make([]bool, n)
 	post := make([]int, 0, n)
-	type frame struct {
-		id    int
-		succs []int
-		next  int
-	}
-	var succBuf []int
-	stack := []frame{{id: 0, succs: f.Blocks[0].Succs(nil)}}
+	type frame struct{ id, next int }
+	var succs [2]int
+	stack := []frame{{id: 0}}
 	visited[0] = true
 	for len(stack) > 0 {
 		fr := &stack[len(stack)-1]
-		if fr.next < len(fr.succs) {
-			s := fr.succs[fr.next]
+		if ss := f.Blocks[fr.id].Succs(succs[:0]); fr.next < len(ss) {
+			s := ss[fr.next]
 			fr.next++
 			if !visited[s] {
 				visited[s] = true
-				succBuf = f.Blocks[s].Succs(nil)
-				stack = append(stack, frame{id: s, succs: succBuf})
+				stack = append(stack, frame{id: s})
 			}
 			continue
 		}
 		post = append(post, fr.id)
 		stack = stack[:len(stack)-1]
 	}
-	a.rpo = make([]int, len(post))
-	for i, id := range post {
-		a.rpo[len(post)-1-i] = id
-	}
+	slices.Reverse(post)
+	a.rpo = post
 	for i, id := range a.rpo {
 		a.rpoPos[id] = i
 	}
 	// Predecessors, for reachable blocks only.
 	for _, id := range a.rpo {
-		b := f.Blocks[id]
-		for _, s := range b.Succs(nil) {
+		for _, s := range f.Blocks[id].Succs(succs[:0]) {
 			f.Blocks[s].Preds = append(f.Blocks[s].Preds, id)
 		}
 	}
@@ -209,25 +208,20 @@ func (a *analysis) computeLoops(f *Func) {
 	for i := range a.loopOf {
 		a.loopOf[i] = -1
 	}
-	byHeader := map[int]*Loop{}
-	var order []int
+	byHeader := make([]int, n) // 1 + index in a.loops of the loop headed there, 0 if none
+	in := make([]bool, n)      // collectLoopBody's scratch, all false between calls
+	var succs [2]int
 	for _, id := range a.rpo {
-		b := f.Blocks[id]
-		for _, s := range b.Succs(nil) {
+		for _, s := range f.Blocks[id].Succs(succs[:0]) {
 			if !a.dominates(s, id) {
 				continue
 			}
-			l, ok := byHeader[s]
-			if !ok {
-				l = &Loop{Header: s, Latch: id, Parent: -1, Preheader: -1}
-				byHeader[s] = l
-				order = append(order, s)
+			if byHeader[s] == 0 {
+				a.loops = append(a.loops, &Loop{Header: s, Latch: id, Parent: -1, Preheader: -1})
+				byHeader[s] = len(a.loops)
 			}
-			a.collectLoopBody(f, l, id)
+			a.collectLoopBody(f, a.loops[byHeader[s]-1], id, in)
 		}
-	}
-	for _, h := range order {
-		a.loops = append(a.loops, byHeader[h])
 	}
 	// Nesting: loop A is inside loop B if B contains A's header and A != B.
 	for i, li := range a.loops {
@@ -290,8 +284,9 @@ func (a *analysis) dominates(x, y int) bool {
 
 // collectLoopBody grows loop l with all blocks that reach the latch without
 // passing through the header (the standard natural-loop body computation).
-func (a *analysis) collectLoopBody(f *Func, l *Loop, latch int) {
-	in := map[int]bool{l.Header: true}
+// in is all false on entry and on return.
+func (a *analysis) collectLoopBody(f *Func, l *Loop, latch int, in []bool) {
+	in[l.Header] = true
 	for _, b := range l.Blocks {
 		in[b] = true
 	}
@@ -307,8 +302,9 @@ func (a *analysis) collectLoopBody(f *Func, l *Loop, latch int) {
 		}
 		in[id] = true
 		l.Blocks = append(l.Blocks, id)
-		for _, p := range f.Blocks[id].Preds {
-			stack = append(stack, p)
-		}
+		stack = append(stack, f.Blocks[id].Preds...)
+	}
+	for _, b := range l.Blocks {
+		in[b] = false
 	}
 }

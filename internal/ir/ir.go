@@ -279,7 +279,7 @@ type Func struct {
 	// falign_functions (0 = none).
 	Align int
 
-	// Analysis caches, valid after Analyze until the next mutation.
+	// Analysis caches, valid after Analyze until the next CFG change.
 	analysis *analysis
 }
 
@@ -290,7 +290,9 @@ func (f *Func) NewReg() Reg {
 	return r
 }
 
-// Invalidate drops cached analyses after a mutation.
+// Invalidate drops cached analyses after a change to the CFG: a
+// terminator's kind or targets, or the block list. Instruction-only
+// changes leave them valid (see Analyze).
 func (f *Func) Invalidate() { f.analysis = nil }
 
 // Size returns the static instruction count of the function including

@@ -99,7 +99,6 @@ func CrossJump(f *ir.Func) int {
 	if f.Library {
 		return 0
 	}
-	f.Invalidate()
 	f.Analyze() // predecessor lists must be fresh
 	moved := 0
 	for _, j := range f.Blocks {
@@ -129,9 +128,6 @@ func CrossJump(f *ir.Func) int {
 		j.Insns = append(tail, j.Insns...)
 		moved += k
 	}
-	if moved > 0 {
-		f.Invalidate()
-	}
 	return moved
 }
 
@@ -148,7 +144,6 @@ func ReorderBlocks(f *ir.Func) {
 	if f.Library {
 		return
 	}
-	f.Invalidate()
 	freq := blockFreqs(f)
 	n := len(f.Blocks)
 	placed := make([]bool, n)
@@ -228,7 +223,6 @@ func Align(f *ir.Func, flags AlignFlags) {
 	if f.Library {
 		return
 	}
-	f.Invalidate()
 	if flags.Functions {
 		f.Align = 16
 	}

@@ -1,6 +1,7 @@
 package passes
 
 import (
+	"math/bits"
 	"sync"
 
 	"portcc/internal/ir"
@@ -21,18 +22,35 @@ type vnAssign struct {
 	defInsn  []ir.Insn // snapshot of each register's unique definition
 	vn       []int32
 	visiting []bool
-	keys     map[insnKey]int32
+	keys     []vnSlot // open-addressed expression -> value number table
 	next     int32
+	repl     []ir.Reg // per register: what the pass folds it onto, RegNone if kept
 
 	// Scratch for computeAvailability, reused like the tables above.
 	words []uint64
 	sets  []bitset
-	canon map[int32]canonSite
+	canon []canonSite
+
+	// Scratch for LocalCSE: per value number, its holder in the current
+	// block's table; the tables themselves as runs of ents, one per block.
+	holder []ir.Reg
+	ents   []vnEntry
+	runs   [][2]int
 }
 
-var vnPool = sync.Pool{New: func() any {
-	return &vnAssign{keys: make(map[insnKey]int32), canon: make(map[int32]canonSite)}
-}}
+// vnEntry is one value-table row: value number vn is held in reg.
+type vnEntry struct {
+	vn  int32
+	reg ir.Reg
+}
+
+// vnSlot is one row of the expression table; id 0 marks it empty.
+type vnSlot struct {
+	key insnKey
+	id  int32
+}
+
+var vnPool = sync.Pool{New: func() any { return new(vnAssign) }}
 
 // grown returns buf resized to n zeroed elements, reusing its capacity.
 func grown[T any](buf []T, n int) []T {
@@ -49,13 +67,17 @@ func newVNAssign(f *ir.Func) *vnAssign {
 	n := int(f.NextReg)
 	v.f = f
 	v.defs = grown(v.defs, n)
-	v.defInsn = grown(v.defInsn, n)
+	if cap(v.defInsn) < n {
+		v.defInsn = make([]ir.Insn, n)
+	}
+	v.defInsn = v.defInsn[:n] // read only where defs counts a definition
 	v.vn = grown(v.vn, n)
 	v.visiting = grown(v.visiting, n)
-	clear(v.keys)
+	v.repl = grown(v.repl, n)
 	v.next = 1
 	// Snapshot unique definitions so later block mutation by the calling
 	// pass cannot invalidate operand resolution.
+	ndefs := 0
 	for _, b := range f.Blocks {
 		for i := range b.Insns {
 			d := b.Insns[i].Def
@@ -66,8 +88,12 @@ func newVNAssign(f *ir.Func) *vnAssign {
 				v.defInsn[d] = b.Insns[i]
 			}
 			v.defs[d] = min(v.defs[d]+1, 2)
+			ndefs++
 		}
 	}
+	// Each definition adds at most one expression: the table stays at
+	// most half full.
+	v.keys = grown(v.keys, 1<<bits.Len(uint(2*ndefs)))
 	return v
 }
 
@@ -112,12 +138,11 @@ func (v *vnAssign) of(r ir.Reg) int32 {
 		if in.Op == isa.OpMove && !in.HasFlag(ir.FlagMerge) {
 			cand = v.of(in.Use[0])
 		} else if key, ok := keyOf(in, v.of); ok {
-			if id, found := v.keys[key]; found {
-				cand = id
-			} else {
-				cand = v.fresh()
-				v.keys[key] = cand
+			id := v.slot(key)
+			if *id == 0 {
+				*id = v.fresh()
 			}
+			cand = *id
 		} else {
 			cand = v.fresh()
 		}
@@ -129,22 +154,49 @@ func (v *vnAssign) of(r ir.Reg) int32 {
 	return v.vn[r]
 }
 
+// slot returns the value-number cell of expression k in v.keys, claiming
+// an empty row (id 0) for it when k is new.
+func (v *vnAssign) slot(k insnKey) *int32 {
+	h := uint64(uint32(k.vn0))*0x9e3779b97f4a7c15 ^ uint64(uint32(k.vn1))*0xc2b2ae3d27d4eb4f ^
+		uint64(uint32(k.imm))*0x165667b19e3779f9 ^ uint64(uint32(k.stream))*0x27d4eb2f165667c5 ^
+		uint64(k.op)
+	mask := uint64(len(v.keys) - 1)
+	for i := (h ^ h>>32) & mask; ; i = (i + 1) & mask {
+		s := &v.keys[i]
+		if s.id == 0 {
+			s.key = k
+			return &s.id
+		}
+		if s.key == k {
+			return &s.id
+		}
+	}
+}
+
 // exprOf returns the value number an instruction computes, and whether the
 // instruction is a value-numberable pure computation.
 func (v *vnAssign) exprOf(in *ir.Insn) (int32, bool) {
-	if in.Def == ir.RegNone || int(in.Def) >= len(v.defs) {
+	if in.Def == ir.RegNone || int(in.Def) >= len(v.defs) || !v.defOK(in.Def) ||
+		in.Op == isa.OpMove || !in.IsPure() || in.HasFlag(ir.FlagMerge) {
 		return 0, false
 	}
-	if !v.defOK(in.Def) {
-		return 0, false // merge register
-	}
-	if in.Op == isa.OpMove {
-		return 0, false
-	}
-	if _, ok := keyOf(in, v.of); !ok {
-		return 0, false
+	if v.vn[in.Def] == 0 {
+		// Operands first, in the order keyOf numbers them.
+		v.of(in.Use[0])
+		v.of(in.Use[1])
 	}
 	return v.of(in.Def), true
+}
+
+// numberAll numbers every expression of f in the order rpo visits them,
+// so v.next bounds the value numbers the calling pass will see.
+func (v *vnAssign) numberAll(rpo []int) {
+	for _, id := range rpo {
+		b := v.f.Blocks[id]
+		for i := range b.Insns {
+			v.exprOf(&b.Insns[i])
+		}
+	}
 }
 
 // LocalCSE performs local value numbering within basic blocks, the
@@ -160,28 +212,26 @@ func LocalCSE(f *ir.Func, followJumps, skipBlocks bool) int {
 	}
 	v := newVNAssign(f)
 	defer v.release()
-	tables := make(map[int]map[int32]ir.Reg) // per-block end-of-block table
-	repl := make(map[ir.Reg]ir.Reg)
+	rpo := f.RPO()
+	v.numberAll(rpo)
+	// A block's table is its run of v.ents: its unique predecessor's run,
+	// copied, then its own rows. holder mirrors the current block's run.
+	holder := grown(v.holder, int(v.next))
+	runs := grown(v.runs, len(f.Blocks))
+	ents := v.ents[:0]
 	eliminated := 0
-
-	f.Invalidate()
-	for _, id := range f.RPO() {
+	for _, id := range rpo {
 		b := f.Blocks[id]
-		var tbl map[int32]ir.Reg
-		// Inherit the table from a unique predecessor.
+		start := len(ents)
+		// Inherit the table from a unique predecessor (an empty run when
+		// it comes later in RPO).
 		if followJumps {
-			pred := uniquePred(f, id, skipBlocks)
-			if pred >= 0 {
-				if pt, ok := tables[pred]; ok {
-					tbl = make(map[int32]ir.Reg, len(pt))
-					for k, h := range pt {
-						tbl[k] = h
-					}
-				}
+			if pred := uniquePred(f, id, skipBlocks); pred >= 0 {
+				ents = append(ents, ents[runs[pred][0]:runs[pred][1]]...)
 			}
 		}
-		if tbl == nil {
-			tbl = make(map[int32]ir.Reg)
+		for _, r := range ents[start:] {
+			holder[r.vn] = r.reg
 		}
 		kept := b.Insns[:0]
 		for i := range b.Insns {
@@ -191,22 +241,27 @@ func LocalCSE(f *ir.Func, followJumps, skipBlocks bool) int {
 				kept = append(kept, in)
 				continue
 			}
-			if h, found := tbl[e]; found && h != in.Def {
+			if h := holder[e]; h != ir.RegNone && h != in.Def {
 				// Redundant: fold the definition onto the holder.
-				repl[in.Def] = h
+				v.repl[in.Def] = h
 				eliminated++
 				continue
+			} else if h == ir.RegNone {
+				holder[e] = in.Def
+				ents = append(ents, vnEntry{vn: e, reg: in.Def})
 			}
-			tbl[e] = in.Def
 			kept = append(kept, in)
 		}
 		b.Insns = kept
-		tables[id] = tbl
+		runs[id] = [2]int{start, len(ents)}
+		for _, r := range ents[start:] {
+			holder[r.vn] = ir.RegNone
+		}
 	}
+	v.holder, v.runs, v.ents = holder, runs, ents
 	if eliminated > 0 {
-		applyReplacements(f, repl)
+		applyReplacements(f, v.repl)
 		deadCode(f)
-		f.Invalidate()
 	}
 	return eliminated
 }

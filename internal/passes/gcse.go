@@ -47,7 +47,8 @@ type availability struct {
 	vn    *vnAssign
 	in    []bitset
 	out   []bitset
-	canon map[int32]canonSite // first computation in RPO per value number
+	canon []canonSite // first computation in RPO per value number, reg RegNone if none
+	dirty bitset      // PRE's scratch: value numbers whose sites were mutated
 }
 
 type canonSite struct {
@@ -62,29 +63,26 @@ func computeAvailability(f *ir.Func) availability {
 	v := newVNAssign(f)
 	rpo := f.RPO()
 	// Pre-number every expression so bitset capacity is known.
-	for _, id := range rpo {
-		b := f.Blocks[id]
-		for i := range b.Insns {
-			v.exprOf(&b.Insns[i])
-		}
-	}
+	v.numberAll(rpo)
 	n := len(f.Blocks)
 	words := int(v.next+63) / 64
-	// gen, in and out per block, plus the fixpoint's scratch copy.
-	v.words = grown(v.words, (3*n+1)*words)
+	// gen, in and out per block, the fixpoint's scratch copy and PRE's
+	// dirty set.
+	v.words = grown(v.words, (3*n+2)*words)
 	v.sets = grown(v.sets, 3*n)
 	for i := range v.sets {
 		v.sets[i] = v.words[i*words : (i+1)*words : (i+1)*words]
 	}
-	clear(v.canon)
+	v.canon = grown(v.canon, int(v.next))
 	gen := v.sets[:n]
-	av := availability{vn: v, in: v.sets[n : 2*n], out: v.sets[2*n:], canon: v.canon}
+	av := availability{vn: v, in: v.sets[n : 2*n], out: v.sets[2*n:], canon: v.canon,
+		dirty: v.words[(3*n+1)*words:]}
 	for _, id := range rpo {
 		b := f.Blocks[id]
 		for i := range b.Insns {
 			if e, ok := v.exprOf(&b.Insns[i]); ok {
 				gen[id].set(e)
-				if _, seen := av.canon[e]; !seen {
+				if av.canon[e].reg == ir.RegNone {
 					av.canon[e] = canonSite{block: id, reg: b.Insns[i].Def}
 				}
 			}
@@ -97,7 +95,7 @@ func computeAvailability(f *ir.Func) availability {
 		av.out[id].copyFrom(av.in[id])
 		av.out[id].union(gen[id])
 	}
-	old := bitset(v.words[3*n*words:])
+	old := bitset(v.words[3*n*words : (3*n+1)*words])
 	for changed := true; changed; {
 		changed = false
 		for _, id := range rpo {
@@ -139,10 +137,9 @@ func GCSE(f *ir.Func) int {
 	if f.Library {
 		return 0
 	}
-	f.Invalidate()
 	av := computeAvailability(f)
 	defer av.vn.release()
-	repl := make(map[ir.Reg]ir.Reg)
+	repl := av.vn.repl
 	eliminated := 0
 	for _, id := range f.RPO() {
 		b := f.Blocks[id]
@@ -165,7 +162,6 @@ func GCSE(f *ir.Func) int {
 	if eliminated > 0 {
 		applyReplacements(f, repl)
 		deadCode(f)
-		f.Invalidate()
 	}
 	return eliminated
 }
@@ -180,12 +176,10 @@ func PRE(f *ir.Func) int {
 	if f.Library {
 		return 0
 	}
-	f.Invalidate()
 	av := computeAvailability(f)
 	defer av.vn.release()
 	defs := singleDefs(f)
-	repl := make(map[ir.Reg]ir.Reg)
-	dirty := make(map[int32]bool) // expressions whose sites were mutated
+	repl := av.vn.repl
 	removed := 0
 	for _, id := range f.RPO() {
 		b := f.Blocks[id]
@@ -197,7 +191,7 @@ func PRE(f *ir.Func) int {
 		for i := range b.Insns {
 			in := b.Insns[i]
 			e, ok := av.vn.exprOf(&in)
-			if !ok || dirty[e] {
+			if !ok || av.dirty.has(e) {
 				kept = append(kept, in)
 				continue
 			}
@@ -246,28 +240,26 @@ func PRE(f *ir.Func) int {
 			hb.Insns = append(hb.Insns, mv)
 			// Remove the join computation.
 			repl[in.Def] = t
-			dirty[e] = true
+			av.dirty.set(e)
 			removed++
 		}
 		b.Insns = kept
 	}
 	if removed > 0 {
 		applyReplacements(f, repl)
-		removeSelfMoves(f)
+		for _, b := range f.Blocks {
+			removeSelfMovesBlock(b)
+		}
 		deadCode(f)
-		f.Invalidate()
 	}
 	return removed
 }
 
 // touched reports whether any operand of in has been rewritten by an
 // earlier transformation in this pass (its value number would be stale).
-func touched(repl map[ir.Reg]ir.Reg, in *ir.Insn) bool {
+func touched(repl []ir.Reg, in *ir.Insn) bool {
 	for _, u := range in.Use {
-		if u == ir.RegNone {
-			continue
-		}
-		if _, ok := repl[u]; ok {
+		if int(u) < len(repl) && repl[u] != ir.RegNone {
 			return true
 		}
 	}
@@ -276,13 +268,13 @@ func touched(repl map[ir.Reg]ir.Reg, in *ir.Insn) bool {
 
 // operandsAvailableAt reports whether every register operand of in has its
 // single definition in a block dominating blk (or is undefined/none).
-func operandsAvailableAt(f *ir.Func, defs []*defSite, in *ir.Insn, blk int) bool {
+func operandsAvailableAt(f *ir.Func, defs []defSite, in *ir.Insn, blk int) bool {
 	for _, u := range in.Use {
 		if u == ir.RegNone {
 			continue
 		}
 		ds := defs[u]
-		if ds == nil {
+		if !ds.single() {
 			return false
 		}
 		if ds.block != blk && !f.Dominates(ds.block, blk) {
@@ -325,9 +317,6 @@ func GCSELoadAfterStore(f *ir.Func) int {
 				forwarded++
 			}
 		}
-	}
-	if forwarded > 0 {
-		f.Invalidate()
 	}
 	return forwarded
 }

@@ -140,7 +140,6 @@ func calleeFirstOrder(m *ir.Module) []int {
 // is split, the callee's blocks are copied with fresh registers and block
 // IDs, rets become jumps to the continuation.
 func inlineAt(f *ir.Func, site *callSite, callee *ir.Func) {
-	f.Invalidate()
 	cb := f.Blocks[site.block]
 
 	// Split: continuation block receives the instructions after the call
@@ -151,17 +150,12 @@ func inlineAt(f *ir.Func, site *callSite, callee *ir.Func) {
 	cb.Insns = cb.Insns[:site.index]
 
 	// Copy callee blocks with register and block renaming.
-	regMap := make(map[ir.Reg]ir.Reg, callee.NextReg)
+	regMap := make([]ir.Reg, callee.NextReg) // RegNone: not yet mapped
 	mapReg := func(r ir.Reg) ir.Reg {
-		if r == ir.RegNone {
-			return ir.RegNone
+		if r != ir.RegNone && regMap[r] == ir.RegNone {
+			regMap[r] = f.NewReg()
 		}
-		n, ok := regMap[r]
-		if !ok {
-			n = f.NewReg()
-			regMap[r] = n
-		}
-		return n
+		return regMap[r]
 	}
 	idBase := len(f.Blocks)
 	for range callee.Blocks {

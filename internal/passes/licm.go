@@ -1,6 +1,8 @@
 package passes
 
 import (
+	"slices"
+
 	"portcc/internal/ir"
 	"portcc/internal/isa"
 )
@@ -31,21 +33,16 @@ func LICM(f *ir.Func, loadMotion bool, stored map[int32]bool) int {
 	if f.Library {
 		return 0
 	}
-	f.Invalidate()
 	hoisted := 0
 	loops := f.Loops()
+	defIn := make([]bool, f.NextReg) // registers defined inside the loop
 	// Innermost loops first so chained hoisting bubbles outward on rerun.
 	for li := len(loops) - 1; li >= 0; li-- {
 		l := loops[li]
 		if l.Preheader < 0 {
 			continue
 		}
-		inLoop := make(map[int]bool, len(l.Blocks))
-		for _, id := range l.Blocks {
-			inLoop[id] = true
-		}
-		// Registers defined inside the loop.
-		defIn := map[ir.Reg]bool{}
+		clear(defIn)
 		for _, id := range l.Blocks {
 			for i := range f.Blocks[id].Insns {
 				if d := f.Blocks[id].Insns[i].Def; d != ir.RegNone {
@@ -66,7 +63,7 @@ func LICM(f *ir.Func, loadMotion bool, stored map[int32]bool) int {
 						continue
 					}
 					pre.Insns = append(pre.Insns, in)
-					delete(defIn, in.Def)
+					defIn[in.Def] = false
 					hoisted++
 					changed = true
 				}
@@ -74,15 +71,12 @@ func LICM(f *ir.Func, loadMotion bool, stored map[int32]bool) int {
 			}
 		}
 	}
-	if hoisted > 0 {
-		f.Invalidate()
-	}
 	return hoisted
 }
 
 // invariant reports whether the instruction may be hoisted out of a loop
 // whose internally-defined registers are defIn.
-func invariant(in *ir.Insn, defIn map[ir.Reg]bool, loadMotion bool, stored map[int32]bool) bool {
+func invariant(in *ir.Insn, defIn []bool, loadMotion bool, stored map[int32]bool) bool {
 	if in.Def == ir.RegNone || in.HasFlag(ir.FlagMerge) {
 		return false
 	}
@@ -128,7 +122,6 @@ func StoreMotion(f *ir.Func) int {
 	if f.Library {
 		return 0
 	}
-	f.Invalidate()
 	promoted := 0
 	for _, l := range f.Loops() {
 		if l.Preheader < 0 {
@@ -137,10 +130,6 @@ func StoreMotion(f *ir.Func) int {
 		exit, ok := uniqueExit(f, l)
 		if !ok {
 			continue
-		}
-		inLoop := map[int]bool{}
-		for _, id := range l.Blocks {
-			inLoop[id] = true
 		}
 		// Find scalar streams with exactly one store in the loop and no
 		// calls anywhere in the loop (a callee could alias the scalar).
@@ -181,7 +170,7 @@ func StoreMotion(f *ir.Func) int {
 		for s := range acc {
 			streams = append(streams, s)
 		}
-		sortInt32s(streams)
+		slices.Sort(streams)
 		for _, stream := range streams {
 			a := acc[stream]
 			if a.stores != 1 {
@@ -224,30 +213,20 @@ func StoreMotion(f *ir.Func) int {
 			promoted++
 		}
 	}
-	if promoted > 0 {
-		f.Invalidate()
-	}
 	return promoted
-}
-
-func sortInt32s(s []int32) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // uniqueExit returns the single out-of-loop successor block reached from
 // the loop, provided all its predecessors are loop blocks.
 func uniqueExit(f *ir.Func, l *ir.Loop) (int, bool) {
-	inLoop := map[int]bool{}
+	inLoop := make([]bool, len(f.Blocks))
 	for _, id := range l.Blocks {
 		inLoop[id] = true
 	}
 	exit := -1
+	var succs [2]int
 	for _, id := range l.Blocks {
-		for _, s := range f.Blocks[id].Succs(nil) {
+		for _, s := range f.Blocks[id].Succs(succs[:0]) {
 			if inLoop[s] {
 				continue
 			}

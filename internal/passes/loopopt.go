@@ -1,6 +1,8 @@
 package passes
 
 import (
+	"slices"
+
 	"portcc/internal/ir"
 	"portcc/internal/isa"
 )
@@ -13,7 +15,6 @@ func StrengthReduce(f *ir.Func) int {
 	if f.Library {
 		return 0
 	}
-	f.Invalidate()
 	defs := singleDefs(f)
 	reduced := 0
 	for _, l := range f.Loops() {
@@ -28,7 +29,7 @@ func StrengthReduce(f *ir.Func) int {
 				if in.Op != isa.OpMul || !in.HasFlag(ir.FlagMulByIndex) {
 					continue
 				}
-				if in.Def == ir.RegNone || defs[in.Def] == nil {
+				if in.Def == ir.RegNone || !defs[in.Def].single() {
 					continue // already a merge register
 				}
 				// Initialise the accumulator in the preheader, then
@@ -42,13 +43,10 @@ func StrengthReduce(f *ir.Func) int {
 					Imm:   in.Imm,
 					Flags: ir.FlagMerge | ir.FlagInduction,
 				}
-				defs[in.Def] = nil
+				defs[in.Def].block = manyDefs
 				reduced++
 			}
 		}
-	}
-	if reduced > 0 {
-		f.Invalidate()
 	}
 	return reduced
 }
@@ -101,54 +99,47 @@ func chainSize(f *ir.Func, chain []int) int {
 
 // escapes reports whether any non-merge register defined in the block set
 // is used outside it; such loops cannot be safely duplicated without SSA
-// repair, so unrolling and unswitching skip them.
-func escapes(f *ir.Func, blocks []int) bool {
-	in := map[int]bool{}
+// repair, so unrolling and unswitching skip them. defs is singleDefs(f).
+func escapes(f *ir.Func, blocks []int, defs []defSite) bool {
+	in := make([]bool, len(f.Blocks))
 	for _, id := range blocks {
 		in[id] = true
 	}
-	defsIn := map[ir.Reg]bool{}
-	defs := singleDefs(f)
-	for _, id := range blocks {
-		for i := range f.Blocks[id].Insns {
-			d := f.Blocks[id].Insns[i].Def
-			if d != ir.RegNone && defs[d] != nil {
-				defsIn[d] = true
-			}
-		}
-	}
+	definedIn := func(r ir.Reg) bool { return defs[r].single() && in[defs[r].block] }
 	for _, b := range f.Blocks {
 		if in[b.ID] {
 			continue
 		}
 		for i := range b.Insns {
 			for _, u := range b.Insns[i].Use {
-				if u != ir.RegNone && defsIn[u] {
+				if definedIn(u) {
 					return true
 				}
 			}
 		}
-		if defsIn[b.Term.CondReg] {
+		if definedIn(b.Term.CondReg) {
 			return true
 		}
 	}
 	return false
 }
 
-// cloneChain duplicates a block chain, renaming non-merge definitions and
-// rewiring intra-chain uses and targets. Returns the new block IDs.
-func cloneChain(f *ir.Func, chain []int) []int {
-	defs := singleDefs(f)
-	rename := map[ir.Reg]ir.Reg{}
+// cloneChain duplicates a block chain (or, for unswitching, any block
+// set), renaming non-merge definitions and rewiring intra-set uses and
+// targets. Returns the new block IDs. defs is singleDefs(f) from before
+// any copy of the set: a copy renames what it defines, so the set's own
+// registers keep their definition counts.
+func cloneChain(f *ir.Func, chain []int, defs []defSite) []int {
+	rename := make([]ir.Reg, f.NextReg) // RegNone: keep
 	for _, id := range chain {
 		for i := range f.Blocks[id].Insns {
 			d := f.Blocks[id].Insns[i].Def
-			if d != ir.RegNone && defs[d] != nil && rename[d] == ir.RegNone {
+			if d != ir.RegNone && defs[d].single() && rename[d] == ir.RegNone {
 				rename[d] = f.NewReg()
 			}
 		}
 	}
-	remap := map[int]int{}
+	remap := make([]int, len(f.Blocks)) // 0: not in the chain (no copy is block 0)
 	newIDs := make([]int, 0, len(chain))
 	for _, id := range chain {
 		nb := &ir.Block{ID: len(f.Blocks), Align: f.Blocks[id].Align}
@@ -163,26 +154,26 @@ func cloneChain(f *ir.Func, chain []int) []int {
 		copy(dst.Insns, src.Insns)
 		for i := range dst.Insns {
 			in := &dst.Insns[i]
-			if r, ok := rename[in.Def]; ok && r != ir.RegNone {
+			if r := rename[in.Def]; r != ir.RegNone {
 				in.Def = r
 			}
 			for j, u := range in.Use {
-				if r, ok := rename[u]; ok && r != ir.RegNone {
+				if r := rename[u]; r != ir.RegNone {
 					in.Use[j] = r
 				}
 			}
 		}
 		dst.Term = src.Term
-		if r, ok := rename[dst.Term.CondReg]; ok && r != ir.RegNone {
+		if r := rename[dst.Term.CondReg]; r != ir.RegNone {
 			dst.Term.CondReg = r
 		}
 		if dst.Term.Kind == ir.TermJump || dst.Term.Kind == ir.TermBranch {
-			if n, ok := remap[dst.Term.Taken]; ok {
+			if n := remap[dst.Term.Taken]; n != 0 {
 				dst.Term.Taken = n
 			}
 		}
 		if dst.Term.Kind == ir.TermFall || dst.Term.Kind == ir.TermBranch {
-			if n, ok := remap[dst.Term.Fall]; ok {
+			if n := remap[dst.Term.Fall]; n != 0 {
 				dst.Term.Fall = n
 			}
 		}
@@ -198,12 +189,15 @@ func Unroll(f *ir.Func, maxTimes, maxInsns int) int {
 	if f.Library {
 		return 0
 	}
-	f.Invalidate()
 	unrolled := 0
 	loops := f.Loops()
 	for _, l := range loops {
 		chain := chainOf(f, l)
-		if chain == nil || escapes(f, chain) {
+		if chain == nil {
+			continue
+		}
+		defs := singleDefs(f)
+		if escapes(f, chain, defs) {
 			continue
 		}
 		latch := f.Blocks[l.Latch]
@@ -222,7 +216,7 @@ func Unroll(f *ir.Func, maxTimes, maxInsns int) int {
 		origTerm := latch.Term
 		prevTail := l.Latch
 		for copyN := 1; copyN < u; copyN++ {
-			ids := cloneChain(f, chain)
+			ids := cloneChain(f, chain, defs)
 			// Previous tail falls into this copy's head.
 			f.Blocks[prevTail].Term = ir.Term{Kind: ir.TermFall, Fall: ids[0]}
 			prevTail = ids[len(ids)-1]
@@ -238,9 +232,6 @@ func Unroll(f *ir.Func, maxTimes, maxInsns int) int {
 		unrolled++
 		f.Invalidate()
 	}
-	if unrolled > 0 {
-		f.Invalidate()
-	}
 	return unrolled
 }
 
@@ -253,7 +244,6 @@ func Unswitch(f *ir.Func) int {
 	if f.Library {
 		return 0
 	}
-	f.Invalidate()
 	count := 0
 	for _, l := range f.Loops() {
 		if l.Preheader < 0 {
@@ -269,19 +259,23 @@ func Unswitch(f *ir.Func) int {
 				break
 			}
 		}
-		if condBlk < 0 || escapes(f, l.Blocks) {
+		if condBlk < 0 {
+			continue
+		}
+		defs := singleDefs(f)
+		if escapes(f, l.Blocks, defs) {
 			continue
 		}
 		orig := f.Blocks[condBlk].Term
-		clones := cloneChainAll(f, l.Blocks)
+		clones := cloneChain(f, l.Blocks, defs)
 		// Original copy assumes the taken direction; clone the fall one.
 		f.Blocks[condBlk].Term = ir.Term{Kind: ir.TermJump, Taken: orig.Taken}
-		cloneCond := clones[indexOf(l.Blocks, condBlk)]
+		cloneCond := clones[slices.Index(l.Blocks, condBlk)]
 		ct := f.Blocks[cloneCond].Term
 		f.Blocks[cloneCond].Term = ir.Term{Kind: ir.TermJump, Taken: ct.Fall}
 		// The preheader now selects the version once per entry.
 		pre := f.Blocks[l.Preheader]
-		cloneHeader := clones[indexOf(l.Blocks, l.Header)]
+		cloneHeader := clones[slices.Index(l.Blocks, l.Header)]
 		pre.Term = ir.Term{
 			Kind: ir.TermBranch, Taken: l.Header, Fall: cloneHeader,
 			Prob: orig.Prob, CondReg: orig.CondReg,
@@ -290,19 +284,4 @@ func Unswitch(f *ir.Func) int {
 		f.Invalidate()
 	}
 	return count
-}
-
-// cloneChainAll clones an arbitrary block set (not just chains), remapping
-// intra-set control targets; used by unswitching.
-func cloneChainAll(f *ir.Func, blocks []int) []int {
-	return cloneChain(f, blocks)
-}
-
-func indexOf(s []int, v int) int {
-	for i, x := range s {
-		if x == v {
-			return i
-		}
-	}
-	return -1
 }

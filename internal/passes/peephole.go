@@ -20,9 +20,6 @@ func Peephole2(f *ir.Func) int {
 		removed += removeSelfMovesBlock(b)
 		removed += foldShifts(f, b)
 	}
-	if removed > 0 {
-		f.Invalidate()
-	}
 	return removed
 }
 
@@ -147,9 +144,6 @@ func GCSEAfterReload(f *ir.Func) int {
 			kept = append(kept, in)
 		}
 		b.Insns = kept
-	}
-	if removed > 0 {
-		f.Invalidate()
 	}
 	return removed
 }

@@ -1,6 +1,8 @@
 package passes
 
 import (
+	"sync"
+
 	"portcc/internal/ir"
 	"portcc/internal/isa"
 )
@@ -13,11 +15,12 @@ const (
 	schedMacLatency  = 4
 )
 
-// SchedEagerBonus is the extra priority the list scheduler gives to loads
+// schedEagerBonus is the extra priority the list scheduler gives to loads
 // (and, halved+2, to multiplies): higher values hide more latency but
 // lengthen live ranges, causing spills on register-poor targets exactly as
-// gcc 4.2's sched1 did. Exposed for calibration experiments.
-var SchedEagerBonus = 2
+// gcc 4.2's sched1 did. A constant: it shapes every binary, so changing
+// it means bumping core.Version.
+const schedEagerBonus = 2
 
 func schedLatency(op isa.Op) int {
 	switch op {
@@ -48,35 +51,72 @@ func Schedule(f *ir.Func, interblock, spec bool) {
 	if f.Library {
 		return
 	}
-	for _, b := range f.Blocks {
-		scheduleBlock(b)
+	t := schedPool.Get().(*schedTables)
+	n := int(f.NextReg)
+	t.lastDef = grown(t.lastDef, n)
+	if cap(t.usesSince) < n {
+		t.usesSince = make([][]int, n)
 	}
+	t.usesSince = t.usesSince[:n]
+	for _, b := range f.Blocks {
+		t.scheduleBlock(b)
+	}
+	schedPool.Put(t)
 	if interblock {
 		hoistAcrossBlocks(f, spec)
 	}
-	f.Invalidate()
 }
+
+// schedTables is scheduleBlock's scratch, kept in schedPool like the
+// value-numbering tables. The register-indexed tables are sized once per
+// function and reset between blocks through touched; the rest are
+// regrown per block.
+type schedTables struct {
+	lastDef   []int    // per register: 1 + index of its last definition, 0 if none
+	usesSince [][]int  // per register: readers since that definition
+	touched   []ir.Reg // registers with an entry in either table
+	loads     []int    // loads since the last store
+	succ      [][]int  // dependence edges i -> j (j after i)
+	npred     []int
+	prio      []int
+	readyAt   []int
+	ready     []int
+	order     []int
+	insns     []ir.Insn
+}
+
+var schedPool = sync.Pool{New: func() any { return new(schedTables) }}
 
 // scheduleBlock reorders one block's instructions topologically by
 // critical-path priority, preserving all data, memory and call ordering
 // dependences.
-func scheduleBlock(b *ir.Block) {
+func (t *schedTables) scheduleBlock(b *ir.Block) {
 	n := len(b.Insns)
 	if n < 3 {
 		return
 	}
-	succ := make([][]int, n) // dependence edges i -> j (j after i)
-	npred := make([]int, n)
+	if cap(t.succ) < n {
+		t.succ = make([][]int, n)
+	}
+	succ := t.succ[:n]
+	for i := range succ {
+		succ[i] = succ[i][:0]
+	}
+	npred := grown(t.npred, n)
 	addEdge := func(i, j int) {
 		succ[i] = append(succ[i], j)
 		npred[j]++
 	}
 
-	lastDef := map[ir.Reg]int{}
-	usesSince := map[ir.Reg][]int{}
+	lastDef, usesSince := t.lastDef, t.usesSince
+	touch := func(r ir.Reg) {
+		if lastDef[r] == 0 && len(usesSince[r]) == 0 {
+			t.touched = append(t.touched, r)
+		}
+	}
 	lastStore := -1
 	lastCall := -1
-	var loadsSinceStore []int
+	loadsSinceStore := t.loads[:0]
 
 	for i := range b.Insns {
 		in := &b.Insns[i]
@@ -85,23 +125,25 @@ func scheduleBlock(b *ir.Block) {
 			if u == ir.RegNone {
 				continue
 			}
-			if d, ok := lastDef[u]; ok {
-				addEdge(d, i)
+			if d := lastDef[u]; d > 0 {
+				addEdge(d-1, i)
 			}
+			touch(u)
 			usesSince[u] = append(usesSince[u], i)
 		}
 		if in.Def != ir.RegNone {
 			// Output and anti deps (merge registers redefine).
-			if d, ok := lastDef[in.Def]; ok {
-				addEdge(d, i)
+			if d := lastDef[in.Def]; d > 0 {
+				addEdge(d-1, i)
 			}
 			for _, u := range usesSince[in.Def] {
 				if u != i {
 					addEdge(u, i)
 				}
 			}
-			usesSince[in.Def] = nil
-			lastDef[in.Def] = i
+			touch(in.Def)
+			usesSince[in.Def] = usesSince[in.Def][:0]
+			lastDef[in.Def] = i + 1
 		}
 		// Memory and call ordering.
 		switch in.Op {
@@ -121,7 +163,7 @@ func scheduleBlock(b *ir.Block) {
 				addEdge(lastCall, i)
 			}
 			lastStore = i
-			loadsSinceStore = nil
+			loadsSinceStore = loadsSinceStore[:0]
 		case isa.OpLoad:
 			if lastStore >= 0 && !in.Mem.ReadOnly {
 				addEdge(lastStore, i)
@@ -132,6 +174,12 @@ func scheduleBlock(b *ir.Block) {
 			loadsSinceStore = append(loadsSinceStore, i)
 		}
 	}
+	for _, r := range t.touched {
+		lastDef[r] = 0
+		usesSince[r] = usesSince[r][:0]
+	}
+	t.touched = t.touched[:0]
+	t.loads = loadsSinceStore
 
 	// Critical-path priorities (longest latency path to any sink), plus an
 	// eagerness bonus for long-latency operations: like gcc 4.2's sched1,
@@ -139,7 +187,7 @@ func scheduleBlock(b *ir.Block) {
 	// to hide their latency. It is not register-pressure aware - the
 	// resulting live-range growth is exactly what makes the allocator
 	// spill on some schedules (the paper's Section 5.4 observation).
-	prio := make([]int, n)
+	prio := grown(t.prio, n)
 	for i := n - 1; i >= 0; i-- {
 		p := 0
 		for _, j := range succ[i] {
@@ -150,9 +198,9 @@ func scheduleBlock(b *ir.Block) {
 		bonus := 0
 		switch b.Insns[i].Op {
 		case isa.OpLoad:
-			bonus = SchedEagerBonus
+			bonus = schedEagerBonus
 		case isa.OpMul, isa.OpMac:
-			bonus = SchedEagerBonus/2 + 2
+			bonus = schedEagerBonus/2 + 2
 		}
 		prio[i] = p + schedLatency(b.Insns[i].Op) + bonus
 	}
@@ -163,14 +211,14 @@ func scheduleBlock(b *ir.Block) {
 	// highest priority wins; if none is ready, the candidate closest to
 	// ready issues (the hardware would stall there anyway). Original
 	// order breaks ties for determinism.
-	readyAt := make([]int, n)
-	ready := make([]int, 0, n)
+	readyAt := grown(t.readyAt, n)
+	ready := t.ready[:0]
 	for i := 0; i < n; i++ {
 		if npred[i] == 0 {
 			ready = append(ready, i)
 		}
 	}
-	order := make([]int, 0, n)
+	order := t.order[:0]
 	cycle := 0
 	for len(ready) > 0 {
 		best := -1
@@ -211,14 +259,14 @@ func scheduleBlock(b *ir.Block) {
 			}
 		}
 	}
+	t.succ, t.npred, t.prio, t.readyAt, t.ready, t.order = succ, npred, prio, readyAt, ready, order
 	if len(order) != n {
 		return // cycle would be a bug; leave the block unscheduled
 	}
-	out := make([]ir.Insn, n)
+	t.insns = append(t.insns[:0], b.Insns...)
 	for pos, idx := range order {
-		out[pos] = b.Insns[idx]
+		b.Insns[pos] = t.insns[idx]
 	}
-	b.Insns = out
 }
 
 // hoistAcrossBlocks migrates ready head instructions of single-predecessor
@@ -226,9 +274,11 @@ func scheduleBlock(b *ir.Block) {
 // falls or jumps unconditionally; speculative (requires spec) above
 // conditional branches, following the likely edge.
 func hoistAcrossBlocks(f *ir.Func, spec bool) {
-	f.Invalidate()
 	f.Analyze() // predecessor lists must be fresh
 	const maxHoist = 4
+	// Registers defined by instructions remaining in b; all false
+	// between blocks.
+	defined := make([]bool, f.NextReg)
 	for _, a := range f.Blocks {
 		var bID int
 		speculative := false
@@ -254,8 +304,6 @@ func hoistAcrossBlocks(f *ir.Func, spec bool) {
 		if len(b.Preds) != 1 || b.ID == a.ID {
 			continue
 		}
-		// Registers defined by instructions remaining in b.
-		defined := map[ir.Reg]bool{}
 		for i := range b.Insns {
 			if d := b.Insns[i].Def; d != ir.RegNone {
 				defined[d] = true
@@ -281,9 +329,12 @@ func hoistAcrossBlocks(f *ir.Func, spec bool) {
 				break
 			}
 			a.Insns = append(a.Insns, in)
-			delete(defined, in.Def)
+			defined[in.Def] = false
 			b.Insns = b.Insns[1:]
 			hoisted++
+		}
+		for i := range b.Insns {
+			defined[b.Insns[i].Def] = false
 		}
 	}
 }
@@ -296,7 +347,8 @@ func Regmove(f *ir.Func) int {
 		return 0
 	}
 	defs := singleDefs(f)
-	repl := map[ir.Reg]ir.Reg{}
+	repl := make([]ir.Reg, f.NextReg)
+	moves := 0
 	for _, b := range f.Blocks {
 		for i := range b.Insns {
 			in := &b.Insns[i]
@@ -304,22 +356,21 @@ func Regmove(f *ir.Func) int {
 				continue
 			}
 			src := in.Use[0]
-			if src == ir.RegNone || defs[in.Def] == nil {
+			if src == ir.RegNone || !defs[in.Def].single() {
 				continue
 			}
 			// Forward only single-def sources so the value cannot change
 			// between the move and the rewritten uses.
-			if defs[src] == nil {
+			if !defs[src].single() {
 				continue
 			}
 			repl[in.Def] = src
+			moves++
 		}
 	}
-	if len(repl) == 0 {
+	if moves == 0 {
 		return 0
 	}
 	applyReplacements(f, repl)
-	removed := deadCode(f)
-	f.Invalidate()
-	return removed
+	return deadCode(f)
 }

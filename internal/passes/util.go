@@ -40,52 +40,58 @@ func useCounts(f *ir.Func) []int32 {
 	return uses
 }
 
-// defSite locates the single definition of a register.
+// defSite locates the definition of a register.
 type defSite struct {
-	block int
+	block int // noDef or manyDefs unless the register has one definition
 	index int
 }
 
-// singleDefs maps each register to its unique definition site; registers
-// with zero or multiple definitions (merge registers) map to nil. The
-// sites share one backing array.
-func singleDefs(f *ir.Func) []*defSite {
-	defs := make([]*defSite, f.NextReg)
-	sites := make([]defSite, f.NextReg)
-	multi := make([]bool, f.NextReg)
+const (
+	noDef    = -1
+	manyDefs = -2 // a merge register
+)
+
+// single reports whether the register has exactly one definition.
+func (d defSite) single() bool { return d.block >= 0 }
+
+// singleDefs maps each register to its unique definition site.
+func singleDefs(f *ir.Func) []defSite {
+	defs := make([]defSite, f.NextReg)
+	for r := range defs {
+		defs[r].block = noDef
+	}
 	for _, b := range f.Blocks {
 		for i := range b.Insns {
-			d := b.Insns[i].Def
-			if d == ir.RegNone {
-				continue
+			switch d := b.Insns[i].Def; {
+			case d == ir.RegNone:
+			case defs[d].block == noDef:
+				defs[d] = defSite{block: b.ID, index: i}
+			default:
+				defs[d].block = manyDefs
 			}
-			if defs[d] != nil || multi[d] {
-				defs[d] = nil
-				multi[d] = true
-				continue
-			}
-			sites[d] = defSite{block: b.ID, index: i}
-			defs[d] = &sites[d]
 		}
 	}
 	return defs
 }
 
 // deadCode removes pure instructions whose results are never used,
-// iterating to a fixpoint. Returns the number of instructions removed.
+// iterating to a fixpoint: a removal releases its operands' uses, and
+// a sweep that removes nothing ends it. Returns the number removed.
 // Always-on at every optimisation level (like gcc's DCE).
 func deadCode(f *ir.Func) int {
+	uses := useCounts(f)
 	removed := 0
-	for {
-		uses := useCounts(f)
-		changed := false
+	for changed := true; changed; {
+		changed = false
 		for _, b := range f.Blocks {
 			kept := b.Insns[:0]
 			for i := range b.Insns {
 				in := b.Insns[i]
-				dead := in.Def != ir.RegNone && uses[in.Def] == 0 && in.IsPure() &&
-					!in.HasFlag(ir.FlagMerge)
-				if dead {
+				if in.Def != ir.RegNone && uses[in.Def] == 0 && in.IsPure() &&
+					!in.HasFlag(ir.FlagMerge) {
+					for _, u := range in.Use {
+						uses[u]--
+					}
 					removed++
 					changed = true
 					continue
@@ -94,80 +100,33 @@ func deadCode(f *ir.Func) int {
 			}
 			b.Insns = kept
 		}
-		if !changed {
-			return removed
-		}
-	}
-}
-
-// rewriteUses replaces every use of register from with register to across
-// the function (instruction operands and branch conditions).
-func rewriteUses(f *ir.Func, from, to ir.Reg) {
-	for _, b := range f.Blocks {
-		for i := range b.Insns {
-			for k, u := range b.Insns[i].Use {
-				if u == from {
-					b.Insns[i].Use[k] = to
-				}
-			}
-		}
-		if b.Term.CondReg == from {
-			b.Term.CondReg = to
-		}
-	}
-}
-
-// applyReplacements rewrites register uses through a replacement map in one
-// pass, resolving chains (a->b, b->c becomes a->c).
-func applyReplacements(f *ir.Func, repl map[ir.Reg]ir.Reg) {
-	if len(repl) == 0 {
-		return
-	}
-	resolve := func(r ir.Reg) ir.Reg {
-		seen := 0
-		for {
-			n, ok := repl[r]
-			if !ok || seen > len(repl) {
-				return r
-			}
-			r = n
-			seen++
-		}
-	}
-	for from := range repl {
-		repl[from] = resolve(repl[from])
-	}
-	for _, b := range f.Blocks {
-		for i := range b.Insns {
-			for k, u := range b.Insns[i].Use {
-				if n, ok := repl[u]; ok {
-					b.Insns[i].Use[k] = n
-				}
-			}
-		}
-		if n, ok := repl[b.Term.CondReg]; ok {
-			b.Term.CondReg = n
-		}
-	}
-}
-
-// removeSelfMoves deletes "move r <- r" instructions, which appear as
-// harmless residue of PRE and coalescing.
-func removeSelfMoves(f *ir.Func) int {
-	removed := 0
-	for _, b := range f.Blocks {
-		kept := b.Insns[:0]
-		for i := range b.Insns {
-			in := b.Insns[i]
-			if in.Op == isa.OpMove && in.Def == in.Use[0] {
-				removed++
-				continue
-			}
-			kept = append(kept, in)
-		}
-		b.Insns = kept
 	}
 	return removed
+}
+
+// applyReplacements rewrites register uses through a register-indexed
+// replacement table (RegNone: keep) in one pass, resolving chains (a->b,
+// b->c becomes a->c). Registers past the table's end are kept.
+func applyReplacements(f *ir.Func, repl []ir.Reg) {
+	to := func(r ir.Reg) ir.Reg {
+		if int(r) < len(repl) && repl[r] != ir.RegNone {
+			return repl[r]
+		}
+		return r
+	}
+	for from, r := range repl {
+		for seen := 0; to(r) != r && seen < len(repl); seen++ {
+			r = to(r)
+		}
+		repl[from] = r
+	}
+	for _, b := range f.Blocks {
+		for i := range b.Insns {
+			u := &b.Insns[i].Use
+			u[0], u[1] = to(u[0]), to(u[1])
+		}
+		b.Term.CondReg = to(b.Term.CondReg)
+	}
 }
 
 // blockFreqs estimates relative execution frequencies from branch
@@ -175,14 +134,14 @@ func removeSelfMoves(f *ir.Func) int {
 // The entry block has frequency 1.
 func blockFreqs(f *ir.Func) []float64 {
 	n := len(f.Blocks)
-	freq := make([]float64, n)
+	freq, next := make([]float64, n), make([]float64, n)
 	freq[0] = 1
 	const (
 		iters   = 60
 		maxFreq = 1e9
 	)
 	for it := 0; it < iters; it++ {
-		next := make([]float64, n)
+		clear(next)
 		next[0] = 1
 		for _, b := range f.Blocks {
 			fb := freq[b.ID]
@@ -208,7 +167,7 @@ func blockFreqs(f *ir.Func) []float64 {
 				next[i] = maxFreq
 			}
 		}
-		freq = next
+		freq, next = next, freq
 	}
 	return freq
 }
@@ -223,9 +182,9 @@ func edgeProb(t ir.Term) float64 {
 
 // compact removes unreachable blocks and renumbers the remainder,
 // preserving layout order for surviving blocks. Always-on cleanup run
-// after any pass that can disconnect blocks.
+// after any pass that can disconnect blocks, once that pass has
+// invalidated the analysis.
 func compact(f *ir.Func) {
-	f.Invalidate()
 	f.Analyze()
 	n := len(f.Blocks)
 	remap := make([]int, n)

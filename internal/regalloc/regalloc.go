@@ -8,9 +8,15 @@
 // spills (extra loads/stores and code growth); inlining merges register
 // pressure of caller and callee; caller-saves (gcc's -fcaller-saves)
 // trades save/restore pairs around calls against spilling.
+//
+// Its tables are indexed by virtual register and sized once from
+// Func.NextReg. Allocation rewrites instructions and condition registers
+// only, never a block or a branch target, so the function's cached CFG
+// analysis stays valid (see ir.Func.Analyze).
 package regalloc
 
 import (
+	"math/bits"
 	"sort"
 
 	"portcc/internal/codegen"
@@ -49,20 +55,25 @@ type interval struct {
 }
 
 type allocator struct {
-	f        *ir.Func
-	opts     Options
-	frame    ir.MemRef
-	layout   []int
-	base     []int // linear position of each block's first instruction
-	liveIn   []bitset
-	liveOut  []bitset
-	nregs    int
-	calls    []int // linear positions of call instructions
-	assigned map[ir.Reg]ir.Reg
-	spilled  map[ir.Reg]int32 // vreg -> spill slot
-	saves    map[ir.Reg]int32 // caller-saved assigned vregs -> save slot
+	f       *ir.Func
+	opts    Options
+	frame   ir.MemRef
+	layout  []int
+	base    []int // linear position of each block's first instruction
+	liveIn  []bitset
+	liveOut []bitset
+	nregs   int
+	calls   []int // linear positions of call instructions
+	// Per virtual register: its physical register (RegNone if none), its
+	// spill slot, and the save slot of a caller-saved assignment (noSlot
+	// if none).
+	assigned []ir.Reg
+	spilled  []int32
+	saves    []int32
 	slots    int32
 }
+
+const noSlot = -1
 
 // Allocate rewrites the function onto physical registers, inserting spill,
 // save/restore and prologue/epilogue code. funcID selects the frame
@@ -72,6 +83,11 @@ func Allocate(f *ir.Func, funcID int, opts Options) {
 		attachFrameOnly(f, funcID)
 		return
 	}
+	n := int(f.NextReg)
+	slots := make([]int32, 2*n)
+	for i := range slots {
+		slots[i] = noSlot
+	}
 	a := &allocator{
 		f:    f,
 		opts: opts,
@@ -80,10 +96,10 @@ func Allocate(f *ir.Func, funcID int, opts Options) {
 			Kind:   ir.MemStack,
 			WSet:   frameWSet,
 		},
-		assigned: map[ir.Reg]ir.Reg{},
-		spilled:  map[ir.Reg]int32{},
-		saves:    map[ir.Reg]int32{},
-		nregs:    int(f.NextReg),
+		assigned: make([]ir.Reg, n),
+		spilled:  slots[:n],
+		saves:    slots[n:],
+		nregs:    n,
 	}
 	a.linearize()
 	a.liveness()
@@ -92,7 +108,6 @@ func Allocate(f *ir.Func, funcID int, opts Options) {
 	a.rewrite()
 	a.prologue()
 	f.FrameSize = a.slots * 4
-	f.Invalidate()
 }
 
 func attachFrameOnly(f *ir.Func, funcID int) {
@@ -127,10 +142,8 @@ func (a *allocator) linearize() {
 
 type bitset []uint64
 
-func newBitset(n int) bitset       { return make(bitset, (n+63)/64) }
 func (s bitset) set(i int)         { s[i/64] |= 1 << (uint(i) % 64) }
 func (s bitset) has(i ir.Reg) bool { return s[int(i)/64]&(1<<(uint(i)%64)) != 0 }
-func (s bitset) hasi(i int) bool   { return s[i/64]&(1<<(uint(i)%64)) != 0 }
 func (s bitset) or(o bitset) bool {
 	ch := false
 	for i := range s {
@@ -150,15 +163,21 @@ func (s bitset) andNot(o bitset) {
 func (s bitset) copyFrom(o bitset) { copy(s, o) }
 
 // liveness computes per-block live-in/out sets over virtual registers.
+// Every set, and the fixpoint's scratch, is carved from one slab.
 func (a *allocator) liveness() {
 	f := a.f
 	n := len(f.Blocks)
-	use := make([]bitset, n)
-	def := make([]bitset, n)
-	a.liveIn = make([]bitset, n)
-	a.liveOut = make([]bitset, n)
+	words := (a.nregs + 63) / 64
+	slab := make([]uint64, (4*n+1)*words)
+	sets := make([]bitset, 4*n)
+	for i := range sets {
+		sets[i] = slab[i*words : (i+1)*words : (i+1)*words]
+	}
+	use, def := sets[:n], sets[n:2*n]
+	a.liveIn, a.liveOut = sets[2*n:3*n], sets[3*n:]
+	in := bitset(slab[4*n*words:])
 	for _, b := range f.Blocks {
-		u, d := newBitset(a.nregs), newBitset(a.nregs)
+		u, d := use[b.ID], def[b.ID]
 		for i := range b.Insns {
 			in := &b.Insns[i]
 			for _, r := range in.Use {
@@ -173,9 +192,6 @@ func (a *allocator) liveness() {
 		if c := b.Term.CondReg; c != ir.RegNone && !d.has(c) {
 			u.set(int(c))
 		}
-		use[b.ID], def[b.ID] = u, d
-		a.liveIn[b.ID] = newBitset(a.nregs)
-		a.liveOut[b.ID] = newBitset(a.nregs)
 	}
 	var succBuf []int
 	for changed := true; changed; {
@@ -189,7 +205,6 @@ func (a *allocator) liveness() {
 					changed = true
 				}
 			}
-			in := newBitset(a.nregs)
 			in.copyFrom(out)
 			in.andNot(def[b.ID])
 			in.or(use[b.ID])
@@ -200,39 +215,38 @@ func (a *allocator) liveness() {
 	}
 }
 
-// intervals builds one [min,max] linear interval per virtual register.
+// intervals builds one [min,max] linear interval per virtual register,
+// carved from one backing array, sorted by start, then register.
+// Positions are touched in increasing order, so a register's first
+// touch is its start: the intervals arrive sorted but for ties.
 func (a *allocator) intervals() []*interval {
 	f := a.f
-	ivs := make([]*interval, a.nregs)
+	ivs := make([]interval, a.nregs) // refs == 0: the register never occurs
+	out := make([]*interval, 0, a.nregs)
 	touch := func(r ir.Reg, pos int) {
 		if r == ir.RegNone {
 			return
 		}
-		iv := ivs[r]
-		if iv == nil {
-			iv = &interval{vreg: r, start: pos, end: pos}
-			ivs[r] = iv
+		iv := &ivs[r]
+		if iv.refs == 0 {
+			*iv = interval{vreg: r, start: pos}
+			out = append(out, iv)
 		}
-		if pos < iv.start {
-			iv.start = pos
-		}
-		if pos > iv.end {
-			iv.end = pos
-		}
+		iv.end = pos
 		iv.refs++
+	}
+	touchLive := func(s bitset, pos int) {
+		for w, word := range s {
+			for ; word != 0; word &= word - 1 {
+				touch(ir.Reg(w*64+bits.TrailingZeros64(word)), pos)
+			}
+		}
 	}
 	for _, id := range a.layout {
 		b := f.Blocks[id]
 		start := a.base[id]
 		end := start + len(b.Insns)
-		for r := 1; r < a.nregs; r++ {
-			if a.liveIn[id].hasi(r) {
-				touch(ir.Reg(r), start)
-			}
-			if a.liveOut[id].hasi(r) {
-				touch(ir.Reg(r), end)
-			}
-		}
+		touchLive(a.liveIn[id], start)
 		for i := range b.Insns {
 			in := &b.Insns[i]
 			pos := start + i
@@ -240,22 +254,16 @@ func (a *allocator) intervals() []*interval {
 			touch(in.Use[0], pos)
 			touch(in.Use[1], pos)
 		}
+		touchLive(a.liveOut[id], end)
 		if c := b.Term.CondReg; c != ir.RegNone {
 			touch(c, end)
 		}
 	}
-	out := make([]*interval, 0, len(ivs))
-	for r := 1; r < a.nregs; r++ {
-		if ivs[r] != nil {
-			out = append(out, ivs[r])
+	for i := 1; i < len(out); i++ {
+		for j := i; j > 0 && out[j].start == out[j-1].start && out[j].vreg < out[j-1].vreg; j-- {
+			out[j], out[j-1] = out[j-1], out[j]
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].start != out[j].start {
-			return out[i].start < out[j].start
-		}
-		return out[i].vreg < out[j].vreg
-	})
 	return out
 }
 
@@ -275,9 +283,11 @@ func (a *allocator) scan(ivs []*interval) {
 		iv  *interval
 		reg ir.Reg
 	}
-	var act []active
-	freeCaller := append([]ir.Reg(nil), callerRegs...)
-	freeCallee := append([]ir.Reg(nil), calleeRegs...)
+	// Each active interval holds a register, so no table outgrows the
+	// register file.
+	act := make([]active, 0, len(callerRegs)+len(calleeRegs))
+	freeCaller := append(make([]ir.Reg, 0, len(callerRegs)), callerRegs...)
+	freeCallee := append(make([]ir.Reg, 0, len(calleeRegs)), calleeRegs...)
 
 	release := func(r ir.Reg) {
 		for _, c := range callerRegs {
@@ -293,7 +303,7 @@ func (a *allocator) scan(ivs []*interval) {
 			return ir.RegNone
 		}
 		r := (*pool)[0]
-		*pool = (*pool)[1:]
+		*pool = (*pool)[:copy(*pool, (*pool)[1:])]
 		return r
 	}
 	newSlot := func() int32 {
@@ -349,8 +359,8 @@ func (a *allocator) scan(ivs []*interval) {
 			if victimIdx >= 0 {
 				victim := act[victimIdx]
 				a.spilled[victim.iv.vreg] = newSlot()
-				delete(a.assigned, victim.iv.vreg)
-				delete(a.saves, victim.iv.vreg)
+				a.assigned[victim.iv.vreg] = ir.RegNone
+				a.saves[victim.iv.vreg] = noSlot
 				reg = victim.reg
 				act = append(act[:victimIdx], act[victimIdx+1:]...)
 			} else {
@@ -379,20 +389,16 @@ func isCallee(r ir.Reg) bool {
 // stores plus caller-save pairs around calls.
 func (a *allocator) rewrite() {
 	f := a.f
-	// Caller-save registers needing protection, sorted for determinism.
+	// Caller-save registers needing protection, in virtual register
+	// order for determinism.
 	type savePair struct {
 		reg  ir.Reg
 		slot int32
 	}
 	var saveList []savePair
-	{
-		var vregs []int
-		for v := range a.saves {
-			vregs = append(vregs, int(v))
-		}
-		sort.Ints(vregs)
-		for _, v := range vregs {
-			saveList = append(saveList, savePair{reg: a.assigned[ir.Reg(v)], slot: a.saves[ir.Reg(v)]})
+	for v, slot := range a.saves {
+		if slot != noSlot {
+			saveList = append(saveList, savePair{reg: a.assigned[v], slot: slot})
 		}
 	}
 
@@ -400,18 +406,27 @@ func (a *allocator) rewrite() {
 		if r == ir.RegNone {
 			return r, false
 		}
-		if p, ok := a.assigned[r]; ok {
+		if p := a.assigned[r]; p != ir.RegNone {
 			return p, false
 		}
-		if _, ok := a.spilled[r]; ok {
+		if a.spilled[r] != noSlot {
 			return r, true
 		}
 		// Never-live register (e.g. dead def): park in scratch.
 		return scratchA, false
 	}
 
+	// Every block's rewritten body is carved from one slab, with room for
+	// four inserted instructions before it needs its own.
+	n := 0
 	for _, b := range f.Blocks {
-		out := make([]ir.Insn, 0, len(b.Insns)+4)
+		n += len(b.Insns) + 4
+	}
+	slab := make([]ir.Insn, n)
+	for _, b := range f.Blocks {
+		n := len(b.Insns) + 4
+		out := slab[:0:n]
+		slab = slab[n:]
 		for i := range b.Insns {
 			in := b.Insns[i]
 
@@ -485,7 +500,7 @@ func (a *allocator) rewrite() {
 // removes and which grow code size).
 func (a *allocator) prologue() {
 	f := a.f
-	used := map[ir.Reg]bool{}
+	var used [scratchB + 1]bool
 	for _, p := range a.assigned {
 		if isCallee(p) {
 			used[p] = true
