@@ -22,10 +22,13 @@
 //   - The index is a recency journal, advisory only: membership and
 //     sizes are always rebuilt from the entry files themselves at Open,
 //     so a lost, stale or torn journal costs LRU ordering, never
-//     correctness.
+//     correctness. Appends are buffered and reach the file whole lines
+//     at a time, at compaction and at Close: a crash loses at most the
+//     recency of the hits and Puts since the last flush.
 //
 //   - A byte budget bounds the directory; least-recently-used entries
 //     are evicted at Put time (the newest entry is always kept).
+//     Recency is a per-entry stamp, so a hit costs one map write.
 //
 //   - Every filesystem operation goes through faultfs.FS, so the whole
 //     discipline is provable under seeded fault schedules: ENOSPC, EIO,
@@ -40,14 +43,15 @@ package store
 
 import (
 	"bufio"
+	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -75,8 +79,9 @@ const (
 	// writes (removed at Open).
 	entrySuffix = ".ent"
 	tmpPrefix   = ".tmp-"
-	// journalName is the advisory recency journal.
+	// journalName is the advisory recency journal; recordLen is one line.
 	journalName = "index.log"
+	recordLen   = 2 + 2*len(Key{}) + 1
 	// quarantineDir collects corrupt entries for post-mortem.
 	quarantineDir = "quarantine"
 )
@@ -145,6 +150,9 @@ type Stats struct {
 
 type entryInfo struct {
 	size int64
+	// seq is the recency stamp: the entry with the smallest is the
+	// least recently used.
+	seq uint64
 }
 
 // Store is one open result-store directory.
@@ -157,17 +165,16 @@ type Store struct {
 
 	mu      sync.Mutex
 	entries map[Key]entryInfo
-	// order is the LRU list, coldest first. Linear scans are fine: the
-	// store holds thousands of entries, touched once per simulation
-	// batch (milliseconds to minutes of work each).
-	order []Key
-	bytes int64
+	seq     uint64 // the last recency stamp handed out
+	bytes   int64
 	// poisoned marks keys whose quarantine rename AND removal both
 	// failed (dead FS): never serve them again this session.
 	poisoned map[Key]bool
-	// journal is the open recency log; nil when appends are
-	// unavailable (degraded mode - Open's scan rebuild covers it).
+	// journal is the open recency log and jw buffers its appends; nil
+	// when appends are unavailable (degraded mode - Open's scan rebuild
+	// covers it).
 	journal     faultfs.File
+	jw          *bufio.Writer
 	journalLen  int
 	tmpSeq      int
 	quarantined int
@@ -249,22 +256,26 @@ func (s *Store) rebuild() error {
 	// Recency: journal order first (oldest line = coldest), then keys
 	// the journal does not know, warm end, in name order for
 	// determinism.
-	seen := map[Key]bool{}
 	for _, k := range s.readJournal() {
-		if _, ok := s.entries[k]; ok && !seen[k] {
-			seen[k] = true
-			s.order = append(s.order, k)
+		if info, ok := s.entries[k]; ok {
+			s.stamp(k, info)
 		}
 	}
-	sort.Slice(present, func(i, j int) bool {
-		return string(present[i][:]) < string(present[j][:])
-	})
+	slices.SortFunc(present, func(a, b Key) int { return strings.Compare(string(a[:]), string(b[:])) })
 	for _, k := range present {
-		if !seen[k] {
-			s.order = append(s.order, k)
+		if info := s.entries[k]; info.seq == 0 {
+			s.stamp(k, info)
 		}
 	}
 	return nil
+}
+
+// stamp records k as the most recently used entry. Called with s.mu
+// held or before the store is shared.
+func (s *Store) stamp(k Key, info entryInfo) {
+	s.seq++
+	info.seq = s.seq
+	s.entries[k] = info
 }
 
 // readJournal returns the journal's key sequence with each key at its
@@ -309,12 +320,18 @@ func (s *Store) readJournal() []Key {
 	return out
 }
 
+// appendRecord appends one journal line to dst.
+func appendRecord(dst []byte, op byte, k Key) []byte {
+	return append(hex.AppendEncode(append(dst, op, ' '), k[:]), '\n')
+}
+
 // compactJournal rewrites the journal as one "p" line per entry in LRU
 // order (temp + rename, like entries) and reopens it for appending.
 // Any failure leaves the store journalless but fully functional.
 // Called with s.mu held or before the store is shared.
 func (s *Store) compactJournal() {
 	if s.journal != nil {
+		s.jw.Flush() // a failed rewrite below still leaves these lines
 		s.journal.Close()
 		s.journal = nil
 	}
@@ -324,9 +341,18 @@ func (s *Store) compactJournal() {
 	if err != nil {
 		return
 	}
+	type stamped struct {
+		seq uint64
+		k   Key
+	}
+	byAge := make([]stamped, 0, len(s.entries))
+	for k, info := range s.entries {
+		byAge = append(byAge, stamped{info.seq, k})
+	}
+	slices.SortFunc(byAge, func(a, b stamped) int { return cmp.Compare(a.seq, b.seq) })
 	w := bufio.NewWriter(f)
-	for _, k := range s.order {
-		fmt.Fprintf(w, "p %s\n", k)
+	for _, e := range byAge {
+		w.Write(appendRecord(w.AvailableBuffer(), 'p', e.k))
 	}
 	if err := w.Flush(); err != nil {
 		f.Close()
@@ -345,8 +371,10 @@ func (s *Store) compactJournal() {
 	if err != nil {
 		return
 	}
-	s.journal = j
-	s.journalLen = len(s.order)
+	// A buffer of whole lines flushes whole lines, so the appends of
+	// handles sharing the directory interleave line by line.
+	s.journal, s.jw = j, bufio.NewWriterSize(j, 64*recordLen)
+	s.journalLen = len(byAge)
 }
 
 // logf appends one journal record, degrading to journalless mode on
@@ -356,7 +384,7 @@ func (s *Store) logf(op byte, k Key) {
 	if s.journal == nil {
 		return
 	}
-	if _, err := fmt.Fprintf(s.journal, "%c %s\n", op, k); err != nil {
+	if _, err := s.jw.Write(appendRecord(s.jw.AvailableBuffer(), op, k)); err != nil {
 		s.journal.Close()
 		s.journal = nil
 		return
@@ -378,27 +406,33 @@ func (s *Store) entryPath(k Key) string {
 // distinguishes "never had it" from "had it and it rotted".
 func (s *Store) Get(k Key) ([]byte, bool, error) {
 	s.mu.Lock()
-	if s.poisoned[k] {
-		s.mu.Unlock()
+	poisoned, seen := s.poisoned[k], s.entries[k]
+	s.mu.Unlock()
+	if poisoned {
 		s.misses.Add(1)
 		return nil, false, nil
 	}
-	s.mu.Unlock()
 
 	f, err := s.fs.OpenFile(s.entryPath(k), os.O_RDONLY, 0)
 	if err != nil {
-		if os.IsNotExist(err) {
-			s.misses.Add(1)
-			s.forget(k)
-			return nil, false, nil
-		}
-		// An open that fails for any other reason (EIO, dead FS) cannot
-		// prove the entry bad, but cannot serve it either: count a miss
-		// and leave the file alone.
+		// A missing file is dropped from the index unless a Put or hit
+		// stamped it since. An open that fails for any other reason (EIO,
+		// dead FS) cannot prove the entry bad, but cannot serve it
+		// either: count a miss and leave the file alone.
 		s.misses.Add(1)
+		if os.IsNotExist(err) {
+			s.mu.Lock()
+			if s.entries[k].seq == seen.seq {
+				s.drop(k)
+			}
+			s.mu.Unlock()
+		}
 		return nil, false, nil
 	}
-	data, rerr := io.ReadAll(f)
+	// Sized from the index, plus ReadFrom's slack at EOF: one allocation.
+	buf := bytes.NewBuffer(make([]byte, 0, seen.size+bytes.MinRead))
+	_, rerr := buf.ReadFrom(f)
+	data := buf.Bytes()
 	f.Close()
 	if rerr != nil {
 		// A read error mid-entry: the bytes cannot be trusted, the
@@ -410,7 +444,7 @@ func (s *Store) Get(k Key) ([]byte, bool, error) {
 		return nil, false, s.quarantine(k, verr)
 	}
 	s.hits.Add(1)
-	s.touch(k, int64(len(data)))
+	s.touch(k, seen.seq, int64(len(data)))
 	return payload, true, nil
 }
 
@@ -466,30 +500,28 @@ func (s *Store) Put(k Key, payload []byte) error {
 		s.putErrors.Add(1)
 		return fmt.Errorf("store: put %s: %w", k.String()[:12], err)
 	}
+	// The rename is the commit point, and it registers the entry in the
+	// same critical section: no eviction removes the file in between.
+	s.mu.Lock()
 	if err := s.fs.Rename(tmp, s.entryPath(k)); err != nil {
+		s.mu.Unlock()
 		s.fs.Remove(tmp)
 		s.putErrors.Add(1)
 		return fmt.Errorf("store: put %s: rename: %w", k.String()[:12], err)
 	}
-	// The rename is the commit point; the directory sync only moves the
-	// durability point. If it fails the entry is still valid now and
-	// either survives the crash or vanishes - both safe.
-	s.fs.SyncDir(s.dir)
-	s.puts.Add(1)
-
-	size := int64(len(payload) + entryOverhead)
-	s.mu.Lock()
 	if _, ok := s.entries[k]; !ok {
-		s.entries[k] = entryInfo{size: size}
+		size := int64(len(payload) + entryOverhead)
 		s.bytes += size
-		s.order = append(s.order, k)
+		s.stamp(k, entryInfo{size: size})
 		s.logf('p', k)
 	}
-	evict := s.collectEvictions()
+	s.evict()
 	s.mu.Unlock()
-	for _, old := range evict {
-		s.fs.Remove(s.entryPath(old))
-	}
+	// The directory sync only moves the durability point. If it fails
+	// the entry is still valid now and either survives the crash or
+	// vanishes - both safe.
+	s.fs.SyncDir(s.dir)
+	s.puts.Add(1)
 	return nil
 }
 
@@ -520,75 +552,60 @@ func (s *Store) writeEntry(path string, payload []byte) error {
 	return f.Close()
 }
 
-// collectEvictions drops LRU index entries beyond the byte budget
-// (always keeping the newest) and returns the keys whose files the
-// caller must remove outside the lock. Called with s.mu held.
-func (s *Store) collectEvictions() []Key {
-	if s.budget <= 0 {
-		return nil
-	}
-	var out []Key
-	for s.bytes > s.budget && len(s.order) > 1 {
-		old := s.order[0]
-		s.order = s.order[1:]
-		s.bytes -= s.entries[old].size
-		delete(s.entries, old)
-		s.logf('d', old)
-		s.evictions.Add(1)
-		out = append(out, old)
-	}
-	return out
-}
-
-// touch refreshes k's recency (registering it if the index did not know
-// it - another process may have committed it). Registration grows the
-// resident set, so it enforces the byte budget exactly like Put does:
-// without that, a handle that only ever reads a shared directory would
-// grow past -store-budget indefinitely between its own Puts. Called
-// without s.mu.
-func (s *Store) touch(k Key, size int64) {
-	s.mu.Lock()
-	if _, ok := s.entries[k]; !ok {
-		s.entries[k] = entryInfo{size: size}
-		s.bytes += size
-	}
-	moved := false
-	for i, ok := range s.order {
-		if ok == k {
-			copy(s.order[i:], s.order[i+1:])
-			s.order[len(s.order)-1] = k
-			moved = true
-			break
+// evict removes least-recently-used entries beyond the byte budget,
+// always keeping the newest. Called with s.mu held, files included, so
+// no Put or hit registers a key between its index and file removal.
+func (s *Store) evict() {
+	for s.budget > 0 && s.bytes > s.budget && len(s.entries) > 1 {
+		var old Key
+		oldest := s.seq + 1
+		for k, info := range s.entries {
+			if info.seq < oldest {
+				old, oldest = k, info.seq
+			}
 		}
-	}
-	if !moved {
-		s.order = append(s.order, k)
-	}
-	s.logf('t', k)
-	evict := s.collectEvictions()
-	s.mu.Unlock()
-	for _, old := range evict {
+		s.drop(old)
+		s.evictions.Add(1)
 		s.fs.Remove(s.entryPath(old))
 	}
 }
 
-// forget drops k from the index (its file is gone). Called without s.mu.
-func (s *Store) forget(k Key) {
+// touch stamps k after a Get read it; seen is the stamp the Get found
+// before reading (0: unknown). A key the index does not know is
+// registered - another process may have committed it - unless the Get
+// knew it (an eviction or quarantine dropped it since) or its file is
+// gone. Registration grows the
+// resident set, so it enforces the byte budget exactly like Put does:
+// without that, a handle that only ever reads a shared directory would
+// grow past -store-budget indefinitely between its own Puts. Called
+// without s.mu.
+func (s *Store) touch(k Key, seen uint64, size int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	info, ok := s.entries[k]
 	if !ok {
-		return
-	}
-	delete(s.entries, k)
-	s.bytes -= info.size
-	for i, ok := range s.order {
-		if ok == k {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
+		if seen != 0 {
+			return
 		}
+		if _, err := s.fs.Stat(s.entryPath(k)); err != nil {
+			return
+		}
+		info.size = size
+		s.bytes += size
 	}
-	s.logf('d', k)
+	s.stamp(k, info)
+	s.logf('t', k)
+	s.evict()
+}
+
+// drop removes k from the index (its file is gone or going). Called
+// with s.mu held.
+func (s *Store) drop(k Key) {
+	if info, ok := s.entries[k]; ok {
+		delete(s.entries, k)
+		s.bytes -= info.size
+		s.logf('d', k)
+	}
 }
 
 // Quarantine moves k's entry aside as corrupt - used by owners whose
@@ -617,7 +634,9 @@ func (s *Store) quarantine(k Key, reason error) error {
 			s.mu.Unlock()
 		}
 	}
-	s.forget(k)
+	s.mu.Lock()
+	s.drop(k)
+	s.mu.Unlock()
 	return fmt.Errorf("store: entry %s: %w: %v", k.String()[:12], pcerr.ErrStoreCorrupt, reason)
 }
 

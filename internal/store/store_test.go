@@ -576,3 +576,149 @@ func TestTwoWriterTempNamesDoNotCollide(t *testing.T) {
 		}
 	}
 }
+
+// TestRecencySurvivesReopen pins recency across a restart: the journal
+// compacted at Close lists keys coldest first, so the reopened store
+// evicts b, the coldest entry before it closed, and keeps a, which a Get
+// refreshed.
+func TestRecencySurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	a, b, c, d := keyN(0), keyN(1), keyN(2), keyN(3)
+	s, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range []Key{a, b, c} {
+		if err := s.Put(k, payloadN(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok, _ := s.Get(a); !ok {
+		t.Fatal("a missing before close")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := mustOpen(t, Options{Dir: dir, Budget: 3 * (110 + int64(entryOverhead))})
+	if err := s2.Put(d, payloadN(3)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, _ := s2.Get(b); ok {
+		t.Fatal("b, coldest before the reopen, survived over budget")
+	}
+	for _, k := range []Key{a, c, d} {
+		if _, ok, _ := s2.Get(k); !ok {
+			t.Fatalf("entry %s evicted in place of b", k.String()[:8])
+		}
+	}
+}
+
+// TestConcurrentHitsUnderBudget races Gets, Puts and re-Puts of a small
+// key space against a budget that keeps evicting, then checks the index
+// against the directory: the resident bytes and entry count are the
+// entry files', and the last committed entry is among them.
+func TestConcurrentHitsUnderBudget(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir, Budget: 5 * (120 + int64(entryOverhead))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < 150; i++ {
+				n := rng.Intn(12)
+				if rng.Intn(3) == 0 {
+					s.Put(keyN(n), payloadN(n))
+				} else if got, ok, err := s.Get(keyN(n)); err != nil || ok && !bytes.Equal(got, payloadN(n)) {
+					t.Errorf("key %d: ok=%v err=%v", n, ok, err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	last := keyN(99)
+	if err := s.Put(last, payloadN(19)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st := s.Stats()
+	if st.Evictions == 0 {
+		t.Fatalf("the budget never evicted: %+v", st)
+	}
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files int
+	var size int64
+	for _, de := range des {
+		if filepath.Ext(de.Name()) != entrySuffix {
+			continue
+		}
+		info, err := de.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		files++
+		size += info.Size()
+	}
+	if st.Bytes != size || st.Entries != files {
+		t.Fatalf("index holds %d entries, %d bytes; directory holds %d files, %d bytes", st.Entries, st.Bytes, files, size)
+	}
+	if _, err := os.Stat(filepath.Join(dir, last.String()+entrySuffix)); err != nil {
+		t.Fatalf("last committed entry not resident: %v", err)
+	}
+}
+
+// BenchmarkStoreGetHit reads resident entries round-robin from stores of
+// two sizes: a hit should cost the file read whatever the entry count.
+func BenchmarkStoreGetHit(b *testing.B) {
+	payload := bytes.Repeat([]byte{0x5a}, 1800)
+	for _, n := range []int{1500, 12000} {
+		b.Run(fmt.Sprintf("entries=%d", n), func(b *testing.B) {
+			// One committed entry, copied under n-1 more keys without an
+			// fsync each: Open registers them all from the directory.
+			dir := b.TempDir()
+			keys := make([]Key, n)
+			for i := range keys {
+				keys[i] = keyN(i)
+			}
+			s, err := Open(Options{Dir: dir})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := s.Put(keys[0], payload); err != nil {
+				b.Fatal(err)
+			}
+			s.Close()
+			ent, err := os.ReadFile(filepath.Join(dir, keys[0].String()+entrySuffix))
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, k := range keys[1:] {
+				if err := os.WriteFile(filepath.Join(dir, k.String()+entrySuffix), ent, 0o644); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if s, err = Open(Options{Dir: dir}); err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			b.SetBytes(int64(len(payload)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, ok, err := s.Get(keys[i*7919%n]); !ok || err != nil {
+					b.Fatalf("get: ok=%v err=%v", ok, err)
+				}
+			}
+		})
+	}
+}

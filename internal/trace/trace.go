@@ -350,14 +350,16 @@ func (g *generator) run() {
 			if redirects {
 				flags |= FlagTaken
 			}
-			ev := Event{PC: bi.BranchAddr, Addr: fi.Blocks[npos].Addr,
+			dyn := len(g.out.Events)
+			g.emit(Event{PC: bi.BranchAddr, Addr: fi.Blocks[npos].Addr,
 				Op: uint8(isa.OpBranch), Flags: flags,
-				DistLoad: NoDist, DistFU: NoDist}
+				DistLoad: NoDist, DistFU: NoDist})
 			if bi.CondUse != 0 {
-				g.use(&ev, bi.CondUse, int64(len(g.out.Events)))
+				// In place: a copy out of a stack event would reload the
+				// bytes use just stored one at a time.
+				g.use(&g.out.Events[dyn], bi.CondUse, int64(dyn))
 				g.out.RegReads++
 			}
-			g.emit(ev)
 			g.out.Branches++
 			if bi.HasJump && !taken {
 				g.emit(Event{PC: bi.JumpAddr, Addr: fi.Blocks[npos].Addr,
@@ -383,13 +385,17 @@ func (g *generator) body(seg []codegen.Uop, pc uint32) int {
 	for i := range seg {
 		u := &seg[i]
 		dyn := int64(n + i)
-		ev := Event{PC: pc + uint32(i*isa.InsnBytes), Op: uint8(u.Op), DistLoad: NoDist, DistFU: NoDist}
+		// Filled in place: building it on the stack and copying it out
+		// would reload bytes use stored one at a time, a load no store
+		// forwards.
+		ev := &out[i]
+		*ev = Event{PC: pc + uint32(i*isa.InsnBytes), Op: uint8(u.Op), DistLoad: NoDist, DistFU: NoDist}
 		if u.Use[0] != 0 {
-			g.use(&ev, u.Use[0], dyn)
+			g.use(ev, u.Use[0], dyn)
 			reads++
 		}
 		if u.Use[1] != 0 {
-			g.use(&ev, u.Use[1], dyn)
+			g.use(ev, u.Use[1], dyn)
 			reads++
 		}
 		switch u.Addr {
@@ -411,7 +417,6 @@ func (g *generator) body(seg []codegen.Uop, pc uint32) int {
 		case codegen.AddrCallee:
 			ev.Addr = u.Base
 			ev.Flags |= FlagTaken
-			out[i] = ev
 			g.out.OpCount[isa.OpCall]++
 			g.out.Events = events[:n+i+1]
 			g.out.RegReads += reads
@@ -422,7 +427,6 @@ func (g *generator) body(seg []codegen.Uop, pc uint32) int {
 			// Pointer chasing: the address depends on the previous load.
 			ev.DistLoad = 1
 		}
-		out[i] = ev
 		if u.Def != 0 {
 			g.sb[u.Def] = sbEntry{idx: dyn, load: u.Op == isa.OpLoad, lat: u.Lat}
 			writes++
