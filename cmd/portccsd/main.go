@@ -23,8 +23,12 @@
 // CI smoke job - can prove the cache is actually shared.
 //
 // The first SIGTERM (or SIGINT) drains gracefully: stop accepting,
-// answer in-flight requests, compact the journal, exit. A second
-// signal hard-stops.
+// answer in-flight requests, exit. A second signal hard-stops.
+//
+// -store-budget is what keeps a long-lived service bounded: every
+// core.Version or dataset.FormatVersion bump leaves the old keys
+// unreachable, and the least recently used entries - by entry-file
+// mtime, which each Put and hit sets - are evicted to make room.
 package main
 
 import (
@@ -47,7 +51,7 @@ func main() {
 	log.SetPrefix("portccsd: ")
 	listen := flag.String("listen", ":7087", "address to serve store clients on")
 	storeDir := flag.String("store", "", "result-store directory to serve (required)")
-	storeBudget := flag.Int64("store-budget", 0, "store size bound in bytes, LRU-evicted (0 = unbounded)")
+	storeBudget := flag.Int64("store-budget", 0, "store size bound in bytes; the least recently used entries, by file mtime, are evicted (0 = unbounded)")
 	heartbeat := flag.Duration("heartbeat", time.Second, "liveness heartbeat period on quiet connections")
 	metricsAddr := flag.String("metrics", "", "serve Prometheus text metrics on this address (empty = off)")
 	flag.Parse()
@@ -113,9 +117,9 @@ func serveMetrics(addr string, sv *store.Service, st *store.Store) {
 		"StorePut requests committed.", svc(func(s store.ServiceStats) float64 { return float64(s.Puts) }))
 	reg.CounterFunc("portccsd_put_errors_total",
 		"StorePut requests the disk refused.", svc(func(s store.ServiceStats) float64 { return float64(s.PutErrors) }))
-	reg.CounterFunc("portccsd_store_entries",
+	reg.GaugeFunc("portccsd_store_entries",
 		"Entries resident in the served store.", stf(func(s store.Stats) float64 { return float64(s.Entries) }))
-	reg.CounterFunc("portccsd_store_bytes",
+	reg.GaugeFunc("portccsd_store_bytes",
 		"Bytes resident in the served store.", stf(func(s store.Stats) float64 { return float64(s.Bytes) }))
 	reg.CounterFunc("portccsd_store_evictions_total",
 		"Budget-driven evictions from the served store.", stf(func(s store.Stats) float64 { return float64(s.Evictions) }))

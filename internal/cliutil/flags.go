@@ -116,7 +116,7 @@ func (f *Flags) RegisterStore() {
 	flag.StringVar(&f.Store, "store", "",
 		"persistent result-store directory for resumable generation (empty = none)")
 	flag.Int64Var(&f.StoreBudget, "store-budget", 0,
-		"result-store size bound in bytes, LRU-evicted (0 = unbounded)")
+		"result-store size bound in bytes; the least recently used entries, by file mtime, are evicted (0 = unbounded)")
 	flag.StringVar(&f.StoreRemote, "store-remote", "",
 		"shared store-service address (host:port of portccsd); combined with -store as a local-then-remote tier, alone as a fleet-only cache")
 }

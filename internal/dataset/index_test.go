@@ -639,7 +639,9 @@ func TestStaleBlockTripsTypedError(t *testing.T) {
 // entry, oldest first. It returns how many were evicted.
 func evictKind(t *testing.T, dir string, keep func(payload []byte) bool) int64 {
 	t.Helper()
-	raw, err := store.Open(store.Options{Dir: dir})
+	// Budgeted far above the store's size, so its hits set the entry
+	// mtimes the bounded reopen reads as recency, and evict nothing.
+	raw, err := store.Open(store.Options{Dir: dir, Budget: 1 << 62})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,7 +114,8 @@ func OpenResultStoreFS(dir string, budget int64, addr string, fs faultfs.FS) (*R
 	return &ResultStore{s: store.NewTiered(local, remote)}, nil
 }
 
-// Close compacts and closes the store's journal.
+// Close releases the store: a remote tier's connection is closed, and a
+// local directory holds nothing open.
 func (rs *ResultStore) Close() error { return rs.s.Close() }
 
 // Stats returns the underlying store's operation ledger, store-global

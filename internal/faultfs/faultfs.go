@@ -24,6 +24,7 @@ import (
 	"os"
 	"sync"
 	"syscall"
+	"time"
 )
 
 // FS is the slice of filesystem behaviour the store needs, narrow
@@ -46,6 +47,8 @@ type FS interface {
 	// renames). Implementations on filesystems without directory sync
 	// return nil.
 	SyncDir(name string) error
+	// Chtimes sets a file's access and modification times.
+	Chtimes(name string, atime, mtime time.Time) error
 }
 
 // File is the open-file surface of FS.
@@ -78,6 +81,9 @@ func (osFS) MkdirAll(name string, perm os.FileMode) error {
 }
 func (osFS) ReadDir(name string) ([]fs.DirEntry, error) { return os.ReadDir(name) }
 func (osFS) Stat(name string) (fs.FileInfo, error)      { return os.Stat(name) }
+func (osFS) Chtimes(name string, atime, mtime time.Time) error {
+	return os.Chtimes(name, atime, mtime)
+}
 
 // SyncDir fsyncs the directory so a completed rename survives a crash.
 // Filesystems that refuse to sync directories (some network and overlay
@@ -254,10 +260,10 @@ func (j *Injector) Remove(name string) error {
 	return j.base.Remove(name)
 }
 
-// MkdirAll, ReadDir, Stat and SyncDir pass through except after a
-// crash: they are not fault targets themselves (the store's correctness
-// argument does not depend on them failing in interesting ways), but a
-// dead FS refuses them like everything else.
+// MkdirAll, ReadDir, Stat, SyncDir and Chtimes pass through except
+// after a crash: they are not fault targets themselves (the store's
+// correctness argument does not depend on them failing in interesting
+// ways), but a dead FS refuses them like everything else.
 func (j *Injector) MkdirAll(name string, perm os.FileMode) error {
 	if j.Crashed() {
 		return ErrCrashed
@@ -284,6 +290,13 @@ func (j *Injector) SyncDir(name string) error {
 		return ErrCrashed
 	}
 	return j.base.SyncDir(name)
+}
+
+func (j *Injector) Chtimes(name string, atime, mtime time.Time) error {
+	if j.Crashed() {
+		return ErrCrashed
+	}
+	return j.base.Chtimes(name, atime, mtime)
 }
 
 // file wraps one open file with the injector's schedule.

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"syscall"
 	"testing"
+	"time"
 )
 
 // TestPassthrough proves a fault-free injector behaves like the OS.
@@ -120,6 +121,33 @@ func TestCrashKillsEverything(t *testing.T) {
 	got, err := os.ReadFile(name)
 	if err != nil || string(got) != "x" {
 		t.Fatalf("post-crash on-disk state %q, %v", got, err)
+	}
+}
+
+// TestChtimesPassesThroughUntilCrash proves Chtimes is no fault target:
+// it sets both times while a schedule is armed, and only a crash refuses
+// it.
+func TestChtimesPassesThroughUntilCrash(t *testing.T) {
+	name := filepath.Join(t.TempDir(), "a")
+	if err := os.WriteFile(name, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j := New(OS(), []Fault{{Op: OpRemove, After: 1, Err: syscall.EIO, Crash: true}})
+	at := time.Unix(1_000_000_000, 0)
+	if err := j.Chtimes(name, at, at); err != nil {
+		t.Fatalf("chtimes: %v", err)
+	}
+	if info, err := os.Stat(name); err != nil || !info.ModTime().Equal(at) {
+		t.Fatalf("mtime after chtimes: %v, %v; want %v", info.ModTime(), err, at)
+	}
+	if j.Fired() != 0 {
+		t.Fatalf("chtimes fired %d faults", j.Fired())
+	}
+	if err := j.Remove(name); !errors.Is(err, syscall.EIO) || !j.Crashed() {
+		t.Fatalf("remove: %v, crashed %v", err, j.Crashed())
+	}
+	if err := j.Chtimes(name, at, at); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("chtimes after crash: %v", err)
 	}
 }
 

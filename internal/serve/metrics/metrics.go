@@ -1,6 +1,6 @@
 // Package metrics is a minimal, dependency-free Prometheus text-format
 // exposition library: counters, labelled counters, gauges, histograms,
-// and callback counters, registered on a Registry that renders the
+// and callback counters and gauges, registered on a Registry that renders the
 // standard exposition format (text/plain; version=0.0.4) on demand.
 //
 // It exists because the repo's north star needs observability surfaces
@@ -199,23 +199,32 @@ func (g *Gauge) write(w io.Writer) {
 	fmt.Fprintf(w, "%s %d\n", g.nameStr, g.v.Load())
 }
 
-// CounterFunc is a counter whose value is read from a callback at
-// render time - the bridge for counters owned elsewhere (for example
-// dataset.Evaluator.Stats).
+// CounterFunc is a value read from a callback at render time - the
+// bridge for counters owned elsewhere (for example
+// dataset.Evaluator.Stats). Registry.GaugeFunc registers the same with
+// the gauge type, for values that can fall.
 type CounterFunc struct {
-	nameStr, helpStr string
-	fn               func() float64
+	nameStr, helpStr, typStr string
+	fn                       func() float64
 }
 
 // CounterFunc registers a callback-backed counter.
 func (r *Registry) CounterFunc(name, help string, fn func() float64) *CounterFunc {
-	c := &CounterFunc{nameStr: name, helpStr: help, fn: fn}
+	c := &CounterFunc{nameStr: name, helpStr: help, typStr: "counter", fn: fn}
+	r.register(c)
+	return c
+}
+
+// GaugeFunc registers a callback-backed gauge: a value owned elsewhere
+// that can fall as well as rise, such as a resident-set size.
+func (r *Registry) GaugeFunc(name, help string, fn func() float64) *CounterFunc {
+	c := &CounterFunc{nameStr: name, helpStr: help, typStr: "gauge", fn: fn}
 	r.register(c)
 	return c
 }
 
 func (c *CounterFunc) name() string { return c.nameStr }
-func (c *CounterFunc) typ() string  { return "counter" }
+func (c *CounterFunc) typ() string  { return c.typStr }
 func (c *CounterFunc) help() string { return c.helpStr }
 func (c *CounterFunc) write(w io.Writer) {
 	fmt.Fprintf(w, "%s %s\n", c.nameStr, formatFloat(c.fn()))

@@ -92,10 +92,24 @@ func TestCounterFunc(t *testing.T) {
 	r := NewRegistry()
 	n := 0.0
 	r.CounterFunc("work_total", "Work.", func() float64 { n++; return n })
-	if body, _ := r.Expose(); !strings.Contains(body, "work_total 1") {
+	if body, _ := r.Expose(); !strings.Contains(body, "# TYPE work_total counter\nwork_total 1") {
 		t.Errorf("first render:\n%s", body)
 	}
 	if body, _ := r.Expose(); !strings.Contains(body, "work_total 2") {
+		t.Error("callback not re-evaluated per render")
+	}
+}
+
+// TestGaugeFunc pins the exported type of a callback value that falls:
+// a scraper that reads "counter" treats every drop as a reset.
+func TestGaugeFunc(t *testing.T) {
+	r := NewRegistry()
+	n := 5.0
+	r.GaugeFunc("resident_entries", "Resident entries.", func() float64 { n -= 2; return n })
+	if body, _ := r.Expose(); !strings.Contains(body, "# TYPE resident_entries gauge\nresident_entries 3") {
+		t.Errorf("first render:\n%s", body)
+	}
+	if body, _ := r.Expose(); !strings.Contains(body, "resident_entries 1") {
 		t.Error("callback not re-evaluated per render")
 	}
 }

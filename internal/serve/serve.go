@@ -232,7 +232,7 @@ func (s *Server) initMetrics() {
 		"Feature-cache miss compute (store lookup or -O3 replay) in seconds.", nil)
 	s.mReloads = r.CounterVec("portccs_model_reloads_total",
 		"Model artifact reload attempts by outcome.", "outcome")
-	r.CounterFunc("portccs_feature_cache_entries",
+	r.GaugeFunc("portccs_feature_cache_entries",
 		"Resident feature-cache entries.", func() float64 { return float64(s.cache.len()) })
 	s.mInFlight = r.Gauge("portccs_inflight", "Predictions currently executing.")
 	s.mQueueDepth = r.Gauge("portccs_queue_depth", "Predictions waiting for an execution slot.")

@@ -1,10 +1,10 @@
 // The multi-writer suite: the package doc promises that entry files are
 // safe to share across processes (commits are atomic renames, reads
-// validate) while the journal may interleave, absorbed by the
-// scan-rebuild at Open. These tests drive two open handles on one
-// directory - the in-process stand-in for two portccd daemons sharing a
-// cache mount - through interleaved Put/Get/evict/quarantine traffic
-// and assert membership correctness after reopen.
+// validate), and they are the store's only state, rebuilt by the scan
+// at Open. These tests drive two open handles on one directory - the
+// in-process stand-in for two portccd daemons sharing a cache mount -
+// through interleaved Put/Get/evict/quarantine traffic and assert
+// membership correctness after reopen.
 package store
 
 import (
@@ -146,52 +146,6 @@ func TestMultiWriterEvictQuarantineInterleave(t *testing.T) {
 	}
 	if st := a.Stats(); st.Corrupt == 0 {
 		t.Fatalf("cross-handle corruption never quarantined: %+v", st)
-	}
-}
-
-// TestMultiWriterJournalInterleave has both handles append to the one
-// shared index.log (puts and touches interleaving at the byte level),
-// then reopens and asserts the journal damage costs recency only:
-// membership and bytes always rebuild from the entry files.
-func TestMultiWriterJournalInterleave(t *testing.T) {
-	dir := t.TempDir()
-	a := mustOpen(t, Options{Dir: dir})
-	b := mustOpen(t, Options{Dir: dir})
-
-	const n = 24
-	var wg sync.WaitGroup
-	for w, s := range []*Store{a, b} {
-		wg.Add(1)
-		go func(w int, s *Store) {
-			defer wg.Done()
-			for i := 0; i < n; i++ {
-				s.Put(keyN(1000+w*n+i), payloadN(i%20))
-				s.Get(keyN(1000 + i)) // touches journal 't' records
-			}
-		}(w, s)
-	}
-	wg.Wait()
-	// Close without compacting cleanly in sequence: a then b, so b's
-	// compaction rewrites the journal from its own (partial) view -
-	// exactly the interleave the scan-rebuild must absorb.
-	a.Close()
-	b.Close()
-
-	c := mustOpen(t, Options{Dir: dir})
-	defer c.Close()
-	if st := c.Stats(); st.Entries != 2*n {
-		t.Fatalf("reopen after journal interleave: %d entries, want %d", st.Entries, 2*n)
-	}
-	for w := 0; w < 2; w++ {
-		for i := 0; i < n; i++ {
-			got, ok, err := c.Get(keyN(1000 + w*n + i))
-			if !ok || err != nil {
-				t.Fatalf("key %d/%d: ok=%v err=%v", w, i, ok, err)
-			}
-			if !bytes.Equal(got, payloadN(i%20)) {
-				t.Fatalf("key %d/%d: wrong bytes", w, i)
-			}
-		}
 	}
 }
 

@@ -19,16 +19,16 @@
 //     the moment it is detected, so it cannot be served twice, and the
 //     caller recomputes the cell.
 //
-//   - The index is a recency journal, advisory only: membership and
-//     sizes are always rebuilt from the entry files themselves at Open,
-//     so a lost, stale or torn journal costs LRU ordering, never
-//     correctness. Appends are buffered and reach the file whole lines
-//     at a time, at compaction and at Close: a crash loses at most the
-//     recency of the hits and Puts since the last flush.
+//   - The entry files are the only state: membership, sizes and ages
+//     are rebuilt from them at Open. There is no index file to lose,
+//     tear or let go stale.
 //
 //   - A byte budget bounds the directory; least-recently-used entries
-//     are evicted at Put time (the newest entry is always kept).
-//     Recency is a per-entry stamp, so a hit costs one map write.
+//     are evicted at Put time and when a hit registers a foreign entry
+//     (the newest entry is always kept). An entry's age is its file's
+//     mtime, which a budgeted store sets on every Put and hit, so
+//     recency survives a restart. An unbudgeted store never evicts:
+//     its hits write nothing and take the lock once.
 //
 //   - Every filesystem operation goes through faultfs.FS, so the whole
 //     discipline is provable under seeded fault schedules: ENOSPC, EIO,
@@ -36,25 +36,22 @@
 //     errors the caller absorbs, never to wrong Get results.
 //
 // A Store is safe for concurrent use within one process. Across
-// processes, entry files are safe to share (commits are atomic renames
-// and reads validate), while the journal may interleave - which the
-// scan-rebuild at Open absorbs by design.
+// processes, entry files are safe to share: commits are atomic renames
+// and reads validate.
 package store
 
 import (
-	"bufio"
 	"bytes"
-	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"portcc/internal/faultfs"
 	"portcc/internal/pcerr"
@@ -79,9 +76,6 @@ const (
 	// writes (removed at Open).
 	entrySuffix = ".ent"
 	tmpPrefix   = ".tmp-"
-	// journalName is the advisory recency journal; recordLen is one line.
-	journalName = "index.log"
-	recordLen   = 2 + 2*len(Key{}) + 1
 	// quarantineDir collects corrupt entries for post-mortem.
 	quarantineDir = "quarantine"
 )
@@ -96,7 +90,7 @@ type Options struct {
 	Dir string
 	// Budget bounds the directory in approximate bytes (committed
 	// entries, headers included); 0 is unbounded. The most recently
-	// written entry is always retained.
+	// used entry is always retained.
 	Budget int64
 	// FS is the filesystem the store runs on; nil means the real OS.
 	// Tests inject faultfs schedules here.
@@ -150,9 +144,11 @@ type Stats struct {
 
 type entryInfo struct {
 	size int64
-	// seq is the recency stamp: the entry with the smallest is the
-	// least recently used.
-	seq uint64
+	// stamp is the recency stamp in Unix nanoseconds: the file's mtime
+	// at Open, the time of its last Put since, or of its last hit in a
+	// budgeted store. The entry with the smallest is the least recently
+	// used.
+	stamp int64
 }
 
 // Store is one open result-store directory.
@@ -165,17 +161,11 @@ type Store struct {
 
 	mu      sync.Mutex
 	entries map[Key]entryInfo
-	seq     uint64 // the last recency stamp handed out
+	last    int64 // the largest recency stamp in the index
 	bytes   int64
 	// poisoned marks keys whose quarantine rename AND removal both
 	// failed (dead FS): never serve them again this session.
-	poisoned map[Key]bool
-	// journal is the open recency log and jw buffers its appends; nil
-	// when appends are unavailable (degraded mode - Open's scan rebuild
-	// covers it).
-	journal     faultfs.File
-	jw          *bufio.Writer
-	journalLen  int
+	poisoned    map[Key]bool
 	tmpSeq      int
 	quarantined int
 	// handle distinguishes this Store from every other open handle in
@@ -188,10 +178,8 @@ type Store struct {
 var handleSeq atomic.Int64
 
 // Open opens (creating if needed) a store directory: orphan temp files
-// from crashed writers are removed, membership and sizes are rebuilt
-// from the entry files, and the journal - if present and readable -
-// contributes recency ordering for the keys it names. A stale or
-// corrupt journal is discarded, never trusted over the scan.
+// from crashed writers are removed, and membership, sizes and recency
+// are rebuilt from the entry files, which Open only reads.
 func Open(o Options) (*Store, error) {
 	if o.Dir == "" {
 		return nil, fmt.Errorf("store: empty directory")
@@ -214,20 +202,17 @@ func Open(o Options) (*Store, error) {
 	if err := s.rebuild(); err != nil {
 		return nil, err
 	}
-	// The journal is advisory: failing to (re)create it leaves the
-	// store fully functional, with recency lost across restarts only.
-	s.compactJournal()
 	return s, nil
 }
 
-// rebuild scans the directory: entry files are authoritative for
-// membership and size, the journal only orders the keys it names.
+// rebuild scans the directory: each entry file gives its key, its size
+// and, through its mtime, its recency stamp. Ties between coarse mtimes
+// are broken on key bytes at eviction.
 func (s *Store) rebuild() error {
 	des, err := s.fs.ReadDir(s.dir)
 	if err != nil {
 		return fmt.Errorf("store: %s: %w", s.dir, err)
 	}
-	var present []Key
 	for _, de := range des {
 		name := de.Name()
 		if strings.HasPrefix(name, tmpPrefix) {
@@ -248,150 +233,26 @@ func (s *Store) rebuild() error {
 		if err != nil {
 			continue
 		}
-		k := Key(raw)
-		s.entries[k] = entryInfo{size: info.Size()}
+		at := info.ModTime().UnixNano()
+		s.entries[Key(raw)] = entryInfo{size: info.Size(), stamp: at}
 		s.bytes += info.Size()
-		present = append(present, k)
-	}
-	// Recency: journal order first (oldest line = coldest), then keys
-	// the journal does not know, warm end, in name order for
-	// determinism.
-	for _, k := range s.readJournal() {
-		if info, ok := s.entries[k]; ok {
-			s.stamp(k, info)
-		}
-	}
-	slices.SortFunc(present, func(a, b Key) int { return strings.Compare(string(a[:]), string(b[:])) })
-	for _, k := range present {
-		if info := s.entries[k]; info.seq == 0 {
-			s.stamp(k, info)
-		}
+		s.last = max(s.last, at)
 	}
 	return nil
 }
 
-// stamp records k as the most recently used entry. Called with s.mu
-// held or before the store is shared.
+// stamp records k as the most recently used entry. Stamps are strictly
+// increasing within a session and above every mtime the rebuild read,
+// so the entry just stamped is never the one evicted. A budgeted store
+// also sets the file's mtime to the stamp; a failure costs recency
+// across a restart, never correctness. Called with s.mu held.
 func (s *Store) stamp(k Key, info entryInfo) {
-	s.seq++
-	info.seq = s.seq
+	s.last = max(time.Now().UnixNano(), s.last+1)
+	info.stamp = s.last
 	s.entries[k] = info
-}
-
-// readJournal returns the journal's key sequence with each key at its
-// last (warmest) position. Unreadable or malformed journals contribute
-// what they can and are otherwise ignored.
-func (s *Store) readJournal() []Key {
-	f, err := s.fs.OpenFile(filepath.Join(s.dir, journalName), os.O_RDONLY, 0)
-	if err != nil {
-		return nil
-	}
-	defer f.Close()
-	last := map[Key]int{}
-	var seq []Key
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := sc.Text()
-		if len(line) < 2 || line[1] != ' ' {
-			continue
-		}
-		raw, err := hex.DecodeString(line[2:])
-		if err != nil || len(raw) != len(Key{}) {
-			continue
-		}
-		k := Key(raw)
-		switch line[0] {
-		case 'p', 't':
-			last[k] = len(seq)
-			seq = append(seq, k)
-		case 'd':
-			delete(last, k)
-		}
-	}
-	out := make([]Key, 0, len(last))
-	for i, k := range seq {
-		// Comma-ok: a deleted key must stay deleted. A bare last[k]
-		// yields the zero value for it, which a 'p' at sequence
-		// position 0 matches, resurrecting the key.
-		if j, ok := last[k]; ok && j == i {
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
-// appendRecord appends one journal line to dst.
-func appendRecord(dst []byte, op byte, k Key) []byte {
-	return append(hex.AppendEncode(append(dst, op, ' '), k[:]), '\n')
-}
-
-// compactJournal rewrites the journal as one "p" line per entry in LRU
-// order (temp + rename, like entries) and reopens it for appending.
-// Any failure leaves the store journalless but fully functional.
-// Called with s.mu held or before the store is shared.
-func (s *Store) compactJournal() {
-	if s.journal != nil {
-		s.jw.Flush() // a failed rewrite below still leaves these lines
-		s.journal.Close()
-		s.journal = nil
-	}
-	path := filepath.Join(s.dir, journalName)
-	tmp := path + ".tmp"
-	f, err := s.fs.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return
-	}
-	type stamped struct {
-		seq uint64
-		k   Key
-	}
-	byAge := make([]stamped, 0, len(s.entries))
-	for k, info := range s.entries {
-		byAge = append(byAge, stamped{info.seq, k})
-	}
-	slices.SortFunc(byAge, func(a, b stamped) int { return cmp.Compare(a.seq, b.seq) })
-	w := bufio.NewWriter(f)
-	for _, e := range byAge {
-		w.Write(appendRecord(w.AvailableBuffer(), 'p', e.k))
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		s.fs.Remove(tmp)
-		return
-	}
-	if err := f.Close(); err != nil {
-		s.fs.Remove(tmp)
-		return
-	}
-	if err := s.fs.Rename(tmp, path); err != nil {
-		s.fs.Remove(tmp)
-		return
-	}
-	j, err := s.fs.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return
-	}
-	// A buffer of whole lines flushes whole lines, so the appends of
-	// handles sharing the directory interleave line by line.
-	s.journal, s.jw = j, bufio.NewWriterSize(j, 64*recordLen)
-	s.journalLen = len(byAge)
-}
-
-// logf appends one journal record, degrading to journalless mode on
-// failure and compacting when the log outgrows its entry set. Called
-// with s.mu held.
-func (s *Store) logf(op byte, k Key) {
-	if s.journal == nil {
-		return
-	}
-	if _, err := s.jw.Write(appendRecord(s.jw.AvailableBuffer(), op, k)); err != nil {
-		s.journal.Close()
-		s.journal = nil
-		return
-	}
-	s.journalLen++
-	if s.journalLen > 64 && s.journalLen > 8*len(s.entries) {
-		s.compactJournal()
+	if s.budget > 0 {
+		at := time.Unix(0, s.last)
+		s.fs.Chtimes(s.entryPath(k), at, at)
 	}
 }
 
@@ -406,7 +267,8 @@ func (s *Store) entryPath(k Key) string {
 // distinguishes "never had it" from "had it and it rotted".
 func (s *Store) Get(k Key) ([]byte, bool, error) {
 	s.mu.Lock()
-	poisoned, seen := s.poisoned[k], s.entries[k]
+	poisoned := s.poisoned[k]
+	seen, known := s.entries[k]
 	s.mu.Unlock()
 	if poisoned {
 		s.misses.Add(1)
@@ -422,7 +284,7 @@ func (s *Store) Get(k Key) ([]byte, bool, error) {
 		s.misses.Add(1)
 		if os.IsNotExist(err) {
 			s.mu.Lock()
-			if s.entries[k].seq == seen.seq {
+			if s.entries[k].stamp == seen.stamp {
 				s.drop(k)
 			}
 			s.mu.Unlock()
@@ -444,7 +306,7 @@ func (s *Store) Get(k Key) ([]byte, bool, error) {
 		return nil, false, s.quarantine(k, verr)
 	}
 	s.hits.Add(1)
-	s.touch(k, seen.seq, int64(len(data)))
+	s.touch(k, known, int64(len(data)))
 	return payload, true, nil
 }
 
@@ -513,7 +375,6 @@ func (s *Store) Put(k Key, payload []byte) error {
 		size := int64(len(payload) + entryOverhead)
 		s.bytes += size
 		s.stamp(k, entryInfo{size: size})
-		s.logf('p', k)
 	}
 	s.evict()
 	s.mu.Unlock()
@@ -553,15 +414,16 @@ func (s *Store) writeEntry(path string, payload []byte) error {
 }
 
 // evict removes least-recently-used entries beyond the byte budget,
-// always keeping the newest. Called with s.mu held, files included, so
+// always keeping the newest. Stamps rebuilt from coarse mtimes can tie;
+// the smaller key goes first. Called with s.mu held, files included, so
 // no Put or hit registers a key between its index and file removal.
 func (s *Store) evict() {
 	for s.budget > 0 && s.bytes > s.budget && len(s.entries) > 1 {
 		var old Key
-		oldest := s.seq + 1
+		oldest := s.last + 1
 		for k, info := range s.entries {
-			if info.seq < oldest {
-				old, oldest = k, info.seq
+			if info.stamp < oldest || info.stamp == oldest && bytes.Compare(k[:], old[:]) < 0 {
+				old, oldest = k, info.stamp
 			}
 		}
 		s.drop(old)
@@ -570,21 +432,24 @@ func (s *Store) evict() {
 	}
 }
 
-// touch stamps k after a Get read it; seen is the stamp the Get found
-// before reading (0: unknown). A key the index does not know is
+// touch records a hit on k; known says whether the Get found k in the
+// index before reading. A known key is restamped only by a budgeted
+// store, the one reader of recency. A key the index does not know is
 // registered - another process may have committed it - unless the Get
 // knew it (an eviction or quarantine dropped it since) or its file is
-// gone. Registration grows the
-// resident set, so it enforces the byte budget exactly like Put does:
-// without that, a handle that only ever reads a shared directory would
-// grow past -store-budget indefinitely between its own Puts. Called
-// without s.mu.
-func (s *Store) touch(k Key, seen uint64, size int64) {
+// gone. Registration grows the resident set, so it enforces the byte
+// budget exactly like Put does: without that, a handle that only ever
+// reads a shared directory would grow past -store-budget indefinitely
+// between its own Puts. Called without s.mu.
+func (s *Store) touch(k Key, known bool, size int64) {
+	if known && s.budget == 0 {
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	info, ok := s.entries[k]
 	if !ok {
-		if seen != 0 {
+		if known {
 			return
 		}
 		if _, err := s.fs.Stat(s.entryPath(k)); err != nil {
@@ -594,7 +459,6 @@ func (s *Store) touch(k Key, seen uint64, size int64) {
 		s.bytes += size
 	}
 	s.stamp(k, info)
-	s.logf('t', k)
 	s.evict()
 }
 
@@ -604,7 +468,6 @@ func (s *Store) drop(k Key) {
 	if info, ok := s.entries[k]; ok {
 		delete(s.entries, k)
 		s.bytes -= info.size
-		s.logf('d', k)
 	}
 }
 
@@ -657,16 +520,6 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// Close compacts and closes the journal. Entries need no flushing -
-// every Put committed before returning.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.compactJournal()
-	if s.journal != nil {
-		err := s.journal.Close()
-		s.journal = nil
-		return err
-	}
-	return nil
-}
+// Close has nothing to flush: every Put committed before returning, and
+// a budgeted store's recency is already in its files' mtimes.
+func (s *Store) Close() error { return nil }

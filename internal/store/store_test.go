@@ -10,6 +10,7 @@ import (
 	"sync"
 	"syscall"
 	"testing"
+	"time"
 
 	"portcc/internal/faultfs"
 	"portcc/internal/pcerr"
@@ -74,47 +75,50 @@ func TestReopenServesEntries(t *testing.T) {
 	}
 }
 
-// TestJournalLossRebuildsFromEntries deletes the index journal between
-// runs: membership must come from the entry files themselves.
-func TestJournalLossRebuildsFromEntries(t *testing.T) {
+// TestStaleJournalIgnored opens a directory in the layout of the builds
+// that kept a recency journal: entry files plus an index.log holding
+// garbage lines, a delete record for a live key and a key with no file.
+// Budgeted or not, the store serves every entry and no phantom, leaves
+// the journal as it found it, and never creates one itself.
+func TestStaleJournalIgnored(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, Options{Dir: dir})
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 3; i++ {
 		if err := s.Put(keyN(i), payloadN(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	s.Get(keyN(0))
 	s.Close()
-	if err := os.Remove(filepath.Join(dir, journalName)); err != nil {
+	journal := filepath.Join(dir, "index.log")
+	if _, err := os.Stat(journal); !os.IsNotExist(err) {
+		t.Fatalf("the store created %s: %v", journal, err)
+	}
+	stale := []byte(fmt.Sprintf("p %s\np %s\nGARBAGE LINE\np not-hex\nt %s\nd %s\n", keyN(0), keyN(99), keyN(2), keyN(1)))
+	if err := os.WriteFile(journal, stale, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s2 := mustOpen(t, Options{Dir: dir})
-	for i := 0; i < 4; i++ {
-		if _, ok, err := s2.Get(keyN(i)); !ok || err != nil {
-			t.Fatalf("entry %d without journal: %v %v", i, ok, err)
+	for round, budget := range []int64{0, 1 << 20} {
+		s2 := mustOpen(t, Options{Dir: dir, Budget: budget})
+		// Each round commits one more entry than the last found.
+		if st := s2.Stats(); st.Entries != 3+round {
+			t.Fatalf("budget %d: reopened with %d entries, want %d", budget, st.Entries, 3+round)
 		}
+		for i := 0; i < 3+round; i++ {
+			if got, ok, err := s2.Get(keyN(i)); !ok || err != nil || !bytes.Equal(got, payloadN(i)) {
+				t.Fatalf("budget %d: entry %d beside a stale journal: %v %v", budget, i, ok, err)
+			}
+		}
+		if _, ok, _ := s2.Get(keyN(99)); ok {
+			t.Fatalf("budget %d: journal-only phantom entry served", budget)
+		}
+		if err := s2.Put(keyN(3+round), payloadN(3+round)); err != nil {
+			t.Fatal(err)
+		}
+		s2.Close()
 	}
-}
-
-// TestStaleJournalIgnored writes a journal naming keys whose files do
-// not exist and omitting keys whose files do: the scan wins both ways.
-func TestStaleJournalIgnored(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, Options{Dir: dir})
-	if err := s.Put(keyN(1), payloadN(1)); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	stale := fmt.Sprintf("p %s\nGARBAGE LINE\np not-hex\n", keyN(99))
-	if err := os.WriteFile(filepath.Join(dir, journalName), []byte(stale), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s2 := mustOpen(t, Options{Dir: dir})
-	if _, ok, err := s2.Get(keyN(1)); !ok || err != nil {
-		t.Fatalf("real entry lost to stale journal: %v %v", ok, err)
-	}
-	if _, ok, _ := s2.Get(keyN(99)); ok {
-		t.Fatal("journal-only phantom entry served")
+	if got, err := os.ReadFile(journal); err != nil || !bytes.Equal(got, stale) {
+		t.Fatalf("the stale journal was touched: %q, %v", got, err)
 	}
 }
 
@@ -293,20 +297,10 @@ func TestPutFaultsDegrade(t *testing.T) {
 			clean.Close()
 			fs := faultfs.New(faultfs.OS(), []faultfs.Fault{f})
 			s := mustOpen(t, Options{Dir: dir, FS: fs})
-			// One Put eats the fault (Open's journal handling may have
-			// consumed open/write budget; fire Puts until one fails or
-			// the schedule is spent).
-			var putErr error
-			for i := 0; i < 4 && putErr == nil && fs.Fired() == 0; i++ {
-				putErr = s.Put(keyN(i), payloadN(i))
-			}
-			if fs.Fired() == 0 {
-				t.Skip("schedule consumed by journal machinery before any Put")
-			}
-			if putErr == nil {
-				// Fault landed on journal/compaction machinery: fine,
-				// that path must degrade silently.
-				return
+			// Open writes nothing, so the first Put meets the fault.
+			putErr := s.Put(keyN(0), payloadN(0))
+			if fs.Fired() != 1 {
+				t.Fatalf("the first Put fired %d faults, want 1", fs.Fired())
 			}
 			if !errors.Is(putErr, f.Err) {
 				t.Fatalf("put error %v does not wrap %v", putErr, f.Err)
@@ -455,42 +449,6 @@ func FuzzEntryCorruption(f *testing.F) {
 	})
 }
 
-// TestJournalDeletedKeyStaysDeleted pins the readJournal comma-ok
-// regression: a key whose 'p' record sits at sequence position 0 and is
-// later deleted must not re-enter the recency order - the bare map read
-// last[k] returns the zero value 0 for a deleted key, which matches
-// position 0 exactly.
-func TestJournalDeletedKeyStaysDeleted(t *testing.T) {
-	dir := t.TempDir()
-	k0, k1 := keyN(0), keyN(1)
-	journal := fmt.Sprintf("p %s\np %s\nd %s\n", k0, k1, k0)
-	if err := os.WriteFile(filepath.Join(dir, journalName), []byte(journal), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s := &Store{dir: dir, fs: faultfs.OS()}
-	got := s.readJournal()
-	if len(got) != 1 || got[0] != k1 {
-		t.Fatalf("readJournal resurrected a deleted key: got %d keys %v, want [%s]", len(got), got, k1)
-	}
-}
-
-// TestJournalDeletedThenReputKey is the positive twin: a delete followed
-// by a fresh 'p' is a live key again, at its new (warmer) position.
-func TestJournalDeletedThenReputKey(t *testing.T) {
-	dir := t.TempDir()
-	k0, k1 := keyN(0), keyN(1)
-	journal := fmt.Sprintf("p %s\nd %s\np %s\np %s\n", k0, k0, k1, k0)
-	if err := os.WriteFile(filepath.Join(dir, journalName), []byte(journal), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s := &Store{dir: dir, fs: faultfs.OS()}
-	got := s.readJournal()
-	want := []Key{k1, k0}
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("readJournal order = %v, want %v", got, want)
-	}
-}
-
 // TestTouchRegistrationEvicts pins the shared-directory budget bug: a
 // handle that only ever reads entries committed by another writer
 // registers them on the Get path (touch), and that registration must
@@ -577,14 +535,15 @@ func TestTwoWriterTempNamesDoNotCollide(t *testing.T) {
 	}
 }
 
-// TestRecencySurvivesReopen pins recency across a restart: the journal
-// compacted at Close lists keys coldest first, so the reopened store
-// evicts b, the coldest entry before it closed, and keeps a, which a Get
-// refreshed.
+// TestRecencySurvivesReopen pins recency across a restart: a budgeted
+// store sets each entry's mtime to its stamp on Put and on a hit, so the
+// reopened store evicts b, the coldest entry before it closed, and keeps
+// a, the first written, which a Get refreshed.
 func TestRecencySurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	a, b, c, d := keyN(0), keyN(1), keyN(2), keyN(3)
-	s, err := Open(Options{Dir: dir})
+	budget := 3 * (110 + int64(entryOverhead))
+	s, err := Open(Options{Dir: dir, Budget: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -600,7 +559,7 @@ func TestRecencySurvivesReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2 := mustOpen(t, Options{Dir: dir, Budget: 3 * (110 + int64(entryOverhead))})
+	s2 := mustOpen(t, Options{Dir: dir, Budget: budget})
 	if err := s2.Put(d, payloadN(3)); err != nil {
 		t.Fatal(err)
 	}
@@ -610,6 +569,72 @@ func TestRecencySurvivesReopen(t *testing.T) {
 	for _, k := range []Key{a, c, d} {
 		if _, ok, _ := s2.Get(k); !ok {
 			t.Fatalf("entry %s evicted in place of b", k.String()[:8])
+		}
+	}
+}
+
+// TestOnlyBudgetedHitsSetMtime pins the hit path's write: a hit on a
+// budgeted store moves the entry file's mtime, a hit on an unbudgeted
+// store, which never reads recency, leaves the file alone.
+func TestOnlyBudgetedHitsSetMtime(t *testing.T) {
+	for _, budget := range []int64{0, 1 << 20} {
+		dir := t.TempDir()
+		s := mustOpen(t, Options{Dir: dir, Budget: budget})
+		if err := s.Put(keyN(0), payloadN(0)); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, keyN(0).String()+entrySuffix)
+		old := time.Unix(1_000_000_000, 0)
+		if err := os.Chtimes(path, old, old); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := s.Get(keyN(0)); !ok || err != nil {
+			t.Fatalf("budget %d: get: %v %v", budget, ok, err)
+		}
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if moved := !info.ModTime().Equal(old); moved != (budget > 0) {
+			t.Fatalf("budget %d: a hit moved the mtime: %v, want %v", budget, moved, budget > 0)
+		}
+	}
+}
+
+// TestEvictionTiesBreakOnKey rebuilds entries whose mtimes tie, as a
+// coarse filesystem clock leaves them: eviction takes the smallest key
+// first, whatever order the directory lists them in. The tie is an hour
+// ahead, as if the clock was stepped back since: the entry just put must
+// still count as the newest.
+func TestEvictionTiesBreakOnKey(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, Options{Dir: dir})
+	const n = 6
+	smallest := keyN(0)
+	at := time.Now().Add(time.Hour).Truncate(time.Second)
+	for i := 0; i < n; i++ {
+		if err := s.Put(keyN(i), bytes.Repeat([]byte{byte(i)}, 100)); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Chtimes(filepath.Join(dir, keyN(i).String()+entrySuffix), at, at); err != nil {
+			t.Fatal(err)
+		}
+		if k := keyN(i); bytes.Compare(k[:], smallest[:]) < 0 {
+			smallest = k
+		}
+	}
+	s.Close()
+
+	s2 := mustOpen(t, Options{Dir: dir, Budget: n * (100 + int64(entryOverhead))})
+	if err := s2.Put(keyN(n), bytes.Repeat([]byte{n}, 100)); err != nil {
+		t.Fatal(err)
+	}
+	if st := s2.Stats(); st.Evictions != 1 {
+		t.Fatalf("%d evictions, want 1", st.Evictions)
+	}
+	for i := 0; i <= n; i++ {
+		if _, ok, _ := s2.Get(keyN(i)); ok == (keyN(i) == smallest) {
+			t.Fatalf("key %d resident=%v; the smallest tied key is the one to go", i, ok)
 		}
 	}
 }
@@ -680,12 +705,24 @@ func TestConcurrentHitsUnderBudget(t *testing.T) {
 
 // BenchmarkStoreGetHit reads resident entries round-robin from stores of
 // two sizes: a hit should cost the file read whatever the entry count.
+// The budgeted case sets a budget above the store's size, so every hit
+// also sets its file's mtime and nothing is evicted.
 func BenchmarkStoreGetHit(b *testing.B) {
 	payload := bytes.Repeat([]byte{0x5a}, 1800)
-	for _, n := range []int{1500, 12000} {
-		b.Run(fmt.Sprintf("entries=%d", n), func(b *testing.B) {
+	for _, c := range []struct {
+		n        int
+		budgeted bool
+	}{{1500, false}, {12000, false}, {1500, true}} {
+		name := fmt.Sprintf("entries=%d", c.n)
+		var budget int64
+		if c.budgeted {
+			name += ",budgeted"
+			budget = 2 * int64(c.n*(len(payload)+entryOverhead))
+		}
+		b.Run(name, func(b *testing.B) {
 			// One committed entry, copied under n-1 more keys without an
 			// fsync each: Open registers them all from the directory.
+			n := c.n
 			dir := b.TempDir()
 			keys := make([]Key, n)
 			for i := range keys {
@@ -708,7 +745,7 @@ func BenchmarkStoreGetHit(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			if s, err = Open(Options{Dir: dir}); err != nil {
+			if s, err = Open(Options{Dir: dir, Budget: budget}); err != nil {
 				b.Fatal(err)
 			}
 			defer s.Close()
@@ -718,6 +755,10 @@ func BenchmarkStoreGetHit(b *testing.B) {
 				if _, ok, err := s.Get(keys[i*7919%n]); !ok || err != nil {
 					b.Fatalf("get: ok=%v err=%v", ok, err)
 				}
+			}
+			b.StopTimer()
+			if st := s.Stats(); st.Evictions != 0 {
+				b.Fatalf("%d evictions under a budget above the store's size", st.Evictions)
 			}
 		})
 	}
