@@ -3,7 +3,7 @@
 // binary replayed over the job's whole architecture sample - shipped by
 // a sharded coordinator (trainer -shards, expgen -shards, or any Session
 // with WithShards), executing them on this machine's worker pool and
-// streaming the results back over gob/TCP.
+// streaming the results back as bounded wire frames over TCP.
 //
 // Usage:
 //
@@ -27,7 +27,8 @@
 //
 // The wire handshake carries the protocol and dataset schema versions,
 // so a coordinator built against a different schema is refused with a
-// typed error instead of gob decode noise. Quiet connections carry
+// typed error instead of decode noise, and a peer whose bytes are not
+// legal frames (over the frame cap, or malformed) is dropped with one. Quiet connections carry
 // heartbeats; a coordinator that misses a few treats this shard as dead,
 // requeues its cells elsewhere, and redials this address with backoff -
 // a restarted daemon rejoins the same run and picks up fresh work.

@@ -6,7 +6,7 @@
 // printed per completed grid cell and Ctrl-C cancels cleanly.
 //
 // With -shards the grid's work cells are shipped to portccd worker
-// daemons over gob/TCP instead of the local pool; the written dataset is
+// daemons over TCP instead of the local pool; the written dataset is
 // bit-identical either way, including when a shard dies mid-run (its
 // cells requeue onto the survivors while the coordinator redials it
 // with backoff - tune with -shard-retries and -shard-backoff).

@@ -29,6 +29,10 @@ var (
 	// ErrWireVersion reports a portccd worker shard speaking an
 	// incompatible coordinator/worker wire protocol version.
 	ErrWireVersion = pcerr.ErrWireVersion
+	// ErrWireFrame reports a worker shard or store service whose bytes
+	// are not a legal wire frame (oversize, unknown kind, or a body that
+	// does not decode); the connection is dropped like a dead one.
+	ErrWireFrame = pcerr.ErrWireFrame
 	// ErrOverloaded reports a prediction server (internal/serve, served
 	// by cmd/portccs) shedding load: the bounded request queue was full,
 	// the request was refused before any work started (HTTP 429 with a

@@ -16,7 +16,8 @@ type (
 	ExploreRequest = dataset.ExploreRequest
 	// ExploreResult is one completed work cell, locating itself in the
 	// request grid via ProgIndex/OptIndex, with one result per
-	// architecture of the request in order. Serialisable like the request.
+	// architecture of the request in order. Shards stream it back in its
+	// own fixed-width codec (AppendWire).
 	ExploreResult = dataset.ExploreResult
 )
 
@@ -37,8 +38,8 @@ type (
 // the session's workload scale is used.
 //
 // Explore is the engine GenerateDataset and cmd/expgen run on. With
-// WithShards the cells ship to portccd worker daemons over gob/TCP
-// (dead shards requeue onto survivors) and the stream is bit-identical
+// WithShards the cells ship to portccd worker daemons over TCP (dead
+// shards requeue onto survivors) and the stream is bit-identical
 // to a local run; without it they fan over the in-process pool.
 func (s *Session) Explore(ctx context.Context, req ExploreRequest) iter.Seq2[ExploreResult, error] {
 	if req.Eval == (dataset.EvalConfig{}) {

@@ -2,9 +2,11 @@ package dataset
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"iter"
+	"math"
 	"sync"
 	"time"
 
@@ -17,11 +19,11 @@ import (
 	"portcc/internal/uarch"
 )
 
-// Exploration work units cross shard boundaries as interface-typed wire
-// frame payloads; gob needs the concrete types registered.
+// The exploration request crosses shard boundaries as the interface-typed
+// spec of a gob-encoded Job frame; gob needs the concrete type registered.
+// Results cross with their own codec (AppendWire, decodeWire).
 func init() {
 	gob.Register(ExploreRequest{})
-	gob.Register(ExploreResult{})
 }
 
 // ExploreRequest is a serialisable (gob) description of a design-space
@@ -96,8 +98,8 @@ func (r *ExploreRequest) Cells() int {
 
 // ExploreResult is one completed work cell: the program compiled under one
 // optimisation setting, replayed over the request's architecture sample.
-// Like the request it is a plain serialisable value, so shards stream
-// results back over the wire.
+// Shards stream results back over the wire in AppendWire's layout, and
+// the coordinator rebuilds them against its request (decodeWire).
 type ExploreResult struct {
 	// ProgIndex and OptIndex locate the cell in the request grid;
 	// Results[i] belongs to Archs[i].
@@ -110,6 +112,58 @@ type ExploreResult struct {
 	Runs int
 	// Results holds the per-architecture counters, in Archs order.
 	Results []cpu.Result
+}
+
+// wireHead is AppendWire's fixed part: ProgIndex, OptIndex and Runs.
+const wireHead = 3 * 8
+
+// AppendWire implements wire.Appender: ProgIndex, OptIndex and Runs as
+// little-endian u64s, then Results in the result store's counter codec
+// (appendResults). Program, Config and each Result.Config are echoes of
+// the request, which the receiving side already holds, so they stay off
+// the wire.
+func (r ExploreResult) AppendWire(b []byte) []byte {
+	le := binary.LittleEndian.AppendUint64
+	b = le(b, uint64(r.ProgIndex))
+	b = le(b, uint64(r.OptIndex))
+	b = le(b, uint64(r.Runs))
+	return appendResults(b, r.Results)
+}
+
+// decodeWire rebuilds the result of cell index from the bytes a shard
+// sent in AppendWire's layout. The grid position must be that cell's,
+// the run count positive and the counters one per architecture of the
+// sample; Program, Config and each Result.Config come from the request.
+// Anything else fails with pcerr.ErrShardFailure.
+func (r *ExploreRequest) decodeWire(index int, b []byte) (ExploreResult, error) {
+	if index < 0 || index >= r.Cells() {
+		return ExploreResult{}, fmt.Errorf("dataset: %w: result for cell %d of a %d-cell grid", pcerr.ErrShardFailure, index, r.Cells())
+	}
+	if len(b) < wireHead {
+		return ExploreResult{}, fmt.Errorf("dataset: %w: cell %d: %d-byte result", pcerr.ErrShardFailure, index, len(b))
+	}
+	c := r.cell(index)
+	u := binary.LittleEndian.Uint64
+	if p, o := u(b), u(b[8:]); p != uint64(c.prog) || o != uint64(c.opt) {
+		return ExploreResult{}, fmt.Errorf("dataset: %w: cell %d is (program %d, setting %d), its result names (%d, %d)",
+			pcerr.ErrShardFailure, index, c.prog, c.opt, p, o)
+	}
+	runs := u(b[16:])
+	if runs < 1 || runs > math.MaxInt32 {
+		return ExploreResult{}, fmt.Errorf("dataset: %w: cell %d: run count %d", pcerr.ErrShardFailure, index, runs)
+	}
+	results, err := decodeResults(b[wireHead:], r.Archs)
+	if err != nil {
+		return ExploreResult{}, fmt.Errorf("dataset: %w: cell %d: %v", pcerr.ErrShardFailure, index, err)
+	}
+	return ExploreResult{
+		ProgIndex: c.prog,
+		OptIndex:  c.opt,
+		Program:   r.Programs[c.prog],
+		Config:    r.Opts[c.opt],
+		Runs:      int(runs),
+		Results:   results,
+	}, nil
 }
 
 // ExploreOptions carries the execution (not work-unit) parameters of an
@@ -304,7 +358,8 @@ func ServeConfigStore(workers, sweepWorkers int, heartbeat time.Duration, st *Re
 // exploration engine: Generate, the portcc Session facade and the
 // experiment drivers all sit on top of it. Without Shards the cells fan
 // over the in-process worker pool; with Shards they ship to portccd
-// worker daemons over gob/TCP, with identical semantics and a merged
+// worker daemons as wire frames over TCP (the request once, gob-encoded;
+// each result in its own codec), with identical semantics and a merged
 // stream bit-identical to the local run.
 //
 // Semantics:
@@ -343,7 +398,8 @@ func Explore(ctx context.Context, req ExploreRequest, o ExploreOptions) iter.Seq
 		defer cancel()
 		results := make(chan ExploreResult)
 
-		job := sched.Job{Spec: req, Cells: total, Format: FormatVersion}
+		job := sched.Job{Spec: req, Cells: total, Format: FormatVersion,
+			Decode: func(index int, b []byte) (any, error) { return req.decodeWire(index, b) }}
 		if len(o.Shards) == 0 {
 			// Remote execution never runs cells coordinator-side; the
 			// evaluator pool exists only on the local path, so sharded

@@ -208,8 +208,13 @@ func decodeBlock(payload []byte, n int) (runs int, fps []codegen.Fingerprint, er
 // bits, all little-endian. Result.Config is not stored - it is an echo
 // of the key's architecture slice, reconstructed on decode.
 func encodeResults(results []cpu.Result) []byte {
+	return appendResults(make([]byte, 0, 8+len(results)*(resultFields+1)*8), results)
+}
+
+// appendResults appends encodeResults' payload to out.
+func appendResults(out []byte, results []cpu.Result) []byte {
 	le := binary.LittleEndian.AppendUint64
-	out := le(make([]byte, 0, 8+len(results)*(resultFields+1)*8), uint64(len(results)))
+	out = le(out, uint64(len(results)))
 	for i := range results {
 		r := &results[i]
 		for _, v := range []uint64{

@@ -19,6 +19,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -30,8 +31,10 @@ type Fault struct {
 	// handshake that dies.
 	AcceptReset bool
 	// CloseAfterReads kills the connection after that many successful
-	// Read calls (0 = never). One gob frame is one or more reads, so
-	// small counts die inside the handshake and larger ones mid-run.
+	// Read calls (0 = never). The wire reads through a buffer, so one
+	// Read may carry several frames or part of one: a count names no
+	// frame, but small counts die inside the handshake and larger ones
+	// mid-run.
 	CloseAfterReads int
 	// CloseAfterWrites kills the connection after that many successful
 	// Write calls (0 = never).
@@ -87,6 +90,22 @@ type Listener struct {
 
 	mu    sync.Mutex
 	conns int
+
+	resets, reads, writes atomic.Int64
+}
+
+// Fired counts the faults that actually struck a listener's
+// connections: a scheduled fault whose connection ended first never
+// fires, so a chaos test reads these to know its schedule ran.
+type Fired struct {
+	// Resets, Reads and Writes count connections killed on accept, by
+	// an exhausted read budget and by an exhausted write budget.
+	Resets, Reads, Writes int
+}
+
+// Fired returns the faults struck so far.
+func (l *Listener) Fired() Fired {
+	return Fired{Resets: int(l.resets.Load()), Reads: int(l.reads.Load()), Writes: int(l.writes.Load())}
 }
 
 // Wrap returns ln with the fault plan applied per accepted connection.
@@ -120,8 +139,9 @@ func (l *Listener) Accept() (net.Conn, error) {
 	if l.plan != nil {
 		f = l.plan(n)
 	}
-	fc := &Conn{Conn: nc, fault: f}
+	fc := &Conn{Conn: nc, fault: f, ln: l}
 	if f.AcceptReset {
+		l.resets.Add(1)
 		fc.kill()
 	}
 	return fc, nil
@@ -134,6 +154,7 @@ func (l *Listener) Accept() (net.Conn, error) {
 type Conn struct {
 	net.Conn
 	fault Fault
+	ln    *Listener
 
 	mu     sync.Mutex
 	reads  int
@@ -161,6 +182,7 @@ func (c *Conn) Read(b []byte) (int, error) {
 	exhausted := c.fault.CloseAfterReads > 0 && c.reads >= c.fault.CloseAfterReads
 	c.mu.Unlock()
 	if exhausted {
+		c.ln.reads.Add(1)
 		c.kill()
 		return 0, net.ErrClosed
 	}
@@ -187,6 +209,7 @@ func (c *Conn) Write(b []byte) (int, error) {
 	exhausted := c.fault.CloseAfterWrites > 0 && c.writes >= c.fault.CloseAfterWrites
 	c.mu.Unlock()
 	if exhausted {
+		c.ln.writes.Add(1)
 		if c.fault.MidWrite && len(b) > 1 {
 			c.Conn.Write(b[:len(b)/2])
 		}

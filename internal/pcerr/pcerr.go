@@ -28,6 +28,11 @@ var (
 	// ErrWireVersion reports a worker shard speaking an incompatible
 	// coordinator/worker wire protocol version.
 	ErrWireVersion = errors.New("wire protocol version mismatch")
+	// ErrWireFrame reports bytes from a wire peer that are not a legal
+	// frame: a length over the frame cap, an unknown kind, or a body
+	// that does not decode to its kind's layout. The connection that
+	// carried it is dropped; nothing from it is trusted.
+	ErrWireFrame = errors.New("malformed wire frame")
 	// ErrOverloaded reports a prediction server shedding load: admission
 	// control found the bounded request queue full. The request was
 	// refused before any work started; retry after the advertised delay.

@@ -52,22 +52,30 @@ func chaosServeConfig(workers int, hb time.Duration) ServeConfig {
 // startChaosShard serves chaosSpec jobs on a loopback listener wrapped
 // with the given fault plan, returning the dial address.
 func startChaosShard(t *testing.T, cfg ServeConfig, plan faultnet.Plan) string {
+	addr, _ := startChaosShardLn(t, cfg, plan)
+	return addr
+}
+
+// startChaosShardLn is startChaosShard that also returns the faulted
+// listener, whose Fired count tells which faults struck.
+func startChaosShardLn(t *testing.T, cfg ServeConfig, plan faultnet.Plan) (string, *faultnet.Listener) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	fln := faultnet.Wrap(ln, plan)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		Serve(ctx, faultnet.Wrap(ln, plan), cfg)
+		Serve(ctx, fln, cfg)
 	}()
 	t.Cleanup(func() {
 		cancel()
 		<-done
 	})
-	return ln.Addr().String()
+	return ln.Addr().String(), fln
 }
 
 // collector gathers emitted cells, guarding against double emission.
@@ -129,13 +137,32 @@ func fastRetry(seed int64) RetryPolicy {
 // schedule heals after its faulted prefix, so with a retry budget
 // deeper than the prefix each run must end with the full grid emitted
 // exactly once and byte-equivalent to the local ground truth - or, if
-// it fails at all, with a correctly-typed error.
+// it fails at all, with a correctly-typed error. The schedules must
+// actually strike: the worker reads through a buffer, so a read budget
+// counts reads, not frames, and the matrix checks that read faults
+// still fire.
 func TestChaosMatrix(t *testing.T) {
 	const cells = 40
+	var mu sync.Mutex
+	var fired faultnet.Fired
+	t.Cleanup(func() {
+		t.Logf("faults struck over the matrix: %+v", fired)
+		if fired.Reads == 0 {
+			t.Error("no read fault struck: the schedules no longer reach the worker's reads")
+		}
+	})
 	for seed := int64(0); seed < 10; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			addr := startChaosShard(t, chaosServeConfig(2, 20*time.Millisecond), faultnet.Seeded(seed, 6))
+			addr, fln := startChaosShardLn(t, chaosServeConfig(2, 20*time.Millisecond), faultnet.Seeded(seed, 6))
+			t.Cleanup(func() {
+				mu.Lock()
+				defer mu.Unlock()
+				f := fln.Fired()
+				fired.Resets += f.Resets
+				fired.Reads += f.Reads
+				fired.Writes += f.Writes
+			})
 			r := &Remote{Addrs: []string{addr}, DialTimeout: 2 * time.Second, Retry: fastRetry(seed)}
 			col := newCollector()
 			done, err := r.Execute(context.Background(), Job{Spec: chaosSpec{PanicAt: -1}, Cells: cells, Format: 1}, col.emit)

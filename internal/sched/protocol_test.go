@@ -2,8 +2,11 @@ package sched
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"io"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -162,5 +165,131 @@ func TestUnexpectedFrameIsPermanent(t *testing.T) {
 	}
 	if n := dials.Load(); n > 1 {
 		t.Fatalf("protocol violation was redialled %d times, want permanent failure on the first", n)
+	}
+}
+
+// errForeignCell is the Decode rejection of TestDecodeErrorIsPermanent.
+var errForeignCell = errors.New("result names another cell")
+
+// rawServeConfig is a worker whose payloads carry their own codec: cell
+// i answers the one byte i, which crosses as wire.Raw.
+func rawServeConfig() ServeConfig {
+	return ServeConfig{
+		Format:    1,
+		Workers:   1,
+		Heartbeat: 50 * time.Millisecond,
+		NewRun: func(any) (func(slot, index int) (any, error), error) {
+			return func(_, index int) (any, error) { return wire.Raw{byte(index)}, nil }, nil
+		},
+	}
+}
+
+// TestDecodeErrorIsPermanent: the coordinator hands a codec'd payload to
+// the job's Decode and emits what it returns; a Decode error ends the
+// connection as a permanent shard failure - no redial - wrapping the
+// decoder's error.
+func TestDecodeErrorIsPermanent(t *testing.T) {
+	addr, fln := startChaosShardLn(t, rawServeConfig(), nil)
+	retry := RetryPolicy{MaxAttempts: 50, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond}
+	r := &Remote{Addrs: []string{addr}, DialTimeout: time.Second, Retry: retry}
+
+	col := newCollector()
+	job := Job{Spec: chaosSpec{}, Cells: 6, Format: 1,
+		Decode: func(index int, b []byte) (any, error) { return chaosPayload(int(b[0])), nil }}
+	if done, err := r.Execute(context.Background(), job, col.emit); err != nil || done != 6 {
+		t.Fatalf("decoding run: done=%d err=%v", done, err)
+	}
+	col.verify(t, 6)
+
+	job.Decode = func(index int, b []byte) (any, error) {
+		if index == 4 {
+			return nil, errForeignCell
+		}
+		return chaosPayload(int(b[0])), nil
+	}
+	before := fln.Accepted()
+	_, err := r.Execute(context.Background(), job, func(int, any) {})
+	if !errors.Is(err, pcerr.ErrShardFailure) || !errors.Is(err, errForeignCell) {
+		t.Fatalf("got %v, want ErrShardFailure wrapping the decode error", err)
+	}
+	if n := fln.Accepted() - before; n != 1 {
+		t.Fatalf("a result Decode refused was redialled: %d connections, want 1", n)
+	}
+}
+
+// oversizeShard is a scripted daemon that handshakes and takes the job,
+// then answers its first assignment with a header claiming a 1 GiB
+// frame. It calls assigned for every assignment it receives.
+func oversizeShard(t *testing.T, assigned func()) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func(nc net.Conn) {
+				defer nc.Close()
+				conn := wire.NewConn(nc)
+				if err := conn.ServerHello(1, 50*time.Millisecond); err != nil {
+					return
+				}
+				if f, err := conn.Recv(); err != nil || f.Job == nil {
+					return
+				}
+				if f, err := conn.Recv(); err != nil || f.Assign == nil {
+					return
+				}
+				assigned()
+				nc.Write(binary.BigEndian.AppendUint32(nil, 1<<30))
+				nc.Write([]byte{5})
+				io.Copy(io.Discard, nc) // until the coordinator hangs up
+			}(nc)
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestOversizeFrameRequeues: a shard that claims a 1 GiB frame is
+// dropped like a dead one - the claim is refused before any body is
+// read - and the cells it held requeue onto the healthy shard, which
+// completes the grid.
+func TestOversizeFrameRequeues(t *testing.T) {
+	// The healthy shard holds its cells until the oversize one has been
+	// assigned some, so there is always something to requeue.
+	gate := make(chan struct{})
+	var once sync.Once
+	bad := oversizeShard(t, func() { once.Do(func() { close(gate) }) })
+	cfg := chaosServeConfig(1, 50*time.Millisecond)
+	newRun := cfg.NewRun
+	cfg.NewRun = func(spec any) (func(slot, index int) (any, error), error) {
+		run, err := newRun(spec)
+		return func(slot, index int) (any, error) {
+			select {
+			case <-gate:
+			case <-time.After(5 * time.Second):
+			}
+			return run(slot, index)
+		}, err
+	}
+	good := startChaosShard(t, cfg, nil)
+	r := &Remote{Addrs: []string{bad, good}, DialTimeout: time.Second,
+		Retry: RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond}}
+	const cells = 40
+	col := newCollector()
+	done, err := r.Execute(context.Background(), Job{Spec: chaosSpec{PanicAt: -1}, Cells: cells, Format: 1}, col.emit)
+	if err != nil || done != cells {
+		t.Fatalf("done=%d err=%v, want the healthy shard to finish the grid", done, err)
+	}
+	col.verify(t, cells)
+	select {
+	case <-gate:
+	default:
+		t.Fatal("the oversize shard was never assigned cells: nothing was requeued")
 	}
 }

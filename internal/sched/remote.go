@@ -1,5 +1,5 @@
-// The remote executor: cells ship to portccd worker shards as gob frames
-// over TCP. Each shard connection is one goroutine that repeatedly takes
+// The remote executor: cells ship to portccd worker shards as wire
+// frames over TCP. Each shard connection is one goroutine that repeatedly takes
 // a chunk of the lowest pending cell indices from a shared dispenser,
 // assigns it, and streams the results back. A connection that dies (dial
 // failure, version mismatch, connection error, missed heartbeats) has
@@ -196,7 +196,9 @@ func (r *Remote) shardLoop(ctx context.Context, st *remoteState, pol RetryPolicy
 
 // permanentShardErr reports errors no redial can fix: a shard built
 // against another protocol or dataset schema, a refused job, or a peer
-// that violated the frame protocol after a successful handshake.
+// that violated the exchange after a successful handshake (an unexpected
+// frame kind, a result its job's Decode rejects). A malformed frame is
+// not on the list: like a torn one, it ends only its connection.
 func permanentShardErr(err error) bool {
 	var pe *permanentError
 	return errors.As(err, &pe) ||
@@ -275,10 +277,16 @@ func (r *Remote) serveShard(ctx context.Context, st *remoteState, addr string, j
 				// (or already resolved) is dropped: emitting it would
 				// double-count the cell and corrupt the grid.
 				if outstanding[f.Result.Index] {
+					payload := f.Result.Payload
+					if raw, ok := payload.(wire.Raw); ok && job.Decode != nil {
+						if payload, err = job.Decode(f.Result.Index, raw); err != nil {
+							return lost(), progressed, &permanentError{fmt.Errorf("sched: shard %s: cell %d: %w", addr, f.Result.Index, err)}
+						}
+					}
 					delete(outstanding, f.Result.Index)
 					progressed = true
 					st.complete()
-					emit(f.Result.Index, f.Result.Payload)
+					emit(f.Result.Index, payload)
 				}
 			case f.CellError != nil:
 				if outstanding[f.CellError.Index] {

@@ -3,9 +3,12 @@
 // Executor schedules them - in-process over a bounded worker pool
 // (Local), or sharded over TCP to worker daemons (Remote), with Serve
 // providing the daemon-side serve loop. The package is transport
-// machinery only: it never inspects job specs or cell payloads, which
-// cross shard boundaries as gob-registered interface values, so any
-// embarrassingly parallel grid with serialisable work units can ride it.
+// machinery only: it never inspects job specs or cell payloads. Specs
+// cross shard boundaries as gob-registered interface values; a payload
+// crosses as its own bytes when it implements wire.Appender, decoded by
+// the job's Decode, and as a gob-registered interface value otherwise.
+// So any embarrassingly parallel grid with serialisable work units can
+// ride it.
 //
 // Every executor honours the same deterministic error contract,
 // inherited from the in-process pool it generalises: dispatch is in cell
@@ -25,9 +28,10 @@ import (
 // Job is one schedulable grid of cells.
 type Job struct {
 	// Spec is the serialisable description of the whole grid, shipped
-	// once per shard connection so a remote worker can execute any cell.
-	// Local execution never touches it. The concrete type must be
-	// registered with encoding/gob by the application layer.
+	// once per shard connection, in the one gob-encoded Job frame, so a
+	// remote worker can execute any cell. Local execution never touches
+	// it. The concrete type must be registered with encoding/gob by the
+	// application layer.
 	Spec any
 	// Cells is the number of work cells in the grid; cell indices run
 	// [0, Cells).
@@ -41,6 +45,15 @@ type Job struct {
 	// Remote) call it with slot in [0, Workers(workers, n)); at most one
 	// cell runs on a slot at a time, so per-slot state needs no locking.
 	Run func(slot, index int) (any, error)
+	// Decode turns the bytes of a payload that crossed the wire with its
+	// own codec (one implementing wire.Appender on the worker) back into
+	// the payload Run returned for cell index. The bytes belong to the
+	// result, so the payload may keep them. An error means the shard sent
+	// something that is not that cell's result: the connection ends as a
+	// permanent shard failure and its unresolved cells requeue onto the
+	// other shards. Without Decode, such payloads are emitted as
+	// wire.Raw; local execution never calls it.
+	Decode func(index int, b []byte) (any, error)
 }
 
 // Executor schedules a job's cells, delivering each completed cell

@@ -8,6 +8,7 @@ package store
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"io"
 	"net"
 	"sync"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"portcc/internal/faultnet"
+	"portcc/internal/wire"
 )
 
 // testService runs one Service on a loopback listener for a test.
@@ -218,12 +220,16 @@ func TestServiceTornFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The first three connections die mid-write at staggered points -
-	// inside the handshake reply and inside early replies; every
-	// connection after them is clean.
+	// The first three connections die mid-write inside their first
+	// reply; every connection after them is clean. A frame is one write,
+	// so the handshake reply is write 1 and the first reply write 2,
+	// whichever request it answers: the first Put commits service-side
+	// before its acknowledgement tears, so any later reply that got
+	// through could be the hit that ends the loop before all three
+	// faults have fired.
 	fln := faultnet.Wrap(ln, func(conn int) faultnet.Fault {
 		if conn < 3 {
-			return faultnet.Fault{CloseAfterWrites: 1 + 2*conn, MidWrite: true}
+			return faultnet.Fault{CloseAfterWrites: 1, MidWrite: true}
 		}
 		return faultnet.Fault{}
 	})
@@ -441,8 +447,17 @@ func TestServiceMutePeerIsDropped(t *testing.T) {
 
 // TestServiceSeededChaos drives a client through a seeded fault
 // schedule: whatever the faults do, every Get must return either a
-// clean miss or the exact bytes of the key's Put, bounded in time.
+// clean miss or the exact bytes of the key's Put, bounded in time. The
+// service reads through a buffer, so a read budget counts reads, not
+// frames; the schedules must still strike the reads.
 func TestServiceSeededChaos(t *testing.T) {
+	var fired faultnet.Fired
+	defer func() {
+		t.Logf("faults struck over the seeds: %+v", fired)
+		if fired.Reads == 0 {
+			t.Error("no read fault struck: the schedules no longer reach the service's reads")
+		}
+	}()
 	for _, seed := range []int64{1, 7, 42} {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -481,5 +496,52 @@ func TestServiceSeededChaos(t *testing.T) {
 		}
 		r.Close()
 		ts.stop()
+		f := fln.Fired()
+		fired.Resets += f.Resets
+		fired.Reads += f.Reads
+		fired.Writes += f.Writes
+	}
+}
+
+// TestRemoteOversizeReplyIsMiss: a service that answers with a header
+// claiming a 1 GiB frame is dropped like a dead one - the claim is
+// refused before any body is read - and the Get degrades to a clean
+// miss inside the request timeout instead of waiting for the gigabyte.
+func TestRemoteOversizeReplyIsMiss(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		conn := wire.NewConn(nc)
+		if conn.ServerHello(7, time.Second) != nil {
+			return
+		}
+		if f, err := conn.Recv(); err != nil || f.StoreGet == nil {
+			return
+		}
+		nc.Write(append(binary.BigEndian.AppendUint32(nil, 1<<30), 11))
+		io.Copy(io.Discard, nc)
+	}()
+
+	o := fastOpts(ln.Addr().String(), 7)
+	o.RequestTimeout = 5 * time.Second
+	r := NewRemote(o)
+	defer r.Close()
+	start := time.Now()
+	if _, ok, err := r.Get(keyN(1)); ok || err != nil {
+		t.Fatalf("get over an oversize reply: ok=%v err=%v, want a clean miss", ok, err)
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Errorf("the oversize reply cost %v: the client waited instead of dropping", elapsed)
+	}
+	if s := r.Stats(); s.RemoteErrors != 1 {
+		t.Errorf("stats %+v, want the one degraded get", s)
 	}
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -10,6 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"portcc/internal/pcerr"
 )
 
 // TestHeartbeatGraceClamped: the dead-peer window derived from a
@@ -388,5 +391,60 @@ func TestDialCancelledMidHandshake(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("cancelled Dial took %v, want prompt", elapsed)
+	}
+}
+
+// TestServerDropsOversizeClaims: a raw TCP peer claiming a 1 GiB frame -
+// as its Hello, or after a clean handshake - is dropped with the typed
+// error, and the server keeps serving.
+func TestServerDropsOversizeClaims(t *testing.T) {
+	ln := listen(t)
+	var logs logBuf
+	handlerErr := make(chan error, 1)
+	startServer(t, Server{Format: 1, Heartbeat: 20 * time.Millisecond, Logf: logs.logf}, ln,
+		func(_ context.Context, c *Conn, _ string) {
+			_, err := c.Recv()
+			handlerErr <- err
+		})
+
+	// dropped reports whether the server hung up on nc in time, skipping
+	// whatever it sent before.
+	dropped := func(nc net.Conn) bool {
+		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		_, err := io.Copy(io.Discard, nc)
+		return err == nil
+	}
+
+	nc, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if _, err := nc.Write(rawFrame(true, 1<<30, kindHello)); err != nil {
+		t.Fatal(err)
+	}
+	if !dropped(nc) {
+		t.Fatal("server kept a peer whose hello claimed 1 GiB")
+	}
+	if logs.count(pcerr.ErrWireFrame.Error()) != 1 {
+		t.Errorf("log lines %q, want one typed handshake failure", logs.lines)
+	}
+
+	nc, err = net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if _, err := NewConn(nc).ClientHello(1); err != nil {
+		t.Fatalf("handshake: %v", err)
+	}
+	if _, err := nc.Write(rawFrame(false, 1<<30, kindAssign)); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-handlerErr; !errors.Is(err, pcerr.ErrWireFrame) {
+		t.Errorf("handler's Recv got %v, want ErrWireFrame", err)
+	}
+	if !dropped(nc) {
+		t.Fatal("server kept a peer that claimed a 1 GiB frame")
 	}
 }

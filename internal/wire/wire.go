@@ -1,22 +1,31 @@
-// Package wire is the coordinator/worker frame protocol of distributed
-// exploration: gob-encoded frames over one byte stream (TCP in
-// production, net.Pipe in tests). The protocol is deliberately small -
-// a version handshake, one job description, cell assignments downstream,
-// results and heartbeats upstream - and deliberately typed: version
-// mismatches between builds fail the handshake with the pcerr sentinels
-// instead of surfacing as mid-stream gob decode noise.
+// Package wire is the frame protocol of the fleet: coordinator/worker
+// exploration and the shared result store, over one byte stream each
+// (TCP in production, net.Pipe in tests). The protocol is deliberately
+// small - a version handshake, one job description, cell assignments
+// downstream, results and heartbeats upstream, and the store's
+// get/put/reply triple - and deliberately typed: version mismatches
+// between builds fail the handshake with the pcerr sentinels, and bytes
+// that are not a legal frame fail with pcerr.ErrWireFrame, never as
+// decode noise or as an allocation the peer chose the size of.
 //
-// Job specs and cell results cross as interface-typed payloads, so the
-// protocol is transport machinery only; the application layer registers
-// its concrete payload types with encoding/gob (the dataset package
-// registers ExploreRequest and ExploreResult).
+// Frames are bounded and typed. A stream opens with a 4-byte magic no gob
+// stream can begin with, then carries frames laid out as
+// [u32 body length][u8 kind][body], big-endian, each body at most
+// MaxFrame bytes and each frame written with one Write. The hot frames -
+// Assign, Result, StoreGet, StorePut, StoreReply and Heartbeat - have
+// fixed layouts (frame.go). Hello, Job, CellError and Fail ride one gob
+// stream carried inside the frames.
+//
+// Job specs cross as interface values, so the application layer
+// registers its concrete spec types with encoding/gob (the dataset
+// package registers ExploreRequest). A Result payload that implements
+// Appender crosses as its own bytes and arrives as Raw, for the
+// application to decode (sched.Job.Decode); any other payload crosses as
+// a gob-registered interface value.
 package wire
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
-	"sync"
 	"time"
 
 	"portcc/internal/pcerr"
@@ -27,8 +36,13 @@ import (
 // changes incompatibly; the handshake refuses mismatched peers with
 // pcerr.ErrWireVersion. v2: a job's cell index is one (program, setting)
 // over the whole architecture sample - a v1 peer could be told to split
-// the sample into ranges and would number its cells differently.
-const ProtoVersion = 2
+// the sample into ranges and would number its cells differently. v3: a
+// stream opens with a magic and carries length-prefixed frames under
+// MaxFrame instead of a raw gob stream; Assign, Result, the store frames
+// and Heartbeat have fixed layouts, and a Result payload with a codec
+// crosses as its own bytes. A v2 peer's first bytes fail the v3 magic
+// check typed, with pcerr.ErrWireVersion.
+const ProtoVersion = 3
 
 // Hello opens every connection, in both directions: the client sends its
 // versions first, the server always replies with its own before judging,
@@ -56,11 +70,29 @@ type Assign struct {
 	Cells []int
 }
 
-// Result is one completed cell, identified by its grid index.
+// Result is one completed cell, identified by its grid index. A Payload
+// implementing Appender is sent as the bytes it appends and received as
+// Raw; any other payload is sent through the connection's gob stream,
+// so its concrete type must be gob-registered.
 type Result struct {
 	Index   int
 	Payload any
 }
+
+// Appender is a Result payload with its own wire codec: AppendWire
+// appends the payload's encoding to b and returns the extended slice.
+// The receiver gets the bytes back as Raw and decodes them itself,
+// against what it already knows about the cell.
+type Appender interface {
+	AppendWire(b []byte) []byte
+}
+
+// Raw is a codec'd Result payload as received, undecoded. It implements
+// Appender, so a received Raw sent on goes out verbatim.
+type Raw []byte
+
+// AppendWire implements Appender.
+func (r Raw) AppendWire(b []byte) []byte { return append(b, r...) }
 
 // Sentinel codes carried by CellError, so the coordinator can
 // reconstruct errors.Is-compatible failures across the wire.
@@ -163,37 +195,6 @@ func (f *Frame) Kind() string {
 		return "heartbeat"
 	}
 	return "empty"
-}
-
-// Conn frames gob messages over one byte stream. Sends are serialised by
-// an internal lock, so result-streaming workers and their heartbeat
-// tickers share a connection safely; Recv must stay single-reader.
-type Conn struct {
-	wmu sync.Mutex
-	enc *gob.Encoder
-	dec *gob.Decoder
-}
-
-// NewConn wraps a byte stream. Deadlines stay the caller's business: the
-// wrapper never touches the underlying net.Conn interface.
-func NewConn(rw io.ReadWriter) *Conn {
-	return &Conn{enc: gob.NewEncoder(rw), dec: gob.NewDecoder(rw)}
-}
-
-// Send writes one frame, whole, under the write lock.
-func (c *Conn) Send(f *Frame) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	return c.enc.Encode(f)
-}
-
-// Recv reads the next frame.
-func (c *Conn) Recv() (*Frame, error) {
-	var f Frame
-	if err := c.dec.Decode(&f); err != nil {
-		return nil, err
-	}
-	return &f, nil
 }
 
 // checkVersions compares a peer's Hello against this build, wrapping the
