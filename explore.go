@@ -11,8 +11,8 @@ type (
 	// ExploreRequest describes a design-space exploration grid: every
 	// optimisation setting of every program compiled once and replayed
 	// over the architecture sample, fanned out as one work cell per
-	// (program, setting). It is a plain gob-serialisable value - the unit
-	// a coordinator ships to worker shards.
+	// (program, setting). It is a plain value that crosses to worker
+	// shards as JSON (its AppendWire) - the unit a coordinator ships.
 	ExploreRequest = dataset.ExploreRequest
 	// ExploreResult is one completed work cell, locating itself in the
 	// request grid via ProgIndex/OptIndex, with one result per

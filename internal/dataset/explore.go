@@ -1,13 +1,13 @@
 package dataset
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
+	"encoding/json"
 	"fmt"
 	"iter"
 	"math"
-	"sync"
 	"time"
 
 	"portcc/internal/cpu"
@@ -17,21 +17,15 @@ import (
 	"portcc/internal/sched"
 	"portcc/internal/tune"
 	"portcc/internal/uarch"
+	"portcc/internal/wire"
 )
 
-// The exploration request crosses shard boundaries as the interface-typed
-// spec of a gob-encoded Job frame; gob needs the concrete type registered.
-// Results cross with their own codec (AppendWire, decodeWire).
-func init() {
-	gob.Register(ExploreRequest{})
-}
-
-// ExploreRequest is a serialisable (gob) description of a design-space
+// ExploreRequest is a serialisable description of a design-space
 // exploration grid: every sampled optimisation setting of every program is
 // compiled once and replayed over the architecture sample - one work cell
 // per (program, setting), each the whole sample in one batched replay. It
-// carries no functions or session state, so the coordinator ships
-// sub-grids to worker shards as-is.
+// carries no functions or session state, so the coordinator ships it to
+// worker shards as-is, as JSON (AppendWire, decodeRequest).
 type ExploreRequest struct {
 	// Programs are benchmark names from the suite.
 	Programs []string
@@ -85,6 +79,56 @@ func (r *ExploreRequest) Validate() error {
 	}
 	return nil
 }
+
+// AppendWire implements wire.Appender: the request as one JSON object,
+// the spec a coordinator ships to each shard connection.
+func (r ExploreRequest) AppendWire(b []byte) []byte {
+	// Every field is an integer, a bool, a string, or an array or slice
+	// of them, which JSON always encodes.
+	j, _ := json.Marshal(r)
+	return append(b, j...)
+}
+
+// decodeRequest reads a job spec in AppendWire's layout: one JSON object
+// naming no field ExploreRequest lacks, with nothing after it. Anything
+// else fails with pcerr.ErrInvalidConfig. A first pass counts each
+// slice's elements, so the decoding pass fills slices allocated once
+// instead of growing them, and memory stays within a small multiple of
+// len(b). The request is not validated.
+func decodeRequest(b []byte) (ExploreRequest, error) {
+	var req ExploreRequest
+	var n struct{ Programs, Opts, Archs arrayLen }
+	err := json.Unmarshal(b, &n) // refuses malformed input and trailing bytes
+	if err == nil {
+		req.Programs = make([]string, 0, n.Programs)
+		req.Opts = make([]opt.Config, 0, n.Opts)
+		req.Archs = make([]uarch.Config, 0, n.Archs)
+		d := json.NewDecoder(bytes.NewReader(b))
+		d.DisallowUnknownFields()
+		err = d.Decode(&req)
+	}
+	if err != nil {
+		return ExploreRequest{}, fmt.Errorf("dataset: %w: job spec: %v", pcerr.ErrInvalidConfig, err)
+	}
+	return req, nil
+}
+
+// arrayLen is the element count of a JSON array: the largest under its
+// field name, which JSON may repeat. Anything but an array counts 0.
+type arrayLen int
+
+func (n *arrayLen) UnmarshalJSON(b []byte) error {
+	var elems []skip
+	json.Unmarshal(b, &elems) // not an array: the decoding pass says so
+	*n = max(*n, arrayLen(len(elems)))
+	return nil
+}
+
+// skip takes any JSON value and keeps none of it, so a []skip counts
+// elements without allocating for them.
+type skip struct{}
+
+func (skip) UnmarshalJSON([]byte) error { return nil }
 
 // Cells returns the number of work cells the request fans out to, one
 // per (program, setting) (0 for a request with an empty dimension, which
@@ -340,9 +384,13 @@ func ServeConfigStore(workers, sweepWorkers int, heartbeat time.Duration, st *Re
 		Workers:   workers,
 		Heartbeat: heartbeat,
 		NewRun: func(spec any) (func(slot, index int) (any, error), error) {
-			req, ok := spec.(ExploreRequest)
+			raw, ok := spec.(wire.Raw)
 			if !ok {
-				return nil, fmt.Errorf("dataset: %w: job spec is %T, want ExploreRequest", pcerr.ErrInvalidConfig, spec)
+				return nil, fmt.Errorf("dataset: %w: job spec is %T, want wire.Raw", pcerr.ErrInvalidConfig, spec)
+			}
+			req, err := decodeRequest(raw)
+			if err != nil {
+				return nil, err
 			}
 			if err := req.Validate(); err != nil {
 				return nil, err
@@ -358,9 +406,9 @@ func ServeConfigStore(workers, sweepWorkers int, heartbeat time.Duration, st *Re
 // exploration engine: Generate, the portcc Session facade and the
 // experiment drivers all sit on top of it. Without Shards the cells fan
 // over the in-process worker pool; with Shards they ship to portccd
-// worker daemons as wire frames over TCP (the request once, gob-encoded;
-// each result in its own codec), with identical semantics and a merged
-// stream bit-identical to the local run.
+// worker daemons as wire frames over TCP (the request once, as JSON;
+// each result in its own fixed-width codec), with identical semantics
+// and a merged stream bit-identical to the local run.
 //
 // Semantics:
 //
@@ -407,26 +455,12 @@ func Explore(ctx context.Context, req ExploreRequest, o ExploreOptions) iter.Seq
 			job.Run = req.RunnerStore(sched.Workers(o.Workers, total), o.SweepWorkers, o.Store)
 		}
 		var firstErr error
-		var protoOnce sync.Once
-		var protoErr error
 		go func() {
 			defer close(results)
 			_, firstErr = o.executor().Execute(ictx, job, func(index int, payload any) {
-				res, ok := payload.(ExploreResult)
-				if !ok {
-					// A shard that passed the version handshake but
-					// streams a foreign payload type is a protocol
-					// violation, not a coordinator panic: stop the run
-					// and surface it typed.
-					protoOnce.Do(func() {
-						protoErr = fmt.Errorf("dataset: %w: shard returned a %T payload, want ExploreResult",
-							pcerr.ErrShardFailure, payload)
-						cancel()
-					})
-					return
-				}
+				// The local runner and Decode both yield ExploreResults.
 				select {
-				case results <- res:
+				case results <- payload.(ExploreResult):
 				case <-ictx.Done():
 				}
 			})
@@ -457,13 +491,6 @@ func Explore(ctx context.Context, req ExploreRequest, o ExploreOptions) iter.Seq
 		// broken cell, which a bare PartialError hides.
 		if firstErr != nil {
 			yield(ExploreResult{}, firstErr)
-			return
-		}
-		// protoErr is visible for the same reason firstErr is, and only
-		// ever set alongside its own ictx cancellation - the parent ctx
-		// check below cannot mask it.
-		if protoErr != nil {
-			yield(ExploreResult{}, protoErr)
 			return
 		}
 		// A cancellation that races the final cell must not discard a

@@ -28,6 +28,7 @@ import (
 	"portcc/internal/sched"
 	"portcc/internal/store"
 	"portcc/internal/uarch"
+	"portcc/internal/wire"
 )
 
 // ledger is the work one run performed, summed over its worker slots.
@@ -208,7 +209,10 @@ func ledgerShard(t *testing.T, st *ResultStore) (addr string, fold func(*ledger)
 	addr, _ = startShard(t, sched.ServeConfig{
 		Format: FormatVersion, Workers: 1, Heartbeat: 100 * time.Millisecond,
 		NewRun: func(spec any) (func(slot, index int) (any, error), error) {
-			req := spec.(ExploreRequest)
+			req, err := decodeRequest(spec.(wire.Raw))
+			if err != nil {
+				return nil, err
+			}
 			run, evs := req.runner(1, 1, st)
 			mu.Lock()
 			runs = append(runs, evs)

@@ -16,6 +16,7 @@ import (
 	"portcc/internal/opt"
 	"portcc/internal/pcerr"
 	"portcc/internal/sched"
+	"portcc/internal/wire"
 )
 
 // shardConfig is the grid the distributed tests run: small enough for
@@ -296,7 +297,7 @@ func TestValidateRejectsDuplicatePrograms(t *testing.T) {
 func TestDaemonRefusesOutOfSpaceSetting(t *testing.T) {
 	req := mustRequest(t)
 	req.Opts[len(req.Opts)-1].Params[opt.PMaxUnrollTimes] = opt.ParamLevelCount
-	run, err := ServeConfigStore(1, 1, time.Second, nil).NewRun(req)
+	run, err := ServeConfigStore(1, 1, time.Second, nil).NewRun(wire.Raw(req.AppendWire(nil)))
 	if !errors.Is(err, pcerr.ErrInvalidConfig) || run != nil {
 		t.Fatalf("NewRun: runner %v, error %v; want no runner and ErrInvalidConfig", run != nil, err)
 	}

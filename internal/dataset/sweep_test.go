@@ -597,26 +597,3 @@ func TestCompileFailuresStayWhereTheyHappen(t *testing.T) {
 		})
 	}
 }
-
-// TestExploreResultsGobSafe ensures shared result slices survive gob
-// transport (the shard path encodes each cell independently, so sharing
-// between twin cells on the worker must be invisible on the wire).
-func TestExploreResultsGobSafe(t *testing.T) {
-	req := tinyRequest(t, 9)
-	for res, err := range Explore(context.Background(), req, ExploreOptions{Workers: 1}) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(res); err != nil {
-			t.Fatal(err)
-		}
-		var back ExploreResult
-		if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&back); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(res, back) {
-			t.Fatal("gob round-trip changed a batched result")
-		}
-	}
-}

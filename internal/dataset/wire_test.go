@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -191,6 +193,110 @@ func FuzzExploreResultWire(f *testing.F) {
 			if res.Results[a].Config != req.Archs[a] {
 				t.Fatalf("cell %d arch %d: configuration not the request's", i, a)
 			}
+		}
+	})
+}
+
+// TestDecodeRequestRefuses: a spec is one JSON object of ExploreRequest's
+// fields, nothing more - a field this build does not know, trailing
+// bytes or a value out of its type's range fail with
+// pcerr.ErrInvalidConfig - and the coordinator's spec decodes to the
+// request it was encoded from.
+func TestDecodeRequestRefuses(t *testing.T) {
+	req := wireRequest()
+	good := req.AppendWire(nil)
+	if back, err := decodeRequest(good); err != nil || !reflect.DeepEqual(back, req) {
+		t.Fatalf("own spec: got %+v, %v; want %+v", back, err, req)
+	}
+	for name, b := range map[string][]byte{
+		"unknown field":   []byte(`{"Programs":["crc"],"RunID":"r-1"}`),
+		"trailing bytes":  append(bytes.Clone(good), '{'),
+		"second object":   append(bytes.Clone(good), good...),
+		"level past u8":   []byte(`{"Opts":[{"Params":[256]}]}`),
+		"not an object":   []byte(`["crc"]`),
+		"truncated":       good[:len(good)-1],
+		"empty":           nil,
+		"program integer": []byte(`{"Programs":[7]}`),
+	} {
+		if _, err := decodeRequest(b); !errors.Is(err, pcerr.ErrInvalidConfig) {
+			t.Errorf("%s: got %v, want ErrInvalidConfig", name, err)
+		}
+	}
+}
+
+// TestDecodeRequestAllocation: a spec of many empty elements - each 3
+// bytes of input, up to 80 bytes decoded - stays within the fuzzer's
+// allocation bound at sizes the fuzzer does not reach, because slices
+// are allocated once at their counted length instead of grown.
+func TestDecodeRequestAllocation(t *testing.T) {
+	for _, field := range []string{"Programs", "Opts", "Archs"} {
+		elem := "{}"
+		if field == "Programs" {
+			elem = `""`
+		}
+		b := []byte(`{"` + field + `":[` + strings.Repeat(elem+",", 99_999) + elem + `]}`)
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		req, err := decodeRequest(b)
+		runtime.ReadMemStats(&ms)
+		if err != nil || len(req.Programs)+len(req.Opts)+len(req.Archs) != 100_000 {
+			t.Fatalf("%s: decoded %d+%d+%d elements, error %v; want 100 000", field, len(req.Programs), len(req.Opts), len(req.Archs), err)
+		}
+		if used, limit := ms.TotalAlloc-before, uint64(64*len(b)+specDecodeSlack); used > limit {
+			t.Errorf("%s: decoding %d bytes allocated %d, over %d", field, len(b), used, limit)
+		}
+	}
+}
+
+// specDecodeSlack is decodeRequest's fixed allocation, whatever the
+// input: the JSON decoder, its buffer and scanner, the request.
+const specDecodeSlack = 16 << 10
+
+// FuzzExploreRequestWire feeds arbitrary bytes, as a job spec off the
+// wire, to the daemon's decoder: the outcome is pcerr.ErrInvalidConfig,
+// or a request whose AppendWire decodes back to itself. Decoding
+// allocates within 64x the input plus a constant, whatever slice lengths
+// the input implies.
+func FuzzExploreRequestWire(f *testing.F) {
+	// Small seeds: minimising an interesting input costs time quadratic
+	// in its length, which a paper-sized spec would spend the run on.
+	req := ExploreRequest{Programs: []string{"crc"}, Opts: []opt.Config{opt.O3()},
+		Archs: []uarch.Config{uarch.XScale()}, Eval: EvalConfig{Seed: 1}}
+	f.Add(req.AppendWire(nil))
+	req.Naive, req.Programs = true, []string{}
+	f.Add(req.AppendWire(nil))
+	f.Add(ExploreRequest{}.AppendWire(nil))
+	f.Add([]byte(`{"programs":["crc"],"Archs":[{},{},{}],"Opts":[{"Params":[1,2]}]}`))
+	f.Add([]byte(`{"Archs":[{}],"Archs":[{},{}],"Archs":null}`))
+	f.Add([]byte(`{"Programs":["a,]\"[", "{,}"], "Eval": {"Seed": -3}} `))
+	f.Add(append(req.AppendWire(nil), '{'))
+	f.Add([]byte(`{"Programs":["crc"],"RunID":"r-1"}`))
+	f.Add([]byte(`{"Opts":[{"Params":[256]}]}`))
+	f.Add([]byte(`[]`))
+	f.Add([]byte(`null`))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		got, err := decodeRequest(b)
+		runtime.ReadMemStats(&ms)
+		if used, limit := ms.TotalAlloc-before, uint64(64*len(b)+specDecodeSlack); used > limit {
+			t.Fatalf("decoding %d bytes allocated %d, over %d", len(b), used, limit)
+		}
+		if err != nil {
+			if !errors.Is(err, pcerr.ErrInvalidConfig) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		again := got.AppendWire(nil)
+		back, err := decodeRequest(again)
+		if err != nil {
+			t.Fatalf("re-encoded spec %s refused: %v", again, err)
+		}
+		if !reflect.DeepEqual(back, got) {
+			t.Fatalf("spec %s decodes as %+v, re-encoded as %+v", b, got, back)
 		}
 	})
 }

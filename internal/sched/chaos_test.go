@@ -2,7 +2,7 @@ package sched
 
 import (
 	"context"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -16,17 +16,39 @@ import (
 )
 
 // chaosSpec is the synthetic job spec of the chaos tests: cell index ->
-// deterministic payload, with an optional cell that panics.
+// deterministic payload, with an optional cell that panics. It crosses
+// the wire as PanicAt, one varint.
 type chaosSpec struct {
 	PanicAt int // cell index whose runner panics; -1 for none
 }
 
-func init() {
-	gob.Register(chaosSpec{})
-	gob.Register(int(0)) // cell payloads are plain ints
+func (s chaosSpec) AppendWire(b []byte) []byte { return binary.AppendVarint(b, int64(s.PanicAt)) }
+
+// chaosCell is a chaos cell's payload, crossing the wire as one varint.
+type chaosCell int
+
+func (c chaosCell) AppendWire(b []byte) []byte { return binary.AppendVarint(b, int64(c)) }
+
+func chaosPayload(index int) chaosCell { return chaosCell(index*31 + 7) }
+
+// varint decodes b, which must hold exactly one varint.
+func varint(b []byte) (int, error) {
+	v, n := binary.Varint(b)
+	if n <= 0 || n != len(b) {
+		return 0, fmt.Errorf("%x is not one varint", b)
+	}
+	return int(v), nil
 }
 
-func chaosPayload(index int) int { return index*31 + 7 }
+// chaosJob is a chaosSpec job of the given size whose payloads decode
+// back into chaosCells.
+func chaosJob(panicAt, cells int) Job {
+	return Job{Spec: chaosSpec{PanicAt: panicAt}, Cells: cells, Format: 1,
+		Decode: func(_ int, b []byte) (any, error) {
+			v, err := varint(b)
+			return chaosCell(v), err
+		}}
+}
 
 // chaosServeConfig builds an in-process worker for chaosSpec jobs.
 func chaosServeConfig(workers int, hb time.Duration) ServeConfig {
@@ -35,12 +57,16 @@ func chaosServeConfig(workers int, hb time.Duration) ServeConfig {
 		Workers:   workers,
 		Heartbeat: hb,
 		NewRun: func(spec any) (func(slot, index int) (any, error), error) {
-			s, ok := spec.(chaosSpec)
+			raw, ok := spec.(wire.Raw)
 			if !ok {
-				return nil, fmt.Errorf("spec is %T, want chaosSpec", spec)
+				return nil, fmt.Errorf("spec is %T, want wire.Raw", spec)
+			}
+			panicAt, err := varint(raw)
+			if err != nil {
+				return nil, err
 			}
 			return func(slot, index int) (any, error) {
-				if index == s.PanicAt {
+				if index == panicAt {
 					panic(fmt.Sprintf("injected panic at cell %d", index))
 				}
 				return chaosPayload(index), nil
@@ -165,7 +191,7 @@ func TestChaosMatrix(t *testing.T) {
 			})
 			r := &Remote{Addrs: []string{addr}, DialTimeout: 2 * time.Second, Retry: fastRetry(seed)}
 			col := newCollector()
-			done, err := r.Execute(context.Background(), Job{Spec: chaosSpec{PanicAt: -1}, Cells: cells, Format: 1}, col.emit)
+			done, err := r.Execute(context.Background(), chaosJob(-1, cells), col.emit)
 			if err != nil {
 				if !errors.Is(err, pcerr.ErrShardFailure) && !errors.Is(err, pcerr.ErrCellPoisoned) {
 					t.Fatalf("chaos run failed untyped: %v", err)
@@ -198,7 +224,7 @@ func TestReconnectRejoinsMidRun(t *testing.T) {
 	addr := startChaosShard(t, chaosServeConfig(2, 20*time.Millisecond), plan)
 	r := &Remote{Addrs: []string{addr}, DialTimeout: 2 * time.Second, Retry: fastRetry(1)}
 	col := newCollector()
-	done, err := r.Execute(context.Background(), Job{Spec: chaosSpec{PanicAt: -1}, Cells: cells, Format: 1}, col.emit)
+	done, err := r.Execute(context.Background(), chaosJob(-1, cells), col.emit)
 	if err != nil {
 		t.Fatalf("mid-run connection death was not absorbed: %v", err)
 	}
@@ -217,7 +243,7 @@ func TestRetryBudgetExhaustsTyped(t *testing.T) {
 	r := &Remote{Addrs: []string{addr}, DialTimeout: time.Second,
 		Retry: RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond}}
 	start := time.Now()
-	done, err := r.Execute(context.Background(), Job{Spec: chaosSpec{PanicAt: -1}, Cells: 5, Format: 1}, func(int, any) {
+	done, err := r.Execute(context.Background(), chaosJob(-1, 5), func(int, any) {
 		t.Error("reset-on-accept shard emitted a result")
 	})
 	if done != 0 || !errors.Is(err, pcerr.ErrShardFailure) {
@@ -238,7 +264,7 @@ func TestVersionMismatchNotRetried(t *testing.T) {
 	r := &Remote{Addrs: []string{addr}, DialTimeout: time.Second,
 		Retry: RetryPolicy{MaxAttempts: 100, BaseBackoff: time.Second, MaxBackoff: time.Second}}
 	start := time.Now()
-	_, err := r.Execute(context.Background(), Job{Spec: chaosSpec{PanicAt: -1}, Cells: 3, Format: 1}, func(int, any) {})
+	_, err := r.Execute(context.Background(), chaosJob(-1, 3), func(int, any) {})
 	if !errors.Is(err, pcerr.ErrDatasetVersion) || !errors.Is(err, pcerr.ErrShardFailure) {
 		t.Fatalf("got %v, want ErrShardFailure wrapping ErrDatasetVersion", err)
 	}
@@ -258,7 +284,7 @@ func TestPanicIsolation(t *testing.T) {
 	r := &Remote{Addrs: []string{addr}, DialTimeout: 2 * time.Second, Retry: fastRetry(2)}
 
 	col := newCollector()
-	_, err := r.Execute(context.Background(), Job{Spec: chaosSpec{PanicAt: 5}, Cells: cells, Format: 1}, col.emit)
+	_, err := r.Execute(context.Background(), chaosJob(5, cells), col.emit)
 	if !errors.Is(err, pcerr.ErrCellPanic) {
 		t.Fatalf("got %v, want ErrCellPanic", err)
 	}
@@ -268,7 +294,7 @@ func TestPanicIsolation(t *testing.T) {
 
 	// The same daemon process must keep serving: a clean job completes.
 	col2 := newCollector()
-	done, err := r.Execute(context.Background(), Job{Spec: chaosSpec{PanicAt: -1}, Cells: cells, Format: 1}, col2.emit)
+	done, err := r.Execute(context.Background(), chaosJob(-1, cells), col2.emit)
 	if err != nil || done != cells {
 		t.Fatalf("daemon did not survive the panic: done=%d err=%v", done, err)
 	}
@@ -336,7 +362,7 @@ func TestPoisonCellQuarantined(t *testing.T) {
 		Retry: RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond, MaxStrands: 3}}
 	col := newCollector()
 	start := time.Now()
-	_, err := r.Execute(context.Background(), Job{Spec: chaosSpec{PanicAt: -1}, Cells: cells, Format: 1}, col.emit)
+	_, err := r.Execute(context.Background(), chaosJob(-1, cells), col.emit)
 	if !errors.Is(err, pcerr.ErrCellPoisoned) {
 		t.Fatalf("got %v, want ErrCellPoisoned", err)
 	}

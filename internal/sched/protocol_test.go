@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -52,7 +53,7 @@ func misbehavingShard(t *testing.T) string {
 			// below may count, and the duplicate must be dropped.
 			for _, c := range f.Assign.Cells {
 				conn.Send(&wire.Frame{Result: &wire.Result{Index: c, Payload: chaosPayload(c)}})
-				conn.Send(&wire.Frame{Result: &wire.Result{Index: c, Payload: -1}})
+				conn.Send(&wire.Frame{Result: &wire.Result{Index: c, Payload: chaosCell(-1)}})
 			}
 		}
 	}()
@@ -69,7 +70,7 @@ func TestUnassignedAndDuplicateResultsIgnored(t *testing.T) {
 	addr := misbehavingShard(t)
 	r := &Remote{Addrs: []string{addr}, DialTimeout: time.Second, Retry: RetryPolicy{MaxAttempts: 1}}
 	col := newCollector()
-	done, err := r.Execute(context.Background(), Job{Spec: chaosSpec{PanicAt: -1}, Cells: cells, Format: 1}, col.emit)
+	done, err := r.Execute(context.Background(), chaosJob(-1, cells), col.emit)
 	if err != nil {
 		t.Fatalf("misbehaving shard failed the run: %v", err)
 	}
@@ -116,7 +117,7 @@ func TestAssignBeforeJobClosesConnection(t *testing.T) {
 	// The daemon survives the violator: a proper run completes.
 	r := &Remote{Addrs: []string{addr}, DialTimeout: time.Second, Retry: RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond}}
 	col := newCollector()
-	done, err := r.Execute(context.Background(), Job{Spec: chaosSpec{PanicAt: -1}, Cells: 6, Format: 1}, col.emit)
+	done, err := r.Execute(context.Background(), chaosJob(-1, 6), col.emit)
 	if err != nil || done != 6 {
 		t.Fatalf("daemon did not survive the protocol violator: done=%d err=%v", done, err)
 	}
@@ -159,7 +160,7 @@ func TestUnexpectedFrameIsPermanent(t *testing.T) {
 	}()
 	r := &Remote{Addrs: []string{ln.Addr().String()}, DialTimeout: time.Second,
 		Retry: RetryPolicy{MaxAttempts: 50, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond}}
-	_, err = r.Execute(context.Background(), Job{Spec: chaosSpec{PanicAt: -1}, Cells: 4, Format: 1}, func(int, any) {})
+	_, err = r.Execute(context.Background(), chaosJob(-1, 4), func(int, any) {})
 	if !errors.Is(err, pcerr.ErrShardFailure) {
 		t.Fatalf("got %v, want ErrShardFailure", err)
 	}
@@ -282,7 +283,7 @@ func TestOversizeFrameRequeues(t *testing.T) {
 		Retry: RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond}}
 	const cells = 40
 	col := newCollector()
-	done, err := r.Execute(context.Background(), Job{Spec: chaosSpec{PanicAt: -1}, Cells: cells, Format: 1}, col.emit)
+	done, err := r.Execute(context.Background(), chaosJob(-1, cells), col.emit)
 	if err != nil || done != cells {
 		t.Fatalf("done=%d err=%v, want the healthy shard to finish the grid", done, err)
 	}
@@ -291,5 +292,59 @@ func TestOversizeFrameRequeues(t *testing.T) {
 	case <-gate:
 	default:
 		t.Fatal("the oversize shard was never assigned cells: nothing was requeued")
+	}
+}
+
+// TestPayloadWithoutCodecFailsItsCell: a runner payload the wire cannot
+// carry (no wire.Appender) fails its own cell with ErrInvalidConfig, at
+// its index, and the connection keeps serving: the next assignment on
+// it still answers with a result. A coordinator reports the cell's
+// error, not a shard failure.
+func TestPayloadWithoutCodecFailsItsCell(t *testing.T) {
+	cfg := chaosServeConfig(1, 20*time.Millisecond)
+	newRun := cfg.NewRun
+	cfg.NewRun = func(spec any) (func(slot, index int) (any, error), error) {
+		run, err := newRun(spec)
+		return func(slot, index int) (any, error) {
+			if index == 3 {
+				return index, nil // a plain int has no wire codec
+			}
+			return run(slot, index)
+		}, err
+	}
+	addr := startChaosShard(t, cfg, nil)
+
+	nc, conn, _, err := wire.Dial(context.Background(), addr, 1, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	nc.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := conn.Send(&wire.Frame{Job: &wire.Job{Spec: chaosSpec{PanicAt: -1}}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, cell := range []int{3, 4} {
+		if err := conn.Send(&wire.Frame{Assign: &wire.Assign{Cells: []int{cell}}}); err != nil {
+			t.Fatalf("assigning cell %d: %v", cell, err)
+		}
+		f, err := conn.Recv()
+		for err == nil && f.Heartbeat {
+			f, err = conn.Recv()
+		}
+		switch {
+		case err != nil:
+			t.Fatalf("cell %d: %v", cell, err)
+		case cell == 3 && (f.CellError == nil || f.CellError.Index != 3 || f.CellError.Code != wire.CodeInvalidConfig):
+			t.Fatalf("cell 3 answered %s frame %+v, want its invalid-config cell error", f.Kind(), f)
+		case cell == 4 && (f.Result == nil || f.Result.Index != 4 ||
+			!bytes.Equal(f.Result.Payload.(wire.Raw), chaosPayload(4).AppendWire(nil))):
+			t.Fatalf("cell 4 answered %s frame %+v, want its result", f.Kind(), f)
+		}
+	}
+
+	r := &Remote{Addrs: []string{addr}, DialTimeout: time.Second, Retry: RetryPolicy{MaxAttempts: 1}}
+	_, err = r.Execute(context.Background(), chaosJob(-1, 6), func(int, any) {})
+	if !errors.Is(err, pcerr.ErrInvalidConfig) || errors.Is(err, pcerr.ErrShardFailure) {
+		t.Fatalf("coordinator got %v, want the cell's ErrInvalidConfig and no shard failure", err)
 	}
 }

@@ -126,6 +126,9 @@ func (r *Remote) Execute(ctx context.Context, job Job, emit func(index int, payl
 	if len(r.Addrs) == 0 {
 		return 0, fmt.Errorf("sched: %w: no shard addresses", pcerr.ErrInvalidConfig)
 	}
+	if job.Spec == nil {
+		return 0, fmt.Errorf("sched: %w: a remote job needs a spec", pcerr.ErrInvalidConfig)
+	}
 	pol := r.Retry.withDefaults()
 	st := newRemoteState(job.Cells, len(r.Addrs), pol.MaxStrands)
 	// A cancelled coordinator must not sit out a heartbeat window: wake
@@ -277,9 +280,9 @@ func (r *Remote) serveShard(ctx context.Context, st *remoteState, addr string, j
 				// (or already resolved) is dropped: emitting it would
 				// double-count the cell and corrupt the grid.
 				if outstanding[f.Result.Index] {
-					payload := f.Result.Payload
-					if raw, ok := payload.(wire.Raw); ok && job.Decode != nil {
-						if payload, err = job.Decode(f.Result.Index, raw); err != nil {
+					var payload any = f.Result.Payload
+					if job.Decode != nil {
+						if payload, err = job.Decode(f.Result.Index, f.Result.Payload.(wire.Raw)); err != nil {
 							return lost(), progressed, &permanentError{fmt.Errorf("sched: shard %s: cell %d: %w", addr, f.Result.Index, err)}
 						}
 					}

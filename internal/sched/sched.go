@@ -3,12 +3,12 @@
 // Executor schedules them - in-process over a bounded worker pool
 // (Local), or sharded over TCP to worker daemons (Remote), with Serve
 // providing the daemon-side serve loop. The package is transport
-// machinery only: it never inspects job specs or cell payloads. Specs
-// cross shard boundaries as gob-registered interface values; a payload
-// crosses as its own bytes when it implements wire.Appender, decoded by
-// the job's Decode, and as a gob-registered interface value otherwise.
-// So any embarrassingly parallel grid with serialisable work units can
-// ride it.
+// machinery only: it never inspects job specs or cell payloads. Both
+// cross shard boundaries as bytes the application encodes
+// (wire.Appender) and decodes itself: a daemon's ServeConfig.NewRun gets
+// the spec as wire.Raw, and the coordinator hands each payload to the
+// job's Decode. So any embarrassingly parallel grid whose spec and
+// payloads carry a codec can ride it.
 //
 // Every executor honours the same deterministic error contract,
 // inherited from the in-process pool it generalises: dispatch is in cell
@@ -23,16 +23,17 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"portcc/internal/wire"
 )
 
 // Job is one schedulable grid of cells.
 type Job struct {
-	// Spec is the serialisable description of the whole grid, shipped
-	// once per shard connection, in the one gob-encoded Job frame, so a
-	// remote worker can execute any cell. Local execution never touches
-	// it. The concrete type must be registered with encoding/gob by the
-	// application layer.
-	Spec any
+	// Spec is the description of the whole grid, shipped once per shard
+	// connection as the bytes it appends, so a remote worker can execute
+	// any cell (its ServeConfig.NewRun decodes them). Remote execution
+	// requires it; local execution never touches it.
+	Spec wire.Appender
 	// Cells is the number of work cells in the grid; cell indices run
 	// [0, Cells).
 	Cells int
@@ -45,14 +46,13 @@ type Job struct {
 	// Remote) call it with slot in [0, Workers(workers, n)); at most one
 	// cell runs on a slot at a time, so per-slot state needs no locking.
 	Run func(slot, index int) (any, error)
-	// Decode turns the bytes of a payload that crossed the wire with its
-	// own codec (one implementing wire.Appender on the worker) back into
-	// the payload Run returned for cell index. The bytes belong to the
-	// result, so the payload may keep them. An error means the shard sent
+	// Decode turns the bytes of a payload that crossed the wire back
+	// into the payload Run returned for cell index. The bytes belong to
+	// the result, so the payload may keep them. An error means the shard sent
 	// something that is not that cell's result: the connection ends as a
 	// permanent shard failure and its unresolved cells requeue onto the
-	// other shards. Without Decode, such payloads are emitted as
-	// wire.Raw; local execution never calls it.
+	// other shards. Without Decode, payloads are emitted as wire.Raw;
+	// local execution never calls it.
 	Decode func(index int, b []byte) (any, error)
 }
 

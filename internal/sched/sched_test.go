@@ -33,7 +33,7 @@ func TestWedgedShardDoesNotHang(t *testing.T) {
 	}()
 
 	r := &Remote{Addrs: []string{ln.Addr().String()}, DialTimeout: 200 * time.Millisecond}
-	job := Job{Cells: 3, Format: 1}
+	job := chaosJob(-1, 3)
 	start := time.Now()
 	done, err := r.Execute(context.Background(), job, func(int, any) {
 		t.Error("wedged shard emitted a result")
@@ -88,12 +88,17 @@ func TestMutePeerIsDropped(t *testing.T) {
 	}
 }
 
-// TestRemoteRequiresAddrs: a Remote without shard addresses is a
-// configuration error, not a hang or a silent local fallback.
+// TestRemoteRequiresAddrs: a Remote without shard addresses, or a job
+// without a spec to ship, is a configuration error, not a hang or a
+// silent local fallback.
 func TestRemoteRequiresAddrs(t *testing.T) {
 	var r Remote
+	if _, err := r.Execute(context.Background(), chaosJob(-1, 1), func(int, any) {}); !errors.Is(err, pcerr.ErrInvalidConfig) {
+		t.Errorf("no addresses: got %v, want ErrInvalidConfig", err)
+	}
+	r.Addrs = []string{"127.0.0.1:1"}
 	if _, err := r.Execute(context.Background(), Job{Cells: 1, Format: 1}, func(int, any) {}); !errors.Is(err, pcerr.ErrInvalidConfig) {
-		t.Errorf("got %v, want ErrInvalidConfig", err)
+		t.Errorf("no spec: got %v, want ErrInvalidConfig", err)
 	}
 }
 

@@ -33,8 +33,11 @@ type ServeConfig struct {
 	// worker alive (default 1s); the coordinator treats a few missed
 	// beats as a dead shard.
 	Heartbeat time.Duration
-	// NewRun turns a decoded job spec into the in-process cell runner
-	// for one connection. An error refuses the job with a Fail frame.
+	// NewRun turns a job spec - the wire.Raw bytes the coordinator's
+	// Job.Spec appended - into the in-process cell runner for one
+	// connection. An error refuses the job with a Fail frame. A payload
+	// crosses the wire as the bytes it appends, so one that is not a
+	// wire.Appender fails its cell with pcerr.ErrInvalidConfig.
 	NewRun func(spec any) (func(slot, index int) (any, error), error)
 	// Drain, when closed, drains the loop gracefully: stop accepting
 	// connections, finish in-flight assignments (their results still
@@ -101,13 +104,11 @@ func serveAssign(ctx context.Context, conn *wire.Conn, cfg ServeConfig, run func
 	defer cancel()
 	Run(cctx, cfg.Workers, len(cells), func(slot, i int) error {
 		payload, err := runCellRecovered(cfg, run, slot, cells[i])
-		var sendErr error
+		f := &wire.Frame{Result: &wire.Result{Index: cells[i], Payload: payload}}
 		if err != nil {
-			sendErr = conn.Send(&wire.Frame{CellError: cellError(cells[i], err)})
-		} else {
-			sendErr = conn.Send(&wire.Frame{Result: &wire.Result{Index: cells[i], Payload: payload}})
+			f = &wire.Frame{CellError: cellError(cells[i], err)}
 		}
-		if sendErr != nil {
+		if conn.Send(f) != nil {
 			cancel()
 		}
 		return nil
@@ -115,19 +116,25 @@ func serveAssign(ctx context.Context, conn *wire.Conn, cfg ServeConfig, run func
 	return ctx.Err() == nil && cctx.Err() == nil
 }
 
-// runCellRecovered runs one cell, converting a panic in the runner into
-// a typed cell error instead of letting it kill the daemon: one bad cell
-// degrades to a CellError frame at its own index while the connection -
-// and every other coordinator's in-flight work - keeps being served. The
-// panic value travels in the error; the stack goes to the daemon log.
-func runCellRecovered(cfg ServeConfig, run func(int, int) (any, error), slot, index int) (payload any, err error) {
+// runCellRecovered runs one cell, converting a panic in the runner, or a
+// payload without a wire codec, into a typed cell error instead of
+// letting it kill the daemon or the connection: one bad cell degrades to
+// a CellError frame at its own index while the connection - and every
+// other coordinator's in-flight work - keeps being served. The panic
+// value travels in the error; the stack goes to the daemon log.
+func runCellRecovered(cfg ServeConfig, run func(int, int) (any, error), slot, index int) (payload wire.Appender, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			cfg.Logf("cell %d panicked: %v\n%s", index, r, debug.Stack())
 			err = fmt.Errorf("%w: cell %d: %v", pcerr.ErrCellPanic, index, r)
 		}
 	}()
-	return run(slot, index)
+	v, err := run(slot, index)
+	payload, ok := v.(wire.Appender)
+	if err == nil && !ok {
+		err = fmt.Errorf("sched: %w: cell %d payload %T has no wire codec", pcerr.ErrInvalidConfig, index, v)
+	}
+	return payload, err
 }
 
 // cellError flattens a cell failure for the wire, preserving the

@@ -56,11 +56,6 @@ type Config struct {
 	// ModelPath is the model artifact to serve (required). The file is
 	// re-checked on a ReloadEvery throttle and hot-reloaded on change.
 	ModelPath string
-	// Eval overrides the profiling workload parameters. The zero value
-	// (recommended) adopts the parameters embedded in the artifact, which
-	// keeps served feature vectors comparable to the training
-	// distribution.
-	Eval dataset.EvalConfig
 	// CacheEntries bounds the (program, uarch) feature cache
 	// (default 1024 entries).
 	CacheEntries int
@@ -117,7 +112,6 @@ type Server struct {
 	cache *featureCache
 	gate  *gate
 	ev    *dataset.Evaluator
-	eval  dataset.EvalConfig
 	mux   *http.ServeMux
 
 	reg2        *metrics.Registry
@@ -156,13 +150,9 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.eval = cfg.Eval
-	if s.eval == (dataset.EvalConfig{}) {
-		s.eval = evalFromInfo(loaded.Info)
-	} else if s.eval != evalFromInfo(loaded.Info) {
-		cfg.Logf("profiling parameters %+v override the artifact's %+v: served features will differ from the training distribution", s.eval, evalFromInfo(loaded.Info))
-	}
-	s.ev = dataset.NewEvaluator(s.eval)
+	// The artifact's profiling parameters keep served feature vectors
+	// comparable to the training distribution.
+	s.ev = dataset.NewEvaluator(evalFromInfo(loaded.Info))
 	if cfg.Store != nil {
 		s.ev.SetStore(cfg.Store)
 	}

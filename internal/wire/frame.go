@@ -1,49 +1,51 @@
 // The frame codec. Every integer is big-endian:
 //
 //	stream      magic, then frames
+//	magic       0xC7 'p' 'c', then the protocol version (v3 sent 'w')
 //	frame       u32 body length (at most MaxFrame), u8 kind, body
 //	Heartbeat   empty
+//	Hello       u32 format, u64 heartbeat period in ns
+//	Job         the spec's AppendWire bytes
 //	Assign      u32 cell, once per cell
-//	Result      u32 index, then the payload's AppendWire bytes; or, for a
-//	            payload without a codec, one gob message of the Result
+//	Result      u32 index, then the payload's AppendWire bytes
+//	CellError   u32 index, u8 code, u8 sim (0 or 1), i64 setting,
+//	            i64 arch, u32 program length, program, message
+//	Fail        message
 //	StoreGet    u64 ID, 32-byte key
 //	StorePut    u64 ID, 32-byte key, payload
 //	StoreReply  u64 ID, u8 found (0 or 1), u32 error length, error, payload
-//	Hello, Job, CellError, Fail
-//	            one gob message each, on the connection's gob stream
 //
-// A gob body holds its message whole, type definitions included, so the
-// gob stream of a connection is the concatenation of its gob bodies.
+// A body decodes on its own, with no state carried between frames, and
+// every decoded frame re-encodes to the body it came from.
 package wire
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"math"
 	"slices"
 	"sync"
+	"time"
 
 	"portcc/internal/pcerr"
 )
 
 // MaxFrame caps one frame's body, in bytes. The largest legitimate frame
 // is the Job of a paper-scale grid (35 programs, 1 001 settings, 200
-// architectures): 51 KB, as dataset's TestPaperJobFitsFrameCap
-// measures. The cap leaves room for grids far past the paper's and
-// still refuses a peer claiming a gigabyte before a byte of it is
-// allocated.
+// architectures), as dataset's TestPaperJobFitsFrameCap measures. The
+// cap leaves room for grids far past the paper's and still refuses a
+// peer claiming a gigabyte before a byte of it is allocated.
 const MaxFrame = 64 << 20
 
 // magic opens every stream, ahead of its first frame (the Hello, on any
 // real connection). Its first byte can begin neither a gob stream, whose
 // first byte is a message length (0x00-0x7F) or a length's byte count
 // (0xF8-0xFF), nor a frame header under MaxFrame (0x00-0x04): a v2
-// peer's raw gob fails on its first byte.
-var magic = [4]byte{0xC7, 'p', 'c', 'w'}
+// peer's raw gob fails on its first byte. Its last byte is the protocol
+// version, so a v3 peer, which sent 'w' there, fails on its fourth.
+var magic = [4]byte{0xC7, 'p', 'c', ProtoVersion}
 
 // Frame kinds, the byte after the length.
 const (
@@ -52,7 +54,6 @@ const (
 	kindJob
 	kindAssign
 	kindResult
-	kindResultGob
 	kindCellError
 	kindFail
 	kindStoreGet
@@ -61,7 +62,7 @@ const (
 	kindEnd // one past the last kind
 )
 
-var kindNames = [kindEnd]string{"invalid", "heartbeat", "hello", "job", "assign", "result", "result",
+var kindNames = [kindEnd]string{"empty", "heartbeat", "hello", "job", "assign", "result",
 	"cell-error", "fail", "store-get", "store-put", "store-reply"}
 
 func kindName(k byte) string {
@@ -73,10 +74,15 @@ func kindName(k byte) string {
 
 const (
 	headerLen = 5
+	// helloLen is Hello's body: format, heartbeat.
+	helloLen = 4 + 8
 	// keyLen is the store key width of StoreGet and StorePut.
 	keyLen = 32
 	// replyHead is StoreReply's fixed part: ID, found flag, error length.
 	replyHead = 8 + 1 + 4
+	// cellErrorHead is CellError's fixed part: index, code, sim flag,
+	// setting, arch, program length.
+	cellErrorHead = 4 + 1 + 1 + 8 + 8 + 4
 	// readBufSize sizes the buffered reader on the stream.
 	readBufSize = 32 << 10
 	// bodyStep is the first allocation for a frame body: a larger body
@@ -99,24 +105,17 @@ type Conn struct {
 	w      io.Writer
 	wbuf   []byte
 	opened bool // the magic has been written
-	gobOut bytes.Buffer
-	enc    *gob.Encoder
 	werr   error
 
 	r     *bufio.Reader
 	began bool // the magic has been read
-	gobIn feed
-	dec   *gob.Decoder
 	rerr  error
 }
 
 // NewConn wraps a byte stream. Deadlines stay the caller's business: the
 // wrapper never touches the underlying net.Conn interface.
 func NewConn(rw io.ReadWriter) *Conn {
-	c := &Conn{w: rw, r: bufio.NewReaderSize(rw, readBufSize)}
-	c.enc = gob.NewEncoder(&c.gobOut)
-	c.dec = gob.NewDecoder(&c.gobIn)
-	return c
+	return &Conn{w: rw, r: bufio.NewReaderSize(rw, readBufSize)}
 }
 
 // Send writes one frame, whole, with one Write under the write lock.
@@ -130,7 +129,7 @@ func (c *Conn) Send(f *Frame) error {
 	if !c.opened {
 		b = append(b, magic[:]...)
 	}
-	b, err := c.appendFrame(b, f)
+	b, err := appendFrame(b, f)
 	if err == nil {
 		_, err = c.w.Write(b)
 	}
@@ -146,74 +145,68 @@ func (c *Conn) Send(f *Frame) error {
 }
 
 // appendFrame appends f's header and body to b.
-func (c *Conn) appendFrame(b []byte, f *Frame) ([]byte, error) {
+func appendFrame(b []byte, f *Frame) ([]byte, error) {
 	be := binary.BigEndian
 	at := len(b)
 	b = append(b, make([]byte, headerLen)...)
-	var kind byte
-	var err error
-	switch {
-	case f.Hello != nil:
-		kind = kindHello
-		b, err = c.appendGob(b, f.Hello)
-	case f.Job != nil:
-		kind = kindJob
-		b, err = c.appendGob(b, f.Job)
-	case f.Assign != nil:
-		kind = kindAssign
+	kind := f.kind()
+	switch kind {
+	case kindHeartbeat:
+	case kindHello:
+		if !fitsU32(f.Hello.Format) {
+			return b, fmt.Errorf("wire: format %d outside the u32 layout", f.Hello.Format)
+		}
+		b = be.AppendUint32(b, uint32(f.Hello.Format))
+		b = be.AppendUint64(b, uint64(f.Hello.Heartbeat))
+	case kindJob:
+		if f.Job.Spec == nil {
+			return b, fmt.Errorf("wire: job without a spec")
+		}
+		b = f.Job.Spec.AppendWire(b)
+	case kindAssign:
 		for _, cell := range f.Assign.Cells {
-			if cell < 0 || uint64(cell) > math.MaxUint32 {
+			if !fitsU32(cell) {
 				return b, fmt.Errorf("wire: assigned cell %d outside the u32 layout", cell)
 			}
 			b = be.AppendUint32(b, uint32(cell))
 		}
-	case f.Result != nil:
-		a, ok := f.Result.Payload.(Appender)
-		if !ok {
-			kind = kindResultGob
-			b, err = c.appendGob(b, f.Result)
-			break
+	case kindResult:
+		r := f.Result
+		if !fitsU32(r.Index) || r.Payload == nil {
+			return b, fmt.Errorf("wire: result %d outside the u32 layout or without a payload", r.Index)
 		}
-		if i := f.Result.Index; i < 0 || uint64(i) > math.MaxUint32 {
-			return b, fmt.Errorf("wire: result index %d outside the u32 layout", i)
+		b = be.AppendUint32(b, uint32(r.Index))
+		b = r.Payload.AppendWire(b)
+	case kindCellError:
+		e := f.CellError
+		if !fitsU32(e.Index) || e.Code < 0 || e.Code > math.MaxUint8 {
+			return b, fmt.Errorf("wire: cell %d error code %d outside the layout", e.Index, e.Code)
 		}
-		kind = kindResult
-		b = be.AppendUint32(b, uint32(f.Result.Index))
-		b = a.AppendWire(b)
-	case f.CellError != nil:
-		kind = kindCellError
-		b, err = c.appendGob(b, f.CellError)
-	case f.Fail != nil:
-		kind = kindFail
-		b, err = c.appendGob(b, f.Fail)
-	case f.StoreGet != nil:
-		kind = kindStoreGet
+		b = be.AppendUint32(b, uint32(e.Index))
+		b = append(b, byte(e.Code), flag(e.Sim))
+		b = be.AppendUint64(b, uint64(e.Setting))
+		b = be.AppendUint64(b, uint64(e.Arch))
+		b = be.AppendUint32(b, uint32(len(e.Program)))
+		b = append(b, e.Program...)
+		b = append(b, e.Msg...)
+	case kindFail:
+		b = append(b, f.Fail.Msg...)
+	case kindStoreGet:
 		b = be.AppendUint64(b, f.StoreGet.ID)
 		b = append(b, f.StoreGet.Key[:]...)
-	case f.StorePut != nil:
-		kind = kindStorePut
+	case kindStorePut:
 		b = be.AppendUint64(b, f.StorePut.ID)
 		b = append(b, f.StorePut.Key[:]...)
 		b = append(b, f.StorePut.Payload...)
-	case f.StoreReply != nil:
+	case kindStoreReply:
 		r := f.StoreReply
-		kind = kindStoreReply
 		b = be.AppendUint64(b, r.ID)
-		found := byte(0)
-		if r.Found {
-			found = 1
-		}
-		b = append(b, found)
+		b = append(b, flag(r.Found))
 		b = be.AppendUint32(b, uint32(len(r.Err)))
 		b = append(b, r.Err...)
 		b = append(b, r.Payload...)
-	case f.Heartbeat:
-		kind = kindHeartbeat
 	default:
 		return b, fmt.Errorf("wire: empty frame")
-	}
-	if err != nil {
-		return b, err
 	}
 	n := len(b) - at - headerLen
 	if n > MaxFrame {
@@ -225,24 +218,26 @@ func (c *Conn) appendFrame(b []byte, f *Frame) ([]byte, error) {
 	return b, nil
 }
 
-// appendGob appends v's gob message, on the connection's gob stream.
-func (c *Conn) appendGob(b []byte, v any) ([]byte, error) {
-	c.gobOut.Reset()
-	if err := c.enc.Encode(v); err != nil {
-		return b, fmt.Errorf("wire: %w", err)
+// fitsU32 reports whether v fits an unsigned 32-bit field.
+func fitsU32(v int) bool { return v >= 0 && uint64(v) <= math.MaxUint32 }
+
+// flag is a bool's one-byte encoding.
+func flag(v bool) byte {
+	if v {
+		return 1
 	}
-	return append(b, c.gobOut.Bytes()...), nil
+	return 0
 }
 
 // Recv reads the next frame. Bytes that are not a legal frame - a length
 // over MaxFrame, an unknown kind, a body that does not decode to its
 // kind's layout - fail with pcerr.ErrWireFrame; a stream that does not
-// open with the magic (a v2 or foreign peer) fails with
-// pcerr.ErrWireVersion. A peer closing between frames reads as io.EOF,
-// one closing inside a frame as io.ErrUnexpectedEOF. Memory for a frame
-// grows with the bytes that actually arrive, never with its claimed
-// length. Variable-length fields of a received frame share one buffer,
-// owned by the frame.
+// open with this version's magic (an older, newer or foreign peer) fails
+// with pcerr.ErrWireVersion. A peer closing between frames reads as
+// io.EOF, one closing inside a frame as io.ErrUnexpectedEOF. Memory for
+// a frame grows with the bytes that actually arrive, never with its
+// claimed length. Variable-length fields of a received frame share one
+// buffer, owned by the frame.
 func (c *Conn) Recv() (*Frame, error) {
 	if c.rerr != nil {
 		return nil, c.rerr
@@ -278,7 +273,7 @@ func (c *Conn) recv() (*Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	f, err := c.decodeFrame(kind, body)
+	f, err := decodeFrame(kind, body)
 	if err != nil {
 		return nil, fmt.Errorf("wire: %w: %d-byte %s frame: %v", pcerr.ErrWireFrame, n, kindName(kind), err)
 	}
@@ -289,6 +284,7 @@ func (c *Conn) recv() (*Frame, error) {
 // before waiting for the rest.
 func (c *Conn) readMagic() error {
 	var m [len(magic)]byte
+	n := 1
 	if _, err := io.ReadFull(c.r, m[:1]); err != nil {
 		return err
 	}
@@ -302,9 +298,10 @@ func (c *Conn) readMagic() error {
 		if m == magic {
 			return nil
 		}
+		n = len(m)
 	}
-	return fmt.Errorf("wire: %w: stream opens with %#x, not the v%d frame magic (a pre-v3 or foreign peer)",
-		pcerr.ErrWireVersion, m[0], ProtoVersion)
+	return fmt.Errorf("wire: %w: stream opens with %x, not the v%d frame magic %x (an older, newer or foreign peer)",
+		pcerr.ErrWireVersion, m[:n], ProtoVersion, magic)
 }
 
 // readBody reads an n-byte body, allocating in steps bounded by what has
@@ -331,7 +328,7 @@ func (c *Conn) readBody(n int) ([]byte, error) {
 }
 
 // decodeFrame decodes one body by its kind's layout.
-func (c *Conn) decodeFrame(kind byte, b []byte) (*Frame, error) {
+func decodeFrame(kind byte, b []byte) (*Frame, error) {
 	be := binary.BigEndian
 	switch kind {
 	case kindHeartbeat:
@@ -339,6 +336,13 @@ func (c *Conn) decodeFrame(kind byte, b []byte) (*Frame, error) {
 			return nil, fmt.Errorf("%d-byte body, want none", len(b))
 		}
 		return &Frame{Heartbeat: true}, nil
+	case kindHello:
+		if len(b) != helloLen {
+			return nil, fmt.Errorf("body %d bytes, want %d", len(b), helloLen)
+		}
+		return &Frame{Hello: &Hello{Format: int(be.Uint32(b)), Heartbeat: time.Duration(be.Uint64(b[4:]))}}, nil
+	case kindJob:
+		return &Frame{Job: &Job{Spec: Raw(tail(b))}}, nil
 	case kindAssign:
 		if len(b)%4 != 0 {
 			return nil, fmt.Errorf("body not a whole number of u32 cells")
@@ -356,6 +360,26 @@ func (c *Conn) decodeFrame(kind byte, b []byte) (*Frame, error) {
 			return nil, fmt.Errorf("body shorter than its index")
 		}
 		return &Frame{Result: &Result{Index: int(be.Uint32(b)), Payload: Raw(tail(b[4:]))}}, nil
+	case kindCellError:
+		if len(b) < cellErrorHead || b[5] > 1 {
+			return nil, fmt.Errorf("malformed cell-error head")
+		}
+		m := be.Uint32(b[cellErrorHead-4:])
+		if uint64(m) > uint64(len(b)-cellErrorHead) {
+			return nil, fmt.Errorf("program name of %d bytes overruns the body", m)
+		}
+		end := cellErrorHead + int(m)
+		return &Frame{CellError: &CellError{
+			Index:   int(be.Uint32(b)),
+			Code:    int(b[4]),
+			Sim:     b[5] == 1,
+			Setting: int(int64(be.Uint64(b[6:]))),
+			Arch:    int(int64(be.Uint64(b[14:]))),
+			Program: string(b[cellErrorHead:end]),
+			Msg:     string(b[end:]),
+		}}, nil
+	case kindFail:
+		return &Frame{Fail: &Fail{Msg: string(b)}}, nil
 	case kindStoreGet:
 		if len(b) != 8+keyLen {
 			return nil, fmt.Errorf("body %d bytes, want %d", len(b), 8+keyLen)
@@ -385,21 +409,6 @@ func (c *Conn) decodeFrame(kind byte, b []byte) (*Frame, error) {
 			Err:     string(b[replyHead:end]),
 			Payload: tail(b[end:]),
 		}}, nil
-	case kindHello:
-		v := &Hello{}
-		return &Frame{Hello: v}, c.decodeGob(b, v)
-	case kindJob:
-		v := &Job{}
-		return &Frame{Job: v}, c.decodeGob(b, v)
-	case kindResultGob:
-		v := &Result{}
-		return &Frame{Result: v}, c.decodeGob(b, v)
-	case kindCellError:
-		v := &CellError{}
-		return &Frame{CellError: v}, c.decodeGob(b, v)
-	case kindFail:
-		v := &Fail{}
-		return &Frame{Fail: v}, c.decodeGob(b, v)
 	}
 	return nil, fmt.Errorf("unknown kind")
 }
@@ -411,46 +420,4 @@ func tail(b []byte) []byte {
 		return nil
 	}
 	return b
-}
-
-// decodeGob decodes one gob body, which must hold exactly one message.
-// gob is not hardened against hostile input, so a panic inside it is
-// caught and reported like any other malformed body.
-func (c *Conn) decodeGob(b []byte, v any) (err error) {
-	c.gobIn.b = b
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("gob: %v", r)
-		}
-	}()
-	if err := c.dec.Decode(v); err != nil {
-		return err
-	}
-	if len(c.gobIn.b) != 0 {
-		return fmt.Errorf("%d bytes trailing the gob message", len(c.gobIn.b))
-	}
-	return nil
-}
-
-// feed hands the gob decoder one frame body at a time. It is an
-// io.ByteReader, so the decoder reads it directly, without a buffer of
-// its own that could run past the body.
-type feed struct{ b []byte }
-
-func (f *feed) Read(p []byte) (int, error) {
-	if len(f.b) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, f.b)
-	f.b = f.b[n:]
-	return n, nil
-}
-
-func (f *feed) ReadByte() (byte, error) {
-	if len(f.b) == 0 {
-		return 0, io.EOF
-	}
-	c := f.b[0]
-	f.b = f.b[1:]
-	return c, nil
 }

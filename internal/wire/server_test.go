@@ -111,7 +111,7 @@ func echoAssigns(_ context.Context, c *Conn, _ string) {
 		if err != nil || f.Assign == nil {
 			return
 		}
-		if c.Send(&Frame{Result: &Result{Index: f.Assign.Cells[0], Payload: testPayload{Name: "echo"}}}) != nil {
+		if c.Send(&Frame{Result: &Result{Index: f.Assign.Cells[0], Payload: Raw("echo")}}) != nil {
 			return
 		}
 	}
@@ -227,14 +227,14 @@ func TestDrainThenCancel(t *testing.T) {
 	started := make(chan struct{})   // the busy handler has its request
 	release := make(chan struct{})   // ... and may answer it
 	idlePoked := make(chan struct{}) // ... and saw its next idle read poked
-	flood := &Frame{Result: &Result{Payload: testPayload{Cells: make([]int, 1<<16)}}}
+	flood := &Frame{Result: &Result{Payload: make(Raw, 1<<18)}}
 	handle := func(_ context.Context, c *Conn, _ string) {
 		if _, err := c.Recv(); err != nil {
 			return // the idle connection: drained before any request
 		}
 		close(started)
 		<-release
-		c.Send(&Frame{Result: &Result{Index: 7, Payload: testPayload{Name: "late"}}})
+		c.Send(&Frame{Result: &Result{Index: 7, Payload: Raw("late")}})
 		if _, err := c.Recv(); err == nil {
 			t.Error("read after a drain succeeded, want the drain's poke")
 		}

@@ -8,20 +8,15 @@
 // that are not a legal frame fail with pcerr.ErrWireFrame, never as
 // decode noise or as an allocation the peer chose the size of.
 //
-// Frames are bounded and typed. A stream opens with a 4-byte magic no gob
-// stream can begin with, then carries frames laid out as
+// Frames are bounded and typed. A stream opens with a 4-byte magic that
+// ends in the protocol version, then carries frames laid out as
 // [u32 body length][u8 kind][body], big-endian, each body at most
-// MaxFrame bytes and each frame written with one Write. The hot frames -
-// Assign, Result, StoreGet, StorePut, StoreReply and Heartbeat - have
-// fixed layouts (frame.go). Hello, Job, CellError and Fail ride one gob
-// stream carried inside the frames.
-//
-// Job specs cross as interface values, so the application layer
-// registers its concrete spec types with encoding/gob (the dataset
-// package registers ExploreRequest). A Result payload that implements
-// Appender crosses as its own bytes and arrives as Raw, for the
-// application to decode (sched.Job.Decode); any other payload crosses as
-// a gob-registered interface value.
+// MaxFrame bytes and each frame written with one Write. Every frame has
+// a fixed layout (frame.go) or carries application bytes: a Job spec
+// and a Result payload are Appenders that cross as the bytes they
+// append and arrive as Raw, for the application to decode (the dataset
+// package's ExploreRequest and ExploreResult, through sched.Job.Decode
+// and sched.ServeConfig.NewRun).
 package wire
 
 import (
@@ -41,25 +36,29 @@ import (
 // MaxFrame instead of a raw gob stream; Assign, Result, the store frames
 // and Heartbeat have fixed layouts, and a Result payload with a codec
 // crosses as its own bytes. A v2 peer's first bytes fail the v3 magic
-// check typed, with pcerr.ErrWireVersion.
-const ProtoVersion = 3
+// check typed. v4: Hello, CellError and Fail have fixed layouts too, a
+// Job spec crosses as its own bytes like a Result payload, and no frame
+// carries gob; the version moved from Hello into the magic's last byte,
+// so a v3 peer fails the magic check typed.
+const ProtoVersion = 4
 
 // Hello opens every connection, in both directions: the client sends its
-// versions first, the server always replies with its own before judging,
-// so a mismatched peer learns both sides' versions. Heartbeat is only
-// meaningful server-to-client: the period at which the server promises
-// to emit Heartbeat frames while a connection is otherwise quiet.
+// schema version first, the server always replies with its own before
+// judging, so a mismatched peer learns both sides' versions. (The
+// protocol version is settled earlier, by the stream magic.) Heartbeat
+// is only meaningful server-to-client: the period at which the server
+// promises to emit Heartbeat frames while a connection is otherwise
+// quiet.
 type Hello struct {
-	Proto     int
 	Format    int
 	Heartbeat time.Duration
 }
 
-// Job describes the whole work grid once per connection. Spec is an
-// application value (gob-registered by the application layer) that the
-// worker turns into an executable cell runner.
+// Job describes the whole work grid once per connection. Spec is the
+// application's description of the grid in its own encoding; the worker
+// receives it as Raw and turns it into an executable cell runner.
 type Job struct {
-	Spec any
+	Spec Appender
 }
 
 // Assign hands the worker a batch of cell indices into the job's grid.
@@ -70,24 +69,22 @@ type Assign struct {
 	Cells []int
 }
 
-// Result is one completed cell, identified by its grid index. A Payload
-// implementing Appender is sent as the bytes it appends and received as
-// Raw; any other payload is sent through the connection's gob stream,
-// so its concrete type must be gob-registered.
+// Result is one completed cell, identified by its grid index. Payload is
+// sent as the bytes it appends and received as Raw.
 type Result struct {
 	Index   int
-	Payload any
+	Payload Appender
 }
 
-// Appender is a Result payload with its own wire codec: AppendWire
-// appends the payload's encoding to b and returns the extended slice.
-// The receiver gets the bytes back as Raw and decodes them itself,
-// against what it already knows about the cell.
+// Appender is an application value with its own wire codec - a Job spec
+// or a Result payload: AppendWire appends the value's encoding to b and
+// returns the extended slice. The receiver gets the bytes back as Raw
+// and decodes them itself, against what it already knows.
 type Appender interface {
 	AppendWire(b []byte) []byte
 }
 
-// Raw is a codec'd Result payload as received, undecoded. It implements
+// Raw is an application value as received, undecoded. It implements
 // Appender, so a received Raw sent on goes out verbatim.
 type Raw []byte
 
@@ -170,41 +167,30 @@ type Frame struct {
 	Heartbeat  bool
 }
 
-// Kind names the populated field, for protocol-error messages.
-func (f *Frame) Kind() string {
-	switch {
-	case f.Hello != nil:
-		return "hello"
-	case f.Job != nil:
-		return "job"
-	case f.Assign != nil:
-		return "assign"
-	case f.Result != nil:
-		return "result"
-	case f.CellError != nil:
-		return "cell-error"
-	case f.Fail != nil:
-		return "fail"
-	case f.StoreGet != nil:
-		return "store-get"
-	case f.StorePut != nil:
-		return "store-put"
-	case f.StoreReply != nil:
-		return "store-reply"
-	case f.Heartbeat:
-		return "heartbeat"
+// kind is the frame kind of the populated field, 0 for an empty frame:
+// the one place a Frame maps to its kind, for the codec and Kind alike.
+func (f *Frame) kind() byte {
+	for k, set := range [kindEnd]bool{
+		kindHeartbeat: f.Heartbeat, kindHello: f.Hello != nil, kindJob: f.Job != nil,
+		kindAssign: f.Assign != nil, kindResult: f.Result != nil, kindCellError: f.CellError != nil,
+		kindFail: f.Fail != nil, kindStoreGet: f.StoreGet != nil, kindStorePut: f.StorePut != nil,
+		kindStoreReply: f.StoreReply != nil,
+	} {
+		if set {
+			return byte(k)
+		}
 	}
-	return "empty"
+	return 0
 }
 
-// checkVersions compares a peer's Hello against this build, wrapping the
-// typed sentinels: protocol drift and application schema drift are
-// different failures with different fixes.
-func checkVersions(peer *Hello, format int) error {
-	if peer.Proto != ProtoVersion {
-		return fmt.Errorf("wire: %w: peer speaks protocol v%d, this build v%d",
-			pcerr.ErrWireVersion, peer.Proto, ProtoVersion)
-	}
+// Kind names the populated field, for protocol-error messages.
+func (f *Frame) Kind() string { return kindName(f.kind()) }
+
+// checkFormat compares a peer's application schema version against this
+// build's, wrapping pcerr.ErrDatasetVersion: schema drift has another
+// fix than protocol drift, which the stream magic already refused as
+// pcerr.ErrWireVersion.
+func checkFormat(peer *Hello, format int) error {
 	if peer.Format != format {
 		return fmt.Errorf("wire: %w: peer carries format v%d, this build v%d",
 			pcerr.ErrDatasetVersion, peer.Format, format)
@@ -213,11 +199,11 @@ func checkVersions(peer *Hello, format int) error {
 }
 
 // ClientHello performs the coordinator side of the handshake: send our
-// versions, read the worker's, and verify both. It returns the worker's
+// schema version, read the worker's, and verify it. It returns the worker's
 // announced heartbeat period (defaulted when unset) so the caller can
 // derive a read deadline.
 func (c *Conn) ClientHello(format int) (heartbeat time.Duration, err error) {
-	if err := c.Send(&Frame{Hello: &Hello{Proto: ProtoVersion, Format: format}}); err != nil {
+	if err := c.Send(&Frame{Hello: &Hello{Format: format}}); err != nil {
 		return 0, err
 	}
 	f, err := c.Recv()
@@ -227,7 +213,7 @@ func (c *Conn) ClientHello(format int) (heartbeat time.Duration, err error) {
 	if f.Hello == nil {
 		return 0, fmt.Errorf("wire: expected hello, got %s frame", f.Kind())
 	}
-	if err := checkVersions(f.Hello, format); err != nil {
+	if err := checkFormat(f.Hello, format); err != nil {
 		return 0, err
 	}
 	hb := f.Hello.Heartbeat
@@ -237,8 +223,8 @@ func (c *Conn) ClientHello(format int) (heartbeat time.Duration, err error) {
 	return hb, nil
 }
 
-// ServerHello performs the worker side: read the coordinator's versions,
-// always reply with our own (a mismatched coordinator needs them to
+// ServerHello performs the worker side: read the coordinator's schema
+// version, always reply with our own (a mismatched coordinator needs them to
 // report a useful error), then verify. A non-nil error means the
 // connection must be dropped without serving.
 func (c *Conn) ServerHello(format int, heartbeat time.Duration) error {
@@ -249,8 +235,8 @@ func (c *Conn) ServerHello(format int, heartbeat time.Duration) error {
 	if f.Hello == nil {
 		return fmt.Errorf("wire: expected hello, got %s frame", f.Kind())
 	}
-	if err := c.Send(&Frame{Hello: &Hello{Proto: ProtoVersion, Format: format, Heartbeat: heartbeat}}); err != nil {
+	if err := c.Send(&Frame{Hello: &Hello{Format: format, Heartbeat: heartbeat}}); err != nil {
 		return err
 	}
-	return checkVersions(f.Hello, format)
+	return checkFormat(f.Hello, format)
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"reflect"
 	"runtime"
@@ -15,37 +16,41 @@ import (
 	"portcc/internal/pcerr"
 )
 
-// testPayload stands in for the application work units that cross the
-// wire as interface values.
-type testPayload struct {
-	Name  string
-	Cells []int
-}
-
-func init() {
-	gob.Register(testPayload{})
-}
-
-// codecPayload is a Result payload with its own wire codec: its bytes
-// cross as they are and arrive as Raw.
+// codecPayload is an application value with its own wire codec: its
+// bytes cross as they are and arrive as Raw.
 type codecPayload string
 
 func (p codecPayload) AppendWire(b []byte) []byte { return append(b, p...) }
 
+// received is f as the far side decodes it: a Job spec or Result
+// payload arrives as the bytes it appended.
+func received(f *Frame) *Frame {
+	switch {
+	case f.Job != nil:
+		return &Frame{Job: &Job{Spec: Raw(f.Job.Spec.AppendWire(nil))}}
+	case f.Result != nil:
+		return &Frame{Result: &Result{Index: f.Result.Index, Payload: Raw(f.Result.Payload.AppendWire(nil))}}
+	}
+	return f
+}
+
 // TestFrameRoundTrips pushes one frame of every kind through a Conn pair
-// and requires the decoded frame to match field for field, including the
-// interface-typed payloads; a payload with a codec arrives as its bytes.
+// and requires the decoded frame to match field for field; a Job spec or
+// Result payload arrives as its bytes.
 func TestFrameRoundTrips(t *testing.T) {
 	frames := []*Frame{
-		{Hello: &Hello{Proto: 3, Format: 9, Heartbeat: 250 * time.Millisecond}},
-		{Job: &Job{Spec: testPayload{Name: "grid", Cells: []int{0, 1, 2}}}},
+		{Hello: &Hello{Format: 9, Heartbeat: 250 * time.Millisecond}},
+		{Hello: &Hello{Format: math.MaxUint32}},
+		{Job: &Job{Spec: codecPayload("grid of three cells")}},
+		{Job: &Job{Spec: Raw("grid")}},
 		{Assign: &Assign{Cells: []int{4, 7, 19}}},
 		{Assign: &Assign{}},
-		{Result: &Result{Index: 7, Payload: testPayload{Name: "cell-7"}}},
 		{Result: &Result{Index: 8, Payload: codecPayload("cell-8 counters")}},
 		{Result: &Result{Index: 9, Payload: Raw("cell-9 counters")}},
 		{CellError: &CellError{Index: 3, Msg: "boom", Code: CodeUnknownProgram, Sim: true, Program: "crc", Setting: 2, Arch: 5}},
+		{CellError: &CellError{Index: 4, Msg: "no trace", Code: CodeInvalidConfig, Sim: true, Program: "gs", Setting: -1, Arch: -1}},
 		{Fail: &Fail{Msg: "refused"}},
+		{Fail: &Fail{}},
 		{StoreGet: &StoreGet{ID: 11, Key: [32]byte{1, 2, 3}}},
 		{StorePut: &StorePut{ID: 12, Key: [32]byte{4, 5}, Payload: []byte("cycles")}},
 		{StoreReply: &StoreReply{ID: 11, Found: true, Payload: []byte("cycles")}},
@@ -61,11 +66,7 @@ func TestFrameRoundTrips(t *testing.T) {
 		}
 	}
 	for _, want := range frames {
-		if r := want.Result; r != nil {
-			if p, ok := r.Payload.(codecPayload); ok {
-				want = &Frame{Result: &Result{Index: r.Index, Payload: Raw(p)}}
-			}
-		}
+		want = received(want)
 		got, err := c.Recv()
 		if err != nil {
 			t.Fatalf("receiving %s frame: %v", want.Kind(), err)
@@ -119,30 +120,34 @@ func TestHandshakeFormatMismatch(t *testing.T) {
 	}
 }
 
+// fakePeer is our end of a pipe to a scripted peer that reads and
+// discards whatever we send and writes stream.
+func fakePeer(t *testing.T, stream []byte) *Conn {
+	a, b := net.Pipe()
+	t.Cleanup(func() { a.Close(); b.Close() })
+	go io.Copy(io.Discard, a)
+	go a.Write(stream)
+	return NewConn(b)
+}
+
 // TestHandshakeProtoMismatch fakes a peer speaking another protocol
-// version - the next one, and the previous one, whose jobs numbered
-// their cells differently: the rejection must be the wire sentinel,
-// distinct from the dataset schema sentinel.
+// version - the next one, and the previous one - through the version
+// byte of its stream magic, followed by a Hello this build would accept:
+// both sides of the handshake refuse it with the wire sentinel, distinct
+// from the dataset schema sentinel.
 func TestHandshakeProtoMismatch(t *testing.T) {
-	for _, proto := range []int{ProtoVersion + 1, ProtoVersion - 1} {
-		client, fake := pipePair(t)
-		srvErr := make(chan error, 1)
-		go func() {
-			if _, err := fake.Recv(); err != nil {
-				srvErr <- err
-				return
+	for _, proto := range []byte{ProtoVersion + 1, ProtoVersion - 1} {
+		stream := encodeFresh(t, &Frame{Hello: &Hello{Format: 7}})
+		stream[len(magic)-1] = proto
+		_, cerr := fakePeer(t, stream).ClientHello(7)
+		serr := fakePeer(t, stream).ServerHello(7, 0)
+		for side, err := range map[string]error{"client": cerr, "server": serr} {
+			if !errors.Is(err, pcerr.ErrWireVersion) {
+				t.Errorf("%s, v%d peer: got %v, want ErrWireVersion", side, proto, err)
 			}
-			srvErr <- fake.Send(&Frame{Hello: &Hello{Proto: proto, Format: 7}})
-		}()
-		_, err := client.ClientHello(7)
-		if !errors.Is(err, pcerr.ErrWireVersion) {
-			t.Errorf("v%d peer: got %v, want ErrWireVersion", proto, err)
-		}
-		if errors.Is(err, pcerr.ErrDatasetVersion) {
-			t.Errorf("v%d peer: proto mismatch also matched ErrDatasetVersion", proto)
-		}
-		if err := <-srvErr; err != nil {
-			t.Fatalf("fake server: %v", err)
+			if errors.Is(err, pcerr.ErrDatasetVersion) {
+				t.Errorf("%s, v%d peer: proto mismatch also matched ErrDatasetVersion", side, proto)
+			}
 		}
 	}
 }
@@ -161,13 +166,16 @@ func TestHandshakeHeartbeatDefault(t *testing.T) {
 	}
 }
 
-// v2Frame has the field layout of protocol v2's frame: a v2 peer's
-// stream is a raw gob stream of these, with no magic and no lengths.
+// v2Hello and v2Frame have the field layouts of protocol v2's Hello and
+// frame: a v2 peer's stream is a raw gob stream of frames, with no magic
+// and no lengths.
+type v2Hello struct {
+	Proto, Format int
+	Heartbeat     time.Duration
+}
+
 type v2Frame struct {
-	Hello     *Hello
-	Job       *Job
-	Assign    *Assign
-	Result    *Result
+	Hello     *v2Hello
 	Heartbeat bool
 }
 
@@ -175,7 +183,7 @@ type v2Frame struct {
 // handshake on either side with pcerr.ErrWireVersion, not decode noise.
 func TestV2HelloRefusedTyped(t *testing.T) {
 	v2Hello := func(w io.Writer) {
-		gob.NewEncoder(w).Encode(&v2Frame{Hello: &Hello{Proto: 2, Format: 7}})
+		gob.NewEncoder(w).Encode(&v2Frame{Hello: &v2Hello{Proto: 2, Format: 7}})
 	}
 
 	a, b := net.Pipe()
@@ -195,6 +203,45 @@ func TestV2HelloRefusedTyped(t *testing.T) {
 	}
 	if errors.Is(err, pcerr.ErrWireFrame) {
 		t.Errorf("client: a v2 peer also matched ErrWireFrame: %v", err)
+	}
+}
+
+// v3Magic opens a v3 stream: its last byte is 'w', not a version.
+var v3Magic = []byte{0xC7, 'p', 'c', 'w'}
+
+// TestV3PeerRefusedTyped: a v3 peer's stream, magic then a Hello frame,
+// fails the v4 handshake on either side with pcerr.ErrWireVersion on its
+// fourth byte, before any frame is read.
+func TestV3PeerRefusedTyped(t *testing.T) {
+	v3 := append(append(bytes.Clone(v3Magic), rawFrame(false, 16, kindHello)...), make([]byte, 16)...)
+	if err := fakePeer(t, v3).ServerHello(7, 0); !errors.Is(err, pcerr.ErrWireVersion) {
+		t.Errorf("server: got %v, want ErrWireVersion", err)
+	}
+	_, err := fakePeer(t, v3).ClientHello(7)
+	if !errors.Is(err, pcerr.ErrWireVersion) {
+		t.Errorf("client: got %v, want ErrWireVersion", err)
+	}
+	if errors.Is(err, pcerr.ErrWireFrame) {
+		t.Errorf("client: a v3 peer also matched ErrWireFrame: %v", err)
+	}
+}
+
+// TestSendRefusesOutOfLayout: a frame whose fields do not fit its layout
+// fails to send, and writes nothing.
+func TestSendRefusesOutOfLayout(t *testing.T) {
+	for _, f := range []*Frame{
+		{},
+		{Hello: &Hello{Format: -1}},
+		{Job: &Job{}},
+		{Assign: &Assign{Cells: []int{1, -2}}},
+		{Result: &Result{Index: 1}},
+		{Result: &Result{Index: -1, Payload: Raw("x")}},
+		{CellError: &CellError{Index: 1, Code: 256}},
+	} {
+		var buf bytes.Buffer
+		if err := NewConn(&buf).Send(f); err == nil || buf.Len() != 0 {
+			t.Errorf("%s frame %+v: sent %d bytes, error %v; want nothing sent and an error", f.Kind(), f, buf.Len(), err)
+		}
 	}
 }
 
@@ -248,17 +295,8 @@ type readWriter struct {
 	io.Writer
 }
 
-// gobKind reports whether frames of kind k carry a gob body.
-func gobKind(k byte) bool {
-	switch k {
-	case kindHello, kindJob, kindResultGob, kindCellError, kindFail:
-		return true
-	}
-	return false
-}
-
 // encodeFresh is f's encoding on a new connection: magic, then the
-// frame, gob type definitions included.
+// frame.
 func encodeFresh(t *testing.T, f *Frame) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -268,28 +306,22 @@ func encodeFresh(t *testing.T, f *Frame) []byte {
 	return buf.Bytes()
 }
 
-// gobSliceChunk is encoding/gob's own allocation ceiling for a slice it
-// has not yet read: it preallocates up to 10 MiB of a claimed length
-// before checking the claim against the message. Only gob-carried
-// frames can reach it.
-const gobSliceChunk = 10 << 20
-
 // FuzzConnRecv feeds arbitrary bytes to Recv until it fails. No input
 // may panic; every failure is typed (pcerr.ErrWireFrame,
 // pcerr.ErrWireVersion, or io.EOF/io.ErrUnexpectedEOF for a stream that
 // ends); and each Recv allocates within a few times the bytes it
-// consumed plus a constant - never the length a header claims. A
-// fixed-layout frame that decodes re-encodes to its own bytes; a
-// gob-carried one re-encodes to a fixed point of decode and encode.
+// consumed plus a constant - never the length a header claims - for
+// every frame kind alike. Every frame that decodes re-encodes to its own
+// bytes.
 func FuzzConnRecv(f *testing.F) {
 	var stream bytes.Buffer
 	c := NewConn(&stream)
 	for _, fr := range []*Frame{
-		{Hello: &Hello{Proto: ProtoVersion, Format: 9, Heartbeat: time.Second}},
-		{Job: &Job{Spec: testPayload{Name: "grid", Cells: []int{0, 1, 2}}}},
+		{Hello: &Hello{Format: 9, Heartbeat: time.Second}},
+		{Job: &Job{Spec: Raw(`{"Programs":["crc"]}`)}},
 		{Assign: &Assign{Cells: []int{4, 7, 19}}},
 		{Result: &Result{Index: 8, Payload: Raw("counters")}},
-		{Result: &Result{Index: 7, Payload: testPayload{Name: "cell-7"}}},
+		{CellError: &CellError{Index: 7, Msg: "no trace", Code: CodeInvalidConfig, Sim: true, Program: "gs", Setting: -1, Arch: -1}},
 		{CellError: &CellError{Index: 3, Msg: "boom", Sim: true, Program: "crc"}},
 		{Fail: &Fail{Msg: "refused"}},
 		{StoreGet: &StoreGet{ID: 11, Key: [32]byte{1, 2, 3}}},
@@ -305,9 +337,7 @@ func FuzzConnRecv(f *testing.F) {
 	f.Add(stream.Bytes()[:stream.Len()-3])
 	f.Add(rawFrame(true, 1<<30, kindJob))
 	f.Add(append(rawFrame(true, MaxFrame, kindStorePut), make([]byte, 64)...))
-	var v2 bytes.Buffer
-	gob.NewEncoder(&v2).Encode(&v2Frame{Hello: &Hello{Proto: 2}})
-	f.Add(v2.Bytes())
+	f.Add(append(bytes.Clone(v3Magic), stream.Bytes()[len(magic):]...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src := bytes.NewReader(data)
@@ -330,11 +360,7 @@ func FuzzConnRecv(f *testing.F) {
 			if at+headerLen <= len(data) {
 				kind = data[at+4]
 			}
-			limit := uint64(4*n + bodyStep + 4<<10)
-			if gobKind(kind) {
-				limit += uint64(64*n + gobSliceChunk)
-			}
-			if used > limit {
+			if limit := uint64(4*n + bodyStep + 4<<10); used > limit {
 				t.Fatalf("Recv of %d bytes (kind %d) allocated %d, over %d", n, kind, used, limit)
 			}
 			if err != nil {
@@ -344,19 +370,9 @@ func FuzzConnRecv(f *testing.F) {
 				}
 				return
 			}
-			again := encodeFresh(t, fr)
-			if in := data[at:consumed()]; !gobKind(kind) {
-				if !bytes.Equal(again[len(magic):], in) {
-					t.Fatalf("%s frame %x re-encodes as %x", fr.Kind(), in, again[len(magic):])
-				}
-				continue
-			}
-			back, err := NewConn(readWriter{Reader: bytes.NewReader(again)}).Recv()
-			if err != nil {
-				t.Fatalf("re-encoded %s frame does not decode: %v", fr.Kind(), err)
-			}
-			if !bytes.Equal(encodeFresh(t, back), again) {
-				t.Fatalf("%s frame is no fixed point of decode and encode", fr.Kind())
+			again := encodeFresh(t, fr)[len(magic):]
+			if in := data[at:consumed()]; !bytes.Equal(again, in) {
+				t.Fatalf("%s frame %x re-encodes as %x", fr.Kind(), in, again)
 			}
 		}
 	})
