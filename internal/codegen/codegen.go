@@ -28,6 +28,9 @@ type Program struct {
 	TotalBytes int
 	// PadBytes is the portion of TotalBytes that is alignment padding.
 	PadBytes int
+	// CondSites lists the address of every conditional branch in the
+	// image, ascending: the only PCs a trace of it looks up in a BTB.
+	CondSites []uint32
 
 	// Dense cursor-index spaces, assigned at image-build time so the
 	// trace generator's per-event state lookups are flat slice indexing
@@ -142,13 +145,17 @@ func (a *slotAlloc) site(id int32) int32 {
 func Lower(m *ir.Module) (*Program, error) {
 	p := &Program{Module: m}
 	alloc := &slotAlloc{streams: map[int32]int32{}, sites: map[int32]int32{}}
-	body := 0
+	body, conds := 0, 0
 	for _, f := range m.Funcs {
 		for _, b := range f.Blocks {
 			body += len(b.Insns)
+			if b.Term.Kind == ir.TermBranch {
+				conds++
+			}
 		}
 	}
 	alloc.uops = make([]Uop, body)
+	p.CondSites = make([]uint32, 0, conds)
 	addr := CodeBase
 	totalPad := 0
 	maxID := -1
@@ -164,6 +171,9 @@ func Lower(m *ir.Module) (*Program, error) {
 		}
 		for _, bi := range fi.Blocks {
 			totalPad += bi.Pad
+			if bi.Term.Kind == ir.TermBranch {
+				p.CondSites = append(p.CondSites, bi.BranchAddr)
+			}
 		}
 		p.Funcs = append(p.Funcs, fi)
 		if fi.ID > maxID {

@@ -18,7 +18,7 @@ type Fingerprint [sha256.Size]byte
 // generator observes about the program - placement, padding, instruction
 // streams, materialised control, branch profile metadata - to dst and
 // returns it. Derived conveniences that cannot differ when the serialised
-// fields agree (Pos, ByID, TotalBytes) are omitted.
+// fields agree (Pos, ByID, TotalBytes, CondSites) are omitted.
 func AppendImage(dst []byte, p *Program) []byte {
 	u32 := func(v uint32) {
 		dst = binary.LittleEndian.AppendUint32(dst, v)

@@ -3,7 +3,7 @@
 // microarchitecture together, instead of one full replay per
 // configuration. Results are bit-identical to per-configuration Simulate.
 //
-// Five structural facts of the model make the batch engine fast:
+// Six structural facts of the model make the batch engine fast:
 //
 //  1. The trace is microarchitecture-independent, so per-event decode work
 //     (operation class, flags, dependency distances) is shared by all
@@ -66,6 +66,20 @@
 //     caches and publishes every member's miss counts; every later one
 //     reads them back and sets up no data-cache tag array at all.
 //
+//  6. A structure the trace cannot overflow never evicts, so it behaves
+//     like an unbounded one. The image bounds the trace (trace.Code): its
+//     code range spans L_B lines of B bytes, at most ceil(L_B/S) of which
+//     share a set of an S-set cache. An IL1 stack where that bound is at
+//     most its smallest member associativity is neither allocated nor
+//     swept: each member's misses are the distinct lines fetched, counted
+//     at the line changes its chain already visits, and the chain links
+//     the remaining stacks, since fact 2's MRU filter holds between any
+//     two set counts. Likewise every BTB geometry whose sets hold at most
+//     assoc of the image's conditional-branch sites predicts like an
+//     unbounded table; all of them share one BTB group sweep, and so do
+//     the fetch streams and pairing groups keyed by it. Data lines span
+//     whole stream regions, so DL1 has no such bound.
+//
 // The per-block sweeps are independent within three dependency waves, so
 // SimulateBatchWith can fan them over a worker pool on multi-core
 // machines - bit-identical under any schedule; SimulateBatch keeps the
@@ -108,23 +122,36 @@ func newBitset() bitset { return make(bitset, blockWords) }
 // arena (zeroing in place of allocating) keeps the engine allocation-flat
 // like the cache/bpred pools keep Simulate. A call whose sequence differs
 // (another arch batch, a fuzzed geometry set) just re-sizes the mismatched
-// slots and converges.
+// slots and converges. Which geometries a trace can overflow (fact 6)
+// varies from trace to trace, so the sequence must not: per-block bitsets,
+// all one size, and BTB tables draw from arenas of their own, and a
+// fitting tag stack draws its slots empty.
 type simScratch struct {
-	st  []batchState
-	u64 slots[uint64]
-	u32 slots[uint32]
-	u8  slots[uint8]
+	st []batchState
+	// perSet counts conditional-branch sites per BTB set (btbFits).
+	perSet []uint32
+	bits   slots[uint64]
+	btb    slots[uint64]
+	u64    slots[uint64]
+	u32    slots[uint32]
+	u8     slots[uint8]
 }
 
 var simScratchPool = sync.Pool{New: func() any { return new(simScratch) }}
 
 func getSimScratch() *simScratch {
 	sc := simScratchPool.Get().(*simScratch)
-	sc.u64.i, sc.u32.i, sc.u8.i = 0, 0, 0
+	sc.bits.i, sc.btb.i, sc.u64.i, sc.u32.i, sc.u8.i = 0, 0, 0, 0, 0
 	return sc
 }
 
 func putSimScratch(sc *simScratch) { simScratchPool.Put(sc) }
+
+// fitCounts is what fact 6 saved in one replay: IL1 stacks neither
+// allocated nor swept, and BTB geometries answered by the shared
+// no-eviction group. Tests read it to tell a shortcut that fired from
+// one silently disabled.
+type fitCounts struct{ il1Stacks, btbGeoms int }
 
 // stateBuf returns a zeroed per-configuration state array.
 func (sc *simScratch) stateBuf(n int) []batchState {
@@ -169,7 +196,7 @@ func (s *slots[T]) get(n int, zero bool) []T {
 }
 
 // bitset returns a zeroed per-block bit vector from the arena.
-func (sc *simScratch) bitset() bitset { return bitset(sc.u64.get(blockWords, true)) }
+func (sc *simScratch) bitset() bitset { return bitset(sc.bits.get(blockWords, true)) }
 
 func (b bitset) set(i int)      { b[i>>6] |= 1 << (i & 63) }
 func (b bitset) get(i int) bool { return b[i>>6]>>(i&63)&1 != 0 }
@@ -233,6 +260,10 @@ type lruStack struct {
 	blockLg  uint32
 	setBits  uint32
 	members  []*cacheMember
+	// fits marks an instruction stack the trace's code range cannot
+	// overflow (fact 6): it has no tag store, and its chain counts its
+	// members' misses.
+	fits bool
 	// forceRing pins the ring representation regardless of depth; the
 	// equivalence tests and benchmarks use it to drive both encodings
 	// over one geometry.
@@ -283,11 +314,33 @@ func (s *lruStack) finalize() {
 	s.depth = s.members[len(s.members)-1].assoc
 }
 
+// codeLines returns the first line and the line count of the trace's
+// code range at 1<<blockLg-byte lines; n is 0 when it declares none.
+func codeLines(code *trace.Code, blockLg uint32) (first, n uint32) {
+	if code.Hi <= code.Lo {
+		return 0, 0
+	}
+	first = code.Lo >> blockLg
+	return first, (code.Hi-1)>>blockLg - first + 1
+}
+
+// fitsCode reports whether no set of a finalized stack can hold more of
+// the code range's lines than its smallest member associativity: n
+// consecutive lines put at most ceil(n/sets) in any one set (fact 6).
+func (s *lruStack) fitsCode(code *trace.Code) bool {
+	_, n := codeLines(code, s.blockLg)
+	return n > 0 && (uint64(n)+uint64(s.setMask))>>s.setBits <= uint64(s.members[0].assoc)
+}
+
 // alloc sizes a finalized stack's tag store; the backing arrays come
 // zeroed from the call's scratch arena. Stacks up to permMaxDepth deep
-// take the permutation-word representation, deeper ones the ring.
+// take the permutation-word representation, deeper ones the ring. A
+// stack that fits the code range draws the same slots empty.
 func (s *lruStack) alloc(sc *simScratch) {
 	sets := int(s.setMask) + 1
+	if s.fits {
+		sets = 0
+	}
 	s.lines = sc.u32.get(sets*s.depth, true)
 	if s.depth <= permMaxDepth && !s.forceRing {
 		s.perm = sc.u64.get(sets, false)
@@ -426,6 +479,12 @@ func (s *lruStack) access(addr uint32, j int, isStore, isData bool) (mru bool) {
 // the stacks themselves keep theirs, which dataKey hashes.
 type stackChain struct {
 	stacks []*lruStack
+	// fits holds the block size's stacks the code range cannot overflow
+	// (fact 6), answered from seen: one bit per code line, set at the
+	// line's first fetch, lineBase the range's first line.
+	fits            []*lruStack
+	seen            bitset
+	lineBase, lines uint32
 	// changed is the block size's line changes, the instruction stream's
 	// accesses (icStream); nil marks a data chain, which takes memList.
 	changed bitset
@@ -435,31 +494,82 @@ type stackChain struct {
 }
 
 // chainStacks groups stacks into chains by block size; instruction chains
-// take their line changes from the tracker of their block size.
-func chainStacks(stacks []*lruStack, tracks []lineTrack, sc *simScratch) []stackChain {
+// take their line changes from the tracker of their block size and a
+// seen-line bitset over the code range, empty when no stack fits.
+func chainStacks(stacks []*lruStack, tracks []lineTrack, code *trace.Code, sc *simScratch) []stackChain {
 	order := append([]*lruStack(nil), stacks...)
 	sort.Slice(order, func(a, b int) bool {
 		x, y := order[a], order[b]
-		return x.blockLg < y.blockLg || x.blockLg == y.blockLg && x.setBits < y.setBits
+		if x.blockLg != y.blockLg {
+			return x.blockLg < y.blockLg
+		}
+		if x.fits != y.fits {
+			return y.fits
+		}
+		return x.setBits < y.setBits
 	})
 	var chains []stackChain
 	for i, j := 0, 0; i < len(order); i = j {
-		for j = i + 1; j < len(order) && order[j].blockLg == order[i].blockLg; j++ {
+		k := i // end of the simulated stacks, which sort first
+		for j = i; j < len(order) && order[j].blockLg == order[i].blockLg; j++ {
+			if !order[j].fits {
+				k = j + 1
+			}
 		}
-		c := stackChain{stacks: order[i:j], live: sc.u32.get(blockEvents, false)}
+		c := stackChain{stacks: order[i:k], fits: order[k:j], live: sc.u32.get(blockEvents, false)}
 		for _, lt := range tracks {
 			if lt.blockLg == order[i].blockLg {
 				c.changed = lt.changed
 			}
+		}
+		if c.changed != nil {
+			if len(c.fits) > 0 {
+				c.lineBase, c.lines = codeLines(code, order[i].blockLg)
+			}
+			c.seen = bitset(sc.u64.get(int(c.lines+63)/64, true))
 		}
 		chains = append(chains, c)
 	}
 	return chains
 }
 
+// firstFetches charges each code line's first fetch to every member of
+// the chain's fitting stacks: nothing evicts there (fact 6), so a line
+// misses once, at the line change that first fetches it.
+func (c *stackChain) firstFetches(pcList []uint32, words int) {
+	blockLg := c.fits[0].blockLg
+	for w := 0; w < words; w++ {
+		for word := c.changed[w]; word != 0; word &= word - 1 {
+			j := w<<6 + bits.TrailingZeros64(word)
+			i := pcList[j]>>blockLg - c.lineBase
+			if i >= c.lines {
+				panic("cpu: fetch outside the trace's declared code range")
+			}
+			if c.seen.get(int(i)) {
+				continue
+			}
+			c.seen.set(int(i))
+			for _, s := range c.fits {
+				for _, m := range s.members {
+					m.misses++
+					if m.missBits != nil {
+						m.missBits.set(j)
+					}
+				}
+			}
+		}
+	}
+}
+
 // sweep replays one block through the chain. memList and pcList are the
 // block's packed memory events and PCs, words its bitset length.
 func (c *stackChain) sweep(memList []uint64, pcList []uint32, words int) {
+	if len(c.fits) > 0 {
+		c.firstFetches(pcList, words)
+	}
+	if len(c.stacks) == 0 {
+		return
+	}
 	live, first := c.live[:0], c.stacks[0]
 	if c.changed == nil {
 		for k, mp := range memList {
@@ -644,8 +754,8 @@ type pairGroup struct {
 }
 
 type icKey struct {
-	btbSize, btbAssoc int
-	blockLg           uint32
+	btbIdx  int
+	blockLg uint32
 }
 
 type stackKey struct{ setBits, blockLg uint32 }
@@ -667,6 +777,32 @@ func btbStep(g *btbGroup, cp uint64) {
 			g.dev.set(j)
 		}
 	}
+}
+
+// btbFits reports whether no set of an entries x assoc BTB holds more
+// than assoc of the trace's conditional-branch sites: a taken branch then
+// always finds a free way, nothing is evicted, and the geometry predicts
+// exactly like an unbounded table (fact 6).
+func btbFits(code *trace.Code, entries, assoc int, sc *simScratch) bool {
+	if code.Hi <= code.Lo {
+		return false
+	}
+	if len(code.CondSites) <= assoc {
+		return true
+	}
+	sets := entries / assoc
+	if cap(sc.perSet) < sets {
+		sc.perSet = make([]uint32, sets)
+	}
+	per := sc.perSet[:sets]
+	clear(per)
+	for _, pc := range code.CondSites {
+		set := pc >> 2 & uint32(sets-1)
+		if per[set]++; per[set] > uint32(assoc) {
+			return false
+		}
+	}
+	return true
 }
 
 // log2u32 is the integer base-2 logarithm of a power of two.
@@ -781,7 +917,7 @@ func SimulateBatch(tr *trace.Trace, cfgs []uarch.Config) []Result {
 // machines. Workers <= 1 (SimulateBatch's default) keeps the sequential
 // fast path.
 func SimulateBatchWith(tr *trace.Trace, cfgs []uarch.Config, workers int) []Result {
-	rs, _ := simulateBatch(tr, cfgs, workers, false, nil)
+	rs, _, _ := simulateBatch(tr, cfgs, workers, false, nil)
 	return rs
 }
 
@@ -815,7 +951,8 @@ func (d *DataMemo) store(key [sha256.Size]byte, members []*cacheMember) {
 // from memo when an earlier call published this trace's data stream
 // (reused), and published to it otherwise; bit-identical either way.
 func SimulateBatchMemo(tr *trace.Trace, cfgs []uarch.Config, workers int, memo *DataMemo) (rs []Result, reused bool) {
-	return simulateBatch(tr, cfgs, workers, false, memo)
+	rs, reused, _ = simulateBatch(tr, cfgs, workers, false, memo)
+	return rs, reused
 }
 
 // dataKey names what a data-cache outcome depends on: the DL1 member
@@ -856,9 +993,9 @@ func dataKey(dcs []*lruStack, tr *trace.Trace) (key [sha256.Size]byte) {
 // use it to drive both models over one trace and demand bit-identical
 // results. memo (nil: none) answers or learns the data caches (fact 5)
 // unless a configuration takes the per-event path; reused: it answered.
-func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle bool, memo *DataMemo) (results []Result, reused bool) {
+func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle bool, memo *DataMemo) (results []Result, reused bool, fits fitCounts) {
 	if len(cfgs) == 0 {
-		return nil, false
+		return nil, false, fits
 	}
 	sc := getSimScratch()
 	defer putSimScratch(sc)
@@ -873,6 +1010,7 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 	var ics []icStream
 	var icStacks, dcs []*lruStack // first-seen order
 	var btbs []btbGroup
+	unbounded := -1 // the BTB group every no-eviction geometry shares
 	var lineTracks []lineTrack
 	var wide []*batchState // multi-issue configurations, per-event path
 	maxDl1 := 0            // deepest load-use latency among single-issue configs
@@ -913,15 +1051,26 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 			if err := bpred.CheckGeometry(cfg.BTBSize, cfg.BTBAssoc); err != nil {
 				panic(err)
 			}
-			sets := cfg.BTBSize / cfg.BTBAssoc
-			bi = len(btbs)
-			btbs = append(btbs, btbGroup{
-				entries: sc.u64.get(cfg.BTBSize, true),
-				assoc:   cfg.BTBAssoc,
-				setMask: uint32(sets - 1),
-				setBits: log2u32(uint32(sets)),
-				dev:     sc.bitset(),
-			})
+			fit := btbFits(&tr.Code, cfg.BTBSize, cfg.BTBAssoc, sc)
+			if fit {
+				fits.btbGeoms++
+			}
+			if fit && unbounded >= 0 {
+				bi = unbounded
+			} else {
+				sets := cfg.BTBSize / cfg.BTBAssoc
+				bi = len(btbs)
+				btbs = append(btbs, btbGroup{
+					entries: sc.btb.get(cfg.BTBSize, true),
+					assoc:   cfg.BTBAssoc,
+					setMask: uint32(sets - 1),
+					setBits: log2u32(uint32(sets)),
+					dev:     sc.bitset(),
+				})
+				if fit {
+					unbounded = bi
+				}
+			}
 			btbIndex[bk] = bi
 		}
 		st.btbIdx = bi
@@ -935,7 +1084,7 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 			})
 			lineIndex[iBlk] = li
 		}
-		ik := icKey{cfg.BTBSize, cfg.BTBAssoc, iBlk}
+		ik := icKey{bi, iBlk}
 		ii, ok := icIndex[ik]
 		if !ok {
 			ii = len(ics)
@@ -1003,9 +1152,12 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 	}
 	for _, s := range icStacks {
 		s.finalize()
+		if s.fits = s.fitsCode(&tr.Code); s.fits {
+			fits.il1Stacks++
+		}
 		s.alloc(sc)
 	}
-	icChains := chainStacks(icStacks, lineTracks, sc)
+	icChains := chainStacks(icStacks, lineTracks, &tr.Code, sc)
 	for _, s := range dcs {
 		s.finalize()
 	}
@@ -1093,7 +1245,7 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 	for _, s := range swept {
 		s.alloc(sc)
 	}
-	dcChains := chainStacks(swept, nil, sc)
+	dcChains := chainStacks(swept, nil, nil, sc)
 	var opCount [256]uint64
 
 	// Per-block state shared with the sweep closures below; the closures
@@ -1489,7 +1641,7 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 			float64(res.Insns)*coreEnergyPerInsn +
 			float64(res.Cycles)*coreEnergyPerCycle
 	}
-	return results, reused
+	return results, reused, fits
 }
 
 // depStallDot folds the dependency histogram with one configuration's

@@ -408,7 +408,7 @@ func TestSimulateBatchWideOracle(t *testing.T) {
 		t.Helper()
 		closed := SimulateBatch(tr, archs)
 		for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-			oracle, _ := simulateBatch(tr, archs, workers, true, nil)
+			oracle, _, _ := simulateBatch(tr, archs, workers, true, nil)
 			for i := range archs {
 				if closed[i] != oracle[i] {
 					t.Fatalf("workers=%d config %d (%s): closed form differs from per-event oracle:\n  got %+v\n want %+v",
@@ -544,7 +544,7 @@ func chainsMatchIndependent(tr *trace.Trace, geoms []stackGeom, data bool) error
 			tracks = append(tracks, lineTrack{blockLg: g.blockLg, prevLine: ^uint32(0), changed: newBitset()})
 		}
 	}
-	chains := chainStacks(chained, tracks, sc)
+	chains := chainStacks(chained, tracks, nil, sc)
 	var memList []uint64
 	var pcList []uint32
 	for start := 0; start < len(tr.Events); start += blockEvents {

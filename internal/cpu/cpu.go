@@ -110,6 +110,10 @@ func mustBTB(entries, assoc int) *bpred.BTB {
 
 // Simulate replays the trace on the configuration. Cache and BTB state is
 // drawn from package pools, so steady-state simulation is allocation-free.
+// It is the reference model: every event goes through a real cache and
+// BTB of this one geometry, never shared with another and never skipped
+// on the strength of trace.Code, so the batch engine's shortcuts are
+// tested against it rather than built into it.
 func Simulate(tr *trace.Trace, cfg uarch.Config) Result {
 	ic := mustCache(cfg.IL1Size, cfg.IL1Assoc, cfg.IL1Block)
 	dc := mustCache(cfg.DL1Size, cfg.DL1Assoc, cfg.DL1Block)

@@ -140,7 +140,7 @@ func FuzzLRUStackVsReference(f *testing.F) {
 					m.missBits = newBitset()
 				}
 			}
-			chains := chainStacks(stacks, nil, sc)
+			chains := chainStacks(stacks, nil, nil, sc)
 			if len(chains) != 1 || len(chains[0].stacks) != len(stacks) {
 				t.Fatalf("%d stacks of one block size made %d chains", len(stacks), len(chains))
 			}
@@ -209,10 +209,15 @@ func FuzzPairWord(f *testing.F) {
 // fuzzTrace decodes an adversarial event stream from fuzz bytes, in the
 // spirit of randomTrace but byte-driven: arbitrary operation classes,
 // flags, addresses and dependency distances, including values the real
-// generator never emits.
+// generator never emits. A jump record's high nibble scales its target,
+// 0x1000 + 4*b4 << scale, so code ranges run from a few bytes to 32 MiB:
+// either side of every IL1 and BTB geometry's no-eviction bound (fact
+// 6). The trace declares its exact code range and branch sites.
 func fuzzTrace(data []byte) *trace.Trace {
 	tr := &trace.Trace{}
 	pc := uint32(0x1000)
+	lo, hi := ^uint32(0), uint32(0)
+	var sites []uint32
 	for i := 0; i+6 <= len(data) && i/6 < 20000; i += 6 {
 		b := data[i : i+6]
 		op := isa.Op(int(b[0]) % isa.NumOps)
@@ -227,7 +232,7 @@ func fuzzTrace(data []byte) *trace.Trace {
 		case 0:
 			pc += 4
 		case 1:
-			pc = 0x1000 + uint32(b[4])*4
+			pc = 0x1000 + uint32(b[4])*4<<(b[3]>>4)
 		case 2:
 			ev.DistLoad = b[4]
 		case 3:
@@ -235,6 +240,10 @@ func fuzzTrace(data []byte) *trace.Trace {
 			ev.FULat = b[5]
 		}
 		ev.Flags = b[5] & (trace.FlagTaken | trace.FlagDepPrev | trace.FlagCond)
+		lo, hi = min(lo, ev.PC), max(hi, ev.PC+4)
+		if ev.Flags&trace.FlagCond != 0 {
+			sites = append(sites, ev.PC)
+		}
 		tr.Events = append(tr.Events, ev)
 		tr.OpCount[op]++
 		if op.IsMem() {
@@ -247,7 +256,32 @@ func fuzzTrace(data []byte) *trace.Trace {
 	tr.RegReads = uint64(len(tr.Events))
 	tr.RegWrites = uint64(len(tr.Events) / 2)
 	tr.Runs = 1
+	if len(tr.Events) > 0 {
+		slices.Sort(sites)
+		tr.Code = trace.Code{Lo: lo, Hi: hi, CondSites: slices.Compact(sites)}
+	}
 	return tr
+}
+
+// fuzzBoundarySeed spells a trace across the XScale point's no-eviction
+// bounds, which every fuzzed sample contains: a branch at 0x1000, a jump
+// to 0x8f80, and a sequential run that ends - with a second branch -
+// either on the last instruction of a 32 KiB code range (1024 32-byte
+// lines over its 32-set IL1, and the branches in distinct sets of its
+// 512x1 BTB) or one instruction past it (a 1025th line, and the two
+// branches 32 KiB apart in one BTB set).
+func fuzzBoundarySeed(past bool) []byte {
+	rec := func(mode, b4, flags byte) []byte { return []byte{byte(isa.OpALU), 0, 0, mode, b4, flags} }
+	seed := []byte{0}
+	seed = append(seed, rec(0x51, 255, trace.FlagCond|trace.FlagTaken)...) // 0x1000, then to 0x1000 + 255*4<<5
+	n := 31
+	if past {
+		n = 32
+	}
+	for k := 0; k < n; k++ {
+		seed = append(seed, rec(0, 0, 0)...)
+	}
+	return append(seed, rec(0, 0, trace.FlagCond)...)
 }
 
 // FuzzSimulateBatchVsSimulate fuzzes the end-to-end equivalence: an
@@ -265,6 +299,15 @@ func FuzzSimulateBatchVsSimulate(f *testing.F) {
 	}
 	f.Add(seq)
 	f.Add([]byte{7, 255, 255, 255, 255, 255, 255, 0, 0, 0, 0, 0, 0})
+	// Either side of the XScale point's IL1 and BTB bounds, and a 25 MiB
+	// code range that overflows every geometry of every sample.
+	f.Add(fuzzBoundarySeed(false))
+	f.Add(fuzzBoundarySeed(true))
+	wide := []byte{5}
+	for k := 0; k < 64; k++ {
+		wide = append(wide, byte(isa.OpALU), 0, 0, byte(k%16)<<4|1, byte(k*37), trace.FlagCond|byte(k%2))
+	}
+	f.Add(wide)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 1 {
@@ -295,7 +338,7 @@ func FuzzSimulateBatchVsSimulate(f *testing.F) {
 		}
 		// The width-2 closed forms must agree with the per-event oracle,
 		// and any worker count must agree with the sequential pass.
-		oracle, _ := simulateBatch(tr, archs, 1, true, nil)
+		oracle, _, _ := simulateBatch(tr, archs, 1, true, nil)
 		for i := range archs {
 			if oracle[i] != batch[i] {
 				t.Fatalf("config %d (%s): per-event oracle differs from closed form:\n  got %+v\n want %+v",

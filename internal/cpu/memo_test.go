@@ -173,7 +173,7 @@ func TestDataMemoBitIdentical(t *testing.T) {
 		var memo DataMemo
 		for pass := 0; pass < 2; pass++ {
 			got, reused := SimulateBatchMemo(tr, wide, 1, &memo)
-			oracle, oracleReused := simulateBatch(tr, b, 1, true, &memo)
+			oracle, oracleReused, _ := simulateBatch(tr, b, 1, true, &memo)
 			entries := 0
 			memo.m.Range(func(_, _ any) bool { entries++; return true })
 			if reused || oracleReused || entries != 0 {

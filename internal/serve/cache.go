@@ -1,6 +1,9 @@
 package serve
 
-import "sync"
+import (
+	"container/list"
+	"sync"
+)
 
 // featureCache is the LRU cache of profiled feature vectors, keyed by
 // (program, microarchitecture). The feature vector is the expensive
@@ -10,12 +13,18 @@ import "sync"
 // pairs heavily across a fleet, so repeat queries must skip the
 // profiling run entirely. Concurrent misses on the same key are
 // single-flighted: one caller profiles, the rest wait for its result.
+// A hit and an eviction are O(1): the entries form a recency list.
 type featureCache struct {
 	mu       sync.Mutex
 	capacity int
-	order    []string // LRU order, front = coldest
-	vecs     map[string][]float64
+	lru      list.List                // of *cacheEntry, front = coldest
+	vecs     map[string]*list.Element // key -> its lru element
 	flights  map[string]*flight
+}
+
+type cacheEntry struct {
+	key string
+	x   []float64
 }
 
 type flight struct {
@@ -27,7 +36,7 @@ type flight struct {
 func newFeatureCache(capacity int) *featureCache {
 	return &featureCache{
 		capacity: capacity,
-		vecs:     map[string][]float64{},
+		vecs:     map[string]*list.Element{},
 		flights:  map[string]*flight{},
 	}
 }
@@ -38,10 +47,10 @@ func newFeatureCache(capacity int) *featureCache {
 // Failed computes are not cached; every later get retries.
 func (c *featureCache) get(key string, compute func() ([]float64, error)) (x []float64, hit bool, err error) {
 	c.mu.Lock()
-	if x, ok := c.vecs[key]; ok {
-		c.touch(key)
+	if e, ok := c.vecs[key]; ok {
+		c.lru.MoveToBack(e)
 		c.mu.Unlock()
-		return x, true, nil
+		return e.Value.(*cacheEntry).x, true, nil
 	}
 	if f, ok := c.flights[key]; ok {
 		c.mu.Unlock()
@@ -76,22 +85,9 @@ func (c *featureCache) insert(key string, x []float64) {
 	if _, ok := c.vecs[key]; ok {
 		return
 	}
-	c.vecs[key] = x
-	c.order = append(c.order, key)
+	c.vecs[key] = c.lru.PushBack(&cacheEntry{key, x})
 	for len(c.vecs) > c.capacity {
-		cold := c.order[0]
-		c.order = c.order[1:]
-		delete(c.vecs, cold)
-	}
-}
-
-// touch moves a hit key to the warm end. Called with c.mu held.
-func (c *featureCache) touch(key string) {
-	for i, k := range c.order {
-		if k == key {
-			copy(c.order[i:], c.order[i+1:])
-			c.order[len(c.order)-1] = key
-			return
-		}
+		cold := c.lru.Remove(c.lru.Front()).(*cacheEntry)
+		delete(c.vecs, cold.key)
 	}
 }

@@ -36,6 +36,16 @@ func generateReference(p *codegen.Program, cfg trace.Config) *trace.Trace {
 		g.tr.Truncated = true
 		g.tr.Runs++
 	}
+	// The static bounds come from the placed blocks themselves.
+	g.tr.Code = trace.Code{Lo: codegen.CodeBase, Hi: codegen.CodeBase, CondSites: []uint32{}}
+	for _, fi := range p.Funcs {
+		g.tr.Code.Hi = max(g.tr.Code.Hi, fi.Addr+uint32(fi.Bytes))
+		for _, bi := range fi.Blocks {
+			if bi.Term.Kind == ir.TermBranch {
+				g.tr.Code.CondSites = append(g.tr.Code.CondSites, bi.BranchAddr)
+			}
+		}
+	}
 	return g.tr
 }
 

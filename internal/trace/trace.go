@@ -78,6 +78,18 @@ type Trace struct {
 	// Truncated reports that the instruction cap ended the trace before
 	// the requested run count completed.
 	Truncated bool
+	// Code is what the image knows about the instructions the events
+	// were fetched from; the generator fills it, the replay engine reads
+	// it to skip geometries the trace cannot overflow.
+	Code Code
+}
+
+// Code bounds a trace's instruction stream statically: every event's PC
+// lies in [Lo, Hi), and every FlagCond event's PC is one of CondSites.
+// The zero value (Hi == 0) declares nothing.
+type Code struct {
+	Lo, Hi    uint32
+	CondSites []uint32
 }
 
 // Insns returns the dynamic instruction count.
@@ -233,6 +245,7 @@ func GenerateInto(dst *Trace, p *codegen.Program, cfg Config) *Trace {
 		g.out.Runs++ // count the partial run so rates stay finite
 	}
 	g.out.MemOps = g.out.OpCount[isa.OpLoad] + g.out.OpCount[isa.OpStore]
+	g.out.Code = Code{Lo: codegen.CodeBase, Hi: codegen.CodeBase + uint32(p.TotalBytes), CondSites: p.CondSites}
 	*dst = g.out
 	g.prog, g.out = nil, Trace{}
 	genPool.Put(g)

@@ -3,6 +3,7 @@ package trace_test
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"portcc/internal/codegen"
@@ -121,6 +122,41 @@ func TestAddressesWithinRegions(t *testing.T) {
 			}
 		} else if op != isa.OpNop && ev.PC < codegen.CodeBase {
 			t.Fatalf("instruction address %#x below CodeBase", ev.PC)
+		}
+	}
+}
+
+// TestCodeBoundsEvents holds a trace's static bounds to its events, the
+// contract the replay engine's no-eviction shortcut rests on: every PC,
+// executed padding included, lies in the code range, and every
+// conditional branch sits at a listed site - over every suite program
+// under -O3, the all-off setting and a sampled one, and the padded loop.
+func TestCodeBoundsEvents(t *testing.T) {
+	check := func(what string, tr *trace.Trace) {
+		t.Helper()
+		c := tr.Code
+		if c.Lo != codegen.CodeBase || c.Hi <= c.Lo || !slices.IsSorted(c.CondSites) {
+			t.Fatalf("%s: code range [%#x, %#x), sites sorted %v", what, c.Lo, c.Hi, slices.IsSorted(c.CondSites))
+		}
+		for i, ev := range tr.Events {
+			if ev.PC < c.Lo || ev.PC >= c.Hi {
+				t.Fatalf("%s: event %d at %#x outside [%#x, %#x)", what, i, ev.PC, c.Lo, c.Hi)
+			}
+			if _, ok := slices.BinarySearch(c.CondSites, ev.PC); ev.Flags&trace.FlagCond != 0 && !ok {
+				t.Fatalf("%s: conditional branch %d at %#x is not a listed site", what, i, ev.PC)
+			}
+		}
+	}
+	check("padded loop", trace.Generate(paddedLoop(t), trace.Config{Runs: 2, Seed: 1}))
+	settings := []opt.Config{opt.O3(), {}, opt.Random(rand.New(rand.NewSource(35)))}
+	for _, name := range prog.Names() {
+		m := prog.MustBuild(name)
+		for si := range settings {
+			p, err := core.Compile(m, &settings[si])
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(name, trace.Generate(p, trace.Config{Runs: 1, MaxInsns: 200_000, Seed: 7}))
 		}
 	}
 }
