@@ -7,7 +7,9 @@ package cmd_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -17,9 +19,28 @@ import (
 	"portcc/internal/ml"
 )
 
-// raggedDataset writes a dataset file whose Speedups lost a program row:
-// a well-formed gob that dataset.Load must refuse.
-func raggedDataset(t *testing.T, dir string) string {
+// corrupt saves a valid file under dir, then rewrites it with edit: a
+// byte-level corruption no build writes, which the loader must refuse.
+func corrupt(t *testing.T, dir, name string, save func(path string) error, edit func(b []byte) []byte) string {
+	t.Helper()
+	path := filepath.Join(dir, name)
+	if err := save(path); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, edit(b), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// raggedDatasets writes two dataset files whose bodies disagree with
+// their counts: one whose spec length runs past the end of the file, one
+// with a trailing byte.
+func raggedDatasets(t *testing.T, dir string) (pastEnd, trailing string) {
 	t.Helper()
 	ds, err := dataset.Generate(context.Background(), dataset.GenConfig{
 		Programs: []string{"crc", "qsort"},
@@ -31,25 +52,22 @@ func raggedDataset(t *testing.T, dir string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds.Speedups = ds.Speedups[:1]
-	path := filepath.Join(dir, "ragged.gob")
-	if err := ds.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	return path
+	specLen := len("portcc-dataset") + 16 // magic, version, config length
+	pastEnd = corrupt(t, dir, "past-end.bin", ds.Save, func(b []byte) []byte {
+		binary.LittleEndian.PutUint64(b[specLen:], 1<<40)
+		return b
+	})
+	trailing = corrupt(t, dir, "trailing.bin", ds.Save, func(b []byte) []byte { return append(b, 0) })
+	return pastEnd, trailing
 }
 
-// nilNormModel writes a model artifact with no normaliser: a well-formed
-// gob that ml.Decode must refuse.
+// nilNormModel writes a model artifact cut off where its normaliser
+// begins.
 func nilNormModel(t *testing.T, dir string) string {
 	t.Helper()
 	m := ml.Train([]ml.TrainingPair{{Prog: "crc", X: []float64{1, 2}}})
-	m.Norm = nil
-	path := filepath.Join(dir, "nilnorm.gob")
-	if err := ml.Save(path, m, ml.ArtifactInfo{}); err != nil {
-		t.Fatal(err)
-	}
-	return path
+	return corrupt(t, dir, "nilnorm.bin", func(path string) error { return ml.Save(path, m, ml.ArtifactInfo{}) },
+		func(b []byte) []byte { return b[:len(b)-8*(1+2+2+2+96)] })
 }
 
 func TestCommands(t *testing.T) {
@@ -60,7 +78,7 @@ func TestCommands(t *testing.T) {
 	if out, err := exec.Command("go", "build", "-o", bin+"/", "./...").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	ragged := raggedDataset(t, bin)
+	pastEnd, trailing := raggedDatasets(t, bin)
 	nilNorm := nilNormModel(t, bin)
 
 	type row struct {
@@ -81,9 +99,9 @@ func TestCommands(t *testing.T) {
 		row{"expgen unknown scale", "expgen", []string{"-scale", "bogus"}, 1, "unknown scale"},
 		row{"expgen -fig t2", "expgen", []string{"-fig", "t2"}, 0, "288"},
 		row{"expgen unknown fig", "expgen", []string{"-fig", "bogus"}, 2, "ablation"},
-		row{"expgen ragged dataset", "expgen", []string{"-dataset", ragged, "-fig", "4"}, 1, "invalid configuration: 1 speedup"},
-		row{"portcc ragged dataset", "portcc", []string{"-dataset", ragged}, 1, "invalid configuration: 1 speedup"},
-		row{"portcc nil-normaliser model", "portcc", []string{"-model", nilNorm}, 1, "invalid configuration: artifact has no normaliser"},
+		row{"expgen ragged dataset", "expgen", []string{"-dataset", pastEnd, "-fig", "4"}, 1, "invalid configuration: 130+1099511627776 bytes of JSON in a"},
+		row{"portcc ragged dataset", "portcc", []string{"-dataset", trailing}, 1, "invalid configuration: 2 programs x 2 archs x 5 settings in a"},
+		row{"portcc nil-normaliser model", "portcc", []string{"-model", nilNorm}, 1, "invalid configuration: 1 pairs of 2 features in a"},
 		// flag answers -h itself: the flag set on stderr, status 0.
 		row{"portccd -h", "portccd", []string{"-h"}, 0, "-listen"},
 		row{"portccd -h lists -cpuprofile", "portccd", []string{"-h"}, 0, "-cpuprofile"},

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	portcc -prog rijndael_e [-il1 4096] [-dl1 32768] [-btb 512]
-//	       [-model model.gob | -dataset ds.gob]
+//	       [-model model.bin | -dataset dataset.bin]
 //
 // Without a model the program is compiled at -O3. With -model, a
 // pre-trained model artifact (from cmd/trainer -model-out) is loaded -

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	portccs -model model.gob [-addr :7078] [-cache N]
+//	portccs -model model.bin [-addr :7078] [-cache N]
 //	        [-max-inflight N] [-max-queue N] [-reload dur]
 //	        [-store dir] [-store-budget bytes] [-store-remote host:port]
 //
@@ -61,7 +61,7 @@ func main() {
 	defer stop()
 
 	if cf.Model == "" {
-		log.Fatal("-model is required (train one with: trainer -scale tiny -model-out model.gob)")
+		log.Fatal("-model is required (train one with: trainer -scale tiny -model-out model.bin)")
 	}
 	rstore, err := cf.OpenStore()
 	if err != nil {

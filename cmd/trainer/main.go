@@ -1,7 +1,7 @@
 // Command trainer generates the paper's training dataset (Section 3.2):
 // for every sampled (program, microarchitecture, optimisation setting)
 // triple, the speedup over -O3 and the -O3 performance counters. The
-// result is written as a versioned gob file for cmd/portcc and cmd/expgen.
+// result is written as a versioned flat file for cmd/portcc and cmd/expgen.
 // Generation streams through the Session exploration engine: progress is
 // printed per completed grid cell and Ctrl-C cancels cleanly.
 //
@@ -27,7 +27,7 @@
 //
 // Usage:
 //
-//	trainer -out dataset.gob [-model-out model.gob] [-scale small]
+//	trainer -out dataset.bin [-model-out model.bin] [-scale small]
 //	        [-archs N] [-opts N] [-extended] [-workers N] [-sweep-workers N]
 //	        [-store dir] [-store-budget bytes]
 //	        [-shards host:port,host:port]
@@ -56,7 +56,7 @@ func main() {
 	cf.RegisterShardRetry()
 	cf.RegisterStore()
 	cf.RegisterProfile()
-	out := flag.String("out", "dataset.gob", "output file")
+	out := flag.String("out", "dataset.bin", "output file")
 	modelOut := flag.String("model-out", "", "also train the model and write it as a versioned artifact")
 	archs := flag.Int("archs", 0, "override architecture sample count")
 	opts := flag.Int("opts", 0, "override optimisation sample count")

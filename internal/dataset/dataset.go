@@ -1,12 +1,14 @@
 package dataset
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
-	"encoding/gob"
+	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 
@@ -16,19 +18,6 @@ import (
 	"portcc/internal/pcerr"
 	"portcc/internal/uarch"
 )
-
-// Gob allocates wire type ids from a process-global counter in order of
-// first use, so a process that pushed frames over the shard wire before
-// saving would write different (yet equivalent) type descriptors than a
-// purely local one. Pinning the file schema's ids at init - before main
-// can touch any other gob stream - keeps Save byte-for-byte
-// deterministic across coordinator, worker and local processes, so
-// "bit-identical dataset" stays checkable with a plain file compare.
-func init() {
-	enc := gob.NewEncoder(io.Discard)
-	enc.Encode(fileHeader{})
-	enc.Encode(&Dataset{})
-}
 
 // GenConfig describes a dataset to generate.
 type GenConfig struct {
@@ -223,53 +212,82 @@ func (d *Dataset) TrainingPairs() ([]ml.TrainingPair, error) {
 	return pairs, nil
 }
 
-// FormatVersion is the dataset file schema version. Bump it whenever the
-// gob layout of Dataset (or anything it embeds) changes incompatibly;
-// Load refuses mismatching files with ErrDatasetVersion instead of
-// surfacing a confusing mid-stream gob decode error. Work units shipped
-// between shards carry the same header.
-const FormatVersion = 1
+// FormatVersion is the dataset file layout version. Bump it whenever
+// the layout changes, or features.Dim; Load refuses other versions
+// with ErrDatasetVersion. Result-store keys hash it too.
+const FormatVersion = 2
 
-// fileMagic identifies a versioned portcc dataset file.
+// fileMagic opens a dataset file.
 const fileMagic = "portcc-dataset"
 
-// fileHeader precedes the dataset in the gob stream.
-type fileHeader struct {
-	Magic   string
-	Version int
+// fileHead is a dataset file's fixed start: magic, version and the
+// lengths of the two JSON documents after it - Cfg, and the programs,
+// settings, architectures and Cfg.Eval as an ExploreRequest's
+// AppendWire bytes. Then come the speedups (float32), the features
+// (features.Dim each), the baseline cycles and the run counts (u64), in
+// index order. Every number is little-endian, a float as its IEEE bits.
+type fileHead struct {
+	Magic     [len(fileMagic)]byte
+	Version   uint64
+	Cfg, Spec uint64
 }
 
-// Save writes the dataset with gob encoding, prefixed by a schema-version
-// header.
+// appendFile appends the dataset's file to b. A dataset whose arrays
+// disagree with its counts has no such file: ErrInvalidConfig.
+func (d *Dataset) appendFile(b []byte) ([]byte, error) {
+	nP, nA, nO := d.Dims()
+	sRows, ok1 := flat(d.Speedups, nP, nA)
+	speedups, ok2 := flat(sRows, nP*nA, nO)
+	fRows, ok3 := flat(d.Features, nP, nA)
+	feats, ok4 := flat(fRows, nP*nA, features.Dim)
+	base, ok5 := flat(d.BaselineCycles, nP, nA)
+	if !ok1 || !ok2 || !ok3 || !ok4 || !ok5 || len(d.Runs) != nP {
+		return nil, fmt.Errorf("dataset: %w: arrays disagree with %d programs x %d archs x %d settings", pcerr.ErrInvalidConfig, nP, nA, nO)
+	}
+	cfg, _ := json.Marshal(d.Cfg) // strings, ints and a bool: it cannot fail
+	spec := ExploreRequest{Programs: d.Programs, Opts: d.Opts, Archs: d.Archs, Eval: d.Cfg.Eval}.AppendWire(nil)
+	h := fileHead{[len(fileMagic)]byte([]byte(fileMagic)), FormatVersion, uint64(len(cfg)), uint64(len(spec))}
+	for _, x := range []any{&h, cfg, spec, speedups, feats, base} {
+		b, _ = binary.Append(b, binary.LittleEndian, x) // fixed-size values: it cannot fail
+	}
+	for _, r := range d.Runs {
+		b = binary.LittleEndian.AppendUint64(b, uint64(r))
+	}
+	return b, nil
+}
+
+// flat returns rows end to end, and whether they are n rows of width w.
+func flat[T any](rows [][]T, n, w int) ([]T, bool) {
+	out := make([]T, 0, n*w)
+	for _, r := range rows {
+		if len(r) != w {
+			return nil, false
+		}
+		out = append(out, r...)
+	}
+	return out, len(rows) == n
+}
+
+// Save writes the dataset file (see fileHead).
 func (d *Dataset) Save(path string) error {
-	f, err := os.Create(path)
+	b, err := d.appendFile(nil)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return d.encode(f)
+	return os.WriteFile(path, b, 0o666)
 }
 
-// encode writes the canonical file byte stream: header, then dataset.
-func (d *Dataset) encode(w io.Writer) error {
-	enc := gob.NewEncoder(w)
-	if err := enc.Encode(fileHeader{Magic: fileMagic, Version: FormatVersion}); err != nil {
-		return err
-	}
-	return enc.Encode(d)
-}
-
-// Fingerprint returns the hex sha256 of the dataset's canonical Save
-// byte stream - identical to hashing a file written by Save, without
-// touching disk. Model artifacts embed it so a trained model is
-// traceable to the exact dataset it was fitted on, and consumers can
-// verify a dataset/artifact pairing before mixing them.
+// Fingerprint returns the hex sha256 of the bytes Save writes. Model
+// artifacts embed it so a trained model is traceable to the exact
+// dataset it was fitted on, and consumers can verify a dataset/artifact
+// pairing before mixing them.
 func (d *Dataset) Fingerprint() (string, error) {
-	h := sha256.New()
-	if err := d.encode(h); err != nil {
+	b, err := d.appendFile(nil)
+	if err != nil {
 		return "", err
 	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:]), nil
 }
 
 // Describe returns a one-line canonical description of the generation
@@ -280,81 +298,82 @@ func (cfg GenConfig) Describe() string {
 		cfg.Eval.TargetInsns, cfg.Eval.MaxInsns, cfg.Eval.Seed)
 }
 
-// Load reads a dataset written by Save. Files without a matching header -
-// pre-versioning datasets, foreign files, or datasets from a different
-// schema version - fail with an error wrapping ErrDatasetVersion.
+// Load reads a dataset written by Save. A file of another layout - a
+// version 1 (gob) dataset, another version, a foreign file - fails with
+// ErrDatasetVersion, a malformed one with ErrInvalidConfig.
 func Load(path string) (*Dataset, error) {
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	dec := gob.NewDecoder(f)
-	var h fileHeader
-	// A pre-versioning or foreign gob stream either fails to decode into
-	// the header or decodes with the wrong magic; both surface as
-	// version mismatches, with the decode cause preserved for diagnosis
-	// (a truncated file or I/O error is visible there, not hidden).
-	if err := dec.Decode(&h); err != nil {
-		return nil, fmt.Errorf("dataset: %s: no version header (pre-versioning or foreign file): %w (%w)", path, pcerr.ErrDatasetVersion, err)
-	}
-	if h.Magic != fileMagic {
-		return nil, fmt.Errorf("dataset: %s: no version header (pre-versioning or foreign file): %w", path, pcerr.ErrDatasetVersion)
-	}
-	if h.Version != FormatVersion {
-		return nil, fmt.Errorf("dataset: %s: file version %d, this build reads version %d: %w",
-			path, h.Version, FormatVersion, pcerr.ErrDatasetVersion)
-	}
-	var d Dataset
-	if err := dec.Decode(&d); err != nil {
-		return nil, err
-	}
-	if err := d.validate(); err != nil {
+	d, err := decode(b)
+	if err != nil {
 		return nil, fmt.Errorf("dataset: %s: %w", path, err)
 	}
-	return &d, nil
+	return d, nil
 }
 
-// validate checks that a decoded file's arrays agree with one another
-// and that every configuration lies inside its space. Gob checks types,
-// not shapes: without this a truncated-and-re-encoded, hand-edited or
-// foreign-build file indexes out of range in TrainingPairs or ml.FitGood
-// long after Load returned nil. The generate path builds the arrays from
-// one request and never needs it.
-func (d *Dataset) validate() error {
-	nP, nA, nO := d.Dims()
-	if nO < 1 {
-		return fmt.Errorf("%w: no optimisation settings", pcerr.ErrInvalidConfig)
+// decode reads a dataset file. The JSON documents decode within
+// decodeRequest's bound, and the counts they give must account for every
+// later byte before anything is allocated for them, so a decode
+// allocates within a multiple of len(b); an accepted b is exactly what
+// appendFile writes for the dataset it returns.
+func decode(b []byte) (*Dataset, error) {
+	var h fileHead
+	le := binary.LittleEndian
+	n, err := binary.Decode(b, le, &h)
+	if err != nil || string(h.Magic[:]) != fileMagic {
+		return nil, fmt.Errorf("not a version %d dataset file (a version 1 gob, or foreign): %w", FormatVersion, pcerr.ErrDatasetVersion)
 	}
-	if len(d.Speedups) != nP || len(d.Features) != nP || len(d.BaselineCycles) != nP || len(d.Runs) != nP {
-		return fmt.Errorf("%w: %d speedup, %d feature, %d baseline and %d run-count rows for %d programs",
-			pcerr.ErrInvalidConfig, len(d.Speedups), len(d.Features), len(d.BaselineCycles), len(d.Runs), nP)
+	if h.Version != FormatVersion {
+		return nil, fmt.Errorf("file version %d, this build reads version %d: %w", h.Version, FormatVersion, pcerr.ErrDatasetVersion)
 	}
-	for a, c := range d.Archs {
-		if err := c.Validate(); err != nil {
-			return fmt.Errorf("arch %d: %w", a, err)
-		}
+	b = b[n:]
+	if h.Cfg > uint64(len(b)) || h.Spec > uint64(len(b))-h.Cfg {
+		return nil, fmt.Errorf("%w: %d+%d bytes of JSON in a %d-byte body", pcerr.ErrInvalidConfig, h.Cfg, h.Spec, len(b))
 	}
-	for o := range d.Opts {
-		if err := d.Opts[o].Validate(); err != nil {
-			return fmt.Errorf("setting %d: %w", o, err)
-		}
+	cfg, spec := b[:h.Cfg], b[h.Cfg:h.Cfg+h.Spec]
+	d := &Dataset{}
+	req, err := decodeRequest(spec)
+	err = errors.Join(err, json.Unmarshal(cfg, &d.Cfg))
+	again, _ := json.Marshal(d.Cfg) // as in appendFile
+	if err != nil || req.Naive || !bytes.Equal(again, cfg) || !bytes.Equal(req.AppendWire(nil), spec) {
+		return nil, fmt.Errorf("%w: config or spec is not canonical JSON (%v)", pcerr.ErrInvalidConfig, err)
 	}
-	for p := 0; p < nP; p++ {
-		if len(d.Speedups[p]) != nA || len(d.Features[p]) != nA || len(d.BaselineCycles[p]) != nA {
-			return fmt.Errorf("%w: program %d: %d speedup, %d feature and %d baseline rows for %d architectures",
-				pcerr.ErrInvalidConfig, p, len(d.Speedups[p]), len(d.Features[p]), len(d.BaselineCycles[p]), nA)
-		}
-		for a := 0; a < nA; a++ {
-			if len(d.Speedups[p][a]) != nO {
-				return fmt.Errorf("%w: program %d, arch %d: %d speedups for %d settings",
-					pcerr.ErrInvalidConfig, p, a, len(d.Speedups[p][a]), nO)
-			}
-			if len(d.Features[p][a]) != features.Dim {
-				return fmt.Errorf("%w: program %d, arch %d: feature vector of length %d, want %d",
-					pcerr.ErrInvalidConfig, p, a, len(d.Features[p][a]), features.Dim)
-			}
-		}
+	// Each (program, arch) holds its speedups, features and baseline,
+	// each program its run count.
+	nP, nA, nO := len(req.Programs), len(req.Archs), len(req.Opts)
+	b = b[h.Cfg+h.Spec:]
+	cell := 4*nO + 8*features.Dim + 8
+	if nA == 0 || nO == 0 || nA > len(b)/cell || nP > len(b)/(nA*cell+8) || nP*(nA*cell+8) != len(b) {
+		return nil, fmt.Errorf("%w: %d programs x %d archs x %d settings in a %d-byte body", pcerr.ErrInvalidConfig, nP, nA, nO, len(b))
 	}
-	return nil
+	// What the layout cannot check: every name and configuration lies
+	// inside its space, as Generate checked.
+	if err := req.Validate(); err != nil {
+		return nil, err
+	}
+	d.Programs, d.Archs, d.Opts, d.Runs = req.Programs, req.Archs, req.Opts, make([]int, nP)
+	speedups, feats, base := make([]float32, nP*nA*nO), make([]float64, nP*nA*features.Dim), make([]float64, nP*nA)
+	for _, x := range []any{speedups, feats, base} {
+		n, _ := binary.Decode(b, le, x) // the length check left room
+		b = b[n:]
+	}
+	for p := range d.Runs {
+		d.Runs[p] = int(le.Uint64(b[8*p:]))
+	}
+	d.Speedups, d.Features, d.BaselineCycles = grid(speedups, nP, nA, nO), grid(feats, nP, nA, features.Dim), rows(base, nP, nA)
+	return d, nil
 }
+
+// rows cuts flat into n rows of width w, each capped at its end.
+func rows[T any](flat []T, n, w int) [][]T {
+	out := make([][]T, n)
+	for i := range out {
+		out[i] = flat[i*w : (i+1)*w : (i+1)*w]
+	}
+	return out
+}
+
+// grid cuts flat into n blocks of m rows of width w.
+func grid[T any](flat []T, n, m, w int) [][][]T { return rows(rows(flat, n*m, w), n, m) }

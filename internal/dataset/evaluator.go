@@ -45,12 +45,6 @@ type EvalConfig struct {
 	MaxInsns int
 	// Seed drives trace generation (branch outcomes, addresses).
 	Seed int64
-	// Retired and ignored: nothing reads or sets it. EvalConfig rides in
-	// every dataset file (Dataset.Cfg.Eval) and gob writes field names
-	// into the stream, so dropping the field would change every file's
-	// bytes and Dataset.Fingerprint, unpairing the model artifacts that
-	// embed it. It goes with the next FormatVersion bump.
-	CacheBudget int64
 }
 
 // DefaultEvalConfig is used when fields are zero.

@@ -1,9 +1,7 @@
 package dataset
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"net"
 	"reflect"
@@ -69,15 +67,15 @@ func startShardWith(t *testing.T, cfg sched.ServeConfig, plan faultnet.Plan) (ad
 	return ln.Addr().String(), kill
 }
 
-// gobBytes serialises a dataset the way Save does, for bit-for-bit
-// comparison.
-func gobBytes(t *testing.T, ds *Dataset) []byte {
+// fingerprint is the dataset's Fingerprint: the sha256 of the bytes
+// Save writes, for bit-for-bit comparison.
+func fingerprint(t *testing.T, ds *Dataset) string {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(ds); err != nil {
+	fp, err := ds.Fingerprint()
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return fp
 }
 
 // TestShardedGenerateMatchesLocal is the acceptance property: a
@@ -98,7 +96,7 @@ func TestShardedGenerateMatchesLocal(t *testing.T) {
 	if !reflect.DeepEqual(local, sharded) {
 		t.Fatal("sharded dataset differs from local run")
 	}
-	if !bytes.Equal(gobBytes(t, local), gobBytes(t, sharded)) {
+	if fingerprint(t, local) != fingerprint(t, sharded) {
 		t.Fatal("sharded dataset not bit-identical to local run")
 	}
 }
@@ -127,7 +125,7 @@ func TestShardDeathRequeuesOntoSurvivor(t *testing.T) {
 	if err != nil {
 		t.Fatalf("generation with a mid-run shard death: %v", err)
 	}
-	if !bytes.Equal(gobBytes(t, local), gobBytes(t, sharded)) {
+	if fingerprint(t, local) != fingerprint(t, sharded) {
 		t.Fatal("dataset after shard death not bit-identical to local run")
 	}
 }
@@ -161,7 +159,7 @@ func TestShardedGenerateBitIdenticalUnderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("generation with faulted shard connections: %v", err)
 	}
-	if !bytes.Equal(gobBytes(t, local), gobBytes(t, sharded)) {
+	if fingerprint(t, local) != fingerprint(t, sharded) {
 		t.Fatal("dataset after connection faults not bit-identical to local run")
 	}
 }

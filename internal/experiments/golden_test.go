@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
-	"encoding/gob"
 	"encoding/hex"
 	"encoding/json"
 	"os"
@@ -31,17 +29,15 @@ type golden struct {
 
 const goldenPath = "testdata/golden.json"
 
-// datasetDigest hashes the gob encoding of the dataset - the same
-// encoding the Save files and the shard wire carry, with type ids pinned
-// at package init, so it is byte-deterministic across processes.
-func datasetDigest(t *testing.T, ds any) string {
+// datasetDigest is the dataset's Fingerprint: the sha256 of the bytes
+// Save writes.
+func datasetDigest(t *testing.T, ds *dataset.Dataset) string {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(ds); err != nil {
+	fp, err := ds.Fingerprint()
+	if err != nil {
 		t.Fatal(err)
 	}
-	sum := sha256.Sum256(buf.Bytes())
-	return hex.EncodeToString(sum[:])
+	return fp
 }
 
 // renderAll concatenates every rendering cmd/expgen's -fig all emits -
@@ -121,7 +117,7 @@ func TestGoldenTinyFixture(t *testing.T) {
 	// The fixture's datasets are legitimate files: Load's validation must
 	// accept them and hand back the same bytes.
 	for name, d := range map[string]*dataset.Dataset{"base": ds, "extended": eds} {
-		path := filepath.Join(t.TempDir(), name+".gob")
+		path := filepath.Join(t.TempDir(), name+".bin")
 		if err := d.Save(path); err != nil {
 			t.Fatal(err)
 		}

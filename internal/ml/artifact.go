@@ -1,23 +1,25 @@
 package ml
 
 import (
-	"encoding/gob"
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"os"
-	"sync"
+	"strings"
 
+	"portcc/internal/features"
+	"portcc/internal/opt"
 	"portcc/internal/pcerr"
 )
 
-// FormatVersion is the model artifact schema version. Bump it whenever
-// the gob layout of Model (or anything it embeds) changes incompatibly;
-// Load refuses mismatching files with pcerr.ErrModelVersion instead of
-// surfacing a confusing mid-stream gob decode error.
-const FormatVersion = 1
+// FormatVersion is the model artifact layout version. Bump it whenever
+// the layout changes; Decode refuses other versions with
+// pcerr.ErrModelVersion.
+const FormatVersion = 2
 
-// artifactMagic identifies a versioned portcc model artifact file.
+// artifactMagic opens every model artifact.
 const artifactMagic = "portcc-model"
 
 // ArtifactInfo is the metadata embedded in a saved model artifact,
@@ -49,140 +51,132 @@ type ArtifactInfo struct {
 	Pairs int
 }
 
-// artifactHeader precedes the artifact body in the gob stream,
-// mirroring the dataset file header.
-type artifactHeader struct {
-	Magic   string
-	Version int
+// artifactHead is an artifact's fixed start: magic, version, counts,
+// the length of the info's JSON and the hyper-parameters. The info
+// follows, then the pairs' program names, each ended by a newline; the
+// normaliser's means and deviations (Dim each if Stats is 1, none if it
+// passes vectors through); each pair's Arch; each pair's X (Dim each);
+// each pair's G.Theta, row l cut to its opt.DimSize(l) live entries.
+// Every number is little-endian, a float as its IEEE bits.
+type artifactHead struct {
+	Magic             [len(artifactMagic)]byte
+	Version           uint64
+	Pairs, Dim, Stats uint64
+	Info, Names       uint64 // byte lengths
+	KNeighbours       int64
+	Beta              float64
 }
 
-// artifactBody is the versioned payload: metadata first (cheap to
-// inspect), then the model itself.
-type artifactBody struct {
-	Info  ArtifactInfo
-	Model Model
-}
+// liveTheta is how many Dist.Theta entries of a pair an artifact holds:
+// opt.DimSize(l) of each row l, the rest being zero.
+const liveTheta = uint64(2*opt.NumFlags + opt.ParamLevelCount*opt.NumParams)
 
-// pinGob assigns the artifact types their gob wire type ids in one fixed
-// order. Gob draws type ids from a process-global counter at first use,
-// so encodes are byte-deterministic only from the first pin onwards;
-// Encode and Decode both pin, and the portcc facade pins at init - after
-// the dataset package's own init pinning, which must keep its ids (the
-// golden dataset digests depend on them). Within a process, re-encoding
-// the same model is always byte-identical.
-var pinGob = sync.Once{}
-
-// PinGobTypes fixes the artifact types' gob wire ids now. The portcc
-// facade calls it at init so every binary that can write artifacts
-// assigns the same ids regardless of what it gob-encodes first at
-// runtime, keeping artifact bytes reproducible across processes.
-func PinGobTypes() {
-	pinGob.Do(func() {
-		enc := gob.NewEncoder(io.Discard)
-		enc.Encode(artifactHeader{})
-		enc.Encode(artifactBody{})
-	})
-}
-
-// Encode writes the model as a versioned artifact to w. Encoding is
-// deterministic: the same model and info produce the same bytes, so a
-// re-saved artifact byte-compares equal to the original.
-func Encode(w io.Writer, m *Model, info ArtifactInfo) error {
-	if m == nil {
-		return fmt.Errorf("ml: nil model")
+// Encode returns the model's artifact bytes; the same model and info
+// always give the same bytes. A model the layout cannot hold - no
+// normaliser, or vectors of differing widths - fails with
+// pcerr.ErrInvalidConfig.
+func Encode(m *Model, info ArtifactInfo) ([]byte, error) {
+	if m == nil || m.Norm == nil || len(m.Norm.Std) != len(m.Norm.Mean) {
+		return nil, fmt.Errorf("ml: %w: a model without a sound normaliser", pcerr.ErrInvalidConfig)
 	}
-	PinGobTypes()
 	info.Pairs = len(m.Pairs)
-	enc := gob.NewEncoder(w)
-	if err := enc.Encode(artifactHeader{Magic: artifactMagic, Version: FormatVersion}); err != nil {
-		return err
+	j, _ := json.Marshal(info) // strings, ints and a bool: it cannot fail
+	h := artifactHead{Magic: [len(artifactMagic)]byte([]byte(artifactMagic)), Version: FormatVersion, Pairs: uint64(len(m.Pairs)),
+		Dim: uint64(len(m.Norm.Mean)), Info: uint64(len(j)), KNeighbours: int64(m.KNeighbours), Beta: m.BetaValue}
+	if h.Stats = min(h.Dim, 1); h.Dim == 0 && len(m.Pairs) > 0 {
+		h.Dim = uint64(len(m.Pairs[0].X))
 	}
-	return enc.Encode(artifactBody{Info: info, Model: *m})
-}
-
-// Decode reads an artifact written by Encode. Streams without a matching
-// header - pre-versioning files, foreign files, or artifacts from a
-// different schema version - fail with an error wrapping
-// pcerr.ErrModelVersion.
-func Decode(r io.Reader) (*Model, ArtifactInfo, error) {
-	PinGobTypes()
-	dec := gob.NewDecoder(r)
-	var h artifactHeader
-	// A foreign gob stream either fails to decode into the header or
-	// decodes with the wrong magic; both surface as version mismatches,
-	// with the decode cause preserved for diagnosis.
-	if err := dec.Decode(&h); err != nil {
-		return nil, ArtifactInfo{}, fmt.Errorf("ml: no artifact header (foreign or corrupt file): %w (%w)", pcerr.ErrModelVersion, err)
-	}
-	if h.Magic != artifactMagic {
-		return nil, ArtifactInfo{}, fmt.Errorf("ml: no artifact header (foreign file): %w", pcerr.ErrModelVersion)
-	}
-	if h.Version != FormatVersion {
-		return nil, ArtifactInfo{}, fmt.Errorf("ml: artifact version %d, this build reads version %d: %w",
-			h.Version, FormatVersion, pcerr.ErrModelVersion)
-	}
-	var b artifactBody
-	if err := dec.Decode(&b); err != nil {
-		return nil, ArtifactInfo{}, err
-	}
-	if err := b.Model.validate(); err != nil {
-		return nil, ArtifactInfo{}, err
-	}
-	b.Model.index()
-	return &b.Model, b.Info, nil
-}
-
-// validate checks what Mixture indexes without looking: gob guarantees
-// the types of a decoded model, not that it has a normaliser or that
-// its vectors agree in length, and a prediction server hot-reloads
-// whatever Decode accepts.
-func (m *Model) validate() error {
-	if m.Norm == nil {
-		return fmt.Errorf("ml: %w: artifact has no normaliser", pcerr.ErrInvalidConfig)
-	}
-	dim := len(m.Norm.Mean)
-	if len(m.Norm.Std) != dim {
-		return fmt.Errorf("ml: %w: artifact normaliser has %d means and %d deviations", pcerr.ErrInvalidConfig, dim, len(m.Norm.Std))
-	}
-	if dim == 0 && len(m.Pairs) > 0 {
-		// Apply passes vectors through unscaled; they must still agree.
-		dim = len(m.Pairs[0].X)
-	}
+	names, archs, xs, theta := []byte(nil), make([]int64, 0, h.Pairs), make([]float64, 0, h.Pairs*h.Dim), make([]float64, 0, h.Pairs*liveTheta)
 	for i := range m.Pairs {
-		if len(m.Pairs[i].X) != dim {
-			return fmt.Errorf("ml: %w: artifact pair %d has a feature vector of length %d, want %d", pcerr.ErrInvalidConfig, i, len(m.Pairs[i].X), dim)
+		p := &m.Pairs[i]
+		if len(p.X) != int(h.Dim) {
+			return nil, fmt.Errorf("ml: %w: pair %d has %d features, want %d", pcerr.ErrInvalidConfig, i, len(p.X), h.Dim)
+		}
+		names, archs, xs = append(append(names, p.Prog...), '\n'), append(archs, int64(p.Arch)), append(xs, p.X...)
+		for l := range p.G.Theta {
+			theta = append(theta, p.G.Theta[l][:opt.DimSize(l)]...)
 		}
 	}
-	if m.KNeighbours < 0 {
-		return fmt.Errorf("ml: %w: artifact has neighbour count %d", pcerr.ErrInvalidConfig, m.KNeighbours)
+	h.Names = uint64(len(names))
+	b, _ := binary.Append(nil, binary.LittleEndian, &h) // fixed-size values: it cannot fail
+	for _, x := range []any{j, names, m.Norm.Mean, m.Norm.Std, archs, xs, theta} {
+		b, _ = binary.Append(b, binary.LittleEndian, x) // likewise
 	}
-	if !(m.BetaValue >= 0) || math.IsInf(m.BetaValue, 0) {
-		return fmt.Errorf("ml: %w: artifact has beta %v", pcerr.ErrInvalidConfig, m.BetaValue)
+	return b, nil
+}
+
+// Decode reads an artifact's bytes. Another layout - a version 1 (gob)
+// artifact, another version, a foreign file - fails with
+// pcerr.ErrModelVersion, a malformed one, or one whose hyper-parameters
+// Mixture cannot use, with pcerr.ErrInvalidConfig. The counts must
+// account for every byte before anything is allocated, so a decode
+// allocates within a small multiple of len(b), and an accepted b is
+// exactly what Encode gives for the model and info returned.
+func Decode(b []byte) (*Model, ArtifactInfo, error) {
+	var h artifactHead
+	var info ArtifactInfo
+	n, err := binary.Decode(b, binary.LittleEndian, &h)
+	if err != nil || string(h.Magic[:]) != artifactMagic {
+		return nil, info, fmt.Errorf("ml: not a version %d model artifact (a version 1 gob, or foreign): %w", FormatVersion, pcerr.ErrModelVersion)
 	}
-	return nil
+	if h.Version != FormatVersion {
+		return nil, info, fmt.Errorf("ml: artifact version %d, this build reads version %d: %w", h.Version, FormatVersion, pcerr.ErrModelVersion)
+	}
+	b = b[n:]
+	// A normaliser is Dim wide or passes vectors through; with neither
+	// statistics nor pairs there is no width.
+	rest, pair := uint64(len(b)), 8*(1+h.Dim+liveTheta)
+	if h.Stats > 1 || h.Stats == 1 && h.Dim == 0 || h.Stats == 0 && h.Pairs == 0 && h.Dim != 0 || h.Info > rest || h.Names > rest ||
+		h.Dim > rest/8 || h.Pairs > rest/pair || h.Info+h.Names+16*h.Stats*h.Dim+h.Pairs*pair != rest {
+		return nil, info, fmt.Errorf("ml: %w: %d pairs of %d features in a %d-byte artifact body", pcerr.ErrInvalidConfig, h.Pairs, h.Dim, rest)
+	}
+	err = json.Unmarshal(b[:h.Info], &info)
+	again, _ := json.Marshal(info) // as in Encode
+	names := strings.Split(string(b[h.Info:h.Info+h.Names]), "\n")
+	if err != nil || !bytes.Equal(again, b[:h.Info]) || info.Pairs != int(h.Pairs) || len(names) != info.Pairs+1 || names[info.Pairs] != "" {
+		return nil, ArtifactInfo{}, fmt.Errorf("ml: %w: artifact info or program names malformed (%v)", pcerr.ErrInvalidConfig, err)
+	}
+	if h.KNeighbours < 0 || !(h.Beta >= 0) || math.IsInf(h.Beta, 0) {
+		return nil, ArtifactInfo{}, fmt.Errorf("ml: %w: artifact has neighbour count %d, beta %v", pcerr.ErrInvalidConfig, h.KNeighbours, h.Beta)
+	}
+	m := &Model{Norm: &features.Normalizer{}, KNeighbours: int(h.KNeighbours), BetaValue: h.Beta}
+	if h.Stats == 1 {
+		m.Norm.Mean, m.Norm.Std = make([]float64, h.Dim), make([]float64, h.Dim)
+	}
+	archs, xs, theta := make([]int64, h.Pairs), make([]float64, h.Pairs*h.Dim), make([]float64, h.Pairs*liveTheta)
+	b = b[h.Info+h.Names:]
+	for _, x := range []any{m.Norm.Mean, m.Norm.Std, archs, xs, theta} {
+		n, _ := binary.Decode(b, binary.LittleEndian, x) // the length check left room
+		b = b[n:]
+	}
+	m.Pairs = make([]TrainingPair, h.Pairs)
+	for i, dim := 0, int(h.Dim); i < len(m.Pairs); i++ {
+		p := &m.Pairs[i]
+		p.Prog, p.Arch, p.X = names[i], int(archs[i]), xs[i*dim:(i+1)*dim:(i+1)*dim]
+		for l := range p.G.Theta {
+			theta = theta[copy(p.G.Theta[l][:opt.DimSize(l)], theta):]
+		}
+	}
+	m.index()
+	return m, info, nil
 }
 
 // Save writes the model artifact to path (see Encode).
 func Save(path string, m *Model, info ArtifactInfo) error {
-	f, err := os.Create(path)
+	b, err := Encode(m, info)
 	if err != nil {
 		return err
 	}
-	if err := Encode(f, m, info); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return os.WriteFile(path, b, 0o666)
 }
 
 // Load reads a model artifact written by Save.
 func Load(path string) (*Model, ArtifactInfo, error) {
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, ArtifactInfo{}, err
 	}
-	defer f.Close()
-	m, info, err := Decode(f)
+	m, info, err := Decode(b)
 	if err != nil {
 		return nil, ArtifactInfo{}, fmt.Errorf("%s: %w", path, err)
 	}

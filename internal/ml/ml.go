@@ -173,8 +173,8 @@ type Model struct {
 	BetaValue   float64
 
 	// rows is what a query reads instead of Pairs[i].X: Norm.Apply of
-	// each, row-major and dim wide, built once by index. Unexported, so
-	// gob never sees it and artifact bytes do not depend on it.
+	// each, row-major and dim wide, built once by index. Artifacts never
+	// hold it, so their bytes do not depend on it.
 	rows []float64
 	dim  int
 }

@@ -1,7 +1,6 @@
 package ml
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -329,11 +328,11 @@ func TestMixtureMatchesReference(t *testing.T) {
 		pass.index()
 		variants = append(variants, variant{name + "/pass-through", &pass})
 
-		var buf bytes.Buffer
-		if err := Encode(&buf, &b, ArtifactInfo{}); err != nil {
+		enc, err := Encode(&b, ArtifactInfo{})
+		if err != nil {
 			t.Fatal(err)
 		}
-		decoded, _, err := Decode(&buf)
+		decoded, _, err := Decode(enc)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -146,7 +145,7 @@ func (r *Registry) refresh(path string, en *regEntry) (*Loaded, error) {
 		en.cur.Store(&next)
 		return &next, nil
 	}
-	m, info, err := ml.Decode(bytes.NewReader(data))
+	m, info, err := ml.Decode(data)
 	if err != nil {
 		if cur != nil {
 			r.logf("model %s: decode failed, keeping loaded model: %v", path, err)

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -390,13 +391,15 @@ func TestHotReload(t *testing.T) {
 		t.Fatalf("rejected artifact was swapped in (dataset %s)", got)
 	}
 
-	// A well-formed gob of a malformed model: a decode error, not a swap.
-	m4 := *m
-	m4.Norm = nil
+	// A valid artifact cut short: a decode error, not a swap.
 	info4 := info
 	info4.DatasetSHA256 = "test-fixture-malformed"
+	b, err := ml.Encode(m, info4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	time.Sleep(10 * time.Millisecond)
-	if err := ml.Save(path, &m4, info4); err != nil {
+	if err := os.WriteFile(path, b[:len(b)-1], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { healthz(); return s.mReloads.Value("error") >= 1 })

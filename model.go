@@ -12,13 +12,6 @@ import (
 // fingerprint of its training dataset and the generation config, so any
 // consumer can trace (and verify) exactly what a model was fitted on.
 
-// Artifact gob wire ids are pinned here, after the dataset package's
-// own init pinning (import order guarantees dataset runs first), so
-// every binary that writes artifacts assigns identical ids regardless
-// of what it gob-encodes first at runtime - artifact files then
-// byte-compare across trainer runs and re-saves alike.
-func init() { ml.PinGobTypes() }
-
 // ModelInfo is the metadata embedded in a model artifact: the training
 // dataset's fingerprint and generation config, the profiling workload
 // parameters deployment must reuse, and the training-pair count.

@@ -1,9 +1,7 @@
 package portcc_test
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"runtime"
 	"sync"
@@ -416,54 +414,6 @@ func TestSpeedupBaselineMemoised(t *testing.T) {
 	}
 	if v != 1 {
 		t.Errorf("O3 vs O3 speedup %v, want exactly 1", v)
-	}
-}
-
-func TestExploreWorkUnitsGobRoundTrip(t *testing.T) {
-	// ExploreRequest/ExploreResult are the future shard wire format.
-	s := tinySession()
-	req, err := s.NewExploreRequest(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(req); err != nil {
-		t.Fatalf("encoding request: %v", err)
-	}
-	var back portcc.ExploreRequest
-	if err := gob.NewDecoder(&buf).Decode(&back); err != nil {
-		t.Fatalf("decoding request: %v", err)
-	}
-	if len(back.Programs) != len(req.Programs) || len(back.Opts) != len(req.Opts) || len(back.Archs) != len(req.Archs) {
-		t.Fatal("request round-trip changed dimensions")
-	}
-	if back.Opts[0].Key() != req.Opts[0].Key() || back.Archs[0] != req.Archs[0] {
-		t.Error("request round-trip changed contents")
-	}
-
-	// Run one cell of the decoded request and round-trip the result.
-	back.Programs = back.Programs[:1]
-	back.Opts = back.Opts[:1]
-	var res portcc.ExploreResult
-	for r, err := range s.Explore(context.Background(), back) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		res = r
-	}
-	buf.Reset()
-	if err := gob.NewEncoder(&buf).Encode(res); err != nil {
-		t.Fatalf("encoding result: %v", err)
-	}
-	var rback portcc.ExploreResult
-	if err := gob.NewDecoder(&buf).Decode(&rback); err != nil {
-		t.Fatalf("decoding result: %v", err)
-	}
-	if rback.Program != res.Program || len(rback.Results) != len(res.Results) {
-		t.Fatal("result round-trip changed shape")
-	}
-	if rback.Results[0] != res.Results[0] {
-		t.Error("result round-trip changed counters")
 	}
 }
 
