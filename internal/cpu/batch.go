@@ -45,9 +45,11 @@
 //     arithmetic over an eligibility bitset shared by every width-2
 //     configuration with that stream and latency: the pairing alternates
 //     through a maximal run of eligible events, so those at an even
-//     offset from its start pair. Widths the closed form does not cover
-//     (>2, never sampled) keep a full per-event replay, which also serves
-//     as the oracle the equivalence tests drive against the closed forms.
+//     offset from its start pair. Both widths share one closed form,
+//     whose paired count is zero at width 1 and whose histogram is
+//     quantised at the configuration's width. A width outside
+//     uarch.Widths (never sampled, refused by uarch.Validate) is
+//     answered by Simulate itself.
 //
 //  4. The pass is cache-blocked: the trace is consumed in blocks of
 //     blockEvents events, and each shared structure sweeps a whole block
@@ -214,10 +216,6 @@ type cacheMember struct {
 	misses      uint64
 	loadMisses  uint64 // data-cache members: misses split by op for the
 	storeMisses uint64 // store-buffer penalty
-	// missBits records the positions of this member's misses within the
-	// current block; allocated only when multi-issue configurations need
-	// per-event outcomes.
-	missBits bitset
 }
 
 // lruStack simulates a family of set-associative true-LRU caches sharing a
@@ -358,9 +356,9 @@ func (s *lruStack) alloc(sc *simScratch) {
 	s.fill = sc.u8.get(sets, true)
 }
 
-// access touches addr at block position j, updates recency, records the
-// outcome in the members the hit depth reaches, and reports an MRU hit,
-// which changes no state here nor later in the stack's chain (fact 2).
+// access touches addr, updates recency, records the outcome in the
+// members the hit depth reaches, and reports an MRU hit, which changes
+// no state here nor later in the stack's chain (fact 2).
 // Both representations live in this one function on purpose: it is the
 // hottest call in the whole replay profile and too large to inline, so a
 // probe must not pay a second call hop - and each stack is mono-mode, so
@@ -378,7 +376,7 @@ func (s *lruStack) alloc(sc *simScratch) {
 //
 // Ring mode: invalid (zero) tags only ever occupy the tail of a set's
 // list, beyond its fill count.
-func (s *lruStack) access(addr uint32, j int, isStore, isData bool) (mru bool) {
+func (s *lruStack) access(addr uint32, isStore, isData bool) (mru bool) {
 	line := addr >> s.blockLg
 	set := line & s.setMask
 	tag := (line >> s.setBits) + 1 // +1 so 0 means invalid, collision-free
@@ -466,9 +464,6 @@ func (s *lruStack) access(addr uint32, j int, isStore, isData bool) (mru bool) {
 				m.loadMisses++
 			}
 		}
-		if m.missBits != nil {
-			m.missBits.set(j)
-		}
 	}
 	return false
 }
@@ -552,9 +547,6 @@ func (c *stackChain) firstFetches(pcList []uint32, words int) {
 			for _, s := range c.fits {
 				for _, m := range s.members {
 					m.misses++
-					if m.missBits != nil {
-						m.missBits.set(j)
-					}
 				}
 			}
 		}
@@ -573,7 +565,7 @@ func (c *stackChain) sweep(memList []uint64, pcList []uint32, words int) {
 	live, first := c.live[:0], c.stacks[0]
 	if c.changed == nil {
 		for k, mp := range memList {
-			if !first.access(uint32(mp), int(mp>>32&0x7fffffff), mp>>63 != 0, true) {
+			if !first.access(uint32(mp), mp>>63 != 0, true) {
 				live = append(live, uint32(k))
 			}
 		}
@@ -581,7 +573,7 @@ func (c *stackChain) sweep(memList []uint64, pcList []uint32, words int) {
 		for w := 0; w < words; w++ {
 			for word := c.changed[w]; word != 0; word &= word - 1 {
 				j := w<<6 + bits.TrailingZeros64(word)
-				if !first.access(pcList[j], j, false, false) {
+				if !first.access(pcList[j], false, false) {
 					live = append(live, uint32(j))
 				}
 			}
@@ -593,9 +585,9 @@ func (c *stackChain) sweep(memList []uint64, pcList []uint32, words int) {
 			var mru bool
 			if c.changed == nil {
 				mp := memList[k]
-				mru = s.access(uint32(mp), int(mp>>32&0x7fffffff), mp>>63 != 0, true)
+				mru = s.access(uint32(mp), mp>>63 != 0, true)
 			} else {
-				mru = s.access(pcList[k], int(k), false, false)
+				mru = s.access(pcList[k], false, false)
 			}
 			if !mru {
 				live[n] = k
@@ -624,8 +616,6 @@ type btbGroup struct {
 	// redirect: mispredicted not-taken branches refetch the fall-through
 	// path here while geometries that predicted correctly stream on.
 	dev bitset
-	// mispredBits records this block's mispredictions (multi-issue only).
-	mispredBits bitset
 }
 
 const (
@@ -715,9 +705,8 @@ type lineTrack struct {
 }
 
 // batchState is the per-configuration view: indices into the shared
-// groups plus the derived latencies and penalties of Simulate. The cycle
-// accumulators are used only on the multi-issue path; single-issue
-// configurations are assembled in closed form from the group counters.
+// groups plus the derived latencies and penalties of Simulate, from which
+// its Result is assembled in closed form.
 type batchState struct {
 	cfg            uarch.Config
 	width          int
@@ -728,17 +717,9 @@ type batchState struct {
 	redirectBubble uint64
 	icIdx          int
 	btbIdx         int
-	pgIdx          int // pairing group (width-2 closed form), -1 otherwise
+	pgIdx          int // pairing group (width 2 only)
 	icm            *cacheMember
 	dcm            *cacheMember
-
-	cycles       uint64
-	fetchStalls  uint64
-	memStalls    uint64
-	depStalls    uint64
-	branchStalls uint64
-	decodes      uint64
-	slotOpen     bool
 }
 
 // pairGroup accumulates the paired-issue count shared by every width-2
@@ -770,9 +751,6 @@ func btbStep(g *btbGroup, cp uint64) {
 	taken := cp>>63 != 0
 	if g.step(pc, taken) {
 		g.mispredicts++
-		if g.mispredBits != nil {
-			g.mispredBits.set(j)
-		}
 		if !taken {
 			g.dev.set(j)
 		}
@@ -909,7 +887,7 @@ func SimulateBatch(tr *trace.Trace, cfgs []uarch.Config) []Result {
 // SimulateBatchWith is SimulateBatch with the independent per-geometry
 // sweeps of each block - line trackers, BTB groups and data-cache chains
 // first, then fetch streams and instruction-cache chains (one task per
-// block size, fact 2), then the multi-issue states - fanned over a
+// block size, fact 2), then the width-2 pairing groups - fanned over a
 // bounded worker pool (0 = GOMAXPROCS). Sweeps within a wave touch
 // disjoint state and waves barrier on their data dependencies, so any
 // worker count and any schedule is bit-identical to the sequential pass;
@@ -917,7 +895,7 @@ func SimulateBatch(tr *trace.Trace, cfgs []uarch.Config) []Result {
 // machines. Workers <= 1 (SimulateBatch's default) keeps the sequential
 // fast path.
 func SimulateBatchWith(tr *trace.Trace, cfgs []uarch.Config, workers int) []Result {
-	rs, _, _ := simulateBatch(tr, cfgs, workers, false, nil)
+	rs, _, _ := simulateBatch(tr, cfgs, workers, nil)
 	return rs
 }
 
@@ -951,7 +929,7 @@ func (d *DataMemo) store(key [sha256.Size]byte, members []*cacheMember) {
 // from memo when an earlier call published this trace's data stream
 // (reused), and published to it otherwise; bit-identical either way.
 func SimulateBatchMemo(tr *trace.Trace, cfgs []uarch.Config, workers int, memo *DataMemo) (rs []Result, reused bool) {
-	rs, reused, _ = simulateBatch(tr, cfgs, workers, false, memo)
+	rs, reused, _ = simulateBatch(tr, cfgs, workers, memo)
 	return rs, reused
 }
 
@@ -987,13 +965,10 @@ func dataKey(dcs []*lruStack, tr *trace.Trace) (key [sha256.Size]byte) {
 	return key
 }
 
-// simulateBatch is the one engine behind the exported entry points.
-// wideOracle forces every multi-issue configuration onto the per-event
-// replay path instead of the width-2 closed forms - the equivalence tests
-// use it to drive both models over one trace and demand bit-identical
-// results. memo (nil: none) answers or learns the data caches (fact 5)
-// unless a configuration takes the per-event path; reused: it answered.
-func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle bool, memo *DataMemo) (results []Result, reused bool, fits fitCounts) {
+// simulateBatch is the one engine behind the exported entry points. memo
+// (nil: none) answers or learns the data caches (fact 5); reused: it
+// answered.
+func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, memo *DataMemo) (results []Result, reused bool, fits fitCounts) {
 	if len(cfgs) == 0 {
 		return nil, false, fits
 	}
@@ -1012,9 +987,9 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 	var btbs []btbGroup
 	unbounded := -1 // the BTB group every no-eviction geometry shares
 	var lineTracks []lineTrack
-	var wide []*batchState // multi-issue configurations, per-event path
-	maxDl1 := 0            // deepest load-use latency among single-issue configs
-	maxDl1W := 0           // deepest load-use latency among closed-form width-2 configs
+	maxDl1 := 0              // deepest load-use latency among single-issue configs
+	maxDl1W := 0             // deepest load-use latency among width-2 configs
+	latSet := map[int]bool{} // distinct load-use latencies among width-2 configs
 	stackOf := func(index map[stackKey]*lruStack, list *[]*lruStack, setBits, blockLg uint32) *lruStack {
 		k := stackKey{setBits, blockLg}
 		s := index[k]
@@ -1099,32 +1074,18 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 		dSet, dBlk := geomBits(cfg.DL1Size, cfg.DL1Assoc, cfg.DL1Block)
 		st.dcm = stackOf(dcIndex, &dcs, dSet, dBlk).member(cfg.DL1Assoc)
 
-		if st.width == 1 && st.dl1Lat > maxDl1 {
-			maxDl1 = st.dl1Lat
-		}
-	}
-	// Classify the multi-issue configurations: width 2 takes the closed
-	// forms through a pairing group (unless the oracle is forced), any
-	// other width keeps the per-event replay. The distinct load-use
-	// latencies are collected first, descending, so the shared sweep's
-	// per-event latency scan can stop at the first threshold the load
-	// distance reaches.
-	latSet := map[int]bool{}
-	for i := range states {
-		st := &states[i]
-		st.pgIdx = -1
-		if st.width == 1 {
-			continue
-		}
-		if st.width == 2 && !wideOracle {
+		switch st.width {
+		case 1:
+			maxDl1 = max(maxDl1, st.dl1Lat)
+		case 2:
 			latSet[st.dl1Lat] = true
-			if st.dl1Lat > maxDl1W {
-				maxDl1W = st.dl1Lat
-			}
-		} else {
-			wide = append(wide, st)
+			maxDl1W = max(maxDl1W, st.dl1Lat)
 		}
 	}
+	// Width-2 configurations share pairing groups. Their distinct
+	// load-use latencies sort descending, so the shared sweep's per-event
+	// latency scan can stop at the first threshold the load distance
+	// reaches.
 	var lats []int
 	for lat := range latSet {
 		lats = append(lats, lat)
@@ -1138,7 +1099,7 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 	pgIndex := map[[2]int]int{}
 	for i := range states {
 		st := &states[i]
-		if st.width != 2 || wideOracle {
+		if st.width != 2 {
 			continue
 		}
 		k := [2]int{st.icIdx, latIndex[st.dl1Lat]}
@@ -1161,21 +1122,6 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 	for _, s := range dcs {
 		s.finalize()
 	}
-	// Per-event outcome bitsets exist only where a multi-issue
-	// configuration will read them back; everyone else keeps counters
-	// alone.
-	var wideMembers []*cacheMember // members whose missBits need per-block clearing
-	for _, st := range wide {
-		for _, m := range []*cacheMember{st.icm, st.dcm} {
-			if m.missBits == nil {
-				m.missBits = sc.bitset()
-				wideMembers = append(wideMembers, m)
-			}
-		}
-		if btbs[st.btbIdx].mispredBits == nil {
-			btbs[st.btbIdx].mispredBits = sc.bitset()
-		}
-	}
 	// Dependency-stall histogram for the single-issue closed form:
 	// hist[dl*fsDim+fs] counts events whose nearest load producer is dl
 	// dynamic instructions away (dl = maxDl1 when none is close enough to
@@ -1189,23 +1135,17 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 	// Width-2 shared structures. pairOK marks the events whose
 	// configuration-independent pairing inputs allow dual issue (no
 	// dep-prev flag, not a memory op after a memory op, not after
-	// control); storeB marks stores so the per-event fallback never
-	// re-decodes opcodes (the bitsets carry everything it reads). The
-	// closed forms additionally build hist2 - the dependency histogram
-	// under width-2 distance quantisation (elapsed = ceil(dist/2)) -
-	// plus fu2 (any functional-unit stall, configuration-independent at
-	// a fixed width) and one load-stall bitset per distinct load-use
-	// latency, so a group's pairing eligibility is pure word arithmetic:
+	// control); hist2 is the dependency histogram under width-2 distance
+	// quantisation (elapsed = ceil(dist/2)); fu2 marks any functional-unit
+	// stall (configuration-independent at a fixed width), and there is
+	// one load-stall bitset per distinct load-use latency, so a group's
+	// pairing eligibility is pure word arithmetic:
 	// pairOK &^ (accesses | fu2 | loadLt).
-	anyWide := len(wide) > 0 || len(pairGroups) > 0
-	var pairOK, storeB, fu2 bitset
+	var pairOK, fu2 bitset
 	var hist2 []uint64
 	var loadLts []bitset
-	if anyWide {
-		pairOK = sc.bitset()
-		storeB = sc.bitset()
-	}
 	if len(pairGroups) > 0 {
+		pairOK = sc.bitset()
 		fu2 = sc.bitset()
 		hist2 = sc.u64.get((maxDl1W+1)*fsDim, true)
 		for range lats {
@@ -1226,11 +1166,8 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 
 	// Data caches last, so a call the memo answers - no tag array, no
 	// data chain in any block - draws a prefix of a sweeping call's arena
-	// sequence. The per-event path reads outcomes back and never asks.
+	// sequence.
 	var key [sha256.Size]byte
-	if len(wide) > 0 {
-		memo = nil
-	}
 	swept := dcs
 	var dcMembers []*cacheMember // stack order, as a memo entry lists them
 	if memo != nil {
@@ -1253,7 +1190,6 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 	// allocations stay flat however long the trace is
 	// (TestSimulateBatchAllocsFlat pins it).
 	var (
-		evs        []trace.Event
 		nb, words  int
 		lastMask   uint64
 		blockStart int
@@ -1284,9 +1220,6 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 	sweepBTB := func(k int) {
 		g := &btbs[k]
 		g.dev.clearWords(words)
-		if g.mispredBits != nil {
-			g.mispredBits.clearWords(words)
-		}
 		for _, cp := range condList {
 			btbStep(g, cp)
 		}
@@ -1343,15 +1276,9 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 		}
 	}
 
-	// Wave 3 - the multi-issue work. Pairing groups count the paired
-	// events of the block's eligibility words (eligible events are
-	// pairable ones the configuration neither fetches at nor stalls on;
-	// see pairWord). Per-event states replay the block mirroring
-	// Simulate statement for statement, every decoded input read back
-	// from the shared bitsets (pairOK folds the dep-prev flag and the
-	// previous event's memory/control class; dcm.missBits and
-	// bg.mispredBits are only ever set at memory/branch positions, so no
-	// opcode test needs repeating here).
+	// Wave 3 - pairing groups count the paired events of the block's
+	// eligibility words (eligible events are pairable ones the
+	// configuration neither fetches at nor stalls on; see pairWord).
 	sweepPairs := func(k int) {
 		g := &pairGroups[k]
 		acc := ics[g.icIdx].accBits
@@ -1364,77 +1291,13 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 		g.pairs += uint64(pairs)
 		g.paired = paired
 	}
-	wideReplay := func(st *batchState) {
-		g := &ics[st.icIdx]
-		bg := &btbs[st.btbIdx]
-		w := st.width
-		for j := range evs {
-			ev := &evs[j]
-			if g.accBits.get(j) {
-				if st.icm.missBits.get(j) {
-					st.cycles += st.icPenalty
-					st.fetchStalls += st.icPenalty
-				}
-				if g.redirBits.get(j) {
-					st.cycles += st.redirectBubble - 1
-					st.fetchStalls += st.redirectBubble - 1
-				}
-				st.slotOpen = false
-			}
-			var stall uint64
-			if ev.DistLoad != trace.NoDist {
-				elapsed := (int(ev.DistLoad) + w - 1) / w
-				if s := st.dl1Lat - elapsed; s > 0 {
-					stall = uint64(s)
-				}
-			}
-			if ev.DistFU != trace.NoDist {
-				elapsed := (int(ev.DistFU) + w - 1) / w
-				if s := int(ev.FULat) - elapsed; s > 0 && uint64(s) > stall {
-					stall = uint64(s)
-				}
-			}
-			if stall > 0 {
-				st.cycles += stall
-				st.depStalls += stall
-				st.slotOpen = false
-			}
-			if w == 2 && st.slotOpen && pairOK.get(j) {
-				st.slotOpen = false
-			} else {
-				st.cycles++
-				st.slotOpen = w == 2
-			}
-			st.decodes++
-			if st.dcm.missBits.get(j) {
-				p := st.dcPenalty
-				if storeB.get(j) {
-					p = st.stPenalty
-				}
-				st.cycles += p
-				st.memStalls += p
-			}
-			if bg.mispredBits.get(j) {
-				st.cycles += mispredictPenalty
-				st.branchStalls += mispredictPenalty
-				st.decodes += uint64(mispredictPenalty * w / 2)
-			}
-		}
-	}
-	wave3 := func(i int) {
-		if i < len(pairGroups) {
-			sweepPairs(i)
-			return
-		}
-		wideReplay(wide[i-len(pairGroups)])
-	}
 
 	for blockStart = 0; blockStart < len(tr.Events); blockStart += blockEvents {
 		blockEnd := blockStart + blockEvents
 		if blockEnd > len(tr.Events) {
 			blockEnd = len(tr.Events)
 		}
-		evs = tr.Events[blockStart:blockEnd]
+		evs := tr.Events[blockStart:blockEnd]
 		nb = len(evs)
 		words = (nb + 63) / 64
 		// Mask for the last partial word: the carry shift below may push
@@ -1450,14 +1313,8 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 		for t := range lineTracks {
 			lineTracks[t].changed.clearWords(words)
 		}
-		for _, m := range wideMembers {
-			m.missBits.clearWords(words)
-		}
-		if anyWide {
+		if pairOK != nil {
 			pairOK.clearWords(words)
-			storeB.clearWords(words)
-		}
-		if fu2 != nil {
 			fu2.clearWords(words)
 			for _, b := range loadLts {
 				b.clearWords(words)
@@ -1490,39 +1347,34 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 			} else if op.IsControl() {
 				baseRedir.set(j)
 			}
-			if anyWide {
+			if pairOK != nil {
 				isMem := op.IsMem()
-				if op == isa.OpStore {
-					storeB.set(j)
-				}
 				if ev.Flags&trace.FlagDepPrev == 0 && !(pm && isMem) && !pc {
 					pairOK.set(j)
 				}
 				pm, pc = isMem, op.IsControl()
-				if fu2 != nil {
-					fs2 := 0
-					if ev.DistFU != trace.NoDist {
-						if s := int(ev.FULat) - (int(ev.DistFU)+1)/2; s > 0 {
-							fs2 = s
-							fu2.set(j)
-						}
+				fs2 := 0
+				if ev.DistFU != trace.NoDist {
+					if s := int(ev.FULat) - (int(ev.DistFU)+1)/2; s > 0 {
+						fs2 = s
+						fu2.set(j)
 					}
-					dl2 := maxDl1W
-					if ev.DistLoad != trace.NoDist {
-						d := (int(ev.DistLoad) + 1) / 2
-						if d < maxDl1W {
-							dl2 = d
-						}
-						for li, lat := range lats {
-							if d >= lat {
-								break
-							}
-							loadLts[li].set(j)
-						}
+				}
+				dl2 := maxDl1W
+				if ev.DistLoad != trace.NoDist {
+					d := (int(ev.DistLoad) + 1) / 2
+					if d < maxDl1W {
+						dl2 = d
 					}
-					if dl2 < maxDl1W || fs2 > 0 {
-						hist2[dl2*fsDim+fs2]++
+					for li, lat := range lats {
+						if d >= lat {
+							break
+						}
+						loadLts[li].set(j)
 					}
+				}
+				if dl2 < maxDl1W || fs2 > 0 {
+					hist2[dl2*fsDim+fs2]++
 				}
 			}
 			if hist != nil {
@@ -1549,11 +1401,11 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 		// wave fans over the worker pool (sequential at workers=1); the
 		// wave boundaries are the data dependencies: fetch streams read
 		// the BTB deviations and line changes, instruction chains read
-		// the line changes, and the multi-issue replay reads every
-		// shared outcome bitset.
+		// the line changes, and the pairing groups read the fetch
+		// decisions.
 		parallelSweep(workers, len(lineTracks)+len(btbs)+len(dcChains), wave1)
 		parallelSweep(workers, len(ics)+len(icChains), wave2)
-		parallelSweep(workers, len(pairGroups)+len(wide), wave3)
+		parallelSweep(workers, len(pairGroups), sweepPairs)
 	}
 
 	if memo != nil && !reused {
@@ -1581,6 +1433,10 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 	for i := range states {
 		st := &states[i]
 		res := &results[i]
+		if st.width > 2 {
+			*res = Simulate(tr, st.cfg) // outside uarch.Widths: never sampled
+			continue
+		}
 		g := &ics[st.icIdx]
 		bg := &btbs[st.btbIdx]
 		res.Config = st.cfg
@@ -1591,49 +1447,30 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 		res.DCMisses = st.dcm.loadMisses + st.dcm.storeMisses
 		res.BTBLookups = branches
 		res.Mispredicts = bg.mispredicts
-		res.Decodes = st.decodes
 		res.RegReads = tr.RegReads
 		res.RegWrites = tr.RegWrites
 		res.ALUOps = aluOps
 		res.MACOps = macOps
 		res.ShiftOps = shiftOps
 
-		switch {
-		case st.width == 1:
-			// Closed forms: every stall source is (shared count) x
-			// (per-configuration penalty); issue contributes one cycle
-			// per instruction.
-			res.FetchStalls = st.icm.misses*st.icPenalty +
-				g.redirects*(st.redirectBubble-1)
-			res.MemStalls = st.dcm.loadMisses*st.dcPenalty +
-				st.dcm.storeMisses*st.stPenalty
-			res.BranchStalls = bg.mispredicts * mispredictPenalty
-			res.DepStalls = dep1(st.dl1Lat)
-			res.Cycles = insns + res.FetchStalls + res.MemStalls +
-				res.DepStalls + res.BranchStalls
-			res.Decodes = insns + bg.mispredicts*uint64(mispredictPenalty/2)
-		case st.pgIdx >= 0:
-			// Width-2 closed forms: the stall terms are the width-1 ones
-			// (the histogram swapped for its width-2 quantisation), and
-			// issue contributes one cycle per instruction minus one per
-			// paired event, from this configuration's pairing group.
-			res.FetchStalls = st.icm.misses*st.icPenalty +
-				g.redirects*(st.redirectBubble-1)
-			res.MemStalls = st.dcm.loadMisses*st.dcPenalty +
-				st.dcm.storeMisses*st.stPenalty
-			res.BranchStalls = bg.mispredicts * mispredictPenalty
-			res.DepStalls = dep2(st.dl1Lat)
-			res.Cycles = insns - pairGroups[st.pgIdx].pairs +
-				res.FetchStalls + res.MemStalls +
-				res.DepStalls + res.BranchStalls
-			res.Decodes = insns + bg.mispredicts*uint64(mispredictPenalty)
-		default:
-			res.Cycles = st.cycles
-			res.FetchStalls = st.fetchStalls
-			res.MemStalls = st.memStalls
-			res.DepStalls = st.depStalls
-			res.BranchStalls = st.branchStalls
+		// Closed forms: every stall source is (shared count) x
+		// (per-configuration penalty), the dependency histogram quantised
+		// at the configuration's width, and issue contributes one cycle
+		// per instruction minus one per paired event (width 2: its
+		// pairing group's count).
+		pairs, dep := uint64(0), dep1
+		if st.width == 2 {
+			pairs, dep = pairGroups[st.pgIdx].pairs, dep2
 		}
+		res.FetchStalls = st.icm.misses*st.icPenalty +
+			g.redirects*(st.redirectBubble-1)
+		res.MemStalls = st.dcm.loadMisses*st.dcPenalty +
+			st.dcm.storeMisses*st.stPenalty
+		res.BranchStalls = bg.mispredicts * mispredictPenalty
+		res.DepStalls = dep(st.dl1Lat)
+		res.Cycles = insns - pairs + res.FetchStalls + res.MemStalls +
+			res.DepStalls + res.BranchStalls
+		res.Decodes = insns + bg.mispredicts*uint64(mispredictPenalty*st.width/2)
 
 		res.EnergyNJ = float64(res.ICAccesses)*st.cfg.IL1Energy() +
 			float64(res.DCAccesses)*st.cfg.DL1Energy() +

@@ -395,30 +395,26 @@ func pairingEdgeTrace(n int) *trace.Trace {
 	return tr
 }
 
-// TestSimulateBatchWideOracle drives the width-2 closed forms against the
-// per-event replay oracle (simulateBatch with wideOracle set: the full
-// event-by-event dual-issue model) and against Simulate, over the crafted
-// pairing-edge trace and adversarial random traces, at every worker
-// count the satellite pins. A width-3 configuration - outside the
-// sampled space but accepted by the engine - rides along to keep the
-// per-event fallback covered in normal mode too.
-func TestSimulateBatchWideOracle(t *testing.T) {
+// TestSimulateBatchDualIssue drives the width-1 and width-2 closed forms
+// against Simulate, the per-event dual-issue reference, over the crafted
+// pairing-edge trace and adversarial random traces, at one, two and
+// GOMAXPROCS workers. A width-3 configuration - outside the sampled
+// space, answered by Simulate itself - rides along in the same sample.
+func TestSimulateBatchDualIssue(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	check := func(tr *trace.Trace, archs []uarch.Config) {
 		t.Helper()
-		closed := SimulateBatch(tr, archs)
-		for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-			oracle, _, _ := simulateBatch(tr, archs, workers, true, nil)
-			for i := range archs {
-				if closed[i] != oracle[i] {
-					t.Fatalf("workers=%d config %d (%s): closed form differs from per-event oracle:\n  got %+v\n want %+v",
-						workers, i, archs[i].String(), closed[i], oracle[i])
-				}
-			}
-		}
+		want := make([]Result, len(archs))
 		for i, cfg := range archs {
-			if want := Simulate(tr, cfg); closed[i] != want {
-				t.Fatalf("config %d (%s):\n batch %+v\n  want %+v", i, cfg.String(), closed[i], want)
+			want[i] = Simulate(tr, cfg)
+		}
+		for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+			got := SimulateBatchWith(tr, archs, workers)
+			for i := range archs {
+				if got[i] != want[i] {
+					t.Fatalf("workers=%d config %d (%s):\n batch %+v\n  want %+v",
+						workers, i, archs[i].String(), got[i], want[i])
+				}
 			}
 		}
 	}
@@ -436,7 +432,7 @@ func TestSimulateBatchWideOracle(t *testing.T) {
 // TestSimulateBatchParallelSweepsBitIdentical is the schedule-freedom
 // property of the parallel per-geometry sweeps: any worker count (and
 // therefore any interleaving of the line-tracker, BTB, cache-stack and
-// wide-state sweeps within their dependency waves) must produce results
+// pairing-group sweeps within their dependency waves) must produce results
 // bit-identical to the sequential pass, over real program traces, fuzzed
 // adversarial traces, and both architecture spaces.
 func TestSimulateBatchParallelSweepsBitIdentical(t *testing.T) {
@@ -477,14 +473,14 @@ func TestSimulateBatchParallelSweepsBitIdentical(t *testing.T) {
 func sweepStackReference(s *lruStack, memList []uint64, pcList []uint32, changed bitset, words int) {
 	if changed == nil {
 		for _, mp := range memList {
-			s.access(uint32(mp), int(mp>>32&0x7fffffff), mp>>63 != 0, true)
+			s.access(uint32(mp), mp>>63 != 0, true)
 		}
 		return
 	}
 	for w := 0; w < words; w++ {
 		for word := changed[w]; word != 0; word &= word - 1 {
 			j := w<<6 + bits.TrailingZeros64(word)
-			s.access(pcList[j], j, false, false)
+			s.access(pcList[j], false, false)
 		}
 	}
 }
@@ -522,18 +518,14 @@ func sampleGeoms(archs []uarch.Config, data bool) []stackGeom {
 // chained, as the engine sweeps them, and each on its own through
 // sweepStackReference - as data stacks or as instruction stacks over
 // their block size's line changes, and compares every member's miss,
-// load-miss and store-miss counts and, block by block, its missBits.
+// load-miss and store-miss counts after every block.
 func chainsMatchIndependent(tr *trace.Trace, geoms []stackGeom, data bool) error {
 	sc := getSimScratch()
 	defer putSimScratch(sc)
 	build := func() []*lruStack {
 		var out []*lruStack
 		for _, g := range geoms {
-			s := newStackIn(sc, g.setBits, g.blockLg, g.assocs, g.ring)
-			for _, m := range s.members {
-				m.missBits = newBitset()
-			}
-			out = append(out, s)
+			out = append(out, newStackIn(sc, g.setBits, g.blockLg, g.assocs, g.ring))
 		}
 		return out
 	}
@@ -583,21 +575,10 @@ func chainsMatchIndependent(tr *trace.Trace, geoms []stackGeom, data bool) error
 			sweepStackReference(s, memList, pcList, changed, words)
 			for k, m := range s.members {
 				c := chained[i].members[k]
-				if !slices.Equal(c.missBits, m.missBits) {
-					return fmt.Errorf("sets=%d block=%d assoc=%d: block at event %d: chained and independent missBits differ",
-						1<<s.setBits, 1<<s.blockLg, m.assoc, start)
+				if c.misses != m.misses || c.loadMisses != m.loadMisses || c.storeMisses != m.storeMisses {
+					return fmt.Errorf("sets=%d block=%d assoc=%d: block at event %d: chained (miss=%d load=%d store=%d) != independent (miss=%d load=%d store=%d)",
+						1<<s.setBits, 1<<s.blockLg, m.assoc, start, c.misses, c.loadMisses, c.storeMisses, m.misses, m.loadMisses, m.storeMisses)
 				}
-				c.missBits.clearWords(blockWords)
-				m.missBits.clearWords(blockWords)
-			}
-		}
-	}
-	for i, s := range indep {
-		for k, m := range s.members {
-			c := chained[i].members[k]
-			if c.misses != m.misses || c.loadMisses != m.loadMisses || c.storeMisses != m.storeMisses {
-				return fmt.Errorf("sets=%d block=%d assoc=%d: chained (miss=%d load=%d store=%d) != independent (miss=%d load=%d store=%d)",
-					1<<s.setBits, 1<<s.blockLg, m.assoc, c.misses, c.loadMisses, c.storeMisses, m.misses, m.loadMisses, m.storeMisses)
 			}
 		}
 	}

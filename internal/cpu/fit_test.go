@@ -43,14 +43,12 @@ func loopTrace(lines, reps int, sites []uint32) *trace.Trace {
 // exactly min-assoc lines per set skips the IL1 stack and one line more
 // simulates it; a BTB set holding exactly assoc conditional-branch sites
 // joins the shared no-eviction group and one site more keeps its own
-// sweep. Every case matches Simulate bit for bit - sequential, at four
-// workers, and with the width-2 configurations on the per-event oracle,
-// whose miss and mispredict bits then come from the shortcut too - and
-// the replay's fitCounts must show the shortcut firing exactly where it
-// may, so a disabled shortcut fails here. Past the boundary the
-// structure really evicts: misses exceed the distinct lines, or
-// mispredicts differ from those of a geometry that fits, so a shortcut
-// firing there would be caught by the comparison with Simulate.
+// sweep. Every case matches Simulate bit for bit - sequential and at
+// four workers - and the replay's fitCounts must show the shortcut
+// firing exactly where it may, so a disabled shortcut fails here. Past
+// the boundary the structure really evicts: misses exceed the distinct
+// lines, or mispredicts differ from those of a geometry that fits, so a
+// shortcut firing there would be caught by the comparison with Simulate.
 func TestNoEvictionBoundary(t *testing.T) {
 	type geom struct{ size, assoc int }
 	// With 32-byte lines: 4K/4 and 8K/8 share one 32-set stack (128
@@ -109,21 +107,20 @@ func TestNoEvictionBoundary(t *testing.T) {
 				cfg.BTBSize, cfg.BTBAssoc = btbGeoms[1].size, btbGeoms[1].assoc
 				archs = append(archs, cfg)
 			}
-			batch, _, fits := simulateBatch(tr, archs, 1, false, nil)
+			batch, _, fits := simulateBatch(tr, archs, 1, nil)
 			if fits.il1Stacks != ic.skipped {
 				t.Errorf("%s: %d IL1 stacks skipped, want %d", name, fits.il1Stacks, ic.skipped)
 			}
 			if fits.btbGeoms != bc.shared {
 				t.Errorf("%s: %d BTB geometries shared, want %d", name, fits.btbGeoms, bc.shared)
 			}
-			oracle, _, _ := simulateBatch(tr, archs, 1, true, nil)
 			par := SimulateBatchWith(tr, archs, 4)
 			for i, cfg := range archs {
 				want := Simulate(tr, cfg)
 				for _, got := range []struct {
 					how string
 					r   Result
-				}{{"batch", batch[i]}, {"per-event oracle", oracle[i]}, {"4 workers", par[i]}} {
+				}{{"batch", batch[i]}, {"4 workers", par[i]}} {
 					if got.r != want {
 						t.Fatalf("%s: config %s, %s:\n  got %+v\n want %+v", name, cfg.String(), got.how, got.r, want)
 					}

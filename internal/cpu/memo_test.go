@@ -54,8 +54,8 @@ func programTraces(t *testing.T, name string, rng *rand.Rand, n int) []*trace.Tr
 // extended space, 12 and 200 architectures, sequential and fanned
 // sweeps; the key separates what it must (another architecture sample,
 // one access more, fewer or different) and nothing else (instructions
-// between the same accesses); and whatever reads per-event data-cache
-// outcomes back never touches it.
+// between the same accesses); and a configuration outside the sampled
+// widths, answered by Simulate, leaves the rest of its sample on it.
 func TestDataMemoBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	samples := [][]uarch.Config{sampleArchs(rng, 11, false), sampleArchs(rng, 198, true)}
@@ -166,30 +166,17 @@ func TestDataMemoBitIdentical(t *testing.T) {
 		memoReplay(t, "padded", padded, a, 1, &memo, SimulateBatch(padded, a), true)
 	})
 
-	t.Run("per-event path bypasses", func(t *testing.T) {
+	t.Run("width outside the space", func(t *testing.T) {
 		w3 := uarch.XScale()
 		w3.Width = 3
 		wide := append(append([]uarch.Config(nil), b...), w3)
-		var memo DataMemo
-		for pass := 0; pass < 2; pass++ {
-			got, reused := SimulateBatchMemo(tr, wide, 1, &memo)
-			oracle, oracleReused, _ := simulateBatch(tr, b, 1, true, &memo)
-			entries := 0
-			memo.m.Range(func(_, _ any) bool { entries++; return true })
-			if reused || oracleReused || entries != 0 {
-				t.Fatalf("pass %d: per-event replay touched the memo (reused %v, %v; %d entries)", pass, reused, oracleReused, entries)
-			}
-			for i, cfg := range wide {
-				if want := Simulate(tr, cfg); got[i] != want {
-					t.Fatalf("width-3 sample, config %d (%s):\n  got %+v\n want %+v", i, cfg.String(), got[i], want)
-				}
-			}
-			for i := range b {
-				if oracle[i] != wantB[i] {
-					t.Fatalf("wideOracle, config %d (%s):\n  got %+v\n want %+v", i, b[i].String(), oracle[i], wantB[i])
-				}
-			}
+		want := make([]Result, len(wide))
+		for i, cfg := range wide {
+			want[i] = Simulate(tr, cfg)
 		}
+		var memo DataMemo
+		memoReplay(t, "width-3 sample fill", tr, wide, 1, &memo, want, false)
+		memoReplay(t, "width-3 sample answered", tr, wide, 1, &memo, want, true)
 	})
 }
 

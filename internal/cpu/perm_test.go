@@ -91,8 +91,8 @@ func (sp *stackPair) close() {
 }
 
 func (sp *stackPair) access(addr uint32, isStore bool, ctx string) {
-	sp.perm.access(addr, 0, isStore, true)
-	sp.ring.access(addr, 0, isStore, true)
+	sp.perm.access(addr, isStore, true)
+	sp.ring.access(addr, isStore, true)
 	set := (addr >> sp.perm.blockLg) & sp.perm.setMask
 	po, ro := sp.perm.mruOrder(set), sp.ring.mruOrder(set)
 	for i := range po {
@@ -220,7 +220,7 @@ func benchmarkLRUAccess(b *testing.B, depth int, ring bool) {
 	defer putSimScratch(sc)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.access(addrs[i&(n-1)], 0, false, true)
+		s.access(addrs[i&(n-1)], false, true)
 	}
 }
 

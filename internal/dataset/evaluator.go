@@ -30,6 +30,7 @@ import (
 	"portcc/internal/core"
 	"portcc/internal/cpu"
 	"portcc/internal/ir"
+	"portcc/internal/ml"
 	"portcc/internal/opt"
 	"portcc/internal/prog"
 	"portcc/internal/trace"
@@ -62,6 +63,17 @@ func (c EvalConfig) withDefaults() EvalConfig {
 		d.Seed = c.Seed
 	}
 	return d
+}
+
+// ArtifactEval reconstructs the profiling parameters embedded in a model
+// artifact: deployment profiles with them so its feature vectors stay
+// comparable to the training distribution.
+func ArtifactEval(info ml.ArtifactInfo) EvalConfig {
+	return EvalConfig{
+		TargetInsns: info.EvalTargetInsns,
+		MaxInsns:    info.EvalMaxInsns,
+		Seed:        info.EvalSeed,
+	}
 }
 
 // sharedBase holds one baseline slot per program - everything about a

@@ -39,10 +39,11 @@ type ExploreRequest struct {
 	// Naive bypasses the sweep state (compile index, window FIFO, twin
 	// replay memo, result store): every cell compiles, traces and replays
 	// its own setting independently. The produced results (and any saved
-	// dataset) are bit-identical either way; the naive path exists for
-	// equivalence checks and as the benchmark baseline. The field rides
-	// to worker shards with the request, so a sharded run honours it on
-	// every daemon.
+	// dataset) are bit-identical either way; the naive path is the
+	// equivalence oracle the batched path is byte-compared against (CI's
+	// "Batched path matches naive path" step). The field rides to worker
+	// shards with the request, so a sharded run honours it on every
+	// daemon.
 	Naive bool
 }
 

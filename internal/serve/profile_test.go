@@ -95,7 +95,7 @@ func TestMissReplaysResidentBaseline(t *testing.T) {
 // bound - and stay there however many architectures follow.
 func TestBaselineMemoryBounded(t *testing.T) {
 	_, _, info := testDataset(t)
-	eval := evalFromInfo(info)
+	eval := dataset.ArtifactEval(info)
 	ref := dataset.NewEvaluator(eval)
 	o3 := opt.O3()
 	var suite int64

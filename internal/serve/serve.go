@@ -152,7 +152,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	// The artifact's profiling parameters keep served feature vectors
 	// comparable to the training distribution.
-	s.ev = dataset.NewEvaluator(evalFromInfo(loaded.Info))
+	s.ev = dataset.NewEvaluator(dataset.ArtifactEval(loaded.Info))
 	if cfg.Store != nil {
 		s.ev.SetStore(cfg.Store)
 	}
@@ -163,16 +163,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return s, nil
-}
-
-// evalFromInfo reconstructs the profiling parameters embedded in an
-// artifact.
-func evalFromInfo(info ml.ArtifactInfo) dataset.EvalConfig {
-	return dataset.EvalConfig{
-		TargetInsns: info.EvalTargetInsns,
-		MaxInsns:    info.EvalMaxInsns,
-		Seed:        info.EvalSeed,
-	}
 }
 
 // acceptModel gates every artifact: a model of another feature width
@@ -189,9 +179,9 @@ func (s *Server) acceptModel(next, cur *Loaded) error {
 	if cur == nil {
 		return nil // first load establishes the parameters
 	}
-	if evalFromInfo(next.Info) != evalFromInfo(cur.Info) {
+	if dataset.ArtifactEval(next.Info) != dataset.ArtifactEval(cur.Info) {
 		return fmt.Errorf("serve: %w: artifact profiling parameters changed %+v -> %+v; restart to adopt them",
-			pcerr.ErrInvalidConfig, evalFromInfo(cur.Info), evalFromInfo(next.Info))
+			pcerr.ErrInvalidConfig, dataset.ArtifactEval(cur.Info), dataset.ArtifactEval(next.Info))
 	}
 	return nil
 }

@@ -32,13 +32,7 @@ func WithEvalConfig(e EvalConfig) Option {
 
 // ModelEval reconstructs the profiling workload parameters embedded in
 // a model artifact, ready for WithEvalConfig.
-func ModelEval(info ModelInfo) EvalConfig {
-	return EvalConfig{
-		TargetInsns: info.EvalTargetInsns,
-		MaxInsns:    info.EvalMaxInsns,
-		Seed:        info.EvalSeed,
-	}
-}
+func ModelEval(info ModelInfo) EvalConfig { return dataset.ArtifactEval(info) }
 
 // SaveModel writes a trained model as a versioned artifact, embedding
 // the dataset's fingerprint and generation config so the artifact is

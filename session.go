@@ -112,8 +112,9 @@ func WithProgress(fn func(Progress)) Option {
 // GenerateDataset - compile index, window FIFO, twin replay memo, result
 // store: every grid cell then compiles, traces and replays its own
 // setting independently. Datasets are bit-identical either way; the naive
-// path exists as the equivalence baseline for verification and
-// benchmarking. Sharded runs forward the choice to the worker daemons.
+// path is the equivalence oracle the batched path is byte-compared
+// against (CI's "Batched path matches naive path" step). Sharded runs
+// forward the choice to the worker daemons.
 func WithNaiveCompile() Option {
 	return func(c *sessionConfig) { c.naive = true }
 }
