@@ -33,7 +33,6 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
 	"net"
 	"net/http"
@@ -41,7 +40,7 @@ import (
 
 	"portcc/internal/cliutil"
 	"portcc/internal/dataset"
-	"portcc/internal/serve/metrics"
+	"portcc/internal/metrics"
 	"portcc/internal/store"
 	"portcc/internal/wire"
 )
@@ -125,11 +124,7 @@ func serveMetrics(addr string, sv *store.Service, st *store.Store) {
 		"Budget-driven evictions from the served store.", stf(func(s store.Stats) float64 { return float64(s.Evictions) }))
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		body, ct := reg.Expose()
-		w.Header().Set("Content-Type", ct)
-		fmt.Fprint(w, body)
-	})
+	mux.Handle("/metrics", reg)
 	if err := http.ListenAndServe(addr, mux); err != nil {
 		log.Printf("-metrics: %v", err)
 	}

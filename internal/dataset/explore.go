@@ -295,7 +295,23 @@ func runCell(ev *Evaluator, req *ExploreRequest, c exploreCell) (ExploreResult, 
 	}, nil
 }
 
-// RunnerStore returns the in-process cell-execution function of the
+// InstrumentedRunnerStore is runner with one worker slot and
+// sequential sweeps, returning the slot's evaluator alongside so a
+// caller driving the grid itself can read the work counters (Stats)
+// afterwards, with a store attached or not (nil = none). Two callers
+// remain: bench/staged.go, for the dataset.* work counters of the one
+// benchmark, and sweep_test.go, which pins those counters.
+func (r *ExploreRequest) InstrumentedRunnerStore(st *ResultStore) (func(slot, index int) (any, error), *Evaluator) {
+	run, evs := r.runner(1, 1, st)
+	evs[0] = NewEvaluator(r.Eval)
+	evs[0].SetSweepWorkers(1)
+	if st != nil {
+		evs[0].SetStore(st)
+	}
+	return run, evs[0]
+}
+
+// runner returns the in-process cell-execution function of the
 // request's grid - the Job.Run both the local executor and the worker
 // daemon (cmd/portccd) plug into the scheduler. Each worker slot gets a
 // private evaluator (its own work ledger), all sharing one pool base so
@@ -313,28 +329,9 @@ func runCell(ev *Evaluator, req *ExploreRequest, c exploreCell) (ExploreResult, 
 // cores the slot fan-out cannot occupy go to each slot's sweeps, see
 // internal/tune). st is a persistent result store every slot's evaluator
 // answers replays from and commits them to (nil = none). Results are
-// bit-identical at every sweepWorkers and with or without a store.
-func (r *ExploreRequest) RunnerStore(slots, sweepWorkers int, st *ResultStore) func(slot, index int) (any, error) {
-	run, _ := r.runner(slots, sweepWorkers, st)
-	return run
-}
-
-// InstrumentedRunnerStore is RunnerStore with one worker slot and
-// sequential sweeps, returning the slot's evaluator alongside so a
-// caller driving the grid itself can read the work counters (Stats)
-// afterwards, with a store attached or not (nil = none). Two callers
-// remain: bench/staged.go, for the dataset.* work counters of the one
-// benchmark, and sweep_test.go, which pins those counters.
-func (r *ExploreRequest) InstrumentedRunnerStore(st *ResultStore) (func(slot, index int) (any, error), *Evaluator) {
-	run, evs := r.runner(1, 1, st)
-	evs[0] = NewEvaluator(r.Eval)
-	evs[0].SetSweepWorkers(1)
-	if st != nil {
-		evs[0].SetStore(st)
-	}
-	return run, evs[0]
-}
-
+// bit-identical at every sweepWorkers and with or without a store. The
+// slots' evaluators come back alongside, filled in as each slot runs its
+// first cell, for callers that read their work counters.
 func (r *ExploreRequest) runner(slots, sweepWorkers int, st *ResultStore) (func(slot, index int) (any, error), []*Evaluator) {
 	base := newSharedBase()
 	evs := make([]*Evaluator, slots)
@@ -396,7 +393,8 @@ func ServeConfigStore(workers, sweepWorkers int, heartbeat time.Duration, st *Re
 			if err := req.Validate(); err != nil {
 				return nil, err
 			}
-			return req.RunnerStore(sched.Workers(workers, req.Cells()), sweepWorkers, st), nil
+			run, _ := req.runner(sched.Workers(workers, req.Cells()), sweepWorkers, st)
+			return run, nil
 		},
 	}
 }
@@ -453,7 +451,7 @@ func Explore(ctx context.Context, req ExploreRequest, o ExploreOptions) iter.Seq
 			// Remote execution never runs cells coordinator-side; the
 			// evaluator pool exists only on the local path, so sharded
 			// runs do not allocate a dead runner.
-			job.Run = req.RunnerStore(sched.Workers(o.Workers, total), o.SweepWorkers, o.Store)
+			job.Run, _ = req.runner(sched.Workers(o.Workers, total), o.SweepWorkers, o.Store)
 		}
 		var firstErr error
 		go func() {

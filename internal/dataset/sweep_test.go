@@ -173,7 +173,7 @@ func TestPartialGridRunnerBoundedAndCorrect(t *testing.T) {
 
 	naiveReq := req
 	naiveReq.Naive = true
-	naiveRun := naiveReq.RunnerStore(1, 0, nil)
+	naiveRun, _ := naiveReq.runner(1, 0, nil)
 	run, ev := req.InstrumentedRunnerStore(nil)
 
 	sum := 0

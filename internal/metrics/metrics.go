@@ -1,7 +1,7 @@
 // Package metrics is a minimal, dependency-free Prometheus text-format
-// exposition library: counters, labelled counters, gauges, histograms,
-// and callback counters and gauges, registered on a Registry that renders the
-// standard exposition format (text/plain; version=0.0.4) on demand.
+// exposition library: counters, labelled counters, histograms, and
+// callback counters and gauges, registered on a Registry that serves the
+// standard exposition format (text/plain; version=0.0.4) over HTTP.
 //
 // It exists because the repo's north star needs observability surfaces
 // (request rates, latencies, cache hit ratios, queue depths) but the
@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net/http"
 	"sort"
 	"strconv"
 	"strings"
@@ -59,24 +60,14 @@ func (r *Registry) register(m metric) {
 	r.metrics = append(r.metrics, m)
 }
 
-// Render writes every family in exposition format.
-func (r *Registry) Render(w io.Writer) {
-	r.mu.Lock()
-	ms := append([]metric(nil), r.metrics...)
-	r.mu.Unlock()
-	for _, m := range ms {
-		fmt.Fprintf(w, "# HELP %s %s\n", m.name(), m.help())
-		fmt.Fprintf(w, "# TYPE %s %s\n", m.name(), m.typ())
-		m.write(w)
-	}
-}
-
-// formatFloat renders a sample value the way Prometheus expects.
+// formatFloat renders a sample value the way Prometheus expects, and
+// an integral value as the integer it is - never in exponent form, which
+// line-oriented checks on a scrape (grep, awk, test -gt) cannot read.
 func formatFloat(v float64) string {
 	if math.IsInf(v, 1) {
 		return "+Inf"
 	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
+	return strconv.FormatFloat(v, 'f', -1, 64)
 }
 
 // Counter is a monotonically increasing counter.
@@ -168,35 +159,6 @@ func (c *CounterVec) write(w io.Writer) {
 	for i, v := range vals {
 		fmt.Fprintf(w, "%s{%s=%q} %d\n", c.nameStr, c.label, v, counts[i])
 	}
-}
-
-// Gauge is a value that can go up and down.
-type Gauge struct {
-	nameStr, helpStr string
-	v                atomic.Int64
-}
-
-// Gauge registers and returns a new gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{nameStr: name, helpStr: help}
-	r.register(g)
-	return g
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adjusts the value by n (negative to decrease).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
-func (g *Gauge) name() string { return g.nameStr }
-func (g *Gauge) typ() string  { return "gauge" }
-func (g *Gauge) help() string { return g.helpStr }
-func (g *Gauge) write(w io.Writer) {
-	fmt.Fprintf(w, "%s %d\n", g.nameStr, g.v.Load())
 }
 
 // CounterFunc is a value read from a callback at render time - the
@@ -297,10 +259,25 @@ func (h *Histogram) write(w io.Writer) {
 	fmt.Fprintf(w, "%s_count %d\n", h.nameStr, h.count.Load())
 }
 
-// Expose renders the whole registry into a string plus the content
-// type scrapers expect, ready to write as an HTTP response body.
+// Expose renders every family in registration order, plus the content
+// type scrapers expect.
 func (r *Registry) Expose() (body, contentType string) {
+	r.mu.Lock()
+	ms := append([]metric(nil), r.metrics...)
+	r.mu.Unlock()
 	var b strings.Builder
-	r.Render(&b)
+	for _, m := range ms {
+		fmt.Fprintf(&b, "# HELP %s %s\n", m.name(), m.help())
+		fmt.Fprintf(&b, "# TYPE %s %s\n", m.name(), m.typ())
+		m.write(&b)
+	}
 	return b.String(), "text/plain; version=0.0.4; charset=utf-8"
+}
+
+// ServeHTTP answers a scrape with the exposition: mount the registry
+// itself at /metrics.
+func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
+	body, ctype := r.Expose()
+	w.Header().Set("Content-Type", ctype)
+	io.WriteString(w, body)
 }

@@ -2,36 +2,44 @@ package metrics
 
 import (
 	"math"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 )
 
+// TestCounterAndGaugeRender scrapes the registry as an HTTP handler.
+// Callback values print as integers at any size: exponent form
+// ("3.279344e+06") would break line-oriented checks on a scrape.
 func TestCounterAndGaugeRender(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("requests_total", "Requests.")
-	g := r.Gauge("depth", "Depth.")
+	r.GaugeFunc("depth", "Depth.", func() float64 { return 4 })
+	r.GaugeFunc("store_bytes", "Bytes.", func() float64 { return 3279344 })
+	r.CounterFunc("trace_events_total", "Events.", func() float64 { return 3279344 })
 	c.Inc()
 	c.Add(2)
-	g.Set(7)
-	g.Add(-3)
-	body, ctype := r.Expose()
-	if !strings.Contains(ctype, "version=0.0.4") {
+	w := httptest.NewRecorder()
+	r.ServeHTTP(w, httptest.NewRequest("GET", "/metrics", nil))
+	if ctype := w.Header().Get("Content-Type"); !strings.Contains(ctype, "version=0.0.4") {
 		t.Errorf("content type %q lacks the exposition version", ctype)
 	}
+	body := w.Body.String()
 	for _, want := range []string{
 		"# HELP requests_total Requests.",
 		"# TYPE requests_total counter",
 		"requests_total 3",
 		"# TYPE depth gauge",
 		"depth 4",
+		"store_bytes 3279344\n",
+		"trace_events_total 3279344\n",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q:\n%s", want, body)
 		}
 	}
-	if c.Value() != 3 || g.Value() != 4 {
-		t.Errorf("values %d/%d, want 3/4", c.Value(), g.Value())
+	if c.Value() != 3 {
+		t.Errorf("counter value %d, want 3", c.Value())
 	}
 }
 
@@ -147,7 +155,7 @@ func TestConcurrentInstruments(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c", "c")
 	v := r.CounterVec("v", "v", "l")
-	g := r.Gauge("g", "g")
+	r.GaugeFunc("g", "g", func() float64 { return float64(c.Value()) })
 	h := r.Histogram("h", "h", nil)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -157,7 +165,6 @@ func TestConcurrentInstruments(t *testing.T) {
 			for i := 0; i < 1000; i++ {
 				c.Inc()
 				v.Inc("a")
-				g.Add(1)
 				h.Observe(float64(i) / 1000)
 				if i%100 == 0 {
 					r.Expose()
@@ -166,7 +173,7 @@ func TestConcurrentInstruments(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if c.Value() != 4000 || v.Value("a") != 4000 || g.Value() != 4000 || h.Count() != 4000 {
-		t.Fatalf("lost updates: c=%d v=%d g=%d h=%d", c.Value(), v.Value("a"), g.Value(), h.Count())
+	if c.Value() != 4000 || v.Value("a") != 4000 || h.Count() != 4000 {
+		t.Fatalf("lost updates: c=%d v=%d h=%d", c.Value(), v.Value("a"), h.Count())
 	}
 }

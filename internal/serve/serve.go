@@ -6,10 +6,10 @@
 //
 // The serving stack has three concerns, each bounded:
 //
-//   - Models are loaded from ml artifacts through a warm in-memory
-//     Registry that hot-reloads when the file changes on disk
-//     (throttled mtime check, content-fingerprint compare), so a
-//     retrain deploys by atomically replacing one file - no restart.
+//   - One model is loaded from an ml artifact and held warm in memory;
+//     it hot-reloads when the file changes on disk (throttled mtime
+//     check, content-fingerprint compare), so a retrain deploys by
+//     atomically replacing one file - no restart.
 //
 //   - Feature vectors - one -O3 profiling run each, the expensive half
 //     of a prediction - are memoised in an LRU cache keyed by
@@ -39,15 +39,16 @@ import (
 	"math"
 	"net/http"
 	"runtime"
-	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"portcc/internal/dataset"
 	"portcc/internal/features"
+	"portcc/internal/metrics"
 	"portcc/internal/ml"
 	"portcc/internal/opt"
 	"portcc/internal/pcerr"
-	"portcc/internal/serve/metrics"
 	"portcc/internal/uarch"
 )
 
@@ -65,9 +66,6 @@ type Config struct {
 	// MaxQueue bounds predictions waiting for an execution slot; beyond
 	// it requests are shed with 429 (default 4x MaxInFlight).
 	MaxQueue int
-	// RetryAfter is the advisory Retry-After delay on shed responses
-	// (default 1s).
-	RetryAfter time.Duration
 	// ReloadEvery throttles artifact staleness checks (default 1s).
 	ReloadEvery time.Duration
 	// Store, when non-nil, is a persistent content-addressed result
@@ -90,9 +88,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 4 * c.MaxInFlight
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
 	if c.ReloadEvery <= 0 {
 		c.ReloadEvery = time.Second
 	}
@@ -108,24 +103,26 @@ func (c Config) withDefaults() Config {
 // nothing lingers.
 type Server struct {
 	cfg   Config
-	reg   *Registry
 	cache *featureCache
 	gate  *gate
 	ev    *dataset.Evaluator
 	mux   *http.ServeMux
 
-	reg2        *metrics.Registry
-	mRequests   *metrics.CounterVec
-	mLatency    *metrics.Histogram
-	mShed       *metrics.Counter
-	mCacheHit   *metrics.Counter
-	mCacheMiss  *metrics.Counter
-	mProfile    *metrics.Histogram
-	mReloads    *metrics.CounterVec
-	mInFlight   *metrics.Gauge
-	mQueueDepth *metrics.Gauge
-	mBaselines  *metrics.Gauge
-	mBaseBytes  *metrics.Gauge
+	// cur is the model in service (see model); reload serialises the
+	// staleness check that may replace it, and lastCheck (unix nanos)
+	// throttles that check.
+	cur       atomic.Pointer[loaded]
+	reload    sync.Mutex
+	lastCheck atomic.Int64
+
+	metrics    *metrics.Registry
+	mRequests  *metrics.CounterVec
+	mLatency   *metrics.Histogram
+	mShed      *metrics.Counter
+	mCacheHit  *metrics.Counter
+	mCacheMiss *metrics.Counter
+	mProfile   *metrics.Histogram
+	mReloads   *metrics.CounterVec
 
 	// testHookAdmitted, when non-nil, runs after admission and before
 	// any prediction work - tests park it to hold slots occupied.
@@ -145,23 +142,27 @@ func New(cfg Config) (*Server, error) {
 		gate:  newGate(cfg.MaxInFlight, cfg.MaxQueue),
 	}
 	s.initMetrics()
-	s.reg = NewRegistry(cfg.ReloadEvery, s.acceptModel, func(outcome string) { s.mReloads.Inc(outcome) }, cfg.Logf)
-	loaded, err := s.reg.Get(cfg.ModelPath)
+	first, err := readArtifact(cfg.ModelPath, nil)
 	if err != nil {
 		return nil, err
 	}
+	if err := s.acceptModel(first, nil); err != nil {
+		return nil, fmt.Errorf("%s: %w", cfg.ModelPath, err)
+	}
+	s.cur.Store(first)
+	s.lastCheck.Store(time.Now().UnixNano())
+	s.mReloads.Inc("ok")
 	// The artifact's profiling parameters keep served feature vectors
 	// comparable to the training distribution.
-	s.ev = dataset.NewEvaluator(dataset.ArtifactEval(loaded.Info))
+	s.ev = dataset.NewEvaluator(dataset.ArtifactEval(first.Info))
 	if cfg.Store != nil {
 		s.ev.SetStore(cfg.Store)
 	}
-	s.initEvalMetrics()
 
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/predict", s.handlePredict)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	s.mux.Handle("GET /metrics", s.metrics)
 	return s, nil
 }
 
@@ -171,7 +172,7 @@ func New(cfg Config) (*Server, error) {
 // future feature vectors incomparable to its training distribution, so
 // it is rejected (the server keeps serving the old model; deploy such a
 // change with a restart instead).
-func (s *Server) acceptModel(next, cur *Loaded) error {
+func (s *Server) acceptModel(next, cur *loaded) error {
 	if d := next.Model.Dim(); d != features.Dim {
 		return fmt.Errorf("serve: %w: artifact models %d-wide feature vectors, this server measures %d",
 			pcerr.ErrInvalidConfig, d, features.Dim)
@@ -189,15 +190,15 @@ func (s *Server) acceptModel(next, cur *Loaded) error {
 // Handler returns the HTTP handler tree.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Metrics returns the server's metrics registry (for embedding).
-func (s *Server) Metrics() *metrics.Registry { return s.reg2 }
-
 // Stats returns the profiling evaluator's work ledger.
 func (s *Server) Stats() dataset.Stats { return s.ev.Stats() }
 
+// initMetrics registers every family. Point-in-time values and the
+// evaluator's work ledger are callbacks read at scrape time; they read
+// s.ev, which New sets before the handler can serve a scrape.
 func (s *Server) initMetrics() {
 	r := metrics.NewRegistry()
-	s.reg2 = r
+	s.metrics = r
 	s.mRequests = r.CounterVec("portccs_requests_total",
 		"Prediction requests by outcome.", "outcome")
 	s.mLatency = r.Histogram("portccs_request_seconds",
@@ -214,38 +215,36 @@ func (s *Server) initMetrics() {
 		"Model artifact reload attempts by outcome.", "outcome")
 	r.GaugeFunc("portccs_feature_cache_entries",
 		"Resident feature-cache entries.", func() float64 { return float64(s.cache.len()) })
-	s.mInFlight = r.Gauge("portccs_inflight", "Predictions currently executing.")
-	s.mQueueDepth = r.Gauge("portccs_queue_depth", "Predictions waiting for an execution slot.")
-	s.mBaselines = r.Gauge("portccs_baseline_traces", "Programs whose -O3 trace is resident for profiling.")
-	s.mBaseBytes = r.Gauge("portccs_baseline_trace_bytes", "Approximate bytes of the resident -O3 traces.")
-}
-
-// initEvalMetrics bridges the evaluator's work ledger into /metrics;
-// split from initMetrics because the evaluator exists only after the
-// first model load fixes the profiling parameters.
-func (s *Server) initEvalMetrics() {
+	r.GaugeFunc("portccs_inflight",
+		"Predictions currently executing.", func() float64 { return float64(s.gate.inFlight()) })
+	r.GaugeFunc("portccs_queue_depth",
+		"Predictions waiting for an execution slot.", func() float64 { return float64(s.gate.queueDepth()) })
 	stat := func(pick func(dataset.Stats) float64) func() float64 {
 		return func() float64 { return pick(s.ev.Stats()) }
 	}
-	s.reg2.CounterFunc("portccs_eval_compiles_total",
+	r.GaugeFunc("portccs_baseline_traces",
+		"Programs whose -O3 trace is resident for profiling.", stat(func(st dataset.Stats) float64 { return float64(st.BaselineTraces) }))
+	r.GaugeFunc("portccs_baseline_trace_bytes",
+		"Approximate bytes of the resident -O3 traces.", stat(func(st dataset.Stats) float64 { return float64(st.BaselineTraceBytes) }))
+	r.CounterFunc("portccs_eval_compiles_total",
 		"Profiling compilations performed.", stat(func(st dataset.Stats) float64 { return float64(st.Compiles) }))
-	s.reg2.CounterFunc("portccs_eval_simulations_total",
+	r.CounterFunc("portccs_eval_simulations_total",
 		"Profiling simulations performed.", stat(func(st dataset.Stats) float64 { return float64(st.Simulations) }))
-	s.reg2.CounterFunc("portccs_eval_trace_gens_total",
+	r.CounterFunc("portccs_eval_trace_gens_total",
 		"Traces generated by the profiling evaluator.", stat(func(st dataset.Stats) float64 { return float64(st.TraceGens) }))
-	s.reg2.CounterFunc("portccs_eval_trace_events_total",
+	r.CounterFunc("portccs_eval_trace_events_total",
 		"Dynamic instructions emitted into profiling traces.", stat(func(st dataset.Stats) float64 { return float64(st.TraceEvents) }))
-	s.reg2.CounterFunc("portccs_store_hits_total",
+	r.CounterFunc("portccs_store_hits_total",
 		"Profiling replays answered from the persistent result store.", stat(func(st dataset.Stats) float64 { return float64(st.StoreHits) }))
-	s.reg2.CounterFunc("portccs_store_misses_total",
+	r.CounterFunc("portccs_store_misses_total",
 		"Profiling replays not found in the persistent result store.", stat(func(st dataset.Stats) float64 { return float64(st.StoreMisses) }))
-	s.reg2.CounterFunc("portccs_store_corrupt_total",
+	r.CounterFunc("portccs_store_corrupt_total",
 		"Corrupt result-store entries quarantined on read.", stat(func(st dataset.Stats) float64 { return float64(st.StoreCorrupt) }))
-	s.reg2.CounterFunc("portccs_store_remote_hits_total",
+	r.CounterFunc("portccs_store_remote_hits_total",
 		"Profiling replays answered by the shared store service.", stat(func(st dataset.Stats) float64 { return float64(st.StoreRemoteHits) }))
-	s.reg2.CounterFunc("portccs_store_remote_misses_total",
+	r.CounterFunc("portccs_store_remote_misses_total",
 		"Store-service lookups the service answered with a miss.", stat(func(st dataset.Stats) float64 { return float64(st.StoreRemoteMisses) }))
-	s.reg2.CounterFunc("portccs_store_remote_errors_total",
+	r.CounterFunc("portccs_store_remote_errors_total",
 		"Store-service lookups degraded by transport trouble (absorbed as misses).", stat(func(st dataset.Stats) float64 { return float64(st.StoreRemoteErrors) }))
 }
 
@@ -342,12 +341,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, pcerr.ErrOverloaded) {
 			outcome = "overloaded"
 			s.mShed.Inc()
-			// Whole seconds, rounded up: a sub-second delay must not read
-			// as "0", retry immediately.
-			w.Header().Set("Retry-After", strconv.FormatInt(int64((s.cfg.RetryAfter+time.Second-1)/time.Second), 10))
+			w.Header().Set("Retry-After", "1")
 			writeJSON(w, http.StatusTooManyRequests, errorResponse{
-				Error: err.Error(), Code: "overloaded",
-				RetryAfterMS: s.cfg.RetryAfter.Milliseconds(),
+				Error: err.Error(), Code: "overloaded", RetryAfterMS: 1000,
 			})
 			return
 		}
@@ -386,11 +382,8 @@ const statusClientClosedRequest = 499
 // predict resolves features, queries the model, and shapes the
 // response. It returns either a response or an error body plus status.
 func (s *Server) predict(req *PredictRequest) (*PredictResponse, int, *errorResponse) {
-	loaded, err := s.reg.Get(s.cfg.ModelPath)
-	if err != nil {
-		return nil, http.StatusServiceUnavailable, &errorResponse{Error: "model unavailable: " + err.Error(), Code: "no_model"}
-	}
-	resp := &PredictResponse{ModelDatasetSHA256: loaded.Info.DatasetSHA256}
+	cur := s.model()
+	resp := &PredictResponse{ModelDatasetSHA256: cur.Info.DatasetSHA256}
 
 	var x []float64
 	switch {
@@ -448,7 +441,7 @@ func (s *Server) predict(req *PredictRequest) (*PredictResponse, int, *errorResp
 		return nil, http.StatusBadRequest, &errorResponse{Error: "set program or features", Code: "bad_request"}
 	}
 
-	mix := loaded.Model.Mixture(x)
+	mix := cur.Model.Mixture(x)
 	// One NaN weight makes every entry NaN, and a weight is NaN only when
 	// the nearest distance is not finite: features beyond float64's reach.
 	if math.IsNaN(mix.Theta[0][0]) {
@@ -486,34 +479,14 @@ type healthzResponse struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	loaded, err := s.reg.Get(s.cfg.ModelPath)
-	if err != nil {
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error(), Code: "no_model"})
-		return
-	}
+	cur := s.model()
 	writeJSON(w, http.StatusOK, healthzResponse{
 		Status:        "ok",
-		ModelSHA256:   loaded.SHA256,
-		DatasetSHA256: loaded.Info.DatasetSHA256,
-		Pairs:         loaded.Info.Pairs,
-		TrainConfig:   loaded.Info.TrainConfig,
+		ModelSHA256:   cur.SHA256,
+		DatasetSHA256: cur.Info.DatasetSHA256,
+		Pairs:         cur.Info.Pairs,
+		TrainConfig:   cur.Info.TrainConfig,
 	})
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.syncGauges()
-	body, ctype := s.reg2.Expose()
-	w.Header().Set("Content-Type", ctype)
-	w.Write([]byte(body))
-}
-
-// syncGauges refreshes the point-in-time gauges before a scrape.
-func (s *Server) syncGauges() {
-	s.mInFlight.Set(int64(s.gate.inFlight()))
-	s.mQueueDepth.Set(s.gate.queueDepth())
-	st := s.ev.Stats()
-	s.mBaselines.Set(st.BaselineTraces)
-	s.mBaseBytes.Set(st.BaselineTraceBytes)
 }
 
 // writeJSON encodes before it sends the status: a value the encoder
