@@ -3,7 +3,7 @@
 // Usage:
 //
 //	expgen [-scale tiny|small|medium|paper] [-fig all|1|3|4|5|6|7|8|9|10|t1|t2|iters|ablation]
-//	       [-dataset file] [-model file] [-workers N] [-sweep-workers N]
+//	       [-dataset file] [-model file] [-workers N]
 //	       [-store dir] [-store-budget bytes]
 //	       [-shards host:port,host:port]
 //	       [-shard-retries N] [-shard-backoff dur]
@@ -14,15 +14,15 @@
 // with -dataset a file produced by cmd/trainer is reused. With -model a
 // pre-trained artifact (trainer -model-out) supplies the predictor for
 // the leave-one-out experiments instead of training in-process; the
-// artifact's dataset fingerprint must match the dataset in use. Dataset
-// generation streams through the portcc Session exploration engine:
-// progress is reported as grid cells complete, and Ctrl-C cancels
-// cleanly, draining the worker pool. Generation, the leave-one-out
-// evaluation, Figure 1 and the ablation all measure through that engine
-// under one set of options: with -shards they are distributed over
-// portccd worker daemons, with -store they commit replay results to a
-// persistent store and answer from it on a rerun - output byte-identical
-// either way, and a second run over a warm store compiles nothing.
+// artifact's dataset fingerprint must match the dataset in use.
+// Generation, the leave-one-out evaluation, Figure 1 and the ablation
+// all measure through the one exploration engine (dataset.Explore) under
+// one dataset.ExploreOptions built from the flags - no Session: with
+// -shards they are distributed over portccd worker daemons, with -store
+// they commit replay results to a persistent store and answer from it on
+// a rerun - output byte-identical either way, and a second run over a
+// warm store compiles nothing. Generation alone reports progress as grid
+// cells complete; Ctrl-C cancels cleanly, draining the worker pool.
 package main
 
 import (
@@ -48,7 +48,6 @@ func main() {
 	var cf cliutil.Flags
 	cf.RegisterScale("small")
 	cf.RegisterWorkers()
-	cf.RegisterSweepWorkers()
 	cf.RegisterShards()
 	cf.RegisterShardRetry()
 	cf.RegisterStore()
@@ -80,28 +79,23 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	report, finishProgress := cliutil.ProgressPrinter(os.Stderr, len(shards))
-	sessionOpts := []portcc.Option{
-		portcc.WithScale(scale),
-		portcc.WithWorkers(cf.Workers),
-		portcc.WithSweepWorkers(cf.SweepWorkers),
-		portcc.WithShards(shards...),
-		portcc.WithShardRetry(cf.ShardRetry()),
-		portcc.WithProgress(func(p portcc.Progress) { report(p.Done, p.Total) }),
-	}
 	if rstore != nil {
-		sessionOpts = append(sessionOpts, portcc.WithResultStore(rstore))
 		defer rstore.Close()
 	}
-	session := portcc.NewSession(sessionOpts...)
-	// The measurements after generation, without Progress: per-program
+	// The measurements after generation run without Progress: per-program
 	// grid totals would redraw a misleading line.
 	exploreOpts := dataset.ExploreOptions{
-		Workers:      cf.Workers,
-		SweepWorkers: cf.SweepWorkers,
-		Shards:       shards,
-		Retry:        cf.ShardRetry(),
-		Store:        rstore,
+		Workers: cf.Workers,
+		Shards:  shards,
+		Retry:   cf.ShardRetry(),
+		Store:   rstore,
+	}
+	report, finishProgress := cliutil.ProgressPrinter(os.Stderr, len(shards))
+	generate := func(extended bool) (*portcc.Dataset, error) {
+		o := exploreOpts
+		o.Progress = report
+		defer finishProgress()
+		return dataset.GenerateWith(ctx, scale.GenConfig(extended), o)
 	}
 	storeStats := func() {
 		if line := cliutil.StoreStats(rstore); line != "" {
@@ -155,8 +149,7 @@ func main() {
 		start := time.Now()
 		fmt.Fprintf(os.Stderr, "generating %s dataset (%d archs x %d opts)...\n",
 			scale.Name, scale.NumArchs, scale.NumOpts)
-		ds, err = session.GenerateDataset(ctx, false)
-		finishProgress()
+		ds, err = generate(false)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -241,8 +234,7 @@ func main() {
 	if want("10") {
 		start := time.Now()
 		fmt.Fprintf(os.Stderr, "generating extended-space dataset (Section 7)...\n")
-		eds, err := session.GenerateDataset(ctx, true)
-		finishProgress()
+		eds, err := generate(true)
 		if err != nil {
 			log.Fatal(err)
 		}

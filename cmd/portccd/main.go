@@ -3,11 +3,14 @@
 // binary replayed over the job's whole architecture sample - shipped by
 // a sharded coordinator (trainer -shards, expgen -shards, or any Session
 // with WithShards), executing them on this machine's worker pool and
-// streaming the results back as bounded wire frames over TCP.
+// streaming the results back as bounded wire frames over TCP. Each
+// slot's batched replays sweep over the cores the pool cannot occupy,
+// a share derived from the grid's shape (internal/tune); GOMAXPROCS is
+// the one budget.
 //
 // Usage:
 //
-//	portccd [-listen :7077] [-workers N] [-sweep-workers N] [-heartbeat 1s]
+//	portccd [-listen :7077] [-workers N] [-heartbeat 1s]
 //	        [-store dir] [-store-budget bytes] [-store-remote host:port]
 //	        [-cpuprofile file] [-memprofile file]
 //
@@ -69,7 +72,6 @@ func main() {
 	log.SetPrefix("portccd: ")
 	var cf cliutil.Flags
 	cf.RegisterWorkers()
-	cf.RegisterSweepWorkers()
 	cf.RegisterStore()
 	cf.RegisterProfile()
 	listen := flag.String("listen", ":7077", "address to serve coordinator connections on")
@@ -100,7 +102,7 @@ func main() {
 		ln.Addr(), wire.ProtoVersion, dataset.FormatVersion)
 
 	ctx, drain := cliutil.DrainSignals("finishing in-flight assignments")
-	cfg := dataset.ServeConfigStore(cf.Workers, cf.SweepWorkers, *heartbeat, rstore)
+	cfg := dataset.ServeConfigStore(cf.Workers, 0, *heartbeat, rstore)
 	cfg.Drain = drain
 	cfg.Logf = log.Printf
 	if err := sched.Serve(ctx, ln, cfg); err != nil {

@@ -3,7 +3,9 @@
 // triple, the speedup over -O3 and the -O3 performance counters. The
 // result is written as a versioned flat file for cmd/portcc and cmd/expgen.
 // Generation streams through the Session exploration engine: progress is
-// printed per completed grid cell and Ctrl-C cancels cleanly.
+// printed per completed grid cell and Ctrl-C cancels cleanly. -workers
+// bounds the cell fan-out; each slot's batched replays sweep over the
+// cores it leaves, a share derived from the grid's shape (internal/tune).
 //
 // With -shards the grid's work cells are shipped to portccd worker
 // daemons over TCP instead of the local pool; the written dataset is
@@ -28,7 +30,7 @@
 // Usage:
 //
 //	trainer -out dataset.bin [-model-out model.bin] [-scale small]
-//	        [-archs N] [-opts N] [-extended] [-workers N] [-sweep-workers N]
+//	        [-archs N] [-opts N] [-extended] [-workers N]
 //	        [-store dir] [-store-budget bytes]
 //	        [-shards host:port,host:port]
 //	        [-shard-retries N] [-shard-backoff dur]
@@ -51,7 +53,6 @@ func main() {
 	var cf cliutil.Flags
 	cf.RegisterScale("small")
 	cf.RegisterWorkers()
-	cf.RegisterSweepWorkers()
 	cf.RegisterShards()
 	cf.RegisterShardRetry()
 	cf.RegisterStore()
@@ -90,7 +91,6 @@ func main() {
 	sessionOpts := []portcc.Option{
 		portcc.WithScale(scale),
 		portcc.WithWorkers(cf.Workers),
-		portcc.WithSweepWorkers(cf.SweepWorkers),
 		portcc.WithShards(shards...),
 		portcc.WithShardRetry(cf.ShardRetry()),
 		portcc.WithProgress(func(p portcc.Progress) { report(p.Done, p.Total) }),

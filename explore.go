@@ -37,10 +37,11 @@ type (
 // early cancels and drains the pool. If the request does not pin Eval,
 // the session's workload scale is used.
 //
-// Explore is the engine GenerateDataset and cmd/expgen run on. With
-// WithShards the cells ship to portccd worker daemons over TCP (dead
-// shards requeue onto survivors) and the stream is bit-identical
-// to a local run; without it they fan over the in-process pool.
+// Explore runs on dataset.Explore, the engine GenerateDataset and
+// cmd/expgen run on too. With WithShards the cells ship to portccd
+// worker daemons over TCP (dead shards requeue onto survivors) and the
+// stream is bit-identical to a local run; without it they fan over the
+// in-process pool.
 func (s *Session) Explore(ctx context.Context, req ExploreRequest) iter.Seq2[ExploreResult, error] {
 	if req.Eval == (dataset.EvalConfig{}) {
 		// Same derivation as NewExploreRequest/GenerateDataset, so a
@@ -48,7 +49,7 @@ func (s *Session) Explore(ctx context.Context, req ExploreRequest) iter.Seq2[Exp
 		// session's own dataset path.
 		req.Eval = s.genConfig(false).Eval
 	}
-	return dataset.Explore(ctx, req, s.exploreOptions())
+	return dataset.Explore(ctx, req, s.cfg.explore)
 }
 
 // genConfig is the single place the session turns its scale into a
@@ -56,21 +57,6 @@ func (s *Session) Explore(ctx context.Context, req ExploreRequest) iter.Seq2[Exp
 // GenerateDataset must all derive Eval identically.
 func (s *Session) genConfig(extended bool) dataset.GenConfig {
 	return s.scale().GenConfig(extended)
-}
-
-func (s *Session) exploreOptions() dataset.ExploreOptions {
-	o := dataset.ExploreOptions{
-		Workers:      s.cfg.workers,
-		SweepWorkers: s.cfg.sweepWorkers,
-		Shards:       s.cfg.shards,
-		Retry:        s.cfg.retry,
-		Naive:        s.cfg.naive,
-		Store:        s.cfg.store,
-	}
-	if fn := s.cfg.progress; fn != nil {
-		o.Progress = func(done, total int) { fn(Progress{Done: done, Total: total}) }
-	}
-	return o
 }
 
 // NewExploreRequest builds the work grid GenerateDataset would run at the
@@ -85,7 +71,7 @@ func (s *Session) NewExploreRequest(extended bool) (ExploreRequest, error) {
 // setting over -O3 plus the -O3 feature vectors, for every (program,
 // architecture) pair.
 func (s *Session) GenerateDataset(ctx context.Context, extended bool) (*Dataset, error) {
-	return dataset.GenerateWith(ctx, s.genConfig(extended), s.exploreOptions())
+	return dataset.GenerateWith(ctx, s.genConfig(extended), s.cfg.explore)
 }
 
 // LoadDataset reads a dataset file written by Dataset.Save (cmd/trainer),

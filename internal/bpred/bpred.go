@@ -183,57 +183,6 @@ func (b *BTB) Resolve(pc uint32, pred, taken bool) bool {
 	return false
 }
 
-// Step performs the fetch-time lookup and the resolution of the branch at
-// pc in a single set scan. It is exactly equivalent to Predict followed by
-// Resolve (the batched simulator's hot path) and reports whether the
-// prediction was wrong.
-func (b *BTB) Step(pc uint32, taken bool) bool {
-	b.lookups++
-	idx := pc >> 2
-	set := idx & b.setMask
-	tag := (idx >> b.setBits) + 1
-	base := int(set) * b.assoc
-	slot := -1
-	victim := base
-	oldest := b.used[base]
-	for i := base; i < base+b.assoc; i++ {
-		if b.tags[i] == tag {
-			slot = i
-			break
-		}
-		if b.used[i] < oldest {
-			oldest = b.used[i]
-			victim = i
-		}
-	}
-	pred := false
-	b.stamp++
-	if slot >= 0 {
-		b.hits++
-		pred = b.ctr[slot] >= 2
-		if pred {
-			b.predTkn++
-		}
-		if taken {
-			if b.ctr[slot] < 3 {
-				b.ctr[slot]++
-			}
-		} else if b.ctr[slot] > 0 {
-			b.ctr[slot]--
-		}
-		b.used[slot] = b.stamp
-	} else if taken {
-		b.tags[victim] = tag
-		b.ctr[victim] = 2
-		b.used[victim] = b.stamp
-	}
-	if pred != taken {
-		b.mispreds++
-		return true
-	}
-	return false
-}
-
 // Lookups returns the number of Predict calls.
 func (b *BTB) Lookups() uint64 { return b.lookups }
 

@@ -1,9 +1,6 @@
 package bpred
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 func TestColdPredictsNotTaken(t *testing.T) {
 	b := MustNew(64, 1)
@@ -112,26 +109,6 @@ func TestCheckGeometryAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("CheckGeometry allocates %.1f times per call, want 0", allocs)
-	}
-}
-
-func TestStepEquivalentToPredictResolve(t *testing.T) {
-	for _, g := range [][2]int{{64, 1}, {128, 4}, {2048, 8}} {
-		a := MustNew(g[0], g[1])
-		b := MustNew(g[0], g[1])
-		rng := rand.New(rand.NewSource(int64(g[0])))
-		for i := 0; i < 20000; i++ {
-			pc := uint32(rng.Intn(1<<14)) * 4
-			taken := rng.Intn(3) > 0
-			pred := a.Predict(pc)
-			mis := a.Resolve(pc, pred, taken)
-			if got := b.Step(pc, taken); got != mis {
-				t.Fatalf("geometry %v, branch %d: Step=%v, Predict+Resolve=%v", g, i, got, mis)
-			}
-		}
-		if a.Mispredicts() != b.Mispredicts() || a.Hits() != b.Hits() || a.Lookups() != b.Lookups() {
-			t.Errorf("geometry %v: diverging statistics", g)
-		}
 	}
 }
 

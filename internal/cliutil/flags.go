@@ -22,7 +22,6 @@ import (
 type Flags struct {
 	Scale        string
 	Workers      int
-	SweepWorkers int
 	Model        string
 	Addr         string
 	Store        string
@@ -43,16 +42,6 @@ func (f *Flags) RegisterScale(def string) {
 // RegisterWorkers installs the shared -workers flag.
 func (f *Flags) RegisterWorkers() {
 	flag.IntVar(&f.Workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
-}
-
-// RegisterSweepWorkers installs the shared -sweep-workers flag: the
-// per-slot worker budget of the batched replay engine's per-geometry
-// sweeps. The default auto-tunes (cores the program-level fan-out cannot
-// occupy go to each slot's sweeps); an explicit count pins the share.
-// Results are bit-identical at every setting.
-func (f *Flags) RegisterSweepWorkers() {
-	flag.IntVar(&f.SweepWorkers, "sweep-workers", 0,
-		"per-worker sweep parallelism of batched replays (0 = auto-tune against GOMAXPROCS)")
 }
 
 // RegisterProfile installs the shared -cpuprofile and -memprofile flags;

@@ -628,9 +628,10 @@ const (
 )
 
 // step performs the fetch-time lookup and resolution of the branch at pc
-// in one set scan, mirroring bpred.BTB.Step bit for bit: miss predicts
-// not-taken, hits predict by the counter, taken branches allocate
-// weakly-taken entries, and the LRU victim is the lowest stamp.
+// in one set scan, mirroring bpred.BTB's Predict then Resolve bit for
+// bit: miss predicts not-taken, hits predict by the counter, taken
+// branches allocate weakly-taken entries, and the LRU victim is the
+// lowest stamp.
 func (g *btbGroup) step(pc uint32, taken bool) bool {
 	idx := pc >> 2
 	set := idx & g.setMask

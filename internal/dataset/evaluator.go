@@ -207,7 +207,8 @@ func newEvaluatorWith(cfg EvalConfig, base *sharedBase) *Evaluator {
 // that swept the data caches, DataSweepReuses those answered from the
 // sweep's data-stream memo instead; together, the batched replays run.
 // A slot's -O3 compile and probe are counted by the one evaluator that
-// built it.
+// built it. An attached result store keeps its own ledger
+// (ResultStore.Stats).
 type Stats struct {
 	Compiles    int
 	Simulations int
@@ -226,23 +227,6 @@ type Stats struct {
 	// -O3 traces resident in the evaluator's base right now and their
 	// approximate size.
 	BaselineTraces, BaselineTraceBytes int64
-
-	// StoreHits, StoreMisses and StoreCorrupt mirror the attached
-	// persistent result store's ledger (zero without one): lookups -
-	// replays and compile-index blocks alike - answered from disk,
-	// lookups that had to run or compile, and entries quarantined. The
-	// counters are store-global, so evaluators sharing a store report the
-	// shared totals. For a tiered store, StoreHits counts any tier.
-	StoreHits, StoreMisses, StoreCorrupt int64
-
-	// The StoreRemote* counters describe the shared-service tier of a
-	// tiered result store (zero for a purely local one): replays
-	// answered by the fleet's store service, lookups it answered with a
-	// miss, and lookups degraded by transport trouble (dead service,
-	// torn frames, slow replies - absorbed as misses). StorePutErrors
-	// counts local commits the disk refused.
-	StoreRemoteHits, StoreRemoteMisses, StoreRemoteErrors int64
-	StorePutErrors                                        int64
 }
 
 // Stats returns the work counters under the evaluator's lock, safe
@@ -262,12 +246,6 @@ func (e *Evaluator) Stats() Stats {
 		DataSweepReuses: e.dataSweepReuses,
 	}
 	st.BaselineTraces, st.BaselineTraceBytes = e.base.traces.Load(), e.base.bytes.Load()
-	if e.rstore != nil {
-		ss := e.rstore.Stats()
-		st.StoreHits, st.StoreMisses, st.StoreCorrupt = ss.Hits, ss.Misses, ss.Corrupt
-		st.StoreRemoteHits, st.StoreRemoteMisses, st.StoreRemoteErrors = ss.RemoteHits, ss.RemoteMisses, ss.RemoteErrors
-		st.StorePutErrors = ss.PutErrors
-	}
 	return st
 }
 

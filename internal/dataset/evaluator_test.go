@@ -156,8 +156,8 @@ func TestRunCommitsEveryProfile(t *testing.T) {
 			t.Errorf("arch %d: stored replay differs", i)
 		}
 	}
-	if s := ev2.Stats(); s.StoreHits != int64(len(archs)) || s.Simulations != 0 || s.TraceGens > 1 {
-		t.Fatalf("warm ledger %+v, want %d store hits, no simulation, no generation beyond the probe", s, len(archs))
+	if s, ss := ev2.Stats(), second.Stats(); ss.Hits != int64(len(archs)) || s.Simulations != 0 || s.TraceGens > 1 {
+		t.Fatalf("warm ledger %+v, store %+v, want %d store hits, no simulation, no generation beyond the probe", s, ss, len(archs))
 	}
 }
 

@@ -235,13 +235,6 @@ type ExploreOptions struct {
 	// Naive forces the per-cell path, past the sweep state (see
 	// ExploreRequest.Naive).
 	Naive bool
-	// SweepWorkers bounds the per-geometry sweep parallelism inside each
-	// worker slot's batched replays: 0 auto-tunes (the slots divide
-	// GOMAXPROCS between cell fan-out and sweeps, see internal/tune),
-	// n >= 1 pins an explicit per-slot share. Results are bit-identical
-	// at every setting. Like Workers it is an execution parameter: a
-	// sharded run's sweeps are sized daemon-side (portccd -sweep-workers).
-	SweepWorkers int
 	// Store, when set, is the persistent content-addressed result store
 	// the batched path answers replays from and commits them to, making
 	// generation resumable: a run killed mid-flight restarts with most
@@ -370,12 +363,14 @@ func (r *ExploreRequest) runner(slots, sweepWorkers int, st *ResultStore) (func(
 // exploration worker: decode job specs as ExploreRequests, validate them
 // against this build's suite and spaces, and run cells on pooled
 // evaluators. cmd/portccd wraps exactly this; tests drive it in-process.
-// sweepWorkers is the per-slot budget of the batched replays (0
-// auto-tunes against the daemon's GOMAXPROCS; portccd exposes it as
-// -sweep-workers). st is a persistent result store shared by every run
-// the daemon serves (nil = none; portccd's -store flags): a daemon
-// restarted after a crash answers the resubmitted grid's replays from
-// disk. Streams are bit-identical at every setting of either.
+// sweepWorkers is the per-slot budget of the batched replays; 0, what
+// portccd passes, takes the share tune.Split derives from the daemon's
+// GOMAXPROCS. The parameter stays only for the pinned call in
+// bench/fleet.go and goes with the next change to the benchmark. st is a
+// persistent result store shared by every run the daemon serves (nil =
+// none; portccd's -store flags): a daemon restarted after a crash
+// answers the resubmitted grid's replays from disk. Streams are
+// bit-identical at every setting of either.
 func ServeConfigStore(workers, sweepWorkers int, heartbeat time.Duration, st *ResultStore) sched.ServeConfig {
 	return sched.ServeConfig{
 		Format:    FormatVersion,
@@ -451,7 +446,7 @@ func Explore(ctx context.Context, req ExploreRequest, o ExploreOptions) iter.Seq
 			// Remote execution never runs cells coordinator-side; the
 			// evaluator pool exists only on the local path, so sharded
 			// runs do not allocate a dead runner.
-			job.Run, _ = req.runner(sched.Workers(o.Workers, total), o.SweepWorkers, o.Store)
+			job.Run, _ = req.runner(sched.Workers(o.Workers, total), 0, o.Store)
 		}
 		var firstErr error
 		go func() {

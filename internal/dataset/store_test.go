@@ -304,7 +304,7 @@ func TestEvaluatorRunStorePath(t *testing.T) {
 	if got != want {
 		t.Fatal("store-backed Run differs from plain Run")
 	}
-	if s := ev1.Stats(); s.StoreMisses == 0 {
+	if s := first.Stats(); s.Misses == 0 {
 		t.Fatalf("cold Run did not consult the store: %+v", s)
 	}
 	first.Close()
@@ -319,10 +319,10 @@ func TestEvaluatorRunStorePath(t *testing.T) {
 	if got2 != want {
 		t.Fatal("warm Run differs from plain Run")
 	}
-	s := ev2.Stats()
-	if s.StoreHits == 0 {
-		t.Fatalf("warm Run missed the store: %+v", s)
+	if ss := second.Stats(); ss.Hits == 0 {
+		t.Fatalf("warm Run missed the store: %+v", ss)
 	}
+	s := ev2.Stats()
 	// The -O3 probe (which fixes the run count, part of the key) still
 	// runs once; the replay itself must come from disk.
 	if s.Simulations != 0 {

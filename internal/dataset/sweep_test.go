@@ -23,6 +23,7 @@ import (
 	"portcc/internal/pcerr"
 	"portcc/internal/prog"
 	"portcc/internal/trace"
+	"portcc/internal/tune"
 	"portcc/internal/uarch"
 )
 
@@ -158,6 +159,26 @@ func TestSweepCountsCompilesAndTwins(t *testing.T) {
 	// Every window and program state must have been released.
 	if len(sw.progs) != 0 {
 		t.Errorf("%d program sweep states leaked", len(sw.progs))
+	}
+}
+
+// TestRunnerDerivesSweepShare pins the one sizing rule of a worker
+// slot's batched replays: asked for no explicit share, runner gives
+// every slot's evaluator the inner share tune.Split derives from the
+// slot count and the architecture sample.
+func TestRunnerDerivesSweepShare(t *testing.T) {
+	req := tinyRequest(t, 8)
+	for _, slots := range []int{1, 2, 3} {
+		run, evs := req.runner(slots, 0, nil)
+		_, want := tune.Split(0, slots, len(req.Archs))
+		for slot := range slots {
+			if _, err := run(slot, slot); err != nil {
+				t.Fatal(err)
+			}
+			if got := evs[slot].sweepWorkers.Load(); got != int64(want) {
+				t.Errorf("%d slots: slot %d sweeps over %d workers, want tune.Split's %d", slots, slot, got, want)
+			}
+		}
 	}
 }
 

@@ -101,15 +101,6 @@ func (f *Func) Loops() []*Loop {
 	return f.analysis.loops
 }
 
-// InnermostLoop returns the innermost loop containing block id, or nil.
-func (f *Func) InnermostLoop(id int) *Loop {
-	f.Analyze()
-	if li := f.analysis.loopOf[id]; li >= 0 {
-		return f.analysis.loops[li]
-	}
-	return nil
-}
-
 // computeOrder fills rpo/rpoPos and block Preds via iterative DFS.
 func (a *analysis) computeOrder(f *Func) {
 	n := len(f.Blocks)

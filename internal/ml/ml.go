@@ -114,17 +114,6 @@ func (d *Dist) Mode() opt.Config {
 	return c
 }
 
-// LogLikelihood returns log g(y) for a configuration, with Laplace
-// smoothing so unseen values stay finite.
-func (d *Dist) LogLikelihood(c *opt.Config) float64 {
-	const eps = 1e-6
-	ll := 0.0
-	for l := 0; l < opt.NumDims; l++ {
-		ll += math.Log(d.Theta[l][c.Value(l)] + eps)
-	}
-	return ll
-}
-
 // CrossEntropy returns H(p, g) between two per-dimension distributions -
 // the quantity minimised by the fit (equation 2/3), useful for tests.
 func CrossEntropy(p, g *Dist) float64 {

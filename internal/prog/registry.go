@@ -2,7 +2,6 @@ package prog
 
 import (
 	"fmt"
-	"sort"
 
 	"portcc/internal/ir"
 	"portcc/internal/pcerr"
@@ -64,16 +63,6 @@ var paperOrder = []string{
 // Names returns all program names in the paper's Figure 4 order.
 func Names() []string {
 	return append([]string(nil), paperOrder...)
-}
-
-// SortedNames returns all program names alphabetically.
-func SortedNames() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Build constructs the named program's IR module.

@@ -149,12 +149,12 @@ func TestStoreBackedRestartServesEveryProfile(t *testing.T) {
 			}
 			keys[life] = append(keys[life], resp.ConfigKey)
 		}
-		st := s.Stats()
-		if life == 0 && (st.StoreMisses != int64(len(specs)) || st.Simulations != len(specs) || rs.Stats().Puts != int64(len(specs))) {
-			t.Errorf("first lifetime: %+v, %d puts; want %d misses, simulations and commits", st, rs.Stats().Puts, len(specs))
+		st, ss := s.Stats(), rs.Stats()
+		if life == 0 && (ss.Misses != int64(len(specs)) || st.Simulations != len(specs) || ss.Puts != int64(len(specs))) {
+			t.Errorf("first lifetime: %+v, store %+v; want %d misses, simulations and commits", st, ss, len(specs))
 		}
-		if life == 1 && (st.StoreHits != int64(len(specs)) || st.Simulations != 0) {
-			t.Errorf("second lifetime: %+v; want %d store hits and no simulation", st, len(specs))
+		if life == 1 && (ss.Hits != int64(len(specs)) || st.Simulations != 0) {
+			t.Errorf("second lifetime: %+v, store %+v; want %d store hits and no simulation", st, ss, len(specs))
 		}
 		rs.Close()
 	}

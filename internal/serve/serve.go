@@ -49,6 +49,7 @@ import (
 	"portcc/internal/ml"
 	"portcc/internal/opt"
 	"portcc/internal/pcerr"
+	"portcc/internal/store"
 	"portcc/internal/uarch"
 )
 
@@ -234,18 +235,27 @@ func (s *Server) initMetrics() {
 		"Traces generated by the profiling evaluator.", stat(func(st dataset.Stats) float64 { return float64(st.TraceGens) }))
 	r.CounterFunc("portccs_eval_trace_events_total",
 		"Dynamic instructions emitted into profiling traces.", stat(func(st dataset.Stats) float64 { return float64(st.TraceEvents) }))
+	// The store keeps its own ledger; without one every counter reads 0.
+	storeStat := func(pick func(store.Stats) int64) func() float64 {
+		return func() float64 {
+			if s.cfg.Store == nil {
+				return 0
+			}
+			return float64(pick(s.cfg.Store.Stats()))
+		}
+	}
 	r.CounterFunc("portccs_store_hits_total",
-		"Profiling replays answered from the persistent result store.", stat(func(st dataset.Stats) float64 { return float64(st.StoreHits) }))
+		"Profiling replays answered from the persistent result store.", storeStat(func(st store.Stats) int64 { return st.Hits }))
 	r.CounterFunc("portccs_store_misses_total",
-		"Profiling replays not found in the persistent result store.", stat(func(st dataset.Stats) float64 { return float64(st.StoreMisses) }))
+		"Profiling replays not found in the persistent result store.", storeStat(func(st store.Stats) int64 { return st.Misses }))
 	r.CounterFunc("portccs_store_corrupt_total",
-		"Corrupt result-store entries quarantined on read.", stat(func(st dataset.Stats) float64 { return float64(st.StoreCorrupt) }))
+		"Corrupt result-store entries quarantined on read.", storeStat(func(st store.Stats) int64 { return st.Corrupt }))
 	r.CounterFunc("portccs_store_remote_hits_total",
-		"Profiling replays answered by the shared store service.", stat(func(st dataset.Stats) float64 { return float64(st.StoreRemoteHits) }))
+		"Profiling replays answered by the shared store service.", storeStat(func(st store.Stats) int64 { return st.RemoteHits }))
 	r.CounterFunc("portccs_store_remote_misses_total",
-		"Store-service lookups the service answered with a miss.", stat(func(st dataset.Stats) float64 { return float64(st.StoreRemoteMisses) }))
+		"Store-service lookups the service answered with a miss.", storeStat(func(st store.Stats) int64 { return st.RemoteMisses }))
 	r.CounterFunc("portccs_store_remote_errors_total",
-		"Store-service lookups degraded by transport trouble (absorbed as misses).", stat(func(st dataset.Stats) float64 { return float64(st.StoreRemoteErrors) }))
+		"Store-service lookups degraded by transport trouble (absorbed as misses).", storeStat(func(st store.Stats) int64 { return st.RemoteErrors }))
 }
 
 // ArchSpec is the JSON microarchitecture description of a predict

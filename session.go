@@ -29,34 +29,17 @@ func (p Progress) Fraction() float64 {
 type Option func(*sessionConfig)
 
 type sessionConfig struct {
-	workers      int
-	sweepWorkers int
-	scale        Scale
-	scaleSet     bool
-	eval         dataset.EvalConfig
-	evalSet      bool
-	progress     func(Progress)
-	shards       []string
-	retry        RetryPolicy
-	naive        bool
-	store        *dataset.ResultStore
+	scale    Scale
+	scaleSet bool
+	eval     dataset.EvalConfig
+	evalSet  bool
+	explore  dataset.ExploreOptions
 }
 
 // WithWorkers bounds the worker pool used by Explore and GenerateDataset
 // (default: GOMAXPROCS).
 func WithWorkers(n int) Option {
-	return func(c *sessionConfig) { c.workers = n }
-}
-
-// WithSweepWorkers bounds the per-geometry sweep parallelism inside each
-// batched replay (RunBatch, and each Explore/GenerateDataset worker
-// slot). The default (0) auto-tunes: single-trace replays sweep over the
-// whole machine, while exploration slots share out the cores their
-// fan-out cannot occupy. Results are bit-identical at every setting -
-// the sweeps' schedule freedom is proved by the engine's equivalence
-// tests - so this knob trades nothing but wall-clock shape.
-func WithSweepWorkers(n int) Option {
-	return func(c *sessionConfig) { c.sweepWorkers = n }
+	return func(c *sessionConfig) { c.explore.Workers = n }
 }
 
 // WithShards distributes Explore and GenerateDataset over portccd worker
@@ -69,7 +52,7 @@ func WithSweepWorkers(n int) Option {
 // Single-run methods (Run, Speedup, ...) stay local. An empty address
 // list keeps execution local.
 func WithShards(addrs ...string) Option {
-	return func(c *sessionConfig) { c.shards = append([]string(nil), addrs...) }
+	return func(c *sessionConfig) { c.explore.Shards = append([]string(nil), addrs...) }
 }
 
 // RetryPolicy governs how a sharded run (WithShards) survives dying
@@ -92,7 +75,7 @@ type RetryPolicy = sched.RetryPolicy
 // MaxAttempts 1 every connection death permanently removes that shard,
 // restoring the pre-retry behaviour.
 func WithShardRetry(p RetryPolicy) Option {
-	return func(c *sessionConfig) { c.retry = p }
+	return func(c *sessionConfig) { c.explore.Retry = p }
 }
 
 // WithScale selects the sampling scale (trace lengths, dataset sizes) the
@@ -105,7 +88,12 @@ func WithScale(s Scale) Option {
 // WithProgress installs a progress callback invoked after every completed
 // exploration cell. Calls are serialised; keep the callback cheap.
 func WithProgress(fn func(Progress)) Option {
-	return func(c *sessionConfig) { c.progress = fn }
+	return func(c *sessionConfig) {
+		c.explore.Progress = nil
+		if fn != nil {
+			c.explore.Progress = func(done, total int) { fn(Progress{Done: done, Total: total}) }
+		}
+	}
 }
 
 // WithNaiveCompile bypasses the sweep state of Explore and
@@ -116,7 +104,7 @@ func WithProgress(fn func(Progress)) Option {
 // against (CI's "Batched path matches naive path" step). Sharded runs
 // forward the choice to the worker daemons.
 func WithNaiveCompile() Option {
-	return func(c *sessionConfig) { c.naive = true }
+	return func(c *sessionConfig) { c.explore.Naive = true }
 }
 
 // Session is the user-facing entry point: compile benchmarks under chosen
@@ -155,13 +143,12 @@ func NewSession(opts ...Option) *Session {
 		o(&cfg)
 	}
 	s := &Session{cfg: cfg, baseline: map[baselineKey]*baselineEntry{}}
-	s.ev = dataset.NewEvaluator(s.evalConfig())
 	// The session's own evaluator serves single-trace calls (RunBatch,
 	// Speedup): nothing else competes for the machine there, so its
 	// batched replays sweep over the full budget (0 = GOMAXPROCS).
-	s.ev.SetSweepWorkers(cfg.sweepWorkers)
-	if cfg.store != nil {
-		s.ev.SetStore(cfg.store)
+	s.ev = dataset.NewEvaluator(s.evalConfig())
+	if cfg.explore.Store != nil {
+		s.ev.SetStore(cfg.explore.Store)
 	}
 	return s
 }

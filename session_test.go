@@ -550,3 +550,61 @@ func TestSingleRunMethodsValidateSetting(t *testing.T) {
 		}
 	}
 }
+
+// TestSessionOptionsReachExplore drives the exploration options through
+// GenerateDataset, the path trainer takes: each must reach the engine.
+func TestSessionOptionsReachExplore(t *testing.T) {
+	ctx := context.Background()
+	plain, err := tinySession().GenerateDataset(ctx, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := plain.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// WithNaiveCompile bypasses the result store; without it the sweep
+	// commits replays there.
+	for _, naive := range []bool{true, false} {
+		rs, err := portcc.OpenResultStore(t.TempDir(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := []portcc.Option{portcc.WithResultStore(rs)}
+		if naive {
+			opts = append(opts, portcc.WithNaiveCompile())
+		}
+		ds, err := tinySession(opts...).GenerateDataset(ctx, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fp, err := ds.Fingerprint(); err != nil || fp != want {
+			t.Errorf("naive=%v: fingerprint %.12s (%v), want the plain session's %.12s", naive, fp, err, want)
+		}
+		if puts := rs.Stats().Puts; naive != (puts == 0) {
+			t.Errorf("naive=%v: %d store commits", naive, puts)
+		}
+		rs.Close()
+	}
+
+	// A shard nobody serves, tried once, fails the run typed.
+	_, err = tinySession(portcc.WithShards("127.0.0.1:1"),
+		portcc.WithShardRetry(portcc.RetryPolicy{MaxAttempts: 1})).GenerateDataset(ctx, false)
+	if !errors.Is(err, portcc.ErrShardFailure) {
+		t.Errorf("unreachable shard: got %v, want ErrShardFailure", err)
+	}
+
+	var last portcc.Progress
+	if _, err := tinySession(portcc.WithProgress(func(p portcc.Progress) { last = p })).GenerateDataset(ctx, false); err != nil {
+		t.Fatal(err)
+	}
+	if last.Total == 0 || last.Done != last.Total {
+		t.Errorf("last progress report %+v, want Done == Total", last)
+	}
+	// A later nil callback replaces the earlier one.
+	if _, err := tinySession(portcc.WithProgress(func(portcc.Progress) { t.Error("replaced callback called") }),
+		portcc.WithProgress(nil)).GenerateDataset(ctx, false); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -48,5 +48,5 @@ func OpenResultStoreRemote(dir string, budget int64, addr string) (*ResultStore,
 // across process restarts) to make exploration resumable. The caller
 // owns Close.
 func WithResultStore(rs *ResultStore) Option {
-	return func(c *sessionConfig) { c.store = rs }
+	return func(c *sessionConfig) { c.explore.Store = rs }
 }
