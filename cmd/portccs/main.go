@@ -7,7 +7,6 @@
 //
 //	portccs -model model.bin [-addr :7078] [-cache N]
 //	        [-max-inflight N] [-max-queue N] [-reload dur]
-//	        [-store dir] [-store-budget bytes] [-store-remote host:port]
 //
 // Endpoints:
 //
@@ -18,15 +17,13 @@
 //	GET  /metrics     Prometheus text-format counters and histograms
 //
 // Profiling parameters come from the artifact, so served feature
-// vectors match the model's training distribution; repeat
-// (program, uarch) queries hit an LRU feature cache and skip the
-// profiling simulation entirely. With -store the profiling replays
-// also hit a persistent content-addressed result store, so a restarted
-// server warms from disk instead of re-simulating its fleet's programs;
-// with -store-remote the store tiers behind the fleet's shared store
-// service (portccsd), so replays any worker already ran are never
-// re-simulated here (store health is visible as portccs_store_* and
-// portccs_store_remote_* counters on /metrics).
+// vectors match the model's training distribution. A program's first
+// query compiles it at -O3 and replays its trace once over a sample
+// covering the whole architecture space (about 10 ms); every later
+// architecture of it is a closed-form lookup of that profile, and
+// repeat (program, uarch) queries hit an LRU feature cache. Nothing is
+// persisted: a restarted server re-warms each program with its one
+// covering replay.
 // When the artifact file changes on disk it is hot-reloaded
 // (content-fingerprint checked); excess load beyond the admission
 // bounds is shed with HTTP 429 + Retry-After.
@@ -52,7 +49,6 @@ func main() {
 	var cf cliutil.Flags
 	cf.RegisterModel("model artifact to serve (required; from trainer -model-out)")
 	cf.RegisterAddr(":7078")
-	cf.RegisterStore()
 	cacheEntries := flag.Int("cache", 0, "feature-cache capacity in (program, uarch) entries (0 = default 1024)")
 	maxInFlight := flag.Int("max-inflight", 0, "max concurrently executing predictions (0 = GOMAXPROCS)")
 	maxQueue := flag.Int("max-queue", 0, "max predictions queued for a slot before shedding 429s (0 = 4x max-inflight)")
@@ -63,21 +59,12 @@ func main() {
 	if cf.Model == "" {
 		log.Fatal("-model is required (train one with: trainer -scale tiny -model-out model.bin)")
 	}
-	rstore, err := cf.OpenStore()
-	if err != nil {
-		log.Fatal(err)
-	}
-	if rstore != nil {
-		defer rstore.Close()
-		log.Print(cf.StoreTiers())
-	}
 	srv, err := serve.New(serve.Config{
 		ModelPath:    cf.Model,
 		CacheEntries: *cacheEntries,
 		MaxInFlight:  *maxInFlight,
 		MaxQueue:     *maxQueue,
 		ReloadEvery:  *reload,
-		Store:        rstore,
 		Logf:         log.Printf,
 	})
 	if err != nil {

@@ -99,6 +99,25 @@ func TestProgressPrinterShardAnnotation(t *testing.T) {
 	}
 }
 
+// TestProgressPrinterThrottles: a paper-scale generation reports 35 035
+// cells, and the line is rewritten only when the whole percent moves -
+// at most 101 times - and ends on the last cell.
+func TestProgressPrinterThrottles(t *testing.T) {
+	var out strings.Builder
+	report, finish := ProgressPrinter(&out, 0)
+	const total = 35035
+	for done := 1; done <= total; done++ {
+		report(done, total)
+	}
+	finish()
+	if n := strings.Count(out.String(), "\r"); n > 101 {
+		t.Errorf("%d rewrites for %d cells, want at most 101", n, total)
+	}
+	if got := out.String(); !strings.HasSuffix(got, "35035/35035 cells (100%)\n") {
+		t.Errorf("progress output ends %q, want the final 35035/35035 cells (100%%) line", got[max(len(got)-60, 0):])
+	}
+}
+
 // TestStoreTiers: the start-up line names exactly the tiers the store
 // flags compose.
 func TestStoreTiers(t *testing.T) {

@@ -64,8 +64,10 @@ func DrainSignals(inflight string) (ctx context.Context, drain <-chan struct{}) 
 }
 
 // ProgressPrinter returns a report callback that rewrites one terminal
-// status line per completed exploration cell - annotated with the shard
-// count when the run is distributed (shards > 0) - plus a finish func
+// status line each time the whole percent of completed exploration cells
+// changes, and once more at the last cell - at most 101 rewrites however
+// large the grid, annotated with the shard count when the run is
+// distributed (shards > 0) - plus a finish func
 // that terminates the line if it is still open. Call finish before
 // printing anything else (errors included) after a run that may have
 // stopped early, so the message does not land on the half-drawn line;
@@ -75,9 +77,14 @@ func ProgressPrinter(w io.Writer, shards int) (report func(done, total int), fin
 	if shards > 0 {
 		where = fmt.Sprintf(" (%d shards)", shards)
 	}
-	open := false
+	open, shown := false, -1
 	report = func(done, total int) {
-		fmt.Fprintf(w, "\rexploring: %d/%d cells (%.0f%%)%s", done, total, 100*float64(done)/float64(total), where)
+		pct := 100 * done / max(total, 1)
+		if pct == shown && done != total {
+			return
+		}
+		shown = pct
+		fmt.Fprintf(w, "\rexploring: %d/%d cells (%d%%)%s", done, total, pct, where)
 		open = done != total
 		if !open {
 			fmt.Fprintln(w)

@@ -71,3 +71,14 @@ func TestSimulateBatchClosedFormAllocs(t *testing.T) {
 			shortAllocs, longAllocs)
 	}
 }
+
+// TestProfileResultAllocs pins a profile lookup at zero allocations: a
+// served feature-cache miss is this call plus the feature vector.
+func TestProfileResultAllocs(t *testing.T) {
+	p := NewProfile(randomTrace(rand.New(rand.NewSource(5)), 5000), 1)
+	cfg := uarch.XScale()
+	cfg.Width, cfg.FreqMHz = 2, 600
+	if allocs := testing.AllocsPerRun(100, func() { p.Result(cfg) }); allocs != 0 {
+		t.Errorf("Profile.Result allocates %.1f times per call, want 0", allocs)
+	}
+}

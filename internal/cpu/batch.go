@@ -86,6 +86,14 @@
 // SimulateBatchWith can fan them over a worker pool on multi-core
 // machines - bit-identical under any schedule; SimulateBatch keeps the
 // sequential single-core fast path.
+//
+// Facts 2-3 make every counter a closed form over per-geometry counts, and
+// the whole base + §7 space has few geometries: 120 IL1 and 120 DL1 cache
+// geometries, 20 BTB geometries, 80 fetch streams (BTB geometry, IL1
+// block) and 5 load-use latencies. A Profile (profile.go) is one replay
+// over a 525-configuration sample covering all of them, kept per geometry;
+// its Result answers any valid configuration through the same closed form
+// (assemble) a batch ends with, bit-identical to Simulate.
 package cpu
 
 import (
@@ -706,21 +714,17 @@ type lineTrack struct {
 }
 
 // batchState is the per-configuration view: indices into the shared
-// groups plus the derived latencies and penalties of Simulate, from which
-// its Result is assembled in closed form.
+// groups and the load-use latency that picks its dependency stalls, from
+// which its counts are gathered once the pass is done.
 type batchState struct {
-	cfg            uarch.Config
-	width          int
-	dl1Lat         int
-	icPenalty      uint64
-	dcPenalty      uint64
-	stPenalty      uint64
-	redirectBubble uint64
-	icIdx          int
-	btbIdx         int
-	pgIdx          int // pairing group (width 2 only)
-	icm            *cacheMember
-	dcm            *cacheMember
+	cfg    uarch.Config
+	width  int
+	dl1Lat int
+	icIdx  int
+	btbIdx int
+	pgIdx  int // pairing group (width 2 only)
+	icm    *cacheMember
+	dcm    *cacheMember
 }
 
 // pairGroup accumulates the paired-issue count shared by every width-2
@@ -966,13 +970,80 @@ func dataKey(dcs []*lruStack, tr *trace.Trace) (key [sha256.Size]byte) {
 	return key
 }
 
-// simulateBatch is the one engine behind the exported entry points. memo
-// (nil: none) answers or learns the data caches (fact 5); reused: it
-// answered.
+// simulateBatch is the one engine behind the exported entry points: the
+// replay, then each configuration's Result in closed form. memo (nil:
+// none) answers or learns the data caches (fact 5); reused: it answered.
 func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, memo *DataMemo) (results []Result, reused bool, fits fitCounts) {
 	if len(cfgs) == 0 {
 		return nil, false, fits
 	}
+	results = make([]Result, len(cfgs))
+	reused, fits = replay(tr, cfgs, workers, memo, func(i int, c *counts) {
+		results[i] = assemble(cfgs[i], c)
+	})
+	for i, cfg := range cfgs {
+		if cfg.Width > 2 {
+			results[i] = Simulate(tr, cfg) // outside uarch.Widths: never sampled
+		}
+	}
+	return results, reused, fits
+}
+
+// counts is what one configuration's Result is assembled from (fact 3):
+// the trace's totals, which every configuration shares, then the counts
+// of its geometries - IL1, DL1, BTB, its fetch stream (BTB geometry, IL1
+// block) and at width 2 its pairing group (fetch stream, load-use
+// latency) - and its dependency stalls, the trace's histogram folded at
+// its load-use latency and width.
+type counts struct {
+	insns, memOps, branches, aluOps, macOps, shiftOps, regReads, regWrites uint64
+
+	icAccesses, redirects, icMisses, loadMisses, storeMisses uint64
+	mispredicts, pairs, depStalls                            uint64
+}
+
+// assemble is the closed form every batched Result ends with: each stall
+// source is a shared count times the configuration's penalty, and issue
+// contributes one cycle per instruction minus one per paired event.
+func assemble(cfg uarch.Config, c *counts) (res Result) {
+	width := max(cfg.Width, 1)
+	icPenalty := uint64(cfg.MissPenalty(cfg.IL1Block))
+	dcPenalty := uint64(cfg.MissPenalty(cfg.DL1Block))
+	stPenalty := max(dcPenalty/2, 1)
+	res.Config = cfg
+	res.Insns = c.insns
+	res.ICAccesses = c.icAccesses
+	res.ICMisses = c.icMisses
+	res.DCAccesses = c.memOps
+	res.DCMisses = c.loadMisses + c.storeMisses
+	res.BTBLookups = c.branches
+	res.Mispredicts = c.mispredicts
+	res.RegReads = c.regReads
+	res.RegWrites = c.regWrites
+	res.ALUOps = c.aluOps
+	res.MACOps = c.macOps
+	res.ShiftOps = c.shiftOps
+
+	res.FetchStalls = c.icMisses*icPenalty + c.redirects*(uint64(cfg.IL1Latency())-1)
+	res.MemStalls = c.loadMisses*dcPenalty + c.storeMisses*stPenalty
+	res.BranchStalls = c.mispredicts * mispredictPenalty
+	res.DepStalls = c.depStalls
+	res.Cycles = c.insns - c.pairs + res.FetchStalls + res.MemStalls +
+		res.DepStalls + res.BranchStalls
+	res.Decodes = c.insns + c.mispredicts*uint64(mispredictPenalty*width/2)
+
+	res.EnergyNJ = float64(res.ICAccesses)*cfg.IL1Energy() +
+		float64(res.DCAccesses)*cfg.DL1Energy() +
+		float64(res.BTBLookups)*cfg.BTBEnergy() +
+		float64(res.Insns)*coreEnergyPerInsn +
+		float64(res.Cycles)*coreEnergyPerCycle
+	return res
+}
+
+// replay runs the batched pass over cfgs and hands each configuration's
+// counts to emit, in input order; a width above 2 gets none (the caller
+// answers it with Simulate). The counts are valid for the call only.
+func replay(tr *trace.Trace, cfgs []uarch.Config, workers int, memo *DataMemo, emit func(i int, c *counts)) (reused bool, fits fitCounts) {
 	sc := getSimScratch()
 	defer putSimScratch(sc)
 	states := sc.stateBuf(len(cfgs))
@@ -1009,15 +1080,7 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, memo *Data
 		if st.width < 1 {
 			st.width = 1
 		}
-		il1Lat := cfg.IL1Latency()
 		st.dl1Lat = cfg.DL1Latency()
-		st.icPenalty = uint64(cfg.MissPenalty(cfg.IL1Block))
-		st.dcPenalty = uint64(cfg.MissPenalty(cfg.DL1Block))
-		st.stPenalty = st.dcPenalty / 2
-		if st.stPenalty < 1 {
-			st.stPenalty = 1
-		}
-		st.redirectBubble = uint64(il1Lat)
 
 		bk := btbKey{cfg.BTBSize, cfg.BTBAssoc}
 		bi, ok := btbIndex[bk]
@@ -1428,58 +1491,32 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, memo *Data
 		}
 	}
 
-	insns := uint64(len(tr.Events))
+	c := counts{
+		insns: uint64(len(tr.Events)), memOps: memOps, branches: branches,
+		aluOps: aluOps, macOps: macOps, shiftOps: shiftOps,
+		regReads: tr.RegReads, regWrites: tr.RegWrites,
+	}
 	dep1, dep2 := depStallMemo(hist, maxDl1), depStallMemo(hist2, maxDl1W)
-	results = make([]Result, len(cfgs))
 	for i := range states {
 		st := &states[i]
-		res := &results[i]
 		if st.width > 2 {
-			*res = Simulate(tr, st.cfg) // outside uarch.Widths: never sampled
 			continue
 		}
-		g := &ics[st.icIdx]
-		bg := &btbs[st.btbIdx]
-		res.Config = st.cfg
-		res.Insns = insns
-		res.ICAccesses = g.accesses
-		res.ICMisses = st.icm.misses
-		res.DCAccesses = memOps
-		res.DCMisses = st.dcm.loadMisses + st.dcm.storeMisses
-		res.BTBLookups = branches
-		res.Mispredicts = bg.mispredicts
-		res.RegReads = tr.RegReads
-		res.RegWrites = tr.RegWrites
-		res.ALUOps = aluOps
-		res.MACOps = macOps
-		res.ShiftOps = shiftOps
-
-		// Closed forms: every stall source is (shared count) x
-		// (per-configuration penalty), the dependency histogram quantised
-		// at the configuration's width, and issue contributes one cycle
-		// per instruction minus one per paired event (width 2: its
-		// pairing group's count).
-		pairs, dep := uint64(0), dep1
+		g, bg := &ics[st.icIdx], &btbs[st.btbIdx]
+		c.icAccesses, c.redirects = g.accesses, g.redirects
+		c.icMisses = st.icm.misses
+		c.loadMisses, c.storeMisses = st.dcm.loadMisses, st.dcm.storeMisses
+		c.mispredicts = bg.mispredicts
+		// The histogram quantised at the configuration's width; a paired
+		// event is its width-2 pairing group's.
 		if st.width == 2 {
-			pairs, dep = pairGroups[st.pgIdx].pairs, dep2
+			c.pairs, c.depStalls = pairGroups[st.pgIdx].pairs, dep2(st.dl1Lat)
+		} else {
+			c.pairs, c.depStalls = 0, dep1(st.dl1Lat)
 		}
-		res.FetchStalls = st.icm.misses*st.icPenalty +
-			g.redirects*(st.redirectBubble-1)
-		res.MemStalls = st.dcm.loadMisses*st.dcPenalty +
-			st.dcm.storeMisses*st.stPenalty
-		res.BranchStalls = bg.mispredicts * mispredictPenalty
-		res.DepStalls = dep(st.dl1Lat)
-		res.Cycles = insns - pairs + res.FetchStalls + res.MemStalls +
-			res.DepStalls + res.BranchStalls
-		res.Decodes = insns + bg.mispredicts*uint64(mispredictPenalty*st.width/2)
-
-		res.EnergyNJ = float64(res.ICAccesses)*st.cfg.IL1Energy() +
-			float64(res.DCAccesses)*st.cfg.DL1Energy() +
-			float64(res.BTBLookups)*st.cfg.BTBEnergy() +
-			float64(res.Insns)*coreEnergyPerInsn +
-			float64(res.Cycles)*coreEnergyPerCycle
+		emit(i, &c)
 	}
-	return results, reused, fits
+	return reused, fits
 }
 
 // depStallDot folds the dependency histogram with one configuration's

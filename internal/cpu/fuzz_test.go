@@ -274,7 +274,8 @@ func fuzzBoundarySeed(past bool) []byte {
 // arbitrary event sequence replayed through the batched one-pass engine
 // must produce, for every architecture of a base+extended sample,
 // exactly the Result of per-configuration Simulate - memo-less, filling a
-// data-stream memo and answered from it. The first byte seeds the
+// data-stream memo, answered from it, and looked up in the trace's
+// Profile. The first byte seeds the
 // architecture sample so geometry sharing patterns vary too.
 func FuzzSimulateBatchVsSimulate(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
@@ -320,6 +321,14 @@ func FuzzSimulateBatchVsSimulate(f *testing.F) {
 				if memod[i] != batch[i] {
 					t.Fatalf("memo pass %d config %d (%s):\n  got %+v\n want %+v", pass, i, archs[i].String(), memod[i], batch[i])
 				}
+			}
+		}
+		// A profile of the trace answers the sample from its one covering
+		// replay.
+		prof := NewProfile(tr, 1)
+		for i, cfg := range archs {
+			if got, err := prof.Result(cfg); err != nil || got != batch[i] {
+				t.Fatalf("profile config %d (%s): err %v\n  got %+v\n want %+v", i, cfg.String(), err, got, batch[i])
 			}
 		}
 		// Any worker count must agree with the sequential pass.

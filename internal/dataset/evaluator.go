@@ -13,7 +13,8 @@
 // (NewEvaluator) serves single replays.
 //
 // Three things are resident at most: one -O3 baseline per program
-// (sharedBase), one window of compiled binaries per sweep in flight
+// (sharedBase: binary, trace and, once asked for, the trace's
+// cpu.Profile), one window of compiled binaries per sweep in flight
 // (sweep.go) and the result store - plus, on each sweep worker slot's
 // evaluator, one trace buffer, reused from replay to replay at the size
 // of the longest trace that slot has generated. A trace of any other
@@ -93,9 +94,10 @@ type sharedBase struct {
 	compiles, traces, bytes atomic.Int64
 }
 
-// baseline is one program's slot, built in three steps: the module and
+// baseline is one program's slot, built in four steps: the module and
 // its hash (all a compile-index lookup needs), the -O3 binary and probe,
-// and the full-length -O3 trace. Each is written once, under its once.
+// the full-length -O3 trace, and that trace's profile over the whole
+// architecture space. Each is written once, under its once.
 type baseline struct {
 	modOnce sync.Once
 	m       *ir.Module
@@ -111,6 +113,9 @@ type baseline struct {
 
 	trOnce sync.Once
 	tr     *trace.Trace // full-length -O3 trace, resident from its first request
+
+	profOnce sync.Once
+	prof     *cpu.Profile // tr's covering replay, from its first request
 }
 
 // newSharedBase builds an empty base for a pool of evaluators.
@@ -472,6 +477,24 @@ func (e *Evaluator) slotTrace(sl *baseline, p *codegen.Program) *trace.Trace {
 // are bit-identical at every setting.
 func (e *Evaluator) SetSweepWorkers(n int) { e.sweepWorkers.Store(int64(n)) }
 
+// Profile returns the covering profile of program name's resident -O3
+// trace: one batched replay of the cpu.Profile sample, built at the first
+// request (concurrent callers wait for the one build) and counted as that
+// many simulations on the evaluator's sweep-worker budget. Its Result on
+// any valid architecture is bit-identical to Run's at -O3, which stays a
+// per-event replay.
+func (e *Evaluator) Profile(name string) (*cpu.Profile, error) {
+	sl, err := e.baseline(name)
+	if err != nil {
+		return nil, err
+	}
+	sl.profOnce.Do(func() {
+		sl.prof = cpu.NewProfile(e.baselineTrace(sl), int(e.sweepWorkers.Load()))
+		e.countBatch(sl.prof.Sims(), false)
+	})
+	return sl.prof, nil
+}
+
 // SimulateBatch replays an already-generated trace on every architecture
 // through the batched single-pass engine, returning one result per
 // architecture in input order (bit-identical to cpu.Simulate per
@@ -485,15 +508,21 @@ func (e *Evaluator) SimulateBatch(tr *trace.Trace, archs []uarch.Config) []cpu.R
 // no memo, the sweep's with its program's data-stream memo.
 func (e *Evaluator) simulateBatch(tr *trace.Trace, archs []uarch.Config, memo *cpu.DataMemo) []cpu.Result {
 	rs, reused := cpu.SimulateBatchMemo(tr, archs, int(e.sweepWorkers.Load()), memo)
+	e.countBatch(len(archs), reused)
+	return rs
+}
+
+// countBatch records one batched replay of n simulations; reused: the
+// data caches came from a memo.
+func (e *Evaluator) countBatch(n int, reused bool) {
 	e.mu.Lock()
-	e.simulations += len(archs)
+	e.simulations += n
 	if reused {
 		e.dataSweepReuses++
 	} else {
 		e.dataSweeps++
 	}
 	e.mu.Unlock()
-	return rs
 }
 
 // simulate replays a trace on an architecture, counting the simulation.

@@ -115,6 +115,46 @@ func TestConcurrentFirstTouchSingleFlights(t *testing.T) {
 	}
 }
 
+// TestConcurrentProfileSingleFlights is the prediction server's first
+// touch: eight goroutines ask for one program's profile at once and
+// share one -O3 compile, one full-length trace and one covering replay,
+// and the profile answers every architecture as the fresh per-event
+// pipeline does.
+func TestConcurrentProfileSingleFlights(t *testing.T) {
+	cfg := EvalConfig{TargetInsns: 60_000, Seed: 1}
+	ev := NewEvaluator(cfg)
+	archs := uarch.Space{Extended: true}.SampleN(rand.New(rand.NewSource(8)), 8)
+	got := make([]*cpu.Profile, len(archs))
+	errs := make([]error, len(archs))
+	var wg sync.WaitGroup
+	for i := range archs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = ev.Profile("crc")
+		}(i)
+	}
+	wg.Wait()
+	for i, a := range archs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if got[i] != got[0] {
+			t.Fatalf("caller %d got another profile", i)
+		}
+		r, err := got[i].Result(a)
+		if want, _ := freshO3(t, "crc", cfg, a); err != nil || r != want {
+			t.Errorf("arch %d: profile says %+v (%v), the fresh pipeline %+v", i, r, err, want)
+		}
+	}
+	if st := ev.Stats(); st.Compiles != 1 || st.TraceGens != 2 || st.Simulations != got[0].Sims() || st.DataSweeps != 1 {
+		t.Errorf("ledger %+v, want 1 compile, 2 generations (probe + full-length), one batched replay of %d simulations", st, got[0].Sims())
+	}
+	if _, err := ev.Profile("no-such-program"); err == nil {
+		t.Error("profile of an unknown program: want an error")
+	}
+}
+
 // TestRunCommitsEveryProfile is the store-backed serving defect: once
 // the -O3 trace was resident Run skipped the store, so K architectures
 // of one program committed one entry and a restarted server

@@ -41,12 +41,13 @@ func metricValue(t testing.TB, h http.Handler, name string) string {
 	return ""
 }
 
-// TestMissReplaysResidentBaseline pins the cold path: once a program
-// has been queried, a feature-cache miss at a new architecture is one
-// replay of its resident -O3 trace - no compile, no trace generation -
-// however many other programs were profiled in between (six here), and
-// the dashboard shows both the miss's cost and the memory that buys it.
-func TestMissReplaysResidentBaseline(t *testing.T) {
+// TestMissAnswersFromProfile pins the cold path: once a program has
+// been queried, a feature-cache miss at a new architecture is a lookup
+// in its resident profile - no compile, no trace generation, no
+// simulation - however many other programs were profiled in between
+// (six here), and the dashboard shows both the miss's cost and the
+// memory that buys it.
+func TestMissAnswersFromProfile(t *testing.T) {
 	s := newTestServer(t, nil)
 	h := s.Handler()
 	specs := freshArchs(31, 14)
@@ -66,9 +67,9 @@ func TestMissReplaysResidentBaseline(t *testing.T) {
 		query(programs[0], &specs[i])
 	}
 	after := s.Stats()
-	if after.Compiles != before.Compiles || after.TraceGens != before.TraceGens || after.Simulations != before.Simulations+k {
-		t.Fatalf("%d misses on a resident program: compiles %d->%d, trace gens %d->%d, simulations %d->%d; want flat, flat, +%d",
-			k, before.Compiles, after.Compiles, before.TraceGens, after.TraceGens, before.Simulations, after.Simulations, k)
+	if after.Compiles != before.Compiles || after.TraceGens != before.TraceGens || after.Simulations != before.Simulations {
+		t.Fatalf("%d misses on a resident program: compiles %d->%d, trace gens %d->%d, simulations %d->%d; want all flat",
+			k, before.Compiles, after.Compiles, before.TraceGens, after.TraceGens, before.Simulations, after.Simulations)
 	}
 	if got := metricValue(t, h, "portccs_profile_seconds_count"); got != fmt.Sprint(len(programs)+k) {
 		t.Errorf("portccs_profile_seconds_count = %q, want %d (one observation per miss)", got, len(programs)+k)
@@ -79,10 +80,9 @@ func TestMissReplaysResidentBaseline(t *testing.T) {
 	if got := metricValue(t, h, "portccs_baseline_trace_bytes"); got != fmt.Sprint(after.BaselineTraceBytes) || after.BaselineTraceBytes == 0 {
 		t.Errorf("portccs_baseline_trace_bytes = %q, evaluator says %d", got, after.BaselineTraceBytes)
 	}
-	// The miss path's allocation budget: request decode, one replay
-	// (pooled simulator state), feature vector, inference, response
-	// encode. Measured 238 allocs/op here (about 265 under -race), most of
-	// them the test helper's own JSON round trip (BenchmarkServePredictMiss
+	// The miss path's allocation budget: request decode, the profile
+	// lookup (none), feature vector, inference, response encode. Most of
+	// it is the test helper's own JSON round trip (BenchmarkServePredictMiss
 	// reads 90, a warm hit 83).
 	next := k + 1
 	if allocs := testing.AllocsPerRun(len(specs)-next-1, func() { query(programs[0], &specs[next]); next++ }); allocs > 320 {
@@ -128,20 +128,15 @@ func TestBaselineMemoryBounded(t *testing.T) {
 	}
 }
 
-// TestStoreBackedRestartServesEveryProfile runs two server lifetimes
-// over one result store: every profile of the first is committed, so
-// the second - empty feature cache, nothing resident - answers all of
-// them from the store without a single simulation.
-func TestStoreBackedRestartServesEveryProfile(t *testing.T) {
-	dir := t.TempDir()
+// TestRestartRewarmsWithOneReplay runs two server lifetimes, nothing
+// persisted between them: each answers four fresh architectures of one
+// program with one compile and one covering replay, and both give the
+// same answers.
+func TestRestartRewarmsWithOneReplay(t *testing.T) {
 	specs := freshArchs(33, 4)
 	var keys [2][]string
 	for life := range keys {
-		rs, err := dataset.OpenResultStore(dir, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := newTestServer(t, func(c *Config) { c.Store = rs })
+		s := newTestServer(t, nil)
 		for i := range specs {
 			_, resp := postPredict(t, s.Handler(), PredictRequest{Program: "crc", Arch: &specs[i]})
 			if resp == nil || resp.Cached {
@@ -149,14 +144,13 @@ func TestStoreBackedRestartServesEveryProfile(t *testing.T) {
 			}
 			keys[life] = append(keys[life], resp.ConfigKey)
 		}
-		st, ss := s.Stats(), rs.Stats()
-		if life == 0 && (ss.Misses != int64(len(specs)) || st.Simulations != len(specs) || ss.Puts != int64(len(specs))) {
-			t.Errorf("first lifetime: %+v, store %+v; want %d misses, simulations and commits", st, ss, len(specs))
+		p, err := s.ev.Profile("crc")
+		if err != nil {
+			t.Fatal(err)
 		}
-		if life == 1 && (ss.Hits != int64(len(specs)) || st.Simulations != 0) {
-			t.Errorf("second lifetime: %+v, store %+v; want %d store hits and no simulation", st, ss, len(specs))
+		if st := s.Stats(); st.Compiles != 1 || st.DataSweeps != 1 || st.Simulations != p.Sims() {
+			t.Errorf("lifetime %d: %+v; want one compile and one covering replay of %d simulations", life, st, p.Sims())
 		}
-		rs.Close()
 	}
 	if fmt.Sprint(keys[0]) != fmt.Sprint(keys[1]) {
 		t.Errorf("restart changed the answers: %v -> %v", keys[0], keys[1])
@@ -165,8 +159,8 @@ func TestStoreBackedRestartServesEveryProfile(t *testing.T) {
 
 // BenchmarkServePredictMiss measures the cold handler path on a
 // resident program: a new architecture every iteration, so every
-// request misses the feature cache and pays one replay - and, pinned
-// below, nothing else.
+// request misses the feature cache and pays one profile lookup - and,
+// pinned below, no compile, trace generation or simulation.
 func BenchmarkServePredictMiss(b *testing.B) {
 	testDataset(b)
 	s, err := New(Config{ModelPath: writeArtifact(b, b.TempDir(), fixture.m, fixture.info)})
@@ -186,7 +180,7 @@ func BenchmarkServePredictMiss(b *testing.B) {
 			b.Fatalf("HTTP %d: %s", w.Code, w.Body)
 		}
 	}
-	do(bodies[b.N]) // first touch: compile, probe, resident trace
+	do(bodies[b.N]) // first touch: compile, probe, resident trace, profile
 	before := s.Stats()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -195,8 +189,8 @@ func BenchmarkServePredictMiss(b *testing.B) {
 	}
 	b.StopTimer()
 	after := s.Stats()
-	if after.Compiles != before.Compiles || after.TraceGens != before.TraceGens || after.Simulations != before.Simulations+b.N {
-		b.Fatalf("misses did more than replay: compiles %d->%d, trace gens %d->%d, simulations %d->%d over %d requests",
+	if after.Compiles != before.Compiles || after.TraceGens != before.TraceGens || after.Simulations != before.Simulations {
+		b.Fatalf("misses did more than a profile lookup: compiles %d->%d, trace gens %d->%d, simulations %d->%d over %d requests",
 			before.Compiles, after.Compiles, before.TraceGens, after.TraceGens, before.Simulations, after.Simulations, b.N)
 	}
 }

@@ -11,14 +11,17 @@
 //     check, content-fingerprint compare), so a retrain deploys by
 //     atomically replacing one file - no restart.
 //
-//   - Feature vectors - one -O3 profiling run each, the expensive half
-//     of a prediction - are memoised in an LRU cache keyed by
-//     (program, microarchitecture) with single-flighted misses, so the
-//     recurring queries of a fleet cost microseconds, not simulations.
-//     A miss is one replay: the evaluator keeps each program's -O3
-//     binary and trace resident after its first query (neither depends
-//     on the microarchitecture), and with a result store attached the
-//     store is asked before even that.
+//   - Feature vectors - the -O3 counters of a (program,
+//     microarchitecture) pair - come from the program's profile: its
+//     first query compiles it at -O3, generates its trace and replays
+//     that trace once over a sample covering every cache, BTB, fetch
+//     and pairing geometry of the space (cpu.Profile, about 10 ms); the
+//     evaluator keeps binary, trace and profile resident, and every
+//     later architecture is a closed-form lookup of about a
+//     microsecond, bit-identical to the per-event replay. A restarted
+//     server re-warms each program with its one covering replay. The
+//     vectors are memoised in an LRU cache keyed by (program,
+//     microarchitecture) with single-flighted misses.
 //
 //   - Admission control bounds concurrent predictions and the waiting
 //     queue; excess load is shed immediately with HTTP 429 and a
@@ -49,7 +52,6 @@ import (
 	"portcc/internal/ml"
 	"portcc/internal/opt"
 	"portcc/internal/pcerr"
-	"portcc/internal/store"
 	"portcc/internal/uarch"
 )
 
@@ -69,12 +71,6 @@ type Config struct {
 	MaxQueue int
 	// ReloadEvery throttles artifact staleness checks (default 1s).
 	ReloadEvery time.Duration
-	// Store, when non-nil, is a persistent content-addressed result
-	// store backing the profiling evaluator: feature-vector replays hit
-	// it across restarts, so a redeployed server warms from disk instead
-	// of re-simulating its fleet's programs. The server does not close
-	// it.
-	Store *dataset.ResultStore
 	// Logf receives operational log lines (default: discard).
 	Logf func(string, ...any)
 }
@@ -156,9 +152,6 @@ func New(cfg Config) (*Server, error) {
 	// The artifact's profiling parameters keep served feature vectors
 	// comparable to the training distribution.
 	s.ev = dataset.NewEvaluator(dataset.ArtifactEval(first.Info))
-	if cfg.Store != nil {
-		s.ev.SetStore(cfg.Store)
-	}
 
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/predict", s.handlePredict)
@@ -209,9 +202,9 @@ func (s *Server) initMetrics() {
 	s.mCacheHit = r.Counter("portccs_feature_cache_hits_total",
 		"Predictions served from the (program, uarch) feature cache.")
 	s.mCacheMiss = r.Counter("portccs_feature_cache_misses_total",
-		"Predictions that ran an -O3 profiling simulation.")
+		"Predictions that read the program's -O3 profile.")
 	s.mProfile = r.Histogram("portccs_profile_seconds",
-		"Feature-cache miss compute (store lookup or -O3 replay) in seconds.", nil)
+		"Feature-cache miss compute (a profile lookup, after a program's one covering replay) in seconds.", nil)
 	s.mReloads = r.CounterVec("portccs_model_reloads_total",
 		"Model artifact reload attempts by outcome.", "outcome")
 	r.GaugeFunc("portccs_feature_cache_entries",
@@ -235,27 +228,6 @@ func (s *Server) initMetrics() {
 		"Traces generated by the profiling evaluator.", stat(func(st dataset.Stats) float64 { return float64(st.TraceGens) }))
 	r.CounterFunc("portccs_eval_trace_events_total",
 		"Dynamic instructions emitted into profiling traces.", stat(func(st dataset.Stats) float64 { return float64(st.TraceEvents) }))
-	// The store keeps its own ledger; without one every counter reads 0.
-	storeStat := func(pick func(store.Stats) int64) func() float64 {
-		return func() float64 {
-			if s.cfg.Store == nil {
-				return 0
-			}
-			return float64(pick(s.cfg.Store.Stats()))
-		}
-	}
-	r.CounterFunc("portccs_store_hits_total",
-		"Profiling replays answered from the persistent result store.", storeStat(func(st store.Stats) int64 { return st.Hits }))
-	r.CounterFunc("portccs_store_misses_total",
-		"Profiling replays not found in the persistent result store.", storeStat(func(st store.Stats) int64 { return st.Misses }))
-	r.CounterFunc("portccs_store_corrupt_total",
-		"Corrupt result-store entries quarantined on read.", storeStat(func(st store.Stats) int64 { return st.Corrupt }))
-	r.CounterFunc("portccs_store_remote_hits_total",
-		"Profiling replays answered by the shared store service.", storeStat(func(st store.Stats) int64 { return st.RemoteHits }))
-	r.CounterFunc("portccs_store_remote_misses_total",
-		"Store-service lookups the service answered with a miss.", storeStat(func(st store.Stats) int64 { return st.RemoteMisses }))
-	r.CounterFunc("portccs_store_remote_errors_total",
-		"Store-service lookups degraded by transport trouble (absorbed as misses).", storeStat(func(st store.Stats) int64 { return st.RemoteErrors }))
 }
 
 // ArchSpec is the JSON microarchitecture description of a predict
@@ -428,8 +400,11 @@ func (s *Server) predict(req *PredictRequest) (*PredictResponse, int, *errorResp
 		x, hit, err = s.cache.get(key, func() ([]float64, error) {
 			start := time.Now()
 			defer func() { s.mProfile.Observe(time.Since(start).Seconds()) }()
-			o3 := opt.O3()
-			res, err := s.ev.Run(req.Program, &o3, arch)
+			p, err := s.ev.Profile(req.Program)
+			if err != nil {
+				return nil, err
+			}
+			res, err := p.Result(arch)
 			if err != nil {
 				return nil, err
 			}
