@@ -20,10 +20,12 @@
 // vectors match the model's training distribution. A program's first
 // query compiles it at -O3 and replays its trace once over a sample
 // covering the whole architecture space (about 10 ms); every later
-// architecture of it is a closed-form lookup of that profile, and
-// repeat (program, uarch) queries hit an LRU feature cache. Nothing is
-// persisted: a restarted server re-warms each program with its one
-// covering replay.
+// architecture of it is a closed-form lookup of that profile. An LRU
+// cache of -cache (program, uarch) entries keeps each pair's feature
+// vector and its encoded answer: a repeat query writes the stored
+// answer, and after a model reload recomputes it from the stored vector
+// without profiling. Nothing is persisted: a restarted server re-warms
+// each program with its one covering replay.
 // When the artifact file changes on disk it is hot-reloaded
 // (content-fingerprint checked); excess load beyond the admission
 // bounds is shed with HTTP 429 + Retry-After.

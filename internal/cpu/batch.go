@@ -979,7 +979,8 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, memo *Data
 	}
 	results = make([]Result, len(cfgs))
 	reused, fits = replay(tr, cfgs, workers, memo, func(i int, c *counts) {
-		results[i] = assemble(cfgs[i], c)
+		k := costsOf(&cfgs[i])
+		results[i] = assemble(cfgs[i], &k, c)
 	})
 	for i, cfg := range cfgs {
 		if cfg.Width > 2 {
@@ -1004,11 +1005,12 @@ type counts struct {
 
 // assemble is the closed form every batched Result ends with: each stall
 // source is a shared count times the configuration's penalty, and issue
-// contributes one cycle per instruction minus one per paired event.
-func assemble(cfg uarch.Config, c *counts) (res Result) {
+// contributes one cycle per instruction minus one per paired event. k
+// holds cfg's latencies, penalties and energies (costsOf, or the
+// profile's table of them).
+func assemble(cfg uarch.Config, k *archCosts, c *counts) (res Result) {
 	width := max(cfg.Width, 1)
-	icPenalty := uint64(cfg.MissPenalty(cfg.IL1Block))
-	dcPenalty := uint64(cfg.MissPenalty(cfg.DL1Block))
+	icPenalty, dcPenalty := k.icPenalty, k.dcPenalty
 	stPenalty := max(dcPenalty/2, 1)
 	res.Config = cfg
 	res.Insns = c.insns
@@ -1024,7 +1026,7 @@ func assemble(cfg uarch.Config, c *counts) (res Result) {
 	res.MACOps = c.macOps
 	res.ShiftOps = c.shiftOps
 
-	res.FetchStalls = c.icMisses*icPenalty + c.redirects*(uint64(cfg.IL1Latency())-1)
+	res.FetchStalls = c.icMisses*icPenalty + c.redirects*(uint64(k.il1Lat)-1)
 	res.MemStalls = c.loadMisses*dcPenalty + c.storeMisses*stPenalty
 	res.BranchStalls = c.mispredicts * mispredictPenalty
 	res.DepStalls = c.depStalls
@@ -1032,9 +1034,9 @@ func assemble(cfg uarch.Config, c *counts) (res Result) {
 		res.DepStalls + res.BranchStalls
 	res.Decodes = c.insns + c.mispredicts*uint64(mispredictPenalty*width/2)
 
-	res.EnergyNJ = float64(res.ICAccesses)*cfg.IL1Energy() +
-		float64(res.DCAccesses)*cfg.DL1Energy() +
-		float64(res.BTBLookups)*cfg.BTBEnergy() +
+	res.EnergyNJ = float64(res.ICAccesses)*k.il1Energy +
+		float64(res.DCAccesses)*k.dl1Energy +
+		float64(res.BTBLookups)*k.btbEnergy +
 		float64(res.Insns)*coreEnergyPerInsn +
 		float64(res.Cycles)*coreEnergyPerCycle
 	return res

@@ -2,7 +2,8 @@
 // construction: the shared LRU stack (permutation-word and ring
 // encodings) against a naive per-member set-associative reference model,
 // the bit-parallel pairing count against the run-length scan, and
-// SimulateBatch against per-configuration Simulate. CI runs each with a
+// SimulateBatch against per-configuration Simulate, and a trace's
+// Profile against SimulateBatch. CI runs each with a
 // short -fuzztime as a smoke; seed corpora live under testdata/fuzz.
 package cpu
 
@@ -270,14 +271,9 @@ func fuzzBoundarySeed(past bool) []byte {
 	return append(seed, rec(0, 0, trace.FlagCond)...)
 }
 
-// FuzzSimulateBatchVsSimulate fuzzes the end-to-end equivalence: an
-// arbitrary event sequence replayed through the batched one-pass engine
-// must produce, for every architecture of a base+extended sample,
-// exactly the Result of per-configuration Simulate - memo-less, filling a
-// data-stream memo, answered from it, and looked up in the trace's
-// Profile. The first byte seeds the
-// architecture sample so geometry sharing patterns vary too.
-func FuzzSimulateBatchVsSimulate(f *testing.F) {
+// addTraceSeeds seeds a fuzz target whose input is an architecture
+// sample seed byte followed by fuzzTrace records.
+func addTraceSeeds(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	rng := rand.New(rand.NewSource(3))
 	seq := make([]byte, 1, 1+6*400)
@@ -295,7 +291,16 @@ func FuzzSimulateBatchVsSimulate(f *testing.F) {
 		wide = append(wide, byte(isa.OpALU), 0, 0, byte(k%16)<<4|1, byte(k*37), trace.FlagCond|byte(k%2))
 	}
 	f.Add(wide)
+}
 
+// FuzzSimulateBatchVsSimulate fuzzes the end-to-end equivalence: an
+// arbitrary event sequence replayed through the batched one-pass engine
+// must produce, for every architecture of a base+extended sample,
+// exactly the Result of per-configuration Simulate - memo-less, filling a
+// data-stream memo, and answered from it. The first byte seeds the
+// architecture sample so geometry sharing patterns vary too.
+func FuzzSimulateBatchVsSimulate(f *testing.F) {
+	addTraceSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 1 {
 			return
@@ -323,14 +328,6 @@ func FuzzSimulateBatchVsSimulate(f *testing.F) {
 				}
 			}
 		}
-		// A profile of the trace answers the sample from its one covering
-		// replay.
-		prof := NewProfile(tr, 1)
-		for i, cfg := range archs {
-			if got, err := prof.Result(cfg); err != nil || got != batch[i] {
-				t.Fatalf("profile config %d (%s): err %v\n  got %+v\n want %+v", i, cfg.String(), err, got, batch[i])
-			}
-		}
 		// Any worker count must agree with the sequential pass.
 		for _, workers := range []int{2, runtime.GOMAXPROCS(0)} {
 			par := SimulateBatchWith(tr, archs, workers)
@@ -339,6 +336,29 @@ func FuzzSimulateBatchVsSimulate(f *testing.F) {
 					t.Fatalf("workers=%d config %d (%s): parallel differs from sequential:\n  got %+v\n want %+v",
 						workers, i, archs[i].String(), par[i], batch[i])
 				}
+			}
+		}
+	})
+}
+
+// FuzzProfileVsBatch holds the trace's Profile, built from its one
+// 525-configuration covering replay, to SimulateBatch on the same
+// inputs as FuzzSimulateBatchVsSimulate: a target of its own, so the
+// covering replay's cost leaves the batch-vs-Simulate rate alone.
+func FuzzProfileVsBatch(f *testing.F) {
+	addTraceSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 1 {
+			return
+		}
+		rng := rand.New(rand.NewSource(int64(data[0])))
+		archs := sampleArchs(rng, 4, true)
+		tr := fuzzTrace(data[1:])
+		batch := SimulateBatch(tr, archs)
+		prof := NewProfile(tr, 1)
+		for i, cfg := range archs {
+			if got, err := prof.Result(cfg); err != nil || got != batch[i] {
+				t.Fatalf("profile config %d (%s): err %v\n  got %+v\n want %+v", i, cfg.String(), err, got, batch[i])
 			}
 		}
 	})

@@ -105,6 +105,80 @@ func fetchStream(cfg *uarch.Config) int {
 	return btbGeom(cfg.BTBSize, cfg.BTBAssoc)*len(uarch.CacheBlocks) + listIndex(cfg.IL1Block, uarch.CacheBlocks)
 }
 
+// archCosts is what assemble reads of a configuration besides its
+// counts: its Cacti latencies, miss penalties and per-access energies.
+type archCosts struct {
+	il1Lat, dl1Lat                  int
+	icPenalty, dcPenalty            uint64
+	il1Energy, dl1Energy, btbEnergy float64
+}
+
+// costsOf evaluates the uarch formulas on cfg.
+func costsOf(cfg *uarch.Config) archCosts {
+	return archCosts{
+		il1Lat:    cfg.IL1Latency(),
+		dl1Lat:    cfg.DL1Latency(),
+		icPenalty: uint64(cfg.MissPenalty(cfg.IL1Block)),
+		dcPenalty: uint64(cfg.MissPenalty(cfg.DL1Block)),
+		il1Energy: cfg.IL1Energy(),
+		dl1Energy: cfg.DL1Energy(),
+		btbEnergy: cfg.BTBEnergy(),
+	}
+}
+
+// cacheCost is one cache geometry at one frequency, in the IL1 and the
+// DL1 role alike; btbEnergy is one BTB geometry's. Both tables are
+// costsOf over the space, so a Result reads index arithmetic where the
+// formulas take logarithms and powers.
+type cacheCost struct {
+	il1Lat, dl1Lat int
+	penalty        uint64
+	energy         float64
+}
+
+var cacheCosts, btbEnergy = costTables()
+
+func costTables() (caches []cacheCost, btbs []float64) {
+	for _, size := range uarch.CacheSizes {
+		for _, assoc := range uarch.CacheAssocs {
+			for _, block := range uarch.CacheBlocks {
+				for _, f := range uarch.Frequencies {
+					c := uarch.XScale()
+					c.IL1Size, c.IL1Assoc, c.IL1Block = size, assoc, block
+					c.DL1Size, c.DL1Assoc, c.DL1Block = size, assoc, block
+					c.FreqMHz = f
+					k := costsOf(&c)
+					caches = append(caches, cacheCost{k.il1Lat, k.dl1Lat, k.icPenalty, k.il1Energy})
+				}
+			}
+		}
+	}
+	for _, entries := range uarch.BTBEntries {
+		for _, assoc := range uarch.BTBAssocs {
+			c := uarch.XScale()
+			c.BTBSize, c.BTBAssoc = entries, assoc
+			btbs = append(btbs, costsOf(&c).btbEnergy)
+		}
+	}
+	return caches, btbs
+}
+
+// tableCosts is costsOf of a valid configuration with IL1 geometry il1,
+// DL1 geometry dl1 and BTB geometry btb, read from the tables.
+func tableCosts(cfg *uarch.Config, il1, dl1, btb int) archCosts {
+	f := listIndex(cfg.FreqMHz, uarch.Frequencies)
+	i, d := &cacheCosts[il1*len(uarch.Frequencies)+f], &cacheCosts[dl1*len(uarch.Frequencies)+f]
+	return archCosts{
+		il1Lat:    i.il1Lat,
+		dl1Lat:    d.dl1Lat,
+		icPenalty: i.penalty,
+		dcPenalty: d.penalty,
+		il1Energy: i.energy,
+		dl1Energy: d.energy,
+		btbEnergy: btbEnergy[btb],
+	}
+}
+
 // NewProfile replays tr once over the covering sample, fanning the
 // per-geometry sweeps over workers (SimulateBatchWith's contract), and
 // keeps the counts per geometry.
@@ -145,16 +219,19 @@ func (p *Profile) Result(cfg uarch.Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	s, lat := fetchStream(&cfg), cfg.DL1Latency()
-	dl1 := p.dl1[cacheGeom(cfg.DL1Size, cfg.DL1Assoc, cfg.DL1Block)]
+	il1 := cacheGeom(cfg.IL1Size, cfg.IL1Assoc, cfg.IL1Block)
+	dl1 := cacheGeom(cfg.DL1Size, cfg.DL1Assoc, cfg.DL1Block)
+	btb := btbGeom(cfg.BTBSize, cfg.BTBAssoc)
+	k := tableCosts(&cfg, il1, dl1, btb)
+	s, lat := fetchStream(&cfg), k.dl1Lat
 	c := p.tot
 	c.icAccesses, c.redirects = p.fetch[s][0], p.fetch[s][1]
-	c.icMisses = p.il1[cacheGeom(cfg.IL1Size, cfg.IL1Assoc, cfg.IL1Block)]
-	c.loadMisses, c.storeMisses = dl1[0], dl1[1]
-	c.mispredicts = p.btb[btbGeom(cfg.BTBSize, cfg.BTBAssoc)]
+	c.icMisses = p.il1[il1]
+	c.loadMisses, c.storeMisses = p.dl1[dl1][0], p.dl1[dl1][1]
+	c.mispredicts = p.btb[btb]
 	c.pairs, c.depStalls = 0, p.dep[cfg.Width-1][lat]
 	if cfg.Width == 2 {
 		c.pairs = p.pairs[s*(maxLoadUse+1)+lat]
 	}
-	return assemble(cfg, &c), nil
+	return assemble(cfg, &k, &c), nil
 }

@@ -131,6 +131,35 @@ func TestProfileCoversSpace(t *testing.T) {
 	}
 }
 
+// TestCostTablesMatchFormulas walks the whole §7 space: the costs a
+// Result reads from the tables are, with ==, the ones the uarch formulas
+// give the configuration.
+func TestCostTablesMatchFormulas(t *testing.T) {
+	lists := [][]int{
+		uarch.CacheSizes, uarch.CacheAssocs, uarch.CacheBlocks,
+		uarch.CacheSizes, uarch.CacheAssocs, uarch.CacheBlocks,
+		uarch.BTBEntries, uarch.BTBAssocs, uarch.Frequencies, uarch.Widths,
+	}
+	n := uarch.Space{Extended: true}.Count()
+	var v [10]int
+	for i := 0; i < n; i++ {
+		for j, r := len(lists)-1, i; j >= 0; j-- {
+			v[j] = lists[j][r%len(lists[j])]
+			r /= len(lists[j])
+		}
+		cfg := uarch.Config{
+			IL1Size: v[0], IL1Assoc: v[1], IL1Block: v[2],
+			DL1Size: v[3], DL1Assoc: v[4], DL1Block: v[5],
+			BTBSize: v[6], BTBAssoc: v[7], FreqMHz: v[8], Width: v[9],
+		}
+		got := tableCosts(&cfg, cacheGeom(cfg.IL1Size, cfg.IL1Assoc, cfg.IL1Block),
+			cacheGeom(cfg.DL1Size, cfg.DL1Assoc, cfg.DL1Block), btbGeom(cfg.BTBSize, cfg.BTBAssoc))
+		if want := costsOf(&cfg); got != want {
+			t.Fatalf("%s: table %+v, formulas %+v", cfg.String(), got, want)
+		}
+	}
+}
+
 func BenchmarkProfileResult(b *testing.B) {
 	p := NewProfile(randomTrace(rand.New(rand.NewSource(7)), 3000), 1)
 	archs := uarch.Space{Extended: true}.SampleN(rand.New(rand.NewSource(8)), 64)

@@ -10,6 +10,7 @@ package opt
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 
 	"portcc/internal/pcerr"
@@ -271,16 +272,21 @@ func ParseKey(s string) (Config, error) {
 	return c, nil
 }
 
-// String lists the enabled flags and parameter values gcc-style.
+// String lists the enabled flags and parameter values gcc-style,
+// space-separated: "-flag" for each flag set, then "--param=value" for
+// every parameter. Built by appending, since it runs for every computed
+// prediction answer.
 func (c *Config) String() string {
-	var parts []string
+	var buf [1024]byte
+	b := buf[:0]
 	for f, on := range c.Flags {
 		if on {
-			parts = append(parts, "-"+flagNames[f])
+			b = append(append(b, " -"...), flagNames[f]...)
 		}
 	}
 	for p := range c.Params {
-		parts = append(parts, fmt.Sprintf("--%s=%d", paramNames[p], c.Param(Param(p))))
+		b = append(append(append(b, " --"...), paramNames[p]...), '=')
+		b = strconv.AppendInt(b, int64(c.Param(Param(p))), 10)
 	}
-	return strings.Join(parts, " ")
+	return string(b[1:]) // every configuration lists its parameters
 }

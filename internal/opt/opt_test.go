@@ -2,7 +2,9 @@ package opt
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -207,6 +209,34 @@ func TestLevelsAreSortedAndPositive(t *testing.T) {
 			if i > 0 && lv[i] <= lv[i-1] {
 				t.Errorf("%s levels not increasing", Param(p))
 			}
+		}
+	}
+}
+
+// stringRef is String's fmt-based body, the reference its appending
+// form is held to.
+func stringRef(c *Config) string {
+	var parts []string
+	for f, on := range c.Flags {
+		if on {
+			parts = append(parts, "-"+flagNames[f])
+		}
+	}
+	for p := range c.Params {
+		parts = append(parts, fmt.Sprintf("--%s=%d", paramNames[p], c.Param(Param(p))))
+	}
+	return strings.Join(parts, " ")
+}
+
+func TestStringMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	cfgs := []Config{{}, O3()}
+	for i := 0; i < 2000; i++ {
+		cfgs = append(cfgs, Random(rng))
+	}
+	for _, c := range cfgs {
+		if got, want := c.String(), stringRef(&c); got != want {
+			t.Fatalf("String() = %q, reference %q", got, want)
 		}
 	}
 }

@@ -14,25 +14,25 @@ import (
 func TestFeatureCacheLRUEviction(t *testing.T) {
 	c := newFeatureCache(2)
 	put := func(key string, v float64) {
-		if _, _, err := c.get(key, func() ([]float64, error) { return []float64{v}, nil }); err != nil {
+		if _, _, _, err := c.get(key, nil, func() ([]float64, error) { return []float64{v}, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
 	put("a", 1)
 	put("b", 2)
 	// Touch a so b is the coldest, then insert c: b must evict.
-	if _, hit, _ := c.get("a", nil); !hit {
+	if _, _, hit, _ := c.get("a", nil, nil); !hit {
 		t.Fatal("a should be cached")
 	}
 	put("c", 3)
 	if c.len() != 2 {
 		t.Fatalf("cache holds %d entries, want 2", c.len())
 	}
-	if _, hit, _ := c.get("a", func() ([]float64, error) { return []float64{0}, nil }); !hit {
+	if _, _, hit, _ := c.get("a", nil, func() ([]float64, error) { return []float64{0}, nil }); !hit {
 		t.Error("a (recently touched) was evicted")
 	}
 	recomputed := false
-	if _, hit, _ := c.get("b", func() ([]float64, error) { recomputed = true; return []float64{0}, nil }); hit || !recomputed {
+	if _, _, hit, _ := c.get("b", nil, func() ([]float64, error) { recomputed = true; return []float64{0}, nil }); hit || !recomputed {
 		t.Error("b (coldest) should have been evicted and recomputed")
 	}
 }
@@ -40,11 +40,11 @@ func TestFeatureCacheLRUEviction(t *testing.T) {
 func TestFeatureCacheErrorsNotCached(t *testing.T) {
 	c := newFeatureCache(4)
 	boom := errors.New("boom")
-	if _, hit, err := c.get("k", func() ([]float64, error) { return nil, boom }); hit || !errors.Is(err, boom) {
+	if _, _, hit, err := c.get("k", nil, func() ([]float64, error) { return nil, boom }); hit || !errors.Is(err, boom) {
 		t.Fatalf("hit=%v err=%v, want miss with boom", hit, err)
 	}
 	// The failure must not poison the key.
-	x, hit, err := c.get("k", func() ([]float64, error) { return []float64{9}, nil })
+	x, _, hit, err := c.get("k", nil, func() ([]float64, error) { return []float64{9}, nil })
 	if err != nil || hit || x[0] != 9 {
 		t.Fatalf("retry after failure: x=%v hit=%v err=%v", x, hit, err)
 	}
@@ -63,7 +63,7 @@ func TestFeatureCacheSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			x, hit, err := c.get("k", func() ([]float64, error) {
+			x, _, hit, err := c.get("k", nil, func() ([]float64, error) {
 				computes.Add(1)
 				<-release
 				return []float64{7}, nil

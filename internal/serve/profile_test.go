@@ -81,9 +81,9 @@ func TestMissAnswersFromProfile(t *testing.T) {
 		t.Errorf("portccs_baseline_trace_bytes = %q, evaluator says %d", got, after.BaselineTraceBytes)
 	}
 	// The miss path's allocation budget: request decode, the profile
-	// lookup (none), feature vector, inference, response encode. Most of
-	// it is the test helper's own JSON round trip (BenchmarkServePredictMiss
-	// reads 90, a warm hit 83).
+	// lookup (none), feature vector, inference, response encode and its
+	// stored cached:true twin. Most of it is the test helper's own JSON
+	// round trip (BenchmarkServePredictMiss reads 52, a warm hit 38).
 	next := k + 1
 	if allocs := testing.AllocsPerRun(len(specs)-next-1, func() { query(programs[0], &specs[next]); next++ }); allocs > 320 {
 		t.Errorf("miss on a resident program allocates %.0f objects per request, want <= 320", allocs)
@@ -198,7 +198,9 @@ func BenchmarkServePredictMiss(b *testing.B) {
 // FuzzPredictBody throws arbitrary bytes at POST /v1/predict: the
 // decode surface must never panic and never answer 5xx - every outcome
 // is a 200 whose config_key is a real setting and whose mixture is
-// finite, or a typed JSON error.
+// finite, or a typed JSON error. Each accepted body is sent twice: the
+// second answer is the first with "cached":false turned true (a program
+// query, now answered from the feature cache) or unchanged.
 func FuzzPredictBody(f *testing.F) {
 	ds, _, _ := testDataset(f)
 	spec := archSpecFor(ds.Archs[0])
@@ -241,6 +243,15 @@ func FuzzPredictBody(f *testing.F) {
 						t.Fatalf("200 with a non-finite probability in %q for body %q", d.Dim, body)
 					}
 				}
+			}
+			again := httptest.NewRecorder()
+			h.ServeHTTP(again, httptest.NewRequest("POST", "/v1/predict", bytes.NewReader(body)))
+			want := w.Body.Bytes()
+			if resp.Program != "" {
+				want = bytes.Replace(want, []byte(`"cached":false`), []byte(`"cached":true`), 1)
+			}
+			if again.Code != http.StatusOK || !bytes.Equal(again.Body.Bytes(), want) {
+				t.Fatalf("repeat of body %q: HTTP %d\n got %s\nwant %s", body, again.Code, again.Body, want)
 			}
 			return
 		}

@@ -4,7 +4,7 @@
 // pre-trained, versioned model artifact - the paper's Figure 2
 // deployment path as a service.
 //
-// The serving stack has three concerns, each bounded:
+// The serving stack has four concerns, each bounded:
 //
 //   - One model is loaded from an ml artifact and held warm in memory;
 //     it hot-reloads when the file changes on disk (throttled mtime
@@ -19,9 +19,15 @@
 //     evaluator keeps binary, trace and profile resident, and every
 //     later architecture is a closed-form lookup of about a
 //     microsecond, bit-identical to the per-event replay. A restarted
-//     server re-warms each program with its one covering replay. The
-//     vectors are memoised in an LRU cache keyed by (program,
-//     microarchitecture) with single-flighted misses.
+//     server re-warms each program with its one covering replay.
+//
+//   - Answers are memoised in an LRU cache keyed by (program,
+//     microarchitecture) with single-flighted misses: an entry keeps
+//     the feature vector and the encoded response, tagged with the
+//     model that computed it. A repeat query under that model writes
+//     the stored bytes (no inference, no JSON encoding); after a hot
+//     reload the stored vector answers again without profiling. A miss
+//     encodes once and stores the cached:true twin of its answer.
 //
 //   - Admission control bounds concurrent predictions and the waiting
 //     queue; excess load is shed immediately with HTTP 429 and a
@@ -42,6 +48,8 @@ import (
 	"math"
 	"net/http"
 	"runtime"
+	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,7 +68,8 @@ type Config struct {
 	// ModelPath is the model artifact to serve (required). The file is
 	// re-checked on a ReloadEvery throttle and hot-reloaded on change.
 	ModelPath string
-	// CacheEntries bounds the (program, uarch) feature cache
+	// CacheEntries bounds the (program, uarch) feature cache, whose
+	// entries keep a feature vector and an encoded answer of about 4 KB
 	// (default 1024 entries).
 	CacheEntries int
 	// MaxInFlight bounds concurrently executing predictions
@@ -296,7 +305,7 @@ type PredictResponse struct {
 	// taken from (equation 1 of the paper).
 	Mixture []DimMixture `json:"mixture"`
 	// Cached reports that the feature vector came from the cache - no
-	// profiling simulation ran for this request.
+	// profile was read for this request.
 	Cached bool `json:"cached"`
 	// ModelDatasetSHA256 names the training dataset of the model that
 	// answered, for end-to-end traceability.
@@ -346,15 +355,13 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error(), Code: "bad_request"})
 		return
 	}
-	resp, status, errResp := s.predict(&req)
+	body, status, errResp := s.predict(&req)
 	if errResp != nil {
 		outcome = errResp.Code
 		writeJSON(w, status, *errResp)
 		return
 	}
-	if !writeJSON(w, http.StatusOK, resp) {
-		outcome = "error"
-	}
+	writeBody(w, http.StatusOK, body)
 }
 
 // statusClientClosedRequest is nginx's non-standard 499: the client went
@@ -362,12 +369,15 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 const statusClientClosedRequest = 499
 
 // predict resolves features, queries the model, and shapes the
-// response. It returns either a response or an error body plus status.
-func (s *Server) predict(req *PredictRequest) (*PredictResponse, int, *errorResponse) {
+// response. It returns either an encoded response or an error body plus
+// status. A program answer is kept in the feature cache, and a repeat
+// query under the same model is answered from it unchanged.
+func (s *Server) predict(req *PredictRequest) ([]byte, int, *errorResponse) {
 	cur := s.model()
 	resp := &PredictResponse{ModelDatasetSHA256: cur.Info.DatasetSHA256}
 
 	var x []float64
+	var key string // the cache key of a program answer
 	switch {
 	case req.Program != "" && req.Features != nil:
 		return nil, http.StatusBadRequest, &errorResponse{Error: "set either program or features, not both", Code: "bad_request"}
@@ -395,9 +405,10 @@ func (s *Server) predict(req *PredictRequest) (*PredictResponse, int, *errorResp
 			return nil, http.StatusBadRequest, &errorResponse{Error: err.Error(), Code: "bad_request"}
 		}
 		resp.Program, resp.Arch = req.Program, arch.String()
-		key := req.Program + "|" + resp.Arch
+		key = req.Program + "|" + resp.Arch
+		var stored []byte
 		var hit bool
-		x, hit, err = s.cache.get(key, func() ([]float64, error) {
+		x, stored, hit, err = s.cache.get(key, cur.Model, func() ([]float64, error) {
 			start := time.Now()
 			defer func() { s.mProfile.Observe(time.Since(start).Seconds()) }()
 			p, err := s.ev.Profile(req.Program)
@@ -422,11 +433,27 @@ func (s *Server) predict(req *PredictRequest) (*PredictResponse, int, *errorResp
 		} else {
 			s.mCacheMiss.Inc()
 		}
+		if stored != nil {
+			return stored, http.StatusOK, nil
+		}
 	default:
 		return nil, http.StatusBadRequest, &errorResponse{Error: "set program or features", Code: "bad_request"}
 	}
 
-	mix := cur.Model.Mixture(x)
+	body, status, errResp := answer(cur.Model, resp, x)
+	if errResp == nil && key != "" {
+		stored := body
+		if !resp.Cached {
+			stored = cachedForm(body)
+		}
+		s.cache.store(key, cur.Model, stored)
+	}
+	return body, status, errResp
+}
+
+// answer completes resp from m's predictive mixture at x and encodes it.
+func answer(m *ml.Model, resp *PredictResponse, x []float64) ([]byte, int, *errorResponse) {
+	mix := m.Mixture(x)
 	// One NaN weight makes every entry NaN, and a weight is NaN only when
 	// the nearest distance is not finite: features beyond float64's reach.
 	if math.IsNaN(mix.Theta[0][0]) {
@@ -436,7 +463,27 @@ func (s *Server) predict(req *PredictRequest) (*PredictResponse, int, *errorResp
 	resp.ConfigKey = cfg.Key()
 	resp.ConfigGCC = cfg.String()
 	resp.Mixture = mixtureDims(&mix)
-	return resp, http.StatusOK, nil
+	body, err := encodeJSON(resp)
+	if err != nil {
+		return nil, http.StatusInternalServerError, encodeError(err)
+	}
+	return body, http.StatusOK, nil
+}
+
+// cachedFalse and cachedTrue are the encoded Cached field. JSON escapes
+// every quote inside a string, so the only place an encoded response
+// holds cachedFalse is that field.
+var cachedFalse, cachedTrue = []byte(`"cached":false`), []byte(`"cached":true`)
+
+// cachedForm returns the cached:true twin of an encoded cached:false
+// answer - what a repeat query answers - without a second encode (nil
+// if body holds no such field, so nothing is stored).
+func cachedForm(body []byte) []byte {
+	i := bytes.Index(body, cachedFalse)
+	if i < 0 {
+		return nil
+	}
+	return slices.Concat(body[:i], cachedTrue, body[i+len(cachedFalse):])
 }
 
 // mixtureDims flattens the mixture into named per-dimension
@@ -478,15 +525,34 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // refuses (a NaN, say) becomes a typed 500, never a 200 with no body.
 // It reports whether v itself was sent.
 func writeJSON(w http.ResponseWriter, status int, v any) bool {
-	var body bytes.Buffer
-	err := json.NewEncoder(&body).Encode(v)
+	body, err := encodeJSON(v)
 	if err != nil {
 		status = http.StatusInternalServerError
-		body.Reset()
-		json.NewEncoder(&body).Encode(errorResponse{Error: "encoding the response: " + err.Error(), Code: "error"})
+		body, _ = encodeJSON(*encodeError(err)) // strings and an int always encode
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(body.Bytes())
+	writeBody(w, status, body)
 	return err == nil
+}
+
+// encodeJSON is the one encoding of every body: encoding/json's, with
+// its trailing newline.
+func encodeJSON(v any) ([]byte, error) {
+	var body bytes.Buffer
+	err := json.NewEncoder(&body).Encode(v)
+	return body.Bytes(), err
+}
+
+// encodeError is the typed 500 of a value the encoder refused.
+func encodeError(err error) *errorResponse {
+	return &errorResponse{Error: "encoding the response: " + err.Error(), Code: "error"}
+}
+
+// writeBody sends an encoded body with its Content-Length, so an answer
+// past net/http's 2 KB response buffer goes out whole, not chunked.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	w.Write(body)
 }

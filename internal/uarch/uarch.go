@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 
 	"portcc/internal/pcerr"
 )
@@ -89,11 +90,22 @@ func (c Config) Validate() error {
 }
 
 // String identifies the configuration compactly; stable across runs.
+// It spells "il1=%dK/%d/%d dl1=%dK/%d/%d btb=%d/%d f=%dMHz w=%d" (sizes
+// in KiB) by appending, since it keys every served program request.
 func (c Config) String() string {
-	return fmt.Sprintf("il1=%dK/%d/%d dl1=%dK/%d/%d btb=%d/%d f=%dMHz w=%d",
-		c.IL1Size>>10, c.IL1Assoc, c.IL1Block,
-		c.DL1Size>>10, c.DL1Assoc, c.DL1Block,
-		c.BTBSize, c.BTBAssoc, c.FreqMHz, c.Width)
+	var buf [64]byte
+	b := buf[:0]
+	for _, f := range [...]struct {
+		sep string
+		v   int
+	}{
+		{"il1=", c.IL1Size >> 10}, {"K/", c.IL1Assoc}, {"/", c.IL1Block},
+		{" dl1=", c.DL1Size >> 10}, {"K/", c.DL1Assoc}, {"/", c.DL1Block},
+		{" btb=", c.BTBSize}, {"/", c.BTBAssoc}, {" f=", c.FreqMHz}, {"MHz w=", c.Width},
+	} {
+		b = strconv.AppendInt(append(b, f.sep...), int64(f.v), 10)
+	}
+	return string(b)
 }
 
 // Descriptors returns the 8-element microarchitecture description d used as

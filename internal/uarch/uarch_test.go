@@ -1,6 +1,7 @@
 package uarch
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -125,6 +126,31 @@ func TestLatencyBounds(t *testing.T) {
 					t.Errorf("CactiLatency(%d,%d,%d) = %d out of sane range", s, a, b, lat)
 				}
 			}
+		}
+	}
+}
+
+// stringRef is String's fmt-based body, the reference its appending
+// form is held to.
+func stringRef(c Config) string {
+	return fmt.Sprintf("il1=%dK/%d/%d dl1=%dK/%d/%d btb=%d/%d f=%dMHz w=%d",
+		c.IL1Size>>10, c.IL1Assoc, c.IL1Block,
+		c.DL1Size>>10, c.DL1Assoc, c.DL1Block,
+		c.BTBSize, c.BTBAssoc, c.FreqMHz, c.Width)
+}
+
+// TestStringMatchesReference compares over seeded samples of both
+// spaces and over arbitrary integers, negative and wide ones included.
+func TestStringMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	cfgs := append(Space{}.SampleN(rng, 500), Space{Extended: true}.SampleN(rng, 500)...)
+	for i := 0; i < 1000; i++ {
+		v := func() int { return int(rng.Uint64()) >> rng.Intn(64) }
+		cfgs = append(cfgs, Config{v(), v(), v(), v(), v(), v(), v(), v(), v(), v()})
+	}
+	for _, c := range append(cfgs, Config{}, XScale()) {
+		if got, want := c.String(), stringRef(c); got != want {
+			t.Fatalf("String() = %q, reference %q", got, want)
 		}
 	}
 }
