@@ -7,7 +7,6 @@ import (
 
 	"portcc/internal/ir"
 	"portcc/internal/opt"
-	"portcc/internal/passes"
 	"portcc/internal/prog"
 )
 
@@ -56,11 +55,11 @@ func invariantLoop() *ir.Module {
 
 // TestCachedAnalysisMatchesFresh holds the invalidation rule of
 // ir.Func.Analyze, which lets instruction-only passes keep the CFG
-// analysis: it drives the plan one step at a time, as CompilePlan does,
-// over the suite and invariantLoop under -O3, the zero configuration and
-// seeded settings, and after every step compares each function's cached
-// analysis with a fresh one on a clone. Reading the facts caches them, so
-// every step starts from a cached analysis, and a pass that changes a
+// analysis: it runs the pipeline over the suite and invariantLoop under
+// -O3, the zero configuration and seeded settings, and after every pass
+// application compares the cached analysis of each function the pass may
+// have changed with a fresh one on a clone. Reading the facts caches them,
+// so every pass starts from a cached analysis, and a pass that changes a
 // terminator or the block list without invalidating fails here even when
 // no binary happens to change.
 func TestCachedAnalysisMatchesFresh(t *testing.T) {
@@ -69,61 +68,39 @@ func TestCachedAnalysisMatchesFresh(t *testing.T) {
 	for len(cfgs) < 8 {
 		cfgs = append(cfgs, opt.Random(rng))
 	}
-	var ran [opt.NumPasses]bool
+	ran := map[string]bool{}
 	mods := []*ir.Module{invariantLoop()}
 	for _, name := range prog.Names() {
 		mods = append(mods, prog.MustBuild(name))
 	}
 	for _, src := range mods {
-		name := src.Name
 		for ci := range cfgs {
-			plan := opt.PlanFor(&cfgs[ci])
 			m := src.Clone()
-			check := func(s opt.Step, f *ir.Func) {
-				ran[s.Pass] = true
-				if cached, fresh := factsOf(f), factsOf(f.Clone()); !reflect.DeepEqual(cached, fresh) {
-					t.Fatalf("%s under %s, %s after %v: cached analysis\n%+v\nfresh\n%+v",
-						name, cfgs[ci].Key(), f.Name, s.Pass, cached, fresh)
-				}
-			}
 			for _, f := range m.Funcs {
 				f.Analyze()
 			}
-			for _, s := range plan.Mod {
-				applyModStep(s, m)
-				for _, f := range m.Funcs {
-					check(s, f)
+			pipeline(m, &cfgs[ci], func(pass string, f *ir.Func) {
+				ran[pass] = true
+				if cached, fresh := factsOf(f), factsOf(f.Clone()); !reflect.DeepEqual(cached, fresh) {
+					t.Fatalf("%s under %s, %s after %s: cached analysis\n%+v\nfresh\n%+v",
+						src.Name, cfgs[ci].Key(), f.Name, pass, cached, fresh)
 				}
-			}
-			stored := passes.StoredStreams(m)
-			run := func(f *ir.Func, steps ...opt.Step) {
-				for _, s := range steps {
-					applyFuncStep(s, f, stored)
-					check(s, f)
-				}
-			}
-			for _, f := range m.Funcs {
-				if !f.Library {
-					run(f, plan.Fn...)
-				}
-			}
-			for _, f := range m.Funcs {
-				if f.Library {
-					run(f, opt.Step{Pass: opt.PassAlloc})
-				} else {
-					run(f, plan.Alloc)
-				}
-			}
-			for _, f := range m.Funcs {
-				if !f.Library {
-					run(f, plan.Post...)
-				}
-			}
+			})
 		}
 	}
-	for p, ok := range ran {
-		if !ok {
-			t.Errorf("no setting ran %v", opt.Pass(p))
+	// Every pass the pipeline reports to its hook.
+	passes := []string{
+		"inline", "sibling", "vrp", "cse", "pre", "gcse", "gcse_las",
+		"store_motion", "licm", "unswitch", "strength_reduce", "unroll",
+		"regmove", "thread_jumps", "dead_code", "schedule", "reorder_blocks",
+		"align", "alloc", "gcse_reload", "peephole2", "crossjump",
+	}
+	for _, p := range passes {
+		if !ran[p] {
+			t.Errorf("no setting ran %s", p)
 		}
+	}
+	if len(ran) != len(passes) {
+		t.Errorf("the pipeline reported %d distinct passes, want %d", len(ran), len(passes))
 	}
 }

@@ -39,7 +39,8 @@ func sweepConfigs(seed int64, n int) ([]*opt.Config, int) {
 // TestCompileBatchMatchesCompile: for random setting sweeps over real
 // programs the binaries are positional and byte-identical to fresh
 // per-setting compiles, and the pass-application count is the sum of the
-// settings' plan lengths.
+// settings' CompileCount counts (TestCompileFingerprintsPinned pins what
+// the count itself reads).
 func TestCompileBatchMatchesCompile(t *testing.T) {
 	programs := []string{"rijndael_e", "search", "qsort", "toast", "crc", "susan_c", "fft"}
 	for pi, name := range programs {
@@ -50,30 +51,21 @@ func TestCompileBatchMatchesCompile(t *testing.T) {
 			t.Fatalf("%s: %d progs / %d errs for %d cfgs", name, len(progs), len(errs), len(cfgs))
 		}
 		var want int64
-		nonLib, lib := 0, 0
-		for _, f := range m.Funcs {
-			if f.Library {
-				lib++
-			} else {
-				nonLib++
-			}
-		}
 		for i, c := range cfgs {
 			if errs[i] != nil {
 				t.Fatalf("%s cfg %d: batch error: %v", name, i, errs[i])
 			}
-			fresh, err := core.Compile(m, c)
+			fresh, n, err := core.CompileCount(m, c)
 			if err != nil {
 				t.Fatalf("%s cfg %d: fresh compile: %v", name, i, err)
 			}
 			if !bytes.Equal(imageBytes(progs[i]), imageBytes(fresh)) {
 				t.Errorf("%s cfg %d: batched binary differs from fresh compile", name, i)
 			}
-			plan := opt.PlanFor(c)
-			want += int64(plan.Steps(nonLib, lib))
+			want += int64(n)
 		}
 		if passRuns != want {
-			t.Errorf("%s: %d pass runs, want the plans' total %d", name, passRuns, want)
+			t.Errorf("%s: %d pass runs, want the compiles' total %d", name, passRuns, want)
 		}
 		if !bytes.Equal(imageBytes(progs[len(cfgs)-1]), imageBytes(progs[twin])) {
 			t.Errorf("%s: duplicate config compiled to a different binary than its twin", name)

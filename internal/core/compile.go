@@ -1,14 +1,12 @@
-// Package core assembles the portable optimising compiler of the paper's
-// Figure 2: the pass pipeline driven by an optimisation configuration
-// (compile.go, and batch.go's loop of it over a sweep's settings) and the
-// deployment path that takes a program source, one profile run's
-// performance counters and a microarchitecture description and produces a
-// binary optimised by the learned model (compiler.go).
+// Package core is the portable optimising compiler of the paper's Figure 2:
+// the one pass pipeline an optimisation configuration selects from, run by
+// Compile for one setting and by CompileBatch over a sweep's settings. The
+// deployment path that picks the configuration - one profile run's
+// performance counters, a microarchitecture description and the learned
+// model - is Session.OptimizeFor in the root package.
 package core
 
 import (
-	"fmt"
-
 	"portcc/internal/codegen"
 	"portcc/internal/ir"
 	"portcc/internal/opt"
@@ -18,11 +16,11 @@ import (
 
 // Version is the code-generation version of this compiler: any change
 // that alters the binary image a given (module, configuration) pair
-// compiles to - a pass, the plan derivation, allocation, lowering,
-// placement, or the image serialisation the fingerprint hashes - must
-// bump it. The result store's compile index keys on it, so fingerprints
-// recorded by an older compiler are clean misses instead of stale
-// identities; TestVersionsPinBehaviour (internal/dataset) holds the
+// compiles to - a pass, the pipeline's order or gates, allocation,
+// lowering, placement, or the image serialisation the fingerprint hashes -
+// must bump it. The result store's compile index keys on it, so
+// fingerprints recorded by an older compiler are clean misses instead of
+// stale identities; TestVersionsPinBehaviour (internal/dataset) holds the
 // constant to the binaries the suite actually compiles to.
 const Version = 1
 
@@ -32,125 +30,206 @@ const Version = 1
 //
 // The pass order mirrors gcc 4.2: interprocedural (inlining) first, then
 // scalar and loop optimisation, scheduling, allocation, and post-reload
-// cleanup. The pipeline is materialised as a canonical opt.Plan and
-// interpreted step by step; this is the only interpreter of a plan.
+// cleanup.
 func Compile(src *ir.Module, cfg *opt.Config) (*codegen.Program, error) {
-	plan := opt.PlanFor(cfg)
-	return CompilePlan(src, &plan)
+	p, _, err := CompileCount(src, cfg)
+	return p, err
 }
 
-// CompilePlan compiles the module under an already-derived canonical plan,
-// linearly: module steps, then per function the optimisation sequence,
-// then allocation for every function, then post-reload cleanups.
-func CompilePlan(src *ir.Module, plan *opt.Plan) (*codegen.Program, error) {
+// CompileCount is Compile that also returns the number of pass
+// applications the compile made, the unit of dataset.Stats.PassRuns: a
+// module pass counts once, a per-function pass once per function it ran
+// on (a bounded GCSE loop is one application however many rounds it
+// takes). The count is the same whether or not lowering fails.
+func CompileCount(src *ir.Module, cfg *opt.Config) (*codegen.Program, int, error) {
 	m := src.Clone()
-	for _, s := range plan.Mod {
-		applyModStep(s, m)
+	n := pipeline(m, cfg, nil)
+	p, err := codegen.Lower(m)
+	return p, n, err
+}
+
+// CompileBatch compiles one module under every configuration of a sweep,
+// one CompileCount per setting. Results are positional: progs[i] (or
+// errs[i]) belongs to cfgs[i], and every progs[i] is what a fresh
+// Compile(src, cfgs[i]) returns. passRuns is the sum of the settings'
+// pass-application counts. The source module is never mutated.
+func CompileBatch(src *ir.Module, cfgs []*opt.Config) (progs []*codegen.Program, errs []error, passRuns int64) {
+	progs = make([]*codegen.Program, len(cfgs))
+	errs = make([]error, len(cfgs))
+	for i, c := range cfgs {
+		var n int
+		progs[i], n, errs[i] = CompileCount(src, c)
+		passRuns += int64(n)
+	}
+	return progs, errs, passRuns
+}
+
+// passRun counts a pipeline's pass applications and reports each to an
+// optional hook.
+type passRun struct {
+	n     int
+	after func(pass string, f *ir.Func)
+}
+
+// done records one application of pass that ran on f.
+func (r *passRun) done(pass string, f *ir.Func) {
+	r.n++
+	if r.after != nil {
+		r.after(pass, f)
+	}
+}
+
+// module records one application of a module pass, reporting it on every
+// function the pass may have changed.
+func (r *passRun) module(pass string, m *ir.Module) {
+	r.n++
+	if r.after != nil {
+		for _, f := range m.Funcs {
+			r.after(pass, f)
+		}
+	}
+}
+
+// pipeline runs the passes c selects over m, in place: the module passes,
+// each non-library function's optimisation sequence, allocation for every
+// function, then each non-library function's post-reload passes. A flag
+// that is off skips its pass, whose parameters and sub-flags then change
+// nothing. It returns the number of pass applications and, when after is
+// set, calls it after each one.
+func pipeline(m *ir.Module, c *opt.Config, after func(pass string, f *ir.Func)) int {
+	r := passRun{after: after}
+	if c.Flag(opt.FInlineFunctions) {
+		passes.Inline(m, passes.InlineParams{
+			MaxInsnsAuto:        c.Param(opt.PMaxInlineInsnsAuto),
+			LargeFunctionInsns:  c.Param(opt.PLargeFunctionInsns),
+			LargeFunctionGrowth: c.Param(opt.PLargeFunctionGrowth),
+			LargeUnitInsns:      c.Param(opt.PLargeUnitInsns),
+			UnitGrowth:          c.Param(opt.PInlineUnitGrowth),
+			CallCost:            c.Param(opt.PInlineCallCost),
+		})
+		r.module("inline", m)
+	}
+	if c.Flag(opt.FOptimizeSiblingCalls) {
+		passes.SiblingCalls(m)
+		r.module("sibling", m)
 	}
 	stored := passes.StoredStreams(m)
 	for _, f := range m.Funcs {
-		if f.Library {
-			continue
-		}
-		for _, s := range plan.Fn {
-			applyFuncStep(s, f, stored)
+		if !f.Library {
+			r.optimise(f, c, stored)
 		}
 	}
-	alloc := plan.Alloc
+	callerSaves := c.Flag(opt.FCallerSaves)
 	for _, f := range m.Funcs {
-		if f.Library {
-			applyFuncStep(opt.Step{Pass: opt.PassAlloc}, f, stored)
-		} else {
-			applyFuncStep(alloc, f, stored)
-		}
+		regalloc.Allocate(f, f.ID, regalloc.Options{CallerSaves: callerSaves && !f.Library})
+		r.done("alloc", f)
 	}
 	for _, f := range m.Funcs {
 		if f.Library {
 			continue
 		}
-		for _, s := range plan.Post {
-			applyFuncStep(s, f, stored)
+		if c.Flag(opt.FGcseAfterReload) {
+			passes.GCSEAfterReload(f)
+			r.done("gcse_reload", f)
+		}
+		if c.Flag(opt.FPeephole2) {
+			passes.Peephole2(f)
+			r.done("peephole2", f)
+		}
+		if c.Flag(opt.FCrossjumping) {
+			passes.CrossJump(f)
+			r.done("crossjump", f)
 		}
 	}
-	return codegen.Lower(m)
+	return r.n
 }
 
-// applyModStep executes one module-level plan step in place.
-func applyModStep(s opt.Step, m *ir.Module) {
-	switch s.Pass {
-	case opt.PassInline:
-		passes.Inline(m, passes.InlineParams{
-			MaxInsnsAuto:        int(s.Args[0]),
-			LargeFunctionInsns:  int(s.Args[1]),
-			LargeFunctionGrowth: int(s.Args[2]),
-			LargeUnitInsns:      int(s.Args[3]),
-			UnitGrowth:          int(s.Args[4]),
-			CallCost:            int(s.Args[5]),
-		})
-	case opt.PassSibling:
-		passes.SiblingCalls(m)
-	default:
-		panic(fmt.Sprintf("core: %v is not a module step", s.Pass))
-	}
-}
-
-// applyFuncStep executes one per-function plan step in place. stored is
-// the module-wide stored-streams analysis computed after the module steps
-// (read-only, shared by every function).
-func applyFuncStep(s opt.Step, f *ir.Func, stored map[int32]bool) {
-	switch s.Pass {
-	case opt.PassVRP:
+// optimise runs the pre-allocation sequence over one non-library function.
+// stored is the module-wide stored-streams analysis taken after the module
+// passes (read-only, shared by every function).
+func (r *passRun) optimise(f *ir.Func, c *opt.Config, stored map[int32]bool) {
+	followJumps, skipBlocks := c.Flag(opt.FCseFollowJumps), c.Flag(opt.FCseSkipBlocks)
+	loadMotion := c.Flag(opt.FGcse) && !c.Flag(opt.FNoGcseLm)
+	if c.Flag(opt.FTreeVrp) {
 		passes.VRP(f)
-	case opt.PassLocalCSE:
-		passes.LocalCSE(f, s.Args[0] != 0, s.Args[1] != 0)
-	case opt.PassPRE:
+		r.done("vrp", f)
+	}
+	passes.LocalCSE(f, followJumps, skipBlocks)
+	r.done("cse", f)
+	if c.Flag(opt.FTreePre) {
 		passes.PRE(f)
-	case opt.PassGCSE:
-		for i := int32(0); i < s.Args[0]; i++ {
+		r.done("pre", f)
+	}
+	if c.Flag(opt.FGcse) {
+		// A fixpoint bounded by max-gcse-passes rounds.
+		for range c.Param(opt.PMaxGcsePasses) {
 			if passes.GCSE(f) == 0 {
 				break
 			}
 		}
-	case opt.PassGCSELas:
-		passes.GCSELoadAfterStore(f)
-	case opt.PassStoreMotion:
-		passes.StoreMotion(f)
-	case opt.PassLICM:
-		passes.LICM(f, s.Args[0] != 0, stored)
-	case opt.PassUnswitch:
-		passes.Unswitch(f)
-	case opt.PassStrengthReduce:
-		passes.StrengthReduce(f)
-	case opt.PassUnroll:
-		passes.Unroll(f, int(s.Args[0]), int(s.Args[1]))
-	case opt.PassRegmove:
-		passes.Regmove(f)
-	case opt.PassThreadJumps:
-		passes.ThreadJumps(f)
-	case opt.PassDeadCode:
-		passes.DeadCode(f)
-	case opt.PassSchedule:
-		passes.Schedule(f, s.Args[0] != 0, s.Args[1] != 0)
-	case opt.PassReorderBlocks:
-		passes.ReorderBlocks(f)
-	case opt.PassAlign:
-		passes.Align(f, passes.AlignFlags{
-			Functions: s.Args[0] != 0,
-			Loops:     s.Args[1] != 0,
-			Jumps:     s.Args[2] != 0,
-			Labels:    s.Args[3] != 0,
-		})
-	case opt.PassAlloc:
-		regalloc.Allocate(f, f.ID, regalloc.Options{
-			CallerSaves: !f.Library && s.Args[0] != 0,
-		})
-	case opt.PassGCSEReload:
-		passes.GCSEAfterReload(f)
-	case opt.PassPeephole2:
-		passes.Peephole2(f)
-	case opt.PassCrossJump:
-		passes.CrossJump(f)
-	default:
-		panic(fmt.Sprintf("core: %v is not a function step", s.Pass))
+		r.done("gcse", f)
+		if c.Flag(opt.FGcseLas) {
+			passes.GCSELoadAfterStore(f)
+			r.done("gcse_las", f)
+		}
+		if c.Flag(opt.FGcseSm) {
+			passes.StoreMotion(f)
+			r.done("store_motion", f)
+		}
 	}
+	passes.LICM(f, loadMotion, stored)
+	r.done("licm", f)
+	if c.Flag(opt.FUnswitchLoops) {
+		passes.Unswitch(f)
+		r.done("unswitch", f)
+	}
+	if c.Flag(opt.FStrengthReduce) {
+		passes.StrengthReduce(f)
+		r.done("strength_reduce", f)
+	}
+	if c.Flag(opt.FUnrollLoops) {
+		passes.Unroll(f, c.Param(opt.PMaxUnrollTimes), c.Param(opt.PMaxUnrolledInsns))
+		r.done("unroll", f)
+	}
+	if c.Flag(opt.FRerunLoopOpt) {
+		passes.LICM(f, loadMotion, stored)
+		r.done("licm", f)
+	}
+	if c.Flag(opt.FRerunCseAfterLoop) {
+		passes.LocalCSE(f, followJumps, skipBlocks)
+		r.done("cse", f)
+	}
+	if c.Flag(opt.FExpensiveOptimizations) {
+		passes.LocalCSE(f, true, true)
+		r.done("cse", f)
+		if c.Flag(opt.FGcse) {
+			passes.GCSE(f)
+			r.done("gcse", f)
+		}
+	}
+	if c.Flag(opt.FRegmove) {
+		passes.Regmove(f)
+		r.done("regmove", f)
+	}
+	if c.Flag(opt.FThreadJumps) {
+		passes.ThreadJumps(f)
+		r.done("thread_jumps", f)
+	}
+	passes.DeadCode(f)
+	r.done("dead_code", f)
+	if c.Flag(opt.FScheduleInsns) {
+		passes.Schedule(f, !c.Flag(opt.FNoSchedInterblock), !c.Flag(opt.FNoSchedSpec))
+		r.done("schedule", f)
+	}
+	if c.Flag(opt.FReorderBlocks) {
+		passes.ReorderBlocks(f)
+		r.done("reorder_blocks", f)
+	}
+	passes.Align(f, passes.AlignFlags{
+		Functions: c.Flag(opt.FAlignFunctions),
+		Loops:     c.Flag(opt.FAlignLoops),
+		Jumps:     c.Flag(opt.FAlignJumps),
+		Labels:    c.Flag(opt.FAlignLabels),
+	})
+	r.done("align", f)
 }

@@ -20,12 +20,13 @@ import (
 const fingerprintsPath = "testdata/fingerprints.json"
 
 // fingerprintRecord is the suite's binaries under pinnedSettings: one
-// digest over every fingerprint, and one per program to name where a
-// change landed.
+// digest over every fingerprint, one per program to name where a change
+// landed, and the pass applications the compiles made in total.
 type fingerprintRecord struct {
-	Comment  string            `json:"comment"`
-	Digest   string            `json:"digest_sha256"`
-	Programs map[string]string `json:"programs_sha256"`
+	Comment          string            `json:"comment"`
+	Digest           string            `json:"digest_sha256"`
+	Programs         map[string]string `json:"programs_sha256"`
+	PassApplications int64             `json:"pass_applications"`
 }
 
 // pinnedSettings is -O3, the zero configuration and 62 settings drawn
@@ -42,9 +43,12 @@ func pinnedSettings() []opt.Config {
 // TestCompileFingerprintsPinned holds the compiler to the binaries it
 // compiled when the record was taken: the whole suite under 64 settings,
 // eight times the compiles TestVersionsPinBehaviour (internal/dataset)
-// digests. A compiler change that is meant to be invisible - a faster
-// table, a cached analysis - must leave every fingerprint where it was;
-// one that is not bumps core.Version and re-records with
+// digests. It also holds CompileCount's total to the recorded pass
+// applications, the unit of dataset.Stats.PassRuns and of bench's
+// core.pass_runs. A compiler change that is meant to be invisible - a
+// faster table, a cached analysis, a rewrite of the pipeline - must leave
+// every fingerprint and the count where they were; one that is not bumps
+// core.Version and re-records with
 //
 //	PORTCC_UPDATE_GOLDEN=1 go test ./internal/core -run TestCompileFingerprintsPinned
 func TestCompileFingerprintsPinned(t *testing.T) {
@@ -59,10 +63,11 @@ func TestCompileFingerprintsPinned(t *testing.T) {
 		m := prog.MustBuild(name)
 		h := sha256.New()
 		for i := range cfgs {
-			bin, err := core.Compile(m, &cfgs[i])
+			bin, n, err := core.CompileCount(m, &cfgs[i])
 			if err != nil {
 				t.Fatalf("%s under %s: %v", name, cfgs[i].Key(), err)
 			}
+			got.PassApplications += int64(n)
 			var fp codegen.Fingerprint
 			fp, buf = codegen.FingerprintInto(bin, buf)
 			h.Write(fp[:])
@@ -93,6 +98,10 @@ func TestCompileFingerprintsPinned(t *testing.T) {
 	var want fingerprintRecord
 	if err := json.Unmarshal(data, &want); err != nil {
 		t.Fatal(err)
+	}
+	if got.PassApplications != want.PassApplications {
+		t.Errorf("the suite's compiles made %d pass applications, the record %d",
+			got.PassApplications, want.PassApplications)
 	}
 	if got.Digest == want.Digest {
 		return
@@ -144,4 +153,50 @@ func TestConcurrentCompilesBitIdentical(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestDontCaresCompileAlike holds the pipeline's gates on real binaries:
+// with GCSE, inlining, unrolling and scheduling off, their sub-flags and
+// parameters are don't-care dimensions, and flipping any one of them must
+// leave every suite program's binary where it was.
+func TestDontCaresCompileAlike(t *testing.T) {
+	base := opt.O3()
+	base.Flags[opt.FGcse] = false
+	base.Flags[opt.FInlineFunctions] = false
+	base.Flags[opt.FUnrollLoops] = false
+	base.Flags[opt.FScheduleInsns] = false
+	mutations := []func(c *opt.Config){
+		func(c *opt.Config) { c.Flags[opt.FNoGcseLm] = !c.Flags[opt.FNoGcseLm] },
+		func(c *opt.Config) { c.Flags[opt.FGcseSm] = !c.Flags[opt.FGcseSm] },
+		func(c *opt.Config) { c.Flags[opt.FGcseLas] = !c.Flags[opt.FGcseLas] },
+		func(c *opt.Config) { c.Params[opt.PMaxGcsePasses] = 3 },
+		func(c *opt.Config) { c.Params[opt.PMaxInlineInsnsAuto] = 0 },
+		func(c *opt.Config) { c.Params[opt.PInlineCallCost] = 3 },
+		func(c *opt.Config) { c.Params[opt.PMaxUnrollTimes] = 3 },
+		func(c *opt.Config) { c.Params[opt.PMaxUnrolledInsns] = 0 },
+		func(c *opt.Config) { c.Flags[opt.FNoSchedInterblock] = !c.Flags[opt.FNoSchedInterblock] },
+		func(c *opt.Config) { c.Flags[opt.FNoSchedSpec] = !c.Flags[opt.FNoSchedSpec] },
+	}
+	fingerprint := func(m *ir.Module, c *opt.Config) codegen.Fingerprint {
+		bin, err := core.Compile(m, c)
+		if err != nil {
+			t.Fatalf("%s under %s: %v", m.Name, c.Key(), err)
+		}
+		fp, _ := codegen.FingerprintInto(bin, nil)
+		return fp
+	}
+	for _, name := range prog.Names() {
+		m := prog.MustBuild(name)
+		want := fingerprint(m, &base)
+		for i, mut := range mutations {
+			c := base
+			mut(&c)
+			if c == base {
+				t.Fatalf("mutation %d leaves the base setting as it is", i)
+			}
+			if fingerprint(m, &c) != want {
+				t.Errorf("%s: mutation %d (%s) changed the binary", name, i, c.Key())
+			}
+		}
+	}
 }

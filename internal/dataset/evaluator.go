@@ -200,9 +200,10 @@ func newEvaluatorWith(cfg EvalConfig, base *sharedBase) *Evaluator {
 // performed. Compiles counts per-setting compilations: a storeless
 // sweep window that is evicted and later rebuilt recompiles, and
 // recounts, while a fully indexed run over a result store reads 0, the
-// -O3 probe included. PassRuns counts pipeline pass applications
-// executed; PassRunsSaved always reads 0 and stays only because bench/
-// reads the field. TraceReuses counts settings whose trace generation
+// -O3 probe included. PassRuns counts the pass applications of those
+// compiles in core.CompileCount's unit (a module pass once, a
+// per-function pass once per function it ran on); PassRunsSaved always
+// reads 0 and stays only because bench/ reads the field. TraceReuses counts settings whose trace generation
 // (and replay) was skipped because an earlier setting of the same sweep
 // produced a byte-identical binary - each such setting once, however
 // many cells it spans. TraceGens counts trace generations this evaluator
@@ -367,13 +368,13 @@ func (e *Evaluator) compile(sl *baseline, c *opt.Config) (*codegen.Program, erro
 			return nil, err
 		}
 	}
-	p, err := core.Compile(sl.m, c)
+	p, n, err := core.CompileCount(sl.m, c)
 	if err != nil {
 		return nil, err
 	}
 	e.mu.Lock()
 	e.compiles++
-	e.passRuns += planSteps(c, sl.m)
+	e.passRuns += int64(n)
 	e.mu.Unlock()
 	return p, nil
 }
@@ -409,21 +410,6 @@ func (e *Evaluator) Trace(name string, c *opt.Config) (*trace.Trace, *codegen.Pr
 		return nil, nil, err
 	}
 	return e.countTraceGen(trace.GenerateSized(p, sl.traceConfig(e.cfg), sl.capHint(e.cfg))), p, nil
-}
-
-// planSteps is the pass-application count of a compile of c over m, the
-// unit of Stats.PassRuns.
-func planSteps(c *opt.Config, m *ir.Module) int64 {
-	nonLib, lib := 0, 0
-	for _, f := range m.Funcs {
-		if f.Library {
-			lib++
-		} else {
-			nonLib++
-		}
-	}
-	plan := opt.PlanFor(c)
-	return int64(plan.Steps(nonLib, lib))
 }
 
 // settingBinary is one setting of a compiled sweep window: the binary and
@@ -538,9 +524,9 @@ func (e *Evaluator) simulate(tr *trace.Trace, a uarch.Config) cpu.Result {
 // a result store attached the store is asked before any trace exists -
 // for -O3 the slot's memoised fingerprint addresses it without
 // compiling, and a lookup costs tens of microseconds against a replay's
-// hundreds - and every fresh replay is committed: that is what makes a
-// store-backed prediction server's profile cache persistent across
-// restarts.
+// hundreds - and every fresh replay is committed, so a Session with a
+// store answers a repeated single run (Run, CyclesPerRun, Speedup,
+// OptimizeFor's profile) from disk, across restarts too.
 func (e *Evaluator) Run(name string, c *opt.Config, a uarch.Config) (cpu.Result, error) {
 	_, r, _, err := e.CompileAndRun(name, c, a)
 	return r, err

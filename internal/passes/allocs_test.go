@@ -52,7 +52,7 @@ func TestValueNumberingAllocs(t *testing.T) {
 }
 
 // TestCompileAllocs pins a whole compile of gs: clone, every pass of
-// the plan, register allocation and lowering. With tables hashed by
+// the pipeline, register allocation and lowering. With tables hashed by
 // register or block and the CFG analysis rebuilt by nearly every pass it
 // allocated 23 471 times at -O3 and 11 754 at the seeded setting; with
 // register-indexed tables and the analysis kept across instruction-only

@@ -334,8 +334,11 @@ func (s *Session) baselineCyclesPerRun(ctx context.Context, program string, arch
 // OptimizeFor is the deployment path of Figure 2: one profile run of the
 // program at -O3 on the target architecture supplies the performance
 // counters; the model predicts the best passes; the returned configuration
-// is ready to compile with.
+// is ready to compile with. A nil model fails with ErrInvalidConfig.
 func (s *Session) OptimizeFor(ctx context.Context, program string, arch Arch, m *Model) (OptConfig, error) {
+	if m == nil {
+		return OptConfig{}, fmt.Errorf("portcc: %w: no model", ErrInvalidConfig)
+	}
 	if m.Dim() != features.Dim {
 		return OptConfig{}, fmt.Errorf("portcc: %w: model has %d-wide feature vectors, a profile run measures %d",
 			ErrInvalidConfig, m.Dim(), features.Dim)

@@ -239,6 +239,9 @@ func TestTypedErrorRoundTrips(t *testing.T) {
 	if _, err := s.RunBatch(ctx, "crc", portcc.O3(), []portcc.Arch{portcc.XScale(), bad}); !errors.Is(err, portcc.ErrInvalidConfig) {
 		t.Errorf("RunBatch with invalid arch: got %v, want ErrInvalidConfig", err)
 	}
+	if _, err := s.OptimizeFor(ctx, "crc", portcc.XScale(), nil); !errors.Is(err, portcc.ErrInvalidConfig) {
+		t.Errorf("OptimizeFor with a nil model: got %v, want ErrInvalidConfig", err)
+	}
 
 	// An unknown program inside an exploration grid surfaces as both the
 	// sentinel and a located SimError.
