@@ -104,3 +104,40 @@ func TestCachedAnalysisMatchesFresh(t *testing.T) {
 		t.Errorf("the pipeline reported %d distinct passes, want %d", len(ran), len(passes))
 	}
 }
+
+// TestIRVerifiesAcrossPreRAPipeline runs the pipeline over the suite
+// under -O3, the zero configuration and seeded settings, and verifies
+// the whole module after every pass application before allocation (from
+// allocation on, physical registers legitimately break single
+// definition). A pass that leaves a branch to a removed block, a use of
+// an undefined register or a recursive call graph fails here, at the
+// pass that did it.
+func TestIRVerifiesAcrossPreRAPipeline(t *testing.T) {
+	cfgs := []opt.Config{opt.O3(), {}}
+	rng := rand.New(rand.NewSource(11))
+	for len(cfgs) < 26 {
+		cfgs = append(cfgs, opt.Random(rng))
+	}
+	verified := 0
+	for _, name := range prog.Names() {
+		src := prog.MustBuild(name)
+		if err := src.Verify(); err != nil {
+			t.Fatalf("%s: built module invalid: %v", name, err)
+		}
+		for ci := range cfgs {
+			m, allocated := src.Clone(), false
+			pipeline(m, &cfgs[ci], func(pass string, f *ir.Func) {
+				if allocated = allocated || pass == "alloc"; allocated {
+					return
+				}
+				verified++
+				if err := m.Verify(); err != nil {
+					t.Fatalf("%s under %s, %s after %s: %v", name, cfgs[ci].Key(), f.Name, pass, err)
+				}
+			})
+		}
+	}
+	if verified == 0 {
+		t.Fatal("no pass application was verified")
+	}
+}

@@ -16,24 +16,11 @@ import (
 
 // TestPipelineRandomConfigs is the central compiler property test: for
 // random points of the 39-dimensional optimisation space, compilation must
-// succeed, produce a well-formed binary (physical registers only, valid
-// control targets), and the binary must execute the same source-level work
-// as the -O3 baseline.
+// succeed and produce a well-formed binary (physical registers only, valid
+// call targets) that completes two runs of the program untruncated, and
+// the simulator must retire every instruction of its trace.
 func TestPipelineRandomConfigs(t *testing.T) {
 	programs := []string{"rijndael_e", "search", "gs", "toast", "crc", "susan_c", "bitcnts", "fft"}
-	o3 := opt.O3()
-	baseRuns := map[string]int{}
-	for _, name := range programs {
-		m := prog.MustBuild(name)
-		p, err := core.Compile(m, &o3)
-		if err != nil {
-			t.Fatalf("%s at -O3: %v", name, err)
-		}
-		tr := trace.Generate(p, trace.Config{Runs: 2, MaxInsns: 400000, Seed: 5})
-		baseRuns[name] = tr.Insns()
-		_ = tr
-	}
-
 	f := func(seed int64, pick uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		cfg := opt.Random(rng)
@@ -66,7 +53,7 @@ func TestPipelineRandomConfigs(t *testing.T) {
 				}
 			}
 		}
-		// Work equivalence and successful simulation.
+		// Two complete runs, and a simulation that retires them.
 		tr := trace.Generate(p, trace.Config{Runs: 2, MaxInsns: 400000, Seed: 5})
 		if tr.Runs != 2 || tr.Truncated {
 			t.Logf("%s: %d runs, truncated=%v", name, tr.Runs, tr.Truncated)
@@ -163,18 +150,6 @@ func TestLibraryCodeUntouched(t *testing.T) {
 		if f.Size() != p0.Module.Funcs[i].Size() {
 			t.Errorf("library function %s resized by flags: %d vs %d",
 				f.Name, f.Size(), p0.Module.Funcs[i].Size())
-		}
-	}
-}
-
-func TestIRVerifiesAcrossPreRAPipeline(t *testing.T) {
-	// Run the pre-RA portion by compiling with allocation-visible flags
-	// disabled and verifying the result parses; full Verify applies only
-	// pre-RA (physical registers legitimately violate single-def).
-	for _, name := range []string{"rijndael_e", "gs", "lame"} {
-		m := prog.MustBuild(name)
-		if err := m.Verify(); err != nil {
-			t.Fatalf("%s: pristine module invalid: %v", name, err)
 		}
 	}
 }

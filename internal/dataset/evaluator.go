@@ -12,15 +12,15 @@
 // on a pool of evaluators over one sharedBase; a standalone Evaluator
 // (NewEvaluator) serves single replays.
 //
-// Three things are resident at most: one -O3 baseline per program
+// Two things are resident at most: one -O3 baseline per program
 // (sharedBase: binary, trace and, once asked for, the trace's
-// cpu.Profile), one window of compiled binaries per sweep in flight
-// (sweep.go) and the result store - plus, on each sweep worker slot's
-// evaluator, one trace buffer, reused from replay to replay at the size
-// of the longest trace that slot has generated. A trace of any other
-// setting lives for exactly one replay, and one exploration cell is one
-// (program, setting) replayed over the request's whole architecture
-// sample; neither is configurable.
+// cpu.Profile) and one window of compiled binaries per sweep in flight
+// (sweep.go, which alone consults a result store) - plus, on each sweep
+// worker slot's evaluator, one trace buffer, reused from replay to
+// replay at the size of the longest trace that slot has generated. A
+// trace of any other setting lives for exactly one replay, and one
+// exploration cell is one (program, setting) replayed over the
+// request's whole architecture sample; neither is configurable.
 package dataset
 
 import (
@@ -105,10 +105,9 @@ type baseline struct {
 	merr    error
 
 	once   sync.Once
-	prog   *codegen.Program    // the -O3 binary
-	fp     codegen.Fingerprint // addresses its stored replays without compiling
-	runs   int                 // complete runs per trace, fixed per program
-	perRun int                 // dynamic instructions of one -O3 run (sizing hint)
+	prog   *codegen.Program // the -O3 binary
+	runs   int              // complete runs per trace, fixed per program
+	perRun int              // dynamic instructions of one -O3 run (sizing hint)
 	err    error
 
 	trOnce sync.Once
@@ -145,7 +144,8 @@ func (sl *baseline) capHint(cfg EvalConfig) int {
 // Evaluator compiles programs under optimisation settings and simulates
 // them on microarchitectures. The -O3 baseline of each program lives in
 // the base's slot and stays resident; nothing else is cached here - a
-// trace of any other setting is generated for the replay that needs it.
+// trace of any other setting is generated for the replay that needs it,
+// and no result store is consulted (only the sweep state holds one).
 // Safe for concurrent use.
 type Evaluator struct {
 	cfg  EvalConfig
@@ -156,10 +156,6 @@ type Evaluator struct {
 	// share via SetSweepWorkers so the two levels together match the
 	// machine (see internal/tune).
 	sweepWorkers atomic.Int64
-	// rstore, when set, is the persistent content-addressed result store
-	// replays are answered from and committed to (SetStore). Typically
-	// shared by every evaluator of a pool.
-	rstore *ResultStore
 
 	mu sync.Mutex
 	// The work ledger, read through Stats.
@@ -213,7 +209,7 @@ func newEvaluatorWith(cfg EvalConfig, base *sharedBase) *Evaluator {
 // that swept the data caches, DataSweepReuses those answered from the
 // sweep's data-stream memo instead; together, the batched replays run.
 // A slot's -O3 compile and probe are counted by the one evaluator that
-// built it. An attached result store keeps its own ledger
+// built it. A sweep's result store keeps its own ledger
 // (ResultStore.Stats).
 type Stats struct {
 	Compiles    int
@@ -253,24 +249,6 @@ func (e *Evaluator) Stats() Stats {
 	}
 	st.BaselineTraces, st.BaselineTraceBytes = e.base.traces.Load(), e.base.bytes.Load()
 	return st
-}
-
-// SetStore attaches a persistent result store: replays whose inputs
-// match a stored entry are answered from disk, fresh replays are
-// committed back. Results are bit-identical with or without a store
-// (the key pins every replay input); a broken store degrades to
-// cold-cache speed, never to wrong data.
-func (e *Evaluator) SetStore(rs *ResultStore) {
-	e.mu.Lock()
-	e.rstore = rs
-	e.mu.Unlock()
-}
-
-// resultStore returns the attached store, nil when none.
-func (e *Evaluator) resultStore() *ResultStore {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.rstore
 }
 
 // countTraceGen records one performed trace generation and hands the
@@ -316,9 +294,9 @@ func (b *sharedBase) forget(name string, sl *baseline) {
 	b.mu.Unlock()
 }
 
-// baseline returns the slot with its second step done: the -O3 binary,
-// its fingerprint and - from a 1-run probe of it - the run count that
-// makes every setting of the program do identical work.
+// baseline returns the slot with its second step done: the -O3 binary
+// and - from a 1-run probe of it - the run count that makes every
+// setting of the program do identical work.
 func (e *Evaluator) baseline(name string) (*baseline, error) {
 	sl, err := e.module(name)
 	if err != nil {
@@ -329,7 +307,6 @@ func (e *Evaluator) baseline(name string) (*baseline, error) {
 		if sl.prog, sl.err = e.compile(sl, &o3); sl.err != nil {
 			return
 		}
-		sl.fp, _ = codegen.FingerprintInto(sl.prog, nil)
 		probe := e.countTraceGen(trace.GenerateInto(trace.Get(0), sl.prog, trace.Config{Runs: 1, MaxInsns: e.cfg.MaxInsns, Seed: e.cfg.Seed}))
 		sl.perRun = probe.Insns()
 		sl.runs = deriveRuns(sl.perRun, e.cfg)
@@ -520,65 +497,34 @@ func (e *Evaluator) simulate(tr *trace.Trace, a uarch.Config) cpu.Result {
 	return r
 }
 
-// Run simulates program name compiled under c on architecture a. With
-// a result store attached the store is asked before any trace exists -
-// for -O3 the slot's memoised fingerprint addresses it without
-// compiling, and a lookup costs tens of microseconds against a replay's
-// hundreds - and every fresh replay is committed, so a Session with a
-// store answers a repeated single run (Run, CyclesPerRun, Speedup,
-// OptimizeFor's profile) from disk, across restarts too.
+// Run simulates program name compiled under c on architecture a: one
+// per-event replay of the slot's resident trace at -O3, of a fresh one
+// otherwise. It never consults a result store, so it stays an
+// independent check of every stored or profiled answer.
 func (e *Evaluator) Run(name string, c *opt.Config, a uarch.Config) (cpu.Result, error) {
 	_, r, _, err := e.CompileAndRun(name, c, a)
 	return r, err
 }
 
-// CyclesPerRun returns cycles normalised by complete program runs, the
-// comparable work-time metric. It is Run plus the division, store
-// included.
-func (e *Evaluator) CyclesPerRun(name string, c *opt.Config, a uarch.Config) (float64, error) {
-	_, r, runs, err := e.CompileAndRun(name, c, a)
-	if err != nil {
-		return 0, err
-	}
-	return float64(r.Cycles) / float64(runs), nil
-}
-
-// CompileAndRun is the one single-replay body: baseline, compile and
-// fingerprint unless -O3, ask the store if there is one, replay, commit.
-// It returns the binary and the trace's complete-run count beside the
-// result, so a caller that wants the image, the counters and cycles per
-// run compiles once. A replay is committed under the count its trace
-// completed and looked up under the program's, so a hit always carries
-// the run count of the trace that was replayed, instruction cap or not -
-// the sweep keys the same way.
+// CompileAndRun is the one single-replay body: baseline, compile unless
+// -O3, generate the trace, replay it on a. It returns the binary and the
+// trace's complete-run count beside the result, so a caller that wants
+// the image, the counters and cycles per run compiles once.
 func (e *Evaluator) CompileAndRun(name string, c *opt.Config, a uarch.Config) (*codegen.Program, cpu.Result, int, error) {
 	sl, err := e.baseline(name)
 	if err != nil {
 		return nil, cpu.Result{}, 0, err
 	}
-	p, fp := sl.prog, sl.fp
-	if *c != o3 {
-		if p, err = e.compile(sl, c); err != nil {
-			return nil, cpu.Result{}, 0, err
-		}
-		fp, _ = codegen.FingerprintInto(p, nil)
-	}
-	st, archs := e.resultStore(), []uarch.Config{a}
-	if st != nil {
-		if rs, ok := st.Get(fp, sl.runs, e.cfg, archs); ok {
-			return p, rs[0], sl.runs, nil
-		}
-	}
+	p := sl.prog
 	var tr *trace.Trace
 	if *c == o3 {
 		tr = e.baselineTrace(sl)
 	} else {
+		if p, err = e.compile(sl, c); err != nil {
+			return nil, cpu.Result{}, 0, err
+		}
 		tr = e.pooledTrace(sl, p)
 		defer trace.Put(tr)
 	}
-	r, runs := e.simulate(tr, a), max(tr.Runs, 1)
-	if st != nil {
-		st.Put(fp, runs, e.cfg, archs, []cpu.Result{r})
-	}
-	return p, r, runs, nil
+	return p, e.simulate(tr, a), max(tr.Runs, 1), nil
 }

@@ -155,52 +155,6 @@ func TestConcurrentProfileSingleFlights(t *testing.T) {
 	}
 }
 
-// TestRunCommitsEveryProfile is the store-backed serving defect: once
-// the -O3 trace was resident Run skipped the store, so K architectures
-// of one program committed one entry and a restarted server
-// re-simulated the other K-1.
-func TestRunCommitsEveryProfile(t *testing.T) {
-	cfg := EvalConfig{TargetInsns: 4_000, Seed: 1}
-	archs := uarch.Space{}.SampleN(rand.New(rand.NewSource(7)), 5)
-	o3 := opt.O3()
-	dir := t.TempDir()
-	var want []cpu.Result
-
-	first := openStore(t, dir)
-	ev1 := NewEvaluator(cfg)
-	ev1.SetStore(first)
-	for _, a := range archs {
-		r, err := ev1.Run("crc", &o3, a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, r)
-	}
-	if s := first.Stats(); s.Puts != int64(len(archs)) {
-		t.Fatalf("%d entries committed for %d architectures", s.Puts, len(archs))
-	}
-	if s := ev1.Stats(); s.Simulations != len(archs) || s.Compiles != 1 || s.TraceGens != 2 {
-		t.Fatalf("cold ledger %+v, want %d simulations of one resident trace", s, len(archs))
-	}
-	first.Close()
-
-	second := openStore(t, dir)
-	ev2 := NewEvaluator(cfg)
-	ev2.SetStore(second)
-	for i, a := range archs {
-		r, err := ev2.Run("crc", &o3, a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r != want[i] {
-			t.Errorf("arch %d: stored replay differs", i)
-		}
-	}
-	if s, ss := ev2.Stats(), second.Stats(); ss.Hits != int64(len(archs)) || s.Simulations != 0 || s.TraceGens > 1 {
-		t.Fatalf("warm ledger %+v, store %+v, want %d store hits, no simulation, no generation beyond the probe", s, ss, len(archs))
-	}
-}
-
 // TestCompileGeneratesNoTrace: a caller that wants the binary pays for
 // the compile and nothing else - no trace of the tuned setting, and for
 // -O3 not even a compile, the slot's binary is handed out.

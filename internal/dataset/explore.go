@@ -291,16 +291,13 @@ func runCell(ev *Evaluator, req *ExploreRequest, c exploreCell) (ExploreResult, 
 // InstrumentedRunnerStore is runner with one worker slot and
 // sequential sweeps, returning the slot's evaluator alongside so a
 // caller driving the grid itself can read the work counters (Stats)
-// afterwards, with a store attached or not (nil = none). Two callers
-// remain: bench/staged.go, for the dataset.* work counters of the one
-// benchmark, and sweep_test.go, which pins those counters.
+// afterwards, with the sweep over a result store or not (nil = none).
+// Two callers remain: bench/staged.go, for the dataset.* work counters
+// of the one benchmark, and sweep_test.go, which pins those counters.
 func (r *ExploreRequest) InstrumentedRunnerStore(st *ResultStore) (func(slot, index int) (any, error), *Evaluator) {
 	run, evs := r.runner(1, 1, st)
 	evs[0] = NewEvaluator(r.Eval)
 	evs[0].SetSweepWorkers(1)
-	if st != nil {
-		evs[0].SetStore(st)
-	}
 	return run, evs[0]
 }
 
@@ -320,17 +317,18 @@ func (r *ExploreRequest) InstrumentedRunnerStore(st *ResultStore) (func(slot, in
 // so it matches the pool's slot contract. sweepWorkers is the per-slot
 // budget of the batched replays inside each cell (0 auto-tunes: leftover
 // cores the slot fan-out cannot occupy go to each slot's sweeps, see
-// internal/tune). st is a persistent result store every slot's evaluator
-// answers replays from and commits them to (nil = none). Results are
-// bit-identical at every sweepWorkers and with or without a store. The
-// slots' evaluators come back alongside, filled in as each slot runs its
-// first cell, for callers that read their work counters.
+// internal/tune). st is a persistent result store the sweep state
+// answers identities and replays from and commits them to (nil = none;
+// the naive path never sees it). Results are bit-identical at every
+// sweepWorkers and with or without a store. The slots' evaluators come
+// back alongside, filled in as each slot runs its first cell, for
+// callers that read their work counters.
 func (r *ExploreRequest) runner(slots, sweepWorkers int, st *ResultStore) (func(slot, index int) (any, error), []*Evaluator) {
 	base := newSharedBase()
 	evs := make([]*Evaluator, slots)
 	var sw *sweepState
 	if !r.Naive {
-		sw = newSweepState(r)
+		sw = newSweepState(r, st)
 	}
 	if sweepWorkers <= 0 {
 		// Auto-tune: the slot fan-out claims the machine first, and each
@@ -341,9 +339,6 @@ func (r *ExploreRequest) runner(slots, sweepWorkers int, st *ResultStore) (func(
 		if evs[slot] == nil {
 			evs[slot] = newEvaluatorWith(r.Eval, base)
 			evs[slot].SetSweepWorkers(sweepWorkers)
-			if st != nil {
-				evs[slot].SetStore(st)
-			}
 		}
 		var res ExploreResult
 		var err error

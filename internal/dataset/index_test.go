@@ -127,9 +127,6 @@ func hookedRunner(req *ExploreRequest, slots int, st *ResultStore, hook func(slo
 	for slot := range evs {
 		ev := newEvaluatorWith(req.Eval, base)
 		ev.SetSweepWorkers(1)
-		if st != nil {
-			ev.SetStore(st)
-		}
 		ev.compileHook = func(c *opt.Config) error { return hook(slot, c) }
 		evs[slot] = ev
 	}

@@ -274,61 +274,3 @@ func TestBlockKeySensitivity(t *testing.T) {
 		}
 	}
 }
-
-// TestEvaluatorRunStorePath proves the single-replay path (the
-// prediction server's profile cache): a fresh evaluator over a warm
-// store answers Run from disk without generating a trace, and the
-// result matches the storeless computation exactly.
-func TestEvaluatorRunStorePath(t *testing.T) {
-	cfg := storeConfig()
-	req, err := cfg.Request()
-	if err != nil {
-		t.Fatal(err)
-	}
-	name, oc, arch := req.Programs[0], req.Opts[1], req.Archs[0]
-
-	plain := NewEvaluator(cfg.Eval)
-	want, err := plain.Run(name, &oc, arch)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	first := openStore(t, dir)
-	ev1 := NewEvaluator(cfg.Eval)
-	ev1.SetStore(first)
-	got, err := ev1.Run(name, &oc, arch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatal("store-backed Run differs from plain Run")
-	}
-	if s := first.Stats(); s.Misses == 0 {
-		t.Fatalf("cold Run did not consult the store: %+v", s)
-	}
-	first.Close()
-
-	second := openStore(t, dir)
-	ev2 := NewEvaluator(cfg.Eval)
-	ev2.SetStore(second)
-	got2, err := ev2.Run(name, &oc, arch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got2 != want {
-		t.Fatal("warm Run differs from plain Run")
-	}
-	if ss := second.Stats(); ss.Hits == 0 {
-		t.Fatalf("warm Run missed the store: %+v", ss)
-	}
-	s := ev2.Stats()
-	// The -O3 probe (which fixes the run count, part of the key) still
-	// runs once; the replay itself must come from disk.
-	if s.Simulations != 0 {
-		t.Fatalf("warm Run simulated anyway: %+v", s)
-	}
-	if s.TraceGens > 1 {
-		t.Fatalf("warm Run generated beyond the -O3 probe: %+v", s)
-	}
-}

@@ -56,6 +56,9 @@ const maxBuiltWindows = 8
 // sweepState is shared by every worker slot of one Runner.
 type sweepState struct {
 	req *ExploreRequest
+	// st is the persistent result store the sweep answers identities and
+	// replays from and commits them to (nil = none), shared by every slot.
+	st *ResultStore
 
 	mu    sync.Mutex
 	progs map[int]*progSweep
@@ -119,8 +122,8 @@ type simCell struct {
 	err     error
 }
 
-func newSweepState(req *ExploreRequest) *sweepState {
-	return &sweepState{req: req, progs: make(map[int]*progSweep)}
+func newSweepState(req *ExploreRequest, st *ResultStore) *sweepState {
+	return &sweepState{req: req, st: st, progs: make(map[int]*progSweep)}
 }
 
 // prog returns (creating on first use) the per-program state.
@@ -183,9 +186,9 @@ func (s *sweepState) sim(ps *progSweep, fp codegen.Fingerprint) *simCell {
 // block - when it answers, identities are set and nothing was built, not
 // even the -O3 baseline - and otherwise build the baseline the compiles
 // below start from.
-func (w *sweepWindow) resolve(ev *Evaluator, s *sweepState, ps *progSweep, st *ResultStore, name string) {
+func (w *sweepWindow) resolve(ev *Evaluator, s *sweepState, ps *progSweep, name string) {
 	var sl *baseline
-	if st != nil {
+	if st := s.st; st != nil {
 		if sl, w.err = ev.module(name); w.err != nil {
 			return
 		}
@@ -209,7 +212,7 @@ func (w *sweepWindow) resolve(ev *Evaluator, s *sweepState, ps *progSweep, st *R
 // identities and commits the block - unless a setting failed to compile:
 // a hit always means good binaries - after releasing the setting, so no
 // slot waits behind the fsync.
-func (w *sweepWindow) compile(ev *Evaluator, s *sweepState, ps *progSweep, st *ResultStore, name string, li int) *settingBinary {
+func (w *sweepWindow) compile(ev *Evaluator, s *sweepState, ps *progSweep, name string, li int) *settingBinary {
 	b, last := &w.bins[li], false
 	b.once.Do(func() {
 		sl, err := ev.baseline(name)
@@ -222,7 +225,7 @@ func (w *sweepWindow) compile(ev *Evaluator, s *sweepState, ps *progSweep, st *R
 			last = w.landed.Add(1) == int32(w.n)
 		} else if b.Err != nil || sl.runs != w.runs || b.FP != w.fps[li] {
 			b.Err = fmt.Errorf("%w: %s setting %d: bump core.Version", pcerr.ErrIndexStale, name, w.start+li)
-			st.quarantineBlock(w.key, b.Err)
+			s.st.quarantineBlock(w.key, b.Err)
 		}
 	})
 	if last {
@@ -233,8 +236,8 @@ func (w *sweepWindow) compile(ev *Evaluator, s *sweepState, ps *progSweep, st *R
 			}
 		}
 		s.countReuses(ev, ps, w.start, fps)
-		if st != nil && len(fps) == w.n {
-			st.s.Put(w.key, encodeBlock(w.runs, fps))
+		if s.st != nil && len(fps) == w.n {
+			s.st.s.Put(w.key, encodeBlock(w.runs, fps))
 		}
 	}
 	return &b.settingBinary
@@ -249,10 +252,9 @@ func runCellBatched(ev *Evaluator, s *sweepState, c exploreCell) (ExploreResult,
 	req := s.req
 	name := req.Programs[c.prog]
 	ps := s.prog(c.prog)
-	st := ev.resultStore()
 
 	w := s.windowAt(ps, c.opt/indexBlock*indexBlock)
-	w.once.Do(func() { w.resolve(ev, s, ps, st, name) })
+	w.once.Do(func() { w.resolve(ev, s, ps, name) })
 
 	li := c.opt - w.start
 	var fp codegen.Fingerprint
@@ -264,9 +266,9 @@ func runCellBatched(ev *Evaluator, s *sweepState, c exploreCell) (ExploreResult,
 	default:
 		// Help while a setting is unclaimed, then wait for this cell's only.
 		for i := w.next.Add(1) - 1; int(i) < w.n; i = w.next.Add(1) - 1 {
-			w.compile(ev, s, ps, st, name, int(i))
+			w.compile(ev, s, ps, name, int(i))
 		}
-		b := w.compile(ev, s, ps, st, name, li)
+		b := w.compile(ev, s, ps, name, li)
 		fp, err = b.FP, b.Err
 	}
 	if err != nil {
@@ -281,14 +283,14 @@ func runCellBatched(ev *Evaluator, s *sweepState, c exploreCell) (ExploreResult,
 		// A persistent store answers before any trace (or, in an indexed
 		// window, any binary) exists: fingerprint plus workload parameters
 		// address the previous run's replay of exactly this sample.
-		if st != nil {
-			if results, ok := st.Get(fp, w.runs, ev.cfg, req.Archs); ok {
+		if s.st != nil {
+			if results, ok := s.st.Get(fp, w.runs, ev.cfg, req.Archs); ok {
 				sc.runs, sc.results = w.runs, results
 				return
 			}
 		}
 		// An indexed window compiles here, this setting only.
-		b := w.compile(ev, s, ps, st, name, li)
+		b := w.compile(ev, s, ps, name, li)
 		if b.Err != nil {
 			sc.err = b.Err
 			return
@@ -301,8 +303,8 @@ func runCellBatched(ev *Evaluator, s *sweepState, c exploreCell) (ExploreResult,
 		tr := ev.slotTrace(sl, b.Prog)
 		sc.runs = max(tr.Runs, 1)
 		sc.results = ev.simulateBatch(tr, req.Archs, &ps.data)
-		if st != nil {
-			st.Put(fp, sc.runs, ev.cfg, req.Archs, sc.results)
+		if s.st != nil {
+			s.st.Put(fp, sc.runs, ev.cfg, req.Archs, sc.results)
 		}
 	})
 	s.consume(ps)

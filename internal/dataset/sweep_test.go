@@ -140,7 +140,7 @@ func TestSweepCountsCompilesAndTwins(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := NewEvaluator(req.Eval)
-	sw := newSweepState(&req)
+	sw := newSweepState(&req, nil)
 	for i := range req.Cells() {
 		if _, err := runCellBatched(ev, sw, req.cell(i)); err != nil {
 			t.Fatal(err)
@@ -227,7 +227,7 @@ func TestPartialGridRunnerBoundedAndCorrect(t *testing.T) {
 	}
 	// Reach into the sweep state through a fresh runner to assert the
 	// invariants structurally instead: build one directly.
-	sw := newSweepState(&req)
+	sw := newSweepState(&req, nil)
 	for i := range req.Cells() {
 		if (i/8)%2 == 1 {
 			continue
@@ -432,7 +432,7 @@ func TestSweepSweepsEachDataStreamOnce(t *testing.T) {
 	if !typeHolds(reflect.TypeOf(progSweep{}), memo, map[reflect.Type]bool{}) || typeHolds(reflect.TypeOf(Evaluator{}), memo, map[reflect.Type]bool{}) {
 		t.Error("the data-stream memo must be held by progSweep and by no evaluator")
 	}
-	ev, sw := NewEvaluator(req.Eval), newSweepState(&req)
+	ev, sw := NewEvaluator(req.Eval), newSweepState(&req, nil)
 	for i := range req.Cells() {
 		if _, err := runCellBatched(ev, sw, req.cell(i)); err != nil {
 			t.Fatal(err)

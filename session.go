@@ -111,7 +111,10 @@ func WithNaiveCompile() Option {
 // optimisation settings, run them on simulated microarchitectures, and
 // stream design-space explorations. A Session is safe for concurrent use;
 // every long-running method takes a context and stops promptly - draining
-// its workers - when the context is cancelled.
+// its workers - when the context is cancelled. A result store
+// (WithResultStore) serves Explore and GenerateDataset only: the
+// single-run methods (Compile, Run, RunBatch, CyclesPerRun, Speedup,
+// CompileAndRun, OptimizeFor) neither consult nor write it.
 type Session struct {
 	cfg sessionConfig
 	ev  *dataset.Evaluator
@@ -147,9 +150,6 @@ func NewSession(opts ...Option) *Session {
 	// Speedup): nothing else competes for the machine there, so its
 	// batched replays sweep over the full budget (0 = GOMAXPROCS).
 	s.ev = dataset.NewEvaluator(s.evalConfig())
-	if cfg.explore.Store != nil {
-		s.ev.SetStore(cfg.explore.Store)
-	}
 	return s
 }
 
@@ -214,8 +214,7 @@ func (s *Session) Run(ctx context.Context, program string, cfg OptConfig, arch A
 // architecture in a single batched pass (bit-identical to calling Run per
 // architecture, but the trace is streamed once and cache/BTB state is
 // deduplicated by geometry). This is the fast path for design-space
-// exploration: one binary, many microarchitectures. It always replays:
-// a result store (WithResultStore) is neither consulted nor written.
+// exploration: one binary, many microarchitectures.
 func (s *Session) RunBatch(ctx context.Context, program string, cfg OptConfig, archs []Arch) ([]RunResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -250,7 +249,11 @@ func (s *Session) CyclesPerRun(ctx context.Context, program string, cfg OptConfi
 	if err := cfg.Validate(); err != nil {
 		return 0, err
 	}
-	return s.ev.CyclesPerRun(program, &cfg, arch)
+	_, r, runs, err := s.ev.CompileAndRun(program, &cfg, arch)
+	if err != nil {
+		return 0, err
+	}
+	return float64(r.Cycles) / float64(runs), nil
 }
 
 // Speedup measures cfg against -O3 on the given architecture. The -O3

@@ -501,38 +501,6 @@ func TestBaselineNotPoisonedByOthersCancellation(t *testing.T) {
 	}
 }
 
-// TestSpeedupAnswersFromResultStore: WithResultStore promises that the
-// single-run methods answer matching replays from the store. Two
-// sessions over one directory: the first replays and commits, the second
-// reports the identical speedup without a single simulation.
-func TestSpeedupAnswersFromResultStore(t *testing.T) {
-	ctx := context.Background()
-	dir := t.TempDir()
-	tuned := portcc.O3()
-	tuned.Flags[portcc.FScheduleInsns] = false
-	speedup := func() (float64, int) {
-		rs, err := portcc.OpenResultStore(dir, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer rs.Close()
-		s := tinySession(portcc.WithResultStore(rs))
-		v, err := s.Speedup(ctx, "crc", tuned, portcc.XScale())
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, sims := s.Stats()
-		return v, sims
-	}
-	first, sims := speedup()
-	if sims != 2 {
-		t.Fatalf("cold Speedup ran %d simulations, want 2 (baseline + candidate)", sims)
-	}
-	if second, sims := speedup(); second != first || sims != 0 {
-		t.Errorf("Speedup over the populated store: %v after %d simulations, want %v after 0", second, sims, first)
-	}
-}
-
 // TestSingleRunMethodsValidateSetting: a parameter level past the space
 // is a typed refusal at every single-run entry point, not an index out
 // of range inside the compiler.

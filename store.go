@@ -40,13 +40,12 @@ func OpenResultStoreRemote(dir string, budget int64, addr string) (*ResultStore,
 	return dataset.OpenResultStoreRemote(dir, budget, addr)
 }
 
-// WithResultStore attaches a persistent result store to the session:
-// Explore, GenerateDataset and the single-run methods (Run,
-// CyclesPerRun, Speedup, OptimizeFor) answer matching replays from it
-// and commit fresh ones; RunBatch always replays and touches no store.
-// Pass the same store to successive sessions (or reopen its directory
-// across process restarts) to make exploration resumable. The caller
-// owns Close.
+// WithResultStore attaches a persistent result store to the session's
+// sweeps: Explore and GenerateDataset answer matching replays from it
+// and commit fresh ones. The single-run methods never touch it (see
+// Session). Pass the same store to successive sessions (or reopen its
+// directory across process restarts) to make exploration resumable.
+// The caller owns Close.
 func WithResultStore(rs *ResultStore) Option {
 	return func(c *sessionConfig) { c.explore.Store = rs }
 }
