@@ -21,11 +21,10 @@
 // query compiles it at -O3 and replays its trace once over a sample
 // covering the whole architecture space (about 10 ms); every later
 // architecture of it is a closed-form lookup of that profile. An LRU
-// cache of -cache (program, uarch) entries keeps each pair's feature
-// vector and its encoded answer: a repeat query writes the stored
-// answer, and after a model reload recomputes it from the stored vector
-// without profiling. Nothing is persisted: a restarted server re-warms
-// each program with its one covering replay.
+// cache of -cache (program, uarch) entries keeps each pair's encoded
+// answer: a repeat query writes the stored answer, and after a model
+// reload recomputes it from a profile lookup. Nothing is persisted: a
+// restarted server re-warms each program with its one covering replay.
 // When the artifact file changes on disk it is hot-reloaded
 // (content-fingerprint checked); excess load beyond the admission
 // bounds is shed with HTTP 429 + Retry-After.
@@ -51,7 +50,7 @@ func main() {
 	var cf cliutil.Flags
 	cf.RegisterModel("model artifact to serve (required; from trainer -model-out)")
 	cf.RegisterAddr(":7078")
-	cacheEntries := flag.Int("cache", 0, "feature-cache capacity in (program, uarch) entries (0 = default 1024)")
+	cacheEntries := flag.Int("cache", 0, "answer-cache capacity in (program, uarch) entries (0 = default 1024)")
 	maxInFlight := flag.Int("max-inflight", 0, "max concurrently executing predictions (0 = GOMAXPROCS)")
 	maxQueue := flag.Int("max-queue", 0, "max predictions queued for a slot before shedding 429s (0 = 4x max-inflight)")
 	reload := flag.Duration("reload", time.Second, "artifact staleness check interval")

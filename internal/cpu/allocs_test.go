@@ -73,7 +73,7 @@ func TestSimulateBatchClosedFormAllocs(t *testing.T) {
 }
 
 // TestProfileResultAllocs pins a profile lookup at zero allocations: a
-// served feature-cache miss is this call plus the feature vector.
+// served answer-cache miss is this call plus the feature vector.
 func TestProfileResultAllocs(t *testing.T) {
 	p := NewProfile(randomTrace(rand.New(rand.NewSource(5)), 5000), 1)
 	cfg := uarch.XScale()

@@ -123,8 +123,6 @@ const blockWords = blockEvents / 64
 // position within the block.
 type bitset []uint64
 
-func newBitset() bitset { return make(bitset, blockWords) }
-
 // simScratch recycles the batch engine's per-call working state. A
 // generation sweep calls SimulateBatchWith once per compiled trace with
 // the identical architecture sample, so the setup allocates the same

@@ -514,6 +514,8 @@ func sampleGeoms(archs []uarch.Config, data bool) []stackGeom {
 	return geoms
 }
 
+func newBitset() bitset { return make(bitset, blockWords) }
+
 // chainsMatchIndependent replays tr through the stacks of geoms twice -
 // chained, as the engine sweeps them, and each on its own through
 // sweepStackReference - as data stacks or as instruction stacks over

@@ -199,10 +199,11 @@ func newEvaluatorWith(cfg EvalConfig, base *sharedBase) *Evaluator {
 // -O3 probe included. PassRuns counts the pass applications of those
 // compiles in core.CompileCount's unit (a module pass once, a
 // per-function pass once per function it ran on); PassRunsSaved always
-// reads 0 and stays only because bench/ reads the field. TraceReuses counts settings whose trace generation
-// (and replay) was skipped because an earlier setting of the same sweep
-// produced a byte-identical binary - each such setting once, however
-// many cells it spans. TraceGens counts trace generations this evaluator
+// reads 0 and stays only because bench/ reads the field. TraceReuses
+// counts the sweep cells this evaluator ran that found their binary's
+// replay memo already made - an earlier setting of the same program in
+// the same sweep produced a byte-identical binary - so their trace
+// generation and replay were skipped. TraceGens counts trace generations this evaluator
 // performed and TraceEvents the dynamic instructions they emitted - the
 // denominator that makes generator-throughput changes observable from a
 // benchmark run without a profiler. DataSweeps counts batched replays

@@ -80,10 +80,10 @@ func TestResidentBaselineMatchesFreshPipeline(t *testing.T) {
 }
 
 // TestConcurrentFirstTouchSingleFlights is the serving pattern the slot
-// exists for: the feature cache single-flights per (program, arch), so
-// eight first-touch misses on one program at eight architectures reach
-// the evaluator together. They must share one -O3 compile, one probe
-// and one full-length trace.
+// exists for: the prediction server's answer cache single-flights
+// nothing, so every first-touch miss on one program - eight here, at
+// eight architectures - reaches the evaluator together. They must share
+// one -O3 compile, one probe and one full-length trace.
 func TestConcurrentFirstTouchSingleFlights(t *testing.T) {
 	// A target long enough for several runs per trace: the full-length
 	// generation then takes long enough for the others to pile up on it.

@@ -80,12 +80,6 @@ type progSweep struct {
 	windows   map[int]*sweepWindow
 	sims      map[codegen.Fingerprint]*simCell
 	data      cpu.DataMemo // data-cache outcomes per distinct data stream
-	// seenFPs and counted drive the TraceReuses accounting: fingerprints
-	// already owned by an earlier setting of this program, and window
-	// starts whose reuse count has been recorded (a rebuilt window must
-	// not recount).
-	seenFPs map[codegen.Fingerprint]bool
-	counted map[int]bool
 }
 
 // sweepWindow is one index block of settings, looked up by the first cell
@@ -137,8 +131,6 @@ func (s *sweepState) prog(p int) *progSweep {
 			cellsLeft: len(s.req.Opts),
 			windows:   make(map[int]*sweepWindow),
 			sims:      make(map[codegen.Fingerprint]*simCell),
-			seenFPs:   make(map[codegen.Fingerprint]bool),
-			counted:   make(map[int]bool),
 		}
 		s.progs[p] = ps
 	}
@@ -170,14 +162,22 @@ func (s *sweepState) windowAt(ps *progSweep, start int) *sweepWindow {
 	return w
 }
 
-// sim returns (creating on first use) a binary's replay memo slot.
-func (s *sweepState) sim(ps *progSweep, fp codegen.Fingerprint) *simCell {
+// sim returns (creating on first use) a binary's replay memo slot. A
+// slot that exists already is a twin's - an earlier setting of the
+// program produced the same binary - and counts as one of ev's
+// TraceReuses.
+func (s *sweepState) sim(ev *Evaluator, ps *progSweep, fp codegen.Fingerprint) *simCell {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	sc, ok := ps.sims[fp]
-	if !ok {
+	sc, twin := ps.sims[fp]
+	if !twin {
 		sc = &simCell{}
 		ps.sims[fp] = sc
+	}
+	s.mu.Unlock()
+	if twin {
+		ev.mu.Lock()
+		ev.traceReuses++
+		ev.mu.Unlock()
 	}
 	return sc
 }
@@ -186,7 +186,7 @@ func (s *sweepState) sim(ps *progSweep, fp codegen.Fingerprint) *simCell {
 // block - when it answers, identities are set and nothing was built, not
 // even the -O3 baseline - and otherwise build the baseline the compiles
 // below start from.
-func (w *sweepWindow) resolve(ev *Evaluator, s *sweepState, ps *progSweep, name string) {
+func (w *sweepWindow) resolve(ev *Evaluator, s *sweepState, name string) {
 	var sl *baseline
 	if st := s.st; st != nil {
 		if sl, w.err = ev.module(name); w.err != nil {
@@ -194,7 +194,6 @@ func (w *sweepWindow) resolve(ev *Evaluator, s *sweepState, ps *progSweep, name 
 		}
 		w.key = blockKey(name, sl.mhash, s.req.Opts[w.start:w.start+w.n], ev.cfg)
 		if w.runs, w.fps = st.getBlock(w.key, w.n); w.fps != nil {
-			s.countReuses(ev, ps, w.start, w.fps)
 			return
 		}
 	}
@@ -212,7 +211,7 @@ func (w *sweepWindow) resolve(ev *Evaluator, s *sweepState, ps *progSweep, name 
 // identities and commits the block - unless a setting failed to compile:
 // a hit always means good binaries - after releasing the setting, so no
 // slot waits behind the fsync.
-func (w *sweepWindow) compile(ev *Evaluator, s *sweepState, ps *progSweep, name string, li int) *settingBinary {
+func (w *sweepWindow) compile(ev *Evaluator, s *sweepState, name string, li int) *settingBinary {
 	b, last := &w.bins[li], false
 	b.once.Do(func() {
 		sl, err := ev.baseline(name)
@@ -228,15 +227,14 @@ func (w *sweepWindow) compile(ev *Evaluator, s *sweepState, ps *progSweep, name 
 			s.st.quarantineBlock(w.key, b.Err)
 		}
 	})
-	if last {
+	if last && s.st != nil {
 		fps := make([]codegen.Fingerprint, 0, w.n)
 		for i := range w.bins {
 			if w.bins[i].Err == nil {
 				fps = append(fps, w.bins[i].FP)
 			}
 		}
-		s.countReuses(ev, ps, w.start, fps)
-		if s.st != nil && len(fps) == w.n {
+		if len(fps) == w.n {
 			s.st.s.Put(w.key, encodeBlock(w.runs, fps))
 		}
 	}
@@ -254,7 +252,7 @@ func runCellBatched(ev *Evaluator, s *sweepState, c exploreCell) (ExploreResult,
 	ps := s.prog(c.prog)
 
 	w := s.windowAt(ps, c.opt/indexBlock*indexBlock)
-	w.once.Do(func() { w.resolve(ev, s, ps, name) })
+	w.once.Do(func() { w.resolve(ev, s, name) })
 
 	li := c.opt - w.start
 	var fp codegen.Fingerprint
@@ -266,9 +264,9 @@ func runCellBatched(ev *Evaluator, s *sweepState, c exploreCell) (ExploreResult,
 	default:
 		// Help while a setting is unclaimed, then wait for this cell's only.
 		for i := w.next.Add(1) - 1; int(i) < w.n; i = w.next.Add(1) - 1 {
-			w.compile(ev, s, ps, name, int(i))
+			w.compile(ev, s, name, int(i))
 		}
-		b := w.compile(ev, s, ps, name, li)
+		b := w.compile(ev, s, name, li)
 		fp, err = b.FP, b.Err
 	}
 	if err != nil {
@@ -278,7 +276,7 @@ func runCellBatched(ev *Evaluator, s *sweepState, c exploreCell) (ExploreResult,
 
 	// Twin settings (same fingerprint, any window) resolve their replay
 	// from the memo below, or compute it once for all, without a trace.
-	sc := s.sim(ps, fp)
+	sc := s.sim(ev, ps, fp)
 	sc.once.Do(func() {
 		// A persistent store answers before any trace (or, in an indexed
 		// window, any binary) exists: fingerprint plus workload parameters
@@ -290,7 +288,7 @@ func runCellBatched(ev *Evaluator, s *sweepState, c exploreCell) (ExploreResult,
 			}
 		}
 		// An indexed window compiles here, this setting only.
-		b := w.compile(ev, s, ps, name, li)
+		b := w.compile(ev, s, name, li)
 		if b.Err != nil {
 			sc.err = b.Err
 			return
@@ -320,29 +318,6 @@ func runCellBatched(ev *Evaluator, s *sweepState, c exploreCell) (ExploreResult,
 		Runs:      sc.runs,
 		Results:   sc.results,
 	}, nil
-}
-
-// countReuses records a freshly resolved window's fingerprints against
-// the program's registry and adds to the evaluator's TraceReuses how
-// many of its settings share an earlier setting's byte-identical binary
-// (within the window or across windows). A rebuilt window contributes
-// nothing: its start is already marked counted.
-func (s *sweepState) countReuses(ev *Evaluator, ps *progSweep, start int, fps []codegen.Fingerprint) {
-	var reuses int64
-	s.mu.Lock()
-	if !ps.counted[start] {
-		for _, fp := range fps {
-			if ps.seenFPs[fp] {
-				reuses++
-			}
-			ps.seenFPs[fp] = true
-		}
-		ps.counted[start] = true
-	}
-	s.mu.Unlock()
-	ev.mu.Lock()
-	ev.traceReuses += reuses
-	ev.mu.Unlock()
 }
 
 // consume retires one cell; when a program's whole grid has been

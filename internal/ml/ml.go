@@ -114,21 +114,6 @@ func (d *Dist) Mode() opt.Config {
 	return c
 }
 
-// CrossEntropy returns H(p, g) between two per-dimension distributions -
-// the quantity minimised by the fit (equation 2/3), useful for tests.
-func CrossEntropy(p, g *Dist) float64 {
-	const eps = 1e-12
-	h := 0.0
-	for l := 0; l < opt.NumDims; l++ {
-		for j := 0; j < opt.DimSize(l); j++ {
-			if p.Theta[l][j] > 0 {
-				h -= p.Theta[l][j] * math.Log(g.Theta[l][j]+eps)
-			}
-		}
-	}
-	return h
-}
-
 // TrainingPair is one program/microarchitecture pair of the training set.
 type TrainingPair struct {
 	// Prog names the program; Arch identifies the microarchitecture

@@ -34,9 +34,6 @@ func DimName(d int) string {
 	return paramNames[d-NumFlags]
 }
 
-// DimIsFlag reports whether dimension d is a boolean flag.
-func DimIsFlag(d int) bool { return d < NumFlags }
-
 // Value returns the value index of dimension d in the configuration:
 // 0/1 for flags, the level index for parameters.
 func (c *Config) Value(d int) int {

@@ -149,7 +149,7 @@ func TestDimNamesMatchFlagNames(t *testing.T) {
 func TestDimSizes(t *testing.T) {
 	for d := 0; d < NumDims; d++ {
 		want := 2
-		if !DimIsFlag(d) {
+		if d >= NumFlags {
 			want = ParamLevelCount
 		}
 		if DimSize(d) != want {

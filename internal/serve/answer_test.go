@@ -91,7 +91,7 @@ func (s *Server) storedAnswer(program, arch string) (*ml.Model, []byte) {
 	c := s.cache
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.vecs[program+"|"+arch]
+	el, ok := c.entries[program+"|"+arch]
 	if !ok {
 		return nil, nil
 	}

@@ -42,7 +42,7 @@ func metricValue(t testing.TB, h http.Handler, name string) string {
 }
 
 // TestMissAnswersFromProfile pins the cold path: once a program has
-// been queried, a feature-cache miss at a new architecture is a lookup
+// been queried, a cache miss at a new architecture is a lookup
 // in its resident profile - no compile, no trace generation, no
 // simulation - however many other programs were profiled in between
 // (six here), and the dashboard shows both the miss's cost and the
@@ -83,7 +83,7 @@ func TestMissAnswersFromProfile(t *testing.T) {
 	// The miss path's allocation budget: request decode, the profile
 	// lookup (none), feature vector, inference, response encode and its
 	// stored cached:true twin. Most of it is the test helper's own JSON
-	// round trip (BenchmarkServePredictMiss reads 52, a warm hit 38).
+	// round trip (BenchmarkServePredictMiss reads 50, a warm hit 38).
 	next := k + 1
 	if allocs := testing.AllocsPerRun(len(specs)-next-1, func() { query(programs[0], &specs[next]); next++ }); allocs > 320 {
 		t.Errorf("miss on a resident program allocates %.0f objects per request, want <= 320", allocs)
@@ -159,7 +159,7 @@ func TestRestartRewarmsWithOneReplay(t *testing.T) {
 
 // BenchmarkServePredictMiss measures the cold handler path on a
 // resident program: a new architecture every iteration, so every
-// request misses the feature cache and pays one profile lookup - and,
+// request misses the answer cache and pays one profile lookup - and,
 // pinned below, no compile, trace generation or simulation.
 func BenchmarkServePredictMiss(b *testing.B) {
 	testDataset(b)
@@ -200,7 +200,7 @@ func BenchmarkServePredictMiss(b *testing.B) {
 // is a 200 whose config_key is a real setting and whose mixture is
 // finite, or a typed JSON error. Each accepted body is sent twice: the
 // second answer is the first with "cached":false turned true (a program
-// query, now answered from the feature cache) or unchanged.
+// query, now answered from the answer cache) or unchanged.
 func FuzzPredictBody(f *testing.F) {
 	ds, _, _ := testDataset(f)
 	spec := archSpecFor(ds.Archs[0])

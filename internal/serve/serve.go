@@ -22,12 +22,12 @@
 //     server re-warms each program with its one covering replay.
 //
 //   - Answers are memoised in an LRU cache keyed by (program,
-//     microarchitecture) with single-flighted misses: an entry keeps
-//     the feature vector and the encoded response, tagged with the
-//     model that computed it. A repeat query under that model writes
-//     the stored bytes (no inference, no JSON encoding); after a hot
-//     reload the stored vector answers again without profiling. A miss
-//     encodes once and stores the cached:true twin of its answer.
+//     microarchitecture): an entry keeps only the encoded response,
+//     tagged with the model that computed it. A repeat query under that
+//     model writes the stored bytes (no inference, no JSON encoding);
+//     after a hot reload it reads the pair's vector from the resident
+//     profile again. A miss encodes once and stores the cached:true
+//     twin of its answer.
 //
 //   - Admission control bounds concurrent predictions and the waiting
 //     queue; excess load is shed immediately with HTTP 429 and a
@@ -68,9 +68,9 @@ type Config struct {
 	// ModelPath is the model artifact to serve (required). The file is
 	// re-checked on a ReloadEvery throttle and hot-reloaded on change.
 	ModelPath string
-	// CacheEntries bounds the (program, uarch) feature cache, whose
-	// entries keep a feature vector and an encoded answer of about 4 KB
-	// (default 1024 entries).
+	// CacheEntries bounds the (program, uarch) answer cache, whose
+	// entries keep an encoded answer of about 4 KB (default 1024
+	// entries).
 	CacheEntries int
 	// MaxInFlight bounds concurrently executing predictions
 	// (default GOMAXPROCS).
@@ -109,7 +109,7 @@ func (c Config) withDefaults() Config {
 // nothing lingers.
 type Server struct {
 	cfg   Config
-	cache *featureCache
+	cache *answerCache
 	gate  *gate
 	ev    *dataset.Evaluator
 	mux   *http.ServeMux
@@ -144,7 +144,7 @@ func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:   cfg,
-		cache: newFeatureCache(cfg.CacheEntries),
+		cache: newAnswerCache(cfg.CacheEntries),
 		gate:  newGate(cfg.MaxInFlight, cfg.MaxQueue),
 	}
 	s.initMetrics()
@@ -209,15 +209,15 @@ func (s *Server) initMetrics() {
 	s.mShed = r.Counter("portccs_load_shed_total",
 		"Requests refused with 429 because the admission queue was full.")
 	s.mCacheHit = r.Counter("portccs_feature_cache_hits_total",
-		"Predictions served from the (program, uarch) feature cache.")
+		"Predictions of a (program, uarch) pair answered before: its stored answer, or after a model reload a profile lookup.")
 	s.mCacheMiss = r.Counter("portccs_feature_cache_misses_total",
-		"Predictions that read the program's -O3 profile.")
+		"First predictions of a (program, uarch) pair, read from the program's -O3 profile.")
 	s.mProfile = r.Histogram("portccs_profile_seconds",
-		"Feature-cache miss compute (a profile lookup, after a program's one covering replay) in seconds.", nil)
+		"First-query feature read of a (program, uarch) pair (a profile lookup, after a program's one covering replay) in seconds.", nil)
 	s.mReloads = r.CounterVec("portccs_model_reloads_total",
 		"Model artifact reload attempts by outcome.", "outcome")
 	r.GaugeFunc("portccs_feature_cache_entries",
-		"Resident feature-cache entries.", func() float64 { return float64(s.cache.len()) })
+		"Resident (program, uarch) answer-cache entries.", func() float64 { return float64(s.cache.len()) })
 	r.GaugeFunc("portccs_inflight",
 		"Predictions currently executing.", func() float64 { return float64(s.gate.inFlight()) })
 	r.GaugeFunc("portccs_queue_depth",
@@ -304,8 +304,11 @@ type PredictResponse struct {
 	// Mixture is the per-dimension predictive distribution the mode was
 	// taken from (equation 1 of the paper).
 	Mixture []DimMixture `json:"mixture"`
-	// Cached reports that the feature vector came from the cache - no
-	// profile was read for this request.
+	// Cached reports that the pair was answered before: the answer is
+	// the stored one, or after a model reload the new model's answer
+	// from a profile lookup. Concurrent first queries of a pair each
+	// answer cached:false - they share the program's one profile build,
+	// not an answer.
 	Cached bool `json:"cached"`
 	// ModelDatasetSHA256 names the training dataset of the model that
 	// answered, for end-to-end traceability.
@@ -370,7 +373,7 @@ const statusClientClosedRequest = 499
 
 // predict resolves features, queries the model, and shapes the
 // response. It returns either an encoded response or an error body plus
-// status. A program answer is kept in the feature cache, and a repeat
+// status. A program answer is kept in the answer cache, and a repeat
 // query under the same model is answered from it unchanged.
 func (s *Server) predict(req *PredictRequest) ([]byte, int, *errorResponse) {
 	cur := s.model()
@@ -406,29 +409,22 @@ func (s *Server) predict(req *PredictRequest) ([]byte, int, *errorResponse) {
 		}
 		resp.Program, resp.Arch = req.Program, arch.String()
 		key = req.Program + "|" + resp.Arch
-		var stored []byte
-		var hit bool
-		x, stored, hit, err = s.cache.get(key, cur.Model, func() ([]float64, error) {
+		stored, seen := s.cache.get(key, cur.Model)
+		if stored == nil {
 			start := time.Now()
-			defer func() { s.mProfile.Observe(time.Since(start).Seconds()) }()
-			p, err := s.ev.Profile(req.Program)
+			x, err = s.programFeatures(req.Program, arch)
+			if !seen {
+				s.mProfile.Observe(time.Since(start).Seconds())
+			}
 			if err != nil {
-				return nil, err
+				if errors.Is(err, pcerr.ErrUnknownProgram) {
+					return nil, http.StatusNotFound, &errorResponse{Error: err.Error(), Code: "unknown_program"}
+				}
+				return nil, http.StatusInternalServerError, &errorResponse{Error: err.Error(), Code: "error"}
 			}
-			res, err := p.Result(arch)
-			if err != nil {
-				return nil, err
-			}
-			return features.Vector(arch, &res), nil
-		})
-		if err != nil {
-			if errors.Is(err, pcerr.ErrUnknownProgram) {
-				return nil, http.StatusNotFound, &errorResponse{Error: err.Error(), Code: "unknown_program"}
-			}
-			return nil, http.StatusInternalServerError, &errorResponse{Error: err.Error(), Code: "error"}
 		}
-		resp.Cached = hit
-		if hit {
+		resp.Cached = seen
+		if seen {
 			s.mCacheHit.Inc()
 		} else {
 			s.mCacheMiss.Inc()
@@ -446,9 +442,23 @@ func (s *Server) predict(req *PredictRequest) ([]byte, int, *errorResponse) {
 		if !resp.Cached {
 			stored = cachedForm(body)
 		}
-		s.cache.store(key, cur.Model, stored)
+		s.cache.put(key, cur.Model, stored)
 	}
 	return body, status, errResp
+}
+
+// programFeatures reads program's feature vector on arch from its
+// profile, built by the program's first query.
+func (s *Server) programFeatures(program string, arch uarch.Config) ([]float64, error) {
+	p, err := s.ev.Profile(program)
+	if err != nil {
+		return nil, err
+	}
+	res, err := p.Result(arch)
+	if err != nil {
+		return nil, err
+	}
+	return features.Vector(arch, &res), nil
 }
 
 // answer completes resp from m's predictive mixture at x and encodes it.

@@ -593,7 +593,7 @@ func TestWarmPredictAllocs(t *testing.T) {
 			t.Fatalf("HTTP %d: %s", w.Code, w.Body)
 		}
 	}
-	do() // warm the feature cache
+	do() // warm the answer cache
 	if allocs := testing.AllocsPerRun(50, do); allocs > 45 {
 		t.Errorf("warm predict allocates %.0f objects per request, want <= 45", allocs)
 	}

@@ -21,21 +21,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// GeoMean returns the geometric mean (0 for empty or non-positive input).
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
-}
-
 // Correlation returns the Pearson correlation coefficient of two equally
 // long samples (0 when degenerate).
 func Correlation(a, b []float64) float64 {

@@ -89,8 +89,8 @@ type Options struct {
 	// Dir is the store directory, created if absent.
 	Dir string
 	// Budget bounds the directory in approximate bytes (committed
-	// entries, headers included); 0 is unbounded. The most recently
-	// used entry is always retained.
+	// entries, headers included); 0 is unbounded and a negative budget
+	// is refused. The most recently used entry is always retained.
 	Budget int64
 	// FS is the filesystem the store runs on; nil means the real OS.
 	// Tests inject faultfs schedules here.
@@ -183,6 +183,9 @@ var handleSeq atomic.Int64
 func Open(o Options) (*Store, error) {
 	if o.Dir == "" {
 		return nil, fmt.Errorf("store: empty directory")
+	}
+	if o.Budget < 0 {
+		return nil, fmt.Errorf("store: %w: negative budget %d", pcerr.ErrInvalidConfig, o.Budget)
 	}
 	fs := o.FS
 	if fs == nil {

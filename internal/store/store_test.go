@@ -155,6 +155,21 @@ func TestBudgetEvictsLRU(t *testing.T) {
 	}
 }
 
+// TestNegativeBudgetRefused: a budget below zero is a typed refusal at
+// Open, before the directory is created, not a silently unbounded store.
+func TestNegativeBudgetRefused(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "rs")
+	if s, err := Open(Options{Dir: dir, Budget: -1}); !errors.Is(err, pcerr.ErrInvalidConfig) {
+		if s != nil {
+			s.Close()
+		}
+		t.Fatalf("Open with budget -1: err = %v, want ErrInvalidConfig", err)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("refused Open touched the directory: %v", err)
+	}
+}
+
 // TestTempFilesCleanedAtOpen plants a crashed writer's temp file and
 // proves Open removes it without inventing an entry.
 func TestTempFilesCleanedAtOpen(t *testing.T) {

@@ -2,7 +2,6 @@ package portcc
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 
@@ -119,22 +118,15 @@ type Session struct {
 	cfg sessionConfig
 	ev  *dataset.Evaluator
 
-	mu       sync.Mutex
-	baseline map[baselineKey]*baselineEntry // memoised -O3 cycles-per-run
+	// baseline memoises the -O3 cycles per run of each baselineKey as a
+	// *func() (float64, error) from sync.OnceValues: concurrent calls for
+	// the same (program, arch) wait for one simulation.
+	baseline sync.Map
 }
 
 type baselineKey struct {
 	program string
 	arch    Arch
-}
-
-// baselineEntry single-flights the -O3 baseline computation: concurrent
-// Speedup calls for the same (program, arch) wait for one simulation
-// instead of each running their own.
-type baselineEntry struct {
-	once sync.Once
-	v    float64
-	err  error
 }
 
 // NewSession builds a session from functional options:
@@ -145,7 +137,7 @@ func NewSession(opts ...Option) *Session {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	s := &Session{cfg: cfg, baseline: map[baselineKey]*baselineEntry{}}
+	s := &Session{cfg: cfg}
 	// The session's own evaluator serves single-trace calls (RunBatch,
 	// Speedup): nothing else competes for the machine there, so its
 	// batched replays sweep over the full budget (0 = GOMAXPROCS).
@@ -261,18 +253,8 @@ func (s *Session) CyclesPerRun(ctx context.Context, program string, cfg OptConfi
 // iterative-compilation loops pay for one baseline simulation, not one
 // per candidate.
 func (s *Session) Speedup(ctx context.Context, program string, cfg OptConfig, arch Arch) (float64, error) {
-	base, err := s.baselineCyclesPerRun(ctx, program, arch)
-	if err != nil {
-		return 0, err
-	}
-	got, err := s.CyclesPerRun(ctx, program, cfg, arch)
-	if err != nil {
-		return 0, err
-	}
-	if got == 0 {
-		return 0, fmt.Errorf("portcc: zero cycle count for %s", program)
-	}
-	return base / got, nil
+	_, _, speedup, err := s.CompileAndRun(ctx, program, cfg, arch)
+	return speedup, err
 }
 
 // CompileAndRun compiles the named benchmark under cfg once and measures
@@ -290,7 +272,7 @@ func (s *Session) CompileAndRun(ctx context.Context, program string, cfg OptConf
 	if err := cfg.Validate(); err != nil {
 		return nil, RunResult{}, 0, err
 	}
-	base, err := s.baselineCyclesPerRun(ctx, program, arch)
+	base, err := s.baselineCyclesPerRun(program, arch)
 	if err != nil {
 		return nil, RunResult{}, 0, err
 	}
@@ -304,34 +286,29 @@ func (s *Session) CompileAndRun(ctx context.Context, program string, cfg OptConf
 	return bin, res, base / (float64(res.Cycles) / float64(runs)), nil
 }
 
-func (s *Session) baselineCyclesPerRun(ctx context.Context, program string, arch Arch) (float64, error) {
+// baselineCyclesPerRun returns the memoised -O3 cycles per run of
+// program on arch, which the caller has validated. A failure is not
+// memoised: a later call retries.
+func (s *Session) baselineCyclesPerRun(program string, arch Arch) (float64, error) {
 	key := baselineKey{program: program, arch: arch}
-	for {
-		s.mu.Lock()
-		en, ok := s.baseline[key]
-		if !ok {
-			en = &baselineEntry{}
-			s.baseline[key] = en
-		}
-		s.mu.Unlock()
-		en.once.Do(func() { en.v, en.err = s.CyclesPerRun(ctx, program, O3(), arch) })
-		if en.err == nil {
-			return en.v, nil
-		}
-		// Failures are not memoised: drop the entry so later calls retry.
-		s.mu.Lock()
-		if s.baseline[key] == en {
-			delete(s.baseline, key)
-		}
-		s.mu.Unlock()
-		// A cancellation may belong to a concurrent caller's context, not
-		// ours: if our context is still live, retry with a fresh entry
-		// rather than surfacing someone else's cancellation.
-		if ctx.Err() == nil && (errors.Is(en.err, context.Canceled) || errors.Is(en.err, context.DeadlineExceeded)) {
-			continue
-		}
-		return 0, en.err
+	v, ok := s.baseline.Load(key)
+	if !ok {
+		f := sync.OnceValues(func() (float64, error) {
+			o3 := O3()
+			_, r, runs, err := s.ev.CompileAndRun(program, &o3, arch)
+			if err != nil {
+				return 0, err
+			}
+			return float64(r.Cycles) / float64(runs), nil
+		})
+		v, _ = s.baseline.LoadOrStore(key, &f)
 	}
+	f := v.(*func() (float64, error))
+	base, err := (*f)()
+	if err != nil {
+		s.baseline.CompareAndDelete(key, f)
+	}
+	return base, err
 }
 
 // OptimizeFor is the deployment path of Figure 2: one profile run of the
