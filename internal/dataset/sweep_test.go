@@ -153,8 +153,21 @@ func TestSweepCountsCompilesAndTwins(t *testing.T) {
 	if st.Compiles != len(req.Opts)+1 { // settings + the -O3 probe
 		t.Errorf("Compiles = %d, want %d", st.Compiles, len(req.Opts)+1)
 	}
-	if st.TraceReuses <= 0 {
-		t.Errorf("TraceReuses = %d, want > 0 (crc sweeps share many binaries)", st.TraceReuses)
+	// Each setting whose binary an earlier setting already produced is
+	// one reuse: the settings less the distinct binaries, counted here on
+	// a fresh evaluator.
+	ref := NewEvaluator(req.Eval)
+	distinct := map[codegen.Fingerprint]bool{}
+	for i := range req.Opts {
+		p, err := ref.Compile("crc", &req.Opts[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp, _ := codegen.FingerprintInto(p, nil)
+		distinct[fp] = true
+	}
+	if want := int64(len(req.Opts) - len(distinct)); st.TraceReuses != want || want <= 0 {
+		t.Errorf("TraceReuses = %d, want %d (%d settings, %d distinct binaries)", st.TraceReuses, want, len(req.Opts), len(distinct))
 	}
 	// Every window and program state must have been released.
 	if len(sw.progs) != 0 {
