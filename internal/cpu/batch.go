@@ -47,9 +47,9 @@
 //     through a maximal run of eligible events, so those at an even
 //     offset from its start pair. Both widths share one closed form,
 //     whose paired count is zero at width 1 and whose histogram is
-//     quantised at the configuration's width. A width outside
-//     uarch.Widths (never sampled, refused by uarch.Validate) is
-//     answered by Simulate itself.
+//     quantised at the configuration's width. A configuration
+//     uarch.Validate refuses (a width outside uarch.Widths, a value off
+//     a Table 2 list) is never replayed: Simulate itself answers it.
 //
 //  4. The pass is cache-blocked: the trace is consumed in blocks of
 //     blockEvents events, and each shared structure sweeps a whole block
@@ -90,10 +90,13 @@
 // Facts 2-3 make every counter a closed form over per-geometry counts, and
 // the whole base + §7 space has few geometries: 120 IL1 and 120 DL1 cache
 // geometries, 20 BTB geometries, 80 fetch streams (BTB geometry, IL1
-// block) and 5 load-use latencies. A Profile (profile.go) is one replay
-// over a 525-configuration sample covering all of them, kept per geometry;
-// its Result answers any valid configuration through the same closed form
-// (assemble) a batch ends with, bit-identical to Simulate.
+// block) and 5 load-use latencies. Every replay records the counts of the
+// geometries it holds in a Profile (profile.go), and every Result is that
+// profile's, assembled in closed form (assemble) bit-identical to
+// Simulate. A batch's profile holds its own configurations' geometries
+// and never leaves the call; only NewProfile's, one replay over a
+// 525-configuration sample covering all of them, answers any valid
+// configuration.
 package cpu
 
 import (
@@ -713,10 +716,9 @@ type lineTrack struct {
 
 // batchState is the per-configuration view: indices into the shared
 // groups and the load-use latency that picks its dependency stalls, from
-// which its counts are gathered once the pass is done.
+// which replay records its geometries' counts once the pass is done.
 type batchState struct {
 	cfg    uarch.Config
-	width  int
 	dl1Lat int
 	icIdx  int
 	btbIdx int
@@ -969,20 +971,29 @@ func dataKey(dcs []*lruStack, tr *trace.Trace) (key [sha256.Size]byte) {
 }
 
 // simulateBatch is the one engine behind the exported entry points: the
-// replay, then each configuration's Result in closed form. memo (nil:
-// none) answers or learns the data caches (fact 5); reused: it answered.
+// replay of the configurations uarch.Validate accepts into a profile of
+// their own, then each one's Result read from it; Simulate answers the
+// rest. memo (nil: none) answers or learns the data caches (fact 5);
+// reused: it answered.
 func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, memo *DataMemo) (results []Result, reused bool, fits fitCounts) {
 	if len(cfgs) == 0 {
 		return nil, false, fits
 	}
+	valid := make([]uarch.Config, 0, len(cfgs))
+	for _, cfg := range cfgs {
+		if cfg.Validate() == nil {
+			valid = append(valid, cfg)
+		}
+	}
+	p := newProfile()
+	if len(valid) > 0 {
+		reused, fits = replay(tr, valid, workers, memo, p)
+	}
 	results = make([]Result, len(cfgs))
-	reused, fits = replay(tr, cfgs, workers, memo, func(i int, c *counts) {
-		k := costsOf(&cfgs[i])
-		results[i] = assemble(cfgs[i], &k, c)
-	})
 	for i, cfg := range cfgs {
-		if cfg.Width > 2 {
-			results[i] = Simulate(tr, cfg) // outside uarch.Widths: never sampled
+		var err error
+		if results[i], err = p.Result(cfg); err != nil {
+			results[i] = Simulate(tr, cfg)
 		}
 	}
 	return results, reused, fits
@@ -1004,10 +1015,9 @@ type counts struct {
 // assemble is the closed form every batched Result ends with: each stall
 // source is a shared count times the configuration's penalty, and issue
 // contributes one cycle per instruction minus one per paired event. k
-// holds cfg's latencies, penalties and energies (costsOf, or the
-// profile's table of them).
+// holds cfg's latencies, penalties and energies, read from the profile's
+// tables of costsOf.
 func assemble(cfg uarch.Config, k *archCosts, c *counts) (res Result) {
-	width := max(cfg.Width, 1)
 	icPenalty, dcPenalty := k.icPenalty, k.dcPenalty
 	stPenalty := max(dcPenalty/2, 1)
 	res.Config = cfg
@@ -1030,7 +1040,7 @@ func assemble(cfg uarch.Config, k *archCosts, c *counts) (res Result) {
 	res.DepStalls = c.depStalls
 	res.Cycles = c.insns - c.pairs + res.FetchStalls + res.MemStalls +
 		res.DepStalls + res.BranchStalls
-	res.Decodes = c.insns + c.mispredicts*uint64(mispredictPenalty*width/2)
+	res.Decodes = c.insns + c.mispredicts*uint64(mispredictPenalty*cfg.Width/2)
 
 	res.EnergyNJ = float64(res.ICAccesses)*k.il1Energy +
 		float64(res.DCAccesses)*k.dl1Energy +
@@ -1040,10 +1050,9 @@ func assemble(cfg uarch.Config, k *archCosts, c *counts) (res Result) {
 	return res
 }
 
-// replay runs the batched pass over cfgs and hands each configuration's
-// counts to emit, in input order; a width above 2 gets none (the caller
-// answers it with Simulate). The counts are valid for the call only.
-func replay(tr *trace.Trace, cfgs []uarch.Config, workers int, memo *DataMemo, emit func(i int, c *counts)) (reused bool, fits fitCounts) {
+// replay runs the batched pass over cfgs, which uarch.Validate accepts,
+// and records the counts of every geometry they hold in p.
+func replay(tr *trace.Trace, cfgs []uarch.Config, workers int, memo *DataMemo, p *Profile) (reused bool, fits fitCounts) {
 	sc := getSimScratch()
 	defer putSimScratch(sc)
 	states := sc.stateBuf(len(cfgs))
@@ -1076,10 +1085,6 @@ func replay(tr *trace.Trace, cfgs []uarch.Config, workers int, memo *DataMemo, e
 	for i, cfg := range cfgs {
 		st := &states[i]
 		st.cfg = cfg
-		st.width = cfg.Width
-		if st.width < 1 {
-			st.width = 1
-		}
 		st.dl1Lat = cfg.DL1Latency()
 
 		bk := btbKey{cfg.BTBSize, cfg.BTBAssoc}
@@ -1138,7 +1143,7 @@ func replay(tr *trace.Trace, cfgs []uarch.Config, workers int, memo *DataMemo, e
 		dSet, dBlk := geomBits(cfg.DL1Size, cfg.DL1Assoc, cfg.DL1Block)
 		st.dcm = stackOf(dcIndex, &dcs, dSet, dBlk).member(cfg.DL1Assoc)
 
-		switch st.width {
+		switch cfg.Width {
 		case 1:
 			maxDl1 = max(maxDl1, st.dl1Lat)
 		case 2:
@@ -1163,7 +1168,7 @@ func replay(tr *trace.Trace, cfgs []uarch.Config, workers int, memo *DataMemo, e
 	pgIndex := map[[2]int]int{}
 	for i := range states {
 		st := &states[i]
-		if st.width != 2 {
+		if st.cfg.Width != 2 {
 			continue
 		}
 		k := [2]int{st.icIdx, latIndex[st.dl1Lat]}
@@ -1491,30 +1496,31 @@ func replay(tr *trace.Trace, cfgs []uarch.Config, workers int, memo *DataMemo, e
 		}
 	}
 
-	c := counts{
+	p.tot = counts{
 		insns: uint64(len(tr.Events)), memOps: memOps, branches: branches,
 		aluOps: aluOps, macOps: macOps, shiftOps: shiftOps,
 		regReads: tr.RegReads, regWrites: tr.RegWrites,
 	}
-	dep1, dep2 := depStallMemo(hist, maxDl1), depStallMemo(hist2, maxDl1W)
+	// A histogram clamps load distances at the deepest load-use latency
+	// it was built for, which stalls no latency up to it, so it folds
+	// exactly at each of them.
+	for lat := 1; lat <= maxDl1; lat++ {
+		p.dep[0][lat] = depStallDot(hist, maxDl1, lat)
+	}
+	for lat := 1; lat <= maxDl1W; lat++ {
+		p.dep[1][lat] = depStallDot(hist2, maxDl1W, lat)
+	}
 	for i := range states {
 		st := &states[i]
-		if st.width > 2 {
-			continue
+		cfg := &st.cfg
+		s, lat := fetchStream(cfg), st.dl1Lat
+		p.il1[cacheGeom(cfg.IL1Size, cfg.IL1Assoc, cfg.IL1Block)] = st.icm.misses
+		p.dl1[cacheGeom(cfg.DL1Size, cfg.DL1Assoc, cfg.DL1Block)] = [2]uint64{st.dcm.loadMisses, st.dcm.storeMisses}
+		p.btb[btbGeom(cfg.BTBSize, cfg.BTBAssoc)] = btbs[st.btbIdx].mispredicts
+		p.fetch[s] = [2]uint64{ics[st.icIdx].accesses, ics[st.icIdx].redirects}
+		if cfg.Width == 2 {
+			p.pairs[s*(maxLoadUse+1)+lat] = pairGroups[st.pgIdx].pairs
 		}
-		g, bg := &ics[st.icIdx], &btbs[st.btbIdx]
-		c.icAccesses, c.redirects = g.accesses, g.redirects
-		c.icMisses = st.icm.misses
-		c.loadMisses, c.storeMisses = st.dcm.loadMisses, st.dcm.storeMisses
-		c.mispredicts = bg.mispredicts
-		// The histogram quantised at the configuration's width; a paired
-		// event is its width-2 pairing group's.
-		if st.width == 2 {
-			c.pairs, c.depStalls = pairGroups[st.pgIdx].pairs, dep2(st.dl1Lat)
-		} else {
-			c.pairs, c.depStalls = 0, dep1(st.dl1Lat)
-		}
-		emit(i, &c)
 	}
 	return reused, fits
 }
@@ -1542,18 +1548,4 @@ func depStallDot(hist []uint64, maxDl1, dl1Lat int) uint64 {
 		}
 	}
 	return total
-}
-
-// depStallMemo folds hist once per distinct load-use latency, the one
-// input the fold takes from a configuration.
-func depStallMemo(hist []uint64, maxDl1 int) func(dl1Lat int) uint64 {
-	memo := map[int]uint64{}
-	return func(dl1Lat int) uint64 {
-		d, ok := memo[dl1Lat]
-		if !ok {
-			d = depStallDot(hist, maxDl1, dl1Lat)
-			memo[dl1Lat] = d
-		}
-		return d
-	}
 }

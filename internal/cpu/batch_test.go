@@ -703,3 +703,50 @@ func TestSimulateBatchRejectsBadBTBGeometry(t *testing.T) {
 		t.Errorf("SimulateBatch panics with %v, Simulate with %v", got, want)
 	}
 }
+
+// TestRefusedConfigsFallBackToSimulate holds the engine to its fallback:
+// a configuration uarch.Validate refuses but Simulate accepts (a clock
+// off the frequency list, width 3, a 2 KiB IL1) never indexes the
+// geometry tables, and is answered by Simulate - alone or beside a
+// sampled architecture set, sequential, at two workers and through a
+// data-stream memo.
+func TestRefusedConfigsFallBackToSimulate(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	tr := randomTrace(rng, 4000)
+	f450, w3, il1 := uarch.XScale(), uarch.XScale(), uarch.XScale()
+	f450.FreqMHz = 450
+	w3.Width = 3
+	il1.IL1Size = 2 << 10
+	refused := []uarch.Config{f450, w3, il1}
+	for _, cfg := range refused {
+		if cfg.Validate() == nil {
+			t.Fatalf("%s: uarch.Validate accepts it, so it does not test the fallback", cfg.String())
+		}
+	}
+	sample := sampleArchs(rng, 12, true)
+	sets := map[string][]uarch.Config{"all refused": refused, "mixed": append(append(sample[:6:6], refused...), sample[6:]...)}
+	for _, cfg := range refused {
+		sets["alone "+cfg.String()] = []uarch.Config{cfg}
+	}
+	for name, archs := range sets {
+		want := make([]Result, len(archs))
+		for i, cfg := range archs {
+			want[i] = Simulate(tr, cfg)
+		}
+		var memo DataMemo
+		filled, _ := SimulateBatchMemo(tr, archs, 1, &memo)
+		answered, _ := SimulateBatchMemo(tr, archs, 1, &memo)
+		for how, got := range map[string][]Result{
+			"SimulateBatch": SimulateBatch(tr, archs),
+			"2 workers":     SimulateBatchWith(tr, archs, 2),
+			"memo fill":     filled,
+			"memo answered": answered,
+		} {
+			for i := range archs {
+				if got[i] != want[i] {
+					t.Fatalf("%s, %s: config %d (%s):\n  got %+v\n want %+v", name, how, i, archs[i].String(), got[i], want[i])
+				}
+			}
+		}
+	}
+}

@@ -14,10 +14,13 @@ import (
 // a width-2 pairing group (fetch stream, load-use latency), or a
 // dependency-stall fold at one load-use latency and width; frequency only
 // scales penalties and latencies, which assemble reads from the
-// configuration. NewProfile replays the covering sample, which holds each
-// of them, and keeps the counts per geometry; Result looks them up and
-// assembles in closed form, bit-identical to Simulate. Read-only once
-// built, so safe for concurrent use.
+// configuration. Every batched replay records its counts here, per
+// geometry, and Result looks them up and assembles in closed form,
+// bit-identical to Simulate. NewProfile replays the covering sample,
+// which holds each geometry, so its profile answers every valid
+// configuration; a geometry no replay held reads zero, which is why a
+// batch's own profile never leaves SimulateBatch. Read-only once built,
+// so safe for concurrent use.
 type Profile struct {
 	// tot holds the trace's totals; Result sets every per-geometry field
 	// of its copy.
@@ -113,7 +116,8 @@ type archCosts struct {
 	il1Energy, dl1Energy, btbEnergy float64
 }
 
-// costsOf evaluates the uarch formulas on cfg.
+// costsOf evaluates the uarch formulas on cfg: what the cost tables
+// below are built from, and what the tests hold them to.
 func costsOf(cfg *uarch.Config) archCosts {
 	return archCosts{
 		il1Lat:    cfg.IL1Latency(),
@@ -179,13 +183,12 @@ func tableCosts(cfg *uarch.Config, il1, dl1, btb int) archCosts {
 	}
 }
 
-// NewProfile replays tr once over the covering sample, fanning the
-// per-geometry sweeps over workers (SimulateBatchWith's contract), and
-// keeps the counts per geometry.
-func NewProfile(tr *trace.Trace, workers int) *Profile {
+// newProfile returns a profile whose every count reads zero, for replay
+// to fill.
+func newProfile() *Profile {
 	caches := len(uarch.CacheSizes) * len(uarch.CacheAssocs) * len(uarch.CacheBlocks)
 	streams := len(uarch.BTBEntries) * len(uarch.BTBAssocs) * len(uarch.CacheBlocks)
-	p := &Profile{
+	return &Profile{
 		il1:   make([]uint64, caches),
 		dl1:   make([][2]uint64, caches),
 		btb:   make([]uint64, len(uarch.BTBEntries)*len(uarch.BTBAssocs)),
@@ -193,19 +196,13 @@ func NewProfile(tr *trace.Trace, workers int) *Profile {
 		pairs: make([]uint64, streams*(maxLoadUse+1)),
 		dep:   [2][]uint64{make([]uint64, maxLoadUse+1), make([]uint64, maxLoadUse+1)},
 	}
-	replay(tr, cover, workers, nil, func(i int, c *counts) {
-		cfg := &cover[i]
-		s, lat := fetchStream(cfg), cfg.DL1Latency()
-		p.tot = *c
-		p.il1[cacheGeom(cfg.IL1Size, cfg.IL1Assoc, cfg.IL1Block)] = c.icMisses
-		p.dl1[cacheGeom(cfg.DL1Size, cfg.DL1Assoc, cfg.DL1Block)] = [2]uint64{c.loadMisses, c.storeMisses}
-		p.btb[btbGeom(cfg.BTBSize, cfg.BTBAssoc)] = c.mispredicts
-		p.fetch[s] = [2]uint64{c.icAccesses, c.redirects}
-		p.dep[cfg.Width-1][lat] = c.depStalls
-		if cfg.Width == 2 {
-			p.pairs[s*(maxLoadUse+1)+lat] = c.pairs
-		}
-	})
+}
+
+// NewProfile replays tr once over the covering sample, fanning the
+// per-geometry sweeps over workers (SimulateBatchWith's contract).
+func NewProfile(tr *trace.Trace, workers int) *Profile {
+	p := newProfile()
+	replay(tr, cover, workers, nil, p)
 	return p
 }
 

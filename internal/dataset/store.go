@@ -67,11 +67,11 @@ const resultFields = 18
 // store) and I/O trouble alike; Put's failures only show in Stats.
 //
 // The backend may be a local directory (OpenResultStore), a
-// local-then-remote tier over a shared store service
-// (OpenResultStoreRemote), or anything else satisfying store.Backend;
-// the pipeline above this seam cannot tell them apart, which is the
-// point - datasets are byte-identical under every backend and every
-// backend failure.
+// local-then-remote tier over a shared store service or that service's
+// client alone (OpenResultStoreRemote), or anything else satisfying
+// store.Backend; the pipeline above this seam cannot tell them apart,
+// which is the point - datasets are byte-identical under every backend
+// and every backend failure.
 type ResultStore struct {
 	s store.Backend
 	// Compile-index lookups: store.Stats cannot tell the kinds apart.
@@ -85,12 +85,12 @@ func OpenResultStore(dir string, budget int64) (*ResultStore, error) {
 }
 
 // OpenResultStoreRemote opens a tiered result store: the local
-// directory at dir (skipped when dir is empty - a shard with no cache
-// disk leans on the fleet alone) backed by the store service at addr.
-// Gets check local first, then the service, writing remote hits back;
-// Puts commit to both, so every shard's work is shared fleet-wide. The
-// service connection is dialled lazily and every transport failure -
-// dead service, torn frame, slow reply, version skew - degrades to a
+// directory at dir backed by the store service at addr. Gets check
+// local first, then the service, writing remote hits back; Puts commit
+// to both, so every shard's work is shared fleet-wide. With dir empty
+// (a shard with no cache disk) the store is the service client itself.
+// The service connection is dialled lazily and every transport failure
+// - dead service, torn frame, slow reply, version skew - degrades to a
 // local miss, bounded in time: a run with the service down is just a
 // run with a cold shared tier.
 func OpenResultStoreRemote(dir string, budget int64, addr string) (*ResultStore, error) {
@@ -98,20 +98,21 @@ func OpenResultStoreRemote(dir string, budget int64, addr string) (*ResultStore,
 }
 
 // OpenResultStoreFS is the one opener under both: a local tier on fs (nil
-// = the OS), tiered over the service at addr if set (dir may then be "").
+// = the OS), tiered over the service at addr if set; with addr set and
+// dir "", the service client alone.
 func OpenResultStoreFS(dir string, budget int64, addr string, fs faultfs.FS) (*ResultStore, error) {
-	var local *store.Store
-	var err error
-	if dir != "" || addr == "" {
-		if local, err = store.Open(store.Options{Dir: dir, Budget: budget, FS: fs}); err != nil {
-			return nil, err
-		}
+	remoteOpts := store.RemoteOptions{Addr: addr, Format: FormatVersion}
+	if addr != "" && dir == "" {
+		return &ResultStore{s: store.NewRemote(remoteOpts)}, nil
+	}
+	local, err := store.Open(store.Options{Dir: dir, Budget: budget, FS: fs})
+	if err != nil {
+		return nil, err
 	}
 	if addr == "" {
 		return &ResultStore{s: local}, nil
 	}
-	remote := store.NewRemote(store.RemoteOptions{Addr: addr, Format: FormatVersion})
-	return &ResultStore{s: store.NewTiered(local, remote)}, nil
+	return &ResultStore{s: store.NewTiered(local, store.NewRemote(remoteOpts))}, nil
 }
 
 // Close releases the store: a remote tier's connection is closed, and a

@@ -175,6 +175,35 @@ func TestHintonDiagrams(t *testing.T) {
 	}
 }
 
+// TestFigure9IgnoresProgramOrder pins that Figure 9 reads the (program,
+// architecture) pairs as a set: listing the programs in reverse leaves
+// every cell as it was. An architecture descriptor takes few distinct
+// values over many pairs, so binning that split its ties by sample index
+// would encode the program order in its bins.
+func TestFigure9IgnoresProgramOrder(t *testing.T) {
+	ds := getDS(t)
+	rev := *ds
+	n := len(ds.Programs)
+	rev.Programs = make([]string, n)
+	rev.Speedups = make([][][]float32, n)
+	rev.Features = make([][][]float64, n)
+	rev.BaselineCycles = make([][]float64, n)
+	rev.Runs = make([]int, n)
+	for p := 0; p < n; p++ {
+		q := n - 1 - p
+		rev.Programs[q], rev.Speedups[q], rev.Features[q] = ds.Programs[p], ds.Speedups[p], ds.Features[p]
+		rev.BaselineCycles[q], rev.Runs[q] = ds.BaselineCycles[p], ds.Runs[p]
+	}
+	want, got := Figure9(ds), Figure9(&rev)
+	for l := range want.Cells {
+		for f := range want.Cells[l] {
+			if d := math.Abs(got.Cells[l][f] - want.Cells[l][f]); d > 1e-12 {
+				t.Errorf("%s x %s: %g with the programs reversed, %g in order", want.RowLabels[l], want.ColLabels[f], got.Cells[l][f], want.Cells[l][f])
+			}
+		}
+	}
+}
+
 func TestFigure1(t *testing.T) {
 	ds := getDS(t)
 	f1, err := Figure1(context.Background(), ds, dataset.ExploreOptions{})

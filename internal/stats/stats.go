@@ -69,33 +69,26 @@ func Box(xs []float64) BoxStats {
 
 // Quantize maps a continuous sample onto nbins equal-population bins
 // (quantile binning), returning the bin index per element. Used to
-// discretise speedups and counter values for mutual information.
+// discretise speedups and counter values for mutual information. Equal
+// values share the bin of their group's first rank, so a bin depends on
+// the values alone, never on the order the sample lists them in.
 func Quantize(xs []float64, nbins int) []int {
 	n := len(xs)
 	out := make([]int, n)
 	if n == 0 || nbins < 2 {
 		return out
 	}
-	type kv struct {
-		v float64
-		i int
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
 	}
-	s := make([]kv, n)
-	for i, x := range xs {
-		s[i] = kv{x, i}
-	}
-	sort.Slice(s, func(a, b int) bool {
-		if s[a].v != s[b].v {
-			return s[a].v < s[b].v
+	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
+	first := 0
+	for rank, i := range idx {
+		if xs[i] != xs[idx[first]] {
+			first = rank
 		}
-		return s[a].i < s[b].i
-	})
-	for rank, e := range s {
-		bin := rank * nbins / n
-		if bin >= nbins {
-			bin = nbins - 1
-		}
-		out[e.i] = bin
+		out[i] = min(first*nbins/n, nbins-1)
 	}
 	return out
 }

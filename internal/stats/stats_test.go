@@ -80,6 +80,29 @@ func TestQuantizeBalanced(t *testing.T) {
 	}
 }
 
+// TestQuantizeTiesShareABin pins that a bin depends on the values alone:
+// equal values share one bin, however the sample lists them, and bins
+// never decrease as values increase.
+func TestQuantizeTiesShareABin(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	xs := make([]float64, 420)
+	for i := range xs {
+		xs[i] = float64(rng.Intn(5))
+	}
+	xs[7] = 2.5 // a lone value between two tie groups
+	bins := Quantize(xs, 8)
+	for i := range xs {
+		for j := range xs {
+			if xs[i] == xs[j] && bins[i] != bins[j] {
+				t.Fatalf("equal values %g at %d and %d fall in bins %d and %d", xs[i], i, j, bins[i], bins[j])
+			}
+			if xs[i] < xs[j] && bins[i] > bins[j] {
+				t.Fatalf("%g falls in bin %d above %g's bin %d", xs[i], bins[i], xs[j], bins[j])
+			}
+		}
+	}
+}
+
 func TestMutualInformationIdentity(t *testing.T) {
 	x := []int{0, 1, 0, 1, 0, 1, 0, 1}
 	// I(X;X) = H(X) = log 2 for a balanced binary variable.

@@ -2,8 +2,9 @@
 // wire.Server accept loop (the one the job daemon runs on) that exposes
 // one Backend (normally a plain *Store directory) to a fleet of remote
 // clients over the wire protocol. One portccsd process owns the
-// directory; every shard's Tiered backend queries it before recomputing
-// a cell, so a fleet's duplicate replays collapse into one computation.
+// directory; every shard's Remote client (alone, or the remote tier of
+// its Tiered backend) queries it before recomputing a cell, so a
+// fleet's duplicate replays collapse into one computation.
 //
 // The protocol per connection: version handshake (by wire.Server,
 // exactly like the job protocol - mismatched builds are refused typed),

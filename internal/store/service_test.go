@@ -371,25 +371,26 @@ func TestTieredPutReachesBothTiers(t *testing.T) {
 }
 
 // TestTieredRemoteOnly: a shard with no cache directory leans on the
-// service alone and still degrades cleanly when it dies.
+// service alone - its backend is the Remote, no Tiered around it - and
+// still degrades cleanly when the service dies.
 func TestTieredRemoteOnly(t *testing.T) {
 	ts := startService(t, mustOpen(t, Options{Dir: t.TempDir()}), ServiceConfig{Format: 7})
 
-	tiered := NewTiered(nil, NewRemote(fastOpts(ts.addr, 7)))
-	defer tiered.Close()
-	if err := tiered.Put(keyN(1), payloadN(1)); err != nil {
+	remote := NewRemote(fastOpts(ts.addr, 7))
+	defer remote.Close()
+	if err := remote.Put(keyN(1), payloadN(1)); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok, err := tiered.Get(keyN(1)); !ok || err != nil || !bytes.Equal(got, payloadN(1)) {
+	if got, ok, err := remote.Get(keyN(1)); !ok || err != nil || !bytes.Equal(got, payloadN(1)) {
 		t.Fatalf("remote-only get: ok=%v err=%v", ok, err)
 	}
-	if st := tiered.Stats(); st.Hits != 1 || st.Puts != 1 {
+	if st := remote.Stats(); st.Hits != 1 || st.Puts != 1 {
 		t.Errorf("remote-only ledger: %+v", st)
 	}
 	ts.stop()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if _, ok, err := tiered.Get(keyN(1)); !ok {
+		if _, ok, err := remote.Get(keyN(1)); !ok {
 			if err != nil {
 				t.Fatalf("degraded get returned error: %v", err)
 			}

@@ -131,12 +131,12 @@ type Stats struct {
 	// Entries and Bytes describe the resident set.
 	Entries int
 	Bytes   int64
-	// The Remote* counters describe the remote tier of a Tiered backend
-	// (always zero for a plain Store): Gets answered by the service,
-	// Gets the service answered with a miss, and requests degraded by
-	// transport trouble (dead service, torn frames, slow replies -
-	// each one cost a timeout or a reconnect and was absorbed as a
-	// miss). RemotePuts counts entries acknowledged by the service and
+	// The Remote* counters describe the service client, alone or as
+	// the remote tier of a Tiered backend (always zero for a plain
+	// Store): Gets answered by the service, Gets the service answered
+	// with a miss, and requests degraded by transport trouble (dead
+	// service, torn frames, slow replies - each one cost a timeout or
+	// a reconnect and was absorbed as a miss). RemotePuts counts entries acknowledged by the service and
 	// RemotePutErrors the commits it lost.
 	RemoteHits, RemoteMisses, RemoteErrors int64
 	RemotePuts, RemotePutErrors            int64

@@ -9,9 +9,9 @@ package store
 
 import "errors"
 
-// Tiered is a local-then-remote Backend. Either tier may be nil (but
-// not both): a nil local is a shard with no cache directory leaning on
-// the fleet service alone; a nil remote is just the local store.
+// Tiered is a local-then-remote Backend; both tiers are set. A shard
+// with no cache directory needs no composition: its Backend is the
+// Remote itself.
 type Tiered struct {
 	local  *Store
 	remote *Remote
@@ -28,24 +28,15 @@ func NewTiered(local *Store, remote *Remote) *Tiered {
 // so corruption costs a round trip, not a recomputation, when the
 // fleet has the bytes.
 func (t *Tiered) Get(k Key) ([]byte, bool, error) {
-	var localErr error
-	if t.local != nil {
-		payload, ok, err := t.local.Get(k)
-		if ok {
-			return payload, true, nil
-		}
-		localErr = err
+	payload, ok, localErr := t.local.Get(k)
+	if ok {
+		return payload, true, nil
 	}
-	if t.remote != nil {
-		payload, ok, _ := t.remote.Get(k)
-		if ok {
-			// Write-back: the next Get for k is local. A failed local
-			// commit is already counted there and costs nothing here.
-			if t.local != nil {
-				t.local.Put(k, payload)
-			}
-			return payload, true, nil
-		}
+	if payload, ok, _ := t.remote.Get(k); ok {
+		// Write-back: the next Get for k is local. A failed local
+		// commit is already counted there and costs nothing here.
+		t.local.Put(k, payload)
+		return payload, true, nil
 	}
 	return nil, false, localErr
 }
@@ -55,28 +46,17 @@ func (t *Tiered) Get(k Key) ([]byte, bool, error) {
 // absorbed - it only costs the fleet a recomputation elsewhere and is
 // visible in RemotePutErrors.
 func (t *Tiered) Put(k Key, payload []byte) error {
-	var localErr error
-	if t.local != nil {
-		localErr = t.local.Put(k, payload)
-	}
-	if t.remote != nil {
-		t.remote.Put(k, payload)
-	}
-	return localErr
+	err := t.local.Put(k, payload)
+	t.remote.Put(k, payload)
+	return err
 }
 
 // Quarantine retires k in both tiers: the local file moves aside, the
 // remote key is never asked of the service again this session.
 func (t *Tiered) Quarantine(k Key, reason error) error {
-	var err error
-	if t.local != nil {
-		err = t.local.Quarantine(k, reason)
-	}
-	if t.remote != nil {
-		rerr := t.remote.Quarantine(k, reason)
-		if err == nil {
-			err = rerr
-		}
+	err := t.local.Quarantine(k, reason)
+	if rerr := t.remote.Quarantine(k, reason); err == nil {
+		err = rerr
 	}
 	return err
 }
@@ -86,40 +66,23 @@ func (t *Tiered) Quarantine(k Key, reason error) error {
 // each degraded request missed). The resident-set and commit fields
 // are the local tier's; the Remote* fields are the service client's.
 func (t *Tiered) Stats() Stats {
-	var st Stats
-	if t.local != nil {
-		st = t.local.Stats()
-	}
-	if t.remote != nil {
-		rs := t.remote.Stats()
-		st.RemoteHits = rs.RemoteHits
-		st.RemoteMisses = rs.RemoteMisses
-		st.RemoteErrors = rs.RemoteErrors
-		st.RemotePuts = rs.RemotePuts
-		st.RemotePutErrors = rs.RemotePutErrors
-		st.Hits += rs.RemoteHits
-		// Every Get the local tier could not answer went remote, so the
-		// whole backend's misses are exactly the remote tier's
-		// non-answers (clean misses plus degraded requests).
-		st.Misses = rs.RemoteMisses + rs.RemoteErrors
-		if t.local == nil {
-			st.Puts = rs.RemotePuts
-			st.PutErrors = rs.RemotePutErrors
-		}
-	}
+	st, rs := t.local.Stats(), t.remote.Stats()
+	st.RemoteHits = rs.RemoteHits
+	st.RemoteMisses = rs.RemoteMisses
+	st.RemoteErrors = rs.RemoteErrors
+	st.RemotePuts = rs.RemotePuts
+	st.RemotePutErrors = rs.RemotePutErrors
+	st.Hits += rs.RemoteHits
+	// Every Get the local tier could not answer went remote, so the
+	// whole backend's misses are exactly the remote tier's non-answers
+	// (clean misses plus degraded requests).
+	st.Misses = rs.Misses
 	return st
 }
 
 // Close closes both tiers.
 func (t *Tiered) Close() error {
-	var errs []error
-	if t.local != nil {
-		errs = append(errs, t.local.Close())
-	}
-	if t.remote != nil {
-		errs = append(errs, t.remote.Close())
-	}
-	return errors.Join(errs...)
+	return errors.Join(t.local.Close(), t.remote.Close())
 }
 
 // Backend conformance across the family.

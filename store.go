@@ -29,9 +29,10 @@ func OpenResultStore(dir string, budget int64) (*ResultStore, error) {
 }
 
 // OpenResultStoreRemote opens a tiered result store: the local
-// directory at dir (optional - empty means no local tier) backed by
-// the shared store service at addr (a running portccsd), so a fleet of
-// workers reuses one replay cache. Lookups check local first, then the
+// directory at dir backed by the shared store service at addr (a
+// running portccsd), so a fleet of workers reuses one replay cache.
+// With dir empty there is no local tier: the store is the service
+// client itself. Lookups check local first, then the
 // service, writing remote hits back locally; commits go to both. Every
 // service failure mode - dead process, torn frames, slow replies,
 // version skew - degrades to a local miss bounded in time: datasets
