@@ -23,23 +23,6 @@ func ExampleSession_Speedup() {
 	// Output: 1.000
 }
 
-// One compiled binary replayed over several microarchitectures in a
-// single batched pass.
-func ExampleSession_RunBatch() {
-	ctx := context.Background()
-	s := portcc.NewSession(portcc.WithScale(portcc.TinyScale()))
-
-	small := portcc.XScale()
-	small.IL1Size = 4 << 10
-	small.IL1Assoc = 4
-	results, err := s.RunBatch(ctx, "crc", portcc.O3(), []portcc.Arch{portcc.XScale(), small})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(len(results), results[0].Cycles > 0)
-	// Output: 2 true
-}
-
 // Streaming design-space exploration: grid cells arrive as they
 // complete, and the loop can stop (or the context cancel) at any point.
 func ExampleSession_Explore() {

@@ -4,9 +4,10 @@
 // optimisation space, then show how many evaluations each needs to match
 // what the model achieves after a single -O3 profiling run.
 //
-// The search objective is Session.Speedup: its -O3 denominator is
-// memoised per (program, architecture), so the hundreds of candidate
-// evaluations pay for exactly one baseline simulation.
+// The search objective is Session.Speedup: its -O3 denominator is the
+// session's memoised -O3 run of the (program, architecture) pair - the
+// run OptimizeFor profiles, too - so the model's prediction and the
+// hundreds of candidate evaluations pay for exactly one -O3 simulation.
 package main
 
 import (

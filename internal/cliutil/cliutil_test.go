@@ -2,6 +2,7 @@ package cliutil
 
 import (
 	"context"
+	"errors"
 	"os"
 	"regexp"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"portcc/internal/dataset"
+	"portcc/internal/pcerr"
 	"portcc/internal/sched"
 )
 
@@ -132,6 +134,27 @@ func TestStoreTiers(t *testing.T) {
 		if got := tc.f.StoreTiers(); got != tc.want {
 			t.Errorf("StoreTiers(%+v) = %q, want %q", tc.f, got, tc.want)
 		}
+	}
+}
+
+// TestOpenStoreRefusesBudgetWithoutStore: a byte budget bounds only the
+// local directory, so one given without -store - alone or beside
+// -store-remote - is a typed refusal, not a silently unbounded run.
+func TestOpenStoreRefusesBudgetWithoutStore(t *testing.T) {
+	for _, f := range []Flags{{StoreBudget: 1 << 20}, {StoreBudget: 1 << 20, StoreRemote: "127.0.0.1:1"}} {
+		if rs, err := f.OpenStore(); rs != nil || !errors.Is(err, pcerr.ErrInvalidConfig) {
+			t.Errorf("OpenStore(%+v) = %v, %v; want nil, ErrInvalidConfig", f, rs, err)
+		}
+	}
+	if rs, err := (&Flags{}).OpenStore(); rs != nil || err != nil {
+		t.Errorf("no store flags: OpenStore = %v, %v; want nil, nil", rs, err)
+	}
+	for _, f := range []Flags{{Store: t.TempDir(), StoreBudget: 1 << 20}, {StoreRemote: "127.0.0.1:1"}} {
+		rs, err := f.OpenStore()
+		if err != nil || rs == nil {
+			t.Fatalf("OpenStore(%+v) = %v, %v; want a store", f, rs, err)
+		}
+		rs.Close()
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"portcc/internal/dataset"
+	"portcc/internal/pcerr"
 	"portcc/internal/sched"
 )
 
@@ -112,16 +113,18 @@ func (f *Flags) RegisterStore() {
 
 // OpenStore opens the result store the store flags describe - the
 // local directory, the shared service, or both tiered - returning
-// (nil, nil) when neither flag is set. The caller owns Close.
+// (nil, nil) when neither flag is set. A positive -store-budget bounds
+// only a local directory, so without -store it is refused with
+// pcerr.ErrInvalidConfig. The caller owns Close.
 func (f *Flags) OpenStore() (*dataset.ResultStore, error) {
-	var rs *dataset.ResultStore
-	var err error
-	switch {
-	case f.StoreRemote != "":
-		rs, err = dataset.OpenResultStoreRemote(f.Store, f.StoreBudget, f.StoreRemote)
-	case f.Store != "":
-		rs, err = dataset.OpenResultStore(f.Store, f.StoreBudget)
+	if f.StoreBudget > 0 && f.Store == "" {
+		return nil, fmt.Errorf("cliutil: %w: -store-budget %d without -store bounds nothing",
+			pcerr.ErrInvalidConfig, f.StoreBudget)
 	}
+	if f.Store == "" && f.StoreRemote == "" {
+		return nil, nil
+	}
+	rs, err := dataset.OpenResultStoreRemote(f.Store, f.StoreBudget, f.StoreRemote)
 	if err != nil {
 		return nil, fmt.Errorf("cliutil: -store: %w", err)
 	}

@@ -16,14 +16,6 @@ type Progress struct {
 	Done, Total int
 }
 
-// Fraction returns completion in [0, 1].
-func (p Progress) Fraction() float64 {
-	if p.Total == 0 {
-		return 0
-	}
-	return float64(p.Done) / float64(p.Total)
-}
-
 // Option configures a Session (functional options).
 type Option func(*sessionConfig)
 
@@ -112,21 +104,29 @@ func WithNaiveCompile() Option {
 // every long-running method takes a context and stops promptly - draining
 // its workers - when the context is cancelled. A result store
 // (WithResultStore) serves Explore and GenerateDataset only: the
-// single-run methods (Compile, Run, RunBatch, CyclesPerRun, Speedup,
-// CompileAndRun, OptimizeFor) neither consult nor write it.
+// single-run methods (Compile, Run, CyclesPerRun, Speedup, CompileAndRun,
+// OptimizeFor) neither consult nor write it. They validate through admit
+// and replay through run, which simulates a (program, arch)'s -O3 run once.
 type Session struct {
 	cfg sessionConfig
 	ev  *dataset.Evaluator
 
-	// baseline memoises the -O3 cycles per run of each baselineKey as a
-	// *func() (float64, error) from sync.OnceValues: concurrent calls for
-	// the same (program, arch) wait for one simulation.
+	// baseline memoises the -O3 run of each baselineKey as a
+	// *func() (measured, error) from sync.OnceValues: concurrent calls
+	// for the same (program, arch) wait for one simulation.
 	baseline sync.Map
 }
 
 type baselineKey struct {
 	program string
 	arch    Arch
+}
+
+// measured is one single run: the binary, its counters, cycles per run.
+type measured struct {
+	bin    *Binary
+	res    RunResult
+	perRun float64
 }
 
 // NewSession builds a session from functional options:
@@ -138,9 +138,7 @@ func NewSession(opts ...Option) *Session {
 		o(&cfg)
 	}
 	s := &Session{cfg: cfg}
-	// The session's own evaluator serves single-trace calls (RunBatch,
-	// Speedup): nothing else competes for the machine there, so its
-	// batched replays sweep over the full budget (0 = GOMAXPROCS).
+	// Its own evaluator runs the single-run methods' per-event replays only.
 	s.ev = dataset.NewEvaluator(s.evalConfig())
 	return s
 }
@@ -175,13 +173,53 @@ func (s *Session) Stats() (compiles, simulations int) {
 	return st.Compiles, st.Simulations
 }
 
+// admit is the one entry check of the single-run methods: the context,
+// then each architecture, then the setting. A memoised -O3 run answers
+// without looking at ctx, so a cancelled call must stop here.
+func admit(ctx context.Context, cfg OptConfig, archs ...Arch) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	for _, a := range archs {
+		if err := a.Validate(); err != nil {
+			return err
+		}
+	}
+	return cfg.Validate()
+}
+
+// run is the one replay path of the single-run methods: program compiled
+// under cfg, replayed event by event on arch, as admitted by the caller.
+// The -O3 run is memoised per (program, arch); a failure is not.
+func (s *Session) run(program string, cfg OptConfig, arch Arch) (measured, error) {
+	replay := func() (measured, error) {
+		bin, r, runs, err := s.ev.CompileAndRun(program, &cfg, arch)
+		if err != nil {
+			return measured{}, err
+		}
+		return measured{bin: bin, res: r, perRun: float64(r.Cycles) / float64(runs)}, nil
+	}
+	if cfg != O3() {
+		return replay()
+	}
+	key := baselineKey{program: program, arch: arch}
+	v, ok := s.baseline.Load(key)
+	if !ok {
+		f := sync.OnceValues(replay)
+		v, _ = s.baseline.LoadOrStore(key, &f)
+	}
+	f := v.(*func() (measured, error))
+	m, err := (*f)()
+	if err != nil {
+		s.baseline.CompareAndDelete(key, f)
+	}
+	return m, err
+}
+
 // Compile builds the named benchmark under the given optimisation setting
 // and returns its binary image; no trace is generated.
 func (s *Session) Compile(ctx context.Context, program string, cfg OptConfig) (*Binary, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := cfg.Validate(); err != nil {
+	if err := admit(ctx, cfg); err != nil {
 		return nil, err
 	}
 	return s.ev.Compile(program, &cfg)
@@ -190,131 +228,59 @@ func (s *Session) Compile(ctx context.Context, program string, cfg OptConfig) (*
 // Run compiles and simulates the named benchmark on an architecture,
 // returning cycles and the Table 1 performance counters.
 func (s *Session) Run(ctx context.Context, program string, cfg OptConfig, arch Arch) (RunResult, error) {
-	if err := ctx.Err(); err != nil {
+	if err := admit(ctx, cfg, arch); err != nil {
 		return RunResult{}, err
 	}
-	if err := arch.Validate(); err != nil {
-		return RunResult{}, err
-	}
-	if err := cfg.Validate(); err != nil {
-		return RunResult{}, err
-	}
-	return s.ev.Run(program, &cfg, arch)
-}
-
-// RunBatch compiles the program once and replays its trace on every
-// architecture in a single batched pass (bit-identical to calling Run per
-// architecture, but the trace is streamed once and cache/BTB state is
-// deduplicated by geometry). This is the fast path for design-space
-// exploration: one binary, many microarchitectures.
-func (s *Session) RunBatch(ctx context.Context, program string, cfg OptConfig, archs []Arch) ([]RunResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	for i, a := range archs {
-		if err := a.Validate(); err != nil {
-			return nil, fmt.Errorf("portcc: arch %d: %w", i, err)
-		}
-	}
-	tr, _, err := s.ev.Trace(program, &cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return s.ev.SimulateBatch(tr, archs), nil
+	m, err := s.run(program, cfg, arch)
+	return m.res, err
 }
 
 // CyclesPerRun returns the work-normalised execution time (cycles per
 // complete program run), the metric speedups are computed from.
 func (s *Session) CyclesPerRun(ctx context.Context, program string, cfg OptConfig, arch Arch) (float64, error) {
-	if err := ctx.Err(); err != nil {
+	if err := admit(ctx, cfg, arch); err != nil {
 		return 0, err
 	}
-	if err := arch.Validate(); err != nil {
-		return 0, err
-	}
-	if err := cfg.Validate(); err != nil {
-		return 0, err
-	}
-	_, r, runs, err := s.ev.CompileAndRun(program, &cfg, arch)
-	if err != nil {
-		return 0, err
-	}
-	return float64(r.Cycles) / float64(runs), nil
+	m, err := s.run(program, cfg, arch)
+	return m.perRun, err
 }
 
 // Speedup measures cfg against -O3 on the given architecture. The -O3
-// denominator is memoised per (program, architecture) on the session, so
-// iterative-compilation loops pay for one baseline simulation, not one
-// per candidate.
+// denominator is the session's memoised run, so iterative-compilation
+// loops pay for one baseline simulation, not one per candidate.
 func (s *Session) Speedup(ctx context.Context, program string, cfg OptConfig, arch Arch) (float64, error) {
 	_, _, speedup, err := s.CompileAndRun(ctx, program, cfg, arch)
 	return speedup, err
 }
 
 // CompileAndRun compiles the named benchmark under cfg once and measures
-// that binary on arch: the image, its counters and its speedup over -O3
-// (the session's memoised baseline). It returns what Compile, Run and
-// Speedup return, for one compile where the three calls pay three.
+// that binary on arch: the image, its counters and its speedup over the
+// session's memoised -O3 run. It returns what Compile, Run and Speedup
+// return, for one compile where the three calls pay three; at -O3 it
+// compiles and simulates nothing the session has not already.
 func (s *Session) CompileAndRun(ctx context.Context, program string, cfg OptConfig, arch Arch) (*Binary, RunResult, float64, error) {
-	// A memoised baseline answers without looking at ctx.
-	if err := ctx.Err(); err != nil {
+	if err := admit(ctx, cfg, arch); err != nil {
 		return nil, RunResult{}, 0, err
 	}
-	if err := arch.Validate(); err != nil {
-		return nil, RunResult{}, 0, err
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, RunResult{}, 0, err
-	}
-	base, err := s.baselineCyclesPerRun(program, arch)
+	base, err := s.run(program, O3(), arch)
 	if err != nil {
 		return nil, RunResult{}, 0, err
 	}
-	bin, res, runs, err := s.ev.CompileAndRun(program, &cfg, arch)
+	m, err := s.run(program, cfg, arch)
 	if err != nil {
 		return nil, RunResult{}, 0, err
 	}
-	if res.Cycles == 0 {
+	if m.res.Cycles == 0 {
 		return nil, RunResult{}, 0, fmt.Errorf("portcc: zero cycle count for %s", program)
 	}
-	return bin, res, base / (float64(res.Cycles) / float64(runs)), nil
-}
-
-// baselineCyclesPerRun returns the memoised -O3 cycles per run of
-// program on arch, which the caller has validated. A failure is not
-// memoised: a later call retries.
-func (s *Session) baselineCyclesPerRun(program string, arch Arch) (float64, error) {
-	key := baselineKey{program: program, arch: arch}
-	v, ok := s.baseline.Load(key)
-	if !ok {
-		f := sync.OnceValues(func() (float64, error) {
-			o3 := O3()
-			_, r, runs, err := s.ev.CompileAndRun(program, &o3, arch)
-			if err != nil {
-				return 0, err
-			}
-			return float64(r.Cycles) / float64(runs), nil
-		})
-		v, _ = s.baseline.LoadOrStore(key, &f)
-	}
-	f := v.(*func() (float64, error))
-	base, err := (*f)()
-	if err != nil {
-		s.baseline.CompareAndDelete(key, f)
-	}
-	return base, err
+	return m.bin, m.res, base.perRun / m.perRun, nil
 }
 
 // OptimizeFor is the deployment path of Figure 2: one profile run of the
-// program at -O3 on the target architecture supplies the performance
-// counters; the model predicts the best passes; the returned configuration
-// is ready to compile with. A nil model fails with ErrInvalidConfig.
+// program at -O3 on the target architecture (the session's memoised run,
+// which Speedup and CompileAndRun reuse) supplies the performance
+// counters; the model predicts the best passes; the returned
+// configuration is ready to compile with. A nil model is ErrInvalidConfig.
 func (s *Session) OptimizeFor(ctx context.Context, program string, arch Arch, m *Model) (OptConfig, error) {
 	if m == nil {
 		return OptConfig{}, fmt.Errorf("portcc: %w: no model", ErrInvalidConfig)
@@ -323,10 +289,12 @@ func (s *Session) OptimizeFor(ctx context.Context, program string, arch Arch, m 
 		return OptConfig{}, fmt.Errorf("portcc: %w: model has %d-wide feature vectors, a profile run measures %d",
 			ErrInvalidConfig, m.Dim(), features.Dim)
 	}
-	r, err := s.Run(ctx, program, O3(), arch)
+	if err := admit(ctx, O3(), arch); err != nil {
+		return OptConfig{}, err
+	}
+	o3, err := s.run(program, O3(), arch)
 	if err != nil {
 		return OptConfig{}, err
 	}
-	x := features.Vector(arch, &r)
-	return m.Predict(x), nil
+	return m.Predict(features.Vector(arch, &o3.res)), nil
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"portcc"
+	"portcc/internal/features"
 )
 
 // tinySession returns a session scaled for sub-second tests.
@@ -28,28 +29,6 @@ func threeArchs() []portcc.Arch {
 	c.DL1Size = 8 << 10
 	c.DL1Assoc = 8
 	return []portcc.Arch{a, b, c}
-}
-
-func TestRunBatchMatchesSequentialRun(t *testing.T) {
-	ctx := context.Background()
-	s := tinySession()
-	archs := threeArchs()
-	batch, err := s.RunBatch(ctx, "crc", portcc.O3(), archs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch) != len(archs) {
-		t.Fatalf("%d batch results, want %d", len(batch), len(archs))
-	}
-	for i, a := range archs {
-		single, err := s.Run(ctx, "crc", portcc.O3(), a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if batch[i] != single {
-			t.Errorf("arch %d: batch result differs from sequential Run", i)
-		}
-	}
 }
 
 func TestExploreYieldsFullGridExactlyOnce(t *testing.T) {
@@ -89,8 +68,10 @@ func TestExploreYieldsFullGridExactlyOnce(t *testing.T) {
 	}
 }
 
-func TestExploreMatchesRunBatch(t *testing.T) {
-	// The streaming engine must be bit-identical to the facade fast path.
+// TestExploreMatchesRun: every cell of the streaming engine equals the
+// per-event Run of its setting on each architecture, the reference the
+// batched replay is written against.
+func TestExploreMatchesRun(t *testing.T) {
 	ctx := context.Background()
 	s := tinySession()
 	req, err := s.NewExploreRequest(false)
@@ -101,13 +82,16 @@ func TestExploreMatchesRunBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct, err := s.RunBatch(ctx, res.Program, res.Config, req.Archs)
-		if err != nil {
-			t.Fatal(err)
+		if len(res.Results) != len(req.Archs) {
+			t.Fatalf("cell (%d,%d): %d results, want %d", res.ProgIndex, res.OptIndex, len(res.Results), len(req.Archs))
 		}
-		for i := range direct {
-			if direct[i] != res.Results[i] {
-				t.Fatalf("explore result (%d,%d,%d) differs from RunBatch",
+		for i, a := range req.Archs {
+			direct, err := s.Run(ctx, res.Program, res.Config, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if direct != res.Results[i] {
+				t.Fatalf("explore result (%d,%d,%d) differs from Run",
 					res.ProgIndex, res.OptIndex, i)
 			}
 		}
@@ -235,9 +219,6 @@ func TestTypedErrorRoundTrips(t *testing.T) {
 	}
 	if _, err := s.Speedup(ctx, "crc", portcc.O3(), bad); !errors.Is(err, portcc.ErrInvalidConfig) {
 		t.Errorf("Speedup with invalid arch: got %v, want ErrInvalidConfig", err)
-	}
-	if _, err := s.RunBatch(ctx, "crc", portcc.O3(), []portcc.Arch{portcc.XScale(), bad}); !errors.Is(err, portcc.ErrInvalidConfig) {
-		t.Errorf("RunBatch with invalid arch: got %v, want ErrInvalidConfig", err)
 	}
 	if _, err := s.OptimizeFor(ctx, "crc", portcc.XScale(), nil); !errors.Is(err, portcc.ErrInvalidConfig) {
 		t.Errorf("OptimizeFor with a nil model: got %v, want ErrInvalidConfig", err)
@@ -369,6 +350,57 @@ func TestCompileAndRunHonoursCancelAfterBaseline(t *testing.T) {
 	}
 	if compiles, _ := s.Stats(); compiles != before {
 		t.Errorf("cancelled CompileAndRun compiled: %d compiles, want still %d", compiles, before)
+	}
+}
+
+// TestSessionReplaysO3OncePerPair: the deployment sequence - profile,
+// predict, measure - and every -O3 question after it share the
+// session's one -O3 run of the pair, with a fresh session's answers.
+func TestSessionReplaysO3OncePerPair(t *testing.T) {
+	ctx := context.Background()
+	_, model := tinyModel(t)
+	arch := portcc.XScale()
+	tuned := portcc.O3()
+	tuned.Flags[portcc.FScheduleInsns] = false
+
+	s := tinySession()
+	cfg, err := s.OptimizeFor(ctx, "crc", arch, model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Speedup(ctx, "crc", tuned, arch); err != nil {
+		t.Fatal(err)
+	}
+	run, err := s.Run(ctx, "crc", portcc.O3(), arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perRun, err := s.CyclesPerRun(ctx, "crc", portcc.O3(), arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, v, err := s.CompileAndRun(ctx, "crc", portcc.O3(), arch); err != nil || v != 1 {
+		t.Fatalf("-O3 against itself: speedup %v, err %v; want exactly 1", v, err)
+	}
+	if _, sims := s.Stats(); sims != 2 {
+		t.Errorf("%d simulations, want 2 (one -O3 run + the tuned candidate)", sims)
+	}
+
+	fresh := tinySession()
+	wantRun, err := fresh.Run(ctx, "crc", portcc.O3(), arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPerRun, err := tinySession().CyclesPerRun(ctx, "crc", portcc.O3(), arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run != wantRun || perRun != wantPerRun {
+		t.Errorf("memoised -O3 run: %d cycles, %v per run; a fresh session's %d, %v",
+			run.Cycles, perRun, wantRun.Cycles, wantPerRun)
+	}
+	if want := model.Predict(features.Vector(arch, &wantRun)); cfg != want {
+		t.Errorf("OptimizeFor chose %s, a prediction on a fresh -O3 run %s", cfg.Key(), want.Key())
 	}
 }
 
@@ -512,10 +544,9 @@ func TestSingleRunMethodsValidateSetting(t *testing.T) {
 	arch := portcc.XScale()
 	_, errCompile := s.Compile(ctx, "crc", bad)
 	_, errRun := s.Run(ctx, "crc", bad, arch)
-	_, errBatch := s.RunBatch(ctx, "crc", bad, []portcc.Arch{arch})
 	_, errCycles := s.CyclesPerRun(ctx, "crc", bad, arch)
 	_, errSpeedup := s.Speedup(ctx, "crc", bad, arch)
-	for name, err := range map[string]error{"Compile": errCompile, "Run": errRun, "RunBatch": errBatch, "CyclesPerRun": errCycles, "Speedup": errSpeedup} {
+	for name, err := range map[string]error{"Compile": errCompile, "Run": errRun, "CyclesPerRun": errCycles, "Speedup": errSpeedup} {
 		if !errors.Is(err, portcc.ErrInvalidConfig) {
 			t.Errorf("%s: got %v, want ErrInvalidConfig", name, err)
 		}
